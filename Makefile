@@ -36,22 +36,12 @@ fuzz-short:
 		done; \
 	done
 
-# Data-path microbenchmarks: oncrpc call-path and securechan
-# seal/open allocations, plus the WAN flush-scaling sweep (workers
-# 1/2/4/8 under an emulated 20 ms RTT). Results land in BENCH_5.json;
-# BENCH_6.json pairs the allocation benchmarks with the static
-# alloc-hotpath census totals (runtime allocs/op vs the budgeted heap
-# sites). CI runs at -benchtime 1x and archives both files, full runs
-# use e.g. BENCHTIME=100x. The paper-figure suite stays in
-# cmd/sgfs-bench.
-BENCHTIME ?= 1x
-# BENCH7FLAGS scales the async-pipeline benchmark; CI overrides it to
-# a smoke scale, full runs use the defaults.
-BENCH7FLAGS ?=
+# The repo's one benchmark in suite mode (BENCHMARK.json,
+# benchmark/README.md): the seven paper-shaped workloads, untraced and
+# traced, built and run under .bench_build/. The paper-figure suite
+# stays in cmd/sgfs-bench.
 bench:
-	$(GO) run ./cmd/sgfs-bench5 -benchtime $(BENCHTIME) -out BENCH_5.json
-	$(GO) run ./cmd/sgfs-bench6 -benchtime $(BENCHTIME) -out BENCH_6.json
-	$(GO) run ./cmd/sgfs-bench7 $(BENCH7FLAGS) -out BENCH_7.json
+	bash benchmark/run.sh
 
 # Recompute the hot-path alloc census and refresh the committed
 # baseline the CI alloc budget compares against.

@@ -66,14 +66,6 @@ type StackConfig struct {
 	BlockSize int
 	// Readahead blocks in the NFS client (default 2; -1 disables).
 	Readahead int
-	// AttrTimeout overrides the NFS client's attribute/name cache
-	// freshness window (0 = the client default). Benchmarks that
-	// measure revalidation storms set it to 1ns so every stat goes to
-	// the wire.
-	AttrTimeout time.Duration
-	// AsyncWindow bounds the client proxy's upstream pipelining depth
-	// (0 = the oncrpc default; negative = unbounded).
-	AsyncWindow int
 	// FineGrained enables per-file ACLs on the SGFS server proxy.
 	FineGrained bool
 	// DisableACLCache turns off ACL caching (ablation).
@@ -159,11 +151,10 @@ func BuildStack(cfg StackConfig) (*Stack, error) {
 
 	wan := netem.Config{RTT: cfg.RTT}
 	clientOpts := nfsclient.Options{
-		BlockSize:   cfg.BlockSize,
-		CacheBytes:  cfg.ClientCacheBytes,
-		Readahead:   cfg.Readahead,
-		AttrTimeout: cfg.AttrTimeout,
-		UID:         1000, GID: 1000,
+		BlockSize:  cfg.BlockSize,
+		CacheBytes: cfg.ClientCacheBytes,
+		Readahead:  cfg.Readahead,
+		UID:        1000, GID: 1000,
 	}
 
 	ctx := context.Background()
@@ -317,7 +308,6 @@ func buildProxyStack(st *Stack, cfg StackConfig, nfsAddr, exportPath string, wan
 		Meter:         st.ClientMeter,
 		RekeyInterval: cfg.RekeyInterval,
 		Recovery:      cfg.Recovery,
-		AsyncWindow:   cfg.AsyncWindow,
 	}
 	if cfg.DiskCache {
 		dir := cfg.DiskCacheDir

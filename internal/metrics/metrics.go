@@ -142,9 +142,6 @@ type ChannelStats struct {
 	// calls on the session's transport — the pipelining depth the
 	// workload actually reached.
 	InflightHWM atomic.Uint64
-	// WindowStalls counts asynchronous submissions that had to wait
-	// for a pipeline-window slot (backpressure engaged).
-	WindowStalls atomic.Uint64
 	// OutOfOrder counts replies claimed after a later-submitted call
 	// had already completed — the multiplexed, out-of-order
 	// completions that serial RPC cannot produce.
@@ -173,7 +170,6 @@ type ChannelSnapshot struct {
 	Timeouts              uint64
 	DegradedReads         uint64
 	InflightHWM           uint64
-	WindowStalls          uint64
 	OutOfOrder            uint64
 }
 
@@ -189,7 +185,6 @@ func (s *ChannelStats) Snapshot() ChannelSnapshot {
 		Timeouts:              s.Timeouts.Load(),
 		DegradedReads:         s.DegradedReads.Load(),
 		InflightHWM:           s.InflightHWM.Load(),
-		WindowStalls:          s.WindowStalls.Load(),
 		OutOfOrder:            s.OutOfOrder.Load(),
 	}
 }

@@ -164,7 +164,6 @@ func TestSnapshotRaceHammer(t *testing.T) {
 				ch.Replays.Add(1)
 				ch.Timeouts.Add(1)
 				ch.DegradedReads.Add(1)
-				ch.WindowStalls.Add(1)
 				ch.OutOfOrder.Add(1)
 				ch.NoteInflight(uint64(seed*spins + i + 1))
 
@@ -198,8 +197,7 @@ func TestSnapshotRaceHammer(t *testing.T) {
 				case cs.Disconnects < prevCh.Disconnects || cs.Replays < prevCh.Replays:
 					errc <- fmt.Errorf("channel counters ran backwards: %+v then %+v", prevCh, cs)
 					return
-				case cs.InflightHWM < prevCh.InflightHWM || cs.WindowStalls < prevCh.WindowStalls ||
-					cs.OutOfOrder < prevCh.OutOfOrder:
+				case cs.InflightHWM < prevCh.InflightHWM || cs.OutOfOrder < prevCh.OutOfOrder:
 					errc <- fmt.Errorf("pipeline counters ran backwards: %+v then %+v", prevCh, cs)
 					return
 				case ds.FlushedBlocks < prevDP.FlushedBlocks || ds.FlushPeak < prevDP.FlushPeak:

@@ -1,10 +1,10 @@
 // Batched metadata operations: the serial walk/stat loops of fs.go
-// re-expressed over the oncrpc future API, so a metadata storm pays
-// per-RTT cost once per pipeline round instead of once per file. The
-// three entry points mirror the kernel-client patterns the paper's
-// workloads hit hardest: BatchStat ("ls -l" / untar stat storms),
-// ReadDirStat (readdir+stat with attribute fill), and Revalidate
-// (parallel GETATTR freshness sweeps over cached state).
+// fanned out as concurrent blocking calls on the one connection, so a
+// metadata storm pays per-RTT cost once per round instead of once per
+// file. The three entry points mirror the kernel-client patterns the
+// paper's workloads hit hardest: BatchStat ("ls -l" / untar stat
+// storms), ReadDirStat (readdir+stat with attribute fill), and
+// Revalidate (parallel GETATTR freshness sweeps over cached state).
 package nfsclient
 
 import (
@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/nfs3"
 	"repro/internal/oncrpc"
+	"repro/internal/singleflight"
 )
 
 // StatResult is one path's outcome from BatchStat.
@@ -29,24 +30,25 @@ type walkEntry struct {
 	err   error
 }
 
-// pendingLookup is one deduplicated (dir, name) LOOKUP in flight,
-// with the walk entries waiting on it.
-type pendingLookup struct {
+// roundLookup is one deduplicated (dir, name) LOOKUP of a walkMany
+// round, with the walk entries waiting on it.
+type roundLookup struct {
 	dir  nfs3.FH3
 	name string
-	res  nfs3.LookupRes
-	p    *oncrpc.Pending
+	obj  nfs3.FH3
+	attr nfs3.Fattr3
+	err  error
 	idxs []int
 }
 
 // walkMany resolves many paths level-synchronously: each round
 // advances every path through the name cache as far as it goes, then
-// issues the round's cache misses as concurrent LOOKUP futures — one
-// per distinct (directory, name) pair, shared by every path waiting
-// on it. Components within one path still resolve in order (a child
+// issues the round's cache misses as concurrent LOOKUPs — one per
+// distinct (directory, name) pair, shared by every path waiting on
+// it. Components within one path still resolve in order (a child
 // LOOKUP needs its parent's handle — that dependency is why only
 // cross-path pipelining is safe), so a storm of depth-d paths costs
-// ~d pipeline rounds instead of sum-of-components round trips.
+// ~d rounds instead of sum-of-components round trips.
 func (fs *FileSystem) walkMany(ctx context.Context, paths []string) []walkEntry {
 	ws := make([]walkEntry, len(paths))
 	for i, p := range paths {
@@ -54,7 +56,7 @@ func (fs *FileSystem) walkMany(ctx context.Context, paths []string) []walkEntry 
 	}
 	for {
 		uniq := make(map[string]int)
-		var pls []pendingLookup
+		var ls []roundLookup
 		for i := range ws {
 			w := &ws[i]
 			if w.err != nil {
@@ -75,96 +77,81 @@ func (fs *FileSystem) walkMany(ctx context.Context, paths []string) []walkEntry 
 			k := fhKey(w.cur) + "\x00" + name
 			j, ok := uniq[k]
 			if !ok {
-				j = len(pls)
+				j = len(ls)
 				uniq[k] = j
-				pls = append(pls, pendingLookup{dir: w.cur, name: name})
+				ls = append(ls, roundLookup{dir: w.cur, name: name})
 			}
-			pls[j].idxs = append(pls[j].idxs, i)
+			ls[j].idxs = append(ls[j].idxs, i)
 		}
-		if len(pls) == 0 {
+		if len(ls) == 0 {
 			return ws
 		}
-		// Submit the whole round, then collect: the window applies
-		// backpressure during submission while earlier futures
-		// complete on the read loop.
-		for j := range pls {
-			pls[j].p = fs.proto.GoLookup(ctx, pls[j].dir, pls[j].name, &pls[j].res)
-		}
-		for j := range pls {
-			pl := &pls[j]
-			err := pl.p.Wait(ctx)
-			if err == nil && pl.res.Status != nfs3.OK {
-				err = pl.res.Status.Error()
+		singleflight.Each(len(ls), oncrpc.GatherDepth, func(j int) {
+			l := &ls[j]
+			l.obj, l.attr, l.err = fs.proto.Lookup(ctx, l.dir, l.name)
+		})
+		for j := range ls {
+			l := &ls[j]
+			if l.err == nil {
+				fs.names.Put(l.dir, l.name, l.obj)
+				fs.attrs.Put(l.obj, l.attr)
 			}
-			if err != nil {
-				for _, i := range pl.idxs {
-					ws[i].err = err
+			for _, i := range l.idxs {
+				if l.err != nil {
+					ws[i].err = l.err
+					continue
 				}
-				continue
-			}
-			fs.names.Put(pl.dir, pl.name, pl.res.Obj)
-			if pl.res.Attr.Present {
-				fs.attrs.Put(pl.res.Obj, pl.res.Attr.Attr)
-			}
-			for _, i := range pl.idxs {
-				ws[i].cur = pl.res.Obj
+				ws[i].cur = l.obj
 				ws[i].depth++
 			}
 		}
 	}
 }
 
-// pendingAttr is one deduplicated GETATTR in flight with the result
-// slots waiting on it.
-type pendingAttr struct {
-	fh   nfs3.FH3
-	res  nfs3.GetAttrRes
-	p    *oncrpc.Pending
-	idxs []int
-}
-
-// gatherAttrs fetches attributes for the handles at fhs[idxs...]
-// concurrently (deduplicated by handle) and hands each result to
-// apply, which runs on the collecting goroutine. Fetched attributes
-// are entered into the attribute cache.
+// gatherAttrs fetches attributes for the handles in fhs concurrently
+// (deduplicated by handle) and hands each result to apply, which runs
+// on the calling goroutine once the gather is complete. Fetched
+// attributes are entered into the attribute cache.
 func (fs *FileSystem) gatherAttrs(ctx context.Context, fhs []nfs3.FH3, apply func(i int, attr nfs3.Fattr3, err error)) {
+	type fetch struct {
+		fh   nfs3.FH3
+		attr nfs3.Fattr3
+		err  error
+		idxs []int
+	}
 	uniq := make(map[string]int)
-	var pas []pendingAttr
+	var fetches []fetch
 	for i, fh := range fhs {
 		k := fhKey(fh)
 		j, ok := uniq[k]
 		if !ok {
-			j = len(pas)
+			j = len(fetches)
 			uniq[k] = j
-			pas = append(pas, pendingAttr{fh: fh})
+			fetches = append(fetches, fetch{fh: fh})
 		}
-		pas[j].idxs = append(pas[j].idxs, i)
+		fetches[j].idxs = append(fetches[j].idxs, i)
 	}
-	for j := range pas {
-		pas[j].p = fs.proto.GoGetAttr(ctx, pas[j].fh, &pas[j].res)
-	}
-	for j := range pas {
-		pa := &pas[j]
-		err := pa.p.Wait(ctx)
-		if err == nil && pa.res.Status != nfs3.OK {
-			err = pa.res.Status.Error()
+	singleflight.Each(len(fetches), oncrpc.GatherDepth, func(j int) {
+		f := &fetches[j]
+		f.attr, f.err = fs.proto.GetAttr(ctx, f.fh)
+	})
+	for j := range fetches {
+		f := &fetches[j]
+		if f.err == nil {
+			fs.attrs.Put(f.fh, f.attr)
 		}
-		if err == nil {
-			fs.attrs.Put(pa.fh, pa.res.Attr)
-		}
-		for _, i := range pa.idxs {
-			apply(i, pa.res.Attr, err)
+		for _, i := range f.idxs {
+			apply(i, f.attr, f.err)
 		}
 	}
 }
 
-// BatchStat stats every path concurrently: a level-synchronous
-// pipelined walk resolves the handles, then one GETATTR per distinct
-// uncached handle flows through the pipeline window. Results are
-// positional; each carries its own error (a missing file fails only
-// its slot). Serial Stat costs 2 round trips per file on a cold
-// cache; BatchStat costs ~(depth+1) pipeline rounds for the whole
-// set.
+// BatchStat stats every path concurrently: a level-synchronous walk
+// resolves the handles, then one GETATTR per distinct uncached handle
+// joins the fan-out. Results are positional; each carries its own
+// error (a missing file fails only its slot). Serial Stat costs 2
+// round trips per file on a cold cache; BatchStat costs ~(depth+1)
+// rounds for the whole set.
 func (fs *FileSystem) BatchStat(ctx context.Context, paths []string) []StatResult {
 	out := make([]StatResult, len(paths))
 	ws := fs.walkMany(ctx, paths)
@@ -196,9 +183,8 @@ func (fs *FileSystem) BatchStat(ctx context.Context, paths []string) []StatResul
 // ReadDirStat lists path like ReadDir but guarantees attributes on
 // every entry that has a file handle: entries the server returned
 // without post-op attributes are filled from the attribute cache or
-// by concurrent GETATTRs through the pipeline window — the
-// readdir+stat storm as one listing plus one pipeline round instead
-// of one round trip per entry.
+// by concurrent GETATTRs — the readdir+stat storm as one listing plus
+// one round instead of one round trip per entry.
 func (fs *FileSystem) ReadDirStat(ctx context.Context, path string) ([]nfs3.DirEntryPlus, error) {
 	entries, err := fs.ReadDir(ctx, path)
 	if err != nil {

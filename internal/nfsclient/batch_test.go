@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/metrics"
+	"repro/internal/netem"
 )
 
 // seedTree creates d1/d2/f0..f(n-1) plus a top-level root.txt through
@@ -77,6 +78,28 @@ func TestBatchStatColdCache(t *testing.T) {
 	}
 	if snap := stats.Snapshot(); snap.InflightHWM < 2 {
 		t.Fatalf("batch stat never pipelined: in-flight HWM %d", snap.InflightHWM)
+	}
+}
+
+// TestBatchStatPipelines bounds BatchStat in round trips: 24 cold
+// depth-3 paths cost one round per path component plus one GETATTR
+// round, where a serial walk pays at least 48 round trips.
+func TestBatchStatPipelines(t *testing.T) {
+	dial, _ := startServer(t)
+	paths := seedTree(t, mountFS(t, dial, Options{}), 24)
+
+	const rtt = 20 * time.Millisecond
+	// AttrTimeout 1ns: nothing the LOOKUPs prime survives to the stat,
+	// so every GETATTR goes to the wire.
+	fs := mountFS(t, netem.Dialer(dial, netem.Config{RTT: rtt}), Options{AttrTimeout: time.Nanosecond})
+	start := time.Now()
+	for _, r := range fs.BatchStat(context.Background(), paths) {
+		if r.Err != nil {
+			t.Fatalf("%s: %v", r.Path, r.Err)
+		}
+	}
+	if d := time.Since(start); d >= 8*rtt {
+		t.Fatalf("BatchStat of %d cold files took %v, want under 8 RTTs (%v)", len(paths), d, 8*rtt)
 	}
 }
 

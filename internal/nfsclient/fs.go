@@ -833,6 +833,11 @@ func (f *File) Seek(offset int64, whence int) (int64, error) {
 	return f.offset, nil
 }
 
+// flushWorkers is how many UNSTABLE writes one file's flush keeps in
+// flight. Block writes are 32 KiB each, so the bound is far lower than
+// the metadata gathers' (oncrpc.GatherDepth).
+const flushWorkers = 8
+
 // flushFile writes back all dirty blocks of fh and commits them. Any
 // sticky write-back error from earlier cache-pressure eviction is
 // folded into the result, so no lost write stays silent.
@@ -843,30 +848,21 @@ func (fs *FileSystem) flushFile(ctx context.Context, fh nfs3.FH3) error {
 		return sticky
 	}
 	// Flush with bounded concurrency; the RPC client pipelines them.
-	sem := make(chan struct{}, 8)
-	errCh := make(chan error, len(dirty))
 	bs := uint64(fs.opt.BlockSize)
-	for _, b := range dirty {
-		sem <- struct{}{}
-		go func(b dirtyBlock) {
-			defer func() { <-sem }()
-			_, err := fs.proto.Write(ctx, fh, b.key.block*bs, b.data, nfs3.Unstable)
-			if err == nil {
-				fs.statMu.Lock()
-				fs.rpcWrites++
-				fs.statMu.Unlock()
-			}
-			errCh <- err
-		}(b)
-	}
-	var firstErr error
-	for range dirty {
-		if err := <-errCh; err != nil && firstErr == nil {
-			firstErr = err
+	errs := make([]error, len(dirty))
+	singleflight.Each(len(dirty), flushWorkers, func(i int) {
+		b := dirty[i]
+		_, errs[i] = fs.proto.Write(ctx, fh, b.key.block*bs, b.data, nfs3.Unstable)
+		if errs[i] == nil {
+			fs.statMu.Lock()
+			fs.rpcWrites++
+			fs.statMu.Unlock()
 		}
-	}
-	if firstErr != nil {
-		return errors.Join(sticky, firstErr)
+	})
+	for _, err := range errs {
+		if err != nil {
+			return errors.Join(sticky, err)
+		}
 	}
 	return errors.Join(sticky, fs.proto.Commit(ctx, fh, 0, 0))
 }

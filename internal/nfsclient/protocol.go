@@ -64,20 +64,6 @@ func (p *Proto) GetAttr(ctx context.Context, fh nfs3.FH3) (nfs3.Fattr3, error) {
 	return res.Attr, res.Status.Error()
 }
 
-// GoGetAttr issues GETATTR asynchronously through the connection's
-// pipeline window. res is owned by the client until the returned
-// future's Done channel closes; on a nil future error the caller
-// still checks res.Status as with GetAttr.
-func (p *Proto) GoGetAttr(ctx context.Context, fh nfs3.FH3, res *nfs3.GetAttrRes) *oncrpc.Pending {
-	return p.rpc.Go(ctx, nfs3.ProcGetAttr, &nfs3.GetAttrArgs{Obj: fh}, res)
-}
-
-// GoLookup issues LOOKUP asynchronously. See GoGetAttr for the result
-// ownership rules.
-func (p *Proto) GoLookup(ctx context.Context, dir nfs3.FH3, name string, res *nfs3.LookupRes) *oncrpc.Pending {
-	return p.rpc.Go(ctx, nfs3.ProcLookup, &nfs3.LookupArgs{What: nfs3.DirOpArgs{Dir: dir, Name: name}}, res)
-}
-
 // SetAttr applies attribute changes.
 func (p *Proto) SetAttr(ctx context.Context, fh nfs3.FH3, attr nfs3.Sattr3) error {
 	var res nfs3.WccRes

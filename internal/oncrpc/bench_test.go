@@ -41,7 +41,7 @@ func benchStack(tb testing.TB) *Client {
 // comparable to an NFS3 LOOKUP/GETATTR exchange. The server side runs
 // in-process but its allocations are not attributed to the benchmark
 // loop's goroutine-independent counters only approximately; the
-// signal tracked in BENCH_5.json is allocs/op of this loop.
+// signal to watch is allocs/op of this loop.
 func BenchmarkCallEcho(b *testing.B) {
 	c := benchStack(b)
 	ctx := context.Background()

@@ -35,29 +35,26 @@ func IsTransportError(err error) bool {
 }
 
 // inflight is one outstanding call in the pending table. w is the
-// completion target: a chan *[]byte for a synchronous CallCred waiter
-// (the interface boxing is allocation-free — channels are
-// pointer-shaped) or a *Pending future. seq is the submission order
-// used to detect out-of-order completion.
+// waiting CallCred's reply channel: readLoop sends the reply record on
+// it, fail closes it. seq is the submission order used to detect
+// out-of-order completion.
 type inflight struct {
 	seq uint64
-	w   any
+	w   chan *[]byte
 }
 
-// DefaultWindow is the default bound on asynchronously in-flight
-// calls per connection (see NewClientWindow). Synchronous CallCred
-// does not consume window slots; 64 deep pipelining hides one WAN RTT
-// per 64 metadata ops while capping per-connection buffered state at
-// a few MiB of reply records.
-const DefaultWindow = 64
+// GatherDepth is how many blocking calls a metadata gather (a stat
+// storm, a READDIRPLUS attribute fill) keeps in flight on one
+// connection: deep enough to hide a WAN round trip behind 64 small
+// calls, shallow enough to cap buffered reply records at a few MiB.
+const GatherDepth = 64
 
 // Client is a connection-oriented ONC RPC client bound to one program
 // and version on a single transport. It is safe for concurrent use:
 // multiple goroutines may issue calls simultaneously and replies are
 // matched to callers by transaction ID, so the transport is naturally
-// pipelined when callers overlap. Go/GoCred additionally expose the
-// pipelining directly as futures, with many in-flight calls per
-// connection and out-of-order completion.
+// pipelined when callers overlap — many calls in flight per connection,
+// completing out of order as the server answers.
 type Client struct {
 	prog, vers uint32
 
@@ -73,15 +70,10 @@ type Client struct {
 	closed    bool
 	done      chan struct{} // closed when the client fails or is closed
 
-	// window bounds asynchronously in-flight calls (Go/GoCred):
-	// submissions acquire a slot, completions release it. Nil means
-	// unbounded.
-	window chan struct{}
-
 	xid atomic.Uint32
 
 	// stats, when set, accumulates pipelining counters (in-flight
-	// high-water mark, window stalls, out-of-order completions).
+	// high-water mark, out-of-order completions).
 	stats atomic.Pointer[metrics.ChannelStats]
 
 	// Cred supplies the credential attached to each call. Nil means
@@ -93,18 +85,9 @@ type Client struct {
 }
 
 // NewClient wraps an established transport as an RPC client for the
-// given program and version with the default async window. The client
-// owns the connection and closes it on Close or transport error.
+// given program and version. The client owns the connection and closes
+// it on Close or transport error.
 func NewClient(conn net.Conn, prog, vers uint32) *Client {
-	return NewClientWindow(conn, prog, vers, DefaultWindow)
-}
-
-// NewClientWindow is NewClient with an explicit bound on
-// asynchronously in-flight calls (the pipeline window). Go/GoCred
-// block for a free slot when the window is full; depth <= 0 disables
-// the bound. Synchronous Call/CallCred are not windowed — their
-// callers already rate-limit themselves by blocking per call.
-func NewClientWindow(conn net.Conn, prog, vers uint32, depth int) *Client {
 	c := &Client{
 		prog:    prog,
 		vers:    vers,
@@ -112,9 +95,6 @@ func NewClientWindow(conn net.Conn, prog, vers uint32, depth int) *Client {
 		pending: make(map[uint32]inflight),
 		cred:    AuthNone,
 		done:    make(chan struct{}),
-	}
-	if depth > 0 {
-		c.window = make(chan struct{}, depth)
 	}
 	c.xid.Store(rand.Uint32())
 	go c.readLoop()
@@ -179,12 +159,7 @@ func (c *Client) fail(err error) error {
 	c.mu.Unlock()
 	c.conn.Close()
 	for _, inf := range pend {
-		switch w := inf.w.(type) {
-		case chan *[]byte:
-			close(w)
-		case *Pending:
-			w.deliverErr(err)
-		}
+		close(inf.w)
 	}
 	return err
 }
@@ -192,7 +167,7 @@ func (c *Client) fail(err error) error {
 // registerPending installs w as xid's completion target and returns
 // nil, or returns the sticky error of a dead client. It also
 // maintains the in-flight depth high-water mark.
-func (c *Client) registerPending(xid uint32, w any) error {
+func (c *Client) registerPending(xid uint32, w chan *[]byte) error {
 	c.mu.Lock()
 	if c.closed {
 		err := c.err
@@ -211,16 +186,13 @@ func (c *Client) registerPending(xid uint32, w any) error {
 
 // abandonPending removes xid's pending-table entry on behalf of a
 // caller walking away from the call — CallCred's context-cancel and
-// write-error paths, and Pending.Cancel. It reports whether a late
-// delivery may still reach the call's completion target: false when
-// this caller removed the entry itself (no reply can ever be
-// delivered), true when the entry was already gone — claimed by the
-// readLoop, or torn down wholesale by fail. The "late record must not
-// leak into an unrelated call" invariant lives here: when this
-// returns true, any completion target a late delivery or fail could
-// still touch (the sync reply channel) must be abandoned rather than
-// recycled for a later call. Futures are immune — their delivery is
-// gated by a state CAS, not channel ownership.
+// write-error paths. It reports whether a late delivery may still
+// reach the call's reply channel: false when this caller removed the
+// entry itself (no reply can ever be delivered), true when the entry
+// was already gone — claimed by the readLoop, or torn down wholesale
+// by fail. The "late record must not leak into an unrelated call"
+// invariant lives here: when this returns true, the reply channel must
+// be abandoned rather than recycled for a later call.
 func (c *Client) abandonPending(xid uint32) (lateDelivery bool) {
 	c.mu.Lock()
 	_, present := c.pending[xid]
@@ -260,8 +232,8 @@ func (c *Client) readLoop() {
 		if ok {
 			delete(c.pending, xid)
 			// A reply claiming an earlier submission than one already
-			// claimed means the transport completed calls out of order —
-			// the pipelining the future API exists to exploit.
+			// claimed means the transport completed calls out of order:
+			// the pipelining overlapping callers exist to exploit.
 			if inf.seq < c.lastClaim {
 				outOfOrder = true
 			} else {
@@ -280,18 +252,10 @@ func (c *Client) readLoop() {
 				s.OutOfOrder.Add(1)
 			}
 		}
-		switch w := inf.w.(type) {
-		case chan *[]byte:
-			// Hand ownership of the record (still boxed in its pool
-			// pointer) to the waiter, which recycles it into recPool
-			// after decoding.
-			w <- bp
-		case *Pending:
-			// Futures decode here on the readLoop: metadata replies are
-			// small, and decoding in place lets Done() mean "reply is
-			// ready", not "reply has been scheduled".
-			w.deliver(bp)
-		}
+		// Hand ownership of the record (still boxed in its pool pointer)
+		// to the waiter, which decodes it on its own goroutine and then
+		// recycles it into recPool.
+		inf.w <- bp
 	}
 }
 

@@ -278,66 +278,18 @@ func (r *ReconnectClient) invalidate(cl *Client, gen uint64) {
 // Call issues proc under the session's default credential, reconnecting
 // and replaying as permitted by the idempotency classification.
 func (r *ReconnectClient) Call(ctx context.Context, proc uint32, args xdr.Marshaler, reply xdr.Unmarshaler) error {
-	return r.call(ctx, proc, nil, args, reply)
+	return r.do(ctx, proc, nil, args, reply)
 }
 
 // CallCred issues an RPC with an explicit credential. See Call.
 func (r *ReconnectClient) CallCred(ctx context.Context, proc uint32, cred OpaqueAuth, args xdr.Marshaler, reply xdr.Unmarshaler) error {
-	return r.call(ctx, proc, &cred, args, reply)
+	return r.do(ctx, proc, &cred, args, reply)
 }
 
-func (r *ReconnectClient) call(ctx context.Context, proc uint32, cred *OpaqueAuth, args xdr.Marshaler, reply xdr.Unmarshaler) error {
-	return r.do(ctx, proc, func(actx context.Context, cl *Client) error {
-		if cred != nil {
-			return cl.CallCred(actx, proc, *cred, args, reply)
-		}
-		return cl.Call(actx, proc, args, reply)
-	})
-}
-
-// Go issues proc asynchronously under the session's default
-// credential, returning a future. See GoCred.
-func (r *ReconnectClient) Go(ctx context.Context, proc uint32, args xdr.Marshaler, reply xdr.Unmarshaler) *Pending {
-	return r.goCred(ctx, proc, nil, args, reply)
-}
-
-// GoCred is the future form of CallCred: the returned Pending settles
-// when the call completes, the idempotency-classified replay budget is
-// exhausted, or the future is cancelled. Replay discipline is applied
-// per future — a transport failure with a non-idempotent future in
-// flight settles that future with ErrNonIdempotentReplay while
-// idempotent siblings replay transparently on the fresh session. Each
-// attempt submits through the session client's pipeline window, so a
-// storm of reconnect-layer futures gets the same bounded in-flight
-// backpressure as direct ones.
-func (r *ReconnectClient) GoCred(ctx context.Context, proc uint32, cred OpaqueAuth, args xdr.Marshaler, reply xdr.Unmarshaler) *Pending {
-	return r.goCred(ctx, proc, &cred, args, reply)
-}
-
-func (r *ReconnectClient) goCred(ctx context.Context, proc uint32, cred *OpaqueAuth, args xdr.Marshaler, reply xdr.Unmarshaler) *Pending {
-	cctx, cancel := context.WithCancel(ctx)
-	p := &Pending{done: make(chan struct{}), cancelFn: cancel}
-	go func() {
-		defer cancel()
-		p.err = r.do(cctx, proc, func(actx context.Context, cl *Client) error {
-			var inner *Pending
-			if cred != nil {
-				inner = cl.GoCred(actx, proc, *cred, args, reply)
-			} else {
-				inner = cl.Go(actx, proc, args, reply)
-			}
-			return inner.Wait(actx)
-		})
-		close(p.done)
-	}()
-	return p
-}
-
-// do runs the session/replay loop around one call attempt: issue is
-// invoked with the current session client and a per-attempt context,
-// and transport failures trigger reconnection plus replay for
-// idempotent procedures only.
-func (r *ReconnectClient) do(ctx context.Context, proc uint32, issue func(ctx context.Context, cl *Client) error) error {
+// do runs the session/replay loop around one call (cred nil: the
+// session's default credential): transport failures trigger
+// reconnection plus replay for idempotent procedures only.
+func (r *ReconnectClient) do(ctx context.Context, proc uint32, cred *OpaqueAuth, args xdr.Marshaler, reply xdr.Unmarshaler) error {
 	idem := r.opts.Idempotent != nil && r.opts.Idempotent(proc)
 	attempts := r.opts.attempts()
 	var lastErr error
@@ -358,7 +310,11 @@ func (r *ReconnectClient) do(ctx context.Context, proc uint32, issue func(ctx co
 		if r.opts.AttemptTimeout > 0 {
 			actx, cancel = context.WithTimeout(ctx, r.opts.AttemptTimeout)
 		}
-		err = issue(actx, cl)
+		if cred != nil {
+			err = cl.CallCred(actx, proc, *cred, args, reply)
+		} else {
+			err = cl.Call(actx, proc, args, reply)
+		}
 		cancel()
 		if err == nil {
 			return nil

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"sync"
@@ -12,6 +13,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"repro/internal/metrics"
 	"repro/internal/xdr"
 )
 
@@ -343,6 +345,102 @@ func TestContextCancellation(t *testing.T) {
 	}
 	if out.V != 3 {
 		t.Fatalf("got %d", out.V)
+	}
+}
+
+// TestGoOutOfOrderCompletion: a slow call issued from one goroutine is
+// overtaken on the same connection by a fast call issued later from
+// another, and the client counts the out-of-order completion.
+func TestGoOutOfOrderCompletion(t *testing.T) {
+	t.Parallel()
+	_, addr := newTestServer(t)
+	c := dialTest(t, addr)
+	var stats metrics.ChannelStats
+	c.SetStats(&stats)
+	ctx := context.Background()
+
+	var slowOut u32
+	slow := make(chan error, 1)
+	go func() { slow <- c.Call(ctx, procSlow, nil, &slowOut) }()
+	// The slow call must be submitted first: wait for it to reach the
+	// pending table.
+	deadline := time.Now().Add(time.Second)
+	for stats.InflightHWM.Load() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("slow call never reached the pending table")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	var echoOut echoArgs
+	if err := c.Call(ctx, procEcho, &echoArgs{S: "overtake"}, &echoOut); err != nil {
+		t.Fatalf("echo: %v", err)
+	}
+	if echoOut.S != "overtake" {
+		t.Fatalf("echo reply %q", echoOut.S)
+	}
+	select {
+	case err := <-slow:
+		t.Fatalf("slow call returned before its 50ms sleep: %v", err)
+	default:
+	}
+	if err := <-slow; err != nil {
+		t.Fatalf("slow: %v", err)
+	}
+	if slowOut.V != 1 {
+		t.Fatalf("slow reply %d", slowOut.V)
+	}
+	snap := stats.Snapshot()
+	if snap.OutOfOrder == 0 {
+		t.Fatalf("no out-of-order completion counted: %+v", snap)
+	}
+	if snap.InflightHWM < 2 {
+		t.Fatalf("in-flight high-water mark %d, want >= 2", snap.InflightHWM)
+	}
+}
+
+// TestGoCancelLateReplyNoCrossTalk: a call abandoned on context
+// cancellation recycles its pooled callBufs (and reply channel) into
+// later calls; the reply that lands afterwards must reach none of them
+// and must not be decoded into the cancelled call's target.
+func TestGoCancelLateReplyNoCrossTalk(t *testing.T) {
+	t.Parallel()
+	_, addr := newTestServer(t)
+	c := dialTest(t, addr)
+	ctx := context.Background()
+
+	// Cancel a slow call almost at once; its reply arrives ~50ms later.
+	var slowOut u32
+	cctx, cancel := context.WithTimeout(ctx, 2*time.Millisecond)
+	defer cancel()
+	if err := c.Call(cctx, procSlow, nil, &slowOut); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("cancelled call: %v", err)
+	}
+
+	// Storm the connection with distinct calls from several goroutines
+	// while the late reply lands: every reply must match its own call.
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				want := fmt.Sprintf("g%d-i%d", g, i)
+				var out echoArgs
+				if err := c.Call(ctx, procEcho, &echoArgs{S: want}, &out); err != nil {
+					t.Errorf("echo %s: %v", want, err)
+					return
+				}
+				if out.S != want {
+					t.Errorf("cross-talk: sent %q got %q", want, out.S)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	time.Sleep(80 * time.Millisecond) // let the late reply land
+	if slowOut.V != 0 {
+		t.Fatalf("late reply decoded into a cancelled call's target: %d", slowOut.V)
 	}
 }
 

@@ -1,58 +1,28 @@
-// Pipelined upstream metadata helpers: concurrent GETATTR gathers over
-// the oncrpc future API, used by the READDIRPLUS attribute fill and by
-// parallel revalidation of the session attribute cache. The upstream
-// future API keeps many calls in flight on the one WAN connection, so
-// an N-entry gather costs ~1 round trip instead of N.
+// Concurrent upstream metadata helpers: GETATTR gathers fanned out as
+// blocking calls on the one WAN connection, used by the READDIRPLUS
+// attribute fill and by parallel revalidation of the session attribute
+// cache. An N-entry gather costs ~1 round trip instead of N.
 package proxy
 
 import (
 	"context"
-	"sync"
 	"time"
 
 	"repro/internal/nfs3"
 	"repro/internal/oncrpc"
-	"repro/internal/xdr"
+	"repro/internal/singleflight"
 )
-
-// asyncUpstream is the optional pipelined face of an upstream: the
-// plain session client and the reconnecting client both expose the
-// future API. The replicated upstream does not — it fans calls out
-// internally, so gathers fall back to bounded goroutines over Call.
-type asyncUpstream interface {
-	Go(ctx context.Context, proc uint32, args xdr.Marshaler, reply xdr.Unmarshaler) *oncrpc.Pending
-}
-
-// gatherFallbackConcurrency bounds the goroutine fan-out used when
-// the upstream has no future API (replicated namespaces).
-const gatherFallbackConcurrency = 16
 
 // attrFetch is one slot of a GETATTR gather.
 type attrFetch struct {
-	args nfs3.GetAttrArgs
-	res  nfs3.GetAttrRes
-	p    *oncrpc.Pending
-	err  error
+	res nfs3.GetAttrRes
+	err error
 }
 
-// asyncWindow resolves the AsyncWindow knob: default pipelining depth
-// when unset, unbounded when negative.
-func (c *ClientConfig) asyncWindow() int {
-	switch {
-	case c.AsyncWindow > 0:
-		return c.AsyncWindow
-	case c.AsyncWindow < 0:
-		return 0 // NewClientWindow treats <= 0 as unbounded
-	default:
-		return oncrpc.DefaultWindow
-	}
-}
-
-// gatherAttrs fetches attributes for every handle concurrently —
-// pipelined through the upstream future API when available, else a
-// bounded goroutine fan-out. Results are positional and carry
-// per-slot errors; like upCall, the total wait is credited back to
-// the meter so gathers do not inflate proxy CPU figures.
+// gatherAttrs fetches attributes for every handle concurrently.
+// Results are positional and carry per-slot errors; like upCall, the
+// total wait is credited back to the meter so gathers do not inflate
+// proxy CPU figures.
 func (p *ClientProxy) gatherAttrs(ctx context.Context, fhs []nfs3.FH3) []attrFetch {
 	out := make([]attrFetch, len(fhs))
 	if len(fhs) == 0 {
@@ -64,39 +34,13 @@ func (p *ClientProxy) gatherAttrs(ctx context.Context, fhs []nfs3.FH3) []attrFet
 	}
 	ctx, cancel := context.WithTimeout(ctx, p.opTimeout())
 	defer cancel()
-	for i := range out {
-		out[i].args.Obj = fhs[i]
-	}
-	if au, ok := p.up.(asyncUpstream); ok {
-		// Submission self-paces against the pipeline window; earlier
-		// futures complete on the session's read loop meanwhile.
-		for i := range out {
-			out[i].p = au.Go(ctx, nfs3.ProcGetAttr, &out[i].args, &out[i].res)
+	singleflight.Each(len(out), oncrpc.GatherDepth, func(i int) {
+		f := &out[i]
+		f.err = p.up.Call(ctx, nfs3.ProcGetAttr, &nfs3.GetAttrArgs{Obj: fhs[i]}, &f.res)
+		if f.err == nil && f.res.Status != nfs3.OK {
+			f.err = f.res.Status.Error()
 		}
-		for i := range out {
-			f := &out[i]
-			f.err = f.p.Wait(ctx)
-			if f.err == nil && f.res.Status != nfs3.OK {
-				f.err = f.res.Status.Error()
-			}
-		}
-		return out
-	}
-	sem := make(chan struct{}, gatherFallbackConcurrency)
-	var wg sync.WaitGroup
-	for i := range out {
-		sem <- struct{}{}
-		wg.Add(1)
-		go func(f *attrFetch) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			f.err = p.up.Call(ctx, nfs3.ProcGetAttr, &f.args, &f.res)
-			if f.err == nil && f.res.Status != nfs3.OK {
-				f.err = f.res.Status.Error()
-			}
-		}(&out[i])
-	}
-	wg.Wait()
+	})
 	return out
 }
 
@@ -133,7 +77,7 @@ func (p *ClientProxy) fillEntryAttrs(ctx context.Context, entries []nfs3.DirEntr
 }
 
 // RevalidateAttrs refreshes every attribute the session cache holds
-// with one pipelined GETATTR sweep. Files whose (size, mtime) moved
+// with one concurrent GETATTR sweep. Files whose (size, mtime) moved
 // upstream have their cached blocks dropped so the next read refetches
 // fresh data; files with dirty (unflushed) blocks are skipped — their
 // local state is authoritative until FlushAll pushes it. It returns
@@ -143,6 +87,7 @@ func (p *ClientProxy) RevalidateAttrs(ctx context.Context) (checked, changed int
 	if dc == nil {
 		return 0, 0, nil
 	}
+	defer p.meterSince(time.Now())
 	dirty := make(map[string]bool)
 	for _, fh := range dc.DirtyFiles() {
 		dirty[string(fh.Data)] = true

@@ -9,8 +9,8 @@ import (
 // BenchmarkFlushScaling measures FlushAll wall time over an emulated
 // 20 ms RTT WAN link for 32 dirty blocks as the worker count grows.
 // The flush is round-trip bound, so wall time should fall roughly
-// linearly with workers until the link pipeline saturates; the
-// flush-ms metric per worker count is what BENCH_5.json tracks.
+// linearly with workers until the link pipeline saturates; flush-ms
+// per worker count is the reported metric.
 func BenchmarkFlushScaling(b *testing.B) {
 	const blocks = 32
 	rtt := 20 * time.Millisecond

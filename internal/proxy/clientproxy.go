@@ -97,11 +97,6 @@ type ClientConfig struct {
 	// detected sequential read stream (default 4; negative disables).
 	// Only meaningful with DiskCache set.
 	Readahead int
-	// AsyncWindow bounds how many pipelined (future-API) calls the
-	// upstream session keeps in flight at once; submissions past the
-	// window block until a slot frees (backpressure). Default
-	// oncrpc.DefaultWindow; negative disables the bound.
-	AsyncWindow int
 	// Replication, when non-nil, replaces the single upstream with a
 	// replicated multi-backend namespace: block writes fan out to a
 	// placement-chosen replica set and are acknowledged at quorum,
@@ -262,7 +257,7 @@ func (p *ClientProxy) sessionVia(ctx context.Context, dial Dialer) (*oncrpc.Clie
 		conn.Close()
 		return nil, nfs3.FH3{}, nil, err
 	}
-	return oncrpc.NewClientWindow(conn, nfs3.Program, nfs3.Version, p.cfg.asyncWindow()), root, conn, nil
+	return oncrpc.NewClient(conn, nfs3.Program, nfs3.Version), root, conn, nil
 }
 
 // mountVia issues MOUNT through its own connection via dial and
@@ -440,6 +435,17 @@ func (p *ClientProxy) upCall(ctx context.Context, proc uint32, args xdr.Marshale
 	err := p.up.Call(ctx, proc, args, res)
 	p.cfg.Meter.Add(-time.Since(start))
 	return err
+}
+
+// meterSince adds the time since start to the meter. Handlers are
+// bracketed in register; background units of work that no handler span
+// covers (a prefetch, a flushed block, an attribute sweep) bracket
+// themselves with it, or the waits upCall credits back would drive the
+// meter negative.
+func (p *ClientProxy) meterSince(start time.Time) {
+	if p.cfg.Meter != nil {
+		p.cfg.Meter.Add(time.Since(start))
+	}
 }
 
 func (p *ClientProxy) register() {

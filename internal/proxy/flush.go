@@ -4,21 +4,23 @@ import (
 	"context"
 	"errors"
 	"sync"
+	"time"
 
 	"repro/internal/nfs3"
 	"repro/internal/oncrpc"
+	"repro/internal/singleflight"
 )
 
-// Parallel write-back. FlushAll used to push dirty blocks serially as
-// FILE_SYNC writes, so flush time over a WAN was (blocks × RTT). The
-// pipelined path instead keeps a bounded pool of workers issuing
-// UNSTABLE writes concurrently over the multiplexed RPC client, then
-// settles each file with a single COMMIT, checking the server's write
-// verifier to detect a restart that lost unstable data (RFC 1813 §3.3.7:
-// a verifier change means everything unstable must be re-sent). Blocks
-// whose writes fail are left dirty in the cache, so a later flush — or
-// the next session — retries them; nothing is ever marked clean without
-// a durable acknowledgement.
+// Parallel write-back. Pushing dirty blocks serially as FILE_SYNC
+// writes costs (blocks × RTT) over a WAN; FlushAll instead keeps a
+// bounded number of UNSTABLE writes in flight over the multiplexed RPC
+// client (singleflight.Each), then settles each file with a single
+// COMMIT, checking the server's write verifier to detect a restart that
+// lost unstable data (RFC 1813 §3.3.7: a verifier change means
+// everything unstable must be re-sent). Blocks whose writes fail are
+// left dirty in the cache, so a later flush — or the next session —
+// retries them; nothing is ever marked clean without a durable
+// acknowledgement.
 
 // defaultFlushWorkers is the write-back concurrency when the
 // configuration does not choose one.
@@ -94,8 +96,8 @@ func (f *flushFile) recordWritten(idx uint64, verf [nfs3.WriteVerfSize]byte) {
 	f.mu.Unlock()
 }
 
-// done retires one block attempt; the worker retiring the file's last
-// block settles it with COMMIT.
+// done retires one block attempt; the goroutine retiring the file's
+// last block settles it with COMMIT.
 func (f *flushFile) done(r *flushRun) {
 	f.mu.Lock()
 	f.pending--
@@ -118,7 +120,7 @@ func (f *flushFile) done(r *flushRun) {
 	}
 }
 
-// flushJob is one dirty block queued for a worker.
+// flushJob is one dirty block to push.
 type flushJob struct {
 	f   *flushFile
 	idx uint64
@@ -150,26 +152,12 @@ func (p *ClientProxy) FlushAll(ctx context.Context) error {
 		return nil
 	}
 	run := &flushRun{p: p, ctx: ctx}
-	workers := p.cfg.flushWorkers()
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-	ch := make(chan flushJob)
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for i := 0; i < workers; i++ {
-		go func() {
-			defer wg.Done()
-			for j := range ch {
-				p.flushBlock(run, j.f, j.idx)
-			}
-		}()
-	}
-	for _, j := range jobs {
-		ch <- j
-	}
-	close(ch)
-	wg.Wait()
+	singleflight.Each(len(jobs), p.cfg.flushWorkers(), func(i int) {
+		// No handler span covers a flush: each block nets its own
+		// elapsed time against the waits its upCalls credit back.
+		defer p.meterSince(time.Now())
+		p.flushBlock(run, jobs[i].f, jobs[i].idx)
+	})
 	return run.err()
 }
 

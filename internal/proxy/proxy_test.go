@@ -14,6 +14,7 @@ import (
 	"repro/internal/gridmap"
 	"repro/internal/gridsec"
 	"repro/internal/idmap"
+	"repro/internal/metrics"
 	"repro/internal/mountd"
 	"repro/internal/netem"
 	"repro/internal/nfs3"
@@ -49,6 +50,7 @@ type stackOpts struct {
 	rtt          time.Duration   // emulated WAN delay on the client→server link
 	flushWorkers int             // FlushAll concurrency (0 = default)
 	readahead    int             // proxy readahead depth (0 = default, <0 disables)
+	meter        *metrics.Meter  // client proxy busy-time meter
 }
 
 func buildStack(t testing.TB, opts stackOpts) *testStack {
@@ -128,6 +130,7 @@ func buildStack(t testing.TB, opts stackOpts) *testStack {
 		Recovery:     opts.recovery,
 		FlushWorkers: opts.flushWorkers,
 		Readahead:    opts.readahead,
+		Meter:        opts.meter,
 	}
 	if !opts.plain {
 		ccfg.Channel = &securechan.Config{Credential: user, Roots: st.ca.Pool(), Suites: opts.suites}

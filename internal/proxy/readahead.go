@@ -2,6 +2,7 @@ package proxy
 
 import (
 	"context"
+	"time"
 
 	"repro/internal/nfs3"
 	"repro/internal/singleflight"
@@ -123,6 +124,7 @@ func (p *ClientProxy) maybeReadahead(fh nfs3.FH3, idx, size uint64) {
 // prefetchBlock runs one background readahead fetch on its own
 // deadline, detached from whichever foreground read hinted it.
 func (p *ClientProxy) prefetchBlock(fh nfs3.FH3, idx uint64) {
+	defer p.meterSince(time.Now())
 	ctx, cancel := context.WithTimeout(context.Background(), p.opTimeout())
 	defer cancel()
 	p.fetchBlock(ctx, fh, idx, true)

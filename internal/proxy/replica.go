@@ -243,6 +243,16 @@ type replicaBackend struct {
 
 	fails   atomic.Int32
 	probing atomic.Bool
+
+	// behind counts mutation legs issued to this backend that have not
+	// finished. A quorum ack returns while stragglers still run, so a
+	// backend with behind > 0 may not have applied a mutation its
+	// caller already saw acknowledged; reads prefer the others.
+	behind atomic.Int32
+	// legs is held shared by every running mutation leg. A leg that
+	// finds a name missing takes it exclusively for a moment, which
+	// waits out the legs then in flight (see runLeg).
+	legs sync.RWMutex
 }
 
 // dial is this backend's session factory: it runs on every reconnect,
@@ -698,20 +708,27 @@ func (rs *replicaSet) versionKey(fh nfs3.FH3, block uint64) string {
 }
 
 // readTargets orders the replica set for a read: placement order
-// (deterministic primary), healthy backends first.
+// (deterministic primary), healthy backends first, and among those the
+// ones with no mutation leg outstanding first — a read issued after a
+// quorum ack must not be answered by the straggler that has yet to
+// apply the mutation (it would report NOENT for a fresh MKDIR, or list
+// a name a RENAME already moved).
 func (rs *replicaSet) readTargets(fh nfs3.FH3, block uint64) []*replicaBackend {
 	ids := rs.place.ReplicasFor(fh.Data, block)
-	healthy := make([]*replicaBackend, 0, len(ids))
-	var rest []*replicaBackend
+	current := make([]*replicaBackend, 0, len(ids))
+	var behind, rest []*replicaBackend
 	for _, id := range ids {
 		b := rs.backs[id]
-		if b.healthy() {
-			healthy = append(healthy, b)
-		} else {
+		switch {
+		case !b.healthy():
 			rest = append(rest, b)
+		case b.behind.Load() > 0:
+			behind = append(behind, b)
+		default:
+			current = append(current, b)
 		}
 	}
-	return append(healthy, rest...)
+	return append(append(current, behind...), rest...)
 }
 
 // writeTargets is the placement replica set for a block, healthy
@@ -860,6 +877,7 @@ func (rs *replicaSet) quorum(ctx context.Context, targets []*replicaBackend, nee
 	resc := make(chan legResult, len(targets))
 	for _, b := range targets {
 		b := b
+		b.behind.Add(1)
 		rs.wg.Add(1)
 		go func() {
 			defer rs.wg.Done()
@@ -867,10 +885,10 @@ func (rs *replicaSet) quorum(ctx context.Context, targets []*replicaBackend, nee
 			// stragglers whose completion keeps replicas converged.
 			lctx, cancel := context.WithTimeout(context.Background(), rs.p.opTimeout())
 			defer cancel()
-			rep, err := leg(b, lctx)
-			if err == nil && vote != nil && !vote(rep) {
-				err = errStatusVote{status: statusOf(rep)}
-			}
+			rep, err := runLeg(b, lctx, leg, vote)
+			// Before the result is published: once the caller sees the
+			// ack, the backends that produced it no longer count as behind.
+			b.behind.Add(-1)
 			resc <- legResult{b: b, rep: rep, err: err}
 		}()
 	}
@@ -914,6 +932,48 @@ func (rs *replicaSet) quorum(ctx context.Context, targets []*replicaBackend, nee
 	}
 	rs.stats.QuorumFailures.Add(1)
 	return fmt.Errorf("%w: %d/%d acks: %v", ErrQuorumLost, successes, need, firstErr)
+}
+
+// runLeg runs one mutation leg on b and applies the vote. Legs on one
+// backend run concurrently, so a leg can overtake an earlier one it
+// depends on: a RENAME into a directory reaches the backend ahead of
+// the straggling MKDIR that creates it and is refused with NOENT.
+// Left at that, the backend never applies the RENAME and stays
+// diverged (namespace legs have no repair). So a leg that misses a
+// name while others are in flight on b waits for those to finish and
+// runs once more; a refused leg changed nothing, so the rerun is safe
+// even for non-idempotent procedures.
+func runLeg(b *replicaBackend, ctx context.Context,
+	leg func(b *replicaBackend, ctx context.Context) (xdr.Unmarshaler, error),
+	vote func(rep xdr.Unmarshaler) bool) (xdr.Unmarshaler, error) {
+
+	run := func() (xdr.Unmarshaler, error) {
+		b.legs.RLock()
+		defer b.legs.RUnlock()
+		rep, err := leg(b, ctx)
+		if err == nil && vote != nil && !vote(rep) {
+			err = errStatusVote{status: statusOf(rep)}
+		}
+		return rep, err
+	}
+	rep, err := run()
+	if missedName(err) && b.behind.Load() > 1 {
+		// The exclusive lock is granted once the legs now in flight
+		// have released their shared holds.
+		b.legs.Lock()
+		b.legs.Unlock()
+		rep, err = run()
+	}
+	return rep, err
+}
+
+// missedName reports whether a leg failed because a name or handle did
+// not exist on its backend, at resolve time or in the reply status.
+func missedName(err error) bool {
+	if sv, ok := err.(errStatusVote); ok { // set by runLeg itself, never wrapped
+		err = vfs.Errno(sv.status)
+	}
+	return errors.Is(err, vfs.ErrNoEnt) || errors.Is(err, vfs.ErrStale)
 }
 
 // statusOf extracts the in-band NFS status of any reply type used on a

@@ -307,11 +307,14 @@ func TestReplicatedEndToEnd(t *testing.T) {
 			t.Fatalf("stale entry %q after rename/remove", e.Name)
 		}
 	}
-	// The rename must be visible on every backend (it fans to all).
+	// The rename must reach every backend: it fans to all, the ack
+	// comes at quorum, and the straggler lands on its detached deadline.
 	for i, be := range st.backends {
-		if _, _, err := be.Lookup(be.Root(), "dataset"); err == nil {
-			t.Fatalf("backend %d still has pre-rename name", i)
-		}
+		be := be
+		waitFor(t, 10*time.Second, fmt.Sprintf("backend %d to drop the pre-rename name", i), func() bool {
+			_, _, err := be.Lookup(be.Root(), "dataset")
+			return err != nil
+		})
 	}
 	if st.stats.QuorumWrites.Load() == 0 {
 		t.Fatal("no quorum writes counted")
@@ -389,6 +392,12 @@ func TestReplicatedHedgedReads(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// Reads steer clear of a replica with mutation legs outstanding, so
+	// let the slow backend's stragglers land first: the hedge under test
+	// is against a replica that is slow, not one that is behind.
+	waitFor(t, 10*time.Second, "the slow backend to catch up", func() bool {
+		return st.cp.rs.backs[2].behind.Load() == 0
+	})
 	for pass := 0; pass < 3; pass++ {
 		for i := 0; i < 12; i++ {
 			fh, _, err := fs.Proto().Lookup(ctx, fs.Root(), fmt.Sprintf("h-%d", i))
@@ -621,15 +630,18 @@ func TestChaosReplicatedQuorumLossDegradesReadOnly(t *testing.T) {
 	if err := st.cp.FlushAll(ctx); err != nil {
 		t.Fatalf("FlushAll after recovery: %v", err)
 	}
-	converged := 0
-	for i := range st.backends {
-		if got, err := backendFile(st.backends[i], "survivor.dat"); err == nil && bytes.Equal(got, rev) {
-			converged++
+	// Each block is acked at quorum, not necessarily by the same pair
+	// of backends, so whole-file convergence can trail the flush by a
+	// straggler leg.
+	waitFor(t, 10*time.Second, "the degraded-period write to reach a quorum of backends", func() bool {
+		converged := 0
+		for i := range st.backends {
+			if got, err := backendFile(st.backends[i], "survivor.dat"); err == nil && bytes.Equal(got, rev) {
+				converged++
+			}
 		}
-	}
-	if converged < 2 {
-		t.Fatalf("degraded-period write reached %d backends after recovery, want >= quorum", converged)
-	}
+		return converged >= 2
+	})
 }
 
 // TestChaosReplicatedKillMidReadahead cuts a backend in the middle of

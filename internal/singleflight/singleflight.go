@@ -1,9 +1,9 @@
-// Package singleflight provides duplicate-call suppression and a small
-// bounded worker pool, the two concurrency primitives behind the
-// pipelined WAN data path: the single-flight Group guarantees that
+// Package singleflight provides the concurrency primitives behind the
+// pipelined WAN paths: the single-flight Group guarantees that
 // concurrent NFS clients and the readahead machinery never issue the
-// same upstream READ twice, and the Pool bounds how many background
-// prefetches (or flush writes) run at once.
+// same upstream READ twice, the Pool bounds (and sheds) background
+// prefetches, and Each is the bounded fan-out that overlaps blocking
+// RPCs on one connection for flushes and metadata gathers.
 //
 // The Group is modelled on golang.org/x/sync/singleflight but is
 // generic over the result type and deliberately smaller: no Forget, no
@@ -14,6 +14,7 @@ package singleflight
 import (
 	"strconv"
 	"sync"
+	"sync/atomic"
 )
 
 // call is an in-flight or completed Do invocation.
@@ -69,8 +70,36 @@ func Key(fh []byte, idx uint64) string {
 	return string(fh) + "\x00" + strconv.FormatUint(idx, 36)
 }
 
+// Each calls fn(i) for every i in [0, n), at most limit calls at a
+// time, and returns when all have finished. Indices are handed out in
+// order; a limit of 1 or less runs them on the caller's goroutine.
+// Unlike Pool it never sheds: every index runs exactly once.
+func Each(n, limit int, fn func(i int)) {
+	if limit > n {
+		limit = n
+	}
+	if limit <= 1 {
+		for i := 0; i < n; i++ {
+			fn(i)
+		}
+		return
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	wg.Add(limit)
+	for w := 0; w < limit; w++ {
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+				fn(i)
+			}
+		}()
+	}
+	wg.Wait()
+}
+
 // Pool is a fixed-size worker pool for background tasks that must be
-// bounded (readahead, parallel flush). Unlike `go fn()`, a Pool never
+// bounded and may be dropped (readahead). Unlike `go fn()`, a Pool never
 // lets bursty callers pile up goroutines: TryGo drops work when every
 // worker is busy and the submission buffer is full, which is the right
 // policy for prefetch (the foreground read path will fetch the block

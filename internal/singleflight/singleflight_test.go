@@ -233,3 +233,39 @@ func TestPoolCloseDrainsAndRejects(t *testing.T) {
 	}
 	p.Close() // idempotent
 }
+
+// TestEach: every index runs exactly once and the number of calls in
+// flight never exceeds the limit, for empty, single, under-full and
+// over-full inputs.
+func TestEach(t *testing.T) {
+	t.Parallel()
+	for _, tc := range []struct{ n, limit int }{
+		{0, 4}, {1, 4}, {3, 4}, {4, 4}, {37, 4}, {37, 1}, {5, 0},
+	} {
+		runs := make([]atomic.Int32, tc.n)
+		var cur, peak atomic.Int32
+		Each(tc.n, tc.limit, func(i int) {
+			c := cur.Add(1)
+			for p := peak.Load(); c > p && !peak.CompareAndSwap(p, c); p = peak.Load() {
+			}
+			runs[i].Add(1)
+			time.Sleep(time.Millisecond) // hold the slot so overlap shows
+			cur.Add(-1)
+		})
+		for i := range runs {
+			if got := runs[i].Load(); got != 1 {
+				t.Errorf("n=%d limit=%d: index %d ran %d times", tc.n, tc.limit, i, got)
+			}
+		}
+		want := int32(tc.limit)
+		if want < 1 {
+			want = 1
+		}
+		if got := peak.Load(); got > want {
+			t.Errorf("n=%d limit=%d: %d calls in flight at once", tc.n, tc.limit, got)
+		}
+		if tc.n > tc.limit && tc.limit > 1 && peak.Load() < 2 {
+			t.Errorf("n=%d limit=%d: calls never overlapped", tc.n, tc.limit)
+		}
+	}
+}

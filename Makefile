@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race chaos fuzz-short bench alloc-baseline sgfs-vet alloc-budget check
+.PHONY: build test vet race chaos fuzz-short bench loc alloc-baseline sgfs-vet alloc-budget check
 
 build:
 	$(GO) build ./...
@@ -43,17 +43,26 @@ fuzz-short:
 bench:
 	bash benchmark/run.sh
 
+# Non-test Go lines per package, largest first. The north star tracks
+# line count per package like latency; this is the number it means.
+loc:
+	@$(GO) list -f '{{.ImportPath}}{{range .GoFiles}} {{$$.Dir}}/{{.}}{{end}}' ./... | \
+	while read pkg files; do echo "$$(cat $$files | wc -l) $$pkg"; done | sort -k1,1nr -k2 | \
+	awk '{ t += $$1; printf "%7d  %s\n", $$1, $$2 } END { printf "%7d  total\n", t }'
+
 # Recompute the hot-path alloc census and refresh the committed
-# baseline the CI alloc budget compares against.
+# baseline the CI alloc budget compares against: per-root totals and
+# per-(file, func, kind) bucket counts. The per-site census it is cut
+# from (-alloc-census, also a CI artifact) is not committed.
 alloc-baseline:
-	$(GO) run ./cmd/sgfs-vet -alloc-census > .sgfsvet-allocs.json
+	$(GO) run ./cmd/sgfs-vet -alloc-census -alloc-baseline .sgfsvet-allocs.json > /dev/null
 
 # Repo-specific analyzers (xdr-symmetry, lock-over-io, lockset-race,
 # pool-lifecycle, atomic-misuse, swallowed-error, lock-order,
 # ctx-deadline, goroutine-leak, replay-table-sync, secret-flow,
 # unbounded-alloc, weak-rand, resource-leak, retry-safety,
-# alloc-hotpath). Fails on any finding not in .sgfsvet-ignore — and
-# on stale allowlist entries (exit 2); see DESIGN.md. CI also
+# alloc-hotpath; scorecard in DESIGN.md). Fails on any finding not in
+# .sgfsvet-ignore — and on stale allowlist entries (exit 2). CI also
 # archives the -json report.
 sgfs-vet:
 	$(GO) run ./cmd/sgfs-vet -all ./...

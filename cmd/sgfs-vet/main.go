@@ -7,8 +7,9 @@
 //
 //	sgfs-vet [-C dir] [-ignore file] [-run a,b] [-all] [-json] [-timing] [-prune] [-<analyzer>=false ...] [pattern ...]
 //	sgfs-vet -annotate report.json [-budget 120s]
-//	sgfs-vet -alloc-census            # print the hot-path alloc census as JSON
+//	sgfs-vet -alloc-census [-alloc-baseline file]   # print the census; write the baseline file
 //	sgfs-vet -alloc-budget [-alloc-baseline file]
+//	sgfs-vet -alloc-census -alloc-budget            # one census: print it and gate on it
 //
 // Patterns are package directories relative to the module root;
 // `./...` (the default) walks the whole module. Every analyzer has an
@@ -16,18 +17,20 @@
 // only the named analyzers; -all forces the complete suite regardless
 // of -run or per-analyzer flags. -json emits a machine-readable
 // report on stdout (findings, suppressed findings, stale allowlist
-// lines, per-analyzer timings) for CI artifacts. -timing prints the
-// per-analyzer wall-time breakdown on stderr. -prune rewrites the
-// allowlist dropping the stale lines a full run detects.
+// lines, timings) for CI artifacts. -timing prints the wall-time
+// breakdown on stderr: a `module` row for the shared index, call graph
+// and CFGs, then one row per analyzer. -prune rewrites the allowlist
+// dropping the stale lines a full run detects.
 //
 // The census forms drive the allocation budget of the alloc-hotpath
 // analyzer: -alloc-census prints the current census of heap-escaping
-// allocation sites reachable from //sgfsvet:hot-path roots (redirect
-// it to .sgfsvet-allocs.json to refresh the committed baseline);
-// -alloc-budget recomputes the census and compares it against the
-// baseline, exiting 1 when any (file, function, kind) bucket or
-// per-root total grew — the CI gate that keeps hot paths from quietly
-// regaining allocations.
+// allocation sites reachable from //sgfsvet:hot-path roots, site by
+// site; with -alloc-baseline it also refreshes the committed baseline,
+// which stores only what the gate compares (per-root totals and
+// per-bucket counts; `make alloc-baseline`). -alloc-budget recomputes
+// the census and compares it against the baseline, exiting 1 when any
+// (file, function, kind) bucket or per-root total grew — the CI gate
+// that keeps hot paths from quietly regaining allocations.
 //
 // The -annotate form turns a previously captured -json report into
 // GitHub Actions workflow-command annotations (::error for findings,
@@ -103,7 +106,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 		allocCensus   = fs.Bool("alloc-census", false, "print the hot-path allocation census as JSON and exit")
 		allocBudget   = fs.Bool("alloc-budget", false, "compare the census against the committed baseline and exit 1 on growth")
-		allocBaseline = fs.String("alloc-baseline", "", "baseline file for -alloc-budget (default <module>/.sgfsvet-allocs.json)")
+		allocBaseline = fs.String("alloc-baseline", "", "baseline file: read by -alloc-budget (default <module>/.sgfsvet-allocs.json), written by -alloc-census when given")
 	)
 	all := vet.DefaultAnalyzers()
 	enabled := make(map[string]*bool, len(all))
@@ -161,7 +164,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	if *allocCensus || *allocBudget {
-		return runAllocCensus(pkgs, moduleRoot, *allocCensus, *allocBaseline, stdout, stderr)
+		return runAllocCensus(pkgs, moduleRoot, *allocCensus, *allocBudget, *allocBaseline, stdout, stderr)
 	}
 
 	allEnabled := true
@@ -307,11 +310,14 @@ func plural(n int, one, many string) string {
 }
 
 // runAnnotate replays a -json report as GitHub Actions workflow
-// runAllocCensus implements -alloc-census (census=true: print the
-// fresh census as JSON) and -alloc-budget (census=false: diff the
-// fresh census against the committed baseline). Both need the full
-// module loaded so the call graph sees every hot function.
-func runAllocCensus(pkgs []*vet.Package, moduleRoot string, census bool, baselinePath string, stdout, stderr io.Writer) int {
+// runAllocCensus implements -alloc-census (print the fresh census,
+// per-site detail included, as JSON on stdout; with an explicit
+// -alloc-baseline, also write that file in the committed form — root
+// totals and bucket counts only) and -alloc-budget (diff the fresh
+// census against the baseline). Given together they share one census:
+// the report goes to stdout, budget problems to stderr. Both need the
+// full module loaded so the call graph sees every hot function.
+func runAllocCensus(pkgs []*vet.Package, moduleRoot string, census, budget bool, baselinePath string, stdout, stderr io.Writer) int {
 	rep := vet.AllocCensus(pkgs, moduleRoot)
 	if rep == nil {
 		fmt.Fprintln(stderr, "sgfs-vet: no //sgfsvet:hot-path roots in the loaded packages")
@@ -319,15 +325,22 @@ func runAllocCensus(pkgs []*vet.Package, moduleRoot string, census bool, baselin
 	}
 	if census {
 		b, err := rep.JSON()
+		if err == nil {
+			_, err = stdout.Write(b)
+		}
+		if err == nil && !budget && baselinePath != "" {
+			if b, err = rep.Baseline().JSON(); err == nil {
+				err = os.WriteFile(baselinePath, b, 0o644)
+			}
+		}
 		if err != nil {
 			fmt.Fprintln(stderr, "sgfs-vet:", err)
 			return 2
 		}
-		if _, err := stdout.Write(b); err != nil {
-			fmt.Fprintln(stderr, "sgfs-vet:", err)
-			return 2
+		if !budget {
+			return 0
 		}
-		return 0
+		stdout = stderr // stdout carries the census
 	}
 	if baselinePath == "" {
 		baselinePath = filepath.Join(moduleRoot, ".sgfsvet-allocs.json")
@@ -342,7 +355,7 @@ func runAllocCensus(pkgs []*vet.Package, moduleRoot string, census bool, baselin
 		fmt.Fprintln(stdout, "sgfs-vet: alloc budget:", p)
 	}
 	if len(problems) > 0 {
-		fmt.Fprintf(stderr, "sgfs-vet: alloc budget: %d problem%s; fix the allocation or refresh %s with -alloc-census\n",
+		fmt.Fprintf(stderr, "sgfs-vet: alloc budget: %d problem%s; fix the allocation or refresh the baseline (`make alloc-baseline`: -alloc-census -alloc-baseline %s)\n",
 			len(problems), plural(len(problems), "", "s"), filepath.Base(baselinePath))
 		return 1
 	}

@@ -313,8 +313,13 @@ func TestRunTiming(t *testing.T) {
 	if err := json.Unmarshal([]byte(stdout), &report); err != nil {
 		t.Fatalf("-json output does not parse: %v", err)
 	}
-	if len(report.Timings) == 0 {
-		t.Error("json report has no timings")
+	// The shared Module build is its own first row, so it is not
+	// charged to whichever analyzer happens to run first.
+	if len(report.Timings) == 0 || report.Timings[0].Analyzer != "module" {
+		t.Errorf("json timings = %+v, want the module row first", report.Timings)
+	}
+	if !strings.Contains(stderr, "  module ") {
+		t.Errorf("stderr timing table has no module row:\n%s", stderr)
 	}
 	if report.TotalMillis == nil {
 		t.Error("json report has no total_millis")
@@ -505,11 +510,18 @@ func TestRunAllocBudget(t *testing.T) {
 		t.Fatalf("missing baseline: exit = %d, want 2 (%s)", code, stderr)
 	}
 
-	// Freeze the current census as the baseline: within budget.
-	_, census, _ := runVet(t, "-C", root, "-alloc-census")
+	// Freeze the current census as the baseline: within budget. The
+	// file holds what the gate compares, not the per-site records.
 	baseline := filepath.Join(root, ".sgfsvet-allocs.json")
-	if err := os.WriteFile(baseline, []byte(census), 0o644); err != nil {
+	if code, _, stderr := runVet(t, "-C", root, "-alloc-census", "-alloc-baseline", baseline); code != 0 {
+		t.Fatalf("writing the baseline: exit = %d (%s)", code, stderr)
+	}
+	data, err := os.ReadFile(baseline)
+	if err != nil {
 		t.Fatal(err)
+	}
+	if !strings.Contains(string(data), `"buckets"`) || strings.Contains(string(data), `"sites": [`) {
+		t.Fatalf("baseline should store root totals and bucket counts only:\n%s", data)
 	}
 	if code, _, stderr := runVet(t, "-C", root, "-alloc-budget"); code != 0 {
 		t.Fatalf("fresh baseline: exit = %d, want 0 (%s)", code, stderr)
@@ -534,6 +546,16 @@ func Drain() {
 	}
 	if !strings.Contains(stderr, "-alloc-census") {
 		t.Errorf("stderr should point at the refresh workflow: %q", stderr)
+	}
+
+	// Both flags share one census: the report on stdout, the verdict
+	// on stderr and in the exit status, the baseline left alone.
+	code, stdout, stderr = runVet(t, "-C", root, "-alloc-census", "-alloc-budget")
+	if code != 1 || !json.Valid([]byte(stdout)) || !strings.Contains(stderr, "alloc budget:") {
+		t.Errorf("census+budget: exit = %d, want 1 with JSON on stdout; stdout:\n%s\nstderr:\n%s", code, stdout, stderr)
+	}
+	if after, err := os.ReadFile(baseline); err != nil || string(after) != string(data) {
+		t.Errorf("census+budget rewrote the baseline (err %v)", err)
 	}
 
 	// An explicit baseline path overrides the default location.

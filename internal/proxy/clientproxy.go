@@ -697,6 +697,7 @@ func (p *ClientProxy) remove(ctx context.Context, call *oncrpc.Call) (xdr.Marsha
 	return &res, oncrpc.Success
 }
 
+//sgfsvet:hot-path
 func (p *ClientProxy) read(ctx context.Context, call *oncrpc.Call) (xdr.Marshaler, oncrpc.AcceptStat) {
 	var a nfs3.ReadArgs
 	if call.DecodeArgs(&a) != nil {
@@ -793,6 +794,7 @@ func (p *ClientProxy) cacheBlock(ctx context.Context, fh nfs3.FH3, idx uint64, s
 	return p.fetchBlock(ctx, fh, idx, false)
 }
 
+//sgfsvet:hot-path
 func (p *ClientProxy) write(ctx context.Context, call *oncrpc.Call) (xdr.Marshaler, oncrpc.AcceptStat) {
 	var a nfs3.WriteArgs
 	if call.DecodeArgs(&a) != nil {

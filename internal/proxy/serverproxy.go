@@ -392,6 +392,7 @@ func (p *ServerProxy) forwardReadLink(ctx context.Context, call *oncrpc.Call) (x
 	return p.forward(ctx, call, nfs3.ProcReadLink, &a, &nfs3.ReadLinkRes{})
 }
 
+//sgfsvet:hot-path
 func (p *ServerProxy) read(ctx context.Context, call *oncrpc.Call) (xdr.Marshaler, oncrpc.AcceptStat) {
 	var a nfs3.ReadArgs
 	if call.DecodeArgs(&a) != nil {
@@ -400,6 +401,7 @@ func (p *ServerProxy) read(ctx context.Context, call *oncrpc.Call) (xdr.Marshale
 	return p.forward(ctx, call, nfs3.ProcRead, &a, &nfs3.ReadRes{})
 }
 
+//sgfsvet:hot-path
 func (p *ServerProxy) write(ctx context.Context, call *oncrpc.Call) (xdr.Marshaler, oncrpc.AcceptStat) {
 	var a nfs3.WriteArgs
 	if call.DecodeArgs(&a) != nil {

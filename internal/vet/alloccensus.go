@@ -10,14 +10,18 @@ import (
 
 // The alloc census and budget. AllocCensus runs the alloc-hotpath
 // pipeline and reports every heap-classified site reachable from each
-// //sgfsvet:hot-path root. The report is committed as a baseline
-// (.sgfsvet-allocs.json); CompareAllocBudget diffs a fresh census
-// against it by (file, function, kind) bucket and by per-root totals,
-// so CI fails when a change adds heap allocations to a hot path — but
-// tolerates line drift and welcomes shrinkage without churn.
+// //sgfsvet:hot-path root. CompareAllocBudget diffs a fresh census
+// against the committed baseline (.sgfsvet-allocs.json) by (file,
+// function, kind) bucket and by per-root totals, so CI fails when a
+// change adds heap allocations to a hot path — but tolerates line
+// drift and welcomes shrinkage without churn. The baseline stores
+// exactly what that comparison reads (CensusReport.Baseline): root
+// totals and bucket counts, no per-site lines to regenerate when a
+// file moves.
 
-// AllocCensusSchema versions the baseline file format.
-const AllocCensusSchema = 1
+// AllocCensusSchema versions the baseline file format. Schema 1 kept
+// per-site records and no buckets.
+const AllocCensusSchema = 2
 
 // AllocSiteRecord is one heap-classified allocation site.
 type AllocSiteRecord struct {
@@ -36,19 +40,39 @@ type AllocRootRecord struct {
 	HeapSites int    `json:"heap_sites"`
 }
 
-// CensusReport is the full alloc census, as serialized to the
-// baseline file.
+// AllocBucketRecord counts the heap sites of one kind in one function:
+// the granularity the budget compares at, so moving a line or renaming
+// a detail does not trip the gate — adding an allocation does.
+type AllocBucketRecord struct {
+	File  string `json:"file"`
+	Func  string `json:"func"`
+	Kind  string `json:"kind"`
+	Sites int    `json:"sites"`
+}
+
+// CensusReport is the alloc census. Roots and Buckets are what the
+// budget compares and what the baseline file stores; Sites is the
+// per-site detail -alloc-census prints for people and CI artifacts.
 type CensusReport struct {
-	Schema int               `json:"schema"`
-	Roots  []AllocRootRecord `json:"roots"`
-	Sites  []AllocSiteRecord `json:"sites"`
+	Schema  int                 `json:"schema"`
+	Roots   []AllocRootRecord   `json:"roots"`
+	Buckets []AllocBucketRecord `json:"buckets"`
+	Sites   []AllocSiteRecord   `json:"sites,omitempty"`
+}
+
+// Baseline returns the report without its per-site detail: the form
+// committed as .sgfsvet-allocs.json.
+func (r *CensusReport) Baseline() *CensusReport {
+	b := *r
+	b.Sites = nil
+	return &b
 }
 
 // AllocCensus analyzes pkgs and returns the census of heap sites per
 // hot-path root. File paths are relativized to moduleRoot when given.
 // Returns nil when no //sgfsvet:hot-path directives exist.
 func AllocCensus(pkgs []*Package, moduleRoot string) *CensusReport {
-	an := analyzeAllocs(pkgs)
+	an := analyzeAllocs(NewModule(pkgs))
 	if an == nil {
 		return nil
 	}
@@ -96,6 +120,8 @@ func AllocCensus(pkgs []*Package, moduleRoot string) *CensusReport {
 		return a.Kind < b.Kind
 	})
 
+	rep.Buckets = bucketsOf(rep.Sites)
+
 	names := make([]string, 0, len(rootFuncs))
 	for r := range rootFuncs {
 		names = append(names, r)
@@ -131,25 +157,32 @@ func LoadAllocBaseline(path string) (*CensusReport, error) {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	if rep.Schema != AllocCensusSchema {
-		return nil, fmt.Errorf("%s: schema %d, want %d (regenerate with -alloc-census)", path, rep.Schema, AllocCensusSchema)
+		return nil, fmt.Errorf("%s: schema %d, want %d (regenerate with `make alloc-baseline`)", path, rep.Schema, AllocCensusSchema)
 	}
 	return &rep, nil
 }
 
-// allocBucket is the budget granularity: sites are compared per
-// (file, function, kind), so moving a line or renaming a detail does
-// not trip the gate — adding an allocation does.
-type allocBucket struct {
-	File string
-	Func string
-	Kind string
-}
-
-func bucketCounts(r *CensusReport) map[allocBucket]int {
-	out := make(map[allocBucket]int)
-	for _, s := range r.Sites {
-		out[allocBucket{File: s.File, Func: s.Func, Kind: s.Kind}]++
+// bucketsOf counts sites per (file, function, kind), ordered by that
+// key.
+func bucketsOf(sites []AllocSiteRecord) []AllocBucketRecord {
+	counts := make(map[[3]string]int)
+	for _, s := range sites {
+		counts[[3]string{s.File, s.Func, s.Kind}]++
 	}
+	out := make([]AllocBucketRecord, 0, len(counts))
+	for k, n := range counts {
+		out = append(out, AllocBucketRecord{File: k[0], Func: k[1], Kind: k[2], Sites: n})
+	}
+	sort.Slice(out, func(i, j int) bool {
+		a, b := out[i], out[j]
+		if a.File != b.File {
+			return a.File < b.File
+		}
+		if a.Func != b.Func {
+			return a.Func < b.Func
+		}
+		return a.Kind < b.Kind
+	})
 	return out
 }
 
@@ -160,33 +193,21 @@ func bucketCounts(r *CensusReport) map[allocBucket]int {
 func CompareAllocBudget(baseline, current *CensusReport) []string {
 	var problems []string
 
-	base := bucketCounts(baseline)
-	cur := bucketCounts(current)
-	keys := make([]allocBucket, 0, len(cur))
-	for k := range cur {
-		keys = append(keys, k)
+	base := make(map[[3]string]int, len(baseline.Buckets))
+	for _, b := range baseline.Buckets {
+		base[[3]string{b.File, b.Func, b.Kind}] = b.Sites
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		a, b := keys[i], keys[j]
-		if a.File != b.File {
-			return a.File < b.File
-		}
-		if a.Func != b.Func {
-			return a.Func < b.Func
-		}
-		return a.Kind < b.Kind
-	})
-	for _, k := range keys {
-		if cur[k] > base[k] {
-			if base[k] == 0 {
-				problems = append(problems, fmt.Sprintf(
-					"%s: %s: new hot-path heap allocation (%s, %d site(s)) not in baseline",
-					k.File, k.Func, k.Kind, cur[k]))
-			} else {
-				problems = append(problems, fmt.Sprintf(
-					"%s: %s: hot-path heap allocations grew: %d %s site(s), baseline %d",
-					k.File, k.Func, cur[k], k.Kind, base[k]))
-			}
+	for _, c := range current.Buckets {
+		switch b := base[[3]string{c.File, c.Func, c.Kind}]; {
+		case c.Sites <= b:
+		case b == 0:
+			problems = append(problems, fmt.Sprintf(
+				"%s: %s: new hot-path heap allocation (%s, %d site(s)) not in baseline",
+				c.File, c.Func, c.Kind, c.Sites))
+		default:
+			problems = append(problems, fmt.Sprintf(
+				"%s: %s: hot-path heap allocations grew: %d %s site(s), baseline %d",
+				c.File, c.Func, c.Sites, c.Kind, b))
 		}
 	}
 
@@ -198,7 +219,7 @@ func CompareAllocBudget(baseline, current *CensusReport) []string {
 		b, known := baseRoots[r.Root]
 		if !known {
 			problems = append(problems, fmt.Sprintf(
-				"root %s: not in baseline (%d heap sites); regenerate with -alloc-census", r.Root, r.HeapSites))
+				"root %s: not in baseline (%d heap sites); regenerate with `make alloc-baseline`", r.Root, r.HeapSites))
 			continue
 		}
 		if r.HeapSites > b {

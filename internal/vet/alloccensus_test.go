@@ -84,51 +84,73 @@ func TestAllocCensusFixture(t *testing.T) {
 	}
 }
 
+// TestAllocCensusRoundTrip writes the fixture census in its committed
+// form — root totals and bucket counts, no sites — and checks the full
+// census fits it, and that the full -alloc-census output loads as a
+// baseline too (its per-site detail is ignored).
 func TestAllocCensusRoundTrip(t *testing.T) {
 	t.Parallel()
 	rep := fixtureCensus(t)
-	data, err := rep.JSON()
-	if err != nil {
-		t.Fatal(err)
+	sum := 0
+	for _, b := range rep.Buckets {
+		sum += b.Sites
 	}
-	path := filepath.Join(t.TempDir(), "allocs.json")
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
+	if sum != len(rep.Sites) {
+		t.Fatalf("buckets count %d sites, census lists %d", sum, len(rep.Sites))
 	}
-	loaded, err := LoadAllocBaseline(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if problems := CompareAllocBudget(loaded, rep); len(problems) != 0 {
-		t.Fatalf("census does not fit its own baseline: %v", problems)
+	for _, form := range []*CensusReport{rep.Baseline(), rep} {
+		data, err := form.JSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if form != rep && strings.Contains(string(data), `"sites": [`) {
+			t.Fatalf("baseline form still carries per-site records:\n%s", data)
+		}
+		path := filepath.Join(t.TempDir(), "allocs.json")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		loaded, err := LoadAllocBaseline(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if problems := CompareAllocBudget(loaded, rep); len(problems) != 0 {
+			t.Fatalf("census does not fit its own baseline: %v", problems)
+		}
 	}
 }
 
 func TestLoadAllocBaselineSchemaMismatch(t *testing.T) {
 	t.Parallel()
-	path := filepath.Join(t.TempDir(), "allocs.json")
-	if err := os.WriteFile(path, []byte(`{"schema": 99, "roots": [], "sites": []}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadAllocBaseline(path); err == nil || !strings.Contains(err.Error(), "schema") {
-		t.Fatalf("err = %v, want schema mismatch", err)
+	for _, old := range []string{
+		`{"schema": 99, "roots": [], "buckets": []}`,
+		// A schema-1 baseline: per-site records, no buckets.
+		`{"schema": 1, "roots": [], "sites": [{"file": "a.go", "line": 1, "func": "p.f", "kind": "make", "roots": ["p.f"]}]}`,
+	} {
+		path := filepath.Join(t.TempDir(), "allocs.json")
+		if err := os.WriteFile(path, []byte(old), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := LoadAllocBaseline(path)
+		if err == nil || !strings.Contains(err.Error(), "schema") || !strings.Contains(err.Error(), "make alloc-baseline") {
+			t.Fatalf("err = %v, want schema mismatch with the regenerate hint", err)
+		}
 	}
 }
 
 func TestCompareAllocBudget(t *testing.T) {
 	t.Parallel()
-	site := func(file, fn, kind string, line int) AllocSiteRecord {
-		return AllocSiteRecord{File: file, Line: line, Func: fn, Kind: kind, Roots: []string{"p.Root"}}
+	bucket := func(file, fn, kind string, sites int) AllocBucketRecord {
+		return AllocBucketRecord{File: file, Func: fn, Kind: kind, Sites: sites}
 	}
-	baseline := &CensusReport{
-		Schema: AllocCensusSchema,
-		Roots:  []AllocRootRecord{{Root: "p.Root", Funcs: 2, HeapSites: 3}},
-		Sites: []AllocSiteRecord{
-			site("a.go", "p.f", kindMake, 10),
-			site("a.go", "p.f", kindMake, 20),
-			site("a.go", "p.g", kindFormat, 30),
-		},
+	report := func(heapSites int, buckets ...AllocBucketRecord) *CensusReport {
+		return &CensusReport{
+			Schema:  AllocCensusSchema,
+			Roots:   []AllocRootRecord{{Root: "p.Root", Funcs: 2, HeapSites: heapSites}},
+			Buckets: buckets,
+		}
 	}
+	baseline := report(3, bucket("a.go", "p.f", kindMake, 2), bucket("a.go", "p.g", kindFormat, 1))
 
 	t.Run("identical", func(t *testing.T) {
 		if p := CompareAllocBudget(baseline, baseline); len(p) != 0 {
@@ -136,69 +158,44 @@ func TestCompareAllocBudget(t *testing.T) {
 		}
 	})
 	t.Run("line drift tolerated", func(t *testing.T) {
-		cur := &CensusReport{
-			Schema: AllocCensusSchema,
-			Roots:  []AllocRootRecord{{Root: "p.Root", Funcs: 2, HeapSites: 3}},
-			Sites: []AllocSiteRecord{
-				site("a.go", "p.f", kindMake, 12),
-				site("a.go", "p.f", kindMake, 25),
-				site("a.go", "p.g", kindFormat, 33),
-			},
-		}
+		// The baseline has no lines to drift from: a census whose sites
+		// moved buckets the same.
+		cur := report(3, bucketsOf([]AllocSiteRecord{
+			{File: "a.go", Line: 12, Func: "p.f", Kind: kindMake},
+			{File: "a.go", Line: 25, Func: "p.f", Kind: kindMake},
+			{File: "a.go", Line: 33, Func: "p.g", Kind: kindFormat},
+		})...)
 		if p := CompareAllocBudget(baseline, cur); len(p) != 0 {
 			t.Fatalf("problems = %v", p)
 		}
 	})
 	t.Run("bucket growth", func(t *testing.T) {
-		cur := &CensusReport{
-			Schema: AllocCensusSchema,
-			Roots:  []AllocRootRecord{{Root: "p.Root", Funcs: 2, HeapSites: 4}},
-			Sites: append(append([]AllocSiteRecord(nil), baseline.Sites...),
-				site("a.go", "p.f", kindMake, 40)),
-		}
+		cur := report(4, bucket("a.go", "p.f", kindMake, 3), bucket("a.go", "p.g", kindFormat, 1))
 		p := CompareAllocBudget(baseline, cur)
 		if len(p) != 2 {
 			t.Fatalf("problems = %v, want bucket growth and root growth", p)
 		}
-		if !strings.Contains(p[0], "grew") || !strings.Contains(p[1], "grew") {
+		if !strings.Contains(p[0], "grew: 3 make site(s), baseline 2") || !strings.Contains(p[1], "grew") {
 			t.Fatalf("problems = %v", p)
 		}
 	})
 	t.Run("new bucket", func(t *testing.T) {
-		cur := &CensusReport{
-			Schema: AllocCensusSchema,
-			Roots:  []AllocRootRecord{{Root: "p.Root", Funcs: 2, HeapSites: 3}},
-			Sites: []AllocSiteRecord{
-				site("a.go", "p.f", kindMake, 10),
-				site("a.go", "p.f", kindMake, 20),
-				site("b.go", "p.h", kindClosure, 5),
-			},
-		}
+		cur := report(3, bucket("a.go", "p.f", kindMake, 2), bucket("b.go", "p.h", kindClosure, 1))
 		p := CompareAllocBudget(baseline, cur)
 		if len(p) != 1 || !strings.Contains(p[0], "not in baseline") {
 			t.Fatalf("problems = %v, want one new-bucket report", p)
 		}
 	})
 	t.Run("unknown root", func(t *testing.T) {
-		cur := &CensusReport{
-			Schema: AllocCensusSchema,
-			Roots: []AllocRootRecord{
-				{Root: "p.Root", Funcs: 2, HeapSites: 3},
-				{Root: "p.Other", Funcs: 1, HeapSites: 1},
-			},
-			Sites: baseline.Sites,
-		}
+		cur := report(3, baseline.Buckets...)
+		cur.Roots = append(cur.Roots, AllocRootRecord{Root: "p.Other", Funcs: 1, HeapSites: 1})
 		p := CompareAllocBudget(baseline, cur)
 		if len(p) != 1 || !strings.Contains(p[0], "p.Other") {
 			t.Fatalf("problems = %v, want unknown-root report", p)
 		}
 	})
 	t.Run("shrink is fine", func(t *testing.T) {
-		cur := &CensusReport{
-			Schema: AllocCensusSchema,
-			Roots:  []AllocRootRecord{{Root: "p.Root", Funcs: 2, HeapSites: 1}},
-			Sites:  []AllocSiteRecord{site("a.go", "p.f", kindMake, 10)},
-		}
+		cur := report(1, bucket("a.go", "p.f", kindMake, 1))
 		if p := CompareAllocBudget(baseline, cur); len(p) != 0 {
 			t.Fatalf("problems = %v", p)
 		}

@@ -64,14 +64,9 @@ const hotPathDirective = "//sgfsvet:hot-path"
 // the summary-marker prefix so markerOf never confuses the two.
 const allocSitePrefix = markerPrefix + "site:"
 
-// Run implements Analyzer (single-package mode).
-func (a AllocHotPath) Run(pkg *Package) []Diagnostic {
-	return a.RunModule([]*Package{pkg})
-}
-
 // RunModule implements ModuleAnalyzer.
-func (a AllocHotPath) RunModule(pkgs []*Package) []Diagnostic {
-	an := analyzeAllocs(pkgs)
+func (a AllocHotPath) RunModule(m *Module) []Diagnostic {
+	an := analyzeAllocs(m)
 	if an == nil {
 		return nil
 	}
@@ -116,23 +111,22 @@ type allocSite struct {
 // allocAnalysis is the shared result of one module pass, feeding both
 // the analyzer findings and the census.
 type allocAnalysis struct {
-	g     *callGraph
-	esc   map[*types.Func]*escSummary
+	m     *Module
+	esc   *summarySet
 	hot   map[*types.Func][]string // fn -> sorted root names reaching it
 	sites []*allocSite
 	diags []Diagnostic
 }
 
 // analyzeAllocs runs the full pipeline; nil when no roots are declared.
-func analyzeAllocs(pkgs []*Package) *allocAnalysis {
-	g := buildCallGraph(pkgs)
-	roots := hotPathRoots(pkgs)
+func analyzeAllocs(m *Module) *allocAnalysis {
+	roots := hotPathRoots(m)
 	if len(roots) == 0 {
 		return nil
 	}
 	an := &allocAnalysis{
-		g:   g,
-		esc: computeEscapeSummaries(g),
+		m:   m,
+		esc: computeEscapeSummaries(m),
 		hot: make(map[*types.Func][]string),
 	}
 
@@ -146,49 +140,43 @@ func analyzeAllocs(pkgs []*Package) *allocAnalysis {
 	}
 	sort.Strings(names)
 	for _, name := range names {
-		for fn := range g.reachableFrom([]*types.Func{byName[name]}) {
+		for fn := range m.reach(byName[name]) {
 			an.hot[fn] = append(an.hot[fn], name)
 		}
 	}
 
-	pools := poolPackages(pkgs)
-	for _, fn := range g.nodes { // declaration order: deterministic
-		if an.hot[fn] == nil {
-			continue
+	for _, fd := range m.funcs { // declaration order: deterministic
+		if an.hot[fd.fn] != nil {
+			an.classifyFn(fd.pkg, fd.decl, fd.fn)
 		}
-		site := g.idx.decls[fn]
-		if site == nil {
-			continue
-		}
-		an.classifyFn(site.pkg, site.decl, fn)
 	}
-	an.report(pools)
+	an.report(poolPackages(m.Pkgs))
 	return an
 }
 
 // hotPathRoots collects //sgfsvet:hot-path annotated declarations.
-func hotPathRoots(pkgs []*Package) map[*types.Func]string {
+func hotPathRoots(m *Module) map[*types.Func]string {
 	roots := make(map[*types.Func]string)
-	for _, pkg := range pkgs {
-		for _, f := range pkg.Files {
-			for _, d := range f.Decls {
-				fd, ok := d.(*ast.FuncDecl)
-				if !ok || fd.Body == nil || fd.Doc == nil {
-					continue
-				}
-				for _, c := range fd.Doc.List {
-					if !strings.HasPrefix(c.Text, hotPathDirective) {
-						continue
-					}
-					if fn, ok := pkg.Info.Defs[fd.Name].(*types.Func); ok {
-						roots[fn] = pkg.Types.Name() + "." + shortFuncName(fn)
-					}
-					break
-				}
-			}
+	for _, fd := range m.funcs {
+		if hasDirective(fd.decl, hotPathDirective) {
+			roots[fd.fn] = fd.pkg.Types.Name() + "." + shortFuncName(fd.fn)
 		}
 	}
 	return roots
+}
+
+// hasDirective reports whether a declaration's doc comment carries the
+// given //sgfsvet: directive line.
+func hasDirective(decl *ast.FuncDecl, directive string) bool {
+	if decl.Doc == nil {
+		return false
+	}
+	for _, c := range decl.Doc.List {
+		if strings.HasPrefix(c.Text, directive) {
+			return true
+		}
+	}
+	return false
 }
 
 // poolPackages reports which packages declare a package-level

@@ -11,180 +11,52 @@ import (
 // what it does with its inputs — "argument i escapes" (stored heapward,
 // sent, captured, handed to an escaping callee) and "argument i can be
 // returned" (aliasing passes to the caller, where tracking continues).
-// Summaries are computed bottom-up over the call graph's SCC
-// condensation with the same optimistic fixpoint as the deep-summary
-// engine: a not-yet-computed module callee is assumed non-escaping and
-// the lattice only gains bits, so the iteration converges.
+// Summaries are computed by Module.bottomUp with the same optimistic
+// fixpoint as the deep-summary engine: a not-yet-computed module callee
+// is assumed non-escaping and the lattice only gains bits, so the
+// iteration converges. The summary is the taint engine's fnSummary read
+// as escape facts: "reaches a sink" is "escapes" (the sink string says
+// how), "flows to a return" is "can alias the result".
 
-// escSummary is one function's escape behavior.
-type escSummary struct {
-	paramEsc []bool // argument i escapes inside the function
-	recvEsc  bool
-	paramRet []bool // argument i can alias a return value
-	recvRet  bool
-	variadic bool
-}
-
-func newEscSummary(sig *types.Signature) *escSummary {
-	n := sig.Params().Len()
-	return &escSummary{
-		paramEsc: make([]bool, n),
-		paramRet: make([]bool, n),
-		variadic: sig.Variadic(),
-	}
-}
-
-func (s *escSummary) clone() *escSummary {
-	c := *s
-	c.paramEsc = append([]bool(nil), s.paramEsc...)
-	c.paramRet = append([]bool(nil), s.paramRet...)
-	return &c
-}
-
-func (s *escSummary) equal(o *escSummary) bool {
-	if o == nil || s.recvEsc != o.recvEsc || s.recvRet != o.recvRet {
-		return false
-	}
-	for i := range s.paramEsc {
-		if s.paramEsc[i] != o.paramEsc[i] || s.paramRet[i] != o.paramRet[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// argIndex folds extra variadic arguments onto the last parameter.
-func (s *escSummary) argIndex(i int) int {
-	if i < len(s.paramEsc) {
-		return i
-	}
-	if s.variadic && len(s.paramEsc) > 0 {
-		return len(s.paramEsc) - 1
-	}
-	return -1
-}
-
-func (s *escSummary) escArg(i int) bool {
-	j := s.argIndex(i)
-	return j >= 0 && s.paramEsc[j]
-}
-
-func (s *escSummary) retArg(i int) bool {
-	j := s.argIndex(i)
-	return j >= 0 && s.paramRet[j]
-}
-
-// computeEscapeSummaries runs the bottom-up fixpoint over g.
-func computeEscapeSummaries(g *callGraph) map[*types.Func]*escSummary {
-	sums := make(map[*types.Func]*escSummary)
-	for _, scc := range g.sccs {
-		// Safety valve only: the lattice is monotone and finite.
-		for pass := 0; pass < len(scc)*4+8; pass++ {
-			changed := false
-			for _, fn := range scc {
-				if summarizeEscape(g, g.idx.decls[fn], fn, sums) {
-					changed = true
-				}
-			}
-			if !changed {
-				break
-			}
-		}
-	}
+// computeEscapeSummaries runs the bottom-up fixpoint over m. The
+// summaries live in a policy-free summarySet, whose call-taint hook is
+// the aliasing rule both passes need: a callee that can return an
+// argument (or its receiver) passes that value's taint to the call
+// result, so tracking continues in the caller.
+func computeEscapeSummaries(m *Module) *summarySet {
+	sums := emptySummaries(summaryPolicy{})
+	m.bottomUp(func(fd *funcDecl) bool { return summarizeEscape(m, fd, sums) })
 	return sums
 }
 
-// summarizeEscape recomputes fn's escape summary and reports change.
-func summarizeEscape(g *callGraph, site *declSite, fn *types.Func, sums map[*types.Func]*escSummary) bool {
-	if site == nil {
-		return false
-	}
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok {
-		return false
-	}
-	old := sums[fn]
-	var cur *escSummary
+// summarizeEscape recomputes fd's escape summary and reports change.
+func summarizeEscape(m *Module, fd *funcDecl, sums *summarySet) bool {
+	fn, pkg := fd.fn, fd.pkg
+	sig := fn.Type().(*types.Signature)
+	old := sums.fns[fn]
+	var cur *fnSummary
 	if old != nil {
 		cur = old.clone()
 	} else {
-		cur = newEscSummary(sig)
+		cur = newFnSummary(sig)
 	}
 
-	pkg := site.pkg
-	seed := cfg.State{}
-	params := sig.Params()
-	for i := 0; i < params.Len(); i++ {
-		if p := params.At(i); p != nil {
-			seed[p] = &cfg.Source{Pos: p.Pos(), Desc: paramMarker(i)}
-		}
-	}
-	if r := sig.Recv(); r != nil {
-		seed[r] = &cfg.Source{Pos: r.Pos(), Desc: recvMarker}
-	}
-
-	hooks := &escapeHooks{
-		pkg:  pkg,
-		idx:  g.idx,
-		sums: sums,
-		onReturn: func(src *cfg.Source) {
-			if i, isRecv, ok := markerOf(src.Desc); ok {
-				if isRecv {
-					cur.recvRet = true
-				} else if i < len(cur.paramRet) {
-					cur.paramRet[i] = true
-				}
-			}
-		},
-		onEscape: func(src *cfg.Source, why string) {
-			if i, isRecv, ok := markerOf(src.Desc); ok {
-				if isRecv {
-					cur.recvEsc = true
-				} else if i < len(cur.paramEsc) {
-					cur.paramEsc[i] = true
-				}
-			}
-		},
-	}
+	// Only markers flow here (no SourceOf), so noteReturn and noteSink
+	// record exactly the parameter and receiver bits.
+	hooks := &escapeHooks{pkg: pkg, m: m, sums: sums, onReturn: cur.noteReturn, onEscape: cur.noteSink}
 	spec := &cfg.Spec{
 		Info:      pkg.Info,
-		Seed:      seed,
-		CallTaint: escCallTaint(pkg, sums),
+		Seed:      markerSeed(sig),
+		CallTaint: sums.callTaintFor(pkg),
 		Sink:      hooks.sink,
 	}
-	cfg.Run(site.decl.Body, spec)
+	cfg.Run(m.cfgOf(fd.decl.Body), spec)
 
 	if cur.equal(old) {
 		return false
 	}
-	sums[fn] = cur
+	sums.fns[fn] = cur
 	return true
-}
-
-// escCallTaint is the aliasing hook shared by the summary fixpoint and
-// the site classification pass: a module callee whose summary says it
-// can return an argument (or its receiver) passes that value's taint
-// to the call result, so tracking continues in the caller.
-func escCallTaint(pkg *Package, sums map[*types.Func]*escSummary) func(*ast.CallExpr, *cfg.Source, []*cfg.Source) *cfg.Source {
-	return func(call *ast.CallExpr, recv *cfg.Source, args []*cfg.Source) *cfg.Source {
-		callee := calleeOf(pkg, call)
-		if callee == nil {
-			return nil
-		}
-		sum := sums[callee]
-		if sum == nil {
-			return nil
-		}
-		if sum.recvRet && recv != nil {
-			return recv
-		}
-		for i, a := range args {
-			if a != nil && sum.retArg(i) {
-				return a
-			}
-		}
-		return nil
-	}
 }
 
 // escapeHooks turns taint observations into escape events. The same
@@ -192,8 +64,8 @@ func escCallTaint(pkg *Package, sums map[*types.Func]*escSummary) func(*ast.Call
 // classification pass (alloc sites escaping).
 type escapeHooks struct {
 	pkg      *Package
-	idx      *moduleIndex
-	sums     map[*types.Func]*escSummary
+	m        *Module
+	sums     *summarySet
 	onReturn func(src *cfg.Source)
 	onEscape func(src *cfg.Source, why string)
 }
@@ -340,12 +212,22 @@ func (h *escapeHooks) lhsEscapes(l ast.Expr) bool {
 // literal closes over: once captured, the closure (and whoever holds
 // it) keeps the value alive.
 func (h *escapeHooks) captures(lit *ast.FuncLit, gate func(ast.Expr) *cfg.Source) {
+	forEachCapture(h.pkg, lit, func(id *ast.Ident) {
+		if src := gate(id); src != nil {
+			h.onEscape(src, "captured by a closure")
+		}
+	})
+}
+
+// forEachCapture visits every use, inside a function literal, of a
+// variable the literal closes over.
+func forEachCapture(pkg *Package, lit *ast.FuncLit, visit func(id *ast.Ident)) {
 	ast.Inspect(lit.Body, func(m ast.Node) bool {
 		id, ok := m.(*ast.Ident)
 		if !ok {
 			return true
 		}
-		v, ok := h.pkg.Info.Uses[id].(*types.Var)
+		v, ok := pkg.Info.Uses[id].(*types.Var)
 		if !ok || v.Pkg() == nil {
 			return true
 		}
@@ -355,9 +237,7 @@ func (h *escapeHooks) captures(lit *ast.FuncLit, gate func(ast.Expr) *cfg.Source
 		if v.Pos() >= lit.Pos() && v.Pos() < lit.End() {
 			return true // declared inside the literal
 		}
-		if src := gate(id); src != nil {
-			h.onEscape(src, "captured by a closure")
-		}
+		visit(id)
 		return true
 	})
 }
@@ -374,26 +254,21 @@ func (h *escapeHooks) call(call *ast.CallExpr, gate func(ast.Expr) *cfg.Source) 
 	if builtinName(h.pkg, call) != "" {
 		return // builtins retain nothing
 	}
-	var recvExpr ast.Expr
-	if sel, ok := fun.(*ast.SelectorExpr); ok {
-		if s, isSel := h.pkg.Info.Selections[sel]; isSel && s.Kind() == types.MethodVal {
-			recvExpr = sel.X
-		}
-	}
+	recvExpr := methodRecv(h.pkg, call)
 	callee := calleeOf(h.pkg, call)
 	if callee != nil {
-		if _, inModule := h.idx.decls[callee]; inModule {
-			sum := h.sums[callee]
+		if h.m.inModule(callee) {
+			sum := h.sums.fns[callee]
 			if sum == nil {
 				return // converging fixpoint: optimistic until summarized
 			}
-			if recvExpr != nil && sum.recvEsc {
+			if recvExpr != nil && sum.RecvToSink != "" {
 				if src := gate(recvExpr); src != nil {
 					h.onEscape(src, "escapes via "+callee.Name())
 				}
 			}
 			for i, a := range call.Args {
-				if !sum.escArg(i) {
+				if sum.sinkForArg(i) == "" {
 					continue
 				}
 				if src := gate(a); src != nil {

@@ -168,14 +168,6 @@ func (sc *siteScan) scan(body *ast.BlockStmt) {
 	sc.resolveGrowIdiom()
 }
 
-func identExprs(ids []*ast.Ident) []ast.Expr {
-	out := make([]ast.Expr, len(ids))
-	for i, id := range ids {
-		out[i] = id
-	}
-	return out
-}
-
 // compositeSite: slice and map literals allocate backing storage;
 // struct and array literals are pure values and allocate only when
 // their address is taken (the &T{...} form, registered on the &).
@@ -207,7 +199,7 @@ func (sc *siteScan) callSites(x *ast.CallExpr) {
 	case "new":
 		tv := sc.pkg.Info.Types[x]
 		if tv.Type != nil {
-			sc.add(x, kindNew, "new("+sc.typeString(deref(tv.Type))+")", false)
+			sc.add(x, kindNew, "new("+sc.typeString(derefType(tv.Type))+")", false)
 		}
 		return
 	case "append":
@@ -238,13 +230,6 @@ func (sc *siteScan) callSites(x *ast.CallExpr) {
 	}
 	sc.boxedArgs(x)
 	sc.variadicPack(x)
-}
-
-func deref(t types.Type) types.Type {
-	if p, ok := t.(*types.Pointer); ok {
-		return p.Elem()
-	}
-	return t
 }
 
 // makeSite: maps, channels and dynamically-sized slices always hit the
@@ -402,9 +387,9 @@ func (sc *siteScan) variadicPack(x *ast.CallExpr) {
 		return // zero variadic arguments: a nil slice, no allocation
 	}
 	if callee := calleeOf(sc.pkg, x); callee != nil {
-		if sum := sc.an.esc[callee]; sum != nil {
+		if sum := sc.an.esc.fns[callee]; sum != nil {
 			last := params.Len() - 1
-			if !sum.escArg(last) && !sum.retArg(last) {
+			if sum.sinkForArg(last) == "" && !sum.returnsArg(last) {
 				return
 			}
 		}
@@ -454,11 +439,7 @@ func (sc *siteScan) arraySliceSite(x *ast.SliceExpr) {
 }
 
 func (sc *siteScan) localVar(id *ast.Ident) *types.Var {
-	obj := sc.pkg.Info.Uses[id]
-	if obj == nil {
-		obj = sc.pkg.Info.Defs[id]
-	}
-	v, ok := obj.(*types.Var)
+	v, ok := identObj(sc.pkg, id).(*types.Var)
 	if !ok || v.Pkg() == nil || v.IsField() || v.Parent() == v.Pkg().Scope() {
 		return nil
 	}
@@ -483,24 +464,7 @@ func (sc *siteScan) closureSite(x *ast.FuncLit) {
 
 func (sc *siteScan) capturesOutside(lit *ast.FuncLit) bool {
 	found := false
-	ast.Inspect(lit.Body, func(m ast.Node) bool {
-		if found {
-			return false
-		}
-		id, ok := m.(*ast.Ident)
-		if !ok {
-			return true
-		}
-		v, ok := sc.pkg.Info.Uses[id].(*types.Var)
-		if !ok || v.Pkg() == nil || v.Parent() == v.Pkg().Scope() {
-			return true
-		}
-		if v.Pos() >= lit.Pos() && v.Pos() < lit.End() {
-			return true
-		}
-		found = true
-		return false
-	})
+	forEachCapture(sc.pkg, lit, func(*ast.Ident) { found = true })
 	return found
 }
 
@@ -535,15 +499,8 @@ func (sc *siteScan) resolveAppends() {
 		if len(x.Args) == 0 {
 			continue
 		}
-		base, ok := ast.Unparen(x.Args[0]).(*ast.Ident)
-		if !ok {
-			continue // field or reslice base: reuse idiom
-		}
-		obj := sc.pkg.Info.Uses[base]
-		if obj == nil {
-			obj = sc.pkg.Info.Defs[base]
-		}
-		if obj == nil || madeObjs[obj] {
+		// A field or reslice base is the reuse idiom.
+		if obj := identObj(sc.pkg, x.Args[0]); obj == nil || madeObjs[obj] {
 			continue
 		}
 		sc.add(x, kindAppend, "append growth", false)
@@ -557,19 +514,11 @@ func (sc *siteScan) recordMakeAssigns(lhs []ast.Expr, rhs []ast.Expr) {
 		return
 	}
 	for i, l := range lhs {
-		id, ok := ast.Unparen(l).(*ast.Ident)
-		if !ok {
-			continue
-		}
 		call, ok := ast.Unparen(rhs[i]).(*ast.CallExpr)
 		if !ok || builtinName(sc.pkg, call) != "make" {
 			continue
 		}
-		obj := sc.pkg.Info.Defs[id]
-		if obj == nil {
-			obj = sc.pkg.Info.Uses[id]
-		}
-		if obj != nil {
+		if obj := identObj(sc.pkg, l); obj != nil {
 			sc.makePairs = append(sc.makePairs, makePair{obj: obj, call: call})
 		}
 	}
@@ -634,7 +583,7 @@ func (an *allocAnalysis) classifyFn(pkg *Package, decl *ast.FuncDecl, fn *types.
 	}
 	hooks := &escapeHooks{
 		pkg:      pkg,
-		idx:      an.g.idx,
+		m:        an.m,
 		sums:     an.esc,
 		onReturn: func(src *cfg.Source) { markHeap(src, "returned") },
 		onEscape: markHeap,
@@ -651,13 +600,13 @@ func (an *allocAnalysis) classifyFn(pkg *Package, decl *ast.FuncDecl, fn *types.
 			}
 			return allocSitePrefix + strconv.Itoa(s.id), true
 		},
-		CallTaint: escCallTaint(pkg, an.esc),
+		CallTaint: an.esc.callTaintFor(pkg),
 		Sink:      hooks.sink,
 	}
-	cfg.Run(decl.Body, spec)
+	cfg.Run(an.m.cfgOf(decl.Body), spec)
 	ast.Inspect(decl.Body, func(n ast.Node) bool {
 		if lit, ok := n.(*ast.FuncLit); ok {
-			cfg.Run(lit.Body, spec)
+			cfg.Run(an.m.cfgOf(lit.Body), spec)
 		}
 		return true
 	})

@@ -22,19 +22,41 @@ func (d Diagnostic) String() string {
 	return fmt.Sprintf("%s:%d:%d: [%s] %s", d.Pos.Filename, d.Pos.Line, d.Pos.Column, d.Analyzer, d.Message)
 }
 
-// Analyzer inspects one package and reports diagnostics.
+// compare orders findings by file, line, message, then analyzer;
+// zero means the two are the same finding.
+func (d Diagnostic) compare(o Diagnostic) int {
+	if c := strings.Compare(d.Pos.Filename, o.Pos.Filename); c != 0 {
+		return c
+	}
+	if d.Pos.Line != o.Pos.Line {
+		return d.Pos.Line - o.Pos.Line
+	}
+	if c := strings.Compare(d.Message, o.Message); c != 0 {
+		return c
+	}
+	return strings.Compare(d.Analyzer, o.Analyzer)
+}
+
+// Analyzer is one named check. Every analyzer also implements
+// PackageAnalyzer or ModuleAnalyzer, which is how RunAll drives it.
 type Analyzer interface {
 	Name() string
+}
+
+// PackageAnalyzer is a check whose every fact is local to one package
+// (xdr-symmetry, swallowed-error, goroutine-leak, replay-table-sync).
+type PackageAnalyzer interface {
+	Analyzer
 	Run(pkg *Package) []Diagnostic
 }
 
-// ModuleAnalyzer is implemented by analyzers that need every loaded
-// package at once so they can follow calls across package boundaries
-// (lock-order, ctx-deadline). RunAll hands such analyzers the whole
-// package set in one call instead of iterating per package.
+// ModuleAnalyzer is a check that follows calls, locks or values across
+// function and package boundaries. It reads the shared Module — the
+// declaration index, call graph, body list and CFGs — instead of
+// building its own.
 type ModuleAnalyzer interface {
 	Analyzer
-	RunModule(pkgs []*Package) []Diagnostic
+	RunModule(m *Module) []Diagnostic
 }
 
 // AnalyzerTiming records one analyzer's wall-clock cost over a RunAll
@@ -44,48 +66,49 @@ type AnalyzerTiming struct {
 	Elapsed time.Duration
 }
 
+// moduleTimingName labels the shared Module build in the timings, so
+// its cost is not charged to whichever analyzer happens to run first.
+const moduleTimingName = "module"
+
 // RunAll applies every analyzer to every package and returns the
-// combined findings sorted by position. Duplicate packages (the same
-// directory named by two patterns) are analyzed once.
+// combined findings, deduplicated and sorted by position.
 func RunAll(pkgs []*Package, analyzers []Analyzer) []Diagnostic {
 	diags, _ := RunAllTimed(pkgs, analyzers)
 	return diags
 }
 
-// RunAllTimed is RunAll with a per-analyzer wall-time breakdown, so
-// the CLI's -timing flag and CI's analysis-time budget can see where
-// the suite spends its time.
+// RunAllTimed is RunAll with a wall-time breakdown — the Module build
+// first, then one row per analyzer — so the CLI's -timing flag and
+// CI's analysis-time budget can see where the suite spends its time.
 func RunAllTimed(pkgs []*Package, analyzers []Analyzer) ([]Diagnostic, []AnalyzerTiming) {
-	var uniq []*Package
-	seen := make(map[*Package]bool, len(pkgs))
-	for _, p := range pkgs {
-		if !seen[p] {
-			seen[p] = true
-			uniq = append(uniq, p)
-		}
-	}
-	var out []Diagnostic
-	timings := make([]AnalyzerTiming, 0, len(analyzers))
+	start := time.Now()
+	m := NewModule(pkgs)
+	timings := make([]AnalyzerTiming, 0, len(analyzers)+1)
+	timings = append(timings, AnalyzerTiming{Name: moduleTimingName, Elapsed: time.Since(start)})
+
+	var all []Diagnostic
 	for _, a := range analyzers {
 		start := time.Now()
-		if ma, ok := a.(ModuleAnalyzer); ok {
-			out = append(out, ma.RunModule(uniq)...)
-		} else {
-			for _, pkg := range uniq {
-				out = append(out, a.Run(pkg)...)
+		switch a := a.(type) {
+		case ModuleAnalyzer:
+			all = append(all, a.RunModule(m)...)
+		case PackageAnalyzer:
+			for _, pkg := range m.Pkgs {
+				all = append(all, a.Run(pkg)...)
 			}
 		}
 		timings = append(timings, AnalyzerTiming{Name: a.Name(), Elapsed: time.Since(start)})
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Pos.Filename != out[j].Pos.Filename {
-			return out[i].Pos.Filename < out[j].Pos.Filename
+	sort.SliceStable(all, func(i, j int) bool { return all[i].compare(all[j]) < 0 })
+	// One finding per (file, line, message): a site reached twice — two
+	// operands on one line, a body replayed in two modes — is reported
+	// once, so analyzers need no private dedupe.
+	out := all[:0]
+	for i, d := range all {
+		if i == 0 || d.compare(all[i-1]) != 0 {
+			out = append(out, d)
 		}
-		if out[i].Pos.Line != out[j].Pos.Line {
-			return out[i].Pos.Line < out[j].Pos.Line
-		}
-		return out[i].Message < out[j].Message
-	})
+	}
 	return out, timings
 }
 

@@ -5,7 +5,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
 	"strings"
 )
 
@@ -34,11 +33,6 @@ type AtomicMisuse struct{}
 // Name implements Analyzer.
 func (AtomicMisuse) Name() string { return "atomic-misuse" }
 
-// Run implements Analyzer (single-package mode).
-func (a AtomicMisuse) Run(pkg *Package) []Diagnostic {
-	return a.RunModule([]*Package{pkg})
-}
-
 // atAccess is one plain (non-atomic) access to a tracked location.
 type atAccess struct {
 	pkg   *Package
@@ -56,7 +50,7 @@ type atRecord struct {
 }
 
 // RunModule implements ModuleAnalyzer.
-func (a AtomicMisuse) RunModule(pkgs []*Package) []Diagnostic {
+func (a AtomicMisuse) RunModule(m *Module) []Diagnostic {
 	rec := make(map[*types.Var]*atRecord)
 	consumed := make(map[ast.Node]bool) // selectors/idents used by atomic calls
 	var diags []Diagnostic
@@ -64,7 +58,8 @@ func (a AtomicMisuse) RunModule(pkgs []*Package) []Diagnostic {
 	// Pass A: atomic operations — old-style atomic.AddUint64(&x.f, ..)
 	// calls classify the location, typed-atomic Store(..Load()..) is
 	// the lost-update rule.
-	forEachBody(pkgs, func(pkg *Package, fname string, body *ast.BlockStmt) {
+	for _, fd := range m.funcs {
+		pkg, fname, body := fd.pkg, fd.decl.Name.Name, fd.decl.Body
 		ast.Inspect(body, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
 			if !ok {
@@ -98,10 +93,11 @@ func (a AtomicMisuse) RunModule(pkgs []*Package) []Diagnostic {
 			}
 			return true
 		})
-	})
+	}
 
 	// Pass B: plain accesses to the locations pass A classified.
-	forEachBody(pkgs, func(pkg *Package, fname string, body *ast.BlockStmt) {
+	for _, fd := range m.funcs {
+		pkg, fname, body := fd.pkg, fd.decl.Name.Name, fd.decl.Body
 		fresh := freshLocals(pkg, body)
 		writes := writeTargets(body)
 		ast.Inspect(body, func(n ast.Node) bool {
@@ -112,11 +108,9 @@ func (a AtomicMisuse) RunModule(pkgs []*Package) []Diagnostic {
 				if consumed[x] {
 					return true
 				}
-				sel, ok := pkg.Info.Selections[x]
-				if !ok || sel.Kind() != types.FieldVal {
+				if v = fieldVar(pkg, x); v == nil {
 					return true
 				}
-				v, _ = sel.Obj().(*types.Var)
 				base = x.X
 			case *ast.Ident:
 				if consumed[x] {
@@ -147,7 +141,7 @@ func (a AtomicMisuse) RunModule(pkgs []*Package) []Diagnostic {
 			r.plain = append(r.plain, atAccess{pkg: pkg, pos: n.Pos(), fn: fname, write: writes[n]})
 			return true
 		})
-	})
+	}
 
 	// Judge: any plain write against any atomic access; plain reads
 	// only against atomic writes (an atomically-read, lock-written
@@ -174,31 +168,7 @@ func (a AtomicMisuse) RunModule(pkgs []*Package) []Diagnostic {
 		}
 	}
 
-	sort.Slice(diags, func(i, j int) bool {
-		if diags[i].Pos.Filename != diags[j].Pos.Filename {
-			return diags[i].Pos.Filename < diags[j].Pos.Filename
-		}
-		if diags[i].Pos.Line != diags[j].Pos.Line {
-			return diags[i].Pos.Line < diags[j].Pos.Line
-		}
-		return diags[i].Message < diags[j].Message
-	})
 	return diags
-}
-
-// forEachBody visits every function body in the module. Function
-// literals are reached through ast.Inspect from the enclosing body, so
-// only declarations are enumerated.
-func forEachBody(pkgs []*Package, f func(pkg *Package, fname string, body *ast.BlockStmt)) {
-	for _, pkg := range pkgs {
-		for _, file := range pkg.Files {
-			for _, d := range file.Decls {
-				if fd, ok := d.(*ast.FuncDecl); ok && fd.Body != nil {
-					f(pkg, fd.Name.Name, fd.Body)
-				}
-			}
-		}
-	}
 }
 
 // atRecordFor interns the record for a tracked location, naming it
@@ -256,15 +226,10 @@ func addrTarget(pkg *Package, e ast.Expr) (*types.Var, ast.Node) {
 	}
 	switch x := ast.Unparen(u.X).(type) {
 	case *ast.SelectorExpr:
-		sel, ok := pkg.Info.Selections[x]
-		if !ok || sel.Kind() != types.FieldVal {
-			return nil, nil
+		if v := fieldVar(pkg, x); v != nil && v.Pkg() != nil {
+			return v, x
 		}
-		v, _ := sel.Obj().(*types.Var)
-		if v == nil || v.Pkg() == nil {
-			return nil, nil
-		}
-		return v, x
+		return nil, nil
 	case *ast.Ident:
 		v, _ := pkg.Info.Uses[x].(*types.Var)
 		if v == nil || v.Pkg() == nil || v.Parent() != v.Pkg().Scope() {
@@ -315,15 +280,8 @@ func typedAtomicStore(pkg *Package, call *ast.CallExpr) (*ast.SelectorExpr, *typ
 // typedAtomicField resolves an expression to (selector, field) when it
 // selects a struct field whose type is a sync/atomic value type.
 func typedAtomicField(pkg *Package, e ast.Expr) (*ast.SelectorExpr, *types.Var) {
-	fieldSel, ok := ast.Unparen(e).(*ast.SelectorExpr)
-	if !ok {
-		return nil, nil
-	}
-	sel, ok := pkg.Info.Selections[fieldSel]
-	if !ok || sel.Kind() != types.FieldVal {
-		return nil, nil
-	}
-	v, _ := sel.Obj().(*types.Var)
+	fieldSel, _ := ast.Unparen(e).(*ast.SelectorExpr)
+	v := fieldVar(pkg, e)
 	if v == nil {
 		return nil, nil
 	}
@@ -414,11 +372,7 @@ func freshAllocExpr(pkg *Package, e ast.Expr) bool {
 			return ok
 		}
 	case *ast.CallExpr:
-		if id, ok := ast.Unparen(x.Fun).(*ast.Ident); ok {
-			if b, isB := pkg.Info.Uses[id].(*types.Builtin); isB {
-				return b.Name() == "new"
-			}
-		}
+		return builtinName(pkg, x) == "new"
 	}
 	return false
 }

@@ -178,7 +178,7 @@ func taintHarness(t *testing.T, source, fn string, bound bool) []string {
 			})
 		},
 	}
-	Run(body, spec)
+	Run(Build(body), spec)
 	return hits
 }
 
@@ -330,7 +330,7 @@ func f(n int) {
 			})
 		},
 	}
-	Run(body, spec)
+	Run(Build(body), spec)
 	if !hit {
 		t.Error("seeded parameter taint did not reach sink")
 	}

@@ -108,12 +108,11 @@ type Spec struct {
 	Sink func(n ast.Node, taintOf func(ast.Expr) *Source)
 }
 
-// Run analyzes one function body: build the CFG, solve the taint
-// dataflow to a fixpoint, then replay it feeding every reachable node
-// to spec.Sink. Nested function literals are not descended into —
-// analyze them separately.
-func Run(body *ast.BlockStmt, spec *Spec) {
-	g := Build(body)
+// Run analyzes one function body given its graph (see Build): solve
+// the taint dataflow to a fixpoint, then replay it feeding every
+// reachable node to spec.Sink. Nested function literals are not
+// descended into — analyze them separately.
+func Run(g *Graph, spec *Spec) {
 	t := spec.transfer()
 	in := Solve(g, t)
 	if spec.Sink == nil {

@@ -38,11 +38,6 @@ type CtxDeadline struct {
 // Name implements Analyzer.
 func (CtxDeadline) Name() string { return "ctx-deadline" }
 
-// Run implements Analyzer over a single package.
-func (a CtxDeadline) Run(pkg *Package) []Diagnostic {
-	return a.RunModule([]*Package{pkg})
-}
-
 const (
 	ctxUnbounded = iota // Background/TODO: can never gain a deadline
 	ctxUnknown          // field, function result, untracked
@@ -56,9 +51,7 @@ type ctxStatus struct {
 }
 
 // RunModule implements ModuleAnalyzer.
-func (a CtxDeadline) RunModule(pkgs []*Package) []Diagnostic {
-	idx := indexModule(pkgs)
-
+func (a CtxDeadline) RunModule(m *Module) []Diagnostic {
 	type site struct {
 		pkg         *Package
 		pos         token.Pos
@@ -69,67 +62,55 @@ func (a CtxDeadline) RunModule(pkgs []*Package) []Diagnostic {
 	}
 	var sites []site
 
-	seen := make(map[*Package]bool)
-	for _, pkg := range pkgs {
-		if seen[pkg] {
-			continue
-		}
-		seen[pkg] = true
-		for _, f := range pkg.Files {
-			for _, d := range f.Decls {
-				fd, ok := d.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
+	for _, fd := range m.funcs {
+		pkg := fd.pkg
+		status := classifyContexts(pkg, fd.decl)
+		ast.Inspect(fd.decl.Body, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			callee := calleeOf(pkg, call)
+			if callee == nil {
+				return true
+			}
+			sig, ok := callee.Type().(*types.Signature)
+			if !ok {
+				return true
+			}
+			params := sig.Params()
+			if isRPCSink(callee, sig) {
+				if len(call.Args) > 0 {
+					sites = append(sites, site{
+						pkg:  pkg,
+						pos:  call.Pos(),
+						desc: exprString(call.Fun),
+						arg:  exprCtxStatus(pkg, status, call.Args[0]),
+						sink: true,
+					})
+				}
+				return true
+			}
+			if !m.inModule(callee) {
+				return true
+			}
+			for i := 0; i < params.Len() && i < len(call.Args); i++ {
+				if sig.Variadic() && i == params.Len()-1 {
+					break
+				}
+				if !isContextType(params.At(i).Type()) {
 					continue
 				}
-				status := classifyContexts(pkg, fd)
-				ast.Inspect(fd.Body, func(n ast.Node) bool {
-					call, ok := n.(*ast.CallExpr)
-					if !ok {
-						return true
-					}
-					callee := calleeOf(pkg, call)
-					if callee == nil {
-						return true
-					}
-					sig, ok := callee.Type().(*types.Signature)
-					if !ok {
-						return true
-					}
-					params := sig.Params()
-					if isRPCSink(callee, sig) {
-						if len(call.Args) > 0 {
-							sites = append(sites, site{
-								pkg:  pkg,
-								pos:  call.Pos(),
-								desc: exprString(call.Fun),
-								arg:  exprCtxStatus(pkg, status, call.Args[0]),
-								sink: true,
-							})
-						}
-						return true
-					}
-					if _, inModule := idx.decls[callee]; !inModule {
-						return true
-					}
-					for i := 0; i < params.Len() && i < len(call.Args); i++ {
-						if sig.Variadic() && i == params.Len()-1 {
-							break
-						}
-						if !isContextType(params.At(i).Type()) {
-							continue
-						}
-						sites = append(sites, site{
-							pkg:         pkg,
-							pos:         call.Pos(),
-							desc:        exprString(call.Fun),
-							arg:         exprCtxStatus(pkg, status, call.Args[i]),
-							calleeParam: params.At(i),
-						})
-					}
-					return true
+				sites = append(sites, site{
+					pkg:         pkg,
+					pos:         call.Pos(),
+					desc:        exprString(call.Fun),
+					arg:         exprCtxStatus(pkg, status, call.Args[i]),
+					calleeParam: params.At(i),
 				})
 			}
-		}
+			return true
+		})
 	}
 
 	// Propagate obligations from sinks up through context parameters.
@@ -145,20 +126,9 @@ func (a CtxDeadline) RunModule(pkgs []*Package) []Diagnostic {
 		}
 	}
 
-	inScope := func(pkg *Package) bool {
-		if len(a.Packages) == 0 {
-			return true
-		}
-		for _, p := range a.Packages {
-			if pkg.ImportPath == p {
-				return true
-			}
-		}
-		return false
-	}
 	var diags []Diagnostic
 	for _, s := range sites {
-		if !inScope(s.pkg) || s.arg.kind != ctxUnbounded {
+		if !inScope(a.Packages, s.pkg) || s.arg.kind != ctxUnbounded {
 			continue
 		}
 		if s.sink {
@@ -176,6 +146,22 @@ func (a CtxDeadline) RunModule(pkgs []*Package) []Diagnostic {
 		}
 	}
 	return diags
+}
+
+// inScope reports whether pkg is one of the listed import paths; an
+// empty list puts every package in scope.
+func inScope(paths []string, pkg *Package) bool {
+	for _, p := range paths {
+		if pkg.ImportPath == p {
+			return true
+		}
+	}
+	return len(paths) == 0
+}
+
+// isContextType reports whether t is context.Context.
+func isContextType(t types.Type) bool {
+	return isNamed(t, "context", "Context")
 }
 
 // isRPCSink reports whether fn is an RPC issue point: a method named
@@ -227,39 +213,22 @@ func classifyContexts(pkg *Package, fd *ast.FuncDecl) map[*types.Var]ctxStatus {
 	for changed := true; changed; {
 		changed = false
 		ast.Inspect(fd.Body, func(n ast.Node) bool {
+			var lhs, rhs []ast.Expr
 			switch n := n.(type) {
 			case *ast.AssignStmt:
-				if len(n.Lhs) == len(n.Rhs) {
-					for i, lhs := range n.Lhs {
-						if assign(lhs, exprCtxStatus(pkg, status, n.Rhs[i])) {
-							changed = true
-						}
-					}
-					return true
-				}
-				// ctx, cancel := context.WithTimeout(...): tuple form.
-				if len(n.Rhs) == 1 {
-					st := exprCtxStatus(pkg, status, n.Rhs[0])
-					for _, lhs := range n.Lhs {
-						if assign(lhs, st) {
-							changed = true
-						}
-					}
-				}
+				lhs, rhs = n.Lhs, n.Rhs
 			case *ast.ValueSpec:
-				if len(n.Names) == len(n.Values) {
-					for i, name := range n.Names {
-						if assign(name, exprCtxStatus(pkg, status, n.Values[i])) {
-							changed = true
-						}
-					}
-				} else if len(n.Values) == 1 {
-					st := exprCtxStatus(pkg, status, n.Values[0])
-					for _, name := range n.Names {
-						if assign(name, st) {
-							changed = true
-						}
-					}
+				lhs, rhs = identExprs(n.Names), n.Values
+			}
+			for i, l := range lhs {
+				// ctx, cancel := context.WithTimeout(...): in the tuple
+				// form every target takes the one call's status.
+				r := i
+				if len(rhs) == 1 {
+					r = 0
+				}
+				if r < len(rhs) && assign(l, exprCtxStatus(pkg, status, rhs[r])) {
+					changed = true
 				}
 			}
 			return true

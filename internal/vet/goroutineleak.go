@@ -40,29 +40,18 @@ func (GoroutineLeak) Run(pkg *Package) []Diagnostic {
 	closed := closedChannels(pkg)
 
 	// Same-package function declarations, to resolve `go m.loop()`.
+	bodies := packageBodies(pkg)
 	decls := make(map[*types.Func]*ast.FuncDecl)
-	for _, f := range pkg.Files {
-		for _, d := range f.Decls {
-			if fd, ok := d.(*ast.FuncDecl); ok && fd.Body != nil {
-				if fn, ok := pkg.Info.Defs[fd.Name].(*types.Func); ok {
-					decls[fn] = fd
-				}
-			}
+	for _, b := range bodies {
+		if b.fn != nil {
+			decls[b.fn] = b.decl
 		}
 	}
 
-	type key struct {
-		pos token.Pos
-		msg string
-	}
-	reported := make(map[key]bool)
+	// A body spawned from two sites is reported at both; RunAll keeps
+	// one finding per line and message.
 	var diags []Diagnostic
 	report := func(pos token.Pos, msg string) {
-		k := key{pos, msg}
-		if reported[k] {
-			return
-		}
-		reported[k] = true
 		diags = append(diags, Diagnostic{
 			Analyzer: "goroutine-leak",
 			Pos:      pkg.Fset.Position(pos),
@@ -70,32 +59,29 @@ func (GoroutineLeak) Run(pkg *Package) []Diagnostic {
 		})
 	}
 
-	for _, f := range pkg.Files {
-		for _, d := range f.Decls {
-			fd, ok := d.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			buffered := bufferedLocals(pkg, fd)
-			ast.Inspect(fd.Body, func(n ast.Node) bool {
-				gs, ok := n.(*ast.GoStmt)
-				if !ok {
-					return true
-				}
-				var body *ast.BlockStmt
-				if lit, ok := gs.Call.Fun.(*ast.FuncLit); ok {
-					body = lit.Body
-				} else if fn := calleeOf(pkg, gs.Call); fn != nil {
-					if fdecl, ok := decls[fn]; ok {
-						body = fdecl.Body
-					}
-				}
-				if body != nil {
-					scanGoroutineBody(pkg, body, closed, buffered, report)
-				}
-				return true
-			})
+	for _, b := range bodies {
+		if b.fn == nil {
+			continue // literals are reached through their declaration
 		}
+		buffered := bufferedLocals(pkg, b.decl)
+		ast.Inspect(b.decl.Body, func(n ast.Node) bool {
+			gs, ok := n.(*ast.GoStmt)
+			if !ok {
+				return true
+			}
+			var body *ast.BlockStmt
+			if lit, ok := gs.Call.Fun.(*ast.FuncLit); ok {
+				body = lit.Body
+			} else if fn := calleeOf(pkg, gs.Call); fn != nil {
+				if fdecl, ok := decls[fn]; ok {
+					body = fdecl.Body
+				}
+			}
+			if body != nil {
+				scanGoroutineBody(pkg, body, closed, buffered, report)
+			}
+			return true
+		})
 	}
 	return diags
 }
@@ -231,14 +217,7 @@ func closedChannels(pkg *Package) map[string]bool {
 	for _, f := range pkg.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
-			if !ok || len(call.Args) != 1 {
-				return true
-			}
-			id, ok := ast.Unparen(call.Fun).(*ast.Ident)
-			if !ok {
-				return true
-			}
-			if _, isBuiltin := pkg.Info.Uses[id].(*types.Builtin); !isBuiltin || id.Name != "close" {
+			if !ok || len(call.Args) != 1 || builtinName(pkg, call) != "close" {
 				return true
 			}
 			if cid := chanID(pkg, call.Args[0]); cid != "" {
@@ -262,14 +241,7 @@ func bufferedLocals(pkg *Package, fd *ast.FuncDecl) map[string]bool {
 		}
 		for i, rhs := range as.Rhs {
 			call, ok := rhs.(*ast.CallExpr)
-			if !ok || len(call.Args) < 2 {
-				continue
-			}
-			id, ok := ast.Unparen(call.Fun).(*ast.Ident)
-			if !ok || id.Name != "make" {
-				continue
-			}
-			if _, isBuiltin := pkg.Info.Uses[id].(*types.Builtin); !isBuiltin {
+			if !ok || len(call.Args) < 2 || builtinName(pkg, call) != "make" {
 				continue
 			}
 			if tv, ok := pkg.Info.Types[call.Args[1]]; ok && tv.Value != nil && tv.Value.String() == "0" {

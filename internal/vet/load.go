@@ -1,77 +1,53 @@
 // Package vet implements sgfs-vet, a repository-specific static
 // analysis suite built purely on the standard library's go/ast,
-// go/parser and go/types. It carries sixteen analyzers tuned to the
-// invariants this codebase depends on but the compiler cannot check.
+// go/parser and go/types: sixteen analyzers for invariants this
+// codebase depends on but the compiler cannot check. Each job under
+// them has one implementation:
 //
-// Syntactic, per-package:
+//   - module.go: the Module every module analyzer reads — declaration
+//     index, call graph with interface dispatch, its SCC condensation
+//     and the one bottom-up summary fixpoint, every function body and
+//     its CFG;
+//   - internal/vet/cfg: CFG builder, worklist dataflow solver, taint
+//     engine;
+//   - locks.go: the lock engine — which mutexes are held here;
+//   - obligation.go: the obligation engine — must-discharge analysis
+//     with alias tracking and per-function summaries;
+//   - summary.go: taint summaries (what flows from a function's inputs
+//     to its results and to sinks), which allochotpathesc.go reads as an
+//     escape approximation.
 //
-//   - xdr-symmetry: EncodeXDR/DecodeXDR method pairs must visit the
-//     same fields in the same order with matching XDR primitives.
-//   - lock-over-io: no mutex may be held across blocking transport
-//     I/O in the RPC/proxy/channel hot paths (vetted exceptions are
-//     allowlisted in .sgfsvet-ignore).
-//   - swallowed-error: `_ =` discards and unchecked error-returning
-//     calls in non-test code must be handled or allowlisted.
+// The analyzers, by what they stand on:
 //
-// Flow-aware, added in the second generation:
+//   - per package, syntactic: xdr-symmetry (EncodeXDR/DecodeXDR pairs
+//     visit the same fields in the same order), swallowed-error (no
+//     discarded or unchecked errors in non-test code), goroutine-leak
+//     (no spawned goroutine blocks on a channel with no cancellation
+//     edge), replay-table-sync (//sgfsvet:replay-table maps cover
+//     exactly the target package's Proc* constants);
+//   - lock engine: lock-over-io (no mutex held across blocking
+//     transport I/O in the RPC/proxy/channel packages), lock-order (no
+//     cycle in the module-wide lock-acquisition graph), lockset-race
+//     (no access to a mutex-guarded field with a provably empty
+//     lockset);
+//   - obligation engine: resource-leak (connections, files and pool
+//     buffers are released, stored or handed off on every path),
+//     pool-lifecycle (no use after Put, double Put, or Put of an
+//     escaped sync.Pool object);
+//   - taint summaries: secret-flow (key material never reaches logs,
+//     error strings or plaintext writes), unbounded-alloc (no
+//     wire-decoded integer reaches a make or copy size unchecked),
+//     weak-rand (math/rand never becomes cryptographic material);
+//   - call graph and module index: ctx-deadline (upstream RPCs only
+//     under deadline-bearing contexts), retry-safety (retry/replay
+//     paths re-issue only idempotent procedures), atomic-misuse (no
+//     plain access to a location accessed via sync/atomic elsewhere);
+//   - escape approximation: alloc-hotpath (heap sites reachable from
+//     //sgfsvet:hot-path roots respect pool, defer and fmt discipline;
+//     the census per root backs the CI alloc budget).
 //
-//   - lock-order: interprocedural lock-acquisition graph; cycles are
-//     potential deadlocks.
-//   - ctx-deadline: upstream RPC entry points must only be reachable
-//     through deadline-bearing contexts.
-//   - goroutine-leak: go statements whose goroutine can block on a
-//     channel with no cancellation edge in sight.
-//   - replay-table-sync: //sgfsvet:replay-table annotated maps must
-//     cover exactly the target package's Proc* constants.
-//
-// Path-sensitive, on the CFG + taint engine in internal/vet/cfg
-// (third generation; lock-over-io also runs on the CFG now):
-//
-//   - secret-flow: key material (private keys, shared/master/session
-//     secrets, derived keys) must not reach logs, error strings, or
-//     plaintext writes.
-//   - unbounded-alloc: wire-decoded integers must not reach make or
-//     io.CopyN sizes without a dominating bound check.
-//   - weak-rand: math/rand values must not become cryptographic
-//     material (time.Duration conversions — backoff jitter — are the
-//     sanctioned use).
-//
-// Summary-based, on call-graph function summaries computed to a
-// fixpoint over the SCC condensation (fourth generation; the three
-// taint analyzers above follow flows through any call depth now):
-//
-//   - resource-leak: acquired connections, files and pool buffers
-//     must be released, stored, or handed off on every path;
-//     summaries recognize constructors that acquire and helpers that
-//     release.
-//   - retry-safety: code reachable from retry/replay roots must not
-//     re-issue procedures the replay table classifies non-idempotent.
-//
-// Concurrency vetting, on the same CFG and call-graph machinery
-// (fifth generation):
-//
-//   - lockset-race: flow-aware lockset inference, replacing the old
-//     syntactic unlocked-field-read check; accesses of a mutex-guarded
-//     field with a provably empty lockset are races.
-//   - pool-lifecycle: sync.Pool obligations — no use after Put, no
-//     double Put, no pooled buffer stored, sent, returned, or handed
-//     to a goroutine past the Put that recycles it.
-//   - atomic-misuse: no plain reads or writes of locations accessed
-//     via sync/atomic elsewhere, and no Store(Load()+n) lost-update
-//     read-modify-writes.
-//
-// Performance vetting, a conservative escape approximation over the
-// same call graph (sixth generation):
-//
-//   - alloc-hotpath: heap-escaping allocation sites reachable from
-//     //sgfsvet:hot-path roots must not bypass the package's
-//     sync.Pool discipline in loops, register defer records per
-//     iteration, or format in steady-state loops. The full heap-site
-//     census per root backs the CI alloc budget (AllocCensus,
-//     CompareAllocBudget, the committed .sgfsvet-allocs.json).
-//
-// See DESIGN.md ("Static analysis: sgfs-vet") for the full contract
-// and instructions for adding analyzers.
+// See DESIGN.md ("Static analysis: sgfs-vet") for the engines, the
+// per-analyzer scorecard and instructions for adding analyzers.
 package vet
 
 import (

@@ -3,9 +3,7 @@ package vet
 import (
 	"fmt"
 	"go/ast"
-	"go/token"
 	"go/types"
-	"sort"
 
 	"repro/internal/vet/cfg"
 )
@@ -47,125 +45,37 @@ var blockingMethods = map[string]bool{
 	"Accept":   true,
 }
 
-// Run implements Analyzer. Since v3 the analyzer runs a must-held
-// dataflow over the cfg package's control-flow graph instead of the
-// v1 ad-hoc walker: the fact is the set of mutexes held on every path
-// into a node (intersection join), so a branch that conditionally
-// unlocks before blocking I/O no longer reports. Function literals
-// are separate graphs starting lock-free, reported under the
+// Run implements PackageAnalyzer on the lock engine (locks.go): a
+// blocking call is reported when some mutex is held on every path into
+// it, so a branch that conditionally unlocks before the I/O does not
+// report. Findings in function literals are reported under the
 // enclosing declaration's name.
 func (a LockOverIO) Run(pkg *Package) []Diagnostic {
-	if len(a.Packages) > 0 {
-		found := false
-		for _, p := range a.Packages {
-			if pkg.ImportPath == p {
-				found = true
-				break
-			}
-		}
-		if !found {
-			return nil
-		}
+	if !inScope(a.Packages, pkg) {
+		return nil
 	}
+	var lf lockFlow
 	var diags []Diagnostic
-	for _, f := range pkg.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
+	for _, b := range packageBodies(pkg) {
+		lf.replay(cfg.Build(b.body), pkg, func(eff *lockEffect, n ast.Node) {
+			if len(eff.acq) == 0 {
+				return
 			}
-			diags = append(diags, lockIOBody(pkg, fd, fd.Body)...)
-			ast.Inspect(fd.Body, func(n ast.Node) bool {
-				if lit, ok := n.(*ast.FuncLit); ok {
-					diags = append(diags, lockIOBody(pkg, fd, lit.Body)...)
+			cfg.Inspect(n, func(m ast.Node) bool {
+				call, ok := m.(*ast.CallExpr)
+				if !ok || !isBlockingCall(pkg, call) {
+					return true
 				}
+				diags = append(diags, Diagnostic{
+					Analyzer: "lock-over-io",
+					Pos:      pkg.Fset.Position(call.Pos()),
+					Message: fmt.Sprintf("%s held across blocking call %s in %s",
+						eff.heldNames()[0], exprString(call.Fun), b.decl.Name.Name),
+				})
 				return true
 			})
-		}
-	}
-	return diags
-}
-
-// heldFact is the must-held lock set: mutex name -> acquisition site.
-type heldFact map[string]token.Pos
-
-// lockIOBody runs the must-held analysis over one function body.
-func lockIOBody(pkg *Package, fd *ast.FuncDecl, body *ast.BlockStmt) []Diagnostic {
-	t := cfg.Transfer{
-		Entry: heldFact{},
-		Node: func(f cfg.Fact, n ast.Node) cfg.Fact {
-			held := f.(heldFact)
-			switch s := n.(type) {
-			case *ast.ExprStmt:
-				if _, name, locked, ok := lockOpOf(pkg, s.X); ok {
-					out := make(heldFact, len(held)+1)
-					for k, v := range held {
-						out[k] = v
-					}
-					if locked {
-						out[name] = s.Pos()
-					} else {
-						delete(out, name)
-					}
-					return out
-				}
-			case *ast.DeferStmt:
-				// defer mu.Unlock(): held until the region ends.
-				return held
-			}
-			return held
-		},
-		Join: func(a, b cfg.Fact) cfg.Fact {
-			ha, hb := a.(heldFact), b.(heldFact)
-			out := make(heldFact)
-			for k, v := range ha {
-				if _, ok := hb[k]; ok {
-					out[k] = v
-				}
-			}
-			return out
-		},
-		Equal: func(a, b cfg.Fact) bool {
-			ha, hb := a.(heldFact), b.(heldFact)
-			if len(ha) != len(hb) {
-				return false
-			}
-			for k := range ha {
-				if _, ok := hb[k]; !ok {
-					return false
-				}
-			}
-			return true
-		},
-	}
-	g := cfg.Build(body)
-	in := cfg.Solve(g, t)
-
-	var diags []Diagnostic
-	cfg.Replay(g, t, in, func(f cfg.Fact, n ast.Node) {
-		held := f.(heldFact)
-		if len(held) == 0 {
-			return
-		}
-		cfg.Inspect(n, func(m ast.Node) bool {
-			call, ok := m.(*ast.CallExpr)
-			if !ok || !isBlockingCall(pkg, call) {
-				return true
-			}
-			names := make([]string, 0, len(held))
-			for name := range held {
-				names = append(names, name)
-			}
-			sort.Strings(names)
-			diags = append(diags, Diagnostic{
-				Analyzer: "lock-over-io",
-				Pos:      pkg.Fset.Position(call.Pos()),
-				Message: fmt.Sprintf("%s held across blocking call %s in %s",
-					names[0], exprString(call.Fun), fd.Name.Name),
-			})
-			return true
 		})
-	})
+	}
 	return diags
 }
 

@@ -8,6 +8,8 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+
+	"repro/internal/vet/cfg"
 )
 
 // LockOrder builds a static lock-acquisition graph over the whole
@@ -19,26 +21,20 @@ import (
 // variable; locals and parameters have no cross-function identity and
 // are ignored.
 //
-// The walker is async-aware: function literals and `go`-spawned calls
-// run outside the spawner's critical section, so they contribute
-// acquisition contexts of their own instead of inheriting held locks.
-// Calls through function values, interfaces without a unique static
-// callee, or reflection are not followed; a cycle closed only through
-// such an edge is invisible. RLock is treated like Lock (a writer
-// between two readers still deadlocks), and re-acquisition of the
-// same key through a call chain is not reported — self-deadlocks are
-// indistinguishable from benign lock/unlock/relock sequences at this
-// precision.
+// "Holding A" is the lock engine's must-held fact (locks.go), so a
+// lock released on every arm of a branch is not held after it.
+// Function literals and `go`-spawned calls run outside the spawner's
+// critical section, so they contribute acquisition contexts of their
+// own instead of inheriting held locks. Calls through function values,
+// interfaces without a unique static callee, or reflection are not
+// followed; a cycle closed only through such an edge is invisible.
+// Re-acquisition of the same key through a call chain is not reported
+// — self-deadlocks are indistinguishable from benign
+// lock/unlock/relock sequences at this precision.
 type LockOrder struct{}
 
 // Name implements Analyzer.
 func (LockOrder) Name() string { return "lock-order" }
-
-// Run implements Analyzer over a single package; cycles spanning
-// packages need the ModuleAnalyzer entry point.
-func (a LockOrder) Run(pkg *Package) []Diagnostic {
-	return a.RunModule([]*Package{pkg})
-}
 
 // lockEdge records "to is acquired while from is held".
 type lockEdge struct {
@@ -48,15 +44,16 @@ type lockEdge struct {
 }
 
 // RunModule implements ModuleAnalyzer.
-func (LockOrder) RunModule(pkgs []*Package) []Diagnostic {
-	idx := indexModule(pkgs)
-
-	// Facts from one pass over every function body and every function
-	// literal (each literal is its own acquisition context).
-	directAcq := make(map[*types.Func]map[string]bool)
-	callGraph := make(map[*types.Func]map[*types.Func]bool)
+func (LockOrder) RunModule(m *Module) []Diagnostic {
+	// One replay of every body (each literal is its own acquisition
+	// context): direct edges, the keys each declared function locks
+	// itself, and the module calls made under a lock.
+	acquires := make(map[*types.Func]map[string]bool, len(m.funcs))
+	for _, fd := range m.funcs {
+		acquires[fd.fn] = make(map[string]bool)
+	}
 	type heldCall struct {
-		held   []string
+		held   map[string]bool
 		callee *types.Func
 		pos    token.Position
 		fun    string
@@ -64,128 +61,60 @@ func (LockOrder) RunModule(pkgs []*Package) []Diagnostic {
 	var heldCalls []heldCall
 	var edges []lockEdge
 
-	var walkContext func(pkg *Package, owner *types.Func, body *ast.BlockStmt)
-	walkContext = func(pkg *Package, owner *types.Func, body *ast.BlockStmt) {
-		var lits []*ast.FuncLit
-		keyByName := make(map[string]string)
-		w := &lockWalker{pkg: pkg, async: true}
-		w.onFuncLit = func(lit *ast.FuncLit) { lits = append(lits, lit) }
-		w.onLock = func(sel *ast.SelectorExpr, name string, pos token.Pos, held map[string]token.Pos) {
-			key := lockKeyOf(pkg, sel.X)
-			if key == "" {
-				return
-			}
-			keyByName[name] = key
-			if owner != nil {
-				m := directAcq[owner]
-				if m == nil {
-					m = make(map[string]bool)
-					directAcq[owner] = m
+	var lf lockFlow
+	for _, b := range m.bodies {
+		pkg := b.pkg
+		lf.replay(m.cfgOf(b.body), pkg, func(eff *lockEffect, n ast.Node) {
+			held := eff.held(nil)
+			forEachSyncCall(n, func(call *ast.CallExpr) {
+				if sel, acquire, ok := lockOpOf(pkg, call); ok {
+					key := lockKeyOf(pkg, sel.X)
+					if !acquire || key == "" {
+						return
+					}
+					if b.fn != nil {
+						acquires[b.fn][key] = true
+					}
+					for hk := range held {
+						if hk != key {
+							edges = append(edges, lockEdge{
+								from:   hk,
+								to:     key,
+								pos:    pkg.Fset.Position(call.Pos()),
+								detail: fmt.Sprintf("%s acquired while %s is held", shortKey(key), shortKey(hk)),
+							})
+						}
+					}
+					return
 				}
-				m[key] = true
-			}
-			for heldName := range held {
-				hk := keyByName[heldName]
-				if hk == "" || hk == key {
-					continue
+				if callee := calleeOf(pkg, call); len(held) > 0 && m.inModule(callee) {
+					heldCalls = append(heldCalls, heldCall{
+						held:   held,
+						callee: callee,
+						pos:    pkg.Fset.Position(call.Pos()),
+						fun:    exprString(call.Fun),
+					})
 				}
-				edges = append(edges, lockEdge{
-					from:   hk,
-					to:     key,
-					pos:    pkg.Fset.Position(pos),
-					detail: fmt.Sprintf("%s acquired while %s is held", shortKey(key), shortKey(hk)),
-				})
-			}
-		}
-		w.onCall = func(call *ast.CallExpr, held map[string]token.Pos) {
-			callee := calleeOf(pkg, call)
-			if callee == nil {
-				return
-			}
-			if _, ok := idx.decls[callee]; !ok {
-				return
-			}
-			if owner != nil {
-				m := callGraph[owner]
-				if m == nil {
-					m = make(map[*types.Func]bool)
-					callGraph[owner] = m
-				}
-				m[callee] = true
-			}
-			if len(held) == 0 {
-				return
-			}
-			var hks []string
-			for name := range held {
-				if k := keyByName[name]; k != "" {
-					hks = append(hks, k)
-				}
-			}
-			if len(hks) > 0 {
-				heldCalls = append(heldCalls, heldCall{
-					held:   hks,
-					callee: callee,
-					pos:    pkg.Fset.Position(call.Pos()),
-					fun:    exprString(call.Fun),
-				})
-			}
-		}
-		w.walkBody(body)
-		for _, lit := range lits {
-			walkContext(pkg, nil, lit.Body)
-		}
+			})
+		})
 	}
 
-	seen := make(map[*Package]bool)
-	for _, pkg := range pkgs {
-		if seen[pkg] {
-			continue
-		}
-		seen[pkg] = true
-		for _, f := range pkg.Files {
-			for _, d := range f.Decls {
-				fd, ok := d.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
-					continue
-				}
-				owner, _ := pkg.Info.Defs[fd.Name].(*types.Func)
-				walkContext(pkg, owner, fd.Body)
+	// Close each function's acquisition set over its synchronous
+	// callees, then turn every call-under-lock into edges to the
+	// callee's full set.
+	m.bottomUp(func(fd *funcDecl) bool {
+		acq := acquires[fd.fn]
+		before := len(acq)
+		forEachSyncCall(fd.decl.Body, func(call *ast.CallExpr) {
+			for k := range acquires[calleeOf(fd.pkg, call)] {
+				acq[k] = true
 			}
-		}
-	}
-
-	// Close acquisition sets over the synchronous call graph, then turn
-	// every call-under-lock into edges to the callee's full set.
-	transAcq := make(map[*types.Func]map[string]bool, len(directAcq))
-	for fn, keys := range directAcq {
-		m := make(map[string]bool, len(keys))
-		for k := range keys {
-			m[k] = true
-		}
-		transAcq[fn] = m
-	}
-	for changed := true; changed; {
-		changed = false
-		for caller, callees := range callGraph {
-			for callee := range callees {
-				for k := range transAcq[callee] {
-					m := transAcq[caller]
-					if m == nil {
-						m = make(map[string]bool)
-						transAcq[caller] = m
-					}
-					if !m[k] {
-						m[k] = true
-						changed = true
-					}
-				}
-			}
-		}
-	}
+		})
+		return len(acq) != before
+	})
 	for _, hc := range heldCalls {
-		for k := range transAcq[hc.callee] {
-			for _, from := range hc.held {
+		for k := range acquires[hc.callee] {
+			for from := range hc.held {
 				if from == k {
 					continue
 				}
@@ -216,81 +145,50 @@ func (LockOrder) RunModule(pkgs []*Package) []Diagnostic {
 		}
 		return a.detail < b.detail
 	})
-	byPair := make(map[[2]string]lockEdge)
-	var order [][2]string
+	uniq := edges[:0]
 	for _, e := range edges {
-		pair := [2]string{e.from, e.to}
-		if _, ok := byPair[pair]; !ok {
-			byPair[pair] = e
-			order = append(order, pair)
+		if n := len(uniq); n == 0 || uniq[n-1].from != e.from || uniq[n-1].to != e.to {
+			uniq = append(uniq, e)
 		}
 	}
+	return lockCycleDiagnostics(uniq)
+}
 
-	return lockCycleDiagnostics(byPair, order)
+// forEachSyncCall visits the calls under n (a CFG node or a whole
+// body) that run synchronously in n's own frame: not those inside
+// function literals, and not the call a go statement spawns (its
+// operands still evaluate here).
+func forEachSyncCall(n ast.Node, visit func(call *ast.CallExpr)) {
+	cfg.Inspect(n, func(x ast.Node) bool {
+		switch x := x.(type) {
+		case *ast.GoStmt:
+			forEachSyncCall(x.Call.Fun, visit)
+			for _, arg := range x.Call.Args {
+				forEachSyncCall(arg, visit)
+			}
+			return false
+		case *ast.CallExpr:
+			visit(x)
+		}
+		return true
+	})
 }
 
 // lockCycleDiagnostics finds strongly connected components of the lock
-// graph and emits one diagnostic per cyclic component.
-func lockCycleDiagnostics(byPair map[[2]string]lockEdge, order [][2]string) []Diagnostic {
+// graph — edges holds one edge per (from, to), sorted — and emits one
+// diagnostic per cyclic component.
+func lockCycleDiagnostics(edges []lockEdge) []Diagnostic {
 	adj := make(map[string][]string)
-	nodeSet := make(map[string]bool)
-	for _, pair := range order {
-		adj[pair[0]] = append(adj[pair[0]], pair[1])
-		nodeSet[pair[0]] = true
-		nodeSet[pair[1]] = true
-	}
 	var nodes []string
-	for n := range nodeSet {
-		nodes = append(nodes, n)
-	}
-	sort.Strings(nodes)
-
-	// Tarjan's SCC.
-	index := make(map[string]int)
-	low := make(map[string]int)
-	onStack := make(map[string]bool)
-	var stack []string
-	var sccs [][]string
-	next := 0
-	var strongconnect func(v string)
-	strongconnect = func(v string) {
-		index[v] = next
-		low[v] = next
-		next++
-		stack = append(stack, v)
-		onStack[v] = true
-		for _, w := range adj[v] {
-			if _, seen := index[w]; !seen {
-				strongconnect(w)
-				if low[w] < low[v] {
-					low[v] = low[w]
-				}
-			} else if onStack[w] && index[w] < low[v] {
-				low[v] = index[w]
-			}
+	for _, e := range edges {
+		if _, seen := adj[e.from]; !seen {
+			nodes = append(nodes, e.from)
 		}
-		if low[v] == index[v] {
-			var scc []string
-			for {
-				w := stack[len(stack)-1]
-				stack = stack[:len(stack)-1]
-				onStack[w] = false
-				scc = append(scc, w)
-				if w == v {
-					break
-				}
-			}
-			sccs = append(sccs, scc)
-		}
-	}
-	for _, n := range nodes {
-		if _, seen := index[n]; !seen {
-			strongconnect(n)
-		}
+		adj[e.from] = append(adj[e.from], e.to)
 	}
 
 	var diags []Diagnostic
-	for _, scc := range sccs {
+	for _, scc := range tarjan(nodes, func(n string) []string { return adj[n] }) {
 		if len(scc) < 2 {
 			continue
 		}
@@ -300,17 +198,11 @@ func lockCycleDiagnostics(byPair map[[2]string]lockEdge, order [][2]string) []Di
 			inSCC[n] = true
 		}
 		var cycleEdges []lockEdge
-		for _, pair := range order {
-			if inSCC[pair[0]] && inSCC[pair[1]] {
-				cycleEdges = append(cycleEdges, byPair[pair])
+		for _, e := range edges {
+			if inSCC[e.from] && inSCC[e.to] {
+				cycleEdges = append(cycleEdges, e)
 			}
 		}
-		sort.Slice(cycleEdges, func(i, j int) bool {
-			if cycleEdges[i].from != cycleEdges[j].from {
-				return cycleEdges[i].from < cycleEdges[j].from
-			}
-			return cycleEdges[i].to < cycleEdges[j].to
-		})
 		pos := cycleEdges[0].pos
 		var parts []string
 		for _, e := range cycleEdges {

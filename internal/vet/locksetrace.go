@@ -16,13 +16,9 @@ import (
 // of the syntactic unlocked-field-read check. The analysis has three
 // layers:
 //
-//  1. Per function body, a CFG must-analysis tracks the set of lock
-//     keys (interproc.go lockKeyOf identities) held at every point.
-//     The fact is an (acquired, released) effect pair so it composes
-//     with an unknown entry lockset: held(p) = (entry \ released(p))
-//     ∪ acquired(p). Join intersects acquisitions and unions releases
-//     (a lock is held only if held on every path). `defer mu.Unlock()`
-//     keeps the lock held to the end of the region.
+//  1. Per function body, the lock engine (locks.go) tracks the lock
+//     effect — keys acquired and released since entry — at every
+//     point.
 //  2. LockHeld facts propagate through call summaries in both
 //     directions. Bottom-up over the call-graph SCC condensation, each
 //     function's exit effect (locks it net-acquires or net-releases)
@@ -51,83 +47,6 @@ type LocksetRace struct{}
 // Name implements Analyzer.
 func (LocksetRace) Name() string { return "lockset-race" }
 
-// Run implements Analyzer (single-package mode).
-func (a LocksetRace) Run(pkg *Package) []Diagnostic {
-	return a.RunModule([]*Package{pkg})
-}
-
-// lockEffect is the dataflow fact: the lock keys certainly acquired
-// and possibly released since function entry. Immutable.
-type lockEffect struct {
-	acq map[string]bool
-	rel map[string]bool
-}
-
-var emptyLockEffect = &lockEffect{}
-
-func (e *lockEffect) clone() *lockEffect {
-	c := &lockEffect{
-		acq: make(map[string]bool, len(e.acq)),
-		rel: make(map[string]bool, len(e.rel)),
-	}
-	for k := range e.acq {
-		c.acq[k] = true
-	}
-	for k := range e.rel {
-		c.rel[k] = true
-	}
-	return c
-}
-
-// held computes the effective lockset for a given entry set.
-func (e *lockEffect) held(entry map[string]bool) map[string]bool {
-	out := make(map[string]bool, len(entry)+len(e.acq))
-	for k := range entry {
-		if !e.rel[k] {
-			out[k] = true
-		}
-	}
-	for k := range e.acq {
-		out[k] = true
-	}
-	return out
-}
-
-func joinLockEffect(a, b cfg.Fact) cfg.Fact {
-	fa, fb := a.(*lockEffect), b.(*lockEffect)
-	out := &lockEffect{acq: make(map[string]bool), rel: make(map[string]bool)}
-	for k := range fa.acq {
-		if fb.acq[k] {
-			out.acq[k] = true
-		}
-	}
-	for k := range fa.rel {
-		out.rel[k] = true
-	}
-	for k := range fb.rel {
-		out.rel[k] = true
-	}
-	return out
-}
-
-func equalLockEffect(a, b cfg.Fact) bool {
-	fa, fb := a.(*lockEffect), b.(*lockEffect)
-	if len(fa.acq) != len(fb.acq) || len(fa.rel) != len(fb.rel) {
-		return false
-	}
-	for k := range fa.acq {
-		if !fb.acq[k] {
-			return false
-		}
-	}
-	for k := range fa.rel {
-		if !fb.rel[k] {
-			return false
-		}
-	}
-	return true
-}
-
 // lsAccess is one recorded struct-field access with the lock effect in
 // force at its program point.
 type lsAccess struct {
@@ -151,35 +70,12 @@ type lsSite struct {
 	effect *lockEffect
 }
 
-// lsExit is a function's net lock effect at exit (lock helpers).
-type lsExit struct {
-	acq map[string]bool
-	rel map[string]bool
-}
-
-func (s *lsExit) equal(o *lsExit) bool {
-	if o == nil {
-		return false
-	}
-	if len(s.acq) != len(o.acq) || len(s.rel) != len(o.rel) {
-		return false
-	}
-	for k := range s.acq {
-		if !o.acq[k] {
-			return false
-		}
-	}
-	for k := range s.rel {
-		if !o.rel[k] {
-			return false
-		}
-	}
-	return true
-}
-
 type lsAnalysis struct {
+	m        *Module
 	pkgPaths map[string]bool
-	exits    map[*types.Func]*lsExit
+	// flow is the lock engine with helper exit effects, so lock/unlock
+	// helper methods compose into their callers' locksets.
+	flow lockFlow
 	// fresh: functions whose every return hands back an object
 	// allocated inside them (constructors) — their results are
 	// pre-publication at the caller.
@@ -191,48 +87,33 @@ type lsAnalysis struct {
 }
 
 // RunModule implements ModuleAnalyzer.
-func (a LocksetRace) RunModule(pkgs []*Package) []Diagnostic {
+func (a LocksetRace) RunModule(m *Module) []Diagnostic {
 	ls := &lsAnalysis{
-		pkgPaths: make(map[string]bool, len(pkgs)),
-		exits:    make(map[*types.Func]*lsExit),
+		m:        m,
+		pkgPaths: make(map[string]bool, len(m.Pkgs)),
+		flow:     lockFlow{helpers: make(map[*types.Func]*lockExit)},
 		fresh:    make(map[*types.Func]bool),
 		roots:    make(map[*types.Func]bool),
 	}
-	for _, pkg := range pkgs {
+	for _, pkg := range m.Pkgs {
 		ls.pkgPaths[pkg.Types.Path()] = true
 	}
-
-	g := buildCallGraph(pkgs)
-	ls.computeFresh(g.idx)
+	ls.computeFresh()
 
 	// Pass 1: bottom-up exit effects so lock/unlock helpers compose.
-	for _, scc := range g.sccs {
-		for pass := 0; pass < len(scc)*2+4; pass++ {
-			changed := false
-			for _, fn := range scc {
-				if ls.summarizeExit(g.idx.decls[fn], fn) {
-					changed = true
-				}
-			}
-			if !changed {
-				break
-			}
+	m.bottomUp(func(fd *funcDecl) bool {
+		cur := ls.flow.exit(m.cfgOf(fd.decl.Body), fd.pkg)
+		if old := ls.flow.helpers[fd.fn]; old != nil && sameKeySet(old.acq, cur.acq) && sameKeySet(old.rel, cur.rel) {
+			return false
 		}
-	}
+		ls.flow.helpers[fd.fn] = cur
+		return true
+	})
 
 	// Pass 2: collect accesses, call sites and roots.
-	ls.collectRoots(pkgs, g.idx)
-	for _, pkg := range pkgs {
-		for _, f := range pkg.Files {
-			for _, d := range f.Decls {
-				fd, ok := d.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
-					continue
-				}
-				fn, _ := pkg.Info.Defs[fd.Name].(*types.Func)
-				ls.collectBody(pkg, fd, fn)
-			}
-		}
+	ls.collectRoots()
+	for _, fd := range m.funcs {
+		ls.collectBody(fd)
 	}
 
 	// Pass 3: entry-lockset fixpoint over the call sites.
@@ -242,68 +123,32 @@ func (a LocksetRace) RunModule(pkgs []*Package) []Diagnostic {
 	return ls.report(entry)
 }
 
-// summarizeExit recomputes fn's exit lock effect; reports change.
-func (ls *lsAnalysis) summarizeExit(site *declSite, fn *types.Func) bool {
-	if site == nil {
-		return false
-	}
-	r := &lsRun{ls: ls, pkg: site.pkg}
-	g := cfg.Build(site.decl.Body)
-	in := cfg.Solve(g, r.transfer())
-	cur := &lsExit{acq: map[string]bool{}, rel: map[string]bool{}}
-	if f, ok := in[g.Exit]; ok {
-		eff := f.(*lockEffect)
-		for k := range eff.acq {
-			cur.acq[k] = true
-		}
-		for k := range eff.rel {
-			cur.rel[k] = true
-		}
-	}
-	if cur.equal(ls.exits[fn]) {
-		return false
-	}
-	ls.exits[fn] = cur
-	return true
-}
-
 // collectRoots marks the functions whose entry lockset must be assumed
 // empty: exported API, main/init, and functions referenced as values
 // (handlers, callbacks, method values) — their call sites are
 // invisible to the propagation.
-func (ls *lsAnalysis) collectRoots(pkgs []*Package, idx *moduleIndex) {
-	calledIdents := make(map[*ast.Ident]bool)
-	for _, pkg := range pkgs {
-		for _, f := range pkg.Files {
-			ast.Inspect(f, func(n ast.Node) bool {
-				call, ok := n.(*ast.CallExpr)
-				if !ok {
-					return true
-				}
-				switch fun := ast.Unparen(call.Fun).(type) {
-				case *ast.Ident:
-					calledIdents[fun] = true
-				case *ast.SelectorExpr:
-					calledIdents[fun.Sel] = true
-				}
-				return true
-			})
-		}
-	}
-	for fn := range idx.decls {
+func (ls *lsAnalysis) collectRoots() {
+	for fn := range ls.m.decls {
 		if ast.IsExported(fn.Name()) || fn.Name() == "main" || fn.Name() == "init" {
 			ls.roots[fn] = true
 		}
 	}
-	for _, pkg := range pkgs {
+	// A call is visited before the identifier it calls, so one walk
+	// tells function references from function calls.
+	called := make(map[*ast.Ident]bool)
+	for _, pkg := range ls.m.Pkgs {
 		for _, f := range pkg.Files {
 			ast.Inspect(f, func(n ast.Node) bool {
-				id, ok := n.(*ast.Ident)
-				if !ok || calledIdents[id] {
-					return true
-				}
-				if fn, ok := pkg.Info.Uses[id].(*types.Func); ok {
-					if _, inModule := idx.decls[fn]; inModule {
+				switch x := n.(type) {
+				case *ast.CallExpr:
+					switch fun := ast.Unparen(x.Fun).(type) {
+					case *ast.Ident:
+						called[fun] = true
+					case *ast.SelectorExpr:
+						called[fun.Sel] = true
+					}
+				case *ast.Ident:
+					if fn, ok := pkg.Info.Uses[x].(*types.Func); ok && !called[x] && ls.m.inModule(fn) {
 						ls.roots[fn] = true
 					}
 				}
@@ -315,7 +160,8 @@ func (ls *lsAnalysis) collectRoots(pkgs []*Package, idx *moduleIndex) {
 
 // collectBody records field accesses and call sites for one declared
 // function and every literal nested in it.
-func (ls *lsAnalysis) collectBody(pkg *Package, fd *ast.FuncDecl, fn *types.Func) {
+func (ls *lsAnalysis) collectBody(d *funcDecl) {
+	pkg, fd, fn := d.pkg, d.decl, d.fn
 	exempt := callerHoldsLock(fd) || strings.HasSuffix(fd.Name.Name, "Locked")
 
 	// Literals spawned by go statements run concurrently and are
@@ -344,13 +190,8 @@ func (ls *lsAnalysis) collectBody(pkg *Package, fd *ast.FuncDecl, fn *types.Func
 // analyzeBody solves the lock-effect CFG for one body and replays it,
 // recording accesses and call sites under the effect at each point.
 func (ls *lsAnalysis) analyzeBody(pkg *Package, body *ast.BlockStmt, name string, fn *types.Func, noReport bool) {
-	r := &lsRun{ls: ls, pkg: pkg}
 	local := ls.localAllocs(pkg, body)
-	g := cfg.Build(body)
-	t := r.transfer()
-	in := cfg.Solve(g, t)
-	cfg.Replay(g, t, in, func(f cfg.Fact, n ast.Node) {
-		eff := f.(*lockEffect)
+	ls.flow.replay(ls.m.cfgOf(body), pkg, func(eff *lockEffect, n ast.Node) {
 		ls.scanNode(pkg, n, name, fn, eff, local, noReport)
 	})
 }
@@ -361,8 +202,7 @@ func (ls *lsAnalysis) scanNode(pkg *Package, n ast.Node, name string, fn *types.
 	addAccess := func(sel *ast.SelectorExpr, write bool) {
 		ls.addAccess(pkg, sel, write, name, fn, eff, local, noReport)
 	}
-	var scanReads func(e ast.Expr)
-	scanReads = func(e ast.Expr) {
+	scanReads := func(e ast.Node) {
 		if e == nil {
 			return
 		}
@@ -410,10 +250,10 @@ func (ls *lsAnalysis) scanNode(pkg *Package, n ast.Node, name string, fn *types.
 			for _, arg := range call.Args[1:] {
 				scanReads(arg)
 			}
-		} else if stmt, ok := n.(ast.Stmt); ok {
-			scanStmtShallow(stmt, scanReads)
-		} else if e, ok := n.(ast.Expr); ok {
-			scanReads(e)
+		} else if _, isRange := n.(*ast.RangeStmt); !isRange {
+			// A range head's operand is already a node of the preceding
+			// block; scanning it here would double-count its accesses.
+			scanReads(n)
 		}
 	}
 
@@ -448,40 +288,6 @@ func (ls *lsAnalysis) scanNode(pkg *Package, n ast.Node, name string, fn *types.
 	})
 }
 
-// scanStmtShallow visits the expressions evaluated by one straight-line
-// statement (nested statements are their own CFG nodes).
-func scanStmtShallow(s ast.Stmt, scan func(ast.Expr)) {
-	switch s := s.(type) {
-	case *ast.ExprStmt:
-		scan(s.X)
-	case *ast.SendStmt:
-		scan(s.Chan)
-		scan(s.Value)
-	case *ast.ReturnStmt:
-		for _, r := range s.Results {
-			scan(r)
-		}
-	case *ast.DeferStmt:
-		scan(s.Call)
-	case *ast.GoStmt:
-		scan(s.Call)
-	case *ast.DeclStmt:
-		if gd, ok := s.Decl.(*ast.GenDecl); ok {
-			for _, sp := range gd.Specs {
-				if vs, ok := sp.(*ast.ValueSpec); ok {
-					for _, v := range vs.Values {
-						scan(v)
-					}
-				}
-			}
-		}
-	case *ast.RangeStmt:
-		// s.X is already a node of the preceding block (the builder
-		// appends it before the head); scanning it here would double-
-		// count its accesses.
-	}
-}
-
 // deleteCall recognizes the delete builtin (a map mutation).
 func deleteCall(pkg *Package, n ast.Node) (*ast.CallExpr, bool) {
 	es, ok := n.(*ast.ExprStmt)
@@ -489,25 +295,13 @@ func deleteCall(pkg *Package, n ast.Node) (*ast.CallExpr, bool) {
 		return nil, false
 	}
 	call, ok := es.X.(*ast.CallExpr)
-	if !ok || len(call.Args) < 1 {
-		return nil, false
-	}
-	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
-		if b, isB := pkg.Info.Uses[id].(*types.Builtin); isB && b.Name() == "delete" {
-			return call, true
-		}
-	}
-	return nil, false
+	return call, ok && len(call.Args) >= 1 && builtinName(pkg, call) == "delete"
 }
 
 // addAccess records one selector as a field access if it qualifies.
 func (ls *lsAnalysis) addAccess(pkg *Package, sel *ast.SelectorExpr, write bool, name string, fn *types.Func, eff *lockEffect, local map[types.Object]bool, noReport bool) {
-	selection, ok := pkg.Info.Selections[sel]
-	if !ok || selection.Kind() != types.FieldVal {
-		return
-	}
-	field, ok := selection.Obj().(*types.Var)
-	if !ok || field.Pkg() == nil || !ls.pkgPaths[field.Pkg().Path()] {
+	field := fieldVar(pkg, sel)
+	if field == nil || field.Pkg() == nil || !ls.pkgPaths[field.Pkg().Path()] {
 		return
 	}
 	if selfSynchronized(field.Type()) {
@@ -551,75 +345,50 @@ func (ls *lsAnalysis) addAccess(pkg *Package, sel *ast.SelectorExpr, write bool,
 // back an object allocated inside them (a composite literal, new(T),
 // a locally-allocated variable, or another constructor's result).
 // Accesses through such results at the caller are pre-publication.
-// The fixpoint iterates because freshness chains through wrappers.
-func (ls *lsAnalysis) computeFresh(idx *moduleIndex) {
-	for pass := 0; pass < 8; pass++ {
-		changed := false
-		for fn, site := range idx.decls {
-			if ls.fresh[fn] {
-				continue
+// Freshness chains through wrappers, hence the bottom-up order.
+func (ls *lsAnalysis) computeFresh() {
+	ls.m.bottomUp(func(site *funcDecl) bool {
+		if ls.fresh[site.fn] || site.fn.Type().(*types.Signature).Results().Len() == 0 {
+			return false
+		}
+		local := ls.localAllocs(site.pkg, site.decl.Body)
+		returns, allFresh := 0, true
+		ast.Inspect(site.decl.Body, func(n ast.Node) bool {
+			if _, isLit := n.(*ast.FuncLit); isLit {
+				return false
 			}
-			sig, ok := fn.Type().(*types.Signature)
-			if !ok || sig.Results().Len() == 0 {
-				continue
-			}
-			local := ls.localAllocs(site.pkg, site.decl.Body)
-			returns, allFresh := 0, true
-			ast.Inspect(site.decl.Body, func(n ast.Node) bool {
-				if _, isLit := n.(*ast.FuncLit); isLit {
-					return false
-				}
-				ret, ok := n.(*ast.ReturnStmt)
-				if !ok {
-					return true
-				}
-				returns++
-				if len(ret.Results) == 0 {
-					allFresh = false
-					return true
-				}
-				res := ast.Unparen(ret.Results[0])
-				if tv, ok := site.pkg.Info.Types[res]; ok && tv.IsNil() {
-					return true // error path: nothing escapes
-				}
-				if !ls.isFreshExpr(site.pkg, res, local) {
-					allFresh = false
-				}
+			ret, ok := n.(*ast.ReturnStmt)
+			if !ok {
 				return true
-			})
-			if returns > 0 && allFresh {
-				ls.fresh[fn] = true
-				changed = true
 			}
-		}
-		if !changed {
-			break
-		}
-	}
+			returns++
+			if len(ret.Results) == 0 {
+				allFresh = false
+				return true
+			}
+			res := ast.Unparen(ret.Results[0])
+			if tv, ok := site.pkg.Info.Types[res]; ok && tv.IsNil() {
+				return true // error path: nothing escapes
+			}
+			if !ls.isFreshExpr(site.pkg, res, local) {
+				allFresh = false
+			}
+			return true
+		})
+		ls.fresh[site.fn] = returns > 0 && allFresh
+		return ls.fresh[site.fn]
+	})
 }
 
 func (ls *lsAnalysis) isFreshExpr(pkg *Package, e ast.Expr, local map[types.Object]bool) bool {
-	switch x := ast.Unparen(e).(type) {
-	case *ast.CompositeLit:
+	if freshAllocExpr(pkg, e) {
 		return true
-	case *ast.UnaryExpr:
-		if x.Op == token.AND {
-			_, ok := ast.Unparen(x.X).(*ast.CompositeLit)
-			return ok
-		}
+	}
+	switch x := ast.Unparen(e).(type) {
 	case *ast.Ident:
-		if obj := pkg.Info.Uses[x]; obj != nil {
-			return local[obj]
-		}
+		return local[pkg.Info.Uses[x]]
 	case *ast.CallExpr:
-		if id, ok := ast.Unparen(x.Fun).(*ast.Ident); ok {
-			if b, isB := pkg.Info.Uses[id].(*types.Builtin); isB {
-				return b.Name() == "new"
-			}
-		}
-		if fn := calleeOf(pkg, x); fn != nil {
-			return ls.fresh[fn]
-		}
+		return ls.fresh[calleeOf(pkg, x)]
 	}
 	return false
 }
@@ -672,85 +441,6 @@ func rootSelIdent(e ast.Expr) *ast.Ident {
 			return nil
 		}
 	}
-}
-
-// lsRun holds the transfer for one body.
-type lsRun struct {
-	ls  *lsAnalysis
-	pkg *Package
-}
-
-func (r *lsRun) transfer() cfg.Transfer {
-	return cfg.Transfer{
-		Entry: emptyLockEffect,
-		Node:  func(f cfg.Fact, n ast.Node) cfg.Fact { return r.node(f.(*lockEffect), n) },
-		Join:  joinLockEffect,
-		Equal: equalLockEffect,
-	}
-}
-
-func (r *lsRun) node(eff *lockEffect, n ast.Node) *lockEffect {
-	if ds, ok := n.(*ast.DeferStmt); ok {
-		// defer mu.Unlock() (or a deferred releasing helper): the lock
-		// stays held until the region ends.
-		if _, _, locked, ok := lockOpOf(r.pkg, ds.Call); ok && !locked {
-			return eff
-		}
-		if fn := calleeOf(r.pkg, ds.Call); fn != nil {
-			if sum := r.ls.exits[fn]; sum != nil && len(sum.rel) > 0 {
-				return eff
-			}
-		}
-		return eff
-	}
-	cfg.Inspect(n, func(m ast.Node) bool {
-		call, ok := m.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		if sel, _, locked, ok := lockOpOf(r.pkg, call); ok {
-			if key := lockKeyOf(r.pkg, sel.X); key != "" {
-				eff = r.apply(eff, locked, key)
-			}
-			return true
-		}
-		// Lock/unlock helper composition via exit summaries. Calls in
-		// go statements run concurrently: their effect is not ours.
-		if gs, isGo := n.(*ast.GoStmt); isGo && gs.Call == call {
-			return true
-		}
-		if fn := calleeOf(r.pkg, call); fn != nil {
-			if sum := r.ls.exits[fn]; sum != nil {
-				for k := range sum.acq {
-					eff = r.apply(eff, true, k)
-				}
-				for k := range sum.rel {
-					eff = r.apply(eff, false, k)
-				}
-			}
-		}
-		return true
-	})
-	return eff
-}
-
-func (r *lsRun) apply(eff *lockEffect, locked bool, key string) *lockEffect {
-	if locked {
-		if eff.acq[key] && !eff.rel[key] {
-			return eff
-		}
-		out := eff.clone()
-		out.acq[key] = true
-		delete(out.rel, key)
-		return out
-	}
-	if !eff.acq[key] && eff.rel[key] {
-		return eff
-	}
-	out := eff.clone()
-	delete(out.acq, key)
-	out.rel[key] = true
-	return out
 }
 
 // solveEntries runs the top-down entry-lockset fixpoint: a function's
@@ -928,15 +618,6 @@ func (ls *lsAnalysis) report(entry map[*types.Func]map[string]bool) []Diagnostic
 				r.acc.display, shortKey(key), guardN[r.acc.field], e.locked, verb, r.acc.fn),
 		})
 	}
-	sort.Slice(diags, func(i, j int) bool {
-		if diags[i].Pos.Filename != diags[j].Pos.Filename {
-			return diags[i].Pos.Filename < diags[j].Pos.Filename
-		}
-		if diags[i].Pos.Line != diags[j].Pos.Line {
-			return diags[i].Pos.Line < diags[j].Pos.Line
-		}
-		return diags[i].Message < diags[j].Message
-	})
 	return diags
 }
 

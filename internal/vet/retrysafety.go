@@ -45,56 +45,32 @@ func (RetrySafety) Name() string { return "retry-safety" }
 // retryPathDirective marks a function as retry-path code by hand.
 const retryPathDirective = "//sgfsvet:retry-path"
 
-// Run implements Analyzer (single-package mode).
-func (a RetrySafety) Run(pkg *Package) []Diagnostic {
-	return a.RunModule([]*Package{pkg})
-}
-
 // RunModule implements ModuleAnalyzer.
-func (a RetrySafety) RunModule(pkgs []*Package) []Diagnostic {
-	nonIdem := nonIdempotentConsts(pkgs)
+func (a RetrySafety) RunModule(m *Module) []Diagnostic {
+	nonIdem := nonIdempotentConsts(m.Pkgs)
 	if len(nonIdem) == 0 {
 		return nil
 	}
-	g := buildCallGraph(pkgs)
-	roots := retryRoots(pkgs, g)
+	roots := retryRoots(m)
 	if len(roots) == 0 {
 		return nil
 	}
 
-	// BFS with provenance: every reachable function remembers the root
-	// that put it on a retry path.
-	reason := make(map[*types.Func]string, len(roots))
-	var queue []*types.Func
-	for _, fn := range g.nodes {
-		if why, ok := roots[fn]; ok {
-			reason[fn] = why
-			queue = append(queue, fn)
+	// Every function reachable from a root is on a retry path, and
+	// says which root put it there.
+	var order []*types.Func
+	for _, fd := range m.funcs {
+		if _, ok := roots[fd.fn]; ok {
+			order = append(order, fd.fn)
 		}
 	}
-	for len(queue) > 0 {
-		fn := queue[0]
-		queue = queue[1:]
-		for _, callee := range g.succs[fn] {
-			if _, seen := reason[callee]; seen {
-				continue
-			}
-			why := reason[fn]
-			if !strings.Contains(why, "via ") {
-				why = why + " via " + fn.Name()
-			}
-			reason[callee] = why
-			queue = append(queue, callee)
-		}
-	}
-
 	var diags []Diagnostic
-	for fn, why := range reason {
-		site := g.idx.decls[fn]
-		if site == nil {
-			continue
+	for fn, root := range m.reach(order...) {
+		why := roots[root]
+		if fn != root {
+			why += " via " + root.Name()
 		}
-		why := why
+		site := m.decls[fn]
 		ast.Inspect(site.decl.Body, func(n ast.Node) bool {
 			id, ok := n.(*ast.Ident)
 			if !ok {
@@ -177,72 +153,55 @@ func nonIdempotentConsts(pkgs []*Package) map[*types.Const]string {
 
 // retryRoots finds the module functions where retry/replay paths
 // start, with a human-readable reason per root.
-func retryRoots(pkgs []*Package, g *callGraph) map[*types.Func]string {
+func retryRoots(m *Module) map[*types.Func]string {
 	roots := make(map[*types.Func]string)
 	add := func(fn *types.Func, why string) {
-		if fn == nil {
-			return
-		}
-		if _, inModule := g.idx.decls[fn]; !inModule {
+		if !m.inModule(fn) {
 			return
 		}
 		if _, have := roots[fn]; !have {
 			roots[fn] = why
 		}
 	}
-	for _, pkg := range pkgs {
-		for _, f := range pkg.Files {
-			for _, d := range f.Decls {
-				fd, ok := d.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
-					continue
-				}
-				fn, _ := pkg.Info.Defs[fd.Name].(*types.Func)
-
-				if fd.Doc != nil {
-					for _, c := range fd.Doc.List {
-						if strings.HasPrefix(c.Text, retryPathDirective) {
-							add(fn, "marked "+retryPathDirective)
-						}
-					}
-				}
-
-				ast.Inspect(fd.Body, func(n ast.Node) bool {
-					switch x := n.(type) {
-					case *ast.CallExpr:
-						callee := calleeOf(pkg, x)
-						if callee == nil || callee.Name() != "NewReconnectClient" ||
-							callee.Pkg() == nil || !strings.HasSuffix(callee.Pkg().Path(), "oncrpc") {
-							return true
-						}
-						// Any function referenced in the arguments runs on
-						// reconnect: the session factory, the idempotency
-						// callback, stats hooks.
-						for _, arg := range x.Args {
-							ast.Inspect(arg, func(m ast.Node) bool {
-								if id, ok := m.(*ast.Ident); ok {
-									if rf, ok := pkg.Info.Uses[id].(*types.Func); ok {
-										add(rf, "passed to NewReconnectClient")
-									}
-								}
-								if sel, ok := m.(*ast.SelectorExpr); ok {
-									if rf, ok := pkg.Info.Uses[sel.Sel].(*types.Func); ok {
-										add(rf, "passed to NewReconnectClient")
-									}
-								}
-								return true
-							})
-						}
-					case *ast.Ident:
-						if obj := pkg.Info.Uses[x]; obj != nil && obj.Name() == "ErrNonIdempotentReplay" &&
-							obj.Pkg() != nil && strings.HasSuffix(obj.Pkg().Path(), "oncrpc") {
-							add(fn, "handles ErrNonIdempotentReplay")
-						}
-					}
-					return true
-				})
-			}
+	for _, fd := range m.funcs {
+		fn, pkg := fd.fn, fd.pkg
+		if hasDirective(fd.decl, retryPathDirective) {
+			add(fn, "marked "+retryPathDirective)
 		}
+		ast.Inspect(fd.decl.Body, func(n ast.Node) bool {
+			switch x := n.(type) {
+			case *ast.CallExpr:
+				callee := calleeOf(pkg, x)
+				if callee == nil || callee.Name() != "NewReconnectClient" ||
+					callee.Pkg() == nil || !strings.HasSuffix(callee.Pkg().Path(), "oncrpc") {
+					return true
+				}
+				// Any function referenced in the arguments runs on
+				// reconnect: the session factory, the idempotency
+				// callback, stats hooks.
+				for _, arg := range x.Args {
+					ast.Inspect(arg, func(ref ast.Node) bool {
+						if id, ok := ref.(*ast.Ident); ok {
+							if rf, ok := pkg.Info.Uses[id].(*types.Func); ok {
+								add(rf, "passed to NewReconnectClient")
+							}
+						}
+						if sel, ok := ref.(*ast.SelectorExpr); ok {
+							if rf, ok := pkg.Info.Uses[sel.Sel].(*types.Func); ok {
+								add(rf, "passed to NewReconnectClient")
+							}
+						}
+						return true
+					})
+				}
+			case *ast.Ident:
+				if obj := pkg.Info.Uses[x]; obj != nil && obj.Name() == "ErrNonIdempotentReplay" &&
+					obj.Pkg() != nil && strings.HasSuffix(obj.Pkg().Path(), "oncrpc") {
+					add(fn, "handles ErrNonIdempotentReplay")
+				}
+			}
+			return true
+		})
 	}
 	return roots
 }

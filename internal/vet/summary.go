@@ -13,11 +13,9 @@ import (
 // given taint policy, how values flow through it — fresh sources out,
 // parameters to return values, parameters to sinks — by seeding each
 // parameter with a marker source and observing where the markers
-// surface. Summaries are computed bottom-up over the call graph's SCC
-// condensation; within a cyclic component the member functions are
-// re-summarized until nothing changes. The summary lattice only gains
-// bits (ParamToReturn flags set, sink strings fill in once) and is
-// finite, so the fixpoint terminates.
+// surface. Summaries are computed by Module.bottomUp; the summary
+// lattice only gains bits (ParamToReturn flags set, sink strings fill
+// in once) and is finite, so the fixpoint terminates.
 
 // markerPrefix tags the engine's synthetic parameter sources; \x00
 // cannot occur in a real source description.
@@ -46,6 +44,35 @@ func markerOf(desc string) (i int, isRecv, ok bool) {
 		return 0, false, false
 	}
 	return n, false, true
+}
+
+// markerSeed taints every parameter and the receiver of sig with its
+// marker source.
+func markerSeed(sig *types.Signature) cfg.State {
+	seed := cfg.State{}
+	params := sig.Params()
+	for i := 0; i < params.Len(); i++ {
+		if p := params.At(i); p != nil {
+			seed[p] = &cfg.Source{Pos: p.Pos(), Desc: paramMarker(i)}
+		}
+	}
+	if r := sig.Recv(); r != nil {
+		seed[r] = &cfg.Source{Pos: r.Pos(), Desc: recvMarker}
+	}
+	return seed
+}
+
+// argIndex clamps a call-argument index to one of a callee's params
+// parameters, folding extra variadic arguments onto the last one;
+// -1 when the argument matches no parameter.
+func argIndex(params int, variadic bool, i int) int {
+	if i < params {
+		return i
+	}
+	if variadic && params > 0 {
+		return params - 1
+	}
+	return -1
 }
 
 // fnSummary is one function's flow behavior under one policy.
@@ -97,25 +124,13 @@ func (s *fnSummary) equal(o *fnSummary) bool {
 	return true
 }
 
-// argIndex clamps a call-argument index to a parameter index,
-// folding extra variadic arguments onto the last parameter.
-func (s *fnSummary) argIndex(i int) int {
-	if i < len(s.ParamToReturn) {
-		return i
-	}
-	if s.variadic && len(s.ParamToReturn) > 0 {
-		return len(s.ParamToReturn) - 1
-	}
-	return -1
-}
-
 func (s *fnSummary) returnsArg(i int) bool {
-	j := s.argIndex(i)
+	j := argIndex(len(s.ParamToReturn), s.variadic, i)
 	return j >= 0 && s.ParamToReturn[j]
 }
 
 func (s *fnSummary) sinkForArg(i int) string {
-	j := s.argIndex(i)
+	j := argIndex(len(s.ParamToSink), s.variadic, i)
 	if j < 0 {
 		return ""
 	}
@@ -197,38 +212,18 @@ func emptySummaries(pol summaryPolicy) *summarySet {
 	return &summarySet{pol: pol, fns: make(map[*types.Func]*fnSummary)}
 }
 
-// computeSummaries runs the bottom-up fixpoint over g's condensation.
-func computeSummaries(g *callGraph, pol summaryPolicy) *summarySet {
-	ss := &summarySet{pol: pol, fns: make(map[*types.Func]*fnSummary)}
-	for _, scc := range g.sccs {
-		// Safety valve only: the lattice is monotone and finite, so the
-		// inner loop converges well before the bound.
-		for pass := 0; pass < len(scc)*4+8; pass++ {
-			changed := false
-			for _, fn := range scc {
-				if ss.summarize(g.idx.decls[fn], fn) {
-					changed = true
-				}
-			}
-			if !changed {
-				break
-			}
-		}
-	}
+// computeSummaries runs the bottom-up fixpoint over m's call graph.
+func computeSummaries(m *Module, pol summaryPolicy) *summarySet {
+	ss := emptySummaries(pol)
+	m.bottomUp(func(fd *funcDecl) bool { return ss.summarize(m, fd) })
 	return ss
 }
 
-// summarize recomputes fn's summary against the current state of every
+// summarize recomputes fd's summary against the current state of every
 // other summary and reports whether it changed.
-func (ss *summarySet) summarize(site *declSite, fn *types.Func) bool {
-	if site == nil {
-		return false
-	}
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok {
-		return false
-	}
-	old := ss.fns[fn]
+func (ss *summarySet) summarize(m *Module, fd *funcDecl) bool {
+	sig := fd.fn.Type().(*types.Signature)
+	old := ss.fns[fd.fn]
 	var cur *fnSummary
 	if old != nil {
 		cur = old.clone()
@@ -236,19 +231,9 @@ func (ss *summarySet) summarize(site *declSite, fn *types.Func) bool {
 		cur = newFnSummary(sig)
 	}
 
-	pkg := site.pkg
+	pkg := fd.pkg
 	spec := ss.pol.mkSpec(pkg)
-	seed := cfg.State{}
-	params := sig.Params()
-	for i := 0; i < params.Len(); i++ {
-		if p := params.At(i); p != nil {
-			seed[p] = &cfg.Source{Pos: p.Pos(), Desc: paramMarker(i)}
-		}
-	}
-	if r := sig.Recv(); r != nil {
-		seed[r] = &cfg.Source{Pos: r.Pos(), Desc: recvMarker}
-	}
-	spec.Seed = seed
+	spec.Seed = markerSeed(sig)
 	spec.CallTaint = ss.callTaintFor(pkg)
 	spec.FieldTaint = ss.fieldTaintFor(pkg)
 	spec.Sink = func(n ast.Node, taintOf func(ast.Expr) *cfg.Source) {
@@ -268,12 +253,12 @@ func (ss *summarySet) summarize(site *declSite, fn *types.Func) bool {
 			return true
 		})
 	}
-	cfg.Run(site.decl.Body, spec)
+	cfg.Run(m.cfgOf(fd.decl.Body), spec)
 
 	if cur.equal(old) {
 		return false
 	}
-	ss.fns[fn] = cur
+	ss.fns[fd.fn] = cur
 	return true
 }
 
@@ -297,17 +282,8 @@ func (ss *summarySet) callTaintFor(pkg *Package) func(*ast.CallExpr, *cfg.Source
 			return nil
 		}
 		if ss.pol.resultOK != nil {
-			if tv, found := pkg.Info.Types[call]; found {
-				t := tv.Type
-				if tup, isTup := t.(*types.Tuple); isTup {
-					if tup.Len() == 0 {
-						return nil
-					}
-					t = tup.At(0).Type()
-				}
-				if !ss.pol.resultOK(t) {
-					return nil
-				}
+			if t, found := firstResultType(pkg, call); found && (t == nil || !ss.pol.resultOK(t)) {
+				return nil
 			}
 		}
 		if sum.ReturnDesc != "" {
@@ -365,14 +341,10 @@ func (ss *summarySet) forCallSinks(pkg *Package, call *ast.CallExpr, taintOf fun
 	if sum == nil {
 		return
 	}
-	if sum.RecvToSink != "" {
-		if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
-			if s, isSel := pkg.Info.Selections[sel]; isSel && s.Kind() == types.MethodVal {
-				if src := taintOf(sel.X); src != nil {
-					report(src, sum.RecvToSink)
-					return
-				}
-			}
+	if x := methodRecv(pkg, call); x != nil && sum.RecvToSink != "" {
+		if src := taintOf(x); src != nil {
+			report(src, sum.RecvToSink)
+			return
 		}
 	}
 	for i, arg := range call.Args {
@@ -439,42 +411,44 @@ func allTaints(e ast.Expr, taintOf func(ast.Expr) *cfg.Source) []*cfg.Source {
 }
 
 // reportDeepFlows is the shared reporting pass: re-analyze every
-// function body (literals included) with real sources only, flagging
-// flows into direct sinks and into summarized sink-reaching calls.
-// format builds the diagnostic message from the flow's source, the
-// sink description, and the enclosing declaration's name.
-func reportDeepFlows(pkgs []*Package, ss *summarySet, analyzer string, format func(src *cfg.Source, what, fn string) string) []Diagnostic {
-	return reportDeepFlowsSeeded(pkgs, ss, analyzer, nil, format)
+// function body (literals included) with real sources — plus seed,
+// when non-nil, applied to every function (unbounded-alloc's
+// wire-filled fields) — flagging flows into direct sinks and into
+// summarized sink-reaching calls. format builds the diagnostic message
+// from the flow's source, the sink description, and the enclosing
+// declaration's name.
+func reportDeepFlows(m *Module, ss *summarySet, analyzer string, seed cfg.State, format func(src *cfg.Source, what, fn string) string) []Diagnostic {
+	var diags []Diagnostic
+	ss.analyze(m, seed, func(b funcBody, n ast.Node, taintOf func(ast.Expr) *cfg.Source) {
+		cfg.Inspect(n, func(m ast.Node) bool {
+			call, ok := m.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			ss.forCallSinks(b.pkg, call, taintOf, func(src *cfg.Source, what string) {
+				diags = append(diags, Diagnostic{
+					Analyzer: analyzer,
+					Pos:      b.pkg.Fset.Position(call.Pos()),
+					Message:  format(src, what, b.decl.Name.Name),
+				})
+			})
+			return true
+		})
+	})
+	return diags
 }
 
-// reportDeepFlowsSeeded is reportDeepFlows with an extra taint seed
-// applied to every function (unbounded-alloc's wire-filled fields).
-func reportDeepFlowsSeeded(pkgs []*Package, ss *summarySet, analyzer string, seed cfg.State, format func(src *cfg.Source, what, fn string) string) []Diagnostic {
-	var diags []Diagnostic
-	for _, tgt := range taintTargets(pkgs) {
-		tgt := tgt
-		pkg := tgt.pkg
-		spec := ss.pol.mkSpec(pkg)
+// analyze runs the policy's taint analysis over every function body
+// (literals included), with the summaries as its call model and seed
+// (nil-able) tainted at entry, and hands every reachable node to sink
+// with the taint state in force before it.
+func (ss *summarySet) analyze(m *Module, seed cfg.State, sink func(b funcBody, n ast.Node, taintOf func(ast.Expr) *cfg.Source)) {
+	for _, b := range m.bodies {
+		spec := ss.pol.mkSpec(b.pkg)
 		spec.Seed = seed
-		spec.CallTaint = ss.callTaintFor(pkg)
-		spec.FieldTaint = ss.fieldTaintFor(pkg)
-		spec.Sink = func(n ast.Node, taintOf func(ast.Expr) *cfg.Source) {
-			cfg.Inspect(n, func(m ast.Node) bool {
-				call, ok := m.(*ast.CallExpr)
-				if !ok {
-					return true
-				}
-				ss.forCallSinks(pkg, call, taintOf, func(src *cfg.Source, what string) {
-					diags = append(diags, Diagnostic{
-						Analyzer: analyzer,
-						Pos:      pkg.Fset.Position(call.Pos()),
-						Message:  format(src, what, tgt.decl.Name.Name),
-					})
-				})
-				return true
-			})
-		}
-		cfg.Run(tgt.body, spec)
+		spec.CallTaint = ss.callTaintFor(b.pkg)
+		spec.FieldTaint = ss.fieldTaintFor(b.pkg)
+		spec.Sink = func(n ast.Node, taintOf func(ast.Expr) *cfg.Source) { sink(b, n, taintOf) }
+		cfg.Run(m.cfgOf(b.body), spec)
 	}
-	return diags
 }

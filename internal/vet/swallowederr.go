@@ -67,7 +67,7 @@ func blankedErrors(pkg *Package, as *ast.AssignStmt) []Diagnostic {
 			if call, ok := as.Rhs[i].(*ast.CallExpr); ok && exemptCall(pkg, call) {
 				continue
 			}
-			if tv, ok := pkg.Info.Types[as.Rhs[i]]; ok && isErrorType(tv.Type) {
+			if tv, ok := pkg.Info.Types[as.Rhs[i]]; ok && isErrType(tv.Type) {
 				report(lhs, "error discarded with _")
 			}
 		}
@@ -90,7 +90,7 @@ func blankedErrors(pkg *Package, as *ast.AssignStmt) []Diagnostic {
 		return diags
 	}
 	for i, lhs := range as.Lhs {
-		if isBlank(lhs) && isErrorType(tuple.At(i).Type()) {
+		if isBlank(lhs) && isErrType(tuple.At(i).Type()) {
 			report(lhs, "error from "+exprString(call.Fun)+" discarded with _")
 		}
 	}
@@ -102,13 +102,6 @@ func isBlank(e ast.Expr) bool {
 	return ok && id.Name == "_"
 }
 
-func isErrorType(t types.Type) bool {
-	if t == nil {
-		return false
-	}
-	return types.Identical(t, types.Universe.Lookup("error").Type())
-}
-
 // returnsError reports whether any result of call is an error.
 func returnsError(pkg *Package, call *ast.CallExpr) bool {
 	tv, ok := pkg.Info.Types[call]
@@ -117,13 +110,13 @@ func returnsError(pkg *Package, call *ast.CallExpr) bool {
 	}
 	if tuple, ok := tv.Type.(*types.Tuple); ok {
 		for i := 0; i < tuple.Len(); i++ {
-			if isErrorType(tuple.At(i).Type()) {
+			if isErrType(tuple.At(i).Type()) {
 				return true
 			}
 		}
 		return false
 	}
-	return isErrorType(tv.Type)
+	return isErrType(tv.Type)
 }
 
 // exemptCall recognizes calls whose error return cannot meaningfully

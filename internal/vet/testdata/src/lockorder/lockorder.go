@@ -72,3 +72,36 @@ func (d *D) spawn() {
 		d.c.down()
 	}()
 }
+
+// handoff releases P.mu on both arms of the branch before it takes
+// Q.mu, so the two are never held together and the reverse nesting in
+// back closes no cycle.
+type P struct {
+	mu sync.Mutex
+	q  *Q
+	n  int
+}
+
+type Q struct {
+	mu sync.Mutex
+	p  *P
+}
+
+func (p *P) handoff(c bool) {
+	p.mu.Lock()
+	if c {
+		p.n++
+		p.mu.Unlock()
+	} else {
+		p.mu.Unlock()
+	}
+	p.q.mu.Lock()
+	p.q.mu.Unlock()
+}
+
+func (q *Q) back() {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	q.p.mu.Lock()
+	q.p.mu.Unlock()
+}

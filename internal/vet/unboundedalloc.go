@@ -31,14 +31,8 @@ type UnboundedAlloc struct {
 // Name implements Analyzer.
 func (UnboundedAlloc) Name() string { return "unbounded-alloc" }
 
-// Run implements Analyzer (single-package mode: no cross-package field
-// seeding or call summaries).
-func (a UnboundedAlloc) Run(pkg *Package) []Diagnostic {
-	return a.RunModule([]*Package{pkg})
-}
-
 // RunModule implements ModuleAnalyzer.
-func (a UnboundedAlloc) RunModule(pkgs []*Package) []Diagnostic {
+func (a UnboundedAlloc) RunModule(m *Module) []Diagnostic {
 	pol := summaryPolicy{
 		mkSpec: func(pkg *Package) *cfg.Spec {
 			return &cfg.Spec{
@@ -60,54 +54,47 @@ func (a UnboundedAlloc) RunModule(pkgs []*Package) []Diagnostic {
 	// values, whose parameters reach allocation sites unclamped.
 	ss := emptySummaries(pol)
 	if !a.Intraprocedural {
-		ss = computeSummaries(buildCallGraph(pkgs), pol)
+		ss = computeSummaries(m, pol)
 	}
 
 	// Pass B: integer struct fields assigned from the wire anywhere in
 	// the module (DecodeXDR filling h.Count) carry taint into every
 	// function that reads them.
 	fields := cfg.State{}
-	for _, tgt := range taintTargets(pkgs) {
-		tgt := tgt
-		pkg := tgt.pkg
-		spec := pol.mkSpec(pkg)
-		spec.CallTaint = ss.callTaintFor(pkg)
-		spec.Sink = func(n ast.Node, taintOf func(ast.Expr) *cfg.Source) {
-			as, ok := n.(*ast.AssignStmt)
-			if !ok {
+	ss.analyze(m, nil, func(b funcBody, n ast.Node, taintOf func(ast.Expr) *cfg.Source) {
+		as, ok := n.(*ast.AssignStmt)
+		if !ok {
+			return
+		}
+		record := func(lhs ast.Expr, src *cfg.Source) {
+			if src == nil {
 				return
 			}
-			record := func(lhs ast.Expr, src *cfg.Source) {
-				if src == nil {
-					return
-				}
-				f := fieldVar(pkg, lhs)
-				if f == nil || !isIntegerType(f.Type()) {
-					return
-				}
-				if _, seen := fields[f]; !seen {
-					fields[f] = &cfg.Source{
-						Pos:  f.Pos(),
-						Desc: fmt.Sprintf("wire-decoded field %s.%s", f.Pkg().Name(), f.Name()),
-					}
-				}
+			f := fieldVar(b.pkg, lhs)
+			if f == nil || !isIntegerType(f.Type()) {
+				return
 			}
-			if len(as.Lhs) == len(as.Rhs) {
-				for i := range as.Lhs {
-					record(as.Lhs[i], taintOf(as.Rhs[i]))
-				}
-			} else {
-				src := taintOf(as.Rhs[0])
-				for _, l := range as.Lhs {
-					record(l, src)
+			if _, seen := fields[f]; !seen {
+				fields[f] = &cfg.Source{
+					Pos:  f.Pos(),
+					Desc: fmt.Sprintf("wire-decoded field %s.%s", f.Pkg().Name(), f.Name()),
 				}
 			}
 		}
-		cfg.Run(tgt.body, spec)
-	}
+		if len(as.Lhs) == len(as.Rhs) {
+			for i := range as.Lhs {
+				record(as.Lhs[i], taintOf(as.Rhs[i]))
+			}
+		} else {
+			src := taintOf(as.Rhs[0])
+			for _, l := range as.Lhs {
+				record(l, src)
+			}
+		}
+	})
 
 	// Pass C: report sinks, with wire-filled fields seeded everywhere.
-	return reportDeepFlowsSeeded(pkgs, ss, a.Name(), fields,
+	return reportDeepFlows(m, ss, a.Name(), fields,
 		func(src *cfg.Source, what, fn string) string {
 			return fmt.Sprintf("%s reaches %s without a bound check in %s", src.Desc, what, fn)
 		})
@@ -145,10 +132,8 @@ func wireLengthSource(pkg *Package, e ast.Expr) (string, bool) {
 // allocSink reports the index of the first size argument when call is
 // an allocation-ish sink, with a description; -1 otherwise.
 func allocSink(pkg *Package, call *ast.CallExpr) (int, string) {
-	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
-		if b, ok := pkg.Info.Uses[id].(*types.Builtin); ok && b.Name() == "make" {
-			return 1, "make size"
-		}
+	if builtinName(pkg, call) == "make" {
+		return 1, "make size"
 	}
 	fn, path := stdCallee(pkg, call)
 	if fn == nil || path != "io" {
@@ -161,21 +146,6 @@ func allocSink(pkg *Package, call *ast.CallExpr) (int, string) {
 		return 2, "io.ReadAtLeast minimum"
 	}
 	return -1, ""
-}
-
-// fieldVar resolves an assignment target to the struct field it
-// writes, nil for anything else.
-func fieldVar(pkg *Package, lhs ast.Expr) *types.Var {
-	sel, ok := ast.Unparen(lhs).(*ast.SelectorExpr)
-	if !ok {
-		return nil
-	}
-	if s, ok := pkg.Info.Selections[sel]; ok && s.Kind() == types.FieldVal {
-		if v, ok := s.Obj().(*types.Var); ok && v.IsField() {
-			return v
-		}
-	}
-	return nil
 }
 
 // isIntegerType reports whether t's underlying type is an integer.

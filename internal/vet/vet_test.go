@@ -200,7 +200,7 @@ func TestSecretFlowDeepChainIntraprocedural(t *testing.T) {
 	t.Parallel()
 	pkg := loadFixturePkg(t, "secretchain")
 	a := SecretFlow{Intraprocedural: true}
-	for _, d := range a.Run(pkg) {
+	for _, d := range RunAll([]*Package{pkg}, []Analyzer{a}) {
 		t.Errorf("intraprocedural analysis should miss the deep chain, found: %s", d)
 	}
 }
@@ -233,7 +233,7 @@ func TestSummaryFixpointConvergence(t *testing.T) {
 			return -1, ""
 		},
 	}
-	ss := computeSummaries(buildCallGraph([]*Package{pkg}), pol)
+	ss := computeSummaries(NewModule([]*Package{pkg}), pol)
 
 	fnByName := func(name string) *types.Func {
 		obj := pkg.Types.Scope().Lookup(name)
@@ -298,8 +298,7 @@ func TestCFGWholeModule(t *testing.T) {
 		pkgs = append(pkgs, pkg)
 	}
 	bodies := 0
-	for _, tgt := range taintTargets(pkgs) {
-		tgt := tgt
+	for _, tgt := range NewModule(pkgs).bodies {
 		bodies++
 		func() {
 			defer func() {
@@ -350,7 +349,7 @@ func TestCtxDeadlinePackageFilter(t *testing.T) {
 		t.Fatal(err)
 	}
 	a := CtxDeadline{Packages: []string{"some/other/pkg"}}
-	if diags := a.Run(pkg); len(diags) != 0 {
+	if diags := RunAll([]*Package{pkg}, []Analyzer{a}); len(diags) != 0 {
 		t.Fatalf("filtered analyzer still reported %d diagnostics", len(diags))
 	}
 }

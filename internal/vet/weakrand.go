@@ -25,13 +25,8 @@ type WeakRand struct{}
 // Name implements Analyzer.
 func (WeakRand) Name() string { return "weak-rand" }
 
-// Run implements Analyzer (single-package mode).
-func (a WeakRand) Run(pkg *Package) []Diagnostic {
-	return a.RunModule([]*Package{pkg})
-}
-
 // RunModule implements ModuleAnalyzer.
-func (a WeakRand) RunModule(pkgs []*Package) []Diagnostic {
+func (a WeakRand) RunModule(m *Module) []Diagnostic {
 	base := func(pkg *Package) *cfg.Spec {
 		return &cfg.Spec{
 			Info:     pkg.Info,
@@ -54,60 +49,54 @@ func (a WeakRand) RunModule(pkgs []*Package) []Diagnostic {
 			return 0, sink
 		},
 	}
-	ss := computeSummaries(buildCallGraph(pkgs), pol)
+	ss := computeSummaries(m, pol)
 
 	var diags []Diagnostic
-	for _, tgt := range taintTargets(pkgs) {
-		tgt := tgt
-		pkg := tgt.pkg
-		spec := base(pkg)
-		spec.CallTaint = ss.callTaintFor(pkg)
+	ss.analyze(m, nil, func(b funcBody, n ast.Node, taintOf func(ast.Expr) *cfg.Source) {
+		pkg := b.pkg
 		report := func(pos ast.Node, src *cfg.Source, sink string) {
 			diags = append(diags, Diagnostic{
 				Analyzer: a.Name(),
 				Pos:      pkg.Fset.Position(pos.Pos()),
 				Message: fmt.Sprintf("%s flows into %s in %s; cryptographic material needs crypto/rand",
-					src.Desc, sink, tgt.decl.Name.Name),
+					src.Desc, sink, b.decl.Name.Name),
 			})
 		}
-		spec.Sink = func(n ast.Node, taintOf func(ast.Expr) *cfg.Source) {
-			// Assignments into secret-named variables or fields.
-			if as, ok := n.(*ast.AssignStmt); ok && len(as.Lhs) == len(as.Rhs) {
-				for i := range as.Lhs {
-					name := lhsName(pkg, as.Lhs[i])
-					if !secretName(name) {
-						continue
-					}
-					if src := taintOf(as.Rhs[i]); src != nil {
-						report(as, src, name)
-					}
+		// Assignments into secret-named variables or fields.
+		if as, ok := n.(*ast.AssignStmt); ok && len(as.Lhs) == len(as.Rhs) {
+			for i := range as.Lhs {
+				name := lhsName(pkg, as.Lhs[i])
+				if !secretName(name) {
+					continue
+				}
+				if src := taintOf(as.Rhs[i]); src != nil {
+					report(as, src, name)
 				}
 			}
-			cfg.Inspect(n, func(m ast.Node) bool {
-				call, ok := m.(*ast.CallExpr)
-				if !ok {
-					return true
-				}
-				if sink, fill := cryptoSink(pkg, call); fill && sink != "" {
-					// rand.Read(buf): the *argument* is filled with weak
-					// bytes; flag secret-named destinations.
-					for _, arg := range call.Args {
-						if name := lhsName(pkg, arg); secretName(name) {
-							report(call, &cfg.Source{Pos: call.Pos(), Desc: "math/rand.Read output"}, name)
-						}
-					}
-					return true
-				}
-				// Direct crypto sinks plus module helpers whose summary
-				// forwards an argument into one.
-				ss.forCallSinks(pkg, call, taintOf, func(src *cfg.Source, what string) {
-					report(call, src, what)
-				})
-				return true
-			})
 		}
-		cfg.Run(tgt.body, spec)
-	}
+		cfg.Inspect(n, func(m ast.Node) bool {
+			call, ok := m.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			if sink, fill := cryptoSink(pkg, call); fill && sink != "" {
+				// rand.Read(buf): the *argument* is filled with weak
+				// bytes; flag secret-named destinations.
+				for _, arg := range call.Args {
+					if name := lhsName(pkg, arg); secretName(name) {
+						report(call, &cfg.Source{Pos: call.Pos(), Desc: "math/rand.Read output"}, name)
+					}
+				}
+				return true
+			}
+			// Direct crypto sinks plus module helpers whose summary
+			// forwards an argument into one.
+			ss.forCallSinks(pkg, call, taintOf, func(src *cfg.Source, what string) {
+				report(call, src, what)
+			})
+			return true
+		})
+	})
 	return diags
 }
 

@@ -11,6 +11,7 @@ package mountd
 
 import (
 	"context"
+	"fmt"
 	"net"
 	"strings"
 	"sync"
@@ -87,6 +88,27 @@ func (r *MntRes) DecodeXDR(d *xdr.Decoder) {
 			r.Flavors[i] = d.Uint32()
 		}
 	}
+}
+
+// Mount asks the MOUNT service reached through dial for the root file
+// handle of path, over a short-lived connection of its own: the NFS
+// program, even on the same server, needs a separate RPC client for
+// the program binding.
+func Mount(ctx context.Context, dial func() (net.Conn, error), path string) (nfs3.FH3, error) {
+	conn, err := dial()
+	if err != nil {
+		return nfs3.FH3{}, fmt.Errorf("mountd: dial: %w", err)
+	}
+	mc := oncrpc.NewClient(conn, Program, Version)
+	defer mc.Close()
+	var res MntRes
+	if err := mc.Call(ctx, ProcMnt, &MntArgs{Path: path}, &res); err != nil {
+		return nfs3.FH3{}, fmt.Errorf("mountd: mount %q: %w", path, err)
+	}
+	if res.Status != MntOK {
+		return nfs3.FH3{}, fmt.Errorf("mountd: mount %q refused: %w", path, vfs.Errno(res.Status))
+	}
+	return res.FH, nil
 }
 
 // ExportEntry describes one export in an EXPORT reply.
@@ -167,8 +189,29 @@ func (s *Server) RemoveExport(path string) {
 func (s *Server) Register(r *oncrpc.Server) {
 	r.Register(Program, Version, map[uint32]oncrpc.Handler{
 		ProcMnt:    s.mnt,
-		ProcUmnt:   s.umnt,
+		ProcUmnt:   umnt,
 		ProcExport: s.export,
+	})
+}
+
+// RegisterRelay installs the MOUNT program of a daemon that relays a
+// single export it has itself mounted upstream: MNT answers the root
+// handle export returns for the paths it accepts and NOENT for the
+// rest; UMNT is acknowledged (the daemon keeps no mount table).
+func RegisterRelay(r *oncrpc.Server, export func(path string) (root nfs3.FH3, ok bool)) {
+	r.Register(Program, Version, map[uint32]oncrpc.Handler{
+		ProcMnt: func(_ context.Context, call *oncrpc.Call) (xdr.Marshaler, oncrpc.AcceptStat) {
+			var a MntArgs
+			if call.DecodeArgs(&a) != nil {
+				return nil, oncrpc.GarbageArgs
+			}
+			root, ok := export(a.Path)
+			if !ok {
+				return &MntRes{Status: MntNoEnt}, oncrpc.Success
+			}
+			return &MntRes{Status: MntOK, FH: root, Flavors: []uint32{oncrpc.AuthFlavorSys}}, oncrpc.Success
+		},
+		ProcUmnt: umnt,
 	})
 }
 
@@ -220,7 +263,7 @@ func (s *Server) mnt(_ context.Context, call *oncrpc.Call) (xdr.Marshaler, oncrp
 	}, oncrpc.Success
 }
 
-func (s *Server) umnt(_ context.Context, call *oncrpc.Call) (xdr.Marshaler, oncrpc.AcceptStat) {
+func umnt(_ context.Context, call *oncrpc.Call) (xdr.Marshaler, oncrpc.AcceptStat) {
 	var a MntArgs
 	if call.DecodeArgs(&a) != nil {
 		return nil, oncrpc.GarbageArgs

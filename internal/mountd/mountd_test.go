@@ -2,9 +2,11 @@ package mountd
 
 import (
 	"context"
+	"errors"
 	"net"
 	"testing"
 
+	"repro/internal/nfs3"
 	"repro/internal/oncrpc"
 	"repro/internal/vfs"
 )
@@ -139,5 +141,42 @@ func TestRemoveExport(t *testing.T) {
 	}
 	if res.Status != MntNoEnt {
 		t.Fatalf("withdrawn export still mountable: %d", res.Status)
+	}
+}
+
+// TestRelayMount chains the client-side Mount through a relay's MOUNT
+// program to a real mount daemon, the shape every proxy stack has: the
+// relay mounts upstream, then answers MNT for the path it accepts with
+// that root, NOENT for any other, and acknowledges UMNT.
+func TestRelayMount(t *testing.T) {
+	fs := vfs.NewMemFS()
+	upAddr := startMountd(t, &Export{Path: "/GFS/x", FS: fs})
+	dialer := func(addr string) func() (net.Conn, error) {
+		return func() (net.Conn, error) { return net.Dial("tcp", addr) }
+	}
+	ctx := context.Background()
+	root, err := Mount(ctx, dialer(upAddr), "/GFS/x")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rpc := oncrpc.NewServer()
+	RegisterRelay(rpc, func(path string) (nfs3.FH3, bool) { return root, path == "/GFS/x" })
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go rpc.Serve(l)
+	t.Cleanup(rpc.Close)
+
+	got, err := Mount(ctx, dialer(l.Addr().String()), "/GFS/x")
+	if err != nil || got.Handle() != fs.Root() {
+		t.Fatalf("mount through the relay: %v %v", got, err)
+	}
+	if _, err := Mount(ctx, dialer(l.Addr().String()), "/GFS/other"); !errors.Is(err, vfs.ErrNoEnt) {
+		t.Fatalf("mount of a path the relay does not export: %v, want NOENT", err)
+	}
+	c := dialMountd(t, l.Addr().String())
+	if err := c.Call(ctx, ProcUmnt, &MntArgs{Path: "/GFS/x"}, nil); err != nil {
+		t.Fatalf("umnt: %v", err)
 	}
 }

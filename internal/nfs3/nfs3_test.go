@@ -6,9 +6,12 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
+	"time"
 
+	"repro/internal/metrics"
 	"repro/internal/oncrpc"
 	"repro/internal/vfs"
 	"repro/internal/xdr"
@@ -456,5 +459,135 @@ func TestServerGarbageArgs(t *testing.T) {
 	}
 	if !errors.As(err, &re) || re.Accept != oncrpc.GarbageArgs {
 		t.Fatalf("got %v, want GARBAGE_ARGS", err)
+	}
+}
+
+// --- the procedure table and the relay ----------------------------------
+
+// TestProcTable: every procedure 1–21 has a row whose wire types
+// survive an XDR round trip from their zero values (MKNOD has a result
+// type only: its arguments are never read), and ProcName still returns
+// the 22 RFC 1813 names.
+func TestProcTable(t *testing.T) {
+	names := []string{"NULL", "GETATTR", "SETATTR", "LOOKUP", "ACCESS", "READLINK", "READ",
+		"WRITE", "CREATE", "MKDIR", "SYMLINK", "MKNOD", "REMOVE", "RMDIR", "RENAME", "LINK",
+		"READDIR", "READDIRPLUS", "FSSTAT", "FSINFO", "PATHCONF", "COMMIT"}
+	if len(procs) != ProcCommit+1 || len(names) != len(procs) {
+		t.Fatalf("table has %d rows, want %d", len(procs), ProcCommit+1)
+	}
+	for proc, want := range names {
+		if got := ProcName(uint32(proc)); got != want {
+			t.Errorf("ProcName(%d) = %q, want %q", proc, got, want)
+		}
+	}
+	if got := ProcName(uint32(len(procs))); got != "" {
+		t.Errorf("ProcName past the protocol = %q", got)
+	}
+	for proc := ProcGetAttr; proc <= ProcCommit; proc++ {
+		row := procs[proc]
+		if row.newRes == nil || (row.newArgs == nil && proc != ProcMknod) {
+			t.Errorf("%s: row lacks a wire type", row.name)
+			continue
+		}
+		for _, mk := range []func() Message{row.newArgs, row.newRes} {
+			if mk == nil {
+				continue
+			}
+			in, out := mk(), mk()
+			roundTrip(t, in, out)
+			a, _ := xdr.Marshal(in)
+			b, _ := xdr.Marshal(out)
+			if !bytes.Equal(a, b) {
+				t.Errorf("%s: %T zero value changed across a round trip", row.name, in)
+			}
+		}
+	}
+}
+
+// relayUpstream forwards to the fixture server, or fails every call.
+type relayUpstream struct {
+	up   *oncrpc.Client
+	down atomic.Bool
+	wait time.Duration
+}
+
+func (u *relayUpstream) UpCall(ctx context.Context, _ *oncrpc.Call, proc uint32, args xdr.Marshaler, res xdr.Unmarshaler) error {
+	time.Sleep(u.wait)
+	if u.down.Load() {
+		return errors.New("upstream down")
+	}
+	return u.up.Call(ctx, proc, args, res)
+}
+
+// TestRelay drives a relay with one intercept in front of a real
+// server: uncovered procedures pass through, the intercept runs in
+// place of the pass-through, MKNOD is refused locally, garbage
+// arguments answer GARBAGE_ARGS, an upstream failure answers
+// SYSTEM_ERR, and the meter nets handler time against upstream waits.
+func TestRelay(t *testing.T) {
+	up, backend := serverFixture(t)
+	root := FromHandle(backend.Root())
+	var meter metrics.Meter
+	us := &relayUpstream{up: up, wait: 50 * time.Millisecond}
+	relay := Relay{Up: us, Meter: &meter}
+	rpc := oncrpc.NewServer()
+	relay.Register(rpc, map[uint32]oncrpc.Handler{
+		ProcLookup: func(ctx context.Context, call *oncrpc.Call) (xdr.Marshaler, oncrpc.AcceptStat) {
+			var a LookupArgs
+			if call.DecodeArgs(&a) != nil {
+				return nil, oncrpc.GarbageArgs
+			}
+			if a.What.Name == "hidden" {
+				return &LookupRes{Status: Status(vfs.ErrAccess)}, oncrpc.Success
+			}
+			return relay.Forward(ctx, call, &a, &LookupRes{})
+		},
+	})
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go rpc.Serve(l)
+	t.Cleanup(rpc.Close)
+	client, err := oncrpc.Dial("tcp", l.Addr().String(), Program, Version)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { client.Close() })
+	ctx := context.Background()
+
+	var cres CreateRes
+	cargs := &CreateArgs{Where: DirOpArgs{Dir: root, Name: "hidden"}, Mode: CreateUnchecked}
+	if err := client.Call(ctx, ProcCreate, cargs, &cres); err != nil || cres.Status != OK {
+		t.Fatalf("pass-through CREATE: %+v %v", cres, err)
+	}
+	if _, _, err := backend.Lookup(backend.Root(), "hidden"); err != nil {
+		t.Fatalf("CREATE did not reach the backend: %v", err)
+	}
+	var lres LookupRes
+	if err := client.Call(ctx, ProcLookup, &LookupArgs{What: cargs.Where}, &lres); err != nil || lres.Status != Status(vfs.ErrAccess) {
+		t.Fatalf("intercepted LOOKUP: %+v %v", lres, err)
+	}
+	if err := client.Call(ctx, ProcLookup, &LookupArgs{What: DirOpArgs{Dir: root, Name: "absent"}}, &lres); err != nil || lres.Status != Status(vfs.ErrNoEnt) {
+		t.Fatalf("forwarded LOOKUP: %+v %v", lres, err)
+	}
+	// Two upstream calls waited 50 ms each inside metered handlers: the
+	// meter keeps the handlers' own time only.
+	if busy := meter.Busy(); busy < 0 || busy > 60*time.Millisecond {
+		t.Fatalf("meter = %v after 100 ms of upstream waits, want handler time only", busy)
+	}
+
+	if err := client.Call(ctx, ProcMknod, &GetAttrArgs{Obj: root}, &cres); err != nil || cres.Status != Status(vfs.ErrNotSupp) {
+		t.Fatalf("MKNOD: %+v %v", cres, err)
+	}
+	var re *oncrpc.RPCError
+	err = client.Call(ctx, ProcRead, &GetAttrArgs{Obj: FH3{Data: []byte{1}}}, &ReadRes{})
+	if !errors.As(err, &re) || re.Accept != oncrpc.GarbageArgs {
+		t.Fatalf("truncated READ args: %v, want GARBAGE_ARGS", err)
+	}
+	us.down.Store(true)
+	err = client.Call(ctx, ProcGetAttr, &GetAttrArgs{Obj: root}, &GetAttrRes{})
+	if !errors.As(err, &re) || re.Accept != oncrpc.SystemErr {
+		t.Fatalf("upstream failure: %v, want SYSTEM_ERR", err)
 	}
 }

@@ -50,7 +50,7 @@ func (s *Server) Register(r *oncrpc.Server) {
 		ProcCreate:      s.create,
 		ProcMkdir:       s.mkdir,
 		ProcSymlink:     s.symlink,
-		ProcMknod:       s.mknod,
+		ProcMknod:       mknod,
 		ProcRemove:      s.remove,
 		ProcRmdir:       s.rmdir,
 		ProcRename:      s.rename,
@@ -387,10 +387,10 @@ func (s *Server) symlink(_ context.Context, call *oncrpc.Call) (xdr.Marshaler, o
 	return res, oncrpc.Success
 }
 
-func (s *Server) mknod(_ context.Context, call *oncrpc.Call) (xdr.Marshaler, oncrpc.AcceptStat) {
-	// Device nodes have no place in a grid file system; refuse.
-	res := &CreateRes{Status: Status(vfs.ErrNotSupp)}
-	return res, oncrpc.Success
+// mknod refuses MKNOD, here and in every relay: device nodes have no
+// place in a grid file system.
+func mknod(context.Context, *oncrpc.Call) (xdr.Marshaler, oncrpc.AcceptStat) {
+	return &CreateRes{Status: Status(vfs.ErrNotSupp)}, oncrpc.Success
 }
 
 func (s *Server) remove(_ context.Context, call *oncrpc.Call) (xdr.Marshaler, oncrpc.AcceptStat) {

@@ -44,37 +44,6 @@ const (
 	ProcCommit      = 21
 )
 
-// procNames maps procedure numbers to their RFC 1813 names for error
-// messages and logs.
-var procNames = map[uint32]string{
-	ProcNull:        "NULL",
-	ProcGetAttr:     "GETATTR",
-	ProcSetAttr:     "SETATTR",
-	ProcLookup:      "LOOKUP",
-	ProcAccess:      "ACCESS",
-	ProcReadLink:    "READLINK",
-	ProcRead:        "READ",
-	ProcWrite:       "WRITE",
-	ProcCreate:      "CREATE",
-	ProcMkdir:       "MKDIR",
-	ProcSymlink:     "SYMLINK",
-	ProcMknod:       "MKNOD",
-	ProcRemove:      "REMOVE",
-	ProcRmdir:       "RMDIR",
-	ProcRename:      "RENAME",
-	ProcLink:        "LINK",
-	ProcReadDir:     "READDIR",
-	ProcReadDirPlus: "READDIRPLUS",
-	ProcFSStat:      "FSSTAT",
-	ProcFSInfo:      "FSINFO",
-	ProcPathConf:    "PATHCONF",
-	ProcCommit:      "COMMIT",
-}
-
-// ProcName returns the RFC 1813 name of an NFSv3 procedure number, or
-// "" for numbers outside the protocol.
-func ProcName(proc uint32) string { return procNames[proc] }
-
 // Status is the nfsstat3 result code. The values coincide with
 // vfs.Errno so backend errors pass through unchanged.
 type Status uint32

@@ -190,7 +190,10 @@ func (c *pageCache) evictLocked() []*cacheBlock {
 func (c *pageCache) Put(fh nfs3.FH3, block uint64, data []byte, dirty bool) []*cacheBlock {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	k := blockKey{fhKey(fh), block}
+	return c.putLocked(blockKey{fhKey(fh), block}, data, dirty)
+}
+
+func (c *pageCache) putLocked(k blockKey, data []byte, dirty bool) []*cacheBlock {
 	if b, ok := c.blocks[k]; ok {
 		c.used += int64(len(data)) - int64(len(b.data))
 		b.data = data
@@ -229,6 +232,19 @@ func (c *pageCache) DirtyBlocks(fh nfs3.FH3) []dirtyBlock {
 		}
 	}
 	return out
+}
+
+// Redirty puts back, dirty, a snapshot whose write-back failed —
+// unless a newer write has made the block dirty again, in which case
+// that data (merged over the snapshot's) stands. Like Put it returns
+// dirty blocks evicted to make room.
+func (c *pageCache) Redirty(d dirtyBlock) []*cacheBlock {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if b, ok := c.blocks[d.key]; ok && b.dirty {
+		return nil
+	}
+	return c.putLocked(d.key, d.data, true)
 }
 
 // DropFile removes all blocks of fh, discarding dirty data (used when

@@ -29,13 +29,11 @@ type Options struct {
 	// Readahead is the number of blocks prefetched on sequential
 	// reads (default 2; 0 disables).
 	Readahead int
-	// WriteBehind delays writes in the page cache until Close/Sync or
-	// pressure (default true, matching "write delay" in the paper's
-	// export options). When false every write goes to the server
-	// synchronously (FILE_SYNC).
-	WriteBehind bool
-	// NoWriteBehind forces write-through; it exists so the zero value
-	// of Options selects write-behind.
+	// NoWriteBehind forces write-through: every write goes to the
+	// server synchronously (FILE_SYNC). The zero value selects
+	// write-behind, which delays writes in the page cache until
+	// Close/Sync or pressure ("write delay" in the paper's export
+	// options).
 	NoWriteBehind bool
 	// UID, GID and MachineName form the AUTH_SYS credential.
 	UID, GID    uint32
@@ -58,7 +56,6 @@ func (o Options) withDefaults() Options {
 	if o.MachineName == "" {
 		o.MachineName = "client"
 	}
-	o.WriteBehind = !o.NoWriteBehind
 	return o
 }
 
@@ -711,7 +708,7 @@ func (fs *FileSystem) prefetchBlock(fh nfs3.FH3, block uint64) {
 func (f *File) WriteAt(ctx context.Context, p []byte, off int64) (int, error) {
 	fs := f.fs
 	bs := int64(fs.opt.BlockSize)
-	if !fs.opt.WriteBehind {
+	if fs.opt.NoWriteBehind {
 		if _, err := fs.proto.Write(ctx, f.fh, uint64(off), p, nfs3.FileSync); err != nil {
 			return 0, err
 		}
@@ -840,7 +837,9 @@ const flushWorkers = 8
 
 // flushFile writes back all dirty blocks of fh and commits them. Any
 // sticky write-back error from earlier cache-pressure eviction is
-// folded into the result, so no lost write stays silent.
+// folded into the result, so no lost write stays silent. When the
+// flush fails its blocks go back into the cache dirty, so the next
+// Sync or Close tries again instead of reporting a clean file.
 func (fs *FileSystem) flushFile(ctx context.Context, fh nfs3.FH3) error {
 	sticky := fs.takeFlushErr(fh)
 	dirty := fs.pages.DirtyBlocks(fh)
@@ -859,12 +858,18 @@ func (fs *FileSystem) flushFile(ctx context.Context, fh nfs3.FH3) error {
 			fs.statMu.Unlock()
 		}
 	})
-	for _, err := range errs {
-		if err != nil {
-			return errors.Join(sticky, err)
+	err := errors.Join(errs...)
+	if err == nil {
+		err = fs.proto.Commit(ctx, fh, 0, 0)
+	}
+	if err != nil {
+		for _, b := range dirty {
+			for _, evicted := range fs.pages.Redirty(b) {
+				fs.writeBackBlock(ctx, evicted)
+			}
 		}
 	}
-	return errors.Join(sticky, fs.proto.Commit(ctx, fh, 0, 0))
+	return errors.Join(sticky, err)
 }
 
 // Sync flushes the file's dirty blocks and commits them.

@@ -8,6 +8,7 @@ import (
 	"io"
 	"math/rand"
 	"net"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"time"
@@ -498,5 +499,63 @@ func TestQuickWriteModelThroughStack(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// failFirstWrite is a backend whose first Write fails.
+type failFirstWrite struct {
+	*vfs.MemFS
+	failed atomic.Bool
+}
+
+func (b *failFirstWrite) Write(h vfs.Handle, off uint64, data []byte) error {
+	if b.failed.CompareAndSwap(false, true) {
+		return vfs.ErrIO
+	}
+	return b.MemFS.Write(h, off, data)
+}
+
+// TestFailedFlushKeepsDataDirty: a Sync that fails must leave its
+// blocks dirty, so the next Sync sends them again instead of finding
+// nothing to do and reporting a clean file whose bytes never reached
+// the server.
+func TestFailedFlushKeepsDataDirty(t *testing.T) {
+	backend := &failFirstWrite{MemFS: vfs.NewMemFS()}
+	rpc := oncrpc.NewServer()
+	nfs3.NewServer(backend, 7).Register(rpc)
+	md := mountd.NewServer()
+	md.AddExport(&mountd.Export{Path: "/GFS/test", FS: backend})
+	md.Register(rpc)
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go rpc.Serve(l)
+	t.Cleanup(rpc.Close)
+	fs := mountFS(t, func() (net.Conn, error) { return net.Dial("tcp", l.Addr().String()) }, Options{})
+
+	ctx := context.Background()
+	f, err := fs.Create(ctx, "kept", 0644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := bytes.Repeat([]byte("k"), 3*32*1024)
+	if _, err := f.WriteAt(ctx, payload, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Sync(ctx); err == nil {
+		t.Fatal("Sync over a failing WRITE reported success")
+	}
+	if err := f.Sync(ctx); err != nil {
+		t.Fatalf("second Sync: %v", err)
+	}
+	h, _, err := backend.Lookup(backend.Root(), "kept")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make([]byte, len(payload)+1)
+	n, _, err := backend.Read(h, 0, got)
+	if err != nil || !bytes.Equal(got[:n], payload) {
+		t.Fatalf("backend holds %d bytes after the retried Sync (err %v), want the %d written", n, err, len(payload))
 	}
 }

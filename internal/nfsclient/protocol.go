@@ -18,7 +18,6 @@ import (
 	"repro/internal/mountd"
 	"repro/internal/nfs3"
 	"repro/internal/oncrpc"
-	"repro/internal/vfs"
 )
 
 // Dialer opens a transport to the NFS server (or proxy).
@@ -264,18 +263,5 @@ func (p *Proto) Commit(ctx context.Context, fh nfs3.FH3, offset uint64, count ui
 // MountExport contacts the MOUNT service over its own short-lived
 // connection and returns the root file handle of path.
 func MountExport(ctx context.Context, dial Dialer, path string) (nfs3.FH3, error) {
-	conn, err := dial()
-	if err != nil {
-		return nfs3.FH3{}, fmt.Errorf("nfsclient: dial mountd: %w", err)
-	}
-	mc := oncrpc.NewClient(conn, mountd.Program, mountd.Version)
-	defer mc.Close()
-	var res mountd.MntRes
-	if err := mc.Call(ctx, mountd.ProcMnt, &mountd.MntArgs{Path: path}, &res); err != nil {
-		return nfs3.FH3{}, err
-	}
-	if res.Status != mountd.MntOK {
-		return nfs3.FH3{}, fmt.Errorf("nfsclient: mount %q refused: %w", path, vfs.Errno(res.Status))
-	}
-	return res.FH, nil
+	return mountd.Mount(ctx, dial, path)
 }

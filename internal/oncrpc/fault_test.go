@@ -2,10 +2,8 @@ package oncrpc
 
 import (
 	"context"
-	"errors"
 	"io"
 	"net"
-	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -100,80 +98,5 @@ func TestMidStreamCutWakesAllWaiters(t *testing.T) {
 	case <-cl.Done():
 	default:
 		t.Fatal("Done channel not closed after transport failure")
-	}
-}
-
-// flakyListener fails its first n Accepts with a temporary error.
-type flakyListener struct {
-	net.Listener
-	remaining atomic.Int32
-}
-
-type tempAcceptError struct{}
-
-func (tempAcceptError) Error() string   { return "injected temporary accept failure" }
-func (tempAcceptError) Timeout() bool   { return true }
-func (tempAcceptError) Temporary() bool { return true }
-
-func (l *flakyListener) Accept() (net.Conn, error) {
-	if l.remaining.Add(-1) >= 0 {
-		return nil, tempAcceptError{}
-	}
-	return l.Listener.Accept()
-}
-
-// TestServeRetriesTemporaryAcceptErrors: transient accept failures
-// (EMFILE-style) must not tear the listener down; the server backs
-// off, retries, and keeps serving.
-func TestServeRetriesTemporaryAcceptErrors(t *testing.T) {
-	t.Parallel()
-	s, _ := newTestServer(t)
-
-	// A second listener for the same server, wrapped so its first three
-	// Accepts fail with a temporary error.
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	fl := &flakyListener{Listener: l}
-	fl.remaining.Store(3)
-	serveDone := make(chan error, 1)
-	go func() { serveDone <- s.Serve(fl) }()
-
-	c, err := Dial("tcp", l.Addr().String(), testProg, testVers)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	var out echoArgs
-	if err := c.Call(context.Background(), procEcho, &echoArgs{S: "survived"}, &out); err != nil {
-		t.Fatalf("call after temporary accept failures: %v", err)
-	}
-	if out.S != "survived" {
-		t.Fatalf("got %q", out.S)
-	}
-	if got := fl.remaining.Load(); got > 0 {
-		t.Fatalf("flaky accepts not consumed: %d left", got)
-	}
-
-	// Serve must still be running (it only returns on close or a
-	// permanent error).
-	select {
-	case err := <-serveDone:
-		t.Fatalf("Serve returned early: %v", err)
-	default:
-	}
-}
-
-func TestIsTemporaryAcceptError(t *testing.T) {
-	t.Parallel()
-	if !IsTemporaryAcceptError(tempAcceptError{}) {
-		t.Fatal("temporary error not recognised")
-	}
-	if IsTemporaryAcceptError(errors.New("permanent")) {
-		t.Fatal("permanent error misclassified as temporary")
-	}
-	if IsTemporaryAcceptError(nil) {
-		t.Fatal("nil misclassified")
 	}
 }

@@ -90,6 +90,15 @@ type Server struct {
 	// ErrorLog, when non-nil, receives connection-level errors.
 	ErrorLog *log.Logger
 
+	// Handshake, when non-nil, takes over each connection Serve
+	// accepts: it negotiates whatever the daemon runs beneath RPC (a
+	// secure channel, session authorization), calls ServeConn on the
+	// resulting transport, and returns when that session is over. Serve
+	// tracks the accepted connection either way, so Close ends sessions
+	// mid-handshake and established alike. Nil serves the accepted
+	// connection as it is.
+	Handshake func(raw net.Conn)
+
 	lnMu      sync.Mutex
 	listeners map[net.Listener]struct{}
 	conns     map[net.Conn]struct{}
@@ -183,7 +192,17 @@ func (s *Server) Serve(l net.Listener) error {
 		}
 		s.conns[conn] = struct{}{}
 		s.lnMu.Unlock()
-		go s.ServeConn(conn)
+		go func() {
+			serve := s.Handshake
+			if serve == nil {
+				serve = s.ServeConn
+			}
+			serve(conn)
+			conn.Close() // a failed handshake leaves it open
+			s.lnMu.Lock()
+			delete(s.conns, conn)
+			s.lnMu.Unlock()
+		}()
 	}
 }
 
@@ -206,12 +225,7 @@ func (s *Server) Close() {
 //
 //sgfsvet:hot-path
 func (s *Server) ServeConn(conn net.Conn) {
-	defer func() {
-		conn.Close()
-		s.lnMu.Lock()
-		delete(s.conns, conn)
-		s.lnMu.Unlock()
-	}()
+	defer conn.Close()
 	var writeMu sync.Mutex
 	// Handlers observe connection teardown through ctx, so work for a
 	// departed peer can stop instead of running to completion.

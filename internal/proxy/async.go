@@ -20,18 +20,15 @@ type attrFetch struct {
 }
 
 // gatherAttrs fetches attributes for every handle concurrently.
-// Results are positional and carry per-slot errors; like upCall, the
-// total wait is credited back to the meter so gathers do not inflate
-// proxy CPU figures.
+// Results are positional and carry per-slot errors. The slots overlap,
+// so the gather's wall time is credited back to the meter once, not
+// slot by slot through relay.Call.
 func (p *ClientProxy) gatherAttrs(ctx context.Context, fhs []nfs3.FH3) []attrFetch {
 	out := make([]attrFetch, len(fhs))
 	if len(fhs) == 0 {
 		return out
 	}
-	if p.cfg.Meter != nil {
-		start := time.Now()
-		defer func() { p.cfg.Meter.Add(-time.Since(start)) }()
-	}
+	defer p.relay.Credit(time.Now())
 	ctx, cancel := context.WithTimeout(ctx, p.opTimeout())
 	defer cancel()
 	singleflight.Each(len(out), oncrpc.GatherDepth, func(i int) {
@@ -87,7 +84,7 @@ func (p *ClientProxy) RevalidateAttrs(ctx context.Context) (checked, changed int
 	if dc == nil {
 		return 0, 0, nil
 	}
-	defer p.meterSince(time.Now())
+	defer p.relay.Charge(time.Now())
 	dirty := make(map[string]bool)
 	for _, fh := range dc.DirtyFiles() {
 		dirty[string(fh.Data)] = true

@@ -117,11 +117,12 @@ type upstream interface {
 // ClientProxy is the client-side SGFS proxy: the local NFS client
 // mounts it as if it were the file server.
 type ClientProxy struct {
-	cfg ClientConfig
-	rpc *oncrpc.Server
-	up  upstream
-	rec *oncrpc.ReconnectClient // == up when cfg.Recovery != nil
-	rs  *replicaSet             // == up when cfg.Replication != nil
+	cfg   ClientConfig
+	rpc   *oncrpc.Server
+	relay nfs3.Relay
+	up    upstream
+	rec   *oncrpc.ReconnectClient // == up when cfg.Recovery != nil
+	rs    *replicaSet             // == up when cfg.Replication != nil
 
 	// Pipelined data path: the single-flight group dedups concurrent
 	// upstream READs of one block, the pool bounds background
@@ -158,6 +159,7 @@ func NewClientProxy(cfg ClientConfig) (*ClientProxy, error) {
 		rpc:    oncrpc.NewServer(),
 		raNext: make(map[string]uint64),
 	}
+	p.relay = nfs3.Relay{Up: p, Meter: cfg.Meter}
 	// Establish the first session synchronously so misconfiguration
 	// (bad export, refused credential) fails here, not on first use.
 	ctx, cancel := context.WithTimeout(context.Background(), initTimeout)
@@ -236,23 +238,14 @@ func (p *ClientProxy) dialSession(ctx context.Context) (*oncrpc.Client, error) {
 // proxy state, so both the single-server path and every replica
 // backend use it as their session factory.
 func (p *ClientProxy) sessionVia(ctx context.Context, dial Dialer) (*oncrpc.Client, nfs3.FH3, net.Conn, error) {
-	raw, err := dial()
+	conn, err := p.channelVia(dial)
 	if err != nil {
-		return nil, nfs3.FH3{}, nil, fmt.Errorf("proxy: dial server proxy: %w", err)
+		return nil, nfs3.FH3{}, nil, err
 	}
-	var conn net.Conn = raw
-	if p.cfg.Channel != nil {
-		sc, err := securechan.Client(raw, p.cfg.Channel)
-		if err != nil {
-			raw.Close()
-			return nil, nfs3.FH3{}, nil, fmt.Errorf("proxy: secure channel: %w", err)
-		}
-		if p.cfg.RekeyInterval > 0 {
-			sc.StartAutoRekey(p.cfg.RekeyInterval)
-		}
-		conn = sc
+	if sc, ok := conn.(*securechan.Conn); ok && p.cfg.RekeyInterval > 0 {
+		sc.StartAutoRekey(p.cfg.RekeyInterval)
 	}
-	root, err := p.mountVia(ctx, dial)
+	root, err := mountd.Mount(ctx, func() (net.Conn, error) { return p.channelVia(dial) }, p.cfg.ExportPath)
 	if err != nil {
 		conn.Close()
 		return nil, nfs3.FH3{}, nil, err
@@ -260,32 +253,22 @@ func (p *ClientProxy) sessionVia(ctx context.Context, dial Dialer) (*oncrpc.Clie
 	return oncrpc.NewClient(conn, nfs3.Program, nfs3.Version), root, conn, nil
 }
 
-// mountVia issues MOUNT through its own connection via dial and
-// returns the export root handle.
-func (p *ClientProxy) mountVia(ctx context.Context, dial Dialer) (nfs3.FH3, error) {
-	mraw, err := dial()
+// channelVia dials one transport and, when configured, runs the
+// secure-channel handshake over it.
+func (p *ClientProxy) channelVia(dial Dialer) (net.Conn, error) {
+	raw, err := dial()
 	if err != nil {
-		return nfs3.FH3{}, err
+		return nil, fmt.Errorf("proxy: dial server proxy: %w", err)
 	}
-	var mconn net.Conn = mraw
-	if p.cfg.Channel != nil {
-		sc, err := securechan.Client(mraw, p.cfg.Channel)
-		if err != nil {
-			mraw.Close()
-			return nfs3.FH3{}, err
-		}
-		mconn = sc
+	if p.cfg.Channel == nil {
+		return raw, nil
 	}
-	mc := oncrpc.NewClient(mconn, mountd.Program, mountd.Version)
-	defer mc.Close()
-	var mres mountd.MntRes
-	if err := mc.Call(ctx, mountd.ProcMnt, &mountd.MntArgs{Path: p.cfg.ExportPath}, &mres); err != nil {
-		return nfs3.FH3{}, fmt.Errorf("proxy: mount via server proxy: %w", err)
+	sc, err := securechan.Client(raw, p.cfg.Channel)
+	if err != nil {
+		raw.Close()
+		return nil, fmt.Errorf("proxy: secure channel: %w", err)
 	}
-	if mres.Status != mountd.MntOK {
-		return nfs3.FH3{}, fmt.Errorf("proxy: mount refused: %w", vfs.Errno(mres.Status))
-	}
-	return mres.FH, nil
+	return sc, nil
 }
 
 // nfs3ReplayClass classifies every NFSv3 procedure for replay on a
@@ -420,112 +403,37 @@ func (p *ClientProxy) opTimeout() time.Duration {
 	return defaultOpTimeout
 }
 
-// upCall issues an upstream RPC, crediting the wait back to the meter
-// so metered handler time approximates local processing (the paper's
-// proxy CPU, Figures 5/6) rather than wall-clock. Every operation
-// carries a deadline so a dead WAN link turns into a bounded error
-// instead of an indefinite hang.
-func (p *ClientProxy) upCall(ctx context.Context, proc uint32, args xdr.Marshaler, res xdr.Unmarshaler) error {
+// UpCall implements nfs3.Upstream. Every operation carries a deadline
+// so a dead WAN link turns into a bounded error instead of an
+// indefinite hang. The local client's call is not consulted: the
+// server proxy maps credentials from the channel identity.
+func (p *ClientProxy) UpCall(ctx context.Context, _ *oncrpc.Call, proc uint32, args xdr.Marshaler, res xdr.Unmarshaler) error {
 	ctx, cancel := context.WithTimeout(ctx, p.opTimeout())
 	defer cancel()
-	if p.cfg.Meter == nil {
-		return p.up.Call(ctx, proc, args, res)
-	}
-	start := time.Now()
-	err := p.up.Call(ctx, proc, args, res)
-	p.cfg.Meter.Add(-time.Since(start))
-	return err
+	return p.up.Call(ctx, proc, args, res)
 }
 
-// meterSince adds the time since start to the meter. Handlers are
-// bracketed in register; background units of work that no handler span
-// covers (a prefetch, a flushed block, an attribute sweep) bracket
-// themselves with it, or the waits upCall credits back would drive the
-// meter negative.
-func (p *ClientProxy) meterSince(start time.Time) {
-	if p.cfg.Meter != nil {
-		p.cfg.Meter.Add(time.Since(start))
-	}
-}
-
+// register installs the MOUNT program and the NFS relay with the
+// procedures the proxy does more than forward: those the disk cache
+// can answer or must observe, and READ/WRITE for at-rest encryption.
 func (p *ClientProxy) register() {
-	p.rpc.Register(mountd.Program, mountd.Version, map[uint32]oncrpc.Handler{
-		mountd.ProcMnt: func(_ context.Context, call *oncrpc.Call) (xdr.Marshaler, oncrpc.AcceptStat) {
-			var a mountd.MntArgs
-			if call.DecodeArgs(&a) != nil {
-				return nil, oncrpc.GarbageArgs
-			}
-			if a.Path != p.cfg.ExportPath {
-				return &mountd.MntRes{Status: mountd.MntNoEnt}, oncrpc.Success
-			}
-			p.mu.Lock()
-			root := p.root
-			p.mu.Unlock()
-			return &mountd.MntRes{Status: mountd.MntOK, FH: root, Flavors: []uint32{oncrpc.AuthFlavorSys}}, oncrpc.Success
-		},
-		mountd.ProcUmnt: func(_ context.Context, call *oncrpc.Call) (xdr.Marshaler, oncrpc.AcceptStat) {
-			var a mountd.MntArgs
-			if err := call.DecodeArgs(&a); err != nil {
-				return nil, oncrpc.GarbageArgs
-			}
-			return nil, oncrpc.Success
-		},
+	mountd.RegisterRelay(p.rpc, func(path string) (nfs3.FH3, bool) {
+		p.mu.Lock()
+		defer p.mu.Unlock()
+		return p.root, path == p.cfg.ExportPath
 	})
-	h := map[uint32]oncrpc.Handler{
+	p.relay.Register(p.rpc, map[uint32]oncrpc.Handler{
 		nfs3.ProcGetAttr:     p.getattr,
 		nfs3.ProcSetAttr:     p.setattr,
 		nfs3.ProcLookup:      p.lookup,
 		nfs3.ProcAccess:      p.access,
-		nfs3.ProcReadLink:    p.fwd(nfs3.ProcReadLink, func() args { return &nfs3.ReadLinkArgs{} }, func() result { return &nfs3.ReadLinkRes{} }),
 		nfs3.ProcRead:        p.read,
 		nfs3.ProcWrite:       p.write,
 		nfs3.ProcCreate:      p.create,
-		nfs3.ProcMkdir:       p.fwd(nfs3.ProcMkdir, func() args { return &nfs3.MkdirArgs{} }, func() result { return &nfs3.CreateRes{} }),
-		nfs3.ProcSymlink:     p.fwd(nfs3.ProcSymlink, func() args { return &nfs3.SymlinkArgs{} }, func() result { return &nfs3.CreateRes{} }),
 		nfs3.ProcRemove:      p.remove,
-		nfs3.ProcRmdir:       p.fwd(nfs3.ProcRmdir, func() args { return &nfs3.RemoveArgs{} }, func() result { return &nfs3.WccRes{} }),
-		nfs3.ProcRename:      p.fwd(nfs3.ProcRename, func() args { return &nfs3.RenameArgs{} }, func() result { return &nfs3.RenameRes{} }),
-		nfs3.ProcLink:        p.fwd(nfs3.ProcLink, func() args { return &nfs3.LinkArgs{} }, func() result { return &nfs3.LinkRes{} }),
-		nfs3.ProcReadDir:     p.fwd(nfs3.ProcReadDir, func() args { return &nfs3.ReadDirArgs{} }, func() result { return &nfs3.ReadDirRes{} }),
 		nfs3.ProcReadDirPlus: p.readdirplus,
-		nfs3.ProcFSStat:      p.fwd(nfs3.ProcFSStat, func() args { return &nfs3.FSStatArgs{} }, func() result { return &nfs3.FSStatRes{} }),
-		nfs3.ProcFSInfo:      p.fwd(nfs3.ProcFSInfo, func() args { return &nfs3.FSStatArgs{} }, func() result { return &nfs3.FSInfoRes{} }),
-		nfs3.ProcPathConf:    p.fwd(nfs3.ProcPathConf, func() args { return &nfs3.FSStatArgs{} }, func() result { return &nfs3.PathConfRes{} }),
 		nfs3.ProcCommit:      p.commit,
-	}
-	if p.cfg.Meter != nil {
-		for k, fn := range h {
-			fn := fn
-			h[k] = func(ctx context.Context, call *oncrpc.Call) (xdr.Marshaler, oncrpc.AcceptStat) {
-				start := time.Now()
-				res, stat := fn(ctx, call)
-				p.cfg.Meter.Add(time.Since(start))
-				return res, stat
-			}
-		}
-	}
-	p.rpc.Register(nfs3.Program, nfs3.Version, h)
-}
-
-type args interface {
-	xdr.Marshaler
-	xdr.Unmarshaler
-}
-type result = args
-
-// fwd builds a pure pass-through handler.
-func (p *ClientProxy) fwd(proc uint32, newArgs func() args, newRes func() result) oncrpc.Handler {
-	return func(ctx context.Context, call *oncrpc.Call) (xdr.Marshaler, oncrpc.AcceptStat) {
-		a := newArgs()
-		if call.DecodeArgs(a) != nil {
-			return nil, oncrpc.GarbageArgs
-		}
-		res := newRes()
-		if err := p.upCall(ctx, proc, a, res); err != nil {
-			return nil, oncrpc.SystemErr
-		}
-		return res, oncrpc.Success
-	}
+	})
 }
 
 // lookup forwards LOOKUP but overrides the returned attributes with
@@ -537,7 +445,7 @@ func (p *ClientProxy) lookup(ctx context.Context, call *oncrpc.Call) (xdr.Marsha
 		return nil, oncrpc.GarbageArgs
 	}
 	var res nfs3.LookupRes
-	if err := p.upCall(ctx, nfs3.ProcLookup, &a, &res); err != nil {
+	if err := p.relay.Call(ctx, nil, nfs3.ProcLookup, &a, &res); err != nil {
 		return nil, oncrpc.SystemErr
 	}
 	dc := p.cfg.DiskCache
@@ -561,7 +469,7 @@ func (p *ClientProxy) readdirplus(ctx context.Context, call *oncrpc.Call) (xdr.M
 		return nil, oncrpc.GarbageArgs
 	}
 	var res nfs3.ReadDirPlusRes
-	if err := p.upCall(ctx, nfs3.ProcReadDirPlus, &a, &res); err != nil {
+	if err := p.relay.Call(ctx, nil, nfs3.ProcReadDirPlus, &a, &res); err != nil {
 		return nil, oncrpc.SystemErr
 	}
 	dc := p.cfg.DiskCache
@@ -603,7 +511,7 @@ func (p *ClientProxy) getattr(ctx context.Context, call *oncrpc.Call) (xdr.Marsh
 		}
 	}
 	var res nfs3.GetAttrRes
-	if err := p.upCall(ctx, nfs3.ProcGetAttr, &a, &res); err != nil {
+	if err := p.relay.Call(ctx, nil, nfs3.ProcGetAttr, &a, &res); err != nil {
 		return nil, oncrpc.SystemErr
 	}
 	if dc != nil && res.Status == nfs3.OK {
@@ -627,7 +535,7 @@ func (p *ClientProxy) setattr(ctx context.Context, call *oncrpc.Call) (xdr.Marsh
 		}
 	}
 	var res nfs3.WccRes
-	if err := p.upCall(ctx, nfs3.ProcSetAttr, &a, &res); err != nil {
+	if err := p.relay.Call(ctx, nil, nfs3.ProcSetAttr, &a, &res); err != nil {
 		return nil, oncrpc.SystemErr
 	}
 	return &res, oncrpc.Success
@@ -649,7 +557,7 @@ func (p *ClientProxy) access(ctx context.Context, call *oncrpc.Call) (xdr.Marsha
 	full := a
 	full.Access = 0x3f
 	var res nfs3.AccessRes
-	if err := p.upCall(ctx, nfs3.ProcAccess, &full, &res); err != nil {
+	if err := p.relay.Call(ctx, nil, nfs3.ProcAccess, &full, &res); err != nil {
 		return nil, oncrpc.SystemErr
 	}
 	if dc != nil && res.Status == nfs3.OK {
@@ -665,7 +573,7 @@ func (p *ClientProxy) create(ctx context.Context, call *oncrpc.Call) (xdr.Marsha
 		return nil, oncrpc.GarbageArgs
 	}
 	var res nfs3.CreateRes
-	if err := p.upCall(ctx, nfs3.ProcCreate, &a, &res); err != nil {
+	if err := p.relay.Call(ctx, nil, nfs3.ProcCreate, &a, &res); err != nil {
 		return nil, oncrpc.SystemErr
 	}
 	dc := p.cfg.DiskCache
@@ -686,12 +594,12 @@ func (p *ClientProxy) remove(ctx context.Context, call *oncrpc.Call) (xdr.Marsha
 		// name up (cheap; usually cached upstream) to find its handle.
 		var lres nfs3.LookupRes
 		largs := &nfs3.LookupArgs{What: a.Obj}
-		if err := p.upCall(ctx, nfs3.ProcLookup, largs, &lres); err == nil && lres.Status == nfs3.OK {
+		if err := p.relay.Call(ctx, nil, nfs3.ProcLookup, largs, &lres); err == nil && lres.Status == nfs3.OK {
 			dc.DropFile(lres.Obj)
 		}
 	}
 	var res nfs3.WccRes
-	if err := p.upCall(ctx, nfs3.ProcRemove, &a, &res); err != nil {
+	if err := p.relay.Call(ctx, nil, nfs3.ProcRemove, &a, &res); err != nil {
 		return nil, oncrpc.SystemErr
 	}
 	return &res, oncrpc.Success
@@ -706,7 +614,7 @@ func (p *ClientProxy) read(ctx context.Context, call *oncrpc.Call) (xdr.Marshale
 	dc := p.cfg.DiskCache
 	if dc == nil {
 		var res nfs3.ReadRes
-		if err := p.upCall(ctx, nfs3.ProcRead, &a, &res); err != nil {
+		if err := p.relay.Call(ctx, nil, nfs3.ProcRead, &a, &res); err != nil {
 			return nil, oncrpc.SystemErr
 		}
 		if len(p.cfg.StorageKey) > 0 && res.Status == nfs3.OK {
@@ -773,7 +681,7 @@ func (p *ClientProxy) cachedSize(ctx context.Context, fh nfs3.FH3) (uint64, nfs3
 		return attr.Size, nfs3.OK
 	}
 	var res nfs3.GetAttrRes
-	if err := p.upCall(ctx, nfs3.ProcGetAttr, &nfs3.GetAttrArgs{Obj: fh}, &res); err != nil {
+	if err := p.relay.Call(ctx, nil, nfs3.ProcGetAttr, &nfs3.GetAttrArgs{Obj: fh}, &res); err != nil {
 		return 0, nfs3.Status(vfs.ErrIO)
 	}
 	if res.Status != nfs3.OK {
@@ -806,7 +714,7 @@ func (p *ClientProxy) write(ctx context.Context, call *oncrpc.Call) (xdr.Marshal
 			a.Data = atRestCrypt(p.cfg.StorageKey, a.Obj, a.Offset, a.Data)
 		}
 		var res nfs3.WriteRes
-		if err := p.upCall(ctx, nfs3.ProcWrite, &a, &res); err != nil {
+		if err := p.relay.Call(ctx, nil, nfs3.ProcWrite, &a, &res); err != nil {
 			return nil, oncrpc.SystemErr
 		}
 		return &res, oncrpc.Success
@@ -894,7 +802,7 @@ func (p *ClientProxy) commit(ctx context.Context, call *oncrpc.Call) (xdr.Marsha
 		return res, oncrpc.Success
 	}
 	var res nfs3.CommitRes
-	if err := p.upCall(ctx, nfs3.ProcCommit, &a, &res); err != nil {
+	if err := p.relay.Call(ctx, nil, nfs3.ProcCommit, &a, &res); err != nil {
 		return nil, oncrpc.SystemErr
 	}
 	return &res, oncrpc.Success

@@ -154,8 +154,8 @@ func (p *ClientProxy) FlushAll(ctx context.Context) error {
 	run := &flushRun{p: p, ctx: ctx}
 	singleflight.Each(len(jobs), p.cfg.flushWorkers(), func(i int) {
 		// No handler span covers a flush: each block nets its own
-		// elapsed time against the waits its upCalls credit back.
-		defer p.meterSince(time.Now())
+		// elapsed time against the waits its upstream calls credit back.
+		defer p.relay.Charge(time.Now())
 		p.flushBlock(run, jobs[i].f, jobs[i].idx)
 	})
 	return run.err()
@@ -203,7 +203,7 @@ func (p *ClientProxy) flushBlock(r *flushRun, f *flushFile, idx uint64) {
 	bs := uint64(dc.BlockSize())
 	args := &nfs3.WriteArgs{Obj: f.fh, Offset: idx * bs, Count: uint32(len(data)), Stable: nfs3.Unstable, Data: data}
 	var res nfs3.WriteRes
-	err := p.upCall(r.ctx, nfs3.ProcWrite, args, &res)
+	err := p.relay.Call(r.ctx, nil, nfs3.ProcWrite, args, &res)
 	stable := false
 	if errors.Is(err, oncrpc.ErrNonIdempotentReplay) {
 		// The generic channel refuses to replay WRITE, but a flush
@@ -215,7 +215,7 @@ func (p *ClientProxy) flushBlock(r *flushRun, f *flushFile, idx uint64) {
 		p.dp.FlushRetries.Add(1)
 		args.Stable = nfs3.FileSync
 		res = nfs3.WriteRes{}
-		err = p.upCall(r.ctx, nfs3.ProcWrite, args, &res)
+		err = p.relay.Call(r.ctx, nil, nfs3.ProcWrite, args, &res)
 		stable = true
 	}
 	switch {
@@ -241,7 +241,7 @@ func (p *ClientProxy) flushBlock(r *flushRun, f *flushFile, idx uint64) {
 // before being marked clean.
 func (p *ClientProxy) commitFile(ctx context.Context, f *flushFile, written []uint64, verf [nfs3.WriteVerfSize]byte, mismatch bool) error {
 	var res nfs3.CommitRes
-	if err := p.upCall(ctx, nfs3.ProcCommit, &nfs3.CommitArgs{Obj: f.fh}, &res); err != nil {
+	if err := p.relay.Call(ctx, nil, nfs3.ProcCommit, &nfs3.CommitArgs{Obj: f.fh}, &res); err != nil {
 		return err
 	}
 	if res.Status != nfs3.OK {
@@ -276,9 +276,9 @@ func (p *ClientProxy) resendStable(ctx context.Context, f *flushFile, written []
 		}
 		args := &nfs3.WriteArgs{Obj: f.fh, Offset: idx * bs, Count: uint32(len(data)), Stable: nfs3.FileSync, Data: data}
 		var res nfs3.WriteRes
-		err := p.upCall(ctx, nfs3.ProcWrite, args, &res)
+		err := p.relay.Call(ctx, nil, nfs3.ProcWrite, args, &res)
 		if errors.Is(err, oncrpc.ErrNonIdempotentReplay) {
-			err = p.upCall(ctx, nfs3.ProcWrite, args, &res)
+			err = p.relay.Call(ctx, nil, nfs3.ProcWrite, args, &res)
 		}
 		switch {
 		case err != nil:

@@ -37,6 +37,7 @@ type testStack struct {
 	clientProxy *ClientProxy
 	gmap        *gridmap.Map
 	clientAddr  string
+	serverAddr  string // the server proxy's listen address
 }
 
 type stackOpts struct {
@@ -110,6 +111,7 @@ func buildStack(t testing.TB, opts stackOpts) *testStack {
 	go sp.Serve(spL)
 	t.Cleanup(sp.Close)
 	spAddr := spL.Addr().String()
+	st.serverAddr = spAddr
 
 	// Client-side proxy.
 	user := opts.userCred
@@ -227,16 +229,8 @@ func TestUnmappedUserDenied(t *testing.T) {
 	}
 }
 
-// serverProxyAddr digs out the server proxy's listen address.
-func (st *testStack) serverProxyAddr(t *testing.T) string {
-	t.Helper()
-	st.serverProxy.lnMu.Lock()
-	defer st.serverProxy.lnMu.Unlock()
-	if len(st.serverProxy.listeners) == 0 {
-		t.Fatal("server proxy has no listeners")
-	}
-	return st.serverProxy.listeners[0].Addr().String()
-}
+// serverProxyAddr returns the server proxy's listen address.
+func (st *testStack) serverProxyAddr(t *testing.T) string { return st.serverAddr }
 
 func TestProxyCertificateSession(t *testing.T) {
 	t.Parallel()
@@ -668,5 +662,46 @@ func TestSessionDNVisible(t *testing.T) {
 	})
 	if !found {
 		t.Fatal("no session carries alice's DN")
+	}
+}
+
+// TestServerProxyCloseEndsSessions: Close must end established
+// sessions, not just stop accepting new ones — the accepted transports
+// are tracked by the RPC server's accept loop, so closing it tears the
+// channel down, the session leaves the map, and the client's next
+// upstream call fails instead of hanging.
+func TestServerProxyCloseEndsSessions(t *testing.T) {
+	t.Parallel()
+	st := buildStack(t, stackOpts{})
+	fs := st.mount(t, nfsclient.Options{})
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if _, err := fs.Stat(ctx, "/"); err != nil {
+		t.Fatal(err)
+	}
+	sessions := func() (n int) {
+		st.serverProxy.sessions.Range(func(_, _ any) bool { n++; return true })
+		return n
+	}
+	if sessions() == 0 {
+		t.Fatal("no session after traffic")
+	}
+	// A file the client has not looked up yet: finding it takes an
+	// upstream call.
+	if _, _, err := st.backend.Create(st.backend.Root(), "late", vfs.SetAttr{}, false); err != nil {
+		t.Fatal(err)
+	}
+	st.serverProxy.Close()
+	for deadline := time.Now().Add(5 * time.Second); sessions() > 0; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d session(s) still open after Close", sessions())
+		}
+	}
+	start := time.Now()
+	if _, err := fs.Stat(ctx, "late"); err == nil {
+		t.Fatal("call through a closed server proxy succeeded")
+	}
+	if d := time.Since(start); d > 2*time.Second {
+		t.Fatalf("call through a closed server proxy took %v to fail", d)
 	}
 }

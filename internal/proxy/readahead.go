@@ -55,7 +55,7 @@ func (p *ClientProxy) fetchBlock(ctx context.Context, fh nfs3.FH3, idx uint64, p
 		bs := uint64(dc.BlockSize())
 		var res nfs3.ReadRes
 		args := &nfs3.ReadArgs{Obj: fh, Offset: idx * bs, Count: uint32(bs)}
-		if err := p.upCall(ctx, nfs3.ProcRead, args, &res); err != nil {
+		if err := p.relay.Call(ctx, nil, nfs3.ProcRead, args, &res); err != nil {
 			return blockFetch{}, err
 		}
 		if res.Status != nfs3.OK {
@@ -124,7 +124,7 @@ func (p *ClientProxy) maybeReadahead(fh nfs3.FH3, idx, size uint64) {
 // prefetchBlock runs one background readahead fetch on its own
 // deadline, detached from whichever foreground read hinted it.
 func (p *ClientProxy) prefetchBlock(fh nfs3.FH3, idx uint64) {
-	defer p.meterSince(time.Now())
+	defer p.relay.Charge(time.Now())
 	ctx, cancel := context.WithTimeout(context.Background(), p.opTimeout())
 	defer cancel()
 	p.fetchBlock(ctx, fh, idx, true)

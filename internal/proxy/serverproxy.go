@@ -64,12 +64,17 @@ type ServerConfig struct {
 
 // ServerProxy is the server-side SGFS proxy.
 type ServerProxy struct {
-	cfg ServerConfig
-	rpc *oncrpc.Server
+	cfg   ServerConfig
+	rpc   *oncrpc.Server
+	relay nfs3.Relay
 
 	up      *oncrpc.Client
 	root    nfs3.FH3
 	rootKey string
+	// rootCred is the credential of the proxy's own upstream calls. ACL
+	// files are proxy metadata, stored mode 0600 root so no remote
+	// account can touch them even through a misconfigured export.
+	rootCred oncrpc.OpaqueAuth
 
 	aclCache *acl.Cache
 
@@ -81,10 +86,6 @@ type ServerProxy struct {
 	// it lets ACCESS locate the object's ACL file.
 	parentMu sync.Mutex
 	parents  map[string]parentRef
-
-	listeners []net.Listener
-	lnMu      sync.Mutex
-	closed    bool
 }
 
 type parentRef struct {
@@ -109,7 +110,11 @@ func NewServerProxy(cfg ServerConfig) (*ServerProxy, error) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), initTimeout)
 	defer cancel()
-	root, err := mountUpstream(ctx, cfg.UpstreamDial, cfg.ExportPath)
+	rootCred, err := (&oncrpc.AuthSys{MachineName: "sgfs-proxy", UID: 0, GID: 0}).Auth()
+	if err != nil {
+		return nil, err
+	}
+	root, err := mountd.Mount(ctx, cfg.UpstreamDial, cfg.ExportPath)
 	if err != nil {
 		return nil, err
 	}
@@ -123,77 +128,27 @@ func NewServerProxy(cfg ServerConfig) (*ServerProxy, error) {
 		up:       oncrpc.NewClient(conn, nfs3.Program, nfs3.Version),
 		root:     root,
 		rootKey:  string(root.Data),
+		rootCred: rootCred,
 		aclCache: acl.NewCache(),
 		parents:  make(map[string]parentRef),
 	}
+	p.relay = nfs3.Relay{Up: p, Meter: cfg.Meter}
 	p.rpc.Sequential = cfg.Sequential
+	p.rpc.Handshake = p.handleConn
 	p.register()
 	return p, nil
-}
-
-func mountUpstream(ctx context.Context, dial Dialer, path string) (nfs3.FH3, error) {
-	conn, err := dial()
-	if err != nil {
-		return nfs3.FH3{}, fmt.Errorf("proxy: dial upstream mountd: %w", err)
-	}
-	mc := oncrpc.NewClient(conn, mountd.Program, mountd.Version)
-	defer mc.Close()
-	var res mountd.MntRes
-	if err := mc.Call(ctx, mountd.ProcMnt, &mountd.MntArgs{Path: path}, &res); err != nil {
-		return nfs3.FH3{}, err
-	}
-	if res.Status != mountd.MntOK {
-		return nfs3.FH3{}, fmt.Errorf("proxy: upstream mount refused: %w", vfs.Errno(res.Status))
-	}
-	return res.FH, nil
 }
 
 // Serve accepts client transports on l until Close. Each accepted
 // connection is authenticated (secure channel handshake + gridmap)
 // before any RPC is processed.
-func (p *ServerProxy) Serve(l net.Listener) error {
-	p.lnMu.Lock()
-	if p.closed {
-		p.lnMu.Unlock()
-		return errors.New("proxy: server proxy closed")
-	}
-	p.listeners = append(p.listeners, l)
-	p.lnMu.Unlock()
-	var tempDelay time.Duration
-	for {
-		conn, err := l.Accept()
-		if err != nil {
-			// Transient accept failures must not kill the proxy's
-			// listener; back off and retry (same policy as
-			// oncrpc.Server.Serve).
-			if oncrpc.IsTemporaryAcceptError(err) {
-				if tempDelay == 0 {
-					tempDelay = 5 * time.Millisecond
-				} else {
-					tempDelay *= 2
-				}
-				if max := 1 * time.Second; tempDelay > max {
-					tempDelay = max
-				}
-				time.Sleep(tempDelay)
-				p.lnMu.Lock()
-				closed := p.closed
-				p.lnMu.Unlock()
-				if closed {
-					return errors.New("proxy: server proxy closed")
-				}
-				continue
-			}
-			return err
-		}
-		tempDelay = 0
-		go p.handleConn(conn)
-	}
-}
+func (p *ServerProxy) Serve(l net.Listener) error { return p.rpc.Serve(l) }
 
+// handleConn is the RPC server's Handshake step: it authenticates and
+// authorizes one accepted transport, then serves RPC on it.
 func (p *ServerProxy) handleConn(raw net.Conn) {
 	var conn net.Conn = raw
-	sess := &session{cred: oncrpc.AuthNone}
+	sess := anonymous
 	if p.cfg.Channel != nil {
 		sc, err := securechan.Server(raw, p.cfg.Channel)
 		if err != nil {
@@ -235,12 +190,6 @@ func (p *ServerProxy) handleConn(raw net.Conn) {
 
 // Close shuts the proxy down.
 func (p *ServerProxy) Close() {
-	p.lnMu.Lock()
-	p.closed = true
-	for _, l := range p.listeners {
-		l.Close()
-	}
-	p.lnMu.Unlock()
 	p.rpc.Close()
 	p.up.Close()
 }
@@ -253,11 +202,15 @@ func (p *ServerProxy) SessionDN(conn net.Conn) (string, bool) {
 	return "", false
 }
 
+// anonymous stands in for the session of a transport handleConn did
+// not register.
+var anonymous = &session{cred: oncrpc.AuthNone}
+
 func (p *ServerProxy) session(call *oncrpc.Call) *session {
 	if v, ok := p.sessions.Load(call.Conn); ok {
 		return v.(*session)
 	}
-	return &session{cred: oncrpc.AuthNone}
+	return anonymous
 }
 
 // ACLCacheStats exposes ACL cache counters (tests, ablation).
@@ -278,172 +231,41 @@ func (p *ServerProxy) parentOf(obj nfs3.FH3) (parentRef, bool) {
 	return ref, ok
 }
 
-// register installs MOUNT and NFS handlers.
+// register installs the MOUNT program and the NFS relay with the
+// procedures the proxy does more than forward: the namespace operations
+// (ACL-file shielding, parent tracking, ACL cache invalidation) and
+// ACCESS (grid ACL evaluation).
 func (p *ServerProxy) register() {
-	p.rpc.Register(mountd.Program, mountd.Version, map[uint32]oncrpc.Handler{
-		mountd.ProcMnt: p.mnt,
-		mountd.ProcUmnt: func(_ context.Context, call *oncrpc.Call) (xdr.Marshaler, oncrpc.AcceptStat) {
-			var a mountd.MntArgs
-			if err := call.DecodeArgs(&a); err != nil {
-				return nil, oncrpc.GarbageArgs
-			}
-			return nil, oncrpc.Success
-		},
+	mountd.RegisterRelay(p.rpc, func(path string) (nfs3.FH3, bool) {
+		return p.root, path == p.cfg.ExportPath
 	})
-	p.rpc.Register(nfs3.Program, nfs3.Version, map[uint32]oncrpc.Handler{
-		nfs3.ProcGetAttr:     p.meter(p.forwardGetAttr),
-		nfs3.ProcSetAttr:     p.meter(p.forwardSetAttr),
-		nfs3.ProcLookup:      p.meter(p.lookup),
-		nfs3.ProcAccess:      p.meter(p.access),
-		nfs3.ProcReadLink:    p.meter(p.forwardReadLink),
-		nfs3.ProcRead:        p.meter(p.read),
-		nfs3.ProcWrite:       p.meter(p.write),
-		nfs3.ProcCreate:      p.meter(p.create),
-		nfs3.ProcMkdir:       p.meter(p.mkdir),
-		nfs3.ProcSymlink:     p.meter(p.symlink),
-		nfs3.ProcMknod:       p.meter(p.mknod),
-		nfs3.ProcRemove:      p.meter(p.remove),
-		nfs3.ProcRmdir:       p.meter(p.rmdir),
-		nfs3.ProcRename:      p.meter(p.rename),
-		nfs3.ProcLink:        p.meter(p.link),
-		nfs3.ProcReadDir:     p.meter(p.readdir),
-		nfs3.ProcReadDirPlus: p.meter(p.readdirplus),
-		nfs3.ProcFSStat:      p.meter(p.forwardFSStat),
-		nfs3.ProcFSInfo:      p.meter(p.forwardFSInfo),
-		nfs3.ProcPathConf:    p.meter(p.forwardPathConf),
-		nfs3.ProcCommit:      p.meter(p.forwardCommit),
+	p.relay.Register(p.rpc, map[uint32]oncrpc.Handler{
+		nfs3.ProcLookup:      p.lookup,
+		nfs3.ProcAccess:      p.access,
+		nfs3.ProcCreate:      p.create,
+		nfs3.ProcMkdir:       p.mkdir,
+		nfs3.ProcSymlink:     p.symlink,
+		nfs3.ProcRemove:      p.remove,
+		nfs3.ProcRmdir:       p.rmdir,
+		nfs3.ProcRename:      p.rename,
+		nfs3.ProcLink:        p.link,
+		nfs3.ProcReadDir:     p.readdir,
+		nfs3.ProcReadDirPlus: p.readdirplus,
 	})
 }
 
-// meter wraps a handler with work-time accounting.
-func (p *ServerProxy) meter(h oncrpc.Handler) oncrpc.Handler {
-	if p.cfg.Meter == nil {
-		return h
-	}
-	return func(ctx context.Context, call *oncrpc.Call) (xdr.Marshaler, oncrpc.AcceptStat) {
-		start := time.Now()
-		res, stat := h(ctx, call)
-		p.cfg.Meter.Add(time.Since(start))
-		return res, stat
-	}
-}
-
-func (p *ServerProxy) mnt(_ context.Context, call *oncrpc.Call) (xdr.Marshaler, oncrpc.AcceptStat) {
-	var a mountd.MntArgs
-	if call.DecodeArgs(&a) != nil {
-		return nil, oncrpc.GarbageArgs
-	}
-	if a.Path != p.cfg.ExportPath {
-		return &mountd.MntRes{Status: mountd.MntNoEnt}, oncrpc.Success
-	}
-	return &mountd.MntRes{Status: mountd.MntOK, FH: p.root, Flavors: []uint32{oncrpc.AuthFlavorSys}}, oncrpc.Success
-}
-
-// upCall issues an upstream RPC under cred, crediting the wait back
-// to the meter so metered handler time approximates local processing.
+// UpCall implements nfs3.Upstream: the RPC runs under the mapped
+// credential of call's session, or the proxy's own when call is nil.
 // The upstream server sits on the local cluster network; a generous
 // deadline still turns a dead backend into an error, not a hang.
-func (p *ServerProxy) upCall(ctx context.Context, proc uint32, cred oncrpc.OpaqueAuth, args xdr.Marshaler, res xdr.Unmarshaler) error {
+func (p *ServerProxy) UpCall(ctx context.Context, call *oncrpc.Call, proc uint32, args xdr.Marshaler, res xdr.Unmarshaler) error {
+	cred := p.rootCred
+	if call != nil {
+		cred = p.session(call).cred
+	}
 	ctx, cancel := context.WithTimeout(ctx, defaultOpTimeout)
 	defer cancel()
-	if p.cfg.Meter == nil {
-		return p.up.CallCred(ctx, proc, cred, args, res)
-	}
-	start := time.Now()
-	err := p.up.CallCred(ctx, proc, cred, args, res)
-	p.cfg.Meter.Add(-time.Since(start))
-	return err
-}
-
-// forward issues the call upstream under the session's mapped
-// credential and returns the reply for re-encoding.
-func (p *ServerProxy) forward(ctx context.Context, call *oncrpc.Call, proc uint32, args xdr.Marshaler, res interface {
-	xdr.Marshaler
-	xdr.Unmarshaler
-}) (xdr.Marshaler, oncrpc.AcceptStat) {
-	sess := p.session(call)
-	if err := p.upCall(ctx, proc, sess.cred, args, res); err != nil {
-		return nil, oncrpc.SystemErr
-	}
-	return res, oncrpc.Success
-}
-
-func (p *ServerProxy) forwardGetAttr(ctx context.Context, call *oncrpc.Call) (xdr.Marshaler, oncrpc.AcceptStat) {
-	var a nfs3.GetAttrArgs
-	if call.DecodeArgs(&a) != nil {
-		return nil, oncrpc.GarbageArgs
-	}
-	return p.forward(ctx, call, nfs3.ProcGetAttr, &a, &nfs3.GetAttrRes{})
-}
-
-func (p *ServerProxy) forwardSetAttr(ctx context.Context, call *oncrpc.Call) (xdr.Marshaler, oncrpc.AcceptStat) {
-	var a nfs3.SetAttrArgs
-	if call.DecodeArgs(&a) != nil {
-		return nil, oncrpc.GarbageArgs
-	}
-	return p.forward(ctx, call, nfs3.ProcSetAttr, &a, &nfs3.WccRes{})
-}
-
-func (p *ServerProxy) forwardReadLink(ctx context.Context, call *oncrpc.Call) (xdr.Marshaler, oncrpc.AcceptStat) {
-	var a nfs3.ReadLinkArgs
-	if call.DecodeArgs(&a) != nil {
-		return nil, oncrpc.GarbageArgs
-	}
-	return p.forward(ctx, call, nfs3.ProcReadLink, &a, &nfs3.ReadLinkRes{})
-}
-
-//sgfsvet:hot-path
-func (p *ServerProxy) read(ctx context.Context, call *oncrpc.Call) (xdr.Marshaler, oncrpc.AcceptStat) {
-	var a nfs3.ReadArgs
-	if call.DecodeArgs(&a) != nil {
-		return nil, oncrpc.GarbageArgs
-	}
-	return p.forward(ctx, call, nfs3.ProcRead, &a, &nfs3.ReadRes{})
-}
-
-//sgfsvet:hot-path
-func (p *ServerProxy) write(ctx context.Context, call *oncrpc.Call) (xdr.Marshaler, oncrpc.AcceptStat) {
-	var a nfs3.WriteArgs
-	if call.DecodeArgs(&a) != nil {
-		return nil, oncrpc.GarbageArgs
-	}
-	return p.forward(ctx, call, nfs3.ProcWrite, &a, &nfs3.WriteRes{})
-}
-
-func (p *ServerProxy) forwardFSStat(ctx context.Context, call *oncrpc.Call) (xdr.Marshaler, oncrpc.AcceptStat) {
-	var a nfs3.FSStatArgs
-	if call.DecodeArgs(&a) != nil {
-		return nil, oncrpc.GarbageArgs
-	}
-	return p.forward(ctx, call, nfs3.ProcFSStat, &a, &nfs3.FSStatRes{})
-}
-
-func (p *ServerProxy) forwardFSInfo(ctx context.Context, call *oncrpc.Call) (xdr.Marshaler, oncrpc.AcceptStat) {
-	var a nfs3.FSStatArgs
-	if call.DecodeArgs(&a) != nil {
-		return nil, oncrpc.GarbageArgs
-	}
-	return p.forward(ctx, call, nfs3.ProcFSInfo, &a, &nfs3.FSInfoRes{})
-}
-
-func (p *ServerProxy) forwardPathConf(ctx context.Context, call *oncrpc.Call) (xdr.Marshaler, oncrpc.AcceptStat) {
-	var a nfs3.FSStatArgs
-	if call.DecodeArgs(&a) != nil {
-		return nil, oncrpc.GarbageArgs
-	}
-	return p.forward(ctx, call, nfs3.ProcPathConf, &a, &nfs3.PathConfRes{})
-}
-
-func (p *ServerProxy) forwardCommit(ctx context.Context, call *oncrpc.Call) (xdr.Marshaler, oncrpc.AcceptStat) {
-	var a nfs3.CommitArgs
-	if call.DecodeArgs(&a) != nil {
-		return nil, oncrpc.GarbageArgs
-	}
-	return p.forward(ctx, call, nfs3.ProcCommit, &a, &nfs3.CommitRes{})
-}
-
-func (p *ServerProxy) mknod(ctx context.Context, call *oncrpc.Call) (xdr.Marshaler, oncrpc.AcceptStat) {
-	return &nfs3.CreateRes{Status: nfs3.Status(vfs.ErrNotSupp)}, oncrpc.Success
+	return p.up.CallCred(ctx, proc, cred, args, res)
 }
 
 func (p *ServerProxy) lookup(ctx context.Context, call *oncrpc.Call) (xdr.Marshaler, oncrpc.AcceptStat) {
@@ -455,7 +277,7 @@ func (p *ServerProxy) lookup(ctx context.Context, call *oncrpc.Call) (xdr.Marsha
 		return &nfs3.LookupRes{Status: nfs3.Status(vfs.ErrAccess)}, oncrpc.Success
 	}
 	var res nfs3.LookupRes
-	out, stat := p.forward(ctx, call, nfs3.ProcLookup, &a, &res)
+	out, stat := p.relay.Forward(ctx, call, &a, &res)
 	if stat == oncrpc.Success && res.Status == nfs3.OK {
 		p.rememberParent(res.Obj, a.What.Dir, a.What.Name)
 	}
@@ -471,7 +293,7 @@ func (p *ServerProxy) create(ctx context.Context, call *oncrpc.Call) (xdr.Marsha
 		return &nfs3.CreateRes{Status: nfs3.Status(vfs.ErrAccess)}, oncrpc.Success
 	}
 	var res nfs3.CreateRes
-	out, stat := p.forward(ctx, call, nfs3.ProcCreate, &a, &res)
+	out, stat := p.relay.Forward(ctx, call, &a, &res)
 	if stat == oncrpc.Success && res.Status == nfs3.OK && res.Obj.Present {
 		p.rememberParent(res.Obj.FH, a.Where.Dir, a.Where.Name)
 	}
@@ -487,7 +309,7 @@ func (p *ServerProxy) mkdir(ctx context.Context, call *oncrpc.Call) (xdr.Marshal
 		return &nfs3.CreateRes{Status: nfs3.Status(vfs.ErrAccess)}, oncrpc.Success
 	}
 	var res nfs3.CreateRes
-	out, stat := p.forward(ctx, call, nfs3.ProcMkdir, &a, &res)
+	out, stat := p.relay.Forward(ctx, call, &a, &res)
 	if stat == oncrpc.Success && res.Status == nfs3.OK && res.Obj.Present {
 		p.rememberParent(res.Obj.FH, a.Where.Dir, a.Where.Name)
 	}
@@ -502,7 +324,7 @@ func (p *ServerProxy) symlink(ctx context.Context, call *oncrpc.Call) (xdr.Marsh
 	if acl.IsACLFile(a.Where.Name) {
 		return &nfs3.CreateRes{Status: nfs3.Status(vfs.ErrAccess)}, oncrpc.Success
 	}
-	return p.forward(ctx, call, nfs3.ProcSymlink, &a, &nfs3.CreateRes{})
+	return p.relay.Forward(ctx, call, &a, &nfs3.CreateRes{})
 }
 
 func (p *ServerProxy) remove(ctx context.Context, call *oncrpc.Call) (xdr.Marshaler, oncrpc.AcceptStat) {
@@ -515,7 +337,7 @@ func (p *ServerProxy) remove(ctx context.Context, call *oncrpc.Call) (xdr.Marsha
 	}
 	// Removing an object also invalidates its cached ACL.
 	p.aclCache.Invalidate(a.Obj.Dir.Data, a.Obj.Name)
-	return p.forward(ctx, call, nfs3.ProcRemove, &a, &nfs3.WccRes{})
+	return p.relay.Forward(ctx, call, &a, &nfs3.WccRes{})
 }
 
 func (p *ServerProxy) rmdir(ctx context.Context, call *oncrpc.Call) (xdr.Marshaler, oncrpc.AcceptStat) {
@@ -524,7 +346,7 @@ func (p *ServerProxy) rmdir(ctx context.Context, call *oncrpc.Call) (xdr.Marshal
 		return nil, oncrpc.GarbageArgs
 	}
 	p.aclCache.Invalidate(a.Obj.Dir.Data, a.Obj.Name)
-	return p.forward(ctx, call, nfs3.ProcRmdir, &a, &nfs3.WccRes{})
+	return p.relay.Forward(ctx, call, &a, &nfs3.WccRes{})
 }
 
 func (p *ServerProxy) rename(ctx context.Context, call *oncrpc.Call) (xdr.Marshaler, oncrpc.AcceptStat) {
@@ -538,7 +360,7 @@ func (p *ServerProxy) rename(ctx context.Context, call *oncrpc.Call) (xdr.Marsha
 	p.aclCache.Invalidate(a.From.Dir.Data, a.From.Name)
 	p.aclCache.Invalidate(a.To.Dir.Data, a.To.Name)
 	var res nfs3.RenameRes
-	out, stat := p.forward(ctx, call, nfs3.ProcRename, &a, &res)
+	out, stat := p.relay.Forward(ctx, call, &a, &res)
 	if stat == oncrpc.Success && res.Status == nfs3.OK {
 		// Update the parent map for the moved object if we know it.
 		p.parentMu.Lock()
@@ -561,7 +383,7 @@ func (p *ServerProxy) link(ctx context.Context, call *oncrpc.Call) (xdr.Marshale
 	if acl.IsACLFile(a.Link.Name) {
 		return &nfs3.LinkRes{Status: nfs3.Status(vfs.ErrAccess)}, oncrpc.Success
 	}
-	return p.forward(ctx, call, nfs3.ProcLink, &a, &nfs3.LinkRes{})
+	return p.relay.Forward(ctx, call, &a, &nfs3.LinkRes{})
 }
 
 // readdir filters ACL files out of directory listings.
@@ -571,7 +393,7 @@ func (p *ServerProxy) readdir(ctx context.Context, call *oncrpc.Call) (xdr.Marsh
 		return nil, oncrpc.GarbageArgs
 	}
 	var res nfs3.ReadDirRes
-	out, stat := p.forward(ctx, call, nfs3.ProcReadDir, &a, &res)
+	out, stat := p.relay.Forward(ctx, call, &a, &res)
 	if stat == oncrpc.Success && res.Status == nfs3.OK {
 		filtered := res.Entries[:0]
 		for _, e := range res.Entries {
@@ -590,7 +412,7 @@ func (p *ServerProxy) readdirplus(ctx context.Context, call *oncrpc.Call) (xdr.M
 		return nil, oncrpc.GarbageArgs
 	}
 	var res nfs3.ReadDirPlusRes
-	out, stat := p.forward(ctx, call, nfs3.ProcReadDirPlus, &a, &res)
+	out, stat := p.relay.Forward(ctx, call, &a, &res)
 	if stat == oncrpc.Success && res.Status == nfs3.OK {
 		filtered := res.Entries[:0]
 		for _, e := range res.Entries {
@@ -616,24 +438,24 @@ func (p *ServerProxy) access(ctx context.Context, call *oncrpc.Call) (xdr.Marsha
 	}
 	sess := p.session(call)
 	if p.cfg.FineGrained && sess.dn != "" {
-		if aclObj := p.resolveACL(ctx, call, a.Obj); aclObj != nil {
+		if aclObj := p.resolveACL(ctx, a.Obj); aclObj != nil {
 			granted := aclObj.Check(sess.dn) & a.Access
 			res := &nfs3.AccessRes{Status: nfs3.OK, Access: granted}
 			// Attach post-op attributes for protocol fidelity.
 			var ga nfs3.GetAttrRes
-			if err := p.upCall(ctx, nfs3.ProcGetAttr, sess.cred, &nfs3.GetAttrArgs{Obj: a.Obj}, &ga); err == nil && ga.Status == nfs3.OK {
+			if err := p.relay.Call(ctx, call, nfs3.ProcGetAttr, &nfs3.GetAttrArgs{Obj: a.Obj}, &ga); err == nil && ga.Status == nfs3.OK {
 				res.Attr = nfs3.PostOpAttr{Present: true, Attr: ga.Attr}
 			}
 			return res, oncrpc.Success
 		}
 	}
-	return p.forward(ctx, call, nfs3.ProcAccess, &a, &nfs3.AccessRes{})
+	return p.relay.Forward(ctx, call, &a, &nfs3.AccessRes{})
 }
 
 // resolveACL finds the effective ACL for an object, walking up the
 // namespace for inheritance. It returns nil when no ACL governs the
 // object (UNIX permissions then apply).
-func (p *ServerProxy) resolveACL(ctx context.Context, call *oncrpc.Call, obj nfs3.FH3) *acl.ACL {
+func (p *ServerProxy) resolveACL(ctx context.Context, obj nfs3.FH3) *acl.ACL {
 	cur := obj
 	for depth := 0; depth < 64; depth++ {
 		if string(cur.Data) == p.rootKey {
@@ -644,7 +466,7 @@ func (p *ServerProxy) resolveACL(ctx context.Context, call *oncrpc.Call, obj nfs
 			return nil
 		}
 		dir := nfs3.FH3{Data: []byte(ref.dir)}
-		if a, found := p.loadACL(ctx, call, dir, ref.name); found {
+		if a, found := p.loadACL(ctx, dir, ref.name); found {
 			return a
 		}
 		cur = dir
@@ -654,31 +476,25 @@ func (p *ServerProxy) resolveACL(ctx context.Context, call *oncrpc.Call, obj nfs
 
 // loadACL fetches (through the cache) the ACL file for (dir, name).
 // found is false when the object has no dedicated ACL file.
-func (p *ServerProxy) loadACL(ctx context.Context, call *oncrpc.Call, dir nfs3.FH3, name string) (*acl.ACL, bool) {
+func (p *ServerProxy) loadACL(ctx context.Context, dir nfs3.FH3, name string) (*acl.ACL, bool) {
 	if !p.cfg.DisableACLCache {
 		if a, present := p.aclCache.Get(dir.Data, name); present {
 			return a, a != nil
 		}
 	}
-	a := p.fetchACL(ctx, call, dir, name)
+	a := p.fetchACL(ctx, dir, name)
 	if !p.cfg.DisableACLCache {
 		p.aclCache.Put(dir.Data, name, a)
 	}
 	return a, a != nil
 }
 
-// fetchACL reads .name.acl from dir via the upstream server. ACL
-// reads run under the proxy's own (root) credential: ACL files are
-// proxy metadata, stored mode 0600 root so no remote account can
-// touch them even through a misconfigured export.
-func (p *ServerProxy) fetchACL(ctx context.Context, call *oncrpc.Call, dir nfs3.FH3, name string) *acl.ACL {
-	rootCred, err := (&oncrpc.AuthSys{MachineName: "sgfs-proxy", UID: 0, GID: 0}).Auth()
-	if err != nil {
-		return nil
-	}
+// fetchACL reads .name.acl from dir via the upstream server, under
+// the proxy's own credential.
+func (p *ServerProxy) fetchACL(ctx context.Context, dir nfs3.FH3, name string) *acl.ACL {
 	var lres nfs3.LookupRes
 	args := &nfs3.LookupArgs{What: nfs3.DirOpArgs{Dir: dir, Name: acl.FileName(name)}}
-	if err := p.upCall(ctx, nfs3.ProcLookup, rootCred, args, &lres); err != nil || lres.Status != nfs3.OK {
+	if err := p.relay.Call(ctx, nil, nfs3.ProcLookup, args, &lres); err != nil || lres.Status != nfs3.OK {
 		return nil
 	}
 	var data []byte
@@ -686,7 +502,7 @@ func (p *ServerProxy) fetchACL(ctx context.Context, call *oncrpc.Call, dir nfs3.
 	for {
 		var rres nfs3.ReadRes
 		rargs := &nfs3.ReadArgs{Obj: lres.Obj, Offset: off, Count: 32 * 1024}
-		if err := p.upCall(ctx, nfs3.ProcRead, rootCred, rargs, &rres); err != nil || rres.Status != nfs3.OK {
+		if err := p.relay.Call(ctx, nil, nfs3.ProcRead, rargs, &rres); err != nil || rres.Status != nfs3.OK {
 			return nil
 		}
 		data = append(data, rres.Data...)
@@ -707,11 +523,8 @@ func (p *ServerProxy) fetchACL(ctx context.Context, call *oncrpc.Call, dir nfs3.
 // This is the entry point the management services use; remote NFS
 // clients can never reach ACL files.
 func (p *ServerProxy) SetACL(ctx context.Context, path string, a *acl.ACL) error {
+	defer p.relay.Charge(time.Now())
 	dir, name, err := p.resolvePathParent(ctx, path)
-	if err != nil {
-		return err
-	}
-	rootCred, err := (&oncrpc.AuthSys{MachineName: "sgfs-proxy", UID: 0, GID: 0}).Auth()
 	if err != nil {
 		return err
 	}
@@ -723,7 +536,7 @@ func (p *ServerProxy) SetACL(ctx context.Context, path string, a *acl.ACL) error
 		Attr:  nfs3.Sattr3{SetMode: true, Mode: 0600, SetSize: true},
 	}
 	var cres nfs3.CreateRes
-	if err := p.up.CallCred(ctx, nfs3.ProcCreate, rootCred, cargs, &cres); err != nil {
+	if err := p.relay.Call(ctx, nil, nfs3.ProcCreate, cargs, &cres); err != nil {
 		return err
 	}
 	if cres.Status != nfs3.OK {
@@ -732,7 +545,7 @@ func (p *ServerProxy) SetACL(ctx context.Context, path string, a *acl.ACL) error
 	data := a.Serialize()
 	wargs := &nfs3.WriteArgs{Obj: cres.Obj.FH, Offset: 0, Count: uint32(len(data)), Stable: nfs3.FileSync, Data: data}
 	var wres nfs3.WriteRes
-	if err := p.up.CallCred(ctx, nfs3.ProcWrite, rootCred, wargs, &wres); err != nil {
+	if err := p.relay.Call(ctx, nil, nfs3.ProcWrite, wargs, &wres); err != nil {
 		return err
 	}
 	if wres.Status != nfs3.OK {
@@ -745,10 +558,6 @@ func (p *ServerProxy) SetACL(ctx context.Context, path string, a *acl.ACL) error
 // resolvePathParent walks path from the export root with root
 // credentials and returns the parent directory handle and leaf name.
 func (p *ServerProxy) resolvePathParent(ctx context.Context, path string) (nfs3.FH3, string, error) {
-	rootCred, err := (&oncrpc.AuthSys{UID: 0, GID: 0}).Auth()
-	if err != nil {
-		return nfs3.FH3{}, "", err
-	}
 	parts := splitSlash(path)
 	if len(parts) == 0 {
 		return nfs3.FH3{}, "", vfs.ErrInval
@@ -757,7 +566,7 @@ func (p *ServerProxy) resolvePathParent(ctx context.Context, path string) (nfs3.
 	for _, name := range parts[:len(parts)-1] {
 		var res nfs3.LookupRes
 		args := &nfs3.LookupArgs{What: nfs3.DirOpArgs{Dir: cur, Name: name}}
-		if err := p.upCall(ctx, nfs3.ProcLookup, rootCred, args, &res); err != nil {
+		if err := p.relay.Call(ctx, nil, nfs3.ProcLookup, args, &res); err != nil {
 			return nfs3.FH3{}, "", err
 		}
 		if res.Status != nfs3.OK {

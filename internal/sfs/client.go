@@ -15,7 +15,6 @@ import (
 	"repro/internal/nfs3"
 	"repro/internal/oncrpc"
 	"repro/internal/securechan"
-	"repro/internal/vfs"
 	"repro/internal/xdr"
 )
 
@@ -44,10 +43,11 @@ type ClientConfig struct {
 // the local NFS client mounts it; it forwards over the secure channel
 // with aggressive attribute/access caching and pipelined readahead.
 type Client struct {
-	cfg  ClientConfig
-	rpc  *oncrpc.Server
-	up   *oncrpc.Client
-	root nfs3.FH3
+	cfg   ClientConfig
+	rpc   *oncrpc.Server
+	relay nfs3.Relay
+	up    *oncrpc.Client
+	root  nfs3.FH3
 
 	// Aggressive in-memory caches, valid for the session.
 	mu     sync.Mutex
@@ -107,21 +107,11 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 		return securechan.Client(raw, chanCfg)
 	}
 
-	mconn, err := dialSecure()
-	if err != nil {
-		return nil, err
-	}
 	mctx, cancel := context.WithTimeout(context.Background(), sfsMountTimeout)
 	defer cancel()
-	mc := oncrpc.NewClient(mconn, mountd.Program, mountd.Version)
-	var mres mountd.MntRes
-	err = mc.Call(mctx, mountd.ProcMnt, &mountd.MntArgs{Path: cfg.ExportPath}, &mres)
-	mc.Close()
+	root, err := mountd.Mount(mctx, dialSecure, cfg.ExportPath)
 	if err != nil {
 		return nil, err
-	}
-	if mres.Status != mountd.MntOK {
-		return nil, fmt.Errorf("sfs: mount refused: %w", vfs.Errno(mres.Status))
 	}
 
 	conn, err := dialSecure()
@@ -132,7 +122,7 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 		cfg:       cfg,
 		rpc:       oncrpc.NewServer(),
 		up:        oncrpc.NewClient(conn, nfs3.Program, nfs3.Version),
-		root:      mres.FH,
+		root:      root,
 		attrs:     make(map[string]nfs3.Fattr3),
 		access:    make(map[string]uint32),
 		blocks:    make(map[blockKey][]byte),
@@ -141,19 +131,15 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 		inflight:  make(map[blockKey]bool),
 		lastBlock: make(map[string]uint64),
 	}
+	c.relay = nfs3.Relay{Up: c, Meter: cfg.Meter}
 	c.register()
 	return c, nil
 }
 
-// upCall issues an upstream RPC, crediting the wait back to the meter.
-func (c *Client) upCall(ctx context.Context, proc uint32, args xdr.Marshaler, res xdr.Unmarshaler) error {
-	if c.cfg.Meter == nil {
-		return c.up.Call(ctx, proc, args, res)
-	}
-	start := time.Now()
-	err := c.up.Call(ctx, proc, args, res)
-	c.cfg.Meter.Add(-time.Since(start))
-	return err
+// UpCall implements nfs3.Upstream. The local client's call is not
+// consulted: the server daemon maps credentials from the user key.
+func (c *Client) UpCall(ctx context.Context, _ *oncrpc.Call, proc uint32, args xdr.Marshaler, res xdr.Unmarshaler) error {
+	return c.up.Call(ctx, proc, args, res)
 }
 
 // Serve accepts local client connections.
@@ -215,63 +201,20 @@ func (c *Client) dropFile(fh nfs3.FH3) {
 	c.mu.Unlock()
 }
 
+// register installs the MOUNT program (any path names the one export)
+// and the NFS relay with the procedures the in-memory caches answer or
+// must observe.
 func (c *Client) register() {
-	c.rpc.Register(mountd.Program, mountd.Version, map[uint32]oncrpc.Handler{
-		mountd.ProcMnt: func(_ context.Context, call *oncrpc.Call) (xdr.Marshaler, oncrpc.AcceptStat) {
-			var a mountd.MntArgs
-			if call.DecodeArgs(&a) != nil {
-				return nil, oncrpc.GarbageArgs
-			}
-			return &mountd.MntRes{Status: mountd.MntOK, FH: c.root, Flavors: []uint32{oncrpc.AuthFlavorSys}}, oncrpc.Success
-		},
+	mountd.RegisterRelay(c.rpc, func(string) (nfs3.FH3, bool) { return c.root, true })
+	c.relay.Register(c.rpc, map[uint32]oncrpc.Handler{
+		nfs3.ProcGetAttr: c.getattr,
+		nfs3.ProcSetAttr: c.setattr,
+		nfs3.ProcLookup:  c.lookup,
+		nfs3.ProcAccess:  c.accessProc,
+		nfs3.ProcRead:    c.read,
+		nfs3.ProcWrite:   c.write,
+		nfs3.ProcCreate:  c.create,
 	})
-	fwd := func(proc uint32, newArgs func() wire, newRes func() wire) oncrpc.Handler {
-		return func(ctx context.Context, call *oncrpc.Call) (xdr.Marshaler, oncrpc.AcceptStat) {
-			a := newArgs()
-			if call.DecodeArgs(a) != nil {
-				return nil, oncrpc.GarbageArgs
-			}
-			res := newRes()
-			if err := c.upCall(ctx, proc, a, res); err != nil {
-				return nil, oncrpc.SystemErr
-			}
-			return res, oncrpc.Success
-		}
-	}
-	h := map[uint32]oncrpc.Handler{
-		nfs3.ProcGetAttr:     c.getattr,
-		nfs3.ProcSetAttr:     c.setattr,
-		nfs3.ProcLookup:      c.lookup,
-		nfs3.ProcAccess:      c.accessProc,
-		nfs3.ProcReadLink:    fwd(nfs3.ProcReadLink, func() wire { return &nfs3.ReadLinkArgs{} }, func() wire { return &nfs3.ReadLinkRes{} }),
-		nfs3.ProcRead:        c.read,
-		nfs3.ProcWrite:       c.write,
-		nfs3.ProcCreate:      c.create,
-		nfs3.ProcMkdir:       fwd(nfs3.ProcMkdir, func() wire { return &nfs3.MkdirArgs{} }, func() wire { return &nfs3.CreateRes{} }),
-		nfs3.ProcSymlink:     fwd(nfs3.ProcSymlink, func() wire { return &nfs3.SymlinkArgs{} }, func() wire { return &nfs3.CreateRes{} }),
-		nfs3.ProcRemove:      c.remove,
-		nfs3.ProcRmdir:       fwd(nfs3.ProcRmdir, func() wire { return &nfs3.RemoveArgs{} }, func() wire { return &nfs3.WccRes{} }),
-		nfs3.ProcRename:      fwd(nfs3.ProcRename, func() wire { return &nfs3.RenameArgs{} }, func() wire { return &nfs3.RenameRes{} }),
-		nfs3.ProcLink:        fwd(nfs3.ProcLink, func() wire { return &nfs3.LinkArgs{} }, func() wire { return &nfs3.LinkRes{} }),
-		nfs3.ProcReadDir:     fwd(nfs3.ProcReadDir, func() wire { return &nfs3.ReadDirArgs{} }, func() wire { return &nfs3.ReadDirRes{} }),
-		nfs3.ProcReadDirPlus: fwd(nfs3.ProcReadDirPlus, func() wire { return &nfs3.ReadDirPlusArgs{} }, func() wire { return &nfs3.ReadDirPlusRes{} }),
-		nfs3.ProcFSStat:      fwd(nfs3.ProcFSStat, func() wire { return &nfs3.FSStatArgs{} }, func() wire { return &nfs3.FSStatRes{} }),
-		nfs3.ProcFSInfo:      fwd(nfs3.ProcFSInfo, func() wire { return &nfs3.FSStatArgs{} }, func() wire { return &nfs3.FSInfoRes{} }),
-		nfs3.ProcPathConf:    fwd(nfs3.ProcPathConf, func() wire { return &nfs3.FSStatArgs{} }, func() wire { return &nfs3.PathConfRes{} }),
-		nfs3.ProcCommit:      fwd(nfs3.ProcCommit, func() wire { return &nfs3.CommitArgs{} }, func() wire { return &nfs3.CommitRes{} }),
-	}
-	if c.cfg.Meter != nil {
-		for k, fn := range h {
-			fn := fn
-			h[k] = func(ctx context.Context, call *oncrpc.Call) (xdr.Marshaler, oncrpc.AcceptStat) {
-				start := time.Now()
-				res, stat := fn(ctx, call)
-				c.cfg.Meter.Add(time.Since(start))
-				return res, stat
-			}
-		}
-	}
-	c.rpc.Register(nfs3.Program, nfs3.Version, h)
 }
 
 func (c *Client) getattr(ctx context.Context, call *oncrpc.Call) (xdr.Marshaler, oncrpc.AcceptStat) {
@@ -286,7 +229,7 @@ func (c *Client) getattr(ctx context.Context, call *oncrpc.Call) (xdr.Marshaler,
 		return &nfs3.GetAttrRes{Status: nfs3.OK, Attr: attr}, oncrpc.Success
 	}
 	var res nfs3.GetAttrRes
-	if err := c.upCall(ctx, nfs3.ProcGetAttr, &a, &res); err != nil {
+	if err := c.relay.Call(ctx, nil, nfs3.ProcGetAttr, &a, &res); err != nil {
 		return nil, oncrpc.SystemErr
 	}
 	if res.Status == nfs3.OK {
@@ -303,7 +246,7 @@ func (c *Client) lookup(ctx context.Context, call *oncrpc.Call) (xdr.Marshaler, 
 		return nil, oncrpc.GarbageArgs
 	}
 	var res nfs3.LookupRes
-	if err := c.upCall(ctx, nfs3.ProcLookup, &a, &res); err != nil {
+	if err := c.relay.Call(ctx, nil, nfs3.ProcLookup, &a, &res); err != nil {
 		return nil, oncrpc.SystemErr
 	}
 	if res.Status == nfs3.OK && res.Attr.Present {
@@ -328,7 +271,7 @@ func (c *Client) accessProc(ctx context.Context, call *oncrpc.Call) (xdr.Marshal
 	full := a
 	full.Access = 0x3f
 	var res nfs3.AccessRes
-	if err := c.upCall(ctx, nfs3.ProcAccess, &full, &res); err != nil {
+	if err := c.relay.Call(ctx, nil, nfs3.ProcAccess, &full, &res); err != nil {
 		return nil, oncrpc.SystemErr
 	}
 	if res.Status == nfs3.OK {
@@ -347,7 +290,7 @@ func (c *Client) setattr(ctx context.Context, call *oncrpc.Call) (xdr.Marshaler,
 	}
 	c.dropFile(a.Obj)
 	var res nfs3.WccRes
-	if err := c.upCall(ctx, nfs3.ProcSetAttr, &a, &res); err != nil {
+	if err := c.relay.Call(ctx, nil, nfs3.ProcSetAttr, &a, &res); err != nil {
 		return nil, oncrpc.SystemErr
 	}
 	return &res, oncrpc.Success
@@ -359,25 +302,13 @@ func (c *Client) create(ctx context.Context, call *oncrpc.Call) (xdr.Marshaler, 
 		return nil, oncrpc.GarbageArgs
 	}
 	var res nfs3.CreateRes
-	if err := c.upCall(ctx, nfs3.ProcCreate, &a, &res); err != nil {
+	if err := c.relay.Call(ctx, nil, nfs3.ProcCreate, &a, &res); err != nil {
 		return nil, oncrpc.SystemErr
 	}
 	if res.Status == nfs3.OK && res.Obj.Present && res.Attr.Present {
 		c.mu.Lock()
 		c.attrs[string(res.Obj.FH.Data)] = res.Attr.Attr
 		c.mu.Unlock()
-	}
-	return &res, oncrpc.Success
-}
-
-func (c *Client) remove(ctx context.Context, call *oncrpc.Call) (xdr.Marshaler, oncrpc.AcceptStat) {
-	var a nfs3.RemoveArgs
-	if call.DecodeArgs(&a) != nil {
-		return nil, oncrpc.GarbageArgs
-	}
-	var res nfs3.WccRes
-	if err := c.upCall(ctx, nfs3.ProcRemove, &a, &res); err != nil {
-		return nil, oncrpc.SystemErr
 	}
 	return &res, oncrpc.Success
 }
@@ -409,7 +340,7 @@ func (c *Client) read(ctx context.Context, call *oncrpc.Call) (xdr.Marshaler, on
 	if !ok {
 		var res nfs3.ReadRes
 		args := &nfs3.ReadArgs{Obj: a.Obj, Offset: idx * sfsBlockSize, Count: sfsBlockSize}
-		if err := c.upCall(ctx, nfs3.ProcRead, args, &res); err != nil {
+		if err := c.relay.Call(ctx, nil, nfs3.ProcRead, args, &res); err != nil {
 			return nil, oncrpc.SystemErr
 		}
 		if res.Status != nfs3.OK {
@@ -494,7 +425,7 @@ func (c *Client) write(ctx context.Context, call *oncrpc.Call) (xdr.Marshaler, o
 	}
 	c.mu.Unlock()
 	var res nfs3.WriteRes
-	if err := c.upCall(ctx, nfs3.ProcWrite, &a, &res); err != nil {
+	if err := c.relay.Call(ctx, nil, nfs3.ProcWrite, &a, &res); err != nil {
 		return nil, oncrpc.SystemErr
 	}
 	if res.Status == nfs3.OK && res.Wcc.After.Present {

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"net"
 	"sync"
-	"time"
 
 	"repro/internal/gridsec"
 	"repro/internal/idmap"
@@ -16,7 +15,6 @@ import (
 	"repro/internal/nfs3"
 	"repro/internal/oncrpc"
 	"repro/internal/securechan"
-	"repro/internal/vfs"
 	"repro/internal/xdr"
 )
 
@@ -43,15 +41,13 @@ type ServerConfig struct {
 // key, terminates the RC4+SHA1 channel, and forwards NFS RPCs to the
 // local server under the mapped account.
 type Server struct {
-	cfg  ServerConfig
-	rpc  *oncrpc.Server
-	up   *oncrpc.Client
-	root nfs3.FH3
+	cfg   ServerConfig
+	rpc   *oncrpc.Server
+	relay nfs3.Relay
+	up    *oncrpc.Client
+	root  nfs3.FH3
 
 	sessions sync.Map // net.Conn -> oncrpc.OpaqueAuth
-
-	mu        sync.Mutex
-	listeners []net.Listener
 }
 
 // NewServer mounts the upstream export and returns a daemon ready to
@@ -62,19 +58,9 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), sfsMountTimeout)
 	defer cancel()
-	conn, err := cfg.UpstreamDial()
+	root, err := mountd.Mount(ctx, cfg.UpstreamDial, cfg.ExportPath)
 	if err != nil {
 		return nil, err
-	}
-	mc := oncrpc.NewClient(conn, mountd.Program, mountd.Version)
-	var mres mountd.MntRes
-	err = mc.Call(ctx, mountd.ProcMnt, &mountd.MntArgs{Path: cfg.ExportPath}, &mres)
-	mc.Close()
-	if err != nil {
-		return nil, err
-	}
-	if mres.Status != mountd.MntOK {
-		return nil, fmt.Errorf("sfs: upstream mount refused: %w", vfs.Errno(mres.Status))
 	}
 	upConn, err := cfg.UpstreamDial()
 	if err != nil {
@@ -84,9 +70,17 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		cfg:  cfg,
 		rpc:  oncrpc.NewServer(),
 		up:   oncrpc.NewClient(upConn, nfs3.Program, nfs3.Version),
-		root: mres.FH,
+		root: root,
 	}
-	s.register()
+	s.relay = nfs3.Relay{Up: s, Meter: cfg.Meter}
+	s.rpc.Handshake = s.handleConn
+	mountd.RegisterRelay(s.rpc, func(path string) (nfs3.FH3, bool) {
+		// SFS clients name the export by self-certifying path or the
+		// raw export; accept both.
+		return s.root, path == cfg.ExportPath || isSelfCertifying(path)
+	})
+	// Nothing to intercept: the daemon only authenticates and remaps.
+	s.relay.Register(s.rpc, nil)
 	return s, nil
 }
 
@@ -94,19 +88,10 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 func (s *Server) HostID() string { return HostID(s.cfg.Credential) }
 
 // Serve accepts SFS client connections.
-func (s *Server) Serve(l net.Listener) error {
-	s.mu.Lock()
-	s.listeners = append(s.listeners, l)
-	s.mu.Unlock()
-	for {
-		conn, err := l.Accept()
-		if err != nil {
-			return err
-		}
-		go s.handleConn(conn)
-	}
-}
+func (s *Server) Serve(l net.Listener) error { return s.rpc.Serve(l) }
 
+// handleConn is the RPC server's Handshake step: it authenticates the
+// user key on one accepted transport, then serves RPC on it.
 func (s *Server) handleConn(raw net.Conn) {
 	var account idmap.Account
 	cfg := &securechan.Config{
@@ -140,88 +125,18 @@ func (s *Server) handleConn(raw net.Conn) {
 
 // Close shuts the daemon down.
 func (s *Server) Close() {
-	s.mu.Lock()
-	for _, l := range s.listeners {
-		l.Close()
-	}
-	s.mu.Unlock()
 	s.rpc.Close()
 	s.up.Close()
 }
 
-func (s *Server) cred(call *oncrpc.Call) oncrpc.OpaqueAuth {
+// UpCall implements nfs3.Upstream: the RPC runs under the account
+// mapped to the user key of call's session.
+func (s *Server) UpCall(ctx context.Context, call *oncrpc.Call, proc uint32, args xdr.Marshaler, res xdr.Unmarshaler) error {
+	cred := oncrpc.AuthNone
 	if v, ok := s.sessions.Load(call.Conn); ok {
-		return v.(oncrpc.OpaqueAuth)
+		cred = v.(oncrpc.OpaqueAuth)
 	}
-	return oncrpc.AuthNone
-}
-
-type wire interface {
-	xdr.Marshaler
-	xdr.Unmarshaler
-}
-
-// forward builds a pass-through handler executing under the session's
-// mapped credential.
-func (s *Server) forward(proc uint32, newArgs func() wire, newRes func() wire) oncrpc.Handler {
-	return func(ctx context.Context, call *oncrpc.Call) (xdr.Marshaler, oncrpc.AcceptStat) {
-		start := time.Now()
-		a := newArgs()
-		if call.DecodeArgs(a) != nil {
-			return nil, oncrpc.GarbageArgs
-		}
-		res := newRes()
-		callStart := time.Now()
-		err := s.up.CallCred(ctx, proc, s.cred(call), a, res)
-		callDur := time.Since(callStart)
-		if s.cfg.Meter != nil {
-			// Local processing only: exclude the upstream wait.
-			s.cfg.Meter.Add(time.Since(start) - callDur)
-		}
-		if err != nil {
-			return nil, oncrpc.SystemErr
-		}
-		return res, oncrpc.Success
-	}
-}
-
-func (s *Server) register() {
-	s.rpc.Register(mountd.Program, mountd.Version, map[uint32]oncrpc.Handler{
-		mountd.ProcMnt: func(_ context.Context, call *oncrpc.Call) (xdr.Marshaler, oncrpc.AcceptStat) {
-			var a mountd.MntArgs
-			if call.DecodeArgs(&a) != nil {
-				return nil, oncrpc.GarbageArgs
-			}
-			// SFS clients name the export by self-certifying path or
-			// the raw export; accept both.
-			if a.Path != s.cfg.ExportPath && !isSelfCertifying(a.Path) {
-				return &mountd.MntRes{Status: mountd.MntNoEnt}, oncrpc.Success
-			}
-			return &mountd.MntRes{Status: mountd.MntOK, FH: s.root, Flavors: []uint32{oncrpc.AuthFlavorSys}}, oncrpc.Success
-		},
-	})
-	s.rpc.Register(nfs3.Program, nfs3.Version, map[uint32]oncrpc.Handler{
-		nfs3.ProcGetAttr:     s.forward(nfs3.ProcGetAttr, func() wire { return &nfs3.GetAttrArgs{} }, func() wire { return &nfs3.GetAttrRes{} }),
-		nfs3.ProcSetAttr:     s.forward(nfs3.ProcSetAttr, func() wire { return &nfs3.SetAttrArgs{} }, func() wire { return &nfs3.WccRes{} }),
-		nfs3.ProcLookup:      s.forward(nfs3.ProcLookup, func() wire { return &nfs3.LookupArgs{} }, func() wire { return &nfs3.LookupRes{} }),
-		nfs3.ProcAccess:      s.forward(nfs3.ProcAccess, func() wire { return &nfs3.AccessArgs{} }, func() wire { return &nfs3.AccessRes{} }),
-		nfs3.ProcReadLink:    s.forward(nfs3.ProcReadLink, func() wire { return &nfs3.ReadLinkArgs{} }, func() wire { return &nfs3.ReadLinkRes{} }),
-		nfs3.ProcRead:        s.forward(nfs3.ProcRead, func() wire { return &nfs3.ReadArgs{} }, func() wire { return &nfs3.ReadRes{} }),
-		nfs3.ProcWrite:       s.forward(nfs3.ProcWrite, func() wire { return &nfs3.WriteArgs{} }, func() wire { return &nfs3.WriteRes{} }),
-		nfs3.ProcCreate:      s.forward(nfs3.ProcCreate, func() wire { return &nfs3.CreateArgs{} }, func() wire { return &nfs3.CreateRes{} }),
-		nfs3.ProcMkdir:       s.forward(nfs3.ProcMkdir, func() wire { return &nfs3.MkdirArgs{} }, func() wire { return &nfs3.CreateRes{} }),
-		nfs3.ProcSymlink:     s.forward(nfs3.ProcSymlink, func() wire { return &nfs3.SymlinkArgs{} }, func() wire { return &nfs3.CreateRes{} }),
-		nfs3.ProcRemove:      s.forward(nfs3.ProcRemove, func() wire { return &nfs3.RemoveArgs{} }, func() wire { return &nfs3.WccRes{} }),
-		nfs3.ProcRmdir:       s.forward(nfs3.ProcRmdir, func() wire { return &nfs3.RemoveArgs{} }, func() wire { return &nfs3.WccRes{} }),
-		nfs3.ProcRename:      s.forward(nfs3.ProcRename, func() wire { return &nfs3.RenameArgs{} }, func() wire { return &nfs3.RenameRes{} }),
-		nfs3.ProcLink:        s.forward(nfs3.ProcLink, func() wire { return &nfs3.LinkArgs{} }, func() wire { return &nfs3.LinkRes{} }),
-		nfs3.ProcReadDir:     s.forward(nfs3.ProcReadDir, func() wire { return &nfs3.ReadDirArgs{} }, func() wire { return &nfs3.ReadDirRes{} }),
-		nfs3.ProcReadDirPlus: s.forward(nfs3.ProcReadDirPlus, func() wire { return &nfs3.ReadDirPlusArgs{} }, func() wire { return &nfs3.ReadDirPlusRes{} }),
-		nfs3.ProcFSStat:      s.forward(nfs3.ProcFSStat, func() wire { return &nfs3.FSStatArgs{} }, func() wire { return &nfs3.FSStatRes{} }),
-		nfs3.ProcFSInfo:      s.forward(nfs3.ProcFSInfo, func() wire { return &nfs3.FSStatArgs{} }, func() wire { return &nfs3.FSInfoRes{} }),
-		nfs3.ProcPathConf:    s.forward(nfs3.ProcPathConf, func() wire { return &nfs3.FSStatArgs{} }, func() wire { return &nfs3.PathConfRes{} }),
-		nfs3.ProcCommit:      s.forward(nfs3.ProcCommit, func() wire { return &nfs3.CommitArgs{} }, func() wire { return &nfs3.CommitRes{} }),
-	})
+	return s.up.CallCred(ctx, proc, cred, args, res)
 }
 
 func isSelfCertifying(p string) bool {

@@ -6,6 +6,7 @@ import (
 	"io"
 	"net"
 	"testing"
+	"time"
 
 	"repro/internal/gridsec"
 	"repro/internal/idmap"
@@ -49,6 +50,13 @@ func TestHostIDStable(t *testing.T) {
 // buildSFS assembles memfs -> nfs server -> SFS server -> SFS client.
 func buildSFS(t *testing.T) (clientAddr string, backend *vfs.MemFS, serverCred *gridsec.Credential, userCred *gridsec.Credential, srvAddr string) {
 	t.Helper()
+	_, clientAddr, backend, serverCred, userCred, srvAddr = buildSFSServer(t)
+	return
+}
+
+// buildSFSServer is buildSFS that also hands back the server daemon.
+func buildSFSServer(t *testing.T) (srv *Server, clientAddr string, backend *vfs.MemFS, serverCred *gridsec.Credential, userCred *gridsec.Credential, srvAddr string) {
+	t.Helper()
 	backend = vfs.NewMemFS()
 	rpc := oncrpc.NewServer()
 	nfs3.NewServer(backend, 2).Register(rpc)
@@ -88,7 +96,7 @@ func buildSFS(t *testing.T) (clientAddr string, backend *vfs.MemFS, serverCred *
 	cliL, _ := net.Listen("tcp", "127.0.0.1:0")
 	go cli.Serve(cliL)
 	t.Cleanup(cli.Close)
-	return cliL.Addr().String(), backend, serverCred, userCred, srvL.Addr().String()
+	return srv, cliL.Addr().String(), backend, serverCred, userCred, srvL.Addr().String()
 }
 
 func TestSFSEndToEnd(t *testing.T) {
@@ -195,5 +203,136 @@ func TestSFSAttrCacheAggressive(t *testing.T) {
 		if _, err := fs.Stat(ctx, "meta"); err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// TestSFSFullProcedureSurface drives the procedures neither SFS daemon
+// intercepts — the relay's pass-through rows — through client and
+// server end to end, as proxy.TestFullProcedureSurface does for the
+// SGFS proxies.
+func TestSFSFullProcedureSurface(t *testing.T) {
+	addr, backend, _, _, _ := buildSFS(t)
+	dial := func() (net.Conn, error) { return net.Dial("tcp", addr) }
+	ctx := context.Background()
+	fs, err := nfsclient.Mount(ctx, dial, "/export", nfsclient.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fs.Close()
+
+	if err := fs.Symlink(ctx, "target/file", "sym"); err != nil {
+		t.Fatal(err)
+	}
+	if target, err := fs.ReadLink(ctx, "sym"); err != nil || target != "target/file" {
+		t.Fatalf("readlink: %q %v", target, err)
+	}
+
+	// Rename across directories, then a hard link to the moved file.
+	if err := fs.Mkdir(ctx, "d1", 0755); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.Mkdir(ctx, "d2", 0755); err != nil {
+		t.Fatal(err)
+	}
+	f, err := fs.Create(ctx, "d1/file", 0644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Write(ctx, []byte("x"))
+	if err := f.Close(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.Rename(ctx, "d1/file", "d2/moved"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fs.Stat(ctx, "d2/moved"); err != nil {
+		t.Fatal(err)
+	}
+	d2, _, err := fs.Proto().Lookup(ctx, fs.Root(), "d2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.Proto().Link(ctx, f.Handle(), d2, "linked"); err != nil {
+		t.Fatal(err)
+	}
+	if a, err := fs.Stat(ctx, "d2/linked"); err != nil || a.Nlink != 2 {
+		t.Fatalf("link: %+v %v", a, err)
+	}
+	if err := fs.Rmdir(ctx, "d1"); err != nil {
+		t.Fatal(err)
+	}
+
+	// READDIR (nfsclient only speaks READDIRPLUS), PATHCONF and MKNOD
+	// have no typed client call: issue them raw.
+	raw, err := oncrpc.Dial("tcp", addr, nfs3.Program, nfs3.Version)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer raw.Close()
+	var rd nfs3.ReadDirRes
+	if err := raw.Call(ctx, nfs3.ProcReadDir, &nfs3.ReadDirArgs{Dir: d2, Count: 4096}, &rd); err != nil || rd.Status != nfs3.OK || len(rd.Entries) < 2 {
+		t.Fatalf("readdir: %+v %v", rd, err)
+	}
+	if entries, _, err := fs.Proto().ReadDirPlus(ctx, d2, 0); err != nil || len(entries) < 2 {
+		t.Fatalf("readdirplus: %d entries, %v", len(entries), err)
+	}
+	if _, err := fs.Proto().FSStat(ctx, fs.Root()); err != nil {
+		t.Fatal(err)
+	}
+	if fi, err := fs.Proto().FSInfo(ctx, fs.Root()); err != nil || fi.RtMax == 0 {
+		t.Fatalf("fsinfo: %+v %v", fi, err)
+	}
+	var pc nfs3.PathConfRes
+	if err := raw.Call(ctx, nfs3.ProcPathConf, &nfs3.FSStatArgs{Obj: fs.Root()}, &pc); err != nil || pc.Status != nfs3.OK || pc.NameMax == 0 {
+		t.Fatalf("pathconf: %+v %v", pc, err)
+	}
+	if err := fs.Proto().Commit(ctx, f.Handle(), 0, 0); err != nil {
+		t.Fatalf("commit: %v", err)
+	}
+	var mk nfs3.CreateRes
+	if err := raw.Call(ctx, nfs3.ProcMknod, &nfs3.GetAttrArgs{Obj: fs.Root()}, &mk); err != nil || mk.Status != nfs3.Status(vfs.ErrNotSupp) {
+		t.Fatalf("mknod: %+v %v", mk, err)
+	}
+	if _, _, err := backend.Lookup(backend.Root(), "sym"); err != nil {
+		t.Fatalf("symlink did not reach the backend: %v", err)
+	}
+}
+
+// TestSFSServerCloseEndsSessions: Close must end established sessions,
+// not just stop accepting new ones.
+func TestSFSServerCloseEndsSessions(t *testing.T) {
+	srv, addr, backend, _, _, _ := buildSFSServer(t)
+	dial := func() (net.Conn, error) { return net.Dial("tcp", addr) }
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	fs, err := nfsclient.Mount(ctx, dial, "/export", nfsclient.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fs.Close()
+	sessions := func() (n int) {
+		srv.sessions.Range(func(_, _ any) bool { n++; return true })
+		return n
+	}
+	if sessions() == 0 {
+		t.Fatal("no session after mount")
+	}
+	// A file the client has not looked up yet: finding it takes an
+	// upstream call.
+	if _, _, err := backend.Create(backend.Root(), "late", vfs.SetAttr{}, false); err != nil {
+		t.Fatal(err)
+	}
+	srv.Close()
+	for deadline := time.Now().Add(5 * time.Second); sessions() > 0; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d session(s) still open after Close", sessions())
+		}
+	}
+	start := time.Now()
+	if _, err := fs.Stat(ctx, "late"); err == nil {
+		t.Fatal("call through a closed server succeeded")
+	}
+	if d := time.Since(start); d > 2*time.Second {
+		t.Fatalf("call through a closed server took %v to fail", d)
 	}
 }

@@ -1,0 +1,218 @@
+package blockio
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"sort"
+	"sync"
+	"testing"
+
+	"repro/internal/nfs3"
+)
+
+// fakeWriter is a server as Flush sees it. verf(n) is the verifier the
+// n-th call (WRITEs and COMMITs counted together, from 1) reports;
+// every call and every Durable report is logged in order.
+type fakeWriter struct {
+	verf      func(call int) byte
+	committed uint32          // level UNSTABLE writes are acknowledged at
+	failWrite map[string]bool // "fh/idx" -> the UNSTABLE write fails
+	failSync  map[string]bool // "fh/idx" -> the FILE_SYNC re-send fails
+	gone      map[string]bool
+
+	mu    sync.Mutex
+	calls int
+	log   []string
+}
+
+func (w *fakeWriter) next(event string) Verifier {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	w.calls++
+	w.log = append(w.log, event)
+	v := byte(1)
+	if w.verf != nil {
+		v = w.verf(w.calls)
+	}
+	return Verifier{v}
+}
+
+func (w *fakeWriter) WriteBlock(_ context.Context, fh nfs3.FH3, idx uint64, stable uint32) (uint32, Verifier, error) {
+	key := blockName(fh, idx)
+	if w.gone[key] {
+		return 0, Verifier{}, ErrGone
+	}
+	if stable == nfs3.FileSync {
+		verf := w.next("sync " + key)
+		if w.failSync[key] {
+			return 0, verf, errors.New("sync write failed")
+		}
+		return nfs3.FileSync, verf, nil
+	}
+	verf := w.next("write " + key)
+	if w.failWrite[key] {
+		return 0, verf, errors.New("write failed")
+	}
+	return w.committed, verf, nil
+}
+
+func (w *fakeWriter) Commit(_ context.Context, fh nfs3.FH3) (Verifier, error) {
+	return w.next("commit " + string(fh.Data)), nil
+}
+
+func (w *fakeWriter) Durable(fh nfs3.FH3, idx uint64) {
+	w.mu.Lock()
+	w.log = append(w.log, "durable "+blockName(fh, idx))
+	w.mu.Unlock()
+}
+
+// events returns the logged events with the given prefix, sorted.
+func (w *fakeWriter) events(prefix string) []string {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	var out []string
+	for _, e := range w.log {
+		if len(e) > len(prefix) && e[:len(prefix)] == prefix {
+			out = append(out, e[len(prefix):])
+		}
+	}
+	sort.Strings(out)
+	return out
+}
+
+// position returns the index of event in the log, or -1.
+func (w *fakeWriter) position(event string) int {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	for i, e := range w.log {
+		if e == event {
+			return i
+		}
+	}
+	return -1
+}
+
+func fileOf(name string, blocks ...uint64) FileBlocks {
+	return FileBlocks{FH: nfs3.FH3{Data: []byte(name)}, Blocks: blocks}
+}
+
+func equal(a, b []string) bool { return fmt.Sprint(a) == fmt.Sprint(b) }
+
+// TestFlushCommitsOncePerFile: the plain case. Every block goes out
+// UNSTABLE, each file gets exactly one COMMIT after its last write, and
+// a block is durable only after that COMMIT.
+func TestFlushCommitsOncePerFile(t *testing.T) {
+	t.Parallel()
+	w := &fakeWriter{}
+	mismatches, err := Flush(context.Background(), 4, []FileBlocks{fileOf("a", 0, 1, 2), fileOf("b", 7), fileOf("empty")}, w)
+	if err != nil || mismatches != 0 {
+		t.Fatalf("Flush = %d, %v", mismatches, err)
+	}
+	if got := w.events("commit "); !equal(got, []string{"a", "b"}) {
+		t.Errorf("commits %v", got)
+	}
+	if got := w.events("durable "); !equal(got, []string{"a/0", "a/1", "a/2", "b/7"}) {
+		t.Errorf("durable %v", got)
+	}
+	if got := w.events("sync "); len(got) != 0 {
+		t.Errorf("FILE_SYNC re-sends without a verifier change: %v", got)
+	}
+	for _, b := range []string{"a/0", "a/1", "a/2"} {
+		if w.position("durable "+b) < w.position("commit a") || w.position("write "+b) > w.position("commit a") {
+			t.Errorf("block %s: write, COMMIT and durable report out of order: %v", b, w.log)
+		}
+	}
+}
+
+// TestFlushVerifierMismatch: a verifier that changes between two
+// WRITEs, or between the last WRITE and the COMMIT, means the server
+// restarted: every written block is re-sent FILE_SYNC, and reported
+// durable only after its re-send succeeds.
+func TestFlushVerifierMismatch(t *testing.T) {
+	t.Parallel()
+	for _, tc := range []struct {
+		name   string
+		flipAt int // first call that sees the new verifier
+	}{
+		{"between two WRITEs", 3},
+		{"between the last WRITE and COMMIT", 5},
+	} {
+		w := &fakeWriter{verf: func(call int) byte {
+			if call >= tc.flipAt {
+				return 2
+			}
+			return 1
+		}}
+		// Width 1 keeps the call order fixed: four writes, then COMMIT.
+		mismatches, err := Flush(context.Background(), 1, []FileBlocks{fileOf("f", 0, 1, 2, 3)}, w)
+		if err != nil || mismatches != 1 {
+			t.Fatalf("%s: Flush = %d, %v", tc.name, mismatches, err)
+		}
+		all := []string{"f/0", "f/1", "f/2", "f/3"}
+		if got := w.events("sync "); !equal(got, all) {
+			t.Errorf("%s: re-sent %v, want every written block", tc.name, got)
+		}
+		if got := w.events("durable "); !equal(got, all) {
+			t.Errorf("%s: durable %v", tc.name, got)
+		}
+		for _, b := range all {
+			if w.position("durable "+b) < w.position("sync "+b) {
+				t.Errorf("%s: block %s reported durable before its FILE_SYNC re-send", tc.name, b)
+			}
+		}
+	}
+}
+
+// TestFlushResendFailure: a block whose FILE_SYNC re-send fails is not
+// durable; the others of the file still are.
+func TestFlushResendFailure(t *testing.T) {
+	t.Parallel()
+	w := &fakeWriter{
+		verf:     func(call int) byte { return byte(call) }, // never the same twice
+		failSync: map[string]bool{"f/1": true},
+	}
+	mismatches, err := Flush(context.Background(), 2, []FileBlocks{fileOf("f", 0, 1, 2)}, w)
+	if err == nil || mismatches != 1 {
+		t.Fatalf("Flush = %d, %v; want the re-send error", mismatches, err)
+	}
+	if got := w.events("durable "); !equal(got, []string{"f/0", "f/2"}) {
+		t.Errorf("durable %v", got)
+	}
+}
+
+// TestFlushFailedWrite: a failed WRITE means no COMMIT for that file
+// and nothing of it reported durable — not even the blocks whose
+// UNSTABLE writes succeeded; other files are unaffected.
+func TestFlushFailedWrite(t *testing.T) {
+	t.Parallel()
+	w := &fakeWriter{failWrite: map[string]bool{"bad/1": true}}
+	_, err := Flush(context.Background(), 3, []FileBlocks{fileOf("bad", 0, 1, 2), fileOf("good", 0, 1)}, w)
+	if err == nil {
+		t.Fatal("Flush over a failing WRITE reported success")
+	}
+	if got := w.events("commit "); !equal(got, []string{"good"}) {
+		t.Errorf("commits %v, want only the healthy file", got)
+	}
+	if got := w.events("durable "); !equal(got, []string{"good/0", "good/1"}) {
+		t.Errorf("durable %v", got)
+	}
+}
+
+// TestFlushFileSyncReplies: writes the server acknowledges FILE_SYNC
+// are durable at once and need no COMMIT at all. A block that has gone
+// is neither written, failed nor durable.
+func TestFlushFileSyncReplies(t *testing.T) {
+	t.Parallel()
+	w := &fakeWriter{committed: nfs3.FileSync, gone: map[string]bool{"f/2": true}}
+	mismatches, err := Flush(context.Background(), 4, []FileBlocks{fileOf("f", 0, 1, 2, 3)}, w)
+	if err != nil || mismatches != 0 {
+		t.Fatalf("Flush = %d, %v", mismatches, err)
+	}
+	if got := w.events("commit "); len(got) != 0 {
+		t.Errorf("COMMIT sent after FILE_SYNC replies: %v", got)
+	}
+	if got := w.events("durable "); !equal(got, []string{"f/0", "f/1", "f/3"}) {
+		t.Errorf("durable %v", got)
+	}
+}

@@ -1,7 +1,6 @@
 package nfs4
 
 import (
-	"container/list"
 	"context"
 	"fmt"
 	"io"
@@ -10,6 +9,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/blockio"
 	"repro/internal/nfs3"
 	"repro/internal/oncrpc"
 	"repro/internal/vfs"
@@ -44,22 +44,15 @@ type Client struct {
 	rpc *oncrpc.Client
 	opt Options
 
-	mu     sync.Mutex
-	attrs  map[string]attrEntry // path -> attrs
-	blocks map[blockKey][]byte
-	lru    *list.List
-	lruIdx map[blockKey]*list.Element
-	used   int64
+	blocks *blockio.Cache // keyed by path
+
+	mu    sync.Mutex
+	attrs map[string]attrEntry // path -> attrs
 }
 
 type attrEntry struct {
 	attr   nfs3.Fattr3
 	expiry time.Time
-}
-
-type blockKey struct {
-	path string
-	idx  uint64
 }
 
 // Dial connects and returns a v4 client.
@@ -73,9 +66,7 @@ func Dial(dial func() (net.Conn, error), opt Options) (*Client, error) {
 		rpc:    oncrpc.NewClient(conn, Program, Version),
 		opt:    opt,
 		attrs:  make(map[string]attrEntry),
-		blocks: make(map[blockKey][]byte),
-		lru:    list.New(),
-		lruIdx: make(map[blockKey]*list.Element),
+		blocks: blockio.NewCache(opt.CacheBytes),
 	}
 	cred, err := (&oncrpc.AuthSys{MachineName: "v4client", UID: opt.UID, GID: opt.GID}).Auth()
 	if err != nil {
@@ -189,7 +180,7 @@ func (c *Client) Remove(ctx context.Context, path string) error {
 	}
 	ops = append(ops, Op{Code: OpRemove, Name: name})
 	c.dropAttr(path)
-	c.dropBlocks(path)
+	c.blocks.DropFile(path)
 	_, err = c.compound(ctx, ops...)
 	return err
 }
@@ -209,7 +200,7 @@ func (c *Client) Rename(ctx context.Context, oldPath, newPath string) error {
 	ops = append(ops, Op{Code: OpRename, Name: oldName, Name2: newName})
 	c.dropAttr(oldPath)
 	c.dropAttr(newPath)
-	c.dropBlocks(oldPath)
+	c.blocks.DropFile(oldPath)
 	_, err = c.compound(ctx, ops...)
 	return err
 }
@@ -272,7 +263,7 @@ func (c *Client) OpenFile(ctx context.Context, path string, create, trunc, excl 
 	fhRes := results[len(results)-1]
 	c.putAttr(path, openRes.Attr)
 	if trunc {
-		c.dropBlocks(path)
+		c.blocks.DropFile(path)
 	}
 	return &File{
 		c: c, path: path, fh: fhRes.FH,
@@ -286,55 +277,6 @@ func (f *File) Size() int64 {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return f.size
-}
-
-func (c *Client) getBlock(k blockKey) ([]byte, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	b, ok := c.blocks[k]
-	if ok {
-		c.lru.MoveToFront(c.lruIdx[k])
-	}
-	return b, ok
-}
-
-func (c *Client) putBlock(k blockKey, data []byte) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if old, ok := c.blocks[k]; ok {
-		c.used -= int64(len(old))
-		c.lru.MoveToFront(c.lruIdx[k])
-	} else {
-		c.lruIdx[k] = c.lru.PushFront(k)
-	}
-	c.blocks[k] = data
-	c.used += int64(len(data))
-	for c.used > c.opt.CacheBytes {
-		back := c.lru.Back()
-		if back == nil {
-			break
-		}
-		victim := back.Value.(blockKey)
-		c.used -= int64(len(c.blocks[victim]))
-		delete(c.blocks, victim)
-		delete(c.lruIdx, victim)
-		c.lru.Remove(back)
-	}
-}
-
-func (c *Client) dropBlocks(path string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for k := range c.blocks {
-		if k.path == path {
-			c.used -= int64(len(c.blocks[k]))
-			delete(c.blocks, k)
-			if e := c.lruIdx[k]; e != nil {
-				c.lru.Remove(e)
-			}
-			delete(c.lruIdx, k)
-		}
-	}
 }
 
 // ReadAt reads from the file through the block cache.
@@ -358,7 +300,7 @@ func (f *File) ReadAt(ctx context.Context, p []byte, off int64) (int, error) {
 		block, ok := f.dirty[idx]
 		f.mu.Unlock()
 		if !ok {
-			block, ok = f.c.getBlock(blockKey{f.path, idx})
+			block, ok = f.c.blocks.Get(f.path, idx)
 		}
 		if !ok {
 			results, err := f.c.compound(ctx,
@@ -368,7 +310,7 @@ func (f *File) ReadAt(ctx context.Context, p []byte, off int64) (int, error) {
 				return read, err
 			}
 			block = results[1].Data
-			f.c.putBlock(blockKey{f.path, idx}, block)
+			f.c.blocks.Put(f.path, idx, block, false)
 		}
 		n := 0
 		if inner < int64(len(block)) {
@@ -405,7 +347,7 @@ func (f *File) WriteAt(ctx context.Context, p []byte, off int64) (int, error) {
 		block := f.dirty[idx]
 		f.mu.Unlock()
 		if block == nil {
-			if cached, ok := f.c.getBlock(blockKey{f.path, idx}); ok {
+			if cached, ok := f.c.blocks.Get(f.path, idx); ok {
 				block = append([]byte(nil), cached...)
 			} else if inner != 0 || n != int(bs) {
 				if int64(idx)*bs < f.Size() {
@@ -464,7 +406,7 @@ func (f *File) Sync(ctx context.Context) error {
 		if err != nil {
 			return err
 		}
-		f.c.putBlock(blockKey{f.path, idx}, block)
+		f.c.blocks.Put(f.path, idx, block, false)
 	}
 	_, err := f.c.compound(ctx, Op{Code: OpPutFH, FH: f.fh}, Op{Code: OpCommit})
 	return err

@@ -254,7 +254,7 @@ func (fs *FileSystem) Revalidate(ctx context.Context, paths []string) (changed i
 		}
 		fs.verMu.Unlock()
 		if stale {
-			fs.pages.DropFile(fh)
+			fs.dropPages(fh)
 			changed++
 		}
 	})

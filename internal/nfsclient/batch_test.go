@@ -162,7 +162,7 @@ func TestRevalidateDropsChangedPages(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := reader.pages.Get(fh, 0); !ok {
+	if _, ok := reader.pages.Get(fhKey(fh), 0); !ok {
 		t.Fatal("reader page cache not populated")
 	}
 
@@ -171,7 +171,7 @@ func TestRevalidateDropsChangedPages(t *testing.T) {
 	if err != nil || changed != 0 {
 		t.Fatalf("clean revalidate: changed=%d err=%v", changed, err)
 	}
-	if _, ok := reader.pages.Get(fh, 0); !ok {
+	if _, ok := reader.pages.Get(fhKey(fh), 0); !ok {
 		t.Fatal("clean revalidate dropped fresh pages")
 	}
 
@@ -195,7 +195,7 @@ func TestRevalidateDropsChangedPages(t *testing.T) {
 	if changed != 1 {
 		t.Fatalf("changed = %d, want 1", changed)
 	}
-	if _, ok := reader.pages.Get(fh, 0); ok {
+	if _, ok := reader.pages.Get(fhKey(fh), 0); ok {
 		t.Fatal("stale pages survived revalidation")
 	}
 }

@@ -9,8 +9,8 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/blockio"
 	"repro/internal/nfs3"
-	"repro/internal/singleflight"
 	"repro/internal/vfs"
 )
 
@@ -27,7 +27,7 @@ type Options struct {
 	// (default 3 s, matching typical acregmin).
 	AttrTimeout time.Duration
 	// Readahead is the number of blocks prefetched on sequential
-	// reads (default 2; 0 disables).
+	// reads (0 selects the default, 2; negative disables).
 	Readahead int
 	// NoWriteBehind forces write-through: every write goes to the
 	// server synchronously (FILE_SYNC). The zero value selects
@@ -68,22 +68,17 @@ type FileSystem struct {
 
 	attrs *attrCache
 	names *nameCache
-	pages *pageCache
+	pages *blockio.Cache
 
 	// openVersions records the (mtime, size) under which a file's
 	// cached pages were populated, for close-to-open revalidation.
 	verMu    sync.Mutex
 	versions map[string]fileVersion
 
-	// seqMu guards per-file sequential-read state for readahead.
-	seqMu   sync.Mutex
-	lastEnd map[string]uint64
-
-	// sf dedups concurrent server READs of one block (demand readers
-	// and prefetchers share one RPC); prefetch bounds how many
-	// background readahead fetches run at once.
-	sf       singleflight.Group[[]byte]
-	prefetch *singleflight.Pool
+	// reader fetches blocks into pages: one server READ per block
+	// however many demand readers and prefetchers ask, and readahead on
+	// sequential streams.
+	reader *blockio.Reader
 
 	// flushMu guards flushErrs: the first write-back error per file
 	// from cache-pressure eviction, surfaced by the next Sync/Close
@@ -124,43 +119,30 @@ func Mount(ctx context.Context, dial Dialer, path string, opt Options) (*FileSys
 		opt:       opt,
 		attrs:     newAttrCache(opt.AttrTimeout),
 		names:     newNameCache(opt.AttrTimeout),
-		pages:     newPageCache(opt.CacheBytes),
+		pages:     blockio.NewCache(opt.CacheBytes),
 		versions:  make(map[string]fileVersion),
-		lastEnd:   make(map[string]uint64),
 		flushErrs: make(map[string]error),
 	}
+	fs.reader = blockio.NewReader(pageSource{fs.pages, fs}, opt.Readahead, prefetchTimeout)
 	// Prime the root attributes and verify the server speaks NFSv3.
 	if _, err := fs.getAttr(ctx, root); err != nil {
 		proto.Close()
+		fs.reader.Close()
 		return nil, fmt.Errorf("nfsclient: root getattr: %w", err)
-	}
-	if opt.Readahead > 0 {
-		fs.prefetch = singleflight.NewPool(opt.Readahead)
 	}
 	return fs, nil
 }
 
 // Close flushes all dirty data and tears down the connection.
 func (fs *FileSystem) Close() error {
-	// Flush everything still dirty.
-	fs.pages.mu.Lock()
-	var fhs []string
-	seen := map[string]bool{}
-	for k, b := range fs.pages.blocks {
-		if b.dirty && !seen[k.fh] {
-			seen[k.fh] = true
-			fhs = append(fhs, k.fh)
-		}
-	}
-	fs.pages.mu.Unlock()
-	// Files whose only trace of trouble is a sticky eviction write-back
-	// error must surface it here even with no dirty blocks left.
+	// Flush everything still dirty — and files whose only trace of
+	// trouble is a sticky eviction write-back error, which must surface
+	// here even with no dirty blocks left. A file listed twice finds
+	// nothing to do the second time.
+	fhs := fs.pages.DirtyFiles()
 	fs.flushMu.Lock()
 	for k := range fs.flushErrs {
-		if !seen[k] {
-			seen[k] = true
-			fhs = append(fhs, k)
-		}
+		fhs = append(fhs, k)
 	}
 	fs.flushMu.Unlock()
 	// Bound the final write-back: Close must terminate even when the
@@ -177,11 +159,8 @@ func (fs *FileSystem) Close() error {
 	if err := fs.proto.Close(); firstErr == nil {
 		firstErr = err
 	}
-	if fs.prefetch != nil {
-		// The transport is gone, so queued prefetches fail fast; Close
-		// just drains the workers.
-		fs.prefetch.Close()
-	}
+	// The transport is gone, so queued prefetches fail fast.
+	fs.reader.Close()
 	return firstErr
 }
 
@@ -321,7 +300,7 @@ func (fs *FileSystem) Remove(ctx context.Context, path string) error {
 		return err
 	}
 	if fh, ok := fs.names.Get(dir, name); ok {
-		fs.pages.DropFile(fh)
+		fs.dropPages(fh)
 		fs.attrs.Invalidate(fh)
 	}
 	fs.names.Invalidate(dir, name)
@@ -393,7 +372,7 @@ func (fs *FileSystem) Truncate(ctx context.Context, path string, size uint64) er
 	if err != nil {
 		return err
 	}
-	fs.pages.DropFile(fh)
+	fs.dropPages(fh)
 	fs.attrs.Invalidate(fh)
 	return fs.proto.SetAttr(ctx, fh, nfs3.Sattr3{SetSize: true, Size: size})
 }
@@ -482,7 +461,7 @@ func (fs *FileSystem) OpenFile(ctx context.Context, path string, flags int, mode
 			return nil, vfs.ErrExist
 		}
 		if flags&OTrunc != 0 {
-			fs.pages.DropFile(fh)
+			fs.dropPages(fh)
 			if err := fs.proto.SetAttr(ctx, fh, nfs3.Sattr3{SetSize: true}); err != nil {
 				return nil, err
 			}
@@ -508,7 +487,7 @@ func (fs *FileSystem) OpenFile(ctx context.Context, path string, flags int, mode
 	prev, seen := fs.versions[key]
 	cur := fileVersion{mtime: attr.Mtime, size: attr.Size}
 	if seen && prev != cur {
-		fs.pages.DropFile(fh)
+		fs.dropPages(fh)
 	}
 	fs.versions[key] = cur
 	fs.verMu.Unlock()
@@ -531,56 +510,47 @@ func (f *File) Stat(ctx context.Context) (nfs3.Fattr3, error) {
 	return f.fs.getAttr(ctx, f.fh)
 }
 
-// readBlock returns the given block, from cache or the server.
-func (fs *FileSystem) readBlock(ctx context.Context, fh nfs3.FH3, block uint64) ([]byte, error) {
-	if data, ok := fs.pages.Get(fh, block); ok {
-		return data, nil
+// dropPages discards fh's cached blocks, dirty ones included, and its
+// readahead stream state.
+func (fs *FileSystem) dropPages(fh nfs3.FH3) {
+	fs.pages.DropFile(fhKey(fh))
+	fs.reader.Forget(fh)
+}
+
+// pageSource is the page cache and the server as the block reader sees
+// them.
+type pageSource struct {
+	*blockio.Cache
+	fs *FileSystem
+}
+
+// FetchBlock reads one block from the server into the page cache,
+// writing back any dirty blocks the insertion evicts.
+func (s pageSource) FetchBlock(ctx context.Context, fh nfs3.FH3, block uint64, _ bool) ([]byte, error) {
+	fs := s.fs
+	bs := uint64(fs.opt.BlockSize)
+	data, _, err := fs.proto.Read(ctx, fh, block*bs, uint32(bs))
+	if err != nil {
+		return nil, err
 	}
-	return fs.fetchBlock(ctx, fh, block)
-}
-
-// fetchBlock reads a block from the server through the single-flight
-// group, so a demand read and a prefetch of the same block share one
-// RPC. Callers must treat the returned slice as read-only.
-func (fs *FileSystem) fetchBlock(ctx context.Context, fh nfs3.FH3, block uint64) ([]byte, error) {
-	data, err, _ := fs.sf.Do(singleflight.Key(fh.Data, block), func() ([]byte, error) {
-		// Re-check under the flight: the block may have landed between
-		// the caller's miss and this flight winning the key.
-		if data, ok := fs.pages.Get(fh, block); ok {
-			return data, nil
-		}
-		bs := uint64(fs.opt.BlockSize)
-		data, _, err := fs.proto.Read(ctx, fh, block*bs, uint32(bs))
-		if err != nil {
-			return nil, err
-		}
-		fs.statMu.Lock()
-		fs.rpcReads++
-		fs.statMu.Unlock()
-		fs.insertClean(ctx, fh, block, data)
-		return data, nil
-	})
-	return data, err
-}
-
-// insertClean puts a clean block in the cache and writes back any
-// dirty blocks evicted by the insertion.
-func (fs *FileSystem) insertClean(ctx context.Context, fh nfs3.FH3, block uint64, data []byte) {
-	evicted := fs.pages.Put(fh, block, data, false)
-	for _, b := range evicted {
+	fs.statMu.Lock()
+	fs.rpcReads++
+	fs.statMu.Unlock()
+	for _, b := range fs.pages.Put(fhKey(fh), block, data, false) {
 		fs.writeBackBlock(ctx, b)
 	}
+	return data, nil
 }
 
 //sgfsvet:hot-path
-func (fs *FileSystem) writeBackBlock(ctx context.Context, b *cacheBlock) {
-	fh := nfs3.FH3{Data: []byte(b.key.fh)}
-	off := b.key.block * uint64(fs.opt.BlockSize)
-	if _, err := fs.proto.Write(ctx, fh, off, b.data, nfs3.FileSync); err != nil {
+func (fs *FileSystem) writeBackBlock(ctx context.Context, b blockio.Block) {
+	fh := nfs3.FH3{Data: []byte(b.File)}
+	off := b.Index * uint64(fs.opt.BlockSize)
+	if _, _, err := fs.proto.Write(ctx, fh, off, b.Data, nfs3.FileSync); err != nil {
 		// The block was already evicted from the cache, so dropping
 		// this error would silently lose the data. Record it; the
 		// file's next Sync/Close surfaces it.
-		fs.recordFlushErr(b.key.fh, err)
+		fs.recordFlushErr(b.File, err)
 		return
 	}
 	fs.statMu.Lock()
@@ -630,7 +600,7 @@ func (f *File) ReadAt(ctx context.Context, p []byte, off int64) (int, error) {
 		pos := off + int64(read)
 		block := uint64(pos / bs)
 		inner := pos % bs
-		data, err := fs.readBlock(ctx, f.fh, block)
+		data, err := fs.reader.Read(ctx, f.fh, block)
 		if err != nil {
 			return read, err
 		}
@@ -647,7 +617,7 @@ func (f *File) ReadAt(ctx context.Context, p []byte, off int64) (int, error) {
 			n++
 		}
 		read += n
-		fs.maybeReadahead(f.fh, block, uint64(size))
+		fs.reader.Advance(f.fh, block, uint64((size+bs-1)/bs))
 	}
 	var eof error
 	if off+int64(read) >= size {
@@ -661,61 +631,18 @@ func (f *File) ReadAt(ctx context.Context, p []byte, off int64) (int, error) {
 // cancel its own context) long before the prefetched bytes arrive.
 const prefetchTimeout = 30 * time.Second
 
-// maybeReadahead schedules background prefetches of the blocks after
-// block when access is sequential. Hints are shed — never queued
-// unboundedly — when the prefetch pool is saturated; the foreground
-// read path fetches on demand anyway, through the same single-flight
-// group, so a dropped hint costs latency, not correctness.
-//
-//sgfsvet:hot-path
-func (fs *FileSystem) maybeReadahead(fh nfs3.FH3, block, size uint64) {
-	if fs.opt.Readahead <= 0 || fs.prefetch == nil {
-		return
-	}
-	key := fhKey(fh)
-	fs.seqMu.Lock()
-	sequential := fs.lastEnd[key] == block
-	fs.lastEnd[key] = block + 1
-	fs.seqMu.Unlock()
-	if !sequential {
-		return
-	}
-	bs := uint64(fs.opt.BlockSize)
-	maxBlock := (size + bs - 1) / bs
-	for i := 1; i <= fs.opt.Readahead; i++ {
-		next := block + uint64(i)
-		if next >= maxBlock {
-			break
-		}
-		if _, ok := fs.pages.Get(fh, next); ok {
-			continue
-		}
-		fs.prefetch.TryGo(func() { fs.prefetchBlock(fh, next) })
-	}
-}
-
-// prefetchBlock fetches one readahead block on its own deadline.
-func (fs *FileSystem) prefetchBlock(fh nfs3.FH3, block uint64) {
-	ctx, cancel := context.WithTimeout(context.Background(), prefetchTimeout)
-	defer cancel()
-	if _, err := fs.fetchBlock(ctx, fh, block); err != nil {
-		// Best effort: the foreground read retries on demand.
-		return
-	}
-}
-
 // WriteAt writes p at offset off.
 func (f *File) WriteAt(ctx context.Context, p []byte, off int64) (int, error) {
 	fs := f.fs
 	bs := int64(fs.opt.BlockSize)
 	if fs.opt.NoWriteBehind {
-		if _, err := fs.proto.Write(ctx, f.fh, uint64(off), p, nfs3.FileSync); err != nil {
+		if _, _, err := fs.proto.Write(ctx, f.fh, uint64(off), p, nfs3.FileSync); err != nil {
 			return 0, err
 		}
 		fs.statMu.Lock()
 		fs.rpcWrites++
 		fs.statMu.Unlock()
-		fs.pages.DropFile(f.fh)
+		fs.pages.DropFile(fhKey(f.fh))
 		f.extend(off + int64(len(p)))
 		return len(p), nil
 	}
@@ -757,7 +684,7 @@ func (f *File) writeCached(ctx context.Context, block uint64, inner int64, data 
 	fs := f.fs
 	bs := int64(fs.opt.BlockSize)
 	var blockData []byte
-	if cached, ok := fs.pages.Get(f.fh, block); ok {
+	if cached, ok := fs.pages.Get(fhKey(f.fh), block); ok {
 		blockData = append([]byte(nil), cached...)
 	} else if inner == 0 && int64(len(data)) == bs {
 		blockData = nil // full overwrite, no fetch needed
@@ -782,8 +709,7 @@ func (f *File) writeCached(ctx context.Context, block uint64, inner int64, data 
 		blockData = grown
 	}
 	copy(blockData[inner:], data)
-	evicted := fs.pages.Put(f.fh, block, blockData, true)
-	for _, b := range evicted {
+	for _, b := range fs.pages.Put(fhKey(f.fh), block, blockData, true) {
 		fs.writeBackBlock(ctx, b)
 	}
 	return nil
@@ -835,38 +761,58 @@ func (f *File) Seek(offset int64, whence int) (int64, error) {
 // the metadata gathers' (oncrpc.GatherDepth).
 const flushWorkers = 8
 
+// fileFlush is one flushFile round as the flush engine sees it: the
+// snapshot blocks the server does not yet hold durably.
+type fileFlush struct {
+	fs      *FileSystem
+	mu      sync.Mutex
+	pending map[uint64]blockio.Block
+}
+
+func (w *fileFlush) WriteBlock(ctx context.Context, fh nfs3.FH3, block uint64, stable uint32) (uint32, blockio.Verifier, error) {
+	w.mu.Lock()
+	data := w.pending[block].Data
+	w.mu.Unlock()
+	committed, verf, err := w.fs.proto.Write(ctx, fh, block*uint64(w.fs.opt.BlockSize), data, stable)
+	if err == nil {
+		w.fs.statMu.Lock()
+		w.fs.rpcWrites++
+		w.fs.statMu.Unlock()
+	}
+	return committed, verf, err
+}
+
+func (w *fileFlush) Commit(ctx context.Context, fh nfs3.FH3) (blockio.Verifier, error) {
+	return w.fs.proto.Commit(ctx, fh, 0, 0)
+}
+
+func (w *fileFlush) Durable(_ nfs3.FH3, block uint64) {
+	w.mu.Lock()
+	delete(w.pending, block)
+	w.mu.Unlock()
+}
+
 // flushFile writes back all dirty blocks of fh and commits them. Any
 // sticky write-back error from earlier cache-pressure eviction is
-// folded into the result, so no lost write stays silent. When the
-// flush fails its blocks go back into the cache dirty, so the next
+// folded into the result, so no lost write stays silent. Blocks the
+// flush did not make durable go back into the cache dirty, so the next
 // Sync or Close tries again instead of reporting a clean file.
 func (fs *FileSystem) flushFile(ctx context.Context, fh nfs3.FH3) error {
 	sticky := fs.takeFlushErr(fh)
-	dirty := fs.pages.DirtyBlocks(fh)
+	dirty := fs.pages.DirtyBlocks(fhKey(fh))
 	if len(dirty) == 0 {
 		return sticky
 	}
-	// Flush with bounded concurrency; the RPC client pipelines them.
-	bs := uint64(fs.opt.BlockSize)
-	errs := make([]error, len(dirty))
-	singleflight.Each(len(dirty), flushWorkers, func(i int) {
-		b := dirty[i]
-		_, errs[i] = fs.proto.Write(ctx, fh, b.key.block*bs, b.data, nfs3.Unstable)
-		if errs[i] == nil {
-			fs.statMu.Lock()
-			fs.rpcWrites++
-			fs.statMu.Unlock()
-		}
-	})
-	err := errors.Join(errs...)
-	if err == nil {
-		err = fs.proto.Commit(ctx, fh, 0, 0)
+	w := &fileFlush{fs: fs, pending: make(map[uint64]blockio.Block, len(dirty))}
+	idxs := make([]uint64, len(dirty))
+	for i, b := range dirty {
+		w.pending[b.Index] = b
+		idxs[i] = b.Index
 	}
-	if err != nil {
-		for _, b := range dirty {
-			for _, evicted := range fs.pages.Redirty(b) {
-				fs.writeBackBlock(ctx, evicted)
-			}
+	_, err := blockio.Flush(ctx, flushWorkers, []blockio.FileBlocks{{FH: fh, Blocks: idxs}}, w)
+	for _, b := range w.pending {
+		for _, evicted := range fs.pages.Redirty(b) {
+			fs.writeBackBlock(ctx, evicted)
 		}
 	}
 	return errors.Join(sticky, err)

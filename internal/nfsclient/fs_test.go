@@ -8,6 +8,7 @@ import (
 	"io"
 	"math/rand"
 	"net"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
@@ -557,5 +558,140 @@ func TestFailedFlushKeepsDataDirty(t *testing.T) {
 	n, _, err := backend.Read(h, 0, got)
 	if err != nil || !bytes.Equal(got[:n], payload) {
 		t.Fatalf("backend holds %d bytes after the retried Sync (err %v), want the %d written", n, err, len(payload))
+	}
+}
+
+// restartingFS is a backend behind a server that restarts once: writes
+// stay volatile until a Commit, and after restartAt writes the volatile
+// ones are dropped and restart is called (the test re-registers a fresh
+// nfs3.Server, so the write verifier changes).
+type restartingFS struct {
+	*vfs.MemFS
+	restartAt int
+	restart   func()
+
+	mu      sync.Mutex
+	writes  int
+	pending []func() error
+}
+
+func (b *restartingFS) Write(h vfs.Handle, off uint64, data []byte) error {
+	data = append([]byte(nil), data...)
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.pending = append(b.pending, func() error { return b.MemFS.Write(h, off, data) })
+	if b.writes++; b.writes == b.restartAt {
+		b.pending = nil
+		b.restart()
+	}
+	return nil
+}
+
+func (b *restartingFS) Commit(h vfs.Handle) error {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	for _, apply := range b.pending {
+		if err := apply(); err != nil {
+			return err
+		}
+	}
+	b.pending = nil
+	return b.MemFS.Commit(h)
+}
+
+// TestFlushSurvivesServerRestart: the server restarts between the last
+// UNSTABLE write and the COMMIT, losing the unstable data; the COMMIT's
+// verifier says so (RFC 1813 §3.3.7), and Close must send every block
+// again rather than report a clean file the server does not hold.
+func TestFlushSurvivesServerRestart(t *testing.T) {
+	const blocks = 4
+	rpc := oncrpc.NewServer()
+	backend := &restartingFS{MemFS: vfs.NewMemFS(), restartAt: blocks}
+	backend.restart = func() { nfs3.NewServer(backend, 7).Register(rpc) }
+	backend.restart()
+	md := mountd.NewServer()
+	md.AddExport(&mountd.Export{Path: "/GFS/test", FS: backend})
+	md.Register(rpc)
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go rpc.Serve(l)
+	t.Cleanup(rpc.Close)
+	fs := mountFS(t, func() (net.Conn, error) { return net.Dial("tcp", l.Addr().String()) }, Options{})
+
+	ctx := context.Background()
+	f, err := fs.Create(ctx, "restart", 0644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := make([]byte, blocks*32*1024)
+	rand.New(rand.NewSource(20)).Read(payload)
+	if _, err := f.WriteAt(ctx, payload, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(ctx); err != nil {
+		t.Fatalf("Close across a server restart: %v", err)
+	}
+	h, _, err := backend.Lookup(backend.Root(), "restart")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make([]byte, len(payload)+1)
+	n, _, err := backend.MemFS.Read(h, 0, got)
+	if err != nil || !bytes.Equal(got[:n], payload) {
+		t.Fatalf("backend holds %d bytes after Close (err %v), want the %d written: the restart's lost writes were not re-sent", n, err, len(payload))
+	}
+	if _, writes := fs.RPCCounts(); writes != 2*blocks {
+		t.Errorf("%d WRITE RPCs, want %d UNSTABLE and %d FILE_SYNC", writes, blocks, blocks)
+	}
+}
+
+// TestRevalidationResetsReadahead: when close-to-open revalidation
+// drops a changed file's pages it drops the file's stream state too, so
+// the reopened file's first read at block 0 starts a sequential stream
+// again instead of looking like a seek back.
+func TestRevalidationResetsReadahead(t *testing.T) {
+	dial, backend := startServer(t)
+	fs := mountFS(t, dial, Options{BlockSize: 4096, AttrTimeout: time.Hour})
+	ctx := context.Background()
+	f, _ := fs.Create(ctx, "stream", 0644)
+	f.WriteAt(ctx, make([]byte, 8*4096), 0)
+	f.Close(ctx)
+
+	// Read part of the way in and stop: the stream now expects block 2.
+	g, _ := fs.Open(ctx, "stream")
+	buf := make([]byte, 4096)
+	g.ReadAt(ctx, buf, 0)
+	g.ReadAt(ctx, buf, 4096)
+	g.Close(ctx)
+
+	time.Sleep(10 * time.Millisecond) // ensure distinct mtime
+	h, _, err := backend.Lookup(backend.Root(), "stream")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := backend.Write(h, 0, []byte("changed")); err != nil {
+		t.Fatal(err)
+	}
+	g2, err := fs.Open(ctx, "stream")
+	if err != nil {
+		t.Fatal(err)
+	}
+	before, _ := fs.RPCCounts()
+	if _, err := g2.ReadAt(ctx, buf, 0); err != nil {
+		t.Fatal(err)
+	}
+	// Block 0 on demand plus the default two blocks of readahead.
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		reads, _ := fs.RPCCounts()
+		if reads-before == 3 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d READs after the reopened file's first read, want 3: readahead did not restart", reads-before)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }

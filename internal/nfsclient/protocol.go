@@ -115,20 +115,20 @@ func (p *Proto) Read(ctx context.Context, fh nfs3.FH3, offset uint64, count uint
 }
 
 // Write writes data at offset with the given stability level,
-// returning the committed level.
-func (p *Proto) Write(ctx context.Context, fh nfs3.FH3, offset uint64, data []byte, stable uint32) (uint32, error) {
+// returning the committed level and the server's write verifier.
+func (p *Proto) Write(ctx context.Context, fh nfs3.FH3, offset uint64, data []byte, stable uint32) (uint32, [nfs3.WriteVerfSize]byte, error) {
 	args := &nfs3.WriteArgs{Obj: fh, Offset: offset, Count: uint32(len(data)), Stable: stable, Data: data}
 	var res nfs3.WriteRes
 	if err := p.rpc.Call(ctx, nfs3.ProcWrite, args, &res); err != nil {
-		return 0, err
+		return 0, res.Verf, err
 	}
 	if res.Status != nfs3.OK {
-		return 0, res.Status.Error()
+		return 0, res.Verf, res.Status.Error()
 	}
 	if res.Count != uint32(len(data)) {
-		return res.Committed, fmt.Errorf("nfsclient: short write %d of %d", res.Count, len(data))
+		return res.Committed, res.Verf, fmt.Errorf("nfsclient: short write %d of %d", res.Count, len(data))
 	}
-	return res.Committed, nil
+	return res.Committed, res.Verf, nil
 }
 
 // Create makes a regular file.
@@ -251,13 +251,15 @@ func (p *Proto) FSInfo(ctx context.Context, fh nfs3.FH3) (nfs3.FSInfoRes, error)
 	return res, res.Status.Error()
 }
 
-// Commit flushes unstable writes.
-func (p *Proto) Commit(ctx context.Context, fh nfs3.FH3, offset uint64, count uint32) error {
+// Commit flushes unstable writes, returning the server's write
+// verifier: one that differs from the writes' means the server
+// restarted and the writes must be sent again.
+func (p *Proto) Commit(ctx context.Context, fh nfs3.FH3, offset uint64, count uint32) ([nfs3.WriteVerfSize]byte, error) {
 	var res nfs3.CommitRes
 	if err := p.rpc.Call(ctx, nfs3.ProcCommit, &nfs3.CommitArgs{Obj: fh, Offset: offset, Count: count}, &res); err != nil {
-		return err
+		return res.Verf, err
 	}
-	return res.Status.Error()
+	return res.Verf, res.Status.Error()
 }
 
 // MountExport contacts the MOUNT service over its own short-lived

@@ -106,7 +106,7 @@ func (p *ClientProxy) RevalidateAttrs(ctx context.Context) (checked, changed int
 		fh := fhs[i]
 		if prev, ok := dc.GetAttr(fh); ok && (prev.Size != f.res.Attr.Size || prev.Mtime != f.res.Attr.Mtime) {
 			changed++
-			dc.DropFile(fh)
+			p.dropFile(fh)
 		}
 		dc.PutAttr(fh, f.res.Attr)
 	}

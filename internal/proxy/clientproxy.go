@@ -7,16 +7,15 @@ import (
 	"fmt"
 	"net"
 	"sync"
-
 	"time"
 
+	"repro/internal/blockio"
 	"repro/internal/cache"
 	"repro/internal/metrics"
 	"repro/internal/mountd"
 	"repro/internal/nfs3"
 	"repro/internal/oncrpc"
 	"repro/internal/securechan"
-	"repro/internal/singleflight"
 	"repro/internal/vfs"
 	"repro/internal/xdr"
 )
@@ -124,16 +123,11 @@ type ClientProxy struct {
 	rec   *oncrpc.ReconnectClient // == up when cfg.Recovery != nil
 	rs    *replicaSet             // == up when cfg.Replication != nil
 
-	// Pipelined data path: the single-flight group dedups concurrent
-	// upstream READs of one block, the pool bounds background
-	// prefetches, and dp counts both sides (see flush.go/readahead.go).
-	sf       singleflight.Group[blockFetch]
-	prefetch *singleflight.Pool
-	dp       metrics.DataPathStats
-
-	// raMu guards per-file sequential-read detection state.
-	raMu   sync.Mutex
-	raNext map[string]uint64
+	// Pipelined data path: reader fetches blocks into the disk cache
+	// (one upstream READ per block, readahead on sequential streams;
+	// readahead.go) and dp counts the flush side (flush.go).
+	reader *blockio.Reader
+	dp     metrics.DataPathStats
 
 	mu       sync.Mutex
 	conn     net.Conn // transport of the current session
@@ -154,12 +148,9 @@ const (
 // mounts the export through it, and returns a proxy ready to serve
 // the local client.
 func NewClientProxy(cfg ClientConfig) (*ClientProxy, error) {
-	p := &ClientProxy{
-		cfg:    cfg,
-		rpc:    oncrpc.NewServer(),
-		raNext: make(map[string]uint64),
-	}
+	p := &ClientProxy{cfg: cfg, rpc: oncrpc.NewServer()}
 	p.relay = nfs3.Relay{Up: p, Meter: cfg.Meter}
+	p.reader = blockio.NewReader(cacheSource{cfg.DiskCache, p}, p.cfg.readahead(), p.opTimeout())
 	// Establish the first session synchronously so misconfiguration
 	// (bad export, refused credential) fails here, not on first use.
 	ctx, cancel := context.WithTimeout(context.Background(), initTimeout)
@@ -167,6 +158,7 @@ func NewClientProxy(cfg ClientConfig) (*ClientProxy, error) {
 	if cfg.Replication != nil {
 		rs, err := newReplicaSet(ctx, p, cfg.Replication)
 		if err != nil {
+			p.reader.Close()
 			return nil, err
 		}
 		p.rs = rs
@@ -175,14 +167,12 @@ func NewClientProxy(cfg ClientConfig) (*ClientProxy, error) {
 		// session does, and it never changes across reconnects.
 		p.root = rs.Root()
 		p.haveRoot = true
-		if cfg.DiskCache != nil && p.cfg.readahead() > 0 {
-			p.prefetch = singleflight.NewPool(p.cfg.readahead())
-		}
 		p.register()
 		return p, nil
 	}
 	first, err := p.dialSession(ctx)
 	if err != nil {
+		p.reader.Close()
 		return nil, err
 	}
 	if r := cfg.Recovery; r != nil {
@@ -198,9 +188,6 @@ func NewClientProxy(cfg ClientConfig) (*ClientProxy, error) {
 		p.up = p.rec
 	} else {
 		p.up = first
-	}
-	if cfg.DiskCache != nil && p.cfg.readahead() > 0 {
-		p.prefetch = singleflight.NewPool(p.cfg.readahead())
 	}
 	p.register()
 	return p, nil
@@ -344,11 +331,8 @@ func (p *ClientProxy) Close() error {
 	}
 	p.rpc.Close()
 	p.up.Close()
-	if p.prefetch != nil {
-		// After up.Close, queued prefetches fail fast on the dead
-		// transport; Close just drains the workers.
-		p.prefetch.Close()
-	}
+	// After up.Close, queued prefetches fail fast on the dead transport.
+	p.reader.Close()
 	return err
 }
 
@@ -391,7 +375,9 @@ func (p *ClientProxy) CacheStats() (cache.Stats, bool) {
 // DataPathStats returns the pipelined data path counters: flush
 // concurrency, readahead traffic, and in-flight READ deduplication.
 func (p *ClientProxy) DataPathStats() metrics.DataPathSnapshot {
-	return p.dp.Snapshot()
+	s := p.dp.Snapshot()
+	s.ReadaheadIssued, s.ReadaheadDropped, s.InflightDedup = p.reader.Stats()
+	return s
 }
 
 // opTimeout is the per-operation upstream deadline: the recovery
@@ -531,7 +517,7 @@ func (p *ClientProxy) setattr(ctx context.Context, call *oncrpc.Call) (xdr.Marsh
 		if a.Attr.SetSize {
 			// Truncation invalidates cached data wholesale; simple and
 			// safe (truncates are rare in the target workloads).
-			dc.DropFile(a.Obj)
+			p.dropFile(a.Obj)
 		}
 	}
 	var res nfs3.WccRes
@@ -595,7 +581,7 @@ func (p *ClientProxy) remove(ctx context.Context, call *oncrpc.Call) (xdr.Marsha
 		var lres nfs3.LookupRes
 		largs := &nfs3.LookupArgs{What: a.Obj}
 		if err := p.relay.Call(ctx, nil, nfs3.ProcLookup, largs, &lres); err == nil && lres.Status == nfs3.OK {
-			dc.DropFile(lres.Obj)
+			p.dropFile(lres.Obj)
 		}
 	}
 	var res nfs3.WccRes
@@ -603,6 +589,13 @@ func (p *ClientProxy) remove(ctx context.Context, call *oncrpc.Call) (xdr.Marsha
 		return nil, oncrpc.SystemErr
 	}
 	return &res, oncrpc.Success
+}
+
+// dropFile discards every cached block of fh, cancelling its pending
+// write-back, and its readahead stream state.
+func (p *ClientProxy) dropFile(fh nfs3.FH3) {
+	p.cfg.DiskCache.DropFile(fh)
+	p.reader.Forget(fh)
 }
 
 //sgfsvet:hot-path
@@ -641,11 +634,11 @@ func (p *ClientProxy) read(ctx context.Context, call *oncrpc.Call) (xdr.Marshale
 	for uint64(len(out)) < want {
 		idx := off / bs
 		inner := off % bs
-		block, st := p.cacheBlock(ctx, a.Obj, idx, size)
+		block, st := p.cacheBlock(ctx, a.Obj, idx)
 		if st != nfs3.OK {
 			return &nfs3.ReadRes{Status: st}, oncrpc.Success
 		}
-		p.maybeReadahead(a.Obj, idx, size)
+		p.reader.Advance(a.Obj, idx, (size+bs-1)/bs)
 		n := uint64(len(block)) - inner
 		if inner >= uint64(len(block)) {
 			// Hole within a short cached block: zero-fill to block end.
@@ -691,15 +684,11 @@ func (p *ClientProxy) cachedSize(ctx context.Context, fh nfs3.FH3) (uint64, nfs3
 	return res.Attr.Size, nfs3.OK
 }
 
-// cacheBlock returns block idx of fh, fetching from the server on a
-// miss through the single-flight group so concurrent readers (and the
-// prefetcher) share one upstream READ.
-func (p *ClientProxy) cacheBlock(ctx context.Context, fh nfs3.FH3, idx uint64, size uint64) ([]byte, nfs3.Status) {
-	dc := p.cfg.DiskCache
-	if data, ok := dc.GetBlock(fh, idx); ok {
-		return data, nfs3.OK
-	}
-	return p.fetchBlock(ctx, fh, idx, false)
+// cacheBlock returns block idx of fh from the disk cache, fetching it
+// from the server on a miss (fetchBlock).
+func (p *ClientProxy) cacheBlock(ctx context.Context, fh nfs3.FH3, idx uint64) ([]byte, nfs3.Status) {
+	data, err := p.reader.Read(ctx, fh, idx)
+	return data, blockStatus(err)
 }
 
 //sgfsvet:hot-path
@@ -749,7 +738,7 @@ func (p *ClientProxy) write(ctx context.Context, call *oncrpc.Call) (xdr.Marshal
 			blockData = nil // full block overwrite
 		} else if idx*bs < size {
 			// Partial write into existing data: fetch for merge.
-			got, st := p.cacheBlock(ctx, a.Obj, idx, size)
+			got, st := p.cacheBlock(ctx, a.Obj, idx)
 			if st != nfs3.OK {
 				return &nfs3.WriteRes{Status: st}, oncrpc.Success
 			}

@@ -13,6 +13,7 @@ import (
 	"repro/internal/netem"
 	"repro/internal/nfs3"
 	"repro/internal/nfsclient"
+	"repro/internal/oncrpc"
 	"repro/internal/vfs"
 )
 
@@ -210,6 +211,73 @@ func TestChaosParallelFlushLinkCut(t *testing.T) {
 		t.Fatal("no flushed blocks counted")
 	}
 	t.Logf("datapath: %+v channel: %+v", dp, stats.Snapshot())
+}
+
+// restartingFS is a backend behind a server that restarts once: writes
+// stay volatile until a Commit, and after restartAt writes the volatile
+// ones are dropped and restart is called (the test re-registers a fresh
+// nfs3.Server, so the write verifier changes).
+type restartingFS struct {
+	*vfs.MemFS
+	restartAt int
+	restart   func()
+
+	mu      sync.Mutex
+	writes  int
+	pending []func() error
+}
+
+func (b *restartingFS) Write(h vfs.Handle, off uint64, data []byte) error {
+	data = append([]byte(nil), data...)
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.pending = append(b.pending, func() error { return b.MemFS.Write(h, off, data) })
+	if b.writes++; b.writes == b.restartAt {
+		b.pending = nil
+		b.restart()
+	}
+	return nil
+}
+
+func (b *restartingFS) Commit(h vfs.Handle) error {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	for _, apply := range b.pending {
+		if err := apply(); err != nil {
+			return err
+		}
+	}
+	b.pending = nil
+	return b.MemFS.Commit(h)
+}
+
+// TestFlushAllSurvivesServerRestart: the file server restarts between
+// the flush's last UNSTABLE write and its COMMIT, losing the unstable
+// data. The COMMIT verifier gives it away; FlushAll must re-send every
+// block FILE_SYNC, count the mismatch, and only then mark blocks clean.
+func TestFlushAllSurvivesServerRestart(t *testing.T) {
+	t.Parallel()
+	const blocks = 6
+	dc := newDiskCache(t)
+	st := buildStack(t, stackOpts{diskCache: dc, readahead: -1, wrapBackend: func(mem *vfs.MemFS, rpc *oncrpc.Server) vfs.FS {
+		b := &restartingFS{MemFS: mem, restartAt: blocks}
+		b.restart = func() { nfs3.NewServer(b, 1).Register(rpc) }
+		return b
+	}})
+	payload := chaosPayload(20, blocks*32*1024)
+	dirtyThroughMount(t, st, "restart.dat", payload)
+	if err := st.clientProxy.FlushAll(context.Background()); err != nil {
+		t.Fatalf("FlushAll across a server restart: %v", err)
+	}
+	if got := backendBytes(t, st, "restart.dat", len(payload)+1); !bytes.Equal(got, payload) {
+		t.Fatalf("server holds %d bytes after FlushAll, want %d: the restart's lost writes were not re-sent", len(got), len(payload))
+	}
+	if n := len(dc.DirtyFiles()); n != 0 {
+		t.Errorf("%d files still dirty after a successful flush", n)
+	}
+	if dp := st.clientProxy.DataPathStats(); dp.CommitMismatches != 1 {
+		t.Errorf("CommitMismatches = %d, want 1: %+v", dp.CommitMismatches, dp)
+	}
 }
 
 // TestFetchBlockSingleFlight: concurrent readers of one uncached block

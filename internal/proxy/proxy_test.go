@@ -52,6 +52,10 @@ type stackOpts struct {
 	flushWorkers int             // FlushAll concurrency (0 = default)
 	readahead    int             // proxy readahead depth (0 = default, <0 disables)
 	meter        *metrics.Meter  // client proxy busy-time meter
+	// wrapBackend, when set, puts the NFS server over the file system
+	// it returns instead of the bare MemFS; rpc is that server's RPC
+	// server, for a backend that re-registers it.
+	wrapBackend func(mem *vfs.MemFS, rpc *oncrpc.Server) vfs.FS
 }
 
 func buildStack(t testing.TB, opts stackOpts) *testStack {
@@ -70,9 +74,13 @@ func buildStack(t testing.TB, opts stackOpts) *testStack {
 
 	// Kernel NFS server, exported to localhost only.
 	rpc := oncrpc.NewServer()
-	nfs3.NewServer(st.backend, 1).Register(rpc)
+	var exported vfs.FS = st.backend
+	if opts.wrapBackend != nil {
+		exported = opts.wrapBackend(st.backend, rpc)
+	}
+	nfs3.NewServer(exported, 1).Register(rpc)
 	md := mountd.NewServer()
-	md.AddExport(&mountd.Export{Path: "/GFS/alice", FS: st.backend})
+	md.AddExport(&mountd.Export{Path: "/GFS/alice", FS: exported})
 	md.Register(rpc)
 	nfsL, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

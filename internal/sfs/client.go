@@ -1,7 +1,6 @@
 package sfs
 
 import (
-	"container/list"
 	"context"
 	"crypto/x509"
 	"fmt"
@@ -9,12 +8,14 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/blockio"
 	"repro/internal/gridsec"
 	"repro/internal/metrics"
 	"repro/internal/mountd"
 	"repro/internal/nfs3"
 	"repro/internal/oncrpc"
 	"repro/internal/securechan"
+	"repro/internal/vfs"
 	"repro/internal/xdr"
 )
 
@@ -30,11 +31,6 @@ type ClientConfig struct {
 	Credential *gridsec.Credential
 	// ExportPath is the export to attach.
 	ExportPath string
-	// PipelineDepth is the number of read-ahead RPCs kept in flight
-	// (SFS's asynchronous RPC advantage). Default 4.
-	PipelineDepth int
-	// MemCacheBytes bounds the in-memory block cache. Default 16 MiB.
-	MemCacheBytes int64
 	// Meter, when non-nil, accumulates the daemon's processing time.
 	Meter *metrics.Meter
 }
@@ -53,22 +49,18 @@ type Client struct {
 	mu     sync.Mutex
 	attrs  map[string]nfs3.Fattr3
 	access map[string]uint32
-	blocks map[blockKey][]byte
-	lru    *list.List // blockKey
-	lruIdx map[blockKey]*list.Element
-	used   int64
-
-	prefetchMu sync.Mutex
-	inflight   map[blockKey]bool
-	lastBlock  map[string]uint64
+	blocks *blockio.Cache
+	reader *blockio.Reader
 }
 
-type blockKey struct {
-	fh  string
-	idx uint64
-}
-
-const sfsBlockSize = 32 * 1024
+const (
+	sfsBlockSize = 32 * 1024
+	// pipelineDepth is the number of read-ahead RPCs kept in flight
+	// (SFS's asynchronous RPC advantage).
+	pipelineDepth = 4
+	// memCacheBytes bounds the in-memory block cache.
+	memCacheBytes = 16 << 20
+)
 
 // sfsMountTimeout bounds the constructor mounts; sfsPrefetchTimeout
 // bounds background block prefetches, which have no caller waiting on
@@ -81,12 +73,6 @@ const (
 // NewClient establishes the self-certified channel, mounts the export,
 // and returns a daemon ready to serve the local client.
 func NewClient(cfg ClientConfig) (*Client, error) {
-	if cfg.PipelineDepth == 0 {
-		cfg.PipelineDepth = 4
-	}
-	if cfg.MemCacheBytes == 0 {
-		cfg.MemCacheBytes = 16 << 20
-	}
 	chanCfg := &securechan.Config{
 		Credential:     cfg.Credential,
 		Suites:         []securechan.Suite{securechan.SuiteRC4SHA1},
@@ -119,19 +105,16 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 		return nil, err
 	}
 	c := &Client{
-		cfg:       cfg,
-		rpc:       oncrpc.NewServer(),
-		up:        oncrpc.NewClient(conn, nfs3.Program, nfs3.Version),
-		root:      root,
-		attrs:     make(map[string]nfs3.Fattr3),
-		access:    make(map[string]uint32),
-		blocks:    make(map[blockKey][]byte),
-		lru:       list.New(),
-		lruIdx:    make(map[blockKey]*list.Element),
-		inflight:  make(map[blockKey]bool),
-		lastBlock: make(map[string]uint64),
+		cfg:    cfg,
+		rpc:    oncrpc.NewServer(),
+		up:     oncrpc.NewClient(conn, nfs3.Program, nfs3.Version),
+		root:   root,
+		attrs:  make(map[string]nfs3.Fattr3),
+		access: make(map[string]uint32),
+		blocks: blockio.NewCache(memCacheBytes),
 	}
 	c.relay = nfs3.Relay{Up: c, Meter: cfg.Meter}
+	c.reader = blockio.NewReader(blockSource{c.blocks, c}, pipelineDepth, sfsPrefetchTimeout)
 	c.register()
 	return c, nil
 }
@@ -149,53 +132,41 @@ func (c *Client) Serve(l net.Listener) error { return c.rpc.Serve(l) }
 func (c *Client) Close() {
 	c.rpc.Close()
 	c.up.Close()
+	c.reader.Close()
 }
 
-func (c *Client) putBlock(k blockKey, data []byte) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, ok := c.blocks[k]; ok {
-		return
-	}
-	c.blocks[k] = data
-	c.lruIdx[k] = c.lru.PushFront(k)
-	c.used += int64(len(data))
-	for c.used > c.cfg.MemCacheBytes {
-		back := c.lru.Back()
-		if back == nil {
-			break
-		}
-		victim := back.Value.(blockKey)
-		c.used -= int64(len(c.blocks[victim]))
-		delete(c.blocks, victim)
-		delete(c.lruIdx, victim)
-		c.lru.Remove(back)
-	}
+// blockSource is the memory cache and the server daemon as the block
+// reader sees them.
+type blockSource struct {
+	*blockio.Cache
+	c *Client
 }
 
-func (c *Client) getBlock(k blockKey) ([]byte, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	data, ok := c.blocks[k]
-	if ok {
-		c.lru.MoveToFront(c.lruIdx[k])
+// FetchBlock reads one block from the server daemon into the memory
+// cache. A non-OK status comes back as its bare vfs.Errno.
+func (s blockSource) FetchBlock(ctx context.Context, fh nfs3.FH3, idx uint64, prefetch bool) ([]byte, error) {
+	c := s.c
+	if prefetch {
+		// No handler span covers a prefetch; see nfs3.Relay.Charge.
+		defer c.relay.Charge(time.Now())
 	}
-	return data, ok
+	var res nfs3.ReadRes
+	args := &nfs3.ReadArgs{Obj: fh, Offset: idx * sfsBlockSize, Count: sfsBlockSize}
+	if err := c.relay.Call(ctx, nil, nfs3.ProcRead, args, &res); err != nil {
+		return nil, err
+	}
+	if res.Status != nfs3.OK {
+		return nil, res.Status.Error()
+	}
+	c.blocks.Put(string(fh.Data), idx, res.Data, false)
+	return res.Data, nil
 }
 
 func (c *Client) dropFile(fh nfs3.FH3) {
 	key := string(fh.Data)
+	c.blocks.DropFile(key)
+	c.reader.Forget(fh)
 	c.mu.Lock()
-	for k := range c.blocks {
-		if k.fh == key {
-			c.used -= int64(len(c.blocks[k]))
-			delete(c.blocks, k)
-			if e := c.lruIdx[k]; e != nil {
-				c.lru.Remove(e)
-			}
-			delete(c.lruIdx, k)
-		}
-	}
 	delete(c.attrs, key)
 	delete(c.access, key)
 	c.mu.Unlock()
@@ -222,22 +193,32 @@ func (c *Client) getattr(ctx context.Context, call *oncrpc.Call) (xdr.Marshaler,
 	if call.DecodeArgs(&a) != nil {
 		return nil, oncrpc.GarbageArgs
 	}
+	attr, status, err := c.attr(ctx, a.Obj)
+	if err != nil {
+		return nil, oncrpc.SystemErr
+	}
+	return &nfs3.GetAttrRes{Status: status, Attr: attr}, oncrpc.Success
+}
+
+// attr returns fh's attributes from the session's attribute cache,
+// asking the server (and caching its answer) on a miss.
+func (c *Client) attr(ctx context.Context, fh nfs3.FH3) (nfs3.Fattr3, nfs3.Status, error) {
 	c.mu.Lock()
-	attr, ok := c.attrs[string(a.Obj.Data)]
+	attr, ok := c.attrs[string(fh.Data)]
 	c.mu.Unlock()
 	if ok {
-		return &nfs3.GetAttrRes{Status: nfs3.OK, Attr: attr}, oncrpc.Success
+		return attr, nfs3.OK, nil
 	}
 	var res nfs3.GetAttrRes
-	if err := c.relay.Call(ctx, nil, nfs3.ProcGetAttr, &a, &res); err != nil {
-		return nil, oncrpc.SystemErr
+	if err := c.relay.Call(ctx, nil, nfs3.ProcGetAttr, &nfs3.GetAttrArgs{Obj: fh}, &res); err != nil {
+		return nfs3.Fattr3{}, 0, err
 	}
 	if res.Status == nfs3.OK {
 		c.mu.Lock()
-		c.attrs[string(a.Obj.Data)] = res.Attr
+		c.attrs[string(fh.Data)] = res.Attr
 		c.mu.Unlock()
 	}
-	return &res, oncrpc.Success
+	return res.Attr, res.Status, nil
 }
 
 func (c *Client) lookup(ctx context.Context, call *oncrpc.Call) (xdr.Marshaler, oncrpc.AcceptStat) {
@@ -320,42 +301,30 @@ func (c *Client) read(ctx context.Context, call *oncrpc.Call) (xdr.Marshaler, on
 	if call.DecodeArgs(&a) != nil {
 		return nil, oncrpc.GarbageArgs
 	}
-	key := string(a.Obj.Data)
+	// The size says where the file ends: for the EOF flag, and so that
+	// readahead stops at the last block.
+	attr, status, err := c.attr(ctx, a.Obj)
+	if err != nil {
+		return nil, oncrpc.SystemErr
+	}
+	if status != nfs3.OK {
+		return &nfs3.ReadRes{Status: status}, oncrpc.Success
+	}
+	size := attr.Size
 	idx := a.Offset / sfsBlockSize
 	inner := a.Offset % sfsBlockSize
 
-	// Launch pipelined prefetches for sequential access.
-	c.prefetchMu.Lock()
-	sequential := c.lastBlock[key]+1 == idx || idx == 0
-	c.lastBlock[key] = idx
-	c.prefetchMu.Unlock()
-	if sequential {
-		for i := 1; i <= c.cfg.PipelineDepth; i++ {
-			c.prefetch(a.Obj, idx+uint64(i))
-		}
+	// Launch the prefetches before the demand fetch, so that on a miss
+	// they travel alongside it.
+	c.reader.Advance(a.Obj, idx, (size+sfsBlockSize-1)/sfsBlockSize)
+	block, err := c.reader.Read(ctx, a.Obj, idx)
+	if errno, ok := err.(vfs.Errno); ok {
+		return &nfs3.ReadRes{Status: nfs3.Status(errno)}, oncrpc.Success
+	}
+	if err != nil {
+		return nil, oncrpc.SystemErr
 	}
 
-	k := blockKey{key, idx}
-	block, ok := c.getBlock(k)
-	if !ok {
-		var res nfs3.ReadRes
-		args := &nfs3.ReadArgs{Obj: a.Obj, Offset: idx * sfsBlockSize, Count: sfsBlockSize}
-		if err := c.relay.Call(ctx, nil, nfs3.ProcRead, args, &res); err != nil {
-			return nil, oncrpc.SystemErr
-		}
-		if res.Status != nfs3.OK {
-			return &res, oncrpc.Success
-		}
-		c.putBlock(k, res.Data)
-		block = res.Data
-	}
-
-	size := uint64(0)
-	c.mu.Lock()
-	if attr, ok := c.attrs[key]; ok {
-		size = attr.Size
-	}
-	c.mu.Unlock()
 	var out []byte
 	if inner < uint64(len(block)) {
 		end := inner + uint64(a.Count)
@@ -366,38 +335,6 @@ func (c *Client) read(ctx context.Context, call *oncrpc.Call) (xdr.Marshaler, on
 	}
 	eof := a.Offset+uint64(len(out)) >= size
 	return &nfs3.ReadRes{Status: nfs3.OK, Count: uint32(len(out)), EOF: eof, Data: out}, oncrpc.Success
-}
-
-// prefetch asynchronously fetches a block into the memory cache.
-func (c *Client) prefetch(fh nfs3.FH3, idx uint64) {
-	k := blockKey{string(fh.Data), idx}
-	if _, ok := c.getBlock(k); ok {
-		return
-	}
-	c.prefetchMu.Lock()
-	if c.inflight[k] {
-		c.prefetchMu.Unlock()
-		return
-	}
-	c.inflight[k] = true
-	c.prefetchMu.Unlock()
-	go func() {
-		defer func() {
-			c.prefetchMu.Lock()
-			delete(c.inflight, k)
-			c.prefetchMu.Unlock()
-		}()
-		ctx, cancel := context.WithTimeout(context.Background(), sfsPrefetchTimeout)
-		defer cancel()
-		var res nfs3.ReadRes
-		args := &nfs3.ReadArgs{Obj: fh, Offset: idx * sfsBlockSize, Count: sfsBlockSize}
-		if err := c.up.Call(ctx, nfs3.ProcRead, args, &res); err != nil {
-			return
-		}
-		if res.Status == nfs3.OK && len(res.Data) > 0 {
-			c.putBlock(blockKey{string(fh.Data), idx}, res.Data)
-		}
-	}()
 }
 
 // write forwards writes (SFS does not do client write-back) and
@@ -411,19 +348,9 @@ func (c *Client) write(ctx context.Context, call *oncrpc.Call) (xdr.Marshaler, o
 	first := a.Offset / sfsBlockSize
 	last := (a.Offset + uint64(len(a.Data))) / sfsBlockSize
 	key := string(a.Obj.Data)
-	c.mu.Lock()
 	for idx := first; idx <= last; idx++ {
-		k := blockKey{key, idx}
-		if b, ok := c.blocks[k]; ok {
-			c.used -= int64(len(b))
-			delete(c.blocks, k)
-			if e := c.lruIdx[k]; e != nil {
-				c.lru.Remove(e)
-			}
-			delete(c.lruIdx, k)
-		}
+		c.blocks.Drop(key, idx)
 	}
-	c.mu.Unlock()
 	var res nfs3.WriteRes
 	if err := c.relay.Call(ctx, nil, nfs3.ProcWrite, &a, &res); err != nil {
 		return nil, oncrpc.SystemErr

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"context"
 	"io"
+	"math/rand"
 	"net"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -58,6 +60,13 @@ func buildSFS(t *testing.T) (clientAddr string, backend *vfs.MemFS, serverCred *
 func buildSFSServer(t *testing.T) (srv *Server, clientAddr string, backend *vfs.MemFS, serverCred *gridsec.Credential, userCred *gridsec.Credential, srvAddr string) {
 	t.Helper()
 	backend = vfs.NewMemFS()
+	srv, clientAddr, serverCred, userCred, srvAddr = buildSFSOver(t, backend)
+	return
+}
+
+// buildSFSOver builds the daemon pair over the given NFS server backend.
+func buildSFSOver(t *testing.T, backend vfs.FS) (srv *Server, clientAddr string, serverCred *gridsec.Credential, userCred *gridsec.Credential, srvAddr string) {
+	t.Helper()
 	rpc := oncrpc.NewServer()
 	nfs3.NewServer(backend, 2).Register(rpc)
 	md := mountd.NewServer()
@@ -96,7 +105,7 @@ func buildSFSServer(t *testing.T) (srv *Server, clientAddr string, backend *vfs.
 	cliL, _ := net.Listen("tcp", "127.0.0.1:0")
 	go cli.Serve(cliL)
 	t.Cleanup(cli.Close)
-	return srv, cliL.Addr().String(), backend, serverCred, userCred, srvL.Addr().String()
+	return srv, cliL.Addr().String(), serverCred, userCred, srvL.Addr().String()
 }
 
 func TestSFSEndToEnd(t *testing.T) {
@@ -183,6 +192,95 @@ func TestSFSSequentialReadWithPipelining(t *testing.T) {
 	}
 	if !bytes.Equal(got, payload) {
 		t.Fatal("pipelined read corrupted data")
+	}
+}
+
+// slowCountingFS is a backend that counts its Reads and takes a while
+// over each, like a server a few milliseconds away: slow enough that a
+// sequential reader catches up with the blocks being prefetched.
+type slowCountingFS struct {
+	*vfs.MemFS
+	reads atomic.Int64
+}
+
+func (b *slowCountingFS) Read(h vfs.Handle, off uint64, buf []byte) (int, bool, error) {
+	b.reads.Add(1)
+	time.Sleep(2 * time.Millisecond)
+	return b.MemFS.Read(h, off, buf)
+}
+
+// TestSFSSequentialReadIssuesOneReadPerBlock: a demand read joins the
+// in-flight prefetch of its block instead of fetching it again, and
+// readahead stops at the last block, so a sequential read of an N-block
+// file costs the server exactly N READs.
+func TestSFSSequentialReadIssuesOneReadPerBlock(t *testing.T) {
+	const blocks = 24
+	backend := &slowCountingFS{MemFS: vfs.NewMemFS()}
+	payload := make([]byte, blocks*sfsBlockSize-100) // a short last block
+	rand.New(rand.NewSource(20)).Read(payload)
+	h, _, _ := backend.Create(backend.Root(), "big", vfs.SetAttr{}, false)
+	backend.Write(h, 0, payload)
+	_, addr, _, _, _ := buildSFSOver(t, backend)
+
+	dial := func() (net.Conn, error) { return net.Dial("tcp", addr) }
+	fs, err := nfsclient.Mount(context.Background(), dial, "/export", nfsclient.Options{CacheBytes: 1, Readahead: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fs.Close()
+	ctx := context.Background()
+	f, err := fs.Open(ctx, "big")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make([]byte, len(payload))
+	if _, err := f.ReadAt(ctx, got, 0); err != nil && err != io.EOF {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, payload) {
+		t.Fatal("pipelined read corrupted data")
+	}
+	// Prefetches past EOF, if any were issued, are still on their way.
+	time.Sleep(50 * time.Millisecond)
+	if n := backend.reads.Load(); n != blocks {
+		t.Fatalf("server saw %d READs for a sequential read of %d blocks", n, blocks)
+	}
+}
+
+// TestSFSReadEOFWithoutCachedAttr: the daemon's READ reply must carry
+// a true EOF flag even when it holds no attributes for the file, as
+// after any SETATTR.
+func TestSFSReadEOFWithoutCachedAttr(t *testing.T) {
+	addr, _, _, _, _ := buildSFS(t)
+	dial := func() (net.Conn, error) { return net.Dial("tcp", addr) }
+	fs, err := nfsclient.Mount(context.Background(), dial, "/export", nfsclient.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fs.Close()
+	ctx := context.Background()
+	p := fs.Proto()
+	fh, _, err := p.Create(ctx, fs.Root(), "eof", 0644, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const blocks = 3
+	for idx := uint64(0); idx < blocks; idx++ {
+		if _, _, err := p.Write(ctx, fh, idx*sfsBlockSize, bytes.Repeat([]byte("e"), sfsBlockSize), nfs3.FileSync); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := p.SetAttr(ctx, fh, nfs3.Sattr3{SetMode: true, Mode: 0600}); err != nil {
+		t.Fatal(err)
+	}
+	for idx, want := range []bool{false, false, true} {
+		data, eof, err := p.Read(ctx, fh, uint64(idx)*sfsBlockSize, sfsBlockSize)
+		if err != nil || len(data) != sfsBlockSize {
+			t.Fatalf("READ block %d: %d bytes, %v", idx, len(data), err)
+		}
+		if eof != want {
+			t.Errorf("READ block %d of %d: EOF = %v", idx, blocks, eof)
+		}
 	}
 }
 
@@ -286,7 +384,7 @@ func TestSFSFullProcedureSurface(t *testing.T) {
 	if err := raw.Call(ctx, nfs3.ProcPathConf, &nfs3.FSStatArgs{Obj: fs.Root()}, &pc); err != nil || pc.Status != nfs3.OK || pc.NameMax == 0 {
 		t.Fatalf("pathconf: %+v %v", pc, err)
 	}
-	if err := fs.Proto().Commit(ctx, f.Handle(), 0, 0); err != nil {
+	if _, err := fs.Proto().Commit(ctx, f.Handle(), 0, 0); err != nil {
 		t.Fatalf("commit: %v", err)
 	}
 	var mk nfs3.CreateRes

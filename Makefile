@@ -43,12 +43,16 @@ fuzz-short:
 bench:
 	bash benchmark/run.sh
 
-# Non-test Go lines per package, largest first. The north star tracks
-# line count per package like latency; this is the number it means.
+# Go lines per package, largest first: non-test lines, then test lines
+# (in-package and external _test.go files), and both totals. The north
+# star tracks the first column per package like latency; the second
+# tells code that was deleted from code that moved into a test.
 loc:
-	@$(GO) list -f '{{.ImportPath}}{{range .GoFiles}} {{$$.Dir}}/{{.}}{{end}}' ./... | \
-	while read pkg files; do echo "$$(cat $$files | wc -l) $$pkg"; done | sort -k1,1nr -k2 | \
-	awk '{ t += $$1; printf "%7d  %s\n", $$1, $$2 } END { printf "%7d  total\n", t }'
+	@$(GO) list -f '{{.ImportPath}}{{range .GoFiles}} {{$$.Dir}}/{{.}}{{end}} |{{range .TestGoFiles}} {{$$.Dir}}/{{.}}{{end}}{{range .XTestGoFiles}} {{$$.Dir}}/{{.}}{{end}}' ./... | \
+	while read pkg files; do \
+		echo "$$(cat /dev/null $${files%%|*} | wc -l) $$(cat /dev/null $${files##*|} | wc -l) $$pkg"; \
+	done | sort -k1,1nr -k3 | \
+	awk 'BEGIN { printf "%7s %7s  package\n", "code", "tests" } { c += $$1; t += $$2; printf "%7d %7d  %s\n", $$1, $$2, $$3 } END { printf "%7d %7d  total\n", c, t }'
 
 # Recompute the hot-path alloc census and refresh the committed
 # baseline the CI alloc budget compares against: per-root totals and

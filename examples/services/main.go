@@ -24,7 +24,6 @@ import (
 
 	"repro/internal/gridsec"
 	"repro/internal/mountd"
-	"repro/internal/nfs3"
 	"repro/internal/nfsclient"
 	"repro/internal/oncrpc"
 	"repro/internal/services"
@@ -54,13 +53,8 @@ func main() {
 	// The file server's NFS backend (exported to localhost only).
 	backend := vfs.NewMemFS()
 	rpc := oncrpc.NewServer()
-	nfs3.NewServer(backend, 1).Register(rpc)
-	md := mountd.NewServer()
-	md.AddExport(&mountd.Export{Path: "/GFS/alice", FS: backend})
-	md.Register(rpc)
-	nfsL, err := net.Listen("tcp", "127.0.0.1:0")
+	nfsAddr, err := mountd.ServeNFS(rpc, "/GFS/alice", backend, 1)
 	check(err)
-	go rpc.Serve(nfsL)
 	defer rpc.Close()
 
 	// FSS and DSS endpoints.
@@ -115,7 +109,7 @@ func main() {
 		Export:       "/GFS/alice",
 		ServerFSS:    fssURL,
 		ClientFSS:    fssURL,
-		Upstream:     nfsL.Addr().String(),
+		Upstream:     nfsAddr,
 		Suite:        "aes",
 		ProxyCertPEM: string(certPEM),
 		ProxyKeyPEM:  string(keyPEM),

@@ -8,13 +8,13 @@ import (
 	"time"
 
 	"repro/internal/cache"
+	"repro/internal/core"
 	"repro/internal/gridmap"
 	"repro/internal/gridsec"
 	"repro/internal/idmap"
 	"repro/internal/metrics"
 	"repro/internal/mountd"
 	"repro/internal/netem"
-	"repro/internal/nfs3"
 	"repro/internal/nfs4"
 	"repro/internal/nfsclient"
 	"repro/internal/oncrpc"
@@ -60,12 +60,6 @@ type StackConfig struct {
 	// DiskCache enables the SGFS client proxy's disk cache (the
 	// paper's WAN configuration).
 	DiskCache bool
-	// DiskCacheDir is where cache blocks live (a temp dir when empty).
-	DiskCacheDir string
-	// BlockSize is the transfer size (default 32 KiB, the paper's).
-	BlockSize int
-	// Readahead blocks in the NFS client (default 2; -1 disables).
-	Readahead int
 	// FineGrained enables per-file ACLs on the SGFS server proxy.
 	FineGrained bool
 	// DisableACLCache turns off ACL caching (ablation).
@@ -76,14 +70,6 @@ type StackConfig struct {
 	Sequential bool
 	// RekeyInterval enables periodic renegotiation (ablation).
 	RekeyInterval time.Duration
-	// Recovery, when non-nil, makes the client proxy's WAN channel
-	// fault tolerant (reconnect + idempotent replay + degraded cached
-	// reads) — the configuration chaos benchmarks run under injected
-	// link failures.
-	Recovery *proxy.RecoveryConfig
-	// Faulter, when non-nil, interposes fault injection on the WAN
-	// link between the client side and the server proxy.
-	Faulter *netem.Faulter
 }
 
 // Stack is a fully assembled file system deployment.
@@ -114,262 +100,194 @@ func (s *Stack) Close() {
 
 func (s *Stack) onClose(f func()) { s.closers = append(s.closers, f) }
 
-func listen() (net.Listener, error) { return net.Listen("tcp", "127.0.0.1:0") }
+// dialer opens a connection to one component of the stack.
+type dialer = func() (net.Conn, error)
 
-func dialTo(addr string) proxy.Dialer {
+func dialTo(addr string) dialer {
 	return func() (net.Conn, error) { return net.Dial("tcp", addr) }
 }
+
+// serve runs an already built daemon's accept loop on a loopback port
+// of its own and returns a dialer to it; the stack closes the daemon.
+func (s *Stack) serve(serve func(net.Listener) error, stop func()) (dialer, error) {
+	s.onClose(stop)
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		return nil, err
+	}
+	go serve(l)
+	return dialTo(l.Addr().String()), nil
+}
+
+const exportPath = "/GFS/bench"
 
 // BuildStack assembles the stack for cfg. All components run
 // in-process over loopback TCP; the WAN link is emulated with netem on
 // the client-to-server connection, like the NIST Net router between
 // the paper's VMs.
 func BuildStack(cfg StackConfig) (*Stack, error) {
-	if cfg.BlockSize == 0 {
-		cfg.BlockSize = 32 * 1024
-	}
-	if cfg.ClientCacheBytes == 0 {
-		cfg.ClientCacheBytes = 32 << 20
-	}
 	st := &Stack{Backend: vfs.NewMemFS()}
-
-	// The "kernel" NFS server, always present (except pure v4).
-	const exportPath = "/GFS/bench"
-	rpc := oncrpc.NewServer()
-	nfs3.NewServer(st.Backend, 1).Register(rpc)
-	nfs4.NewServer(st.Backend, 1).Register(rpc)
-	md := mountd.NewServer()
-	md.AddExport(&mountd.Export{Path: exportPath, FS: st.Backend, AllowedHosts: []string{"127.0.0.1"}})
-	md.Register(rpc)
-	nfsL, err := listen()
-	if err != nil {
+	if err := st.build(cfg); err != nil {
+		st.Close()
 		return nil, err
 	}
-	go rpc.Serve(nfsL)
-	st.onClose(rpc.Close)
-	nfsAddr := nfsL.Addr().String()
+	return st, nil
+}
 
-	wan := netem.Config{RTT: cfg.RTT}
-	clientOpts := nfsclient.Options{
-		BlockSize:  cfg.BlockSize,
-		CacheBytes: cfg.ClientCacheBytes,
-		Readahead:  cfg.Readahead,
-		UID:        1000, GID: 1000,
+// build starts cfg's components in order, queueing each one's teardown
+// as it starts, so BuildStack unwinds a failed build with Close.
+func (st *Stack) build(cfg StackConfig) error {
+	// The "kernel" NFS server, always present: NFSv3 and MOUNT, with
+	// NFSv4 on the same port.
+	rpc := oncrpc.NewServer()
+	st.onClose(rpc.Close)
+	nfs4.NewServer(st.Backend, 1).Register(rpc)
+	nfsAddr, err := mountd.ServeNFS(rpc, exportPath, st.Backend, 1)
+	if err != nil {
+		return err
 	}
 
-	ctx := context.Background()
+	// mountAt is what the workload's NFS client mounts: the kernel
+	// server across the WAN, or the setup's client-side daemon, which
+	// has the WAN behind it.
+	wan := netem.Config{RTT: cfg.RTT}
+	mountAt := netem.Dialer(dialTo(nfsAddr), wan)
 	switch cfg.Setup {
 	case SetupNFSv3:
-		dial := netem.Dialer(dialTo(nfsAddr), wan)
-		fs, err := nfsclient.Mount(ctx, dial, exportPath, clientOpts)
-		if err != nil {
-			st.Close()
-			return nil, err
-		}
-		st.onClose(func() { fs.Close() })
-		st.FS = V3FS{fs}
-		return st, nil
-
 	case SetupNFSv4:
-		dial := netem.Dialer(dialTo(nfsAddr), wan)
-		c, err := nfs4.Dial(dial, nfs4.Options{
-			BlockSize:  cfg.BlockSize,
-			CacheBytes: cfg.ClientCacheBytes,
-			UID:        1000, GID: 1000,
-		})
+		c, err := nfs4.Dial(mountAt, nfs4.Options{CacheBytes: cfg.ClientCacheBytes, UID: 1000, GID: 1000})
 		if err != nil {
-			st.Close()
-			return nil, err
+			return err
 		}
 		st.onClose(func() { c.Close() })
 		st.FS = V4FS{c}
-		return st, nil
-
+		return nil
 	case SetupSFS:
-		return buildSFSStack(st, cfg, nfsAddr, exportPath, wan, clientOpts)
-
+		mountAt, err = st.buildSFS(nfsAddr, wan)
 	default:
-		return buildProxyStack(st, cfg, nfsAddr, exportPath, wan, clientOpts)
+		mountAt, err = st.buildProxies(cfg, nfsAddr, wan)
 	}
+	if err != nil {
+		return err
+	}
+	fs, err := nfsclient.Mount(context.Background(), mountAt, exportPath,
+		nfsclient.Options{CacheBytes: cfg.ClientCacheBytes, UID: 1000, GID: 1000})
+	if err != nil {
+		return err
+	}
+	st.onClose(func() { fs.Close() })
+	st.FS = V3FS{fs}
+	return nil
 }
 
-// buildProxyStack assembles gfs, sgfs-{sha,rc,aes} and gfs-ssh.
-func buildProxyStack(st *Stack, cfg StackConfig, nfsAddr, exportPath string, wan netem.Config, clientOpts nfsclient.Options) (*Stack, error) {
-	ctx := context.Background()
-	st.ClientMeter = &metrics.Meter{}
-	st.ServerMeter = &metrics.Meter{}
+// sgfsSuites are the channel suites of the three secure SGFS setups.
+var sgfsSuites = map[Setup]securechan.Suite{
+	SetupSGFSSHA: securechan.SuiteNullSHA1,
+	SetupSGFSRC:  securechan.SuiteRC4SHA1,
+	SetupSGFSAES: securechan.SuiteAES256SHA1,
+}
 
-	var chanServer, chanClient *securechan.Config
-	var gmap *gridmap.Map
-	accounts := idmap.NewTable()
-	accounts.Add(idmap.Account{Name: "bench", UID: 1000, GID: 1000})
-
-	secure := cfg.Setup == SetupSGFSSHA || cfg.Setup == SetupSGFSRC || cfg.Setup == SetupSGFSAES
-	var suite securechan.Suite
-	switch cfg.Setup {
-	case SetupSGFSSHA:
-		suite = securechan.SuiteNullSHA1
-	case SetupSGFSRC:
-		suite = securechan.SuiteRC4SHA1
-	case SetupSGFSAES:
-		suite = securechan.SuiteAES256SHA1
-	}
-
+// buildProxies starts the proxy pair of gfs, sgfs-{sha,rc,aes} and
+// gfs-ssh through the one assembly in internal/core and returns a
+// dialer to the client proxy. What is decided here is only what the
+// figures vary: the suite, the meters, and what sits on the WAN link.
+func (st *Stack) buildProxies(cfg StackConfig, nfsAddr string, wan netem.Config) (dialer, error) {
+	st.ClientMeter, st.ServerMeter = &metrics.Meter{}, &metrics.Meter{}
 	ca, err := gridsec.NewCA("Bench Grid")
 	if err != nil {
-		st.Close()
 		return nil, err
 	}
 	user, err := ca.IssueUser("bench-user")
 	if err != nil {
-		st.Close()
 		return nil, err
 	}
 	host, err := ca.IssueHost("bench-server")
 	if err != nil {
-		st.Close()
 		return nil, err
 	}
-	if secure {
-		chanServer = &securechan.Config{Credential: host, Roots: ca.Pool(), Suites: []securechan.Suite{suite}, Meter: st.ServerMeter}
-		chanClient = &securechan.Config{Credential: user, Roots: ca.Pool(), Suites: []securechan.Suite{suite}, Meter: st.ClientMeter}
-		gmap = gridmap.New(gridmap.Deny)
-		gmap.Add(user.DN(), "bench")
-	} else {
-		// gfs and gfs-ssh: basic GFS proxies with no channel security;
-		// all traffic maps to the bench account.
-		accounts.Add(idmap.Account{Name: "nobody", UID: 1000, GID: 1000})
-	}
-
-	sp, err := proxy.NewServerProxy(proxy.ServerConfig{
+	accounts := idmap.NewTable()
+	accounts.Add(idmap.Account{Name: "bench", UID: 1000, GID: 1000})
+	scfg := proxy.ServerConfig{
 		UpstreamDial:    dialTo(nfsAddr),
 		ExportPath:      exportPath,
-		Channel:         chanServer,
-		Gridmap:         gmap,
 		Accounts:        accounts,
 		FineGrained:     cfg.FineGrained,
 		DisableACLCache: cfg.DisableACLCache,
 		Sequential:      cfg.Sequential,
 		Meter:           st.ServerMeter,
-	})
+	}
+	ccfg := proxy.ClientConfig{
+		ExportPath:    exportPath,
+		Meter:         st.ClientMeter,
+		RekeyInterval: cfg.RekeyInterval,
+	}
+	if suite, secure := sgfsSuites[cfg.Setup]; secure {
+		suites := []securechan.Suite{suite}
+		scfg.Channel = &securechan.Config{Credential: host, Roots: ca.Pool(), Suites: suites, Meter: st.ServerMeter}
+		ccfg.Channel = &securechan.Config{Credential: user, Roots: ca.Pool(), Suites: suites, Meter: st.ClientMeter}
+		scfg.Gridmap = gridmap.New(gridmap.Deny)
+		scfg.Gridmap.Add(user.DN(), "bench")
+	} else {
+		// gfs and gfs-ssh: basic GFS proxies with no channel security;
+		// all traffic maps to the bench account.
+		accounts.Add(idmap.Account{Name: "nobody", UID: 1000, GID: 1000})
+	}
+	srv, err := core.StartServer(scfg, "")
 	if err != nil {
-		st.Close()
 		return nil, err
 	}
-	spL, err := listen()
-	if err != nil {
-		st.Close()
-		return nil, err
-	}
-	go sp.Serve(spL)
-	st.onClose(sp.Close)
-	spAddr := spL.Addr().String()
+	st.onClose(srv.Close)
 
 	// The WAN link sits between the client side and the server proxy.
-	serverDial := netem.Dialer(dialTo(spAddr), wan)
-	if cfg.Faulter != nil {
-		serverDial = cfg.Faulter.Dialer(serverDial)
-	}
-
+	ccfg.ServerDial = netem.Dialer(dialTo(srv.Addr()), wan)
 	if cfg.Setup == SetupGFSSSH {
 		// Interpose the SSH tunnel: client proxy -> tunnel client ->
 		// (WAN) -> tunnel daemon -> server proxy. Both tunnel hops are
 		// extra user-level forwarders.
-		tunSrv := sshtun.NewServer(
-			&securechan.Config{Credential: host, Roots: ca.Pool()},
-			func() (net.Conn, error) { return net.Dial("tcp", spAddr) },
-		)
-		tsL, err := listen()
+		tunSrv := sshtun.NewServer(&securechan.Config{Credential: host, Roots: ca.Pool()}, dialTo(srv.Addr()))
+		toTunSrv, err := st.serve(tunSrv.Serve, tunSrv.Close)
 		if err != nil {
-			st.Close()
 			return nil, err
 		}
-		go tunSrv.Serve(tsL)
-		st.onClose(tunSrv.Close)
-
-		tunCli := sshtun.NewClient(
-			&securechan.Config{Credential: user, Roots: ca.Pool()},
-			netem.Dialer(dialTo(tsL.Addr().String()), wan),
-		)
-		tcL, err := listen()
-		if err != nil {
-			st.Close()
+		tunCli := sshtun.NewClient(&securechan.Config{Credential: user, Roots: ca.Pool()}, netem.Dialer(toTunSrv, wan))
+		if ccfg.ServerDial, err = st.serve(tunCli.Serve, tunCli.Close); err != nil {
 			return nil, err
 		}
-		go tunCli.Serve(tcL)
-		st.onClose(tunCli.Close)
-		serverDial = dialTo(tcL.Addr().String())
 	}
 
-	ccfg := proxy.ClientConfig{
-		ServerDial:    serverDial,
-		Channel:       chanClient,
-		ExportPath:    exportPath,
-		Meter:         st.ClientMeter,
-		RekeyInterval: cfg.RekeyInterval,
-		Recovery:      cfg.Recovery,
-	}
+	var cacheDir string
 	if cfg.DiskCache {
-		dir := cfg.DiskCacheDir
-		if dir == "" {
-			var err error
-			dir, err = os.MkdirTemp("", "sgfs-cache-*")
-			if err != nil {
-				st.Close()
-				return nil, err
-			}
-			st.onClose(func() { os.RemoveAll(dir) })
-		}
-		dc, err := cache.New(dir, cfg.BlockSize, 4<<30)
-		if err != nil {
-			st.Close()
+		if cacheDir, err = os.MkdirTemp("", "sgfs-cache-*"); err != nil {
 			return nil, err
 		}
-		st.onClose(func() { dc.Close() })
-		ccfg.DiskCache = dc
-		st.CacheStats = dc.Stats
+		st.onClose(func() { os.RemoveAll(cacheDir) })
 	}
-	cp, err := proxy.NewClientProxy(ccfg)
+	cli, err := core.StartClient(ccfg, "", cacheDir, 0, 0)
 	if err != nil {
-		st.Close()
 		return nil, fmt.Errorf("bench: client proxy: %w", err)
 	}
-	cpL, err := listen()
-	if err != nil {
-		st.Close()
-		return nil, err
+	st.onClose(func() { cli.Close() })
+	st.Flush = cli.Flush
+	if cfg.DiskCache {
+		st.CacheStats = func() cache.Stats { s, _ := cli.CacheStats(); return s }
 	}
-	go cp.Serve(cpL)
-	st.onClose(func() { cp.Close() })
-	st.Flush = cp.FlushAll
-
-	fs, err := nfsclient.Mount(ctx, nfsclient.Dialer(dialTo(cpL.Addr().String())), exportPath, clientOpts)
-	if err != nil {
-		st.Close()
-		return nil, err
-	}
-	st.onClose(func() { fs.Close() })
-	st.FS = V3FS{fs}
-	return st, nil
+	return dialTo(cli.Addr()), nil
 }
 
-// buildSFSStack assembles the sfs baseline.
-func buildSFSStack(st *Stack, cfg StackConfig, nfsAddr, exportPath string, wan netem.Config, clientOpts nfsclient.Options) (*Stack, error) {
-	ctx := context.Background()
-	st.ClientMeter = &metrics.Meter{}
-	st.ServerMeter = &metrics.Meter{}
+// buildSFS starts the daemon pair of the sfs baseline and returns a
+// dialer to the client daemon.
+func (st *Stack) buildSFS(nfsAddr string, wan netem.Config) (dialer, error) {
+	st.ClientMeter, st.ServerMeter = &metrics.Meter{}, &metrics.Meter{}
 	serverCred, err := gridsec.NewSelfSigned("sfs-server")
 	if err != nil {
-		st.Close()
 		return nil, err
 	}
 	userCred, err := gridsec.NewSelfSigned("sfs-user")
 	if err != nil {
-		st.Close()
 		return nil, err
 	}
 	srv, err := sfs.NewServer(sfs.ServerConfig{
-		UpstreamDial: func() (net.Conn, error) { return net.Dial("tcp", nfsAddr) },
+		UpstreamDial: dialTo(nfsAddr),
 		ExportPath:   exportPath,
 		Credential:   serverCred,
 		Users: map[string]idmap.Account{
@@ -378,42 +296,21 @@ func buildSFSStack(st *Stack, cfg StackConfig, nfsAddr, exportPath string, wan n
 		Meter: st.ServerMeter,
 	})
 	if err != nil {
-		st.Close()
 		return nil, err
 	}
-	srvL, err := listen()
+	toSrv, err := st.serve(srv.Serve, srv.Close)
 	if err != nil {
-		st.Close()
 		return nil, err
 	}
-	go srv.Serve(srvL)
-	st.onClose(srv.Close)
-
 	cli, err := sfs.NewClient(sfs.ClientConfig{
-		ServerDial: netem.Dialer(func() (net.Conn, error) { return net.Dial("tcp", srvL.Addr().String()) }, wan),
+		ServerDial: netem.Dialer(toSrv, wan),
 		HostID:     sfs.HostID(serverCred),
 		Credential: userCred,
 		ExportPath: exportPath,
 		Meter:      st.ClientMeter,
 	})
 	if err != nil {
-		st.Close()
 		return nil, err
 	}
-	cliL, err := listen()
-	if err != nil {
-		st.Close()
-		return nil, err
-	}
-	go cli.Serve(cliL)
-	st.onClose(cli.Close)
-
-	fs, err := nfsclient.Mount(ctx, nfsclient.Dialer(dialTo(cliL.Addr().String())), exportPath, clientOpts)
-	if err != nil {
-		st.Close()
-		return nil, err
-	}
-	st.onClose(func() { fs.Close() })
-	st.FS = V3FS{fs}
-	return st, nil
+	return st.serve(cli.Serve, cli.Close)
 }

@@ -1,10 +1,13 @@
 // Package core implements SGFS session orchestration — the logic the
-// paper puts in the proxy configuration files (§4.2): assembling a
-// client- or server-side proxy from a declarative session
-// configuration, and reconfiguring a live session (reloading the
-// gridmap, invalidating ACL caches, forcing a session-key
-// renegotiation) by reapplying an updated configuration, as a
-// deployed proxy does when signalled to reload its file.
+// paper puts in the proxy configuration files (§4.2). It holds the one
+// assembly of each side of a session (StartServer, StartClient: listen,
+// disk cache, proxy, teardown, and the defaults a zero value selects),
+// which the facade, the File System Service and the paper-figure
+// harness all call; StartServerSession and StartClientSession put the
+// declarative session configuration in front of it by loading the
+// files it names. A live server session can reload its gridmap from an
+// updated configuration, as a deployed proxy does when signalled to
+// reload its file; nothing else is reconfigured in place.
 package core
 
 import (
@@ -77,9 +80,9 @@ type Config struct {
 
 	// CacheDir enables the disk cache when non-empty (client role).
 	CacheDir string
-	// CacheBytes bounds the disk cache (default 4 GiB).
+	// CacheBytes bounds the disk cache (0 = the default, 4 GiB).
 	CacheBytes int64
-	// BlockSize is the cache block size (default 32 KiB).
+	// BlockSize is the cache block size (0 = the default, 32 KiB).
 	BlockSize int
 }
 
@@ -125,6 +128,9 @@ func (c *Config) Validate() error {
 	if c.Export == "" {
 		return fmt.Errorf("core: session requires an export path")
 	}
+	if c.BlockSize < 0 || c.CacheBytes < 0 {
+		return fmt.Errorf("core: block_size (%d) and cache_size (%d) must not be negative", c.BlockSize, c.CacheBytes)
+	}
 	if c.Secure() {
 		if _, err := c.Suite(); err != nil {
 			return err
@@ -139,7 +145,7 @@ func (c *Config) Validate() error {
 // Parse reads a configuration in "key = value" form. Unknown keys are
 // rejected so typos fail loudly.
 func Parse(r io.Reader) (*Config, error) {
-	cfg := &Config{CacheBytes: 4 << 30, BlockSize: 32 * 1024}
+	cfg := &Config{}
 	sc := bufio.NewScanner(r)
 	lineNo := 0
 	for sc.Scan() {
@@ -304,10 +310,10 @@ func (c *Config) Serialize() []byte {
 		put("anonymous_ok", "true")
 	}
 	put("disk_cache", c.CacheDir)
-	if c.CacheDir != "" {
+	if c.CacheBytes != 0 {
 		put("cache_size", strconv.FormatInt(c.CacheBytes, 10))
 	}
-	if c.BlockSize != 32*1024 {
+	if c.BlockSize != 0 {
 		put("block_size", strconv.Itoa(c.BlockSize))
 	}
 	if c.RekeyInterval > 0 {

@@ -3,18 +3,19 @@ package core
 import (
 	"bytes"
 	"context"
-	"net"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/cache"
 	"repro/internal/gridsec"
 	"repro/internal/mountd"
 	"repro/internal/nfs3"
 	"repro/internal/nfsclient"
 	"repro/internal/oncrpc"
+	"repro/internal/proxy"
 	"repro/internal/vfs"
 )
 
@@ -65,6 +66,8 @@ func TestValidateErrors(t *testing.T) {
 		"role = client\nserver = a:1\n",                            // no export
 		"role = client\nexport = /x\nserver = a:1\nsecurity = des", // bad suite
 		"role = server\nexport = /x\nupstream = a:1\nsecurity = aes\ncert = c\nkey = k\nca = a\n", // secure server, no gridmap
+		"role = client\nexport = /x\nserver = a:1\nblock_size = -1\n",                             // negative block size
+		"role = client\nexport = /x\nserver = a:1\ndisk_cache = /c\ncache_size = -4096\n",         // negative capacity
 	}
 	for _, src := range cases {
 		cfg, err := Parse(strings.NewReader(src))
@@ -149,27 +152,7 @@ func TestReplicatedSessionFromConfig(t *testing.T) {
 	addrs := make([]string, 3)
 	for i := range backends {
 		backends[i] = vfs.NewMemFS()
-		rpc := oncrpc.NewServer()
-		nfs3.NewServer(backends[i], uint64(i+1)).Register(rpc)
-		md := mountd.NewServer()
-		md.AddExport(&mountd.Export{Path: "/GFS/alice", FS: backends[i]})
-		md.Register(rpc)
-		l, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		go rpc.Serve(l)
-		defer rpc.Close()
-
-		srv, err := StartServerSession(&Config{
-			Role: RoleServer, Export: "/GFS/alice",
-			Upstream: l.Addr().String(),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer srv.Close()
-		addrs[i] = srv.Addr()
+		addrs[i] = plainServer(t, backends[i], uint64(i+1)).Addr()
 	}
 
 	cli, err := StartClientSession(&Config{
@@ -179,47 +162,20 @@ func TestReplicatedSessionFromConfig(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer cli.Close()
+	t.Cleanup(func() { cli.Close() })
 
-	ctx := context.Background()
-	addr := cli.Addr()
-	fs, err := nfsclient.Mount(ctx, func() (net.Conn, error) { return net.Dial("tcp", addr) },
-		"/GFS/alice", nfsclient.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fs.Close()
 	payload := []byte("replicated from config")
-	f, err := fs.Create(ctx, "conf.txt", 0644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.Write(ctx, payload); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if err := cli.Flush(ctx); err != nil {
+	put(t, mountSession(t, cli), "conf.txt", payload)
+	if err := cli.Flush(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 
 	// Quorum acks at 2 of 3; poll for the straggler.
 	for i, be := range backends {
 		deadline := time.Now().Add(10 * time.Second)
-		for {
-			var got []byte
-			if h, _, err := be.Lookup(be.Root(), "conf.txt"); err == nil {
-				buf := make([]byte, len(payload)+16)
-				if n, _, err := be.Read(h, 0, buf); err == nil {
-					got = buf[:n]
-				}
-			}
-			if string(got) == string(payload) {
-				break
-			}
+		for !bytes.Equal(stored(be, "conf.txt"), payload) {
 			if time.Now().After(deadline) {
-				t.Fatalf("backend %d never converged: %q", i, got)
+				t.Fatalf("backend %d never converged: %q", i, stored(be, "conf.txt"))
 			}
 			time.Sleep(20 * time.Millisecond)
 		}
@@ -258,25 +214,18 @@ func TestSessionsEndToEnd(t *testing.T) {
 
 	// NFS server.
 	backend := vfs.NewMemFS()
-	rpc := oncrpc.NewServer()
-	nfs3.NewServer(backend, 9).Register(rpc)
-	md := mountd.NewServer()
-	md.AddExport(&mountd.Export{Path: "/GFS/alice", FS: backend})
-	md.Register(rpc)
-	nfsL, _ := net.Listen("tcp", "127.0.0.1:0")
-	go rpc.Serve(nfsL)
-	defer rpc.Close()
+	nfsAddr := serveNFS(t, backend, 9)
 
 	srv, err := StartServerSession(&Config{
 		Role: RoleServer, Export: "/GFS/alice",
-		Upstream: nfsL.Addr().String(),
+		Upstream: nfsAddr,
 		Security: "aes", CertPath: hostCert, KeyPath: hostKey, CAPath: caPath,
 		GridmapPath: gridmapPath, AccountsPath: accountsPath,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer srv.Close()
+	t.Cleanup(srv.Close)
 
 	cli, err := StartClientSession(&Config{
 		Role: RoleClient, Export: "/GFS/alice",
@@ -287,23 +236,11 @@ func TestSessionsEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer cli.Close()
+	t.Cleanup(func() { cli.Close() })
 
 	ctx := context.Background()
-	addr := cli.Addr()
-	fs, err := nfsclient.Mount(ctx, func() (net.Conn, error) { return net.Dial("tcp", addr) }, "/GFS/alice", nfsclient.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fs.Close()
-	f, err := fs.Create(ctx, "hello", 0644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.Write(ctx, []byte("through config files"))
-	if err := f.Close(ctx); err != nil {
-		t.Fatal(err)
-	}
+	fs := mountSession(t, cli)
+	put(t, fs, "hello", []byte("through config files"))
 
 	// Force a rekey on the live session.
 	if err := cli.Rekey(); err != nil {
@@ -324,8 +261,7 @@ func TestSessionsEndToEnd(t *testing.T) {
 	if err := cli.Flush(ctx); err != nil {
 		t.Fatal(err)
 	}
-	h, attr, err := backend.Lookup(backend.Root(), "hello")
-	_ = h
+	_, attr, err := backend.Lookup(backend.Root(), "hello")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,7 +282,7 @@ func TestSessionsEndToEnd(t *testing.T) {
 	writeFile(t, gridmapPath,
 		`"`+alice.DN()+`" alice`+"\n"+`"`+bob.DN()+`" alice`+"\n")
 	if err := srv.Reconfigure(&Config{
-		Role: RoleServer, Export: "/GFS/alice", Upstream: nfsL.Addr().String(),
+		Role: RoleServer, Export: "/GFS/alice", Upstream: nfsAddr,
 		Security: "aes", CertPath: hostCert, KeyPath: hostKey, CAPath: caPath,
 		GridmapPath: gridmapPath, AccountsPath: accountsPath,
 	}); err != nil {
@@ -362,13 +298,141 @@ func TestSessionsEndToEnd(t *testing.T) {
 	bobSess.Close()
 }
 
-func writeFile(t *testing.T, path, content string) {
+// serveNFS starts an NFS server exporting backend at /GFS/alice for
+// the length of the test and returns its address.
+func serveNFS(t *testing.T, backend vfs.FS, fsid uint64) string {
 	t.Helper()
-	if err := writeFileErr(path, content); err != nil {
+	rpc := oncrpc.NewServer()
+	t.Cleanup(rpc.Close)
+	addr, err := mountd.ServeNFS(rpc, "/GFS/alice", backend, fsid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return addr
+}
+
+// TestClientSessionZeroCacheDefaults: a hand-built Config that names a
+// cache directory and leaves BlockSize and CacheBytes zero gets the
+// documented defaults. A zero block size reaching the client proxy is a
+// division by zero on the first WRITE.
+func TestClientSessionZeroCacheDefaults(t *testing.T) {
+	backend := vfs.NewMemFS()
+	cli, err := StartClientSession(&Config{
+		Role: RoleClient, Export: "/GFS/alice", Server: plainServer(t, backend, 3).Addr(),
+		CacheDir: filepath.Join(t.TempDir(), "cache"),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { cli.Close() })
+
+	ctx := context.Background()
+	fs := mountSession(t, cli)
+	payload := bytes.Repeat([]byte("zero-default "), 8000) // spans blocks
+	put(t, fs, "z.dat", payload)
+	g, err := fs.Open(ctx, "z.dat")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make([]byte, len(payload)+1)
+	if n, err := g.ReadAt(ctx, got, 0); !bytes.Equal(got[:n], payload) {
+		t.Fatalf("read back %d bytes (err %v), want the %d written", n, err, len(payload))
+	}
+	if err := cli.Flush(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if got := stored(backend, "z.dat"); !bytes.Equal(got, payload) {
+		t.Fatalf("backend holds %d bytes after Flush, want %d", len(got), len(payload))
+	}
+	if st, ok := cli.CacheStats(); !ok || st.FlushedBytes == 0 {
+		t.Fatalf("cache stats after flush: ok=%v %+v", ok, st)
+	}
+}
+
+// TestClientStartFailureClosesCache: the client side's last step
+// failing (its listen address is in use) unwinds through the session's
+// one teardown, and that teardown closes a disk cache whichever other
+// parts are missing.
+func TestClientStartFailureClosesCache(t *testing.T) {
+	srv := plainServer(t, vfs.NewMemFS(), 4)
+	pcfg := proxy.ClientConfig{ServerDial: dialTo(srv.Addr()), ExportPath: "/GFS/alice"}
+	if cli, err := StartClient(pcfg, srv.Addr(), t.TempDir(), 0, 0); err == nil {
+		cli.Close()
+		t.Fatal("client side started on an address in use")
+	}
+
+	dir := t.TempDir()
+	dc, err := cache.New(dir, 4096, 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := dc.PutBlock(nfs3.FH3{Data: []byte("fh")}, 0, make([]byte, 4096), true); err != nil {
+		t.Fatal(err)
+	}
+	if err := (&ClientSession{dc: dc}).Close(); err != nil {
+		t.Fatal(err)
+	}
+	if left, _ := os.ReadDir(dir); len(left) != 0 {
+		t.Fatalf("%d cache file(s) left open after the teardown of a half-started session", len(left))
+	}
+}
+
+// plainServer starts an insecure server session over an NFS server
+// exporting backend, for the length of the test.
+func plainServer(t *testing.T, backend vfs.FS, fsid uint64) *ServerSession {
+	t.Helper()
+	srv, err := StartServerSession(&Config{
+		Role: RoleServer, Export: "/GFS/alice", Upstream: serveNFS(t, backend, fsid),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(srv.Close)
+	return srv
+}
+
+// mountSession mounts the export through the client session's proxy.
+func mountSession(t *testing.T, cli *ClientSession) *nfsclient.FileSystem {
+	t.Helper()
+	fs, err := nfsclient.Mount(context.Background(), dialTo(cli.Addr()), "/GFS/alice", nfsclient.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { fs.Close() })
+	return fs
+}
+
+// put writes payload into a new file through the mount.
+func put(t *testing.T, fs *nfsclient.FileSystem, name string, payload []byte) {
+	t.Helper()
+	ctx := context.Background()
+	f, err := fs.Create(ctx, name, 0644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(ctx, payload); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(ctx); err != nil {
 		t.Fatal(err)
 	}
 }
 
-func writeFileErr(path, content string) error {
-	return os.WriteFile(path, []byte(content), 0644)
+// stored returns what the backend holds of a root-level file, nil when
+// it is not there.
+func stored(be *vfs.MemFS, name string) []byte {
+	h, attr, err := be.Lookup(be.Root(), name)
+	if err != nil {
+		return nil
+	}
+	buf := make([]byte, attr.Size)
+	n, _, _ := be.Read(h, 0, buf)
+	return buf[:n]
+}
+
+func writeFile(t *testing.T, path, content string) {
+	t.Helper()
+	if err := os.WriteFile(path, []byte(content), 0644); err != nil {
+		t.Fatal(err)
+	}
 }

@@ -39,16 +39,56 @@ func loadChannel(cfg *Config) (*securechan.Config, error) {
 	}, nil
 }
 
+// The defaults a zero value selects, decided here and nowhere else.
+const (
+	defaultListen     = "127.0.0.1:0"
+	defaultBlockSize  = 32 * 1024
+	defaultCacheBytes = 4 << 30
+)
+
+func listenOn(addr string) (net.Listener, error) {
+	if addr == "" {
+		addr = defaultListen
+	}
+	return net.Listen("tcp", addr)
+}
+
+// GridmapPolicy is what a session does with a DN its gridmap does not
+// list: deny it, or map it to the anonymous account when anonymousOK.
+func GridmapPolicy(anonymousOK bool) gridmap.Policy {
+	if anonymousOK {
+		return gridmap.Anonymous
+	}
+	return gridmap.Deny
+}
+
 // ServerSession is a running server-side SGFS session.
 type ServerSession struct {
-	cfg   *Config
 	proxy *proxy.ServerProxy
 	gmap  *gridmap.Map
 	ln    net.Listener
 }
 
-// StartServerSession assembles and starts a server-side proxy per cfg,
-// listening on cfg.Listen (or an ephemeral port when empty).
+// StartServer is the one assembly of a session's server side: it
+// listens on listen (an ephemeral loopback port when empty), builds
+// the server proxy pcfg describes and serves it there. On any failure
+// whatever was started is torn down again.
+func StartServer(pcfg proxy.ServerConfig, listen string) (*ServerSession, error) {
+	ln, err := listenOn(listen)
+	if err != nil {
+		return nil, err
+	}
+	s := &ServerSession{gmap: pcfg.Gridmap, ln: ln}
+	if s.proxy, err = proxy.NewServerProxy(pcfg); err != nil {
+		s.Close()
+		return nil, err
+	}
+	go s.proxy.Serve(ln)
+	return s, nil
+}
+
+// StartServerSession loads the files cfg names (credentials, gridmap,
+// accounts) and starts the server side they describe on cfg.Listen.
 func StartServerSession(cfg *Config) (*ServerSession, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -62,46 +102,30 @@ func StartServerSession(cfg *Config) (*ServerSession, error) {
 	}
 	var gmap *gridmap.Map
 	if cfg.GridmapPath != "" {
-		policy := gridmap.Deny
-		if cfg.AnonymousOK {
-			policy = gridmap.Anonymous
-		}
-		gmap, err = gridmap.Load(cfg.GridmapPath, policy)
+		gmap, err = gridmap.Load(cfg.GridmapPath, GridmapPolicy(cfg.AnonymousOK))
 		if err != nil {
 			return nil, fmt.Errorf("core: load gridmap: %w", err)
 		}
 	}
-	accounts := idmap.NewTable()
+	var accounts *idmap.Table
 	if cfg.AccountsPath != "" {
 		accounts, err = idmap.LoadFile(cfg.AccountsPath)
 		if err != nil {
 			return nil, err
 		}
 	}
-	upstream := cfg.Upstream
-	sp, err := proxy.NewServerProxy(proxy.ServerConfig{
-		UpstreamDial: func() (net.Conn, error) { return net.Dial("tcp", upstream) },
+	return StartServer(proxy.ServerConfig{
+		UpstreamDial: dialTo(cfg.Upstream),
 		ExportPath:   cfg.Export,
 		Channel:      channel,
 		Gridmap:      gmap,
 		Accounts:     accounts,
 		FineGrained:  cfg.FineGrained,
-	})
-	if err != nil {
-		return nil, err
-	}
-	listen := cfg.Listen
-	if listen == "" {
-		listen = "127.0.0.1:0"
-	}
-	ln, err := net.Listen("tcp", listen)
-	if err != nil {
-		sp.Close()
-		return nil, err
-	}
-	s := &ServerSession{cfg: cfg, proxy: sp, gmap: gmap, ln: ln}
-	go sp.Serve(ln)
-	return s, nil
+	}, cfg.Listen)
+}
+
+func dialTo(addr string) func() (net.Conn, error) {
+	return func() (net.Conn, error) { return net.Dial("tcp", addr) }
 }
 
 // Addr returns the session's listen address.
@@ -113,41 +137,78 @@ func (s *ServerSession) Proxy() *proxy.ServerProxy { return s.proxy }
 // Gridmap exposes the live gridmap for per-session sharing updates.
 func (s *ServerSession) Gridmap() *gridmap.Map { return s.gmap }
 
-// Reconfigure applies an updated configuration to the live session:
-// the gridmap is reloaded in place (affecting new connections
-// immediately). Changes to credentials or suite apply to sessions
-// established after the call.
+// Reconfigure reloads the gridmap file cfg names into the live
+// session's gridmap, which decides the connections accepted from then
+// on. That is all it does: every other setting of cfg, credentials and
+// suite included, takes a new session.
 func (s *ServerSession) Reconfigure(cfg *Config) error {
 	if cfg.GridmapPath != "" && s.gmap != nil {
-		policy := gridmap.Deny
-		if cfg.AnonymousOK {
-			policy = gridmap.Anonymous
-		}
-		fresh, err := gridmap.Load(cfg.GridmapPath, policy)
+		fresh, err := gridmap.Load(cfg.GridmapPath, GridmapPolicy(cfg.AnonymousOK))
 		if err != nil {
 			return fmt.Errorf("core: reload gridmap: %w", err)
 		}
 		s.gmap.ReplaceAll(fresh)
 	}
-	s.cfg = cfg
 	return nil
 }
 
-// Close shuts the session down.
+// Close shuts the session down, newest part first. It is also the
+// unwinding of a start that failed part-way, so every part may be
+// missing.
 func (s *ServerSession) Close() {
-	s.ln.Close()
-	s.proxy.Close()
+	if s.ln != nil {
+		s.ln.Close()
+	}
+	if s.proxy != nil {
+		s.proxy.Close()
+	}
 }
 
 // ClientSession is a running client-side SGFS session.
 type ClientSession struct {
-	cfg   *Config
 	proxy *proxy.ClientProxy
 	dc    *cache.DiskCache
 	ln    net.Listener
 }
 
-// StartClientSession assembles and starts a client-side proxy per cfg.
+// StartClient is the one assembly of a session's client side: with
+// cacheDir set it opens the disk cache there (blockSize and cacheBytes
+// zero meaning 32 KiB blocks and 4 GiB) and hands it to the proxy as
+// pcfg.DiskCache; it listens on listen (an ephemeral loopback port
+// when empty), builds the client proxy pcfg describes, which
+// establishes the session with the server side, and serves it there
+// for the local NFS client. On any failure whatever was started is
+// torn down again.
+func StartClient(pcfg proxy.ClientConfig, listen, cacheDir string, blockSize int, cacheBytes int64) (*ClientSession, error) {
+	s := &ClientSession{}
+	if cacheDir != "" {
+		if blockSize == 0 {
+			blockSize = defaultBlockSize
+		}
+		if cacheBytes == 0 {
+			cacheBytes = defaultCacheBytes
+		}
+		dc, err := cache.New(cacheDir, blockSize, cacheBytes)
+		if err != nil {
+			return nil, err
+		}
+		s.dc, pcfg.DiskCache = dc, dc
+	}
+	ln, err := listenOn(listen)
+	if err == nil {
+		s.ln = ln
+		s.proxy, err = proxy.NewClientProxy(pcfg)
+	}
+	if err != nil {
+		s.Close()
+		return nil, err
+	}
+	go s.proxy.Serve(ln)
+	return s, nil
+}
+
+// StartClientSession loads the credentials cfg names and starts the
+// client side it describes on cfg.Listen.
 func StartClientSession(cfg *Config) (*ClientSession, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -159,17 +220,9 @@ func StartClientSession(cfg *Config) (*ClientSession, error) {
 	if err != nil {
 		return nil, err
 	}
-	var dc *cache.DiskCache
-	if cfg.CacheDir != "" {
-		dc, err = cache.New(cfg.CacheDir, cfg.BlockSize, cfg.CacheBytes)
-		if err != nil {
-			return nil, err
-		}
-	}
 	pcfg := proxy.ClientConfig{
 		Channel:       channel,
 		ExportPath:    cfg.Export,
-		DiskCache:     dc,
 		RekeyInterval: cfg.RekeyInterval,
 	}
 	if len(cfg.Servers) > 0 {
@@ -177,11 +230,7 @@ func StartClientSession(cfg *Config) (*ClientSession, error) {
 		// replication layer owns placement, quorum and failover.
 		backends := make([]proxy.ReplicaBackendDef, len(cfg.Servers))
 		for i, addr := range cfg.Servers {
-			addr := addr
-			backends[i] = proxy.ReplicaBackendDef{
-				Addr: addr,
-				Dial: func() (net.Conn, error) { return net.Dial("tcp", addr) },
-			}
+			backends[i] = proxy.ReplicaBackendDef{Addr: addr, Dial: dialTo(addr)}
 		}
 		pcfg.Replication = &proxy.ReplicationConfig{
 			Backends:   backends,
@@ -190,28 +239,9 @@ func StartClientSession(cfg *Config) (*ClientSession, error) {
 			HedgeDelay: cfg.HedgeDelay,
 		}
 	} else {
-		server := cfg.Server
-		pcfg.ServerDial = func() (net.Conn, error) { return net.Dial("tcp", server) }
+		pcfg.ServerDial = dialTo(cfg.Server)
 	}
-	cp, err := proxy.NewClientProxy(pcfg)
-	if err != nil {
-		if dc != nil {
-			dc.Close()
-		}
-		return nil, err
-	}
-	listen := cfg.Listen
-	if listen == "" {
-		listen = "127.0.0.1:0"
-	}
-	ln, err := net.Listen("tcp", listen)
-	if err != nil {
-		cp.Close()
-		return nil, err
-	}
-	s := &ClientSession{cfg: cfg, proxy: cp, dc: dc, ln: ln}
-	go cp.Serve(ln)
-	return s, nil
+	return StartClient(pcfg, cfg.Listen, cfg.CacheDir, cfg.BlockSize, cfg.CacheBytes)
 }
 
 // Addr returns the address the local NFS client should mount.
@@ -237,10 +267,17 @@ func (s *ClientSession) ReplicaStats() (metrics.ReplicaSnapshot, bool) {
 	return s.proxy.ReplicaStats()
 }
 
-// Close flushes write-back data and shuts the session down.
+// Close flushes write-back data and shuts the session down, newest
+// part first. It is also the unwinding of a start that failed
+// part-way, so every part may be missing.
 func (s *ClientSession) Close() error {
-	s.ln.Close()
-	err := s.proxy.Close()
+	var err error
+	if s.ln != nil {
+		s.ln.Close()
+	}
+	if s.proxy != nil {
+		err = s.proxy.Close()
+	}
 	if s.dc != nil {
 		s.dc.Close()
 	}

@@ -194,6 +194,25 @@ func (s *Server) Register(r *oncrpc.Server) {
 	})
 }
 
+// ServeNFS puts the paper's file server behind rpc and starts it: the
+// NFSv3 program over fs (with file system id fsid), a MOUNT daemon
+// exporting fs at path to localhost only (§5), and an accept loop on a
+// loopback port of its own, whose address it returns. The caller owns
+// rpc: it may register further programs on it, before or after, and
+// closes it to stop the server.
+func ServeNFS(rpc *oncrpc.Server, path string, fs vfs.FS, fsid uint64) (addr string, err error) {
+	nfs3.NewServer(fs, fsid).Register(rpc)
+	md := NewServer()
+	md.AddExport(&Export{Path: path, FS: fs})
+	md.Register(rpc)
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		return "", err
+	}
+	go rpc.Serve(l)
+	return l.Addr().String(), nil
+}
+
 // RegisterRelay installs the MOUNT program of a daemon that relays a
 // single export it has itself mounted upstream: MNT answers the root
 // handle export returns for the paths it accepts and NOENT for the

@@ -25,19 +25,19 @@ import (
 func startServer(t *testing.T) (Dialer, *vfs.MemFS) {
 	t.Helper()
 	backend := vfs.NewMemFS()
-	rpc := oncrpc.NewServer()
-	nfs3.NewServer(backend, 7).Register(rpc)
-	md := mountd.NewServer()
-	md.AddExport(&mountd.Export{Path: "/GFS/test", FS: backend})
-	md.Register(rpc)
-	l, err := net.Listen("tcp", "127.0.0.1:0")
+	return serveNFS(t, oncrpc.NewServer(), backend), backend
+}
+
+// serveNFS serves backend as /GFS/test on rpc for the length of the
+// test and returns a dialer to it.
+func serveNFS(t *testing.T, rpc *oncrpc.Server, backend vfs.FS) Dialer {
+	t.Helper()
+	t.Cleanup(rpc.Close)
+	addr, err := mountd.ServeNFS(rpc, "/GFS/test", backend, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	go rpc.Serve(l)
-	t.Cleanup(rpc.Close)
-	addr := l.Addr().String()
-	return func() (net.Conn, error) { return net.Dial("tcp", addr) }, backend
+	return func() (net.Conn, error) { return net.Dial("tcp", addr) }
 }
 
 func mountFS(t *testing.T, dial Dialer, opt Options) *FileSystem {
@@ -522,18 +522,7 @@ func (b *failFirstWrite) Write(h vfs.Handle, off uint64, data []byte) error {
 // the server.
 func TestFailedFlushKeepsDataDirty(t *testing.T) {
 	backend := &failFirstWrite{MemFS: vfs.NewMemFS()}
-	rpc := oncrpc.NewServer()
-	nfs3.NewServer(backend, 7).Register(rpc)
-	md := mountd.NewServer()
-	md.AddExport(&mountd.Export{Path: "/GFS/test", FS: backend})
-	md.Register(rpc)
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go rpc.Serve(l)
-	t.Cleanup(rpc.Close)
-	fs := mountFS(t, func() (net.Conn, error) { return net.Dial("tcp", l.Addr().String()) }, Options{})
+	fs := mountFS(t, serveNFS(t, oncrpc.NewServer(), backend), Options{})
 
 	ctx := context.Background()
 	f, err := fs.Create(ctx, "kept", 0644)
@@ -605,20 +594,13 @@ func (b *restartingFS) Commit(h vfs.Handle) error {
 // again rather than report a clean file the server does not hold.
 func TestFlushSurvivesServerRestart(t *testing.T) {
 	const blocks = 4
+	// The restart registers a new nfs3.Server (a new boot verifier) on
+	// the RPC server the helper was handed; the first boot is the
+	// helper's own registration.
 	rpc := oncrpc.NewServer()
 	backend := &restartingFS{MemFS: vfs.NewMemFS(), restartAt: blocks}
 	backend.restart = func() { nfs3.NewServer(backend, 7).Register(rpc) }
-	backend.restart()
-	md := mountd.NewServer()
-	md.AddExport(&mountd.Export{Path: "/GFS/test", FS: backend})
-	md.Register(rpc)
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go rpc.Serve(l)
-	t.Cleanup(rpc.Close)
-	fs := mountFS(t, func() (net.Conn, error) { return net.Dial("tcp", l.Addr().String()) }, Options{})
+	fs := mountFS(t, serveNFS(t, rpc, backend), Options{})
 
 	ctx := context.Background()
 	f, err := fs.Create(ctx, "restart", 0644)

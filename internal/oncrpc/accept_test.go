@@ -12,7 +12,6 @@ import (
 	"repro/internal/gridsec"
 	"repro/internal/idmap"
 	"repro/internal/mountd"
-	"repro/internal/nfs3"
 	"repro/internal/oncrpc"
 	"repro/internal/proxy"
 	"repro/internal/securechan"
@@ -47,19 +46,13 @@ func (l *flakyListener) Accept() (net.Conn, error) {
 func TestServeRetriesTemporaryAcceptErrors(t *testing.T) {
 	t.Parallel()
 	const export = "/export"
-	backend := vfs.NewMemFS()
 	nfsd := oncrpc.NewServer()
-	nfs3.NewServer(backend, 1).Register(nfsd)
-	md := mountd.NewServer()
-	md.AddExport(&mountd.Export{Path: export, FS: backend})
-	md.Register(nfsd)
-	nfsL, err := net.Listen("tcp", "127.0.0.1:0")
+	t.Cleanup(nfsd.Close)
+	nfsAddr, err := mountd.ServeNFS(nfsd, export, vfs.NewMemFS(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	go nfsd.Serve(nfsL)
-	t.Cleanup(nfsd.Close)
-	upstream := func() (net.Conn, error) { return net.Dial("tcp", nfsL.Addr().String()) }
+	upstream := func() (net.Conn, error) { return net.Dial("tcp", nfsAddr) }
 
 	sp, err := proxy.NewServerProxy(proxy.ServerConfig{UpstreamDial: upstream, ExportPath: export})
 	if err != nil {

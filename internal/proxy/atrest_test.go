@@ -96,11 +96,8 @@ func TestAtRestEndToEnd(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			l, _ := net.Listen("tcp", "127.0.0.1:0")
-			go cp.Serve(l)
-
 			ctx := context.Background()
-			addr := l.Addr().String()
+			addr := serveOn(t, cp.Serve)
 			fs, err := nfsclient.Mount(ctx,
 				func() (net.Conn, error) { return net.Dial("tcp", addr) },
 				"/GFS/alice", nfsclient.Options{})
@@ -173,9 +170,7 @@ func TestAtRestWrongKeyYieldsGarbage(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		l, _ := net.Listen("tcp", "127.0.0.1:0")
-		go cp.Serve(l)
-		addr := l.Addr().String()
+		addr := serveOn(t, cp.Serve)
 		fs, err := nfsclient.Mount(context.Background(),
 			func() (net.Conn, error) { return net.Dial("tcp", addr) },
 			"/GFS/alice", nfsclient.Options{})

@@ -17,7 +17,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/mountd"
 	"repro/internal/netem"
-	"repro/internal/nfs3"
 	"repro/internal/nfsclient"
 	"repro/internal/oncrpc"
 	"repro/internal/securechan"
@@ -78,17 +77,7 @@ func buildStack(t testing.TB, opts stackOpts) *testStack {
 	if opts.wrapBackend != nil {
 		exported = opts.wrapBackend(st.backend, rpc)
 	}
-	nfs3.NewServer(exported, 1).Register(rpc)
-	md := mountd.NewServer()
-	md.AddExport(&mountd.Export{Path: "/GFS/alice", FS: exported})
-	md.Register(rpc)
-	nfsL, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go rpc.Serve(nfsL)
-	t.Cleanup(rpc.Close)
-	nfsAddr := nfsL.Addr().String()
+	nfsAddr := serveNFS(t, rpc, exported, 1)
 
 	// Server-side proxy.
 	st.gmap = gridmap.New(gridmap.Deny)
@@ -112,13 +101,8 @@ func buildStack(t testing.TB, opts stackOpts) *testStack {
 		t.Fatal(err)
 	}
 	st.serverProxy = sp
-	spL, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go sp.Serve(spL)
 	t.Cleanup(sp.Close)
-	spAddr := spL.Addr().String()
+	spAddr := serveOn(t, sp.Serve)
 	st.serverAddr = spAddr
 
 	// Client-side proxy.
@@ -150,14 +134,33 @@ func buildStack(t testing.TB, opts stackOpts) *testStack {
 		t.Fatal(err)
 	}
 	st.clientProxy = cp
-	cpL, err := net.Listen("tcp", "127.0.0.1:0")
+	t.Cleanup(func() { cp.Close() })
+	st.clientAddr = serveOn(t, cp.Serve)
+	return st
+}
+
+// serveOn runs a daemon's accept loop on a loopback port of its own
+// and returns the address.
+func serveOn(t testing.TB, serve func(net.Listener) error) string {
+	t.Helper()
+	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	go cp.Serve(cpL)
-	t.Cleanup(func() { cp.Close() })
-	st.clientAddr = cpL.Addr().String()
-	return st
+	go serve(l)
+	return l.Addr().String()
+}
+
+// serveNFS serves fs as /GFS/alice on rpc for the length of the test
+// and returns the server's address.
+func serveNFS(t testing.TB, rpc *oncrpc.Server, fs vfs.FS, fsid uint64) string {
+	t.Helper()
+	t.Cleanup(rpc.Close)
+	addr, err := mountd.ServeNFS(rpc, "/GFS/alice", fs, fsid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return addr
 }
 
 func (st *testStack) mount(t testing.TB, opt nfsclient.Options) *nfsclient.FileSystem {
@@ -211,20 +214,8 @@ func TestUnmappedUserDenied(t *testing.T) {
 	st := buildStack(t, stackOpts{userCred: nil})
 	// Bob is not in the gridmap: establishing a client proxy session
 	// must fail (the server proxy drops the channel after gridmap
-	// denial).
-	dial := func() (net.Conn, error) {
-		l, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return nil, err
-		}
-		l.Close()
-		return net.Dial("tcp", st.clientAddr)
-	}
-	_ = dial
-	spAddr := st.clientAddr
-	_ = spAddr
-	// Build a second client proxy as bob directly against the server
-	// proxy.
+	// denial). Build a second client proxy as bob directly against the
+	// server proxy.
 	ccfg := ClientConfig{
 		ServerDial: func() (net.Conn, error) {
 			return net.Dial("tcp", st.serverProxyAddr(t))
@@ -519,10 +510,8 @@ func TestFlushAllDeliversData(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l, _ := net.Listen("tcp", "127.0.0.1:0")
-	go cp.Serve(l)
-
-	dial := func() (net.Conn, error) { return net.Dial("tcp", l.Addr().String()) }
+	addr := serveOn(t, cp.Serve)
+	dial := func() (net.Conn, error) { return net.Dial("tcp", addr) }
 	fs, err := nfsclient.Mount(context.Background(), dial, "/GFS/alice", nfsclient.Options{})
 	if err != nil {
 		t.Fatal(err)

@@ -12,7 +12,6 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/metrics"
-	"repro/internal/mountd"
 	"repro/internal/netem"
 	"repro/internal/nfs3"
 	"repro/internal/nfsclient"
@@ -62,18 +61,7 @@ func buildReplStack(t testing.TB, opts replOpts) *replStack {
 		backend := vfs.NewMemFS()
 		st.backends = append(st.backends, backend)
 
-		rpc := oncrpc.NewServer()
-		nfs3.NewServer(backend, uint64(i+1)).Register(rpc)
-		md := mountd.NewServer()
-		md.AddExport(&mountd.Export{Path: "/GFS/alice", FS: backend})
-		md.Register(rpc)
-		nfsL, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		go rpc.Serve(nfsL)
-		t.Cleanup(rpc.Close)
-		nfsAddr := nfsL.Addr().String()
+		nfsAddr := serveNFS(t, oncrpc.NewServer(), backend, uint64(i+1))
 
 		sp, err := NewServerProxy(ServerConfig{
 			UpstreamDial: func() (net.Conn, error) { return net.Dial("tcp", nfsAddr) },
@@ -82,13 +70,8 @@ func buildReplStack(t testing.TB, opts replOpts) *replStack {
 		if err != nil {
 			t.Fatal(err)
 		}
-		spL, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		go sp.Serve(spL)
 		t.Cleanup(sp.Close)
-		spAddr := spL.Addr().String()
+		spAddr := serveOn(t, sp.Serve)
 
 		dial := func() (net.Conn, error) { return net.Dial("tcp", spAddr) }
 		if opts.rtts != nil && opts.rtts[i] > 0 {
@@ -119,13 +102,8 @@ func buildReplStack(t testing.TB, opts replOpts) *replStack {
 		t.Fatal(err)
 	}
 	st.cp = cp
-	cpL, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go cp.Serve(cpL)
 	t.Cleanup(func() { cp.Close() })
-	st.clientAddr = cpL.Addr().String()
+	st.clientAddr = serveOn(t, cp.Serve)
 	return st
 }
 

@@ -44,7 +44,6 @@ type FSS struct {
 }
 
 type fssSession struct {
-	role   core.Role
 	server *core.ServerSession
 	client *core.ClientSession
 	dir    string
@@ -201,87 +200,71 @@ func newSessionID() string {
 func (f *FSS) createSession(req *CreateSessionRequest) any {
 	id := newSessionID()
 	dir := filepath.Join(f.cfg.WorkDir, "sess-"+id)
-	if err := os.MkdirAll(dir, 0700); err != nil {
-		return &FaultResponse{Reason: err.Error()}
-	}
-	write := func(name, content string, mode os.FileMode) (string, error) {
-		p := filepath.Join(dir, name)
-		return p, os.WriteFile(p, []byte(content), mode)
-	}
-	certPath, err := write("cred.pem", req.CertPEM, 0644)
+	sess := &fssSession{dir: dir}
+	addr, err := sess.start(req)
 	if err != nil {
+		os.RemoveAll(dir)
 		return &FaultResponse{Reason: err.Error()}
 	}
-	keyPath, err := write("cred.key", req.KeyPEM, 0600)
-	if err != nil {
-		return &FaultResponse{Reason: err.Error()}
-	}
-	caPath, err := write("ca.pem", req.CAPEM, 0644)
-	if err != nil {
-		return &FaultResponse{Reason: err.Error()}
-	}
+	f.mu.Lock()
+	f.sessions[id] = sess
+	f.mu.Unlock()
+	return &CreateSessionResponse{ID: id, Addr: addr}
+}
 
-	cfg := &core.Config{
-		Role:        core.Role(req.Role),
-		Export:      req.Export,
-		Upstream:    req.Upstream,
-		Server:      req.Server,
-		Servers:     req.Servers,
-		Replicas:    req.ReplicaCount,
-		Quorum:      req.Quorum,
-		HedgeDelay:  time.Duration(req.HedgeDelayMS) * time.Millisecond,
-		Security:    req.Suite,
-		CertPath:    certPath,
-		KeyPath:     keyPath,
-		CAPath:      caPath,
-		FineGrained: req.FineGrained,
-		CacheBytes:  4 << 30,
-		BlockSize:   32 * 1024,
+// start writes the request's credential, gridmap and accounts files
+// into the session's directory and starts the proxy session they
+// configure, returning its address.
+func (s *fssSession) start(req *CreateSessionRequest) (addr string, err error) {
+	if err := os.MkdirAll(s.dir, 0700); err != nil {
+		return "", err
 	}
-	sess := &fssSession{role: cfg.Role, dir: dir}
+	// write stores one non-empty file and returns its path; after the
+	// first failure it does nothing.
+	write := func(name, content string, mode os.FileMode) string {
+		if content == "" || err != nil {
+			return ""
+		}
+		p := filepath.Join(s.dir, name)
+		err = os.WriteFile(p, []byte(content), mode)
+		return p
+	}
+	cfg := &core.Config{
+		Role:         core.Role(req.Role),
+		Export:       req.Export,
+		Upstream:     req.Upstream,
+		Server:       req.Server,
+		Servers:      req.Servers,
+		Replicas:     req.ReplicaCount,
+		Quorum:       req.Quorum,
+		HedgeDelay:   time.Duration(req.HedgeDelayMS) * time.Millisecond,
+		Security:     req.Suite,
+		CertPath:     write("cred.pem", req.CertPEM, 0644),
+		KeyPath:      write("cred.key", req.KeyPEM, 0600),
+		CAPath:       write("ca.pem", req.CAPEM, 0644),
+		GridmapPath:  write("gridmap", req.Gridmap, 0644),
+		AccountsPath: write("accounts", req.Accounts, 0644),
+		FineGrained:  req.FineGrained,
+	}
+	if err != nil {
+		return "", err
+	}
 	switch cfg.Role {
 	case core.RoleServer:
-		if req.Gridmap != "" {
-			p, err := write("gridmap", req.Gridmap, 0644)
-			if err != nil {
-				return &FaultResponse{Reason: err.Error()}
-			}
-			cfg.GridmapPath = p
+		if s.server, err = core.StartServerSession(cfg); err != nil {
+			return "", err
 		}
-		if req.Accounts != "" {
-			p, err := write("accounts", req.Accounts, 0644)
-			if err != nil {
-				return &FaultResponse{Reason: err.Error()}
-			}
-			cfg.AccountsPath = p
-		}
-		srv, err := core.StartServerSession(cfg)
-		if err != nil {
-			os.RemoveAll(dir)
-			return &FaultResponse{Reason: err.Error()}
-		}
-		sess.server = srv
-		f.mu.Lock()
-		f.sessions[id] = sess
-		f.mu.Unlock()
-		return &CreateSessionResponse{ID: id, Addr: srv.Addr()}
+		return s.server.Addr(), nil
 	case core.RoleClient:
 		if req.DiskCache {
-			cfg.CacheDir = filepath.Join(dir, "cache")
+			cfg.CacheDir = filepath.Join(s.dir, "cache")
 		}
-		cli, err := core.StartClientSession(cfg)
-		if err != nil {
-			os.RemoveAll(dir)
-			return &FaultResponse{Reason: err.Error()}
+		if s.client, err = core.StartClientSession(cfg); err != nil {
+			return "", err
 		}
-		sess.client = cli
-		f.mu.Lock()
-		f.sessions[id] = sess
-		f.mu.Unlock()
-		return &CreateSessionResponse{ID: id, Addr: cli.Addr()}
+		return s.client.Addr(), nil
 	default:
-		os.RemoveAll(dir)
-		return &FaultResponse{Reason: "bad role " + req.Role}
+		return "", fmt.Errorf("bad role %s", req.Role)
 	}
 }
 

@@ -11,7 +11,6 @@ import (
 
 	"repro/internal/gridsec"
 	"repro/internal/mountd"
-	"repro/internal/nfs3"
 	"repro/internal/nfsclient"
 	"repro/internal/oncrpc"
 	"repro/internal/vfs"
@@ -52,16 +51,7 @@ func newGrid(t *testing.T) *testGrid {
 	g.fssCred, _ = g.ca.IssueHost("fss.grid")
 
 	// NFS backend.
-	g.backend = vfs.NewMemFS()
-	rpc := oncrpc.NewServer()
-	nfs3.NewServer(g.backend, 5).Register(rpc)
-	md := mountd.NewServer()
-	md.AddExport(&mountd.Export{Path: "/GFS/alice", FS: g.backend})
-	md.Register(rpc)
-	nfsL, _ := net.Listen("tcp", "127.0.0.1:0")
-	go rpc.Serve(nfsL)
-	t.Cleanup(rpc.Close)
-	g.nfsAddr = nfsL.Addr().String()
+	g.backend, g.nfsAddr = newNFSBackend(t, 5)
 
 	// FSS: authorizes the DSS and admin.
 	g.fss, err = NewFSS(FSSConfig{
@@ -131,23 +121,17 @@ func (g *testGrid) schedule(t *testing.T) *ScheduleSessionResponse {
 	return &res
 }
 
-// newNFSBackend starts an extra NFS server exporting /GFS/alice, for
-// replicated-session tests.
+// newNFSBackend starts an NFS server exporting /GFS/alice.
 func newNFSBackend(t *testing.T, fsid uint64) (*vfs.MemFS, string) {
 	t.Helper()
 	be := vfs.NewMemFS()
 	rpc := oncrpc.NewServer()
-	nfs3.NewServer(be, fsid).Register(rpc)
-	md := mountd.NewServer()
-	md.AddExport(&mountd.Export{Path: "/GFS/alice", FS: be})
-	md.Register(rpc)
-	l, err := net.Listen("tcp", "127.0.0.1:0")
+	t.Cleanup(rpc.Close)
+	addr, err := mountd.ServeNFS(rpc, "/GFS/alice", be, fsid)
 	if err != nil {
 		t.Fatal(err)
 	}
-	go rpc.Serve(l)
-	t.Cleanup(rpc.Close)
-	return be, l.Addr().String()
+	return be, addr
 }
 
 func TestScheduleReplicatedSessionEndToEnd(t *testing.T) {

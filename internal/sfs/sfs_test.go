@@ -68,18 +68,16 @@ func buildSFSServer(t *testing.T) (srv *Server, clientAddr string, backend *vfs.
 func buildSFSOver(t *testing.T, backend vfs.FS) (srv *Server, clientAddr string, serverCred *gridsec.Credential, userCred *gridsec.Credential, srvAddr string) {
 	t.Helper()
 	rpc := oncrpc.NewServer()
-	nfs3.NewServer(backend, 2).Register(rpc)
-	md := mountd.NewServer()
-	md.AddExport(&mountd.Export{Path: "/export", FS: backend})
-	md.Register(rpc)
-	nfsL, _ := net.Listen("tcp", "127.0.0.1:0")
-	go rpc.Serve(nfsL)
 	t.Cleanup(rpc.Close)
+	nfsAddr, err := mountd.ServeNFS(rpc, "/export", backend, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	serverCred, _ = gridsec.NewSelfSigned("sfs-server")
 	userCred, _ = gridsec.NewSelfSigned("alice")
-	srv, err := NewServer(ServerConfig{
-		UpstreamDial: func() (net.Conn, error) { return net.Dial("tcp", nfsL.Addr().String()) },
+	srv, err = NewServer(ServerConfig{
+		UpstreamDial: func() (net.Conn, error) { return net.Dial("tcp", nfsAddr) },
 		ExportPath:   "/export",
 		Credential:   serverCred,
 		Users: map[string]idmap.Account{

@@ -35,16 +35,15 @@ import (
 	"crypto/x509"
 	"fmt"
 	"net"
-	"os"
 	"time"
 
 	"repro/internal/acl"
 	"repro/internal/cache"
+	"repro/internal/core"
 	"repro/internal/gridmap"
 	"repro/internal/gridsec"
 	"repro/internal/idmap"
 	"repro/internal/mountd"
-	"repro/internal/nfs3"
 	"repro/internal/nfsclient"
 	"repro/internal/oncrpc"
 	"repro/internal/proxy"
@@ -127,11 +126,8 @@ type ServerConfig struct {
 
 // Server is a running SGFS server side.
 type Server struct {
-	proxy   *proxy.ServerProxy
-	gmap    *gridmap.Map
-	ln      net.Listener
-	nfs     *oncrpc.Server
-	backend vfs.FS
+	sess *core.ServerSession
+	nfs  *oncrpc.Server
 }
 
 // StartServer builds and starts the whole server side: a user-level
@@ -144,34 +140,21 @@ func StartServer(cfg ServerConfig) (*Server, error) {
 	if cfg.ExportPath == "" {
 		return nil, fmt.Errorf("sgfs: server requires an export path")
 	}
-	var backend vfs.FS
+	var backend vfs.FS = vfs.NewMemFS()
 	if cfg.DataDir != "" {
 		osfs, err := vfs.NewOSFS(cfg.DataDir)
 		if err != nil {
 			return nil, err
 		}
 		backend = osfs
-	} else {
-		backend = vfs.NewMemFS()
 	}
-
 	rpc := oncrpc.NewServer()
-	nfs3.NewServer(backend, 1).Register(rpc)
-	md := mountd.NewServer()
-	md.AddExport(&mountd.Export{Path: cfg.ExportPath, FS: backend})
-	md.Register(rpc)
-	nfsL, err := net.Listen("tcp", "127.0.0.1:0")
+	nfsAddr, err := mountd.ServeNFS(rpc, cfg.ExportPath, backend, 1)
 	if err != nil {
 		return nil, err
 	}
-	go rpc.Serve(nfsL)
-	nfsAddr := nfsL.Addr().String()
 
-	policy := gridmap.Deny
-	if cfg.AnonymousOK {
-		policy = gridmap.Anonymous
-	}
-	gmap := gridmap.New(policy)
+	gmap := gridmap.New(core.GridmapPolicy(cfg.AnonymousOK))
 	for dn, account := range cfg.Gridmap {
 		gmap.Add(dn, account)
 	}
@@ -179,53 +162,40 @@ func StartServer(cfg ServerConfig) (*Server, error) {
 	for _, a := range cfg.Accounts {
 		accounts.Add(a)
 	}
-
-	sp, err := proxy.NewServerProxy(proxy.ServerConfig{
+	sess, err := core.StartServer(proxy.ServerConfig{
 		UpstreamDial: func() (net.Conn, error) { return net.Dial("tcp", nfsAddr) },
 		ExportPath:   cfg.ExportPath,
 		Channel:      &securechan.Config{Credential: cfg.Host, Roots: cfg.Roots, Suites: cfg.Suites},
 		Gridmap:      gmap,
 		Accounts:     accounts,
 		FineGrained:  cfg.FineGrained,
-	})
+	}, cfg.Listen)
 	if err != nil {
 		rpc.Close()
 		return nil, err
 	}
-	listen := cfg.Listen
-	if listen == "" {
-		listen = "127.0.0.1:0"
-	}
-	ln, err := net.Listen("tcp", listen)
-	if err != nil {
-		sp.Close()
-		rpc.Close()
-		return nil, err
-	}
-	go sp.Serve(ln)
-	return &Server{proxy: sp, gmap: gmap, ln: ln, nfs: rpc, backend: backend}, nil
+	return &Server{sess: sess, nfs: rpc}, nil
 }
 
 // Addr returns the address clients connect (and Mount) to.
-func (s *Server) Addr() string { return s.ln.Addr().String() }
+func (s *Server) Addr() string { return s.sess.Addr() }
 
 // Share adds (or updates) a gridmap entry on the live session — the
 // paper's flexible sharing: map a peer's DN to a local account.
-func (s *Server) Share(dn, account string) { s.gmap.Add(dn, account) }
+func (s *Server) Share(dn, account string) { s.sess.Gridmap().Add(dn, account) }
 
 // Revoke removes a gridmap entry.
-func (s *Server) Revoke(dn string) { s.gmap.Remove(dn) }
+func (s *Server) Revoke(dn string) { s.sess.Gridmap().Remove(dn) }
 
 // SetACL installs a fine-grained ACL on the object at path (relative
 // to the export root).
 func (s *Server) SetACL(ctx context.Context, path string, a *ACL) error {
-	return s.proxy.SetACL(ctx, path, a)
+	return s.sess.Proxy().SetACL(ctx, path, a)
 }
 
 // Close shuts the server down.
 func (s *Server) Close() {
-	s.ln.Close()
-	s.proxy.Close()
+	s.sess.Close()
 	s.nfs.Close()
 }
 
@@ -264,10 +234,7 @@ type MountConfig struct {
 // FileSystem is a mounted secure grid file system.
 type FileSystem struct {
 	*nfsclient.FileSystem
-	proxy *proxy.ClientProxy
-	dc    *cache.DiskCache
-	ln    net.Listener
-	tmp   string
+	sess *core.ClientSession
 }
 
 // Mount establishes a secure session to an SGFS server and returns a
@@ -276,79 +243,41 @@ func Mount(ctx context.Context, cfg MountConfig) (*FileSystem, error) {
 	if cfg.User == nil || cfg.Roots == nil {
 		return nil, fmt.Errorf("sgfs: mount requires user credential and trust roots")
 	}
-	var dc *cache.DiskCache
-	var tmp string
-	if cfg.DiskCacheDir != "" {
-		size := cfg.DiskCacheBytes
-		if size == 0 {
-			size = 4 << 30
-		}
-		var err error
-		dc, err = cache.New(cfg.DiskCacheDir, 32*1024, size)
-		if err != nil {
-			return nil, err
-		}
-	}
-	server := cfg.ServerAddr
-	cp, err := proxy.NewClientProxy(proxy.ClientConfig{
-		ServerDial:    func() (net.Conn, error) { return net.Dial("tcp", server) },
+	sess, err := core.StartClient(proxy.ClientConfig{
+		ServerDial:    func() (net.Conn, error) { return net.Dial("tcp", cfg.ServerAddr) },
 		Channel:       &securechan.Config{Credential: cfg.User, Roots: cfg.Roots, Suites: cfg.Suites},
 		ExportPath:    cfg.ExportPath,
-		DiskCache:     dc,
 		RekeyInterval: cfg.RekeyInterval,
 		StorageKey:    cfg.StorageKey,
-	})
+	}, "", cfg.DiskCacheDir, 0, cfg.DiskCacheBytes)
 	if err != nil {
-		if dc != nil {
-			dc.Close()
-		}
 		return nil, err
 	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		cp.Close()
-		return nil, err
-	}
-	go cp.Serve(ln)
-
-	addr := ln.Addr().String()
+	addr := sess.Addr()
 	fs, err := nfsclient.Mount(ctx,
 		func() (net.Conn, error) { return net.Dial("tcp", addr) },
 		cfg.ExportPath,
 		nfsclient.Options{CacheBytes: cfg.MemoryCacheBytes, UID: cfg.UID, GID: cfg.GID})
 	if err != nil {
-		ln.Close()
-		cp.Close()
+		sess.Close()
 		return nil, err
 	}
-	return &FileSystem{FileSystem: fs, proxy: cp, dc: dc, ln: ln, tmp: tmp}, nil
+	return &FileSystem{FileSystem: fs, sess: sess}, nil
 }
 
 // Flush writes back dirty cached data without unmounting.
-func (f *FileSystem) Flush(ctx context.Context) error { return f.proxy.FlushAll(ctx) }
+func (f *FileSystem) Flush(ctx context.Context) error { return f.sess.Flush(ctx) }
 
 // Rekey forces an immediate session-key renegotiation.
-func (f *FileSystem) Rekey() error {
-	if ch, ok := f.proxy.Channel(); ok {
-		return ch.Rekey()
-	}
-	return fmt.Errorf("sgfs: session has no secure channel")
-}
+func (f *FileSystem) Rekey() error { return f.sess.Rekey() }
 
 // CacheStats reports disk-cache counters when caching is enabled.
-func (f *FileSystem) CacheStats() (cache.Stats, bool) { return f.proxy.CacheStats() }
+func (f *FileSystem) CacheStats() (cache.Stats, bool) { return f.sess.CacheStats() }
 
 // Unmount flushes write-back data and tears the session down.
 func (f *FileSystem) Unmount() error {
 	ferr := f.FileSystem.Close()
-	f.ln.Close()
-	perr := f.proxy.Close()
-	if f.dc != nil {
-		f.dc.Close()
-	}
-	if f.tmp != "" {
-		os.RemoveAll(f.tmp)
-	}
+	perr := f.sess.Close()
 	if ferr != nil {
 		return ferr
 	}

@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race chaos fuzz-short bench loc alloc-baseline sgfs-vet alloc-budget check
+.PHONY: build test vet race chaos fuzz-short bench loc procs alloc-baseline sgfs-vet alloc-budget check
 
 build:
 	$(GO) build ./...
@@ -54,6 +54,13 @@ loc:
 	done | sort -k1,1nr -k3 | \
 	awk 'BEGIN { printf "%7s %7s  package\n", "code", "tests" } { c += $$1; t += $$2; printf "%7d %7d  %s\n", $$1, $$2, $$3 } END { printf "%7d %7d  total\n", c, t }'
 
+# Processes left behind by builds, tests, fuzzing and benchmark runs:
+# prints each and fails if there are any. Every pattern is bracketed
+# ([g]o test matches "go test" but not itself), so the check cannot
+# match the shell that runs it. /[e]xe/ catches `go run` children.
+procs:
+	@! pgrep -af '[g]o (test|run|build)|[.]test\b|[s]gfs-|/[e]xe/|[.]bench_build|[b]enchmark/run[.]sh|[f]uzzworker'
+
 # Recompute the hot-path alloc census and refresh the committed
 # baseline the CI alloc budget compares against: per-root totals and
 # per-(file, func, kind) bucket counts. The per-site census it is cut
@@ -61,7 +68,7 @@ loc:
 alloc-baseline:
 	$(GO) run ./cmd/sgfs-vet -alloc-census -alloc-baseline .sgfsvet-allocs.json > /dev/null
 
-# Repo-specific analyzers (xdr-symmetry, lock-over-io, lockset-race,
+# Repo-specific analyzers (lock-over-io, lockset-race,
 # pool-lifecycle, atomic-misuse, swallowed-error, lock-order,
 # ctx-deadline, goroutine-leak, replay-table-sync, secret-flow,
 # unbounded-alloc, weak-rand, resource-leak, retry-safety,

@@ -423,6 +423,14 @@ func TestRunUsageErrors(t *testing.T) {
 	if code, _, _ := runVet(t, "-not-a-flag"); code != 2 {
 		t.Errorf("bad flag: exit = %d, want 2", code)
 	}
+	// Enable flags come from the analyzer list: a retired analyzer's
+	// flag is gone with it.
+	if code, _, _ := runVet(t, "-xdr-symmetry=false"); code != 2 {
+		t.Errorf("retired analyzer flag: exit = %d, want 2", code)
+	}
+	if code, _, _ := runVet(t, "-C", root, "-run", "xdr-symmetry"); code != 2 {
+		t.Errorf("-run of a retired analyzer: exit = %d, want 2", code)
+	}
 }
 
 // hotSource declares one hot-path root whose loop leaks a buffer into

@@ -249,12 +249,19 @@ func (c *DiskCache) putBlock(fh nfs3.FH3, idx uint64, data []byte, dirty, prefet
 
 	// Write outside the lock; block files are never shrunk so the
 	// offset is stable.
-	if _, err := f.WriteAt(data, int64(idx)*int64(c.blockSize)); err != nil {
-		return fmt.Errorf("cache: write block: %w", err)
-	}
+	_, werr := f.WriteAt(data, int64(idx)*int64(c.blockSize))
 
 	s.lock()
 	defer s.unlock()
+	if s.files[key] != cf {
+		// DropFile ran while the lock was released: the file, and this
+		// put with it, are gone (its WriteAt may have failed on the
+		// closed descriptor).
+		return nil
+	}
+	if werr != nil {
+		return fmt.Errorf("cache: write block: %w", werr)
+	}
 	if bm, ok := cf.blocks[idx]; ok {
 		c.used.Add(int64(len(data)) - int64(bm.len))
 		bm.len = len(data)
@@ -296,7 +303,7 @@ func (c *DiskCache) evictLocked(s *cacheShard) {
 
 func (c *DiskCache) removeBlockLocked(s *cacheShard, bm *blockMeta) {
 	s.lru.Remove(bm.elem)
-	if cf := s.files[bm.fh]; cf != nil {
+	if cf := s.files[bm.fh]; cf != nil && cf.blocks[bm.idx] == bm {
 		delete(cf.blocks, bm.idx)
 	}
 	c.used.Add(-int64(bm.len))

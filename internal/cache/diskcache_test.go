@@ -327,3 +327,65 @@ func TestLockWaitCountersMonotonic(t *testing.T) {
 		t.Fatalf("wait time without waits: %+v", st)
 	}
 }
+
+// TestPutRacesDropFile races puts against drops of one file. A put
+// that loses to a drop is discarded, not an error, and once the
+// traffic stops the accounting matches the blocks that are left.
+func TestPutRacesDropFile(t *testing.T) {
+	c, err := New(t.TempDir(), 4096, 64<<10) // small, so eviction runs too
+	if err != nil {
+		t.Fatal(err)
+	}
+	fh := nfs3.FH3{Data: []byte("racing-file")}
+	var puts sync.WaitGroup
+	errs := make(chan error, 4)
+	for w := 0; w < 4; w++ {
+		puts.Add(1)
+		go func() {
+			defer puts.Done()
+			data := make([]byte, 4096)
+			for i := 0; i < 5000; i++ {
+				if err := c.PutBlock(fh, uint64(i%32), data, false); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}()
+	}
+	stop, dropped := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(dropped)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				c.DropFile(fh)
+			}
+		}
+	}()
+	puts.Wait()
+	close(stop)
+	<-dropped
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	var live int64
+	blocks, queued := 0, 0
+	for i := range c.shards {
+		s := &c.shards[i]
+		s.lock()
+		for _, cf := range s.files {
+			for _, bm := range cf.blocks {
+				live += int64(bm.len)
+				blocks++
+			}
+		}
+		queued += s.lru.Len()
+		s.unlock()
+	}
+	if c.Used() != live || queued != blocks {
+		t.Fatalf("Used() = %d for %d live bytes; %d LRU entries for %d blocks", c.Used(), live, queued, blocks)
+	}
+}

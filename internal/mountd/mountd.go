@@ -49,11 +49,8 @@ const (
 // MntArgs is the dirpath argument of MNT and UMNT.
 type MntArgs struct{ Path string }
 
-// EncodeXDR implements xdr.Marshaler.
-func (a *MntArgs) EncodeXDR(e *xdr.Encoder) { e.String(a.Path) }
-
-// DecodeXDR implements xdr.Unmarshaler.
-func (a *MntArgs) DecodeXDR(d *xdr.Decoder) { a.Path = d.String() }
+// XDR describes dirpath.
+func (a *MntArgs) XDR(c *xdr.Codec) { c.String(&a.Path) }
 
 // MntRes is the MNT result: a file handle plus accepted auth flavors.
 type MntRes struct {
@@ -62,31 +59,11 @@ type MntRes struct {
 	Flavors []uint32
 }
 
-// EncodeXDR implements xdr.Marshaler.
-func (r *MntRes) EncodeXDR(e *xdr.Encoder) {
-	e.Uint32(r.Status)
-	if r.Status == MntOK {
-		r.FH.EncodeXDR(e)
-		e.Uint32(uint32(len(r.Flavors)))
-		for _, f := range r.Flavors {
-			e.Uint32(f)
-		}
-	}
-}
-
-// DecodeXDR implements xdr.Unmarshaler.
-func (r *MntRes) DecodeXDR(d *xdr.Decoder) {
-	r.Status = d.Uint32()
-	if r.Status == MntOK {
-		r.FH.DecodeXDR(d)
-		n := d.Uint32()
-		if n > 16 {
-			return
-		}
-		r.Flavors = make([]uint32, n)
-		for i := range r.Flavors {
-			r.Flavors[i] = d.Uint32()
-		}
+// XDR describes mountres3; a reply lists at most 16 auth flavors.
+func (r *MntRes) XDR(c *xdr.Codec) {
+	if c.Uint32(&r.Status); r.Status == MntOK {
+		r.FH.XDR(c)
+		xdr.Array(c, &r.Flavors, 16, func(f *uint32, c *xdr.Codec) { c.Uint32(f) })
 	}
 }
 
@@ -120,38 +97,24 @@ type ExportEntry struct {
 // ExportRes is the EXPORT result list.
 type ExportRes struct{ Exports []ExportEntry }
 
-// EncodeXDR implements xdr.Marshaler.
-func (r *ExportRes) EncodeXDR(e *xdr.Encoder) {
-	for _, ex := range r.Exports {
-		e.OptionalBegin(true)
-		e.String(ex.Path)
-		for _, g := range ex.Groups {
-			e.OptionalBegin(true)
-			e.String(g)
-		}
-		e.OptionalBegin(false)
-	}
-	e.OptionalBegin(false)
+// XDR describes exportnode: the path, then its groups list.
+func (x *ExportEntry) XDR(c *xdr.Codec) {
+	c.String(&x.Path)
+	xdr.List(c, &x.Groups, func(g *string, c *xdr.Codec) { c.String(g) })
 }
 
-// DecodeXDR implements xdr.Unmarshaler.
-func (r *ExportRes) DecodeXDR(d *xdr.Decoder) {
-	r.Exports = nil
-	for d.OptionalPresent() {
-		var ex ExportEntry
-		ex.Path = d.String()
-		for d.OptionalPresent() {
-			ex.Groups = append(ex.Groups, d.String())
-			if d.Err() != nil {
-				return
-			}
-		}
-		r.Exports = append(r.Exports, ex)
-		if d.Err() != nil {
-			return
-		}
-	}
-}
+// XDR describes exports, a list of exportnode.
+func (r *ExportRes) XDR(c *xdr.Codec) { xdr.List(c, &r.Exports, (*ExportEntry).XDR) }
+
+// The MOUNT messages travel on their own, so each is an xdr.Marshaler
+// and xdr.Unmarshaler that runs its description.
+
+func (a *MntArgs) EncodeXDR(e *xdr.Encoder)   { a.XDR(e.Codec()) }
+func (a *MntArgs) DecodeXDR(d *xdr.Decoder)   { a.XDR(d.Codec()) }
+func (r *MntRes) EncodeXDR(e *xdr.Encoder)    { r.XDR(e.Codec()) }
+func (r *MntRes) DecodeXDR(d *xdr.Decoder)    { r.XDR(d.Codec()) }
+func (r *ExportRes) EncodeXDR(e *xdr.Encoder) { r.XDR(e.Codec()) }
+func (r *ExportRes) DecodeXDR(d *xdr.Decoder) { r.XDR(d.Codec()) }
 
 // Export binds an exported path to a backend and client restrictions.
 type Export struct {

@@ -25,11 +25,8 @@ const WriteVerfSize = 8
 // GetAttrArgs is GETATTR3args.
 type GetAttrArgs struct{ Obj FH3 }
 
-// EncodeXDR implements xdr.Marshaler.
-func (a *GetAttrArgs) EncodeXDR(e *xdr.Encoder) { a.Obj.EncodeXDR(e) }
-
-// DecodeXDR implements xdr.Unmarshaler.
-func (a *GetAttrArgs) DecodeXDR(d *xdr.Decoder) { a.Obj.DecodeXDR(d) }
+// XDR describes GETATTR3args.
+func (a *GetAttrArgs) XDR(c *xdr.Codec) { a.Obj.XDR(c) }
 
 // GetAttrRes is GETATTR3res.
 type GetAttrRes struct {
@@ -37,19 +34,10 @@ type GetAttrRes struct {
 	Attr   Fattr3
 }
 
-// EncodeXDR implements xdr.Marshaler.
-func (r *GetAttrRes) EncodeXDR(e *xdr.Encoder) {
-	e.Uint32(uint32(r.Status))
-	if r.Status == OK {
-		r.Attr.EncodeXDR(e)
-	}
-}
-
-// DecodeXDR implements xdr.Unmarshaler.
-func (r *GetAttrRes) DecodeXDR(d *xdr.Decoder) {
-	r.Status = Status(d.Uint32())
-	if r.Status == OK {
-		r.Attr.DecodeXDR(d)
+// XDR describes GETATTR3res.
+func (r *GetAttrRes) XDR(c *xdr.Codec) {
+	if xdr.Enum(c, &r.Status); r.Status == OK {
+		r.Attr.XDR(c)
 	}
 }
 
@@ -61,22 +49,12 @@ type SetAttrArgs struct {
 	GuardCtime NFSTime
 }
 
-// EncodeXDR implements xdr.Marshaler.
-func (a *SetAttrArgs) EncodeXDR(e *xdr.Encoder) {
-	a.Obj.EncodeXDR(e)
-	a.Attr.EncodeXDR(e)
-	e.OptionalBegin(a.GuardCheck)
-	if a.GuardCheck {
-		a.GuardCtime.enc(e)
-	}
-}
-
-// DecodeXDR implements xdr.Unmarshaler.
-func (a *SetAttrArgs) DecodeXDR(d *xdr.Decoder) {
-	a.Obj.DecodeXDR(d)
-	a.Attr.DecodeXDR(d)
-	if a.GuardCheck = d.OptionalPresent(); a.GuardCheck {
-		a.GuardCtime.dec(d)
+// XDR describes SETATTR3args.
+func (a *SetAttrArgs) XDR(c *xdr.Codec) {
+	a.Obj.XDR(c)
+	a.Attr.XDR(c)
+	if c.Optional(&a.GuardCheck) {
+		a.GuardCtime.XDR(c)
 	}
 }
 
@@ -87,26 +65,17 @@ type WccRes struct {
 	Wcc    WccData
 }
 
-// EncodeXDR implements xdr.Marshaler.
-func (r *WccRes) EncodeXDR(e *xdr.Encoder) {
-	e.Uint32(uint32(r.Status))
-	r.Wcc.EncodeXDR(e)
-}
-
-// DecodeXDR implements xdr.Unmarshaler.
-func (r *WccRes) DecodeXDR(d *xdr.Decoder) {
-	r.Status = Status(d.Uint32())
-	r.Wcc.DecodeXDR(d)
+// XDR describes the {status, wcc_data} result.
+func (r *WccRes) XDR(c *xdr.Codec) {
+	xdr.Enum(c, &r.Status)
+	r.Wcc.XDR(c)
 }
 
 // LookupArgs is LOOKUP3args.
 type LookupArgs struct{ What DirOpArgs }
 
-// EncodeXDR implements xdr.Marshaler.
-func (a *LookupArgs) EncodeXDR(e *xdr.Encoder) { a.What.EncodeXDR(e) }
-
-// DecodeXDR implements xdr.Unmarshaler.
-func (a *LookupArgs) DecodeXDR(d *xdr.Decoder) { a.What.DecodeXDR(d) }
+// XDR describes LOOKUP3args.
+func (a *LookupArgs) XDR(c *xdr.Codec) { a.What.XDR(c) }
 
 // LookupRes is LOOKUP3res.
 type LookupRes struct {
@@ -116,24 +85,13 @@ type LookupRes struct {
 	DirAttr PostOpAttr
 }
 
-// EncodeXDR implements xdr.Marshaler.
-func (r *LookupRes) EncodeXDR(e *xdr.Encoder) {
-	e.Uint32(uint32(r.Status))
-	if r.Status == OK {
-		r.Obj.EncodeXDR(e)
-		r.Attr.EncodeXDR(e)
+// XDR describes LOOKUP3res.
+func (r *LookupRes) XDR(c *xdr.Codec) {
+	if xdr.Enum(c, &r.Status); r.Status == OK {
+		r.Obj.XDR(c)
+		r.Attr.XDR(c)
 	}
-	r.DirAttr.EncodeXDR(e)
-}
-
-// DecodeXDR implements xdr.Unmarshaler.
-func (r *LookupRes) DecodeXDR(d *xdr.Decoder) {
-	r.Status = Status(d.Uint32())
-	if r.Status == OK {
-		r.Obj.DecodeXDR(d)
-		r.Attr.DecodeXDR(d)
-	}
-	r.DirAttr.DecodeXDR(d)
+	r.DirAttr.XDR(c)
 }
 
 // AccessArgs is ACCESS3args.
@@ -142,11 +100,8 @@ type AccessArgs struct {
 	Access uint32
 }
 
-// EncodeXDR implements xdr.Marshaler.
-func (a *AccessArgs) EncodeXDR(e *xdr.Encoder) { a.Obj.EncodeXDR(e); e.Uint32(a.Access) }
-
-// DecodeXDR implements xdr.Unmarshaler.
-func (a *AccessArgs) DecodeXDR(d *xdr.Decoder) { a.Obj.DecodeXDR(d); a.Access = d.Uint32() }
+// XDR describes ACCESS3args.
+func (a *AccessArgs) XDR(c *xdr.Codec) { a.Obj.XDR(c); c.Uint32(&a.Access) }
 
 // AccessRes is ACCESS3res.
 type AccessRes struct {
@@ -155,32 +110,20 @@ type AccessRes struct {
 	Access uint32
 }
 
-// EncodeXDR implements xdr.Marshaler.
-func (r *AccessRes) EncodeXDR(e *xdr.Encoder) {
-	e.Uint32(uint32(r.Status))
-	r.Attr.EncodeXDR(e)
+// XDR describes ACCESS3res.
+func (r *AccessRes) XDR(c *xdr.Codec) {
+	xdr.Enum(c, &r.Status)
+	r.Attr.XDR(c)
 	if r.Status == OK {
-		e.Uint32(r.Access)
-	}
-}
-
-// DecodeXDR implements xdr.Unmarshaler.
-func (r *AccessRes) DecodeXDR(d *xdr.Decoder) {
-	r.Status = Status(d.Uint32())
-	r.Attr.DecodeXDR(d)
-	if r.Status == OK {
-		r.Access = d.Uint32()
+		c.Uint32(&r.Access)
 	}
 }
 
 // ReadLinkArgs is READLINK3args.
 type ReadLinkArgs struct{ Obj FH3 }
 
-// EncodeXDR implements xdr.Marshaler.
-func (a *ReadLinkArgs) EncodeXDR(e *xdr.Encoder) { a.Obj.EncodeXDR(e) }
-
-// DecodeXDR implements xdr.Unmarshaler.
-func (a *ReadLinkArgs) DecodeXDR(d *xdr.Decoder) { a.Obj.DecodeXDR(d) }
+// XDR describes READLINK3args.
+func (a *ReadLinkArgs) XDR(c *xdr.Codec) { a.Obj.XDR(c) }
 
 // ReadLinkRes is READLINK3res.
 type ReadLinkRes struct {
@@ -189,21 +132,12 @@ type ReadLinkRes struct {
 	Target string
 }
 
-// EncodeXDR implements xdr.Marshaler.
-func (r *ReadLinkRes) EncodeXDR(e *xdr.Encoder) {
-	e.Uint32(uint32(r.Status))
-	r.Attr.EncodeXDR(e)
+// XDR describes READLINK3res.
+func (r *ReadLinkRes) XDR(c *xdr.Codec) {
+	xdr.Enum(c, &r.Status)
+	r.Attr.XDR(c)
 	if r.Status == OK {
-		e.String(r.Target)
-	}
-}
-
-// DecodeXDR implements xdr.Unmarshaler.
-func (r *ReadLinkRes) DecodeXDR(d *xdr.Decoder) {
-	r.Status = Status(d.Uint32())
-	r.Attr.DecodeXDR(d)
-	if r.Status == OK {
-		r.Target = d.String()
+		c.String(&r.Target)
 	}
 }
 
@@ -214,18 +148,11 @@ type ReadArgs struct {
 	Count  uint32
 }
 
-// EncodeXDR implements xdr.Marshaler.
-func (a *ReadArgs) EncodeXDR(e *xdr.Encoder) {
-	a.Obj.EncodeXDR(e)
-	e.Uint64(a.Offset)
-	e.Uint32(a.Count)
-}
-
-// DecodeXDR implements xdr.Unmarshaler.
-func (a *ReadArgs) DecodeXDR(d *xdr.Decoder) {
-	a.Obj.DecodeXDR(d)
-	a.Offset = d.Uint64()
-	a.Count = d.Uint32()
+// XDR describes READ3args.
+func (a *ReadArgs) XDR(c *xdr.Codec) {
+	a.Obj.XDR(c)
+	c.Uint64(&a.Offset)
+	c.Uint32(&a.Count)
 }
 
 // ReadRes is READ3res.
@@ -237,25 +164,14 @@ type ReadRes struct {
 	Data   []byte
 }
 
-// EncodeXDR implements xdr.Marshaler.
-func (r *ReadRes) EncodeXDR(e *xdr.Encoder) {
-	e.Uint32(uint32(r.Status))
-	r.Attr.EncodeXDR(e)
+// XDR describes READ3res.
+func (r *ReadRes) XDR(c *xdr.Codec) {
+	xdr.Enum(c, &r.Status)
+	r.Attr.XDR(c)
 	if r.Status == OK {
-		e.Uint32(r.Count)
-		e.Bool(r.EOF)
-		e.Opaque(r.Data)
-	}
-}
-
-// DecodeXDR implements xdr.Unmarshaler.
-func (r *ReadRes) DecodeXDR(d *xdr.Decoder) {
-	r.Status = Status(d.Uint32())
-	r.Attr.DecodeXDR(d)
-	if r.Status == OK {
-		r.Count = d.Uint32()
-		r.EOF = d.Bool()
-		r.Data = d.Opaque()
+		c.Uint32(&r.Count)
+		c.Bool(&r.EOF)
+		c.Opaque(&r.Data, xdr.MaxElementSize)
 	}
 }
 
@@ -268,30 +184,20 @@ type WriteArgs struct {
 	Data   []byte
 }
 
-// EncodeXDR implements xdr.Marshaler.
-func (a *WriteArgs) EncodeXDR(e *xdr.Encoder) {
-	a.Obj.EncodeXDR(e)
-	e.Uint64(a.Offset)
-	e.Uint32(a.Count)
-	e.Uint32(a.Stable)
-	e.Opaque(a.Data)
-}
-
-// DecodeXDR implements xdr.Unmarshaler.
-func (a *WriteArgs) DecodeXDR(d *xdr.Decoder) {
-	a.Obj.DecodeXDR(d)
-	a.Offset = d.Uint64()
-	a.Count = d.Uint32()
-	if a.Count > PreferredIO {
+// XDR describes WRITE3args.
+func (a *WriteArgs) XDR(c *xdr.Codec) {
+	a.Obj.XDR(c)
+	c.Uint64(&a.Offset)
+	c.Uint32(&a.Count)
+	if c.Decoding() && a.Count > PreferredIO {
 		// The server advertises wtmax = PreferredIO in FSINFO; a count
-		// beyond it is a protocol violation, and rejecting it here
-		// keeps the opaque that follows from allocating up to the
-		// XDR-level 64 MiB ceiling.
-		d.SetErr(vfs.ErrInval)
+		// beyond it is a protocol violation, rejected before the
+		// payload is read.
+		c.SetErr(vfs.ErrInval)
 		return
 	}
-	a.Stable = d.Uint32()
-	a.Data = d.BoundedOpaque(PreferredIO)
+	c.Uint32(&a.Stable)
+	c.Opaque(&a.Data, PreferredIO)
 }
 
 // WriteRes is WRITE3res.
@@ -303,25 +209,14 @@ type WriteRes struct {
 	Verf      [WriteVerfSize]byte
 }
 
-// EncodeXDR implements xdr.Marshaler.
-func (r *WriteRes) EncodeXDR(e *xdr.Encoder) {
-	e.Uint32(uint32(r.Status))
-	r.Wcc.EncodeXDR(e)
+// XDR describes WRITE3res.
+func (r *WriteRes) XDR(c *xdr.Codec) {
+	xdr.Enum(c, &r.Status)
+	r.Wcc.XDR(c)
 	if r.Status == OK {
-		e.Uint32(r.Count)
-		e.Uint32(r.Committed)
-		e.FixedOpaque(r.Verf[:])
-	}
-}
-
-// DecodeXDR implements xdr.Unmarshaler.
-func (r *WriteRes) DecodeXDR(d *xdr.Decoder) {
-	r.Status = Status(d.Uint32())
-	r.Wcc.DecodeXDR(d)
-	if r.Status == OK {
-		r.Count = d.Uint32()
-		r.Committed = d.Uint32()
-		d.FixedOpaque(r.Verf[:])
+		c.Uint32(&r.Count)
+		c.Uint32(&r.Committed)
+		c.FixedOpaque(r.Verf[:])
 	}
 }
 
@@ -333,25 +228,13 @@ type CreateArgs struct {
 	Verf  [WriteVerfSize]byte // exclusive create verifier
 }
 
-// EncodeXDR implements xdr.Marshaler.
-func (a *CreateArgs) EncodeXDR(e *xdr.Encoder) {
-	a.Where.EncodeXDR(e)
-	e.Uint32(a.Mode)
-	if a.Mode == CreateExclusive {
-		e.FixedOpaque(a.Verf[:])
+// XDR describes CREATE3args.
+func (a *CreateArgs) XDR(c *xdr.Codec) {
+	a.Where.XDR(c)
+	if c.Uint32(&a.Mode); a.Mode == CreateExclusive {
+		c.FixedOpaque(a.Verf[:])
 	} else {
-		a.Attr.EncodeXDR(e)
-	}
-}
-
-// DecodeXDR implements xdr.Unmarshaler.
-func (a *CreateArgs) DecodeXDR(d *xdr.Decoder) {
-	a.Where.DecodeXDR(d)
-	a.Mode = d.Uint32()
-	if a.Mode == CreateExclusive {
-		d.FixedOpaque(a.Verf[:])
-	} else {
-		a.Attr.DecodeXDR(d)
+		a.Attr.XDR(c)
 	}
 }
 
@@ -363,24 +246,13 @@ type CreateRes struct {
 	DirWcc WccData
 }
 
-// EncodeXDR implements xdr.Marshaler.
-func (r *CreateRes) EncodeXDR(e *xdr.Encoder) {
-	e.Uint32(uint32(r.Status))
-	if r.Status == OK {
-		r.Obj.EncodeXDR(e)
-		r.Attr.EncodeXDR(e)
+// XDR describes CREATE3res.
+func (r *CreateRes) XDR(c *xdr.Codec) {
+	if xdr.Enum(c, &r.Status); r.Status == OK {
+		r.Obj.XDR(c)
+		r.Attr.XDR(c)
 	}
-	r.DirWcc.EncodeXDR(e)
-}
-
-// DecodeXDR implements xdr.Unmarshaler.
-func (r *CreateRes) DecodeXDR(d *xdr.Decoder) {
-	r.Status = Status(d.Uint32())
-	if r.Status == OK {
-		r.Obj.DecodeXDR(d)
-		r.Attr.DecodeXDR(d)
-	}
-	r.DirWcc.DecodeXDR(d)
+	r.DirWcc.XDR(c)
 }
 
 // MkdirArgs is MKDIR3args.
@@ -389,11 +261,8 @@ type MkdirArgs struct {
 	Attr  Sattr3
 }
 
-// EncodeXDR implements xdr.Marshaler.
-func (a *MkdirArgs) EncodeXDR(e *xdr.Encoder) { a.Where.EncodeXDR(e); a.Attr.EncodeXDR(e) }
-
-// DecodeXDR implements xdr.Unmarshaler.
-func (a *MkdirArgs) DecodeXDR(d *xdr.Decoder) { a.Where.DecodeXDR(d); a.Attr.DecodeXDR(d) }
+// XDR describes MKDIR3args.
+func (a *MkdirArgs) XDR(c *xdr.Codec) { a.Where.XDR(c); a.Attr.XDR(c) }
 
 // SymlinkArgs is SYMLINK3args.
 type SymlinkArgs struct {
@@ -402,28 +271,18 @@ type SymlinkArgs struct {
 	Target string
 }
 
-// EncodeXDR implements xdr.Marshaler.
-func (a *SymlinkArgs) EncodeXDR(e *xdr.Encoder) {
-	a.Where.EncodeXDR(e)
-	a.Attr.EncodeXDR(e)
-	e.String(a.Target)
-}
-
-// DecodeXDR implements xdr.Unmarshaler.
-func (a *SymlinkArgs) DecodeXDR(d *xdr.Decoder) {
-	a.Where.DecodeXDR(d)
-	a.Attr.DecodeXDR(d)
-	a.Target = d.String()
+// XDR describes SYMLINK3args.
+func (a *SymlinkArgs) XDR(c *xdr.Codec) {
+	a.Where.XDR(c)
+	a.Attr.XDR(c)
+	c.String(&a.Target)
 }
 
 // RemoveArgs is REMOVE3args / RMDIR3args.
 type RemoveArgs struct{ Obj DirOpArgs }
 
-// EncodeXDR implements xdr.Marshaler.
-func (a *RemoveArgs) EncodeXDR(e *xdr.Encoder) { a.Obj.EncodeXDR(e) }
-
-// DecodeXDR implements xdr.Unmarshaler.
-func (a *RemoveArgs) DecodeXDR(d *xdr.Decoder) { a.Obj.DecodeXDR(d) }
+// XDR describes REMOVE3args.
+func (a *RemoveArgs) XDR(c *xdr.Codec) { a.Obj.XDR(c) }
 
 // RenameArgs is RENAME3args.
 type RenameArgs struct {
@@ -431,11 +290,8 @@ type RenameArgs struct {
 	To   DirOpArgs
 }
 
-// EncodeXDR implements xdr.Marshaler.
-func (a *RenameArgs) EncodeXDR(e *xdr.Encoder) { a.From.EncodeXDR(e); a.To.EncodeXDR(e) }
-
-// DecodeXDR implements xdr.Unmarshaler.
-func (a *RenameArgs) DecodeXDR(d *xdr.Decoder) { a.From.DecodeXDR(d); a.To.DecodeXDR(d) }
+// XDR describes RENAME3args.
+func (a *RenameArgs) XDR(c *xdr.Codec) { a.From.XDR(c); a.To.XDR(c) }
 
 // RenameRes is RENAME3res.
 type RenameRes struct {
@@ -444,18 +300,11 @@ type RenameRes struct {
 	ToWcc   WccData
 }
 
-// EncodeXDR implements xdr.Marshaler.
-func (r *RenameRes) EncodeXDR(e *xdr.Encoder) {
-	e.Uint32(uint32(r.Status))
-	r.FromWcc.EncodeXDR(e)
-	r.ToWcc.EncodeXDR(e)
-}
-
-// DecodeXDR implements xdr.Unmarshaler.
-func (r *RenameRes) DecodeXDR(d *xdr.Decoder) {
-	r.Status = Status(d.Uint32())
-	r.FromWcc.DecodeXDR(d)
-	r.ToWcc.DecodeXDR(d)
+// XDR describes RENAME3res.
+func (r *RenameRes) XDR(c *xdr.Codec) {
+	xdr.Enum(c, &r.Status)
+	r.FromWcc.XDR(c)
+	r.ToWcc.XDR(c)
 }
 
 // LinkArgs is LINK3args.
@@ -464,11 +313,8 @@ type LinkArgs struct {
 	Link DirOpArgs
 }
 
-// EncodeXDR implements xdr.Marshaler.
-func (a *LinkArgs) EncodeXDR(e *xdr.Encoder) { a.Obj.EncodeXDR(e); a.Link.EncodeXDR(e) }
-
-// DecodeXDR implements xdr.Unmarshaler.
-func (a *LinkArgs) DecodeXDR(d *xdr.Decoder) { a.Obj.DecodeXDR(d); a.Link.DecodeXDR(d) }
+// XDR describes LINK3args.
+func (a *LinkArgs) XDR(c *xdr.Codec) { a.Obj.XDR(c); a.Link.XDR(c) }
 
 // LinkRes is LINK3res.
 type LinkRes struct {
@@ -477,18 +323,11 @@ type LinkRes struct {
 	LinkWcc WccData
 }
 
-// EncodeXDR implements xdr.Marshaler.
-func (r *LinkRes) EncodeXDR(e *xdr.Encoder) {
-	e.Uint32(uint32(r.Status))
-	r.Attr.EncodeXDR(e)
-	r.LinkWcc.EncodeXDR(e)
-}
-
-// DecodeXDR implements xdr.Unmarshaler.
-func (r *LinkRes) DecodeXDR(d *xdr.Decoder) {
-	r.Status = Status(d.Uint32())
-	r.Attr.DecodeXDR(d)
-	r.LinkWcc.DecodeXDR(d)
+// XDR describes LINK3res.
+func (r *LinkRes) XDR(c *xdr.Codec) {
+	xdr.Enum(c, &r.Status)
+	r.Attr.XDR(c)
+	r.LinkWcc.XDR(c)
 }
 
 // ReadDirArgs is READDIR3args.
@@ -499,20 +338,12 @@ type ReadDirArgs struct {
 	Count      uint32
 }
 
-// EncodeXDR implements xdr.Marshaler.
-func (a *ReadDirArgs) EncodeXDR(e *xdr.Encoder) {
-	a.Dir.EncodeXDR(e)
-	e.Uint64(a.Cookie)
-	e.FixedOpaque(a.CookieVerf[:])
-	e.Uint32(a.Count)
-}
-
-// DecodeXDR implements xdr.Unmarshaler.
-func (a *ReadDirArgs) DecodeXDR(d *xdr.Decoder) {
-	a.Dir.DecodeXDR(d)
-	a.Cookie = d.Uint64()
-	d.FixedOpaque(a.CookieVerf[:])
-	a.Count = d.Uint32()
+// XDR describes READDIR3args.
+func (a *ReadDirArgs) XDR(c *xdr.Codec) {
+	a.Dir.XDR(c)
+	c.Uint64(&a.Cookie)
+	c.FixedOpaque(a.CookieVerf[:])
+	c.Uint32(&a.Count)
 }
 
 // DirEntry3 is one READDIR entry.
@@ -520,6 +351,13 @@ type DirEntry3 struct {
 	FileID uint64
 	Name   string
 	Cookie uint64
+}
+
+// XDR describes entry3.
+func (e *DirEntry3) XDR(c *xdr.Codec) {
+	c.Uint64(&e.FileID)
+	c.String(&e.Name)
+	c.Uint64(&e.Cookie)
 }
 
 // ReadDirRes is READDIR3res.
@@ -531,44 +369,16 @@ type ReadDirRes struct {
 	EOF        bool
 }
 
-// EncodeXDR implements xdr.Marshaler.
-func (r *ReadDirRes) EncodeXDR(e *xdr.Encoder) {
-	e.Uint32(uint32(r.Status))
-	r.DirAttr.EncodeXDR(e)
+// XDR describes READDIR3res.
+func (r *ReadDirRes) XDR(c *xdr.Codec) {
+	xdr.Enum(c, &r.Status)
+	r.DirAttr.XDR(c)
 	if r.Status != OK {
 		return
 	}
-	e.FixedOpaque(r.CookieVerf[:])
-	for i := range r.Entries {
-		e.OptionalBegin(true)
-		e.Uint64(r.Entries[i].FileID)
-		e.String(r.Entries[i].Name)
-		e.Uint64(r.Entries[i].Cookie)
-	}
-	e.OptionalBegin(false)
-	e.Bool(r.EOF)
-}
-
-// DecodeXDR implements xdr.Unmarshaler.
-func (r *ReadDirRes) DecodeXDR(d *xdr.Decoder) {
-	r.Status = Status(d.Uint32())
-	r.DirAttr.DecodeXDR(d)
-	if r.Status != OK {
-		return
-	}
-	d.FixedOpaque(r.CookieVerf[:])
-	r.Entries = nil
-	for d.OptionalPresent() {
-		var ent DirEntry3
-		ent.FileID = d.Uint64()
-		ent.Name = d.String()
-		ent.Cookie = d.Uint64()
-		r.Entries = append(r.Entries, ent)
-		if d.Err() != nil {
-			return
-		}
-	}
-	r.EOF = d.Bool()
+	c.FixedOpaque(r.CookieVerf[:])
+	xdr.List(c, &r.Entries, (*DirEntry3).XDR)
+	c.Bool(&r.EOF)
 }
 
 // ReadDirPlusArgs is READDIRPLUS3args.
@@ -580,22 +390,13 @@ type ReadDirPlusArgs struct {
 	MaxCount   uint32
 }
 
-// EncodeXDR implements xdr.Marshaler.
-func (a *ReadDirPlusArgs) EncodeXDR(e *xdr.Encoder) {
-	a.Dir.EncodeXDR(e)
-	e.Uint64(a.Cookie)
-	e.FixedOpaque(a.CookieVerf[:])
-	e.Uint32(a.DirCount)
-	e.Uint32(a.MaxCount)
-}
-
-// DecodeXDR implements xdr.Unmarshaler.
-func (a *ReadDirPlusArgs) DecodeXDR(d *xdr.Decoder) {
-	a.Dir.DecodeXDR(d)
-	a.Cookie = d.Uint64()
-	d.FixedOpaque(a.CookieVerf[:])
-	a.DirCount = d.Uint32()
-	a.MaxCount = d.Uint32()
+// XDR describes READDIRPLUS3args.
+func (a *ReadDirPlusArgs) XDR(c *xdr.Codec) {
+	a.Dir.XDR(c)
+	c.Uint64(&a.Cookie)
+	c.FixedOpaque(a.CookieVerf[:])
+	c.Uint32(&a.DirCount)
+	c.Uint32(&a.MaxCount)
 }
 
 // DirEntryPlus is one READDIRPLUS entry.
@@ -607,6 +408,15 @@ type DirEntryPlus struct {
 	FH     PostOpFH3
 }
 
+// XDR describes entryplus3.
+func (e *DirEntryPlus) XDR(c *xdr.Codec) {
+	c.Uint64(&e.FileID)
+	c.String(&e.Name)
+	c.Uint64(&e.Cookie)
+	e.Attr.XDR(c)
+	e.FH.XDR(c)
+}
+
 // ReadDirPlusRes is READDIRPLUS3res.
 type ReadDirPlusRes struct {
 	Status     Status
@@ -616,59 +426,23 @@ type ReadDirPlusRes struct {
 	EOF        bool
 }
 
-// EncodeXDR implements xdr.Marshaler.
-func (r *ReadDirPlusRes) EncodeXDR(e *xdr.Encoder) {
-	e.Uint32(uint32(r.Status))
-	r.DirAttr.EncodeXDR(e)
+// XDR describes READDIRPLUS3res.
+func (r *ReadDirPlusRes) XDR(c *xdr.Codec) {
+	xdr.Enum(c, &r.Status)
+	r.DirAttr.XDR(c)
 	if r.Status != OK {
 		return
 	}
-	e.FixedOpaque(r.CookieVerf[:])
-	for i := range r.Entries {
-		ent := &r.Entries[i]
-		e.OptionalBegin(true)
-		e.Uint64(ent.FileID)
-		e.String(ent.Name)
-		e.Uint64(ent.Cookie)
-		ent.Attr.EncodeXDR(e)
-		ent.FH.EncodeXDR(e)
-	}
-	e.OptionalBegin(false)
-	e.Bool(r.EOF)
-}
-
-// DecodeXDR implements xdr.Unmarshaler.
-func (r *ReadDirPlusRes) DecodeXDR(d *xdr.Decoder) {
-	r.Status = Status(d.Uint32())
-	r.DirAttr.DecodeXDR(d)
-	if r.Status != OK {
-		return
-	}
-	d.FixedOpaque(r.CookieVerf[:])
-	r.Entries = nil
-	for d.OptionalPresent() {
-		var ent DirEntryPlus
-		ent.FileID = d.Uint64()
-		ent.Name = d.String()
-		ent.Cookie = d.Uint64()
-		ent.Attr.DecodeXDR(d)
-		ent.FH.DecodeXDR(d)
-		r.Entries = append(r.Entries, ent)
-		if d.Err() != nil {
-			return
-		}
-	}
-	r.EOF = d.Bool()
+	c.FixedOpaque(r.CookieVerf[:])
+	xdr.List(c, &r.Entries, (*DirEntryPlus).XDR)
+	c.Bool(&r.EOF)
 }
 
 // FSStatArgs is FSSTAT3args (also FSINFO and PATHCONF args).
 type FSStatArgs struct{ Obj FH3 }
 
-// EncodeXDR implements xdr.Marshaler.
-func (a *FSStatArgs) EncodeXDR(e *xdr.Encoder) { a.Obj.EncodeXDR(e) }
-
-// DecodeXDR implements xdr.Unmarshaler.
-func (a *FSStatArgs) DecodeXDR(d *xdr.Decoder) { a.Obj.DecodeXDR(d) }
+// XDR describes FSSTAT3args.
+func (a *FSStatArgs) XDR(c *xdr.Codec) { a.Obj.XDR(c) }
 
 // FSStatRes is FSSTAT3res.
 type FSStatRes struct {
@@ -683,33 +457,18 @@ type FSStatRes struct {
 	Invarsec uint32
 }
 
-// EncodeXDR implements xdr.Marshaler.
-func (r *FSStatRes) EncodeXDR(e *xdr.Encoder) {
-	e.Uint32(uint32(r.Status))
-	r.Attr.EncodeXDR(e)
+// XDR describes FSSTAT3res.
+func (r *FSStatRes) XDR(c *xdr.Codec) {
+	xdr.Enum(c, &r.Status)
+	r.Attr.XDR(c)
 	if r.Status == OK {
-		e.Uint64(r.Tbytes)
-		e.Uint64(r.Fbytes)
-		e.Uint64(r.Abytes)
-		e.Uint64(r.Tfiles)
-		e.Uint64(r.Ffiles)
-		e.Uint64(r.Afiles)
-		e.Uint32(r.Invarsec)
-	}
-}
-
-// DecodeXDR implements xdr.Unmarshaler.
-func (r *FSStatRes) DecodeXDR(d *xdr.Decoder) {
-	r.Status = Status(d.Uint32())
-	r.Attr.DecodeXDR(d)
-	if r.Status == OK {
-		r.Tbytes = d.Uint64()
-		r.Fbytes = d.Uint64()
-		r.Abytes = d.Uint64()
-		r.Tfiles = d.Uint64()
-		r.Ffiles = d.Uint64()
-		r.Afiles = d.Uint64()
-		r.Invarsec = d.Uint32()
+		c.Uint64(&r.Tbytes)
+		c.Uint64(&r.Fbytes)
+		c.Uint64(&r.Abytes)
+		c.Uint64(&r.Tfiles)
+		c.Uint64(&r.Ffiles)
+		c.Uint64(&r.Afiles)
+		c.Uint32(&r.Invarsec)
 	}
 }
 
@@ -737,39 +496,21 @@ type FSInfoRes struct {
 	Properties  uint32
 }
 
-// EncodeXDR implements xdr.Marshaler.
-func (r *FSInfoRes) EncodeXDR(e *xdr.Encoder) {
-	e.Uint32(uint32(r.Status))
-	r.Attr.EncodeXDR(e)
+// XDR describes FSINFO3res.
+func (r *FSInfoRes) XDR(c *xdr.Codec) {
+	xdr.Enum(c, &r.Status)
+	r.Attr.XDR(c)
 	if r.Status == OK {
-		e.Uint32(r.RtMax)
-		e.Uint32(r.RtPref)
-		e.Uint32(r.RtMult)
-		e.Uint32(r.WtMax)
-		e.Uint32(r.WtPref)
-		e.Uint32(r.WtMult)
-		e.Uint32(r.DtPref)
-		e.Uint64(r.MaxFileSize)
-		r.TimeDelta.enc(e)
-		e.Uint32(r.Properties)
-	}
-}
-
-// DecodeXDR implements xdr.Unmarshaler.
-func (r *FSInfoRes) DecodeXDR(d *xdr.Decoder) {
-	r.Status = Status(d.Uint32())
-	r.Attr.DecodeXDR(d)
-	if r.Status == OK {
-		r.RtMax = d.Uint32()
-		r.RtPref = d.Uint32()
-		r.RtMult = d.Uint32()
-		r.WtMax = d.Uint32()
-		r.WtPref = d.Uint32()
-		r.WtMult = d.Uint32()
-		r.DtPref = d.Uint32()
-		r.MaxFileSize = d.Uint64()
-		r.TimeDelta.dec(d)
-		r.Properties = d.Uint32()
+		c.Uint32(&r.RtMax)
+		c.Uint32(&r.RtPref)
+		c.Uint32(&r.RtMult)
+		c.Uint32(&r.WtMax)
+		c.Uint32(&r.WtPref)
+		c.Uint32(&r.WtMult)
+		c.Uint32(&r.DtPref)
+		c.Uint64(&r.MaxFileSize)
+		r.TimeDelta.XDR(c)
+		c.Uint32(&r.Properties)
 	}
 }
 
@@ -785,31 +526,17 @@ type PathConfRes struct {
 	CasePreserving  bool
 }
 
-// EncodeXDR implements xdr.Marshaler.
-func (r *PathConfRes) EncodeXDR(e *xdr.Encoder) {
-	e.Uint32(uint32(r.Status))
-	r.Attr.EncodeXDR(e)
+// XDR describes PATHCONF3res.
+func (r *PathConfRes) XDR(c *xdr.Codec) {
+	xdr.Enum(c, &r.Status)
+	r.Attr.XDR(c)
 	if r.Status == OK {
-		e.Uint32(r.LinkMax)
-		e.Uint32(r.NameMax)
-		e.Bool(r.NoTrunc)
-		e.Bool(r.ChownRestricted)
-		e.Bool(r.CaseInsensitive)
-		e.Bool(r.CasePreserving)
-	}
-}
-
-// DecodeXDR implements xdr.Unmarshaler.
-func (r *PathConfRes) DecodeXDR(d *xdr.Decoder) {
-	r.Status = Status(d.Uint32())
-	r.Attr.DecodeXDR(d)
-	if r.Status == OK {
-		r.LinkMax = d.Uint32()
-		r.NameMax = d.Uint32()
-		r.NoTrunc = d.Bool()
-		r.ChownRestricted = d.Bool()
-		r.CaseInsensitive = d.Bool()
-		r.CasePreserving = d.Bool()
+		c.Uint32(&r.LinkMax)
+		c.Uint32(&r.NameMax)
+		c.Bool(&r.NoTrunc)
+		c.Bool(&r.ChownRestricted)
+		c.Bool(&r.CaseInsensitive)
+		c.Bool(&r.CasePreserving)
 	}
 }
 
@@ -820,18 +547,11 @@ type CommitArgs struct {
 	Count  uint32
 }
 
-// EncodeXDR implements xdr.Marshaler.
-func (a *CommitArgs) EncodeXDR(e *xdr.Encoder) {
-	a.Obj.EncodeXDR(e)
-	e.Uint64(a.Offset)
-	e.Uint32(a.Count)
-}
-
-// DecodeXDR implements xdr.Unmarshaler.
-func (a *CommitArgs) DecodeXDR(d *xdr.Decoder) {
-	a.Obj.DecodeXDR(d)
-	a.Offset = d.Uint64()
-	a.Count = d.Uint32()
+// XDR describes COMMIT3args.
+func (a *CommitArgs) XDR(c *xdr.Codec) {
+	a.Obj.XDR(c)
+	c.Uint64(&a.Offset)
+	c.Uint32(&a.Count)
 }
 
 // CommitRes is COMMIT3res.
@@ -841,20 +561,81 @@ type CommitRes struct {
 	Verf   [WriteVerfSize]byte
 }
 
-// EncodeXDR implements xdr.Marshaler.
-func (r *CommitRes) EncodeXDR(e *xdr.Encoder) {
-	e.Uint32(uint32(r.Status))
-	r.Wcc.EncodeXDR(e)
+// XDR describes COMMIT3res.
+func (r *CommitRes) XDR(c *xdr.Codec) {
+	xdr.Enum(c, &r.Status)
+	r.Wcc.XDR(c)
 	if r.Status == OK {
-		e.FixedOpaque(r.Verf[:])
+		c.FixedOpaque(r.Verf[:])
 	}
 }
 
-// DecodeXDR implements xdr.Unmarshaler.
-func (r *CommitRes) DecodeXDR(d *xdr.Decoder) {
-	r.Status = Status(d.Uint32())
-	r.Wcc.DecodeXDR(d)
-	if r.Status == OK {
-		d.FixedOpaque(r.Verf[:])
-	}
-}
+// The messages of the procedure table travel on their own, so each one
+// is an xdr.Marshaler and xdr.Unmarshaler that runs its description.
+
+func (a *GetAttrArgs) EncodeXDR(e *xdr.Encoder)     { a.XDR(e.Codec()) }
+func (a *GetAttrArgs) DecodeXDR(d *xdr.Decoder)     { a.XDR(d.Codec()) }
+func (r *GetAttrRes) EncodeXDR(e *xdr.Encoder)      { r.XDR(e.Codec()) }
+func (r *GetAttrRes) DecodeXDR(d *xdr.Decoder)      { r.XDR(d.Codec()) }
+func (a *SetAttrArgs) EncodeXDR(e *xdr.Encoder)     { a.XDR(e.Codec()) }
+func (a *SetAttrArgs) DecodeXDR(d *xdr.Decoder)     { a.XDR(d.Codec()) }
+func (r *WccRes) EncodeXDR(e *xdr.Encoder)          { r.XDR(e.Codec()) }
+func (r *WccRes) DecodeXDR(d *xdr.Decoder)          { r.XDR(d.Codec()) }
+func (a *LookupArgs) EncodeXDR(e *xdr.Encoder)      { a.XDR(e.Codec()) }
+func (a *LookupArgs) DecodeXDR(d *xdr.Decoder)      { a.XDR(d.Codec()) }
+func (r *LookupRes) EncodeXDR(e *xdr.Encoder)       { r.XDR(e.Codec()) }
+func (r *LookupRes) DecodeXDR(d *xdr.Decoder)       { r.XDR(d.Codec()) }
+func (a *AccessArgs) EncodeXDR(e *xdr.Encoder)      { a.XDR(e.Codec()) }
+func (a *AccessArgs) DecodeXDR(d *xdr.Decoder)      { a.XDR(d.Codec()) }
+func (r *AccessRes) EncodeXDR(e *xdr.Encoder)       { r.XDR(e.Codec()) }
+func (r *AccessRes) DecodeXDR(d *xdr.Decoder)       { r.XDR(d.Codec()) }
+func (a *ReadLinkArgs) EncodeXDR(e *xdr.Encoder)    { a.XDR(e.Codec()) }
+func (a *ReadLinkArgs) DecodeXDR(d *xdr.Decoder)    { a.XDR(d.Codec()) }
+func (r *ReadLinkRes) EncodeXDR(e *xdr.Encoder)     { r.XDR(e.Codec()) }
+func (r *ReadLinkRes) DecodeXDR(d *xdr.Decoder)     { r.XDR(d.Codec()) }
+func (a *ReadArgs) EncodeXDR(e *xdr.Encoder)        { a.XDR(e.Codec()) }
+func (a *ReadArgs) DecodeXDR(d *xdr.Decoder)        { a.XDR(d.Codec()) }
+func (r *ReadRes) EncodeXDR(e *xdr.Encoder)         { r.XDR(e.Codec()) }
+func (r *ReadRes) DecodeXDR(d *xdr.Decoder)         { r.XDR(d.Codec()) }
+func (a *WriteArgs) EncodeXDR(e *xdr.Encoder)       { a.XDR(e.Codec()) }
+func (a *WriteArgs) DecodeXDR(d *xdr.Decoder)       { a.XDR(d.Codec()) }
+func (r *WriteRes) EncodeXDR(e *xdr.Encoder)        { r.XDR(e.Codec()) }
+func (r *WriteRes) DecodeXDR(d *xdr.Decoder)        { r.XDR(d.Codec()) }
+func (a *CreateArgs) EncodeXDR(e *xdr.Encoder)      { a.XDR(e.Codec()) }
+func (a *CreateArgs) DecodeXDR(d *xdr.Decoder)      { a.XDR(d.Codec()) }
+func (r *CreateRes) EncodeXDR(e *xdr.Encoder)       { r.XDR(e.Codec()) }
+func (r *CreateRes) DecodeXDR(d *xdr.Decoder)       { r.XDR(d.Codec()) }
+func (a *MkdirArgs) EncodeXDR(e *xdr.Encoder)       { a.XDR(e.Codec()) }
+func (a *MkdirArgs) DecodeXDR(d *xdr.Decoder)       { a.XDR(d.Codec()) }
+func (a *SymlinkArgs) EncodeXDR(e *xdr.Encoder)     { a.XDR(e.Codec()) }
+func (a *SymlinkArgs) DecodeXDR(d *xdr.Decoder)     { a.XDR(d.Codec()) }
+func (a *RemoveArgs) EncodeXDR(e *xdr.Encoder)      { a.XDR(e.Codec()) }
+func (a *RemoveArgs) DecodeXDR(d *xdr.Decoder)      { a.XDR(d.Codec()) }
+func (a *RenameArgs) EncodeXDR(e *xdr.Encoder)      { a.XDR(e.Codec()) }
+func (a *RenameArgs) DecodeXDR(d *xdr.Decoder)      { a.XDR(d.Codec()) }
+func (r *RenameRes) EncodeXDR(e *xdr.Encoder)       { r.XDR(e.Codec()) }
+func (r *RenameRes) DecodeXDR(d *xdr.Decoder)       { r.XDR(d.Codec()) }
+func (a *LinkArgs) EncodeXDR(e *xdr.Encoder)        { a.XDR(e.Codec()) }
+func (a *LinkArgs) DecodeXDR(d *xdr.Decoder)        { a.XDR(d.Codec()) }
+func (r *LinkRes) EncodeXDR(e *xdr.Encoder)         { r.XDR(e.Codec()) }
+func (r *LinkRes) DecodeXDR(d *xdr.Decoder)         { r.XDR(d.Codec()) }
+func (a *ReadDirArgs) EncodeXDR(e *xdr.Encoder)     { a.XDR(e.Codec()) }
+func (a *ReadDirArgs) DecodeXDR(d *xdr.Decoder)     { a.XDR(d.Codec()) }
+func (r *ReadDirRes) EncodeXDR(e *xdr.Encoder)      { r.XDR(e.Codec()) }
+func (r *ReadDirRes) DecodeXDR(d *xdr.Decoder)      { r.XDR(d.Codec()) }
+func (a *ReadDirPlusArgs) EncodeXDR(e *xdr.Encoder) { a.XDR(e.Codec()) }
+func (a *ReadDirPlusArgs) DecodeXDR(d *xdr.Decoder) { a.XDR(d.Codec()) }
+func (r *ReadDirPlusRes) EncodeXDR(e *xdr.Encoder)  { r.XDR(e.Codec()) }
+func (r *ReadDirPlusRes) DecodeXDR(d *xdr.Decoder)  { r.XDR(d.Codec()) }
+func (a *FSStatArgs) EncodeXDR(e *xdr.Encoder)      { a.XDR(e.Codec()) }
+func (a *FSStatArgs) DecodeXDR(d *xdr.Decoder)      { a.XDR(d.Codec()) }
+func (r *FSStatRes) EncodeXDR(e *xdr.Encoder)       { r.XDR(e.Codec()) }
+func (r *FSStatRes) DecodeXDR(d *xdr.Decoder)       { r.XDR(d.Codec()) }
+func (r *FSInfoRes) EncodeXDR(e *xdr.Encoder)       { r.XDR(e.Codec()) }
+func (r *FSInfoRes) DecodeXDR(d *xdr.Decoder)       { r.XDR(d.Codec()) }
+func (r *PathConfRes) EncodeXDR(e *xdr.Encoder)     { r.XDR(e.Codec()) }
+func (r *PathConfRes) DecodeXDR(d *xdr.Decoder)     { r.XDR(d.Codec()) }
+func (a *CommitArgs) EncodeXDR(e *xdr.Encoder)      { a.XDR(e.Codec()) }
+func (a *CommitArgs) DecodeXDR(d *xdr.Decoder)      { a.XDR(d.Codec()) }
+func (r *CommitRes) EncodeXDR(e *xdr.Encoder)       { r.XDR(e.Codec()) }
+func (r *CommitRes) DecodeXDR(d *xdr.Decoder)       { r.XDR(d.Codec()) }

@@ -90,11 +90,8 @@ func (f FH3) Handle() vfs.Handle {
 // Valid reports whether the handle has a legal length.
 func (f FH3) Valid() bool { return len(f.Data) > 0 && len(f.Data) <= FHSize }
 
-// EncodeXDR implements xdr.Marshaler.
-func (f *FH3) EncodeXDR(e *xdr.Encoder) { e.Opaque(f.Data) }
-
-// DecodeXDR implements xdr.Unmarshaler.
-func (f *FH3) DecodeXDR(d *xdr.Decoder) { f.Data = d.Opaque() }
+// XDR describes nfs_fh3: opaque<FHSIZE>.
+func (f *FH3) XDR(c *xdr.Codec) { c.Opaque(&f.Data, FHSize) }
 
 // NFSTime is the nfstime3 structure.
 type NFSTime struct{ Sec, NSec uint32 }
@@ -107,8 +104,8 @@ func TimeToNFS(t time.Time) NFSTime {
 // Time converts to time.Time.
 func (t NFSTime) Time() time.Time { return time.Unix(int64(t.Sec), int64(t.NSec)) }
 
-func (t *NFSTime) enc(e *xdr.Encoder) { e.Uint32(t.Sec); e.Uint32(t.NSec) }
-func (t *NFSTime) dec(d *xdr.Decoder) { t.Sec = d.Uint32(); t.NSec = d.Uint32() }
+// XDR describes nfstime3.
+func (t *NFSTime) XDR(c *xdr.Codec) { c.Uint32(&t.Sec); c.Uint32(&t.NSec) }
 
 // Fattr3 is the fattr3 attribute structure.
 type Fattr3 struct {
@@ -142,40 +139,22 @@ func (f Fattr3) Attr() vfs.Attr {
 	}
 }
 
-// EncodeXDR implements xdr.Marshaler.
-func (f *Fattr3) EncodeXDR(e *xdr.Encoder) {
-	e.Uint32(f.Type)
-	e.Uint32(f.Mode)
-	e.Uint32(f.Nlink)
-	e.Uint32(f.UID)
-	e.Uint32(f.GID)
-	e.Uint64(f.Size)
-	e.Uint64(f.Used)
-	e.Uint32(f.RdevMaj)
-	e.Uint32(f.RdevMin)
-	e.Uint64(f.FSID)
-	e.Uint64(f.FileID)
-	f.Atime.enc(e)
-	f.Mtime.enc(e)
-	f.Ctime.enc(e)
-}
-
-// DecodeXDR implements xdr.Unmarshaler.
-func (f *Fattr3) DecodeXDR(d *xdr.Decoder) {
-	f.Type = d.Uint32()
-	f.Mode = d.Uint32()
-	f.Nlink = d.Uint32()
-	f.UID = d.Uint32()
-	f.GID = d.Uint32()
-	f.Size = d.Uint64()
-	f.Used = d.Uint64()
-	f.RdevMaj = d.Uint32()
-	f.RdevMin = d.Uint32()
-	f.FSID = d.Uint64()
-	f.FileID = d.Uint64()
-	f.Atime.dec(d)
-	f.Mtime.dec(d)
-	f.Ctime.dec(d)
+// XDR describes fattr3.
+func (f *Fattr3) XDR(c *xdr.Codec) {
+	c.Uint32(&f.Type)
+	c.Uint32(&f.Mode)
+	c.Uint32(&f.Nlink)
+	c.Uint32(&f.UID)
+	c.Uint32(&f.GID)
+	c.Uint64(&f.Size)
+	c.Uint64(&f.Used)
+	c.Uint32(&f.RdevMaj)
+	c.Uint32(&f.RdevMin)
+	c.Uint64(&f.FSID)
+	c.Uint64(&f.FileID)
+	f.Atime.XDR(c)
+	f.Mtime.XDR(c)
+	f.Ctime.XDR(c)
 }
 
 // PostOpAttr is the post_op_attr optional attribute.
@@ -184,19 +163,10 @@ type PostOpAttr struct {
 	Attr    Fattr3
 }
 
-// EncodeXDR implements xdr.Marshaler.
-func (p *PostOpAttr) EncodeXDR(e *xdr.Encoder) {
-	e.OptionalBegin(p.Present)
-	if p.Present {
-		p.Attr.EncodeXDR(e)
-	}
-}
-
-// DecodeXDR implements xdr.Unmarshaler.
-func (p *PostOpAttr) DecodeXDR(d *xdr.Decoder) {
-	p.Present = d.OptionalPresent()
-	if p.Present {
-		p.Attr.DecodeXDR(d)
+// XDR describes post_op_attr.
+func (p *PostOpAttr) XDR(c *xdr.Codec) {
+	if c.Optional(&p.Present) {
+		p.Attr.XDR(c)
 	}
 }
 
@@ -212,23 +182,12 @@ type PreOpAttr struct {
 	Attr    WccAttr
 }
 
-// EncodeXDR implements xdr.Marshaler.
-func (p *PreOpAttr) EncodeXDR(e *xdr.Encoder) {
-	e.OptionalBegin(p.Present)
-	if p.Present {
-		e.Uint64(p.Attr.Size)
-		p.Attr.Mtime.enc(e)
-		p.Attr.Ctime.enc(e)
-	}
-}
-
-// DecodeXDR implements xdr.Unmarshaler.
-func (p *PreOpAttr) DecodeXDR(d *xdr.Decoder) {
-	p.Present = d.OptionalPresent()
-	if p.Present {
-		p.Attr.Size = d.Uint64()
-		p.Attr.Mtime.dec(d)
-		p.Attr.Ctime.dec(d)
+// XDR describes pre_op_attr.
+func (p *PreOpAttr) XDR(c *xdr.Codec) {
+	if c.Optional(&p.Present) {
+		c.Uint64(&p.Attr.Size)
+		p.Attr.Mtime.XDR(c)
+		p.Attr.Ctime.XDR(c)
 	}
 }
 
@@ -238,11 +197,8 @@ type WccData struct {
 	After  PostOpAttr
 }
 
-// EncodeXDR implements xdr.Marshaler.
-func (w *WccData) EncodeXDR(e *xdr.Encoder) { w.Before.EncodeXDR(e); w.After.EncodeXDR(e) }
-
-// DecodeXDR implements xdr.Unmarshaler.
-func (w *WccData) DecodeXDR(d *xdr.Decoder) { w.Before.DecodeXDR(d); w.After.DecodeXDR(d) }
+// XDR describes wcc_data.
+func (w *WccData) XDR(c *xdr.Codec) { w.Before.XDR(c); w.After.XDR(c) }
 
 // PostOpFH3 is an optional file handle.
 type PostOpFH3 struct {
@@ -250,19 +206,10 @@ type PostOpFH3 struct {
 	FH      FH3
 }
 
-// EncodeXDR implements xdr.Marshaler.
-func (p *PostOpFH3) EncodeXDR(e *xdr.Encoder) {
-	e.OptionalBegin(p.Present)
-	if p.Present {
-		p.FH.EncodeXDR(e)
-	}
-}
-
-// DecodeXDR implements xdr.Unmarshaler.
-func (p *PostOpFH3) DecodeXDR(d *xdr.Decoder) {
-	p.Present = d.OptionalPresent()
-	if p.Present {
-		p.FH.DecodeXDR(d)
+// XDR describes post_op_fh3.
+func (p *PostOpFH3) XDR(c *xdr.Codec) {
+	if c.Optional(&p.Present) {
+		p.FH.XDR(c)
 	}
 }
 
@@ -291,55 +238,25 @@ type Sattr3 struct {
 	Mtime    NFSTime
 }
 
-// EncodeXDR implements xdr.Marshaler.
-func (s *Sattr3) EncodeXDR(e *xdr.Encoder) {
-	e.OptionalBegin(s.SetMode)
-	if s.SetMode {
-		e.Uint32(s.Mode)
+// XDR describes sattr3.
+func (s *Sattr3) XDR(c *xdr.Codec) {
+	if c.Optional(&s.SetMode) {
+		c.Uint32(&s.Mode)
 	}
-	e.OptionalBegin(s.SetUID)
-	if s.SetUID {
-		e.Uint32(s.UID)
+	if c.Optional(&s.SetUID) {
+		c.Uint32(&s.UID)
 	}
-	e.OptionalBegin(s.SetGID)
-	if s.SetGID {
-		e.Uint32(s.GID)
+	if c.Optional(&s.SetGID) {
+		c.Uint32(&s.GID)
 	}
-	e.OptionalBegin(s.SetSize)
-	if s.SetSize {
-		e.Uint64(s.Size)
+	if c.Optional(&s.SetSize) {
+		c.Uint64(&s.Size)
 	}
-	e.Uint32(s.AtimeHow)
-	if s.AtimeHow == SetToClientTime {
-		s.Atime.enc(e)
+	if c.Uint32(&s.AtimeHow); s.AtimeHow == SetToClientTime {
+		s.Atime.XDR(c)
 	}
-	e.Uint32(s.MtimeHow)
-	if s.MtimeHow == SetToClientTime {
-		s.Mtime.enc(e)
-	}
-}
-
-// DecodeXDR implements xdr.Unmarshaler.
-func (s *Sattr3) DecodeXDR(d *xdr.Decoder) {
-	if s.SetMode = d.OptionalPresent(); s.SetMode {
-		s.Mode = d.Uint32()
-	}
-	if s.SetUID = d.OptionalPresent(); s.SetUID {
-		s.UID = d.Uint32()
-	}
-	if s.SetGID = d.OptionalPresent(); s.SetGID {
-		s.GID = d.Uint32()
-	}
-	if s.SetSize = d.OptionalPresent(); s.SetSize {
-		s.Size = d.Uint64()
-	}
-	s.AtimeHow = d.Uint32()
-	if s.AtimeHow == SetToClientTime {
-		s.Atime.dec(d)
-	}
-	s.MtimeHow = d.Uint32()
-	if s.MtimeHow == SetToClientTime {
-		s.Mtime.dec(d)
+	if c.Uint32(&s.MtimeHow); s.MtimeHow == SetToClientTime {
+		s.Mtime.XDR(c)
 	}
 }
 
@@ -386,8 +303,5 @@ type DirOpArgs struct {
 	Name string
 }
 
-// EncodeXDR implements xdr.Marshaler.
-func (a *DirOpArgs) EncodeXDR(e *xdr.Encoder) { a.Dir.EncodeXDR(e); e.String(a.Name) }
-
-// DecodeXDR implements xdr.Unmarshaler.
-func (a *DirOpArgs) DecodeXDR(d *xdr.Decoder) { a.Dir.DecodeXDR(d); a.Name = d.String() }
+// XDR describes diropargs3.
+func (a *DirOpArgs) XDR(c *xdr.Codec) { a.Dir.XDR(c); c.String(&a.Name) }

@@ -5,8 +5,7 @@ package nfs4_test
 // variable-length sequence of per-op unions, so a malformed length or
 // op code must fail cleanly (bounded allocation, no panic) and any
 // accepted bytes must re-encode to a stable canonical form
-// (encode → decode → encode is a fixed point), matching what the
-// xdr-symmetry analyzer in cmd/sgfs-vet checks statically.
+// (encode → decode → encode is a fixed point).
 
 import (
 	"bytes"
@@ -25,14 +24,21 @@ type codec interface {
 	xdr.Unmarshaler
 }
 
+// described lets a type that has only an XDR description, such as Op,
+// be fuzzed through xdr.Marshal and xdr.Unmarshal.
+type described struct{ v interface{ XDR(*xdr.Codec) } }
+
+func (m described) EncodeXDR(e *xdr.Encoder) { m.v.XDR(e.Codec()) }
+func (m described) DecodeXDR(d *xdr.Decoder) { m.v.XDR(d.Codec()) }
+
 // nfs4Messages returns fresh zero values of the fuzzed NFSv4 types.
 // Index order is part of the corpus encoding — append only.
 func nfs4Messages() []codec {
 	return []codec{
 		&nfs4.CompoundArgs{},
 		&nfs4.CompoundRes{},
-		&nfs4.Op{},
-		&nfs4.OpResult{},
+		described{&nfs4.Op{}},
+		described{&nfs4.OpResult{}},
 	}
 }
 
@@ -77,8 +83,8 @@ func FuzzNFS4CompoundRoundTrip(f *testing.F) {
 		&nfs4.CompoundRes{Status: nfs3.Status(vfs.ErrNoEnt), Tag: "", Results: []nfs4.OpResult{
 			{Code: nfs4.OpLookup, Status: nfs3.Status(vfs.ErrNoEnt)},
 		}},
-		&nfs4.Op{Code: nfs4.OpSetAttr, Attr: nfs3.Sattr3{}},
-		&nfs4.OpResult{Code: nfs4.OpWrite, Status: nfs3.OK, Count: 512},
+		described{&nfs4.Op{Code: nfs4.OpSetAttr, Attr: nfs3.Sattr3{}}},
+		described{&nfs4.OpResult{Code: nfs4.OpWrite, Status: nfs3.OK, Count: 512}},
 	}
 	kinds := nfs4Messages()
 	for _, msg := range seed {
@@ -128,5 +134,11 @@ func FuzzNFS4CompoundRoundTrip(f *testing.F) {
 }
 
 func sameType(a, b codec) bool {
-	return reflect.TypeOf(a) == reflect.TypeOf(b)
+	unwrap := func(c codec) any {
+		if m, ok := c.(described); ok {
+			return m.v
+		}
+		return c
+	}
+	return reflect.TypeOf(unwrap(a)) == reflect.TypeOf(unwrap(b))
 }

@@ -14,7 +14,6 @@ package nfs4
 
 import (
 	"repro/internal/nfs3"
-	"repro/internal/vfs"
 	"repro/internal/xdr"
 )
 
@@ -78,90 +77,41 @@ type Op struct {
 	Cookie uint64 // READDIR
 }
 
-// EncodeXDR implements xdr.Marshaler.
-func (o *Op) EncodeXDR(e *xdr.Encoder) {
-	e.Uint32(o.Code)
-	switch o.Code {
+// XDR describes one operation: its code, then the operands of that
+// code.
+func (o *Op) XDR(c *xdr.Codec) {
+	switch c.Uint32(&o.Code); o.Code {
 	case OpPutFH:
-		o.FH.EncodeXDR(e)
-	case OpLookup, OpRemove:
-		e.String(o.Name)
+		o.FH.XDR(c)
+	case OpLookup, OpRemove, OpLink:
+		c.String(&o.Name)
 	case OpOpen:
-		e.String(o.Name)
-		e.Bool(o.Create)
-		e.Bool(o.Excl)
-		o.Attr.EncodeXDR(e)
+		c.String(&o.Name)
+		c.Bool(&o.Create)
+		c.Bool(&o.Excl)
+		o.Attr.XDR(c)
 	case OpCreate:
-		e.String(o.Name)
-		e.Bool(o.Dir)
-		e.String(o.Target)
-		o.Attr.EncodeXDR(e)
-	case OpRead:
-		e.Uint64(o.Offset)
-		e.Uint32(o.Count)
+		c.String(&o.Name)
+		c.Bool(&o.Dir)
+		c.String(&o.Target)
+		o.Attr.XDR(c)
+	case OpRead, OpCommit:
+		c.Uint64(&o.Offset)
+		c.Uint32(&o.Count)
 	case OpWrite:
-		e.Uint64(o.Offset)
-		e.Uint32(o.Stable)
-		e.Opaque(o.Data)
+		c.Uint64(&o.Offset)
+		c.Uint32(&o.Stable)
+		c.Opaque(&o.Data, xdr.MaxElementSize)
 	case OpSetAttr:
-		o.Attr.EncodeXDR(e)
+		o.Attr.XDR(c)
 	case OpRename:
-		e.String(o.Name)
-		e.String(o.Name2)
-	case OpLink:
-		e.String(o.Name)
+		c.String(&o.Name)
+		c.String(&o.Name2)
 	case OpAccess:
-		e.Uint32(o.Access)
+		c.Uint32(&o.Access)
 	case OpReadDir:
-		e.Uint64(o.Cookie)
-		e.Uint32(o.Count)
-	case OpCommit:
-		e.Uint64(o.Offset)
-		e.Uint32(o.Count)
-	case OpPutRootFH, OpGetFH, OpGetAttr, OpSaveFH, OpRestoreFH, OpReadLink, OpLookupP, OpClose:
-	}
-}
-
-// DecodeXDR implements xdr.Unmarshaler.
-func (o *Op) DecodeXDR(d *xdr.Decoder) {
-	o.Code = d.Uint32()
-	switch o.Code {
-	case OpPutFH:
-		o.FH.DecodeXDR(d)
-	case OpLookup, OpRemove:
-		o.Name = d.String()
-	case OpOpen:
-		o.Name = d.String()
-		o.Create = d.Bool()
-		o.Excl = d.Bool()
-		o.Attr.DecodeXDR(d)
-	case OpCreate:
-		o.Name = d.String()
-		o.Dir = d.Bool()
-		o.Target = d.String()
-		o.Attr.DecodeXDR(d)
-	case OpRead:
-		o.Offset = d.Uint64()
-		o.Count = d.Uint32()
-	case OpWrite:
-		o.Offset = d.Uint64()
-		o.Stable = d.Uint32()
-		o.Data = d.Opaque()
-	case OpSetAttr:
-		o.Attr.DecodeXDR(d)
-	case OpRename:
-		o.Name = d.String()
-		o.Name2 = d.String()
-	case OpLink:
-		o.Name = d.String()
-	case OpAccess:
-		o.Access = d.Uint32()
-	case OpReadDir:
-		o.Cookie = d.Uint64()
-		o.Count = d.Uint32()
-	case OpCommit:
-		o.Offset = d.Uint64()
-		o.Count = d.Uint32()
+		c.Uint64(&o.Cookie)
+		c.Uint32(&o.Count)
 	}
 }
 
@@ -181,84 +131,32 @@ type OpResult struct {
 	Entries []nfs3.DirEntryPlus
 }
 
-// EncodeXDR implements xdr.Marshaler.
-func (r *OpResult) EncodeXDR(e *xdr.Encoder) {
-	e.Uint32(r.Code)
-	e.Uint32(uint32(r.Status))
-	if r.Status != nfs3.OK {
+// XDR describes one operation's result: code and status, then on
+// success the results of that code.
+func (r *OpResult) XDR(c *xdr.Codec) {
+	c.Uint32(&r.Code)
+	if xdr.Enum(c, &r.Status); r.Status != nfs3.OK {
 		return
 	}
 	switch r.Code {
 	case OpGetFH:
-		r.FH.EncodeXDR(e)
+		r.FH.XDR(c)
 	case OpGetAttr, OpLookup, OpOpen, OpCreate, OpSetAttr:
-		e.Bool(r.HasAttr)
-		if r.HasAttr {
-			r.Attr.EncodeXDR(e)
+		if c.Bool(&r.HasAttr); r.HasAttr {
+			r.Attr.XDR(c)
 		}
 	case OpRead:
-		e.Bool(r.EOF)
-		e.Opaque(r.Data)
+		c.Bool(&r.EOF)
+		c.Opaque(&r.Data, xdr.MaxElementSize)
 	case OpWrite:
-		e.Uint32(r.Count)
+		c.Uint32(&r.Count)
 	case OpAccess:
-		e.Uint32(r.Access)
+		c.Uint32(&r.Access)
 	case OpReadLink:
-		e.String(r.Target)
+		c.String(&r.Target)
 	case OpReadDir:
-		e.Bool(r.EOF)
-		e.Uint32(uint32(len(r.Entries)))
-		for i := range r.Entries {
-			ent := &r.Entries[i]
-			e.Uint64(ent.FileID)
-			e.String(ent.Name)
-			e.Uint64(ent.Cookie)
-			ent.Attr.EncodeXDR(e)
-			ent.FH.EncodeXDR(e)
-		}
-	}
-}
-
-// DecodeXDR implements xdr.Unmarshaler.
-func (r *OpResult) DecodeXDR(d *xdr.Decoder) {
-	r.Code = d.Uint32()
-	r.Status = Status(d.Uint32())
-	if r.Status != nfs3.OK {
-		return
-	}
-	switch r.Code {
-	case OpGetFH:
-		r.FH.DecodeXDR(d)
-	case OpGetAttr, OpLookup, OpOpen, OpCreate, OpSetAttr:
-		r.HasAttr = d.Bool()
-		if r.HasAttr {
-			r.Attr.DecodeXDR(d)
-		}
-	case OpRead:
-		r.EOF = d.Bool()
-		r.Data = d.Opaque()
-	case OpWrite:
-		r.Count = d.Uint32()
-	case OpAccess:
-		r.Access = d.Uint32()
-	case OpReadLink:
-		r.Target = d.String()
-	case OpReadDir:
-		r.EOF = d.Bool()
-		n := d.Uint32()
-		if n > 100000 {
-			d.SetErr(vfs.ErrInval)
-			return
-		}
-		r.Entries = make([]nfs3.DirEntryPlus, n)
-		for i := range r.Entries {
-			ent := &r.Entries[i]
-			ent.FileID = d.Uint64()
-			ent.Name = d.String()
-			ent.Cookie = d.Uint64()
-			ent.Attr.DecodeXDR(d)
-			ent.FH.DecodeXDR(d)
-		}
+		c.Bool(&r.EOF)
+		xdr.Array(c, &r.Entries, maxEntries, (*nfs3.DirEntryPlus).XDR)
 	}
 }
 
@@ -268,30 +166,10 @@ type CompoundArgs struct {
 	Ops []Op
 }
 
-// EncodeXDR implements xdr.Marshaler.
-func (a *CompoundArgs) EncodeXDR(e *xdr.Encoder) {
-	e.String(a.Tag)
-	e.Uint32(uint32(len(a.Ops)))
-	for i := range a.Ops {
-		a.Ops[i].EncodeXDR(e)
-	}
-}
-
-// DecodeXDR implements xdr.Unmarshaler.
-func (a *CompoundArgs) DecodeXDR(d *xdr.Decoder) {
-	a.Tag = d.String()
-	n := d.Uint32()
-	if n > 1024 {
-		d.SetErr(vfs.ErrInval)
-		return
-	}
-	a.Ops = make([]Op, n)
-	for i := range a.Ops {
-		a.Ops[i].DecodeXDR(d)
-		if d.Err() != nil {
-			return
-		}
-	}
+// XDR describes COMPOUND4args.
+func (a *CompoundArgs) XDR(c *xdr.Codec) {
+	c.String(&a.Tag)
+	xdr.Array(c, &a.Ops, maxOps, (*Op).XDR)
 }
 
 // CompoundRes is a COMPOUND reply: results for each executed
@@ -302,30 +180,23 @@ type CompoundRes struct {
 	Results []OpResult
 }
 
-// EncodeXDR implements xdr.Marshaler.
-func (r *CompoundRes) EncodeXDR(e *xdr.Encoder) {
-	e.Uint32(uint32(r.Status))
-	e.String(r.Tag)
-	e.Uint32(uint32(len(r.Results)))
-	for i := range r.Results {
-		r.Results[i].EncodeXDR(e)
-	}
+// XDR describes COMPOUND4res.
+func (r *CompoundRes) XDR(c *xdr.Codec) {
+	xdr.Enum(c, &r.Status)
+	c.String(&r.Tag)
+	xdr.Array(c, &r.Results, maxOps, (*OpResult).XDR)
 }
 
-// DecodeXDR implements xdr.Unmarshaler.
-func (r *CompoundRes) DecodeXDR(d *xdr.Decoder) {
-	r.Status = Status(d.Uint32())
-	r.Tag = d.String()
-	n := d.Uint32()
-	if n > 1024 {
-		d.SetErr(vfs.ErrInval)
-		return
-	}
-	r.Results = make([]OpResult, n)
-	for i := range r.Results {
-		r.Results[i].DecodeXDR(d)
-		if d.Err() != nil {
-			return
-		}
-	}
-}
+// Bounds on the counted arrays of a COMPOUND.
+const (
+	maxOps     = 1024
+	maxEntries = 100000
+)
+
+// CompoundArgs and CompoundRes travel on their own, so each is an
+// xdr.Marshaler and xdr.Unmarshaler that runs its description.
+
+func (a *CompoundArgs) EncodeXDR(e *xdr.Encoder) { a.XDR(e.Codec()) }
+func (a *CompoundArgs) DecodeXDR(d *xdr.Decoder) { a.XDR(d.Codec()) }
+func (r *CompoundRes) EncodeXDR(e *xdr.Encoder)  { r.XDR(e.Codec()) }
+func (r *CompoundRes) DecodeXDR(d *xdr.Decoder)  { r.XDR(d.Codec()) }

@@ -277,7 +277,7 @@ func (c *Client) CallCred(ctx context.Context, proc uint32, cred OpaqueAuth, arg
 	cb.body.Reset()
 	cb.enc.Reset(&cb.body)
 	hdr := callHeader{XID: xid, Prog: c.prog, Vers: c.vers, Proc: proc, Cred: cred, Verf: AuthNone}
-	hdr.EncodeXDR(&cb.enc)
+	hdr.XDR(cb.enc.Codec())
 	if args != nil {
 		args.EncodeXDR(&cb.enc)
 	}
@@ -357,7 +357,7 @@ func decodeReplyFrom(d *xdr.Decoder, reply xdr.Unmarshaler) error {
 	switch stat := d.Uint32(); stat {
 	case msgAccepted:
 		var verf OpaqueAuth
-		verf.DecodeXDR(d)
+		verf.XDR(d.Codec())
 		astat := AcceptStat(d.Uint32())
 		if err := d.Err(); err != nil {
 			return fmt.Errorf("oncrpc: decode reply header: %w", err)

@@ -1,12 +1,11 @@
 package oncrpc_test
 
-// Fuzz coverage for the NFSv3 wire messages carried over ONC RPC.
-// This dynamically cross-checks what the xdr-symmetry analyzer in
-// cmd/sgfs-vet proves statically: for every message type, decoding
-// arbitrary bytes must never panic, and any bytes that decode must
-// re-encode to a stable canonical form (encode → decode → encode is a
-// fixed point). The target lives in an external test package because
-// nfs3 imports oncrpc for its RPC registration.
+// Fuzz coverage for the NFSv3 wire messages carried over ONC RPC: for
+// every message type, decoding arbitrary bytes must never panic, and
+// any bytes that decode must re-encode to a stable canonical form
+// (encode → decode → encode is a fixed point). The target lives in an
+// external test package because nfs3 imports oncrpc for its RPC
+// registration.
 
 import (
 	"bytes"

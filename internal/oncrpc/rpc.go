@@ -105,21 +105,10 @@ type OpaqueAuth struct {
 	Body   []byte
 }
 
-// EncodeXDR implements xdr.Marshaler.
-func (a *OpaqueAuth) EncodeXDR(e *xdr.Encoder) {
-	e.Uint32(a.Flavor)
-	e.Opaque(a.Body)
-}
-
-// DecodeXDR implements xdr.Unmarshaler.
-func (a *OpaqueAuth) DecodeXDR(d *xdr.Decoder) {
-	a.Flavor = d.Uint32()
-	a.Body = d.Opaque()
-	if len(a.Body) > maxAuthBody {
-		// RFC 5531 bounds auth bodies at 400 bytes; longer bodies
-		// indicate a corrupt or hostile stream.
-		d.SetErr(errors.New("oncrpc: opaque auth body exceeds 400 bytes"))
-	}
+// XDR describes opaque_auth: a flavor and a body of at most 400 bytes.
+func (a *OpaqueAuth) XDR(c *xdr.Codec) {
+	c.Uint32(&a.Flavor)
+	c.Opaque(&a.Body, maxAuthBody)
 }
 
 // AuthSys is the AUTH_SYS ("UNIX") credential body: the caller's
@@ -134,34 +123,21 @@ type AuthSys struct {
 	GIDs        []uint32
 }
 
-// EncodeXDR implements xdr.Marshaler.
-func (a *AuthSys) EncodeXDR(e *xdr.Encoder) {
-	e.Uint32(a.Stamp)
-	e.String(a.MachineName)
-	e.Uint32(a.UID)
-	e.Uint32(a.GID)
-	e.Uint32(uint32(len(a.GIDs)))
-	for _, g := range a.GIDs {
-		e.Uint32(g)
-	}
+// XDR describes authsys_parms; RFC 5531 allows at most 16
+// supplementary groups.
+func (a *AuthSys) XDR(c *xdr.Codec) {
+	c.Uint32(&a.Stamp)
+	c.String(&a.MachineName)
+	c.Uint32(&a.UID)
+	c.Uint32(&a.GID)
+	xdr.Array(c, &a.GIDs, 16, func(g *uint32, c *xdr.Codec) { c.Uint32(g) })
 }
 
+// EncodeXDR implements xdr.Marshaler.
+func (a *AuthSys) EncodeXDR(e *xdr.Encoder) { a.XDR(e.Codec()) }
+
 // DecodeXDR implements xdr.Unmarshaler.
-func (a *AuthSys) DecodeXDR(d *xdr.Decoder) {
-	a.Stamp = d.Uint32()
-	a.MachineName = d.String()
-	a.UID = d.Uint32()
-	a.GID = d.Uint32()
-	n := d.Uint32()
-	if n > 16 { // RFC 5531 limits AUTH_SYS to 16 supplementary groups
-		d.SetErr(errors.New("oncrpc: AUTH_SYS credential lists more than 16 groups"))
-		return
-	}
-	a.GIDs = make([]uint32, n)
-	for i := range a.GIDs {
-		a.GIDs[i] = d.Uint32()
-	}
-}
+func (a *AuthSys) DecodeXDR(d *xdr.Decoder) { a.XDR(d.Codec()) }
 
 // Auth builds the OpaqueAuth carrying this AUTH_SYS credential.
 func (a *AuthSys) Auth() (OpaqueAuth, error) {
@@ -185,31 +161,24 @@ type callHeader struct {
 	Verf OpaqueAuth
 }
 
-func (h *callHeader) EncodeXDR(e *xdr.Encoder) {
-	e.Uint32(h.XID)
-	e.Uint32(msgCall)
-	e.Uint32(RPCVersion)
-	e.Uint32(h.Prog)
-	e.Uint32(h.Vers)
-	e.Uint32(h.Proc)
-	h.Cred.EncodeXDR(e)
-	h.Verf.EncodeXDR(e)
-}
-
-func (h *callHeader) DecodeXDR(d *xdr.Decoder) error {
-	h.XID = d.Uint32()
-	if mt := d.Uint32(); mt != msgCall {
-		return fmt.Errorf("oncrpc: expected CALL message, got type %d", mt)
+// XDR describes the call header; decoding sets an error unless the
+// message is a CALL of RPC version 2 (errRPCVersion for the version).
+func (h *callHeader) XDR(c *xdr.Codec) {
+	mtype, rpcvers := uint32(msgCall), uint32(RPCVersion)
+	c.Uint32(&h.XID)
+	if c.Uint32(&mtype); mtype != msgCall {
+		c.SetErr(fmt.Errorf("oncrpc: expected CALL message, got type %d", mtype))
+		return
 	}
-	if v := d.Uint32(); v != RPCVersion {
-		return errRPCVersion
+	if c.Uint32(&rpcvers); rpcvers != RPCVersion {
+		c.SetErr(errRPCVersion)
+		return
 	}
-	h.Prog = d.Uint32()
-	h.Vers = d.Uint32()
-	h.Proc = d.Uint32()
-	h.Cred.DecodeXDR(d)
-	h.Verf.DecodeXDR(d)
-	return d.Err()
+	c.Uint32(&h.Prog)
+	c.Uint32(&h.Vers)
+	c.Uint32(&h.Proc)
+	h.Cred.XDR(c)
+	h.Verf.XDR(c)
 }
 
 var errRPCVersion = errors.New("oncrpc: unsupported RPC version")

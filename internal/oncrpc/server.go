@@ -266,7 +266,8 @@ func (s *Server) dispatch(ctx context.Context, conn net.Conn, writeMu *sync.Mute
 		dispatchBufPool.Put(db)
 	}()
 	var hdr callHeader
-	if err := hdr.DecodeXDR(d); err != nil {
+	hdr.XDR(d.Codec())
+	if err := d.Err(); err != nil {
 		if errors.Is(err, errRPCVersion) {
 			s.reply(conn, writeMu, hdr.XID, func(e *xdr.Encoder) {
 				e.Uint32(msgDenied)
@@ -351,7 +352,7 @@ func (s *Server) denyAuth(conn net.Conn, writeMu *sync.Mutex, xid uint32, stat A
 func (s *Server) accepted(conn net.Conn, writeMu *sync.Mutex, xid uint32, stat AcceptStat, body func(*xdr.Encoder)) {
 	s.reply(conn, writeMu, xid, func(e *xdr.Encoder) {
 		e.Uint32(msgAccepted)
-		AuthNone.EncodeXDR(e) // verifier
+		AuthNone.XDR(e.Codec()) // verifier
 		e.Uint32(uint32(stat))
 		if body != nil {
 			body(e)
@@ -372,7 +373,7 @@ func (s *Server) acceptedResult(conn net.Conn, writeMu *sync.Mutex, xid uint32, 
 	e.Uint32(xid)
 	e.Uint32(msgReply)
 	e.Uint32(msgAccepted)
-	AuthNone.EncodeXDR(e) // verifier
+	AuthNone.XDR(e.Codec()) // verifier
 	e.Uint32(uint32(Success))
 	if result != nil {
 		result.EncodeXDR(e)

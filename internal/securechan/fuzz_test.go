@@ -2,9 +2,11 @@ package securechan
 
 import (
 	"bytes"
+	"encoding/binary"
 	"io"
 	"math/rand"
 	"net"
+	"runtime"
 	"testing"
 	"time"
 
@@ -82,9 +84,7 @@ func TestClientHandshakeRobustAgainstGarbage(t *testing.T) {
 // send a hello before proving identity — so they must never panic and
 // must bound what they allocate regardless of the length words in the
 // input. Accepted input must also re-encode to a canonical fixed point
-// (encode → decode → encode), dynamically cross-checking what the
-// xdr-symmetry analyzer proves statically over these hand-written
-// codecs.
+// (encode → decode → encode).
 func FuzzHandshakeDecodeRoundTrip(f *testing.F) {
 	seedHello := &hello{
 		Version: protocolVersion,
@@ -159,5 +159,34 @@ func TestCryptoMeterAccounts(t *testing.T) {
 	}
 	if sm.Busy() == 0 {
 		t.Fatal("server meter recorded no open time")
+	}
+}
+
+// TestForgedHelloLengthDoesNotAllocate sends the server an
+// unauthenticated 48-byte hello — version, random, no suites, one
+// certificate whose length word claims 64 MiB. The server must refuse
+// it without allocating what the length word claims.
+func TestForgedHelloLengthDoesNotAllocate(t *testing.T) {
+	pki := newPKI(t)
+	cfg := &Config{Credential: pki.server, Roots: pki.ca.Pool(), HandshakeTimeout: 5 * time.Second}
+	body := make([]byte, 48)
+	binary.BigEndian.PutUint32(body[0:], protocolVersion)
+	binary.BigEndian.PutUint32(body[40:], 1) // chain length; suites at 36 stay 0
+	binary.BigEndian.PutUint32(body[44:], 0x03ffffff)
+	a, b := net.Pipe()
+	defer b.Close()
+	go func() {
+		writeFrameCold(a, recHandshake, body)
+		a.Close()
+	}()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := Server(b, cfg)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("forged hello accepted")
+	}
+	if n := after.TotalAlloc - before.TotalAlloc; n >= 1<<20 {
+		t.Errorf("refusing a 48-byte hello allocated %d bytes", n)
 	}
 }

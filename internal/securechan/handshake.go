@@ -42,44 +42,15 @@ type hello struct {
 	Sig     []byte   // server only: ECDSA over transcript
 }
 
-func (h *hello) EncodeXDR(e *xdr.Encoder) {
-	e.Uint32(h.Version)
-	e.FixedOpaque(h.Random[:])
-	e.Uint32(uint32(len(h.Suites)))
-	for _, s := range h.Suites {
-		e.Uint32(uint32(s))
-	}
-	e.Uint32(uint32(len(h.Chain)))
-	for _, c := range h.Chain {
-		e.Opaque(c)
-	}
-	e.Opaque(h.ECDHPub)
-	e.Opaque(h.Sig)
-}
-
-func (h *hello) DecodeXDR(d *xdr.Decoder) {
-	h.Version = d.Uint32()
-	d.FixedOpaque(h.Random[:])
-	n := d.Uint32()
-	if n > 16 {
-		d.SetErr(errors.New("securechan: too many suites"))
-		return
-	}
-	h.Suites = make([]Suite, n)
-	for i := range h.Suites {
-		h.Suites[i] = Suite(d.Uint32())
-	}
-	m := d.Uint32()
-	if m > 8 {
-		d.SetErr(errors.New("securechan: certificate chain too deep"))
-		return
-	}
-	h.Chain = make([][]byte, m)
-	for i := range h.Chain {
-		h.Chain[i] = d.Opaque()
-	}
-	h.ECDHPub = d.Opaque()
-	h.Sig = d.Opaque()
+// XDR describes a hello: a peer offers at most 16 suites and a chain
+// at most 8 certificates deep.
+func (h *hello) XDR(c *xdr.Codec) {
+	c.Uint32(&h.Version)
+	c.FixedOpaque(h.Random[:])
+	xdr.Array(c, &h.Suites, 16, func(s *Suite, c *xdr.Codec) { xdr.Enum(c, s) })
+	xdr.Array(c, &h.Chain, 8, func(b *[]byte, c *xdr.Codec) { c.Opaque(b, xdr.MaxElementSize) })
+	c.Opaque(&h.ECDHPub, xdr.MaxElementSize)
+	c.Opaque(&h.Sig, xdr.MaxElementSize)
 }
 
 // finished closes the handshake from each side: a signature proving
@@ -91,8 +62,20 @@ type finished struct {
 	MAC []byte
 }
 
-func (f *finished) EncodeXDR(e *xdr.Encoder) { e.Opaque(f.Sig); e.Opaque(f.MAC) }
-func (f *finished) DecodeXDR(d *xdr.Decoder) { f.Sig = d.Opaque(); f.MAC = d.Opaque() }
+// XDR describes a finished message.
+func (f *finished) XDR(c *xdr.Codec) {
+	c.Opaque(&f.Sig, xdr.MaxElementSize)
+	c.Opaque(&f.MAC, xdr.MaxElementSize)
+}
+
+// Both handshake messages travel on their own (writeHandshakeMsg,
+// readHandshakeMsg), so each runs its description as an xdr.Marshaler
+// and xdr.Unmarshaler.
+
+func (h *hello) EncodeXDR(e *xdr.Encoder)    { h.XDR(e.Codec()) }
+func (h *hello) DecodeXDR(d *xdr.Decoder)    { h.XDR(d.Codec()) }
+func (f *finished) EncodeXDR(e *xdr.Encoder) { f.XDR(e.Codec()) }
+func (f *finished) DecodeXDR(d *xdr.Decoder) { f.XDR(d.Codec()) }
 
 // Config configures one endpoint of a secure channel.
 type Config struct {

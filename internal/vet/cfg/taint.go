@@ -72,6 +72,11 @@ type Spec struct {
 	// expression taints even when its operands are clean.
 	SourceOf func(e ast.Expr) (string, bool)
 
+	// SourceArg reports whether a call statement fills a variable from
+	// a source through a pointer argument — c.Uint32(&n) on a codec —
+	// and returns that argument's operand (n) and a description.
+	SourceArg func(call *ast.CallExpr) (ast.Expr, string, bool)
+
 	// CallTaint decides the taint of a non-source, non-builtin call
 	// result given the receiver's and arguments' taint (nil = clean).
 	// This is the one-level interprocedural hook: analyzers consult
@@ -216,6 +221,14 @@ func (spec *Spec) node(st State, n ast.Node) State {
 				for _, name := range vs.Names {
 					st = spec.assign(st, name, src, false)
 				}
+			}
+		}
+		return st
+
+	case *ast.ExprStmt:
+		if call, ok := n.X.(*ast.CallExpr); ok && spec.SourceArg != nil {
+			if x, desc, ok := spec.SourceArg(call); ok {
+				return spec.assign(st, x, &Source{Pos: call.Pos(), Desc: desc}, false)
 			}
 		}
 		return st

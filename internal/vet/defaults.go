@@ -25,7 +25,6 @@ var CtxDeadlinePackages = []string{
 // repo-clean regression test share this list so they cannot drift.
 func DefaultAnalyzers() []Analyzer {
 	return []Analyzer{
-		XDRSymmetry{},
 		LockOverIO{Packages: LockIOPackages},
 		LocksetRace{},
 		PoolLifecycle{},

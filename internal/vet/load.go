@@ -1,6 +1,6 @@
 // Package vet implements sgfs-vet, a repository-specific static
 // analysis suite built purely on the standard library's go/ast,
-// go/parser and go/types: sixteen analyzers for invariants this
+// go/parser and go/types: fifteen analyzers for invariants this
 // codebase depends on but the compiler cannot check. Each job under
 // them has one implementation:
 //
@@ -19,9 +19,8 @@
 //
 // The analyzers, by what they stand on:
 //
-//   - per package, syntactic: xdr-symmetry (EncodeXDR/DecodeXDR pairs
-//     visit the same fields in the same order), swallowed-error (no
-//     discarded or unchecked errors in non-test code), goroutine-leak
+//   - per package, syntactic: swallowed-error (no discarded or
+//     unchecked errors in non-test code), goroutine-leak
 //     (no spawned goroutine blocks on a channel with no cancellation
 //     edge), replay-table-sync (//sgfsvet:replay-table maps cover
 //     exactly the target package's Proc* constants);

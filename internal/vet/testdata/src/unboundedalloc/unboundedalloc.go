@@ -103,3 +103,31 @@ func viaHelperBounded(d *xdr.Decoder, r io.Reader) (int64, error) {
 	}
 	return io.CopyN(io.Discard, r, int64(n))
 }
+
+// codecBad fills a local through a codec's pointer argument and trusts
+// it.
+func codecBad(c *xdr.Codec) []byte {
+	var n uint32
+	c.Uint32(&n)
+	return make([]byte, n) // want "Codec.Uint32"
+}
+
+// codecBounded rejects oversized lengths before allocating.
+func codecBounded(c *xdr.Codec) []byte {
+	var n uint32
+	c.Uint32(&n)
+	if n > maxFrame {
+		return nil
+	}
+	return make([]byte, n)
+}
+
+// frame's Len is named by its XDR description, so every read of the
+// field is tainted module-wide.
+type frame struct{ Len uint64 }
+
+func (f *frame) XDR(c *xdr.Codec) { c.Uint64(&f.Len) }
+
+func useFrame(f *frame) []byte {
+	return make([]byte, f.Len) // want "wire-decoded field"
+}

@@ -3,6 +3,7 @@ package vet
 import (
 	"fmt"
 	"go/ast"
+	"go/token"
 	"go/types"
 
 	"repro/internal/vet/cfg"
@@ -11,11 +12,14 @@ import (
 // UnboundedAlloc flags wire-decoded integers that reach an allocation
 // size with no dominating bound check — the decode-DoS class: a remote
 // peer supplies a length word and the server calls make with it before
-// comparing it against anything. Taint starts at xdr.Decoder.Uint32 /
-// Uint64 and encoding/binary byte-order reads (record-marking
-// lengths), propagates through module call chains via the call-graph
-// summary fixpoint (summary.go) and through struct fields that any
-// decoder assigns from the wire, and is sanitized by a branch that
+// comparing it against anything. Taint starts at the variable an
+// xdr.Codec integer method fills through its pointer argument
+// (c.Uint32(&n), c.Uint64(&n), xdr.Enum(c, &n)), at
+// xdr.Decoder.Uint32 / Uint64 results and at encoding/binary
+// byte-order reads (record-marking lengths), propagates through module
+// call chains via the call-graph summary fixpoint (summary.go) and
+// through struct fields that any decoder fills from the wire, and is
+// sanitized by a branch that
 // compares the value against an untainted bound (`if n > maxFrame {
 // ... }`, `if count > PreferredIO { count = PreferredIO }`). The same
 // bound checks sanitize parameters during summary computation, so a
@@ -38,6 +42,7 @@ func (a UnboundedAlloc) RunModule(m *Module) []Diagnostic {
 			return &cfg.Spec{
 				Info:           pkg.Info,
 				SourceOf:       func(e ast.Expr) (string, bool) { return wireLengthSource(pkg, e) },
+				SourceArg:      func(call *ast.CallExpr) (ast.Expr, string, bool) { return codecLength(pkg, call) },
 				BoundSanitizer: true,
 			}
 		},
@@ -57,15 +62,11 @@ func (a UnboundedAlloc) RunModule(m *Module) []Diagnostic {
 		ss = computeSummaries(m, pol)
 	}
 
-	// Pass B: integer struct fields assigned from the wire anywhere in
-	// the module (DecodeXDR filling h.Count) carry taint into every
-	// function that reads them.
+	// Pass B: integer struct fields filled from the wire anywhere in
+	// the module (an XDR method's c.Uint32(&h.Count)) carry taint into
+	// every function that reads them.
 	fields := cfg.State{}
 	ss.analyze(m, nil, func(b funcBody, n ast.Node, taintOf func(ast.Expr) *cfg.Source) {
-		as, ok := n.(*ast.AssignStmt)
-		if !ok {
-			return
-		}
 		record := func(lhs ast.Expr, src *cfg.Source) {
 			if src == nil {
 				return
@@ -80,6 +81,17 @@ func (a UnboundedAlloc) RunModule(m *Module) []Diagnostic {
 					Desc: fmt.Sprintf("wire-decoded field %s.%s", f.Pkg().Name(), f.Name()),
 				}
 			}
+		}
+		if es, ok := n.(*ast.ExprStmt); ok {
+			if call, ok := es.X.(*ast.CallExpr); ok {
+				if x, desc, ok := codecLength(b.pkg, call); ok {
+					record(x, &cfg.Source{Pos: call.Pos(), Desc: desc})
+				}
+			}
+		}
+		as, ok := n.(*ast.AssignStmt)
+		if !ok {
+			return
 		}
 		if len(as.Lhs) == len(as.Rhs) {
 			for i := range as.Lhs {
@@ -127,6 +139,35 @@ func wireLengthSource(pkg *Package, e ast.Expr) (string, bool) {
 		}
 	}
 	return "", false
+}
+
+// codecLength recognizes a call that fills an integer from the wire
+// through a pointer argument — c.Uint32(&n) and c.Uint64(&n) on an
+// xdr.Codec, xdr.Enum(c, &n) — and returns that argument's operand.
+// Encoding runs the same call, so this over-approximates: every
+// integer an XDR description names counts as wire-decoded.
+func codecLength(pkg *Package, call *ast.CallExpr) (ast.Expr, string, bool) {
+	fn, path := stdCallee(pkg, call)
+	if fn == nil || path != "repro/internal/xdr" {
+		return nil, "", false
+	}
+	arg := -1
+	switch fn.Name() {
+	case "Uint32", "Uint64":
+		if named := recvNamed(pkg, call); named != nil && named.Obj().Name() == "Codec" {
+			arg = 0
+		}
+	case "Enum":
+		arg = 1
+	}
+	if arg < 0 || arg >= len(call.Args) {
+		return nil, "", false
+	}
+	u, ok := ast.Unparen(call.Args[arg]).(*ast.UnaryExpr)
+	if !ok || u.Op != token.AND {
+		return nil, "", false
+	}
+	return u.X, "xdr-decoded length (Codec." + fn.Name() + ")", true
 }
 
 // allocSink reports the index of the first size argument when call is

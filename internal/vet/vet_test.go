@@ -79,11 +79,6 @@ func runFixture(t *testing.T, name string, a Analyzer) {
 	}
 }
 
-func TestXDRSymmetry(t *testing.T) {
-	t.Parallel()
-	runFixture(t, "xdrsym", XDRSymmetry{})
-}
-
 func TestLockOverIO(t *testing.T) {
 	t.Parallel()
 	runFixture(t, "lockio", LockOverIO{})

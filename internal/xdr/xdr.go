@@ -6,7 +6,9 @@
 // protocols need: 32- and 64-bit integers, booleans, fixed and
 // variable-length opaque data, strings, and optional ("pointer")
 // values. All quantities are big-endian and padded to 4-byte
-// boundaries as the standard requires.
+// boundaries as the standard requires. Wire types describe themselves
+// once, as an XDR method over a Codec, which runs that description in
+// whichever direction it was obtained for.
 package xdr
 
 import (
@@ -34,6 +36,7 @@ type Encoder struct {
 	w   io.Writer
 	buf [8]byte
 	err error
+	c   Codec
 }
 
 // NewEncoder returns an Encoder writing to w.
@@ -136,6 +139,7 @@ type Decoder struct {
 	// decoders keep it across messages; see stringScratchMax.
 	scratch []byte
 	err     error
+	c       Codec
 }
 
 // NewDecoder returns a Decoder reading from r.
@@ -201,8 +205,7 @@ func (d *Decoder) Float64() float64 { return math.Float64frombits(d.Uint64()) }
 
 func (d *Decoder) skipPad(n int) {
 	if m := n % 4; m != 0 {
-		var p [4]byte
-		d.read(p[:4-m])
+		d.read(d.buf[:4-m])
 	}
 }
 
@@ -212,63 +215,55 @@ func (d *Decoder) FixedOpaque(p []byte) {
 	d.skipPad(len(p))
 }
 
-// Opaque decodes variable-length opaque data, enforcing MaxElementSize.
-func (d *Decoder) Opaque() []byte {
+// length decodes the length word of a variable-length item whose
+// elements take at least unit bytes each, and vets it before anything
+// is allocated: a length beyond max (and MaxElementSize), or — when
+// decoding from a Buffer, i.e. a message already in memory — beyond
+// the bytes that remain, is an error. Opaque, String and Array share
+// it, so a forged length costs nothing but the error.
+func (d *Decoder) length(max, unit uint32) (uint32, bool) {
 	n := d.Uint32()
 	if d.err != nil {
-		return nil
+		return 0, false
 	}
-	if n > MaxElementSize {
-		d.err = fmt.Errorf("%w: %d bytes", ErrElementTooLarge, n)
-		return nil
+	if n > max || n > MaxElementSize {
+		d.err = ErrElementTooLarge
+		return 0, false
 	}
-	p := make([]byte, n)
-	d.FixedOpaque(p)
-	if d.err != nil {
-		return nil
+	if b, ok := d.r.(*Buffer); ok && uint64(n)*uint64(unit) > uint64(b.Len()) {
+		d.err = io.ErrUnexpectedEOF
+		return 0, false
 	}
-	return p
+	return n, true
 }
+
+// Opaque decodes variable-length opaque data, enforcing MaxElementSize.
+func (d *Decoder) Opaque() []byte { return d.opaqueInto(nil, MaxElementSize) }
 
 // BoundedOpaque decodes variable-length opaque data, rejecting any
 // length beyond max before allocating. Wire-identical to Opaque; use
 // it when the protocol advertises a transfer ceiling (NFS3 wtmax) so
 // a hostile length word cannot force a MaxElementSize allocation.
-func (d *Decoder) BoundedOpaque(max uint32) []byte {
-	n := d.Uint32()
-	if d.err != nil {
-		return nil
-	}
-	if n > max {
-		d.err = fmt.Errorf("%w: %d bytes (bound %d)", ErrElementTooLarge, n, max)
-		return nil
-	}
-	p := make([]byte, n)
-	d.FixedOpaque(p)
-	if d.err != nil {
-		return nil
-	}
-	return p
-}
+func (d *Decoder) BoundedOpaque(max uint32) []byte { return d.opaqueInto(nil, max) }
 
 // OpaqueInto decodes variable-length opaque data into dst when it fits,
 // avoiding an allocation; otherwise it allocates. It returns the slice
 // holding the data.
-func (d *Decoder) OpaqueInto(dst []byte) []byte {
-	n := d.Uint32()
-	if d.err != nil {
+func (d *Decoder) OpaqueInto(dst []byte) []byte { return d.opaqueInto(dst, MaxElementSize) }
+
+// opaqueInto is the decode arm every variable-length byte item shares:
+// it vets the length word, then reads the bytes into dst when they fit
+// and into a fresh slice otherwise.
+func (d *Decoder) opaqueInto(dst []byte, max uint32) []byte {
+	n, ok := d.length(max, 1)
+	if !ok {
 		return nil
 	}
-	if n > MaxElementSize {
-		d.err = fmt.Errorf("%w: %d bytes", ErrElementTooLarge, n)
-		return nil
-	}
-	var p []byte
-	if int(n) <= cap(dst) {
-		p = dst[:n]
-	} else {
+	p := dst
+	if p == nil || int(n) > cap(p) {
 		p = make([]byte, n)
 	}
+	p = p[:n]
 	d.FixedOpaque(p)
 	if d.err != nil {
 		return nil
@@ -284,25 +279,9 @@ const stringScratchMax = 64 << 10
 
 // String decodes an XDR string.
 func (d *Decoder) String() string {
-	n := d.Uint32()
-	if d.err != nil {
-		return ""
-	}
-	if n > MaxElementSize {
-		d.err = fmt.Errorf("%w: %d bytes", ErrElementTooLarge, n)
-		return ""
-	}
-	p := d.scratch
-	if int(n) > cap(p) {
-		p = make([]byte, n)
-		if n <= stringScratchMax {
-			d.scratch = p
-		}
-	}
-	p = p[:n]
-	d.FixedOpaque(p)
-	if d.err != nil {
-		return ""
+	p := d.opaqueInto(d.scratch, MaxElementSize)
+	if p != nil && cap(p) <= stringScratchMax {
+		d.scratch = p
 	}
 	return string(p)
 }
@@ -310,6 +289,161 @@ func (d *Decoder) String() string {
 // OptionalPresent decodes the presence discriminant of an XDR optional
 // value. When it returns true the caller must decode the value.
 func (d *Decoder) OptionalPresent() bool { return d.Bool() }
+
+// Codec runs the one XDR description of a wire type — its XDR method —
+// in the direction the codec was obtained for: from an Encoder each
+// method writes the value it points at, from a Decoder it fills it in.
+// Because the field list is written once, encoding and decoding cannot
+// drift apart. A union decodes its discriminant before the description
+// branches on it, since the branch reads the field the call just
+// filled. A Codec lives inside its Encoder or Decoder, so handing one
+// out costs no allocation.
+type Codec struct {
+	e *Encoder // set when encoding
+	d *Decoder // set when decoding
+}
+
+// Codec returns the encoding codec of e.
+func (e *Encoder) Codec() *Codec {
+	e.c.e = e
+	return &e.c
+}
+
+// Codec returns the decoding codec of d.
+func (d *Decoder) Codec() *Codec {
+	d.c.d = d
+	return &d.c
+}
+
+// Decoding reports whether c fills values in from the wire. A
+// description uses it only for checks that concern received input.
+func (c *Codec) Decoding() bool { return c.d != nil }
+
+// SetErr records a validation error found while decoding; see
+// Decoder.SetErr. Encoding ignores it.
+func (c *Codec) SetErr(err error) {
+	if c.d != nil {
+		c.d.SetErr(err)
+	}
+}
+
+// Uint32 codes a 32-bit unsigned integer.
+func (c *Codec) Uint32(v *uint32) {
+	if c.d != nil {
+		*v = c.d.Uint32()
+	} else {
+		c.e.Uint32(*v)
+	}
+}
+
+// Uint64 codes a 64-bit unsigned integer (XDR unsigned hyper).
+func (c *Codec) Uint64(v *uint64) {
+	if c.d != nil {
+		*v = c.d.Uint64()
+	} else {
+		c.e.Uint64(*v)
+	}
+}
+
+// Bool codes an XDR boolean.
+func (c *Codec) Bool(v *bool) {
+	if c.d != nil {
+		*v = c.d.Bool()
+	} else {
+		c.e.Bool(*v)
+	}
+}
+
+// Optional codes the presence flag of an XDR optional value ("*type")
+// and reports it; when it is true the caller codes the value next.
+func (c *Codec) Optional(present *bool) bool {
+	c.Bool(present)
+	return *present
+}
+
+// String codes an XDR string.
+func (c *Codec) String(v *string) {
+	if c.d != nil {
+		*v = c.d.String()
+	} else {
+		c.e.String(*v)
+	}
+}
+
+// Opaque codes variable-length opaque data of at most max bytes (the
+// protocol's bound: opaque<max>). Decoding rejects a longer length
+// before allocating.
+func (c *Codec) Opaque(v *[]byte, max uint32) {
+	if c.d != nil {
+		*v = c.d.BoundedOpaque(max)
+	} else {
+		c.e.Opaque(*v)
+	}
+}
+
+// FixedOpaque codes opaque data of the fixed length len(p).
+func (c *Codec) FixedOpaque(p []byte) {
+	if c.d != nil {
+		c.d.FixedOpaque(p)
+	} else {
+		c.e.FixedOpaque(p)
+	}
+}
+
+// Enum codes a named unsigned type (a status, a discriminant) as a
+// 32-bit word. Like every Codec method it writes *v only when decoding:
+// encoders run over values other goroutines may be reading.
+func Enum[T ~uint16 | ~uint32](c *Codec, v *T) {
+	if c.d != nil {
+		*v = T(c.d.Uint32())
+	} else {
+		c.e.Uint32(uint32(*v))
+	}
+}
+
+// Array codes a counted array of at most max elements, each described
+// by elem — typically the element type's XDR method expression, such as
+// (*Entry).XDR. Decoding vets the count like an opaque length (every
+// element takes at least four bytes) before allocating the slice.
+func Array[T any](c *Codec, s *[]T, max uint32, elem func(*T, *Codec)) {
+	if c.d == nil {
+		c.e.Uint32(uint32(len(*s)))
+	} else {
+		n, ok := c.d.length(max, 4)
+		if !ok {
+			return
+		}
+		*s = make([]T, n)
+	}
+	for i := range *s {
+		elem(&(*s)[i], c)
+		if c.d != nil && c.d.err != nil {
+			return
+		}
+	}
+}
+
+// List codes an XDR linked list (a chain of optional "next" pointers):
+// each element follows a present flag and an absent flag ends it.
+func List[T any](c *Codec, s *[]T, elem func(*T, *Codec)) {
+	if c.d == nil {
+		for i := range *s {
+			c.e.Bool(true)
+			elem(&(*s)[i], c)
+		}
+		c.e.Bool(false)
+		return
+	}
+	*s = nil
+	for c.d.Bool() {
+		var zero T
+		*s = append(*s, zero)
+		elem(&(*s)[len(*s)-1], c)
+		if c.d.err != nil {
+			return
+		}
+	}
+}
 
 // Marshaler is implemented by types that can encode themselves in XDR.
 type Marshaler interface {
@@ -325,27 +459,33 @@ type Unmarshaler interface {
 //
 //sgfsvet:hot-path
 func Marshal(v Marshaler) ([]byte, error) {
-	var b Buffer
-	e := NewEncoder(&b)
-	v.EncodeXDR(e)
-	if err := e.Err(); err != nil {
+	m := &struct { // the encoder and its buffer, in one allocation
+		e Encoder
+		b Buffer
+	}{}
+	m.e.w = &m.b
+	v.EncodeXDR(&m.e)
+	if err := m.e.err; err != nil {
 		return nil, err
 	}
-	return b.Bytes(), nil
+	return m.b.Bytes(), nil
 }
 
 // Unmarshal decodes v from p, requiring that all of p be consumed.
 //
 //sgfsvet:hot-path
 func Unmarshal(p []byte, v Unmarshaler) error {
-	b := Buffer{data: p}
-	d := NewDecoder(&b)
-	v.DecodeXDR(d)
-	if err := d.Err(); err != nil {
+	u := &struct { // the decoder and its buffer, in one allocation
+		d Decoder
+		b Buffer
+	}{b: Buffer{data: p}}
+	u.d.r = &u.b
+	v.DecodeXDR(&u.d)
+	if err := u.d.err; err != nil {
 		return err
 	}
-	if b.Len() != 0 {
-		return fmt.Errorf("xdr: %d trailing bytes after decode", b.Len())
+	if u.b.Len() != 0 {
+		return fmt.Errorf("xdr: %d trailing bytes after decode", u.b.Len())
 	}
 	return nil
 }

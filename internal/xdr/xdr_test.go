@@ -5,6 +5,9 @@ import (
 	"errors"
 	"io"
 	"math"
+	"reflect"
+	"runtime"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -386,4 +389,168 @@ func TestBufferSetBytes(t *testing.T) {
 	if got := d.Uint32(); got != 9 || d.Err() != nil {
 		t.Fatalf("re-read %d, %v", got, d.Err())
 	}
+}
+
+// allocatedBy reports the bytes the process allocated while f ran.
+func allocatedBy(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+type blob struct {
+	A uint32
+	B []byte
+}
+
+func (b *blob) EncodeXDR(e *Encoder) { e.Uint32(b.A); e.Opaque(b.B) }
+func (b *blob) DecodeXDR(d *Decoder) { b.A = d.Uint32(); b.B = d.Opaque() }
+
+type words struct{ V []uint32 }
+
+func (w *words) XDR(c *Codec) {
+	Array(c, &w.V, MaxElementSize, func(v *uint32, c *Codec) { c.Uint32(v) })
+}
+func (w *words) EncodeXDR(e *Encoder) { w.XDR(e.Codec()) }
+func (w *words) DecodeXDR(d *Decoder) { w.XDR(d.Codec()) }
+
+// A length word larger than the rest of an in-memory message is
+// rejected before anything is allocated for it: an 8-byte message must
+// not cost 64 MiB.
+func TestForgedLengthDoesNotAllocate(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		msg  Unmarshaler
+		wire []byte
+	}{
+		{"opaque", &blob{}, []byte{0, 0, 0, 7, 0x03, 0xff, 0xff, 0xff}},
+		{"array", &words{}, []byte{0x03, 0xff, 0xff, 0xff, 0, 0, 0, 7}},
+	} {
+		var err error
+		if n := allocatedBy(func() { err = Unmarshal(c.wire, c.msg) }); n >= 1<<20 {
+			t.Errorf("%s: decoding 8 bytes allocated %d bytes", c.name, n)
+		}
+		if !errors.Is(err, io.ErrUnexpectedEOF) {
+			t.Errorf("%s: err = %v, want unexpected EOF", c.name, err)
+		}
+	}
+}
+
+// codecAll names every kind of item a Codec codes.
+type codecAll struct {
+	U32     uint32
+	U64     uint64
+	B       bool
+	S       string
+	Op      []byte
+	Fixed   [6]byte
+	Present bool
+	Opt     uint32
+	Kind    kind
+	Arr     []uint32
+	List    []string
+}
+
+type kind uint16
+
+func (a *codecAll) XDR(c *Codec) {
+	c.Uint32(&a.U32)
+	c.Uint64(&a.U64)
+	c.Bool(&a.B)
+	c.String(&a.S)
+	c.Opaque(&a.Op, 16)
+	c.FixedOpaque(a.Fixed[:])
+	if c.Optional(&a.Present) {
+		c.Uint32(&a.Opt)
+	}
+	Enum(c, &a.Kind)
+	Array(c, &a.Arr, 4, func(v *uint32, c *Codec) { c.Uint32(v) })
+	List(c, &a.List, func(s *string, c *Codec) { c.String(s) })
+}
+
+// One description run in both directions round-trips, and writes what
+// the hand-written Encoder calls write.
+func TestCodecRoundTrip(t *testing.T) {
+	in := codecAll{U32: 1, U64: 1 << 40, B: true, S: "grid", Op: []byte{1, 2, 3},
+		Fixed: [6]byte{9, 8, 7, 6, 5, 4}, Present: true, Opt: 77, Kind: 3,
+		Arr: []uint32{5, 6}, List: []string{"a", "bc"}}
+	var b Buffer
+	in.XDR(NewEncoder(&b).Codec())
+	var want Buffer
+	e := NewEncoder(&want)
+	e.Uint32(1)
+	e.Uint64(1 << 40)
+	e.Bool(true)
+	e.String("grid")
+	e.Opaque([]byte{1, 2, 3})
+	e.FixedOpaque([]byte{9, 8, 7, 6, 5, 4})
+	e.OptionalBegin(true)
+	e.Uint32(77)
+	e.Uint32(3)
+	e.Uint32(2)
+	e.Uint32(5)
+	e.Uint32(6)
+	for _, s := range []string{"a", "bc"} {
+		e.OptionalBegin(true)
+		e.String(s)
+	}
+	e.OptionalBegin(false)
+	if !bytes.Equal(b.Bytes(), want.Bytes()) {
+		t.Fatalf("codec wrote %x, want %x", b.Bytes(), want.Bytes())
+	}
+	var out codecAll
+	d := NewDecoder(&b)
+	if out.XDR(d.Codec()); d.Err() != nil || b.Len() != 0 {
+		t.Fatalf("decode: %v, %d bytes left", d.Err(), b.Len())
+	}
+	if !reflect.DeepEqual(out, in) {
+		t.Fatalf("got %+v, want %+v", out, in)
+	}
+}
+
+// Opaque and Array reject lengths beyond their bound; Decoding and
+// SetErr act only in the decoding direction.
+func TestCodecBoundsAndDirection(t *testing.T) {
+	var b Buffer
+	e := NewEncoder(&b)
+	e.Opaque(make([]byte, 17))
+	d := NewDecoder(&b)
+	var p []byte
+	if d.Codec().Opaque(&p, 16); !errors.Is(d.Err(), ErrElementTooLarge) {
+		t.Fatalf("opaque<16> of 17 bytes: err = %v", d.Err())
+	}
+	b.Reset()
+	e.Uint32(5)
+	d = NewDecoder(&b)
+	var v []uint32
+	if Array(d.Codec(), &v, 4, func(v *uint32, c *Codec) { c.Uint32(v) }); !errors.Is(d.Err(), ErrElementTooLarge) {
+		t.Fatalf("array<4> of 5: err = %v", d.Err())
+	}
+	ec := NewEncoder(&b).Codec()
+	if ec.Decoding() || !NewDecoder(&b).Codec().Decoding() {
+		t.Fatal("Decoding reports the wrong direction")
+	}
+	ec.SetErr(io.ErrClosedPipe)
+	if ec.e.Err() != nil {
+		t.Fatal("SetErr failed an encoder")
+	}
+}
+
+// Encoding only reads the value it describes, so one value may be
+// encoded from several goroutines at once (a shared config's suites,
+// a cached reply); run under -race this catches a write-back.
+func TestCodecEncodeIsReadOnly(t *testing.T) {
+	in := codecAll{S: "grid", Op: []byte{1}, Present: true, Kind: 3, Arr: []uint32{5}, List: []string{"a"}}
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var b Buffer
+			in.XDR(NewEncoder(&b).Codec())
+		}()
+	}
+	wg.Wait()
 }

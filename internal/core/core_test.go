@@ -349,6 +349,38 @@ func TestClientSessionZeroCacheDefaults(t *testing.T) {
 	}
 }
 
+// TestClientSessionSurvivesServerRestart: a client session started
+// from a config outlives a restart of its server side on the same
+// address. The next call after the restart re-establishes the session
+// and goes through.
+func TestClientSessionSurvivesServerRestart(t *testing.T) {
+	backend := vfs.NewMemFS()
+	nfsAddr := serveNFS(t, backend, 5)
+	scfg := &Config{Role: RoleServer, Export: "/GFS/alice", Upstream: nfsAddr}
+	srv, err := StartServerSession(scfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scfg.Listen = srv.Addr()
+	cli, err := StartClientSession(&Config{Role: RoleClient, Export: "/GFS/alice", Server: srv.Addr()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { cli.Close() })
+	fs := mountSession(t, cli)
+	put(t, fs, "before", []byte("first server"))
+
+	srv.Close()
+	if srv, err = StartServerSession(scfg); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(srv.Close)
+	put(t, fs, "after", []byte("restarted server"))
+	if got := stored(backend, "after"); string(got) != "restarted server" {
+		t.Fatalf("backend holds %q after the restart", got)
+	}
+}
+
 // TestClientStartFailureClosesCache: the client side's last step
 // failing (its listen address is in use) unwinds through the session's
 // one teardown, and that teardown closes a disk cache whichever other

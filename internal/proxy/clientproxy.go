@@ -1,12 +1,9 @@
 package proxy
 
 import (
-	"bytes"
+	"cmp"
 	"context"
-	"errors"
-	"fmt"
 	"net"
-	"sync"
 	"time"
 
 	"repro/internal/blockio"
@@ -19,45 +16,6 @@ import (
 	"repro/internal/vfs"
 	"repro/internal/xdr"
 )
-
-// RecoveryConfig enables the fault-tolerant WAN channel: when set, the
-// client proxy's upstream connection is wrapped in a reconnecting RPC
-// transport that re-dials with exponential backoff after link failure,
-// re-runs the secure-channel handshake and MOUNT, replays idempotent
-// in-flight calls, and bounds every upstream operation with a
-// deadline so WAN stalls become timeouts instead of hangs.
-type RecoveryConfig struct {
-	// MaxAttempts bounds dial attempts per reconnect round and issue
-	// attempts per call (default 4).
-	MaxAttempts int
-	// BaseDelay/MaxDelay shape the jittered exponential backoff
-	// between attempts (defaults 50ms / 2s).
-	BaseDelay time.Duration
-	MaxDelay  time.Duration
-	// AttemptTimeout bounds each call attempt and each session
-	// establishment (default 15s).
-	AttemptTimeout time.Duration
-	// OpTimeout bounds a whole upstream operation across all retries
-	// (default 60s).
-	OpTimeout time.Duration
-	// Stats, when non-nil, accumulates reconnect/replay/degraded-mode
-	// counters.
-	Stats *metrics.ChannelStats
-}
-
-func (r *RecoveryConfig) attemptTimeout() time.Duration {
-	if r.AttemptTimeout > 0 {
-		return r.AttemptTimeout
-	}
-	return 15 * time.Second
-}
-
-func (r *RecoveryConfig) opTimeout() time.Duration {
-	if r.OpTimeout > 0 {
-		return r.OpTimeout
-	}
-	return 60 * time.Second
-}
 
 // ClientConfig configures a client-side proxy.
 type ClientConfig struct {
@@ -83,10 +41,8 @@ type ClientConfig struct {
 	// Meter, when non-nil, accumulates the proxy's processing time
 	// (client-side series of Figure 5).
 	Meter *metrics.Meter
-	// Recovery, when non-nil, makes the upstream channel fault
-	// tolerant (reconnect, replay, degraded disconnected reads). Nil
-	// keeps the paper's single-shot session: the first link failure
-	// ends it.
+	// Recovery tunes how upstream sessions survive link failure
+	// (reconnect, replay, deadlines); nil selects the defaults.
 	Recovery *RecoveryConfig
 	// FlushWorkers bounds how many UNSTABLE writes FlushAll keeps in
 	// flight concurrently over the multiplexed channel (default 8;
@@ -101,44 +57,31 @@ type ClientConfig struct {
 	// placement-chosen replica set and are acknowledged at quorum,
 	// reads are hedged across replicas, and failed backends are
 	// ejected and probed back in. ServerDial/Channel are ignored in
-	// favor of the per-backend dialers (each backend dials through
-	// sessionVia, so Channel still applies per backend).
+	// favor of the per-backend dialers (each backend is an upstream
+	// session of its own, so Channel still applies per backend).
 	Replication *ReplicationConfig
-}
-
-// upstream is the client proxy's channel to the server-side proxy:
-// either a plain single-shot RPC client or the reconnecting transport.
-type upstream interface {
-	Call(ctx context.Context, proc uint32, args xdr.Marshaler, reply xdr.Unmarshaler) error
-	Close() error
 }
 
 // ClientProxy is the client-side SGFS proxy: the local NFS client
 // mounts it as if it were the file server.
 type ClientProxy struct {
-	cfg   ClientConfig
-	rpc   *oncrpc.Server
-	relay nfs3.Relay
-	up    upstream
-	rec   *oncrpc.ReconnectClient // == up when cfg.Recovery != nil
-	rs    *replicaSet             // == up when cfg.Replication != nil
+	cfg      ClientConfig
+	recovery RecoveryConfig // cfg.Recovery, or the defaults
+	rpc      *oncrpc.Server
+	relay    nfs3.Relay
+	up       upstream
+	chs      metrics.ChannelStats
 
 	// Pipelined data path: reader fetches blocks into the disk cache
 	// (one upstream READ per block, readahead on sequential streams;
 	// readahead.go) and dp counts the flush side (flush.go).
 	reader *blockio.Reader
 	dp     metrics.DataPathStats
-
-	mu       sync.Mutex
-	conn     net.Conn // transport of the current session
-	root     nfs3.FH3
-	haveRoot bool
 }
 
 // initTimeout bounds proxy construction (dial, handshake, MOUNT):
 // a dead server must fail setup, not hang it. defaultOpTimeout bounds
-// per-operation upstream RPCs when no RecoveryConfig supplies a
-// tighter one; both proxies share these.
+// the server proxy's per-operation upstream RPCs.
 const (
 	initTimeout      = 30 * time.Second
 	defaultOpTimeout = 2 * time.Minute
@@ -148,175 +91,32 @@ const (
 // mounts the export through it, and returns a proxy ready to serve
 // the local client.
 func NewClientProxy(cfg ClientConfig) (*ClientProxy, error) {
-	p := &ClientProxy{cfg: cfg, rpc: oncrpc.NewServer()}
+	p := &ClientProxy{cfg: cfg, recovery: *cmp.Or(cfg.Recovery, &RecoveryConfig{}), rpc: oncrpc.NewServer()}
 	p.relay = nfs3.Relay{Up: p, Meter: cfg.Meter}
 	p.reader = blockio.NewReader(cacheSource{cfg.DiskCache, p}, p.cfg.readahead(), p.opTimeout())
 	// Establish the first session synchronously so misconfiguration
 	// (bad export, refused credential) fails here, not on first use.
 	ctx, cancel := context.WithTimeout(context.Background(), initTimeout)
 	defer cancel()
+	var err error
 	if cfg.Replication != nil {
-		rs, err := newReplicaSet(ctx, p, cfg.Replication)
-		if err != nil {
-			p.reader.Close()
-			return nil, err
-		}
-		p.rs = rs
-		p.up = rs
-		// The canonical root is synthetic: it exists before any backend
-		// session does, and it never changes across reconnects.
-		p.root = rs.Root()
-		p.haveRoot = true
-		p.register()
-		return p, nil
+		p.up, err = newReplicaSet(ctx, p, cfg.Replication)
+	} else if p.up, err = p.newSession(ctx, cfg.ServerDial); err != nil {
+		p.up.Close()
 	}
-	first, err := p.dialSession(ctx)
 	if err != nil {
 		p.reader.Close()
 		return nil, err
-	}
-	if r := cfg.Recovery; r != nil {
-		p.rec = oncrpc.NewReconnectClient(first, p.dialSession, oncrpc.ReconnectOpts{
-			MaxAttempts:    r.MaxAttempts,
-			BaseDelay:      r.BaseDelay,
-			MaxDelay:       r.MaxDelay,
-			AttemptTimeout: r.attemptTimeout(),
-			Idempotent:     nfs3Idempotent,
-			ProcName:       nfs3.ProcName,
-			Stats:          r.Stats,
-		})
-		p.up = p.rec
-	} else {
-		p.up = first
 	}
 	p.register()
 	return p, nil
 }
 
-// dialSession establishes one complete upstream session against the
-// single configured server and records the session state (root
-// stability across reconnects, current transport). It is the reconnect
-// layer's session factory, so everything here is re-runnable.
-func (p *ClientProxy) dialSession(ctx context.Context) (*oncrpc.Client, error) {
-	cl, root, conn, err := p.sessionVia(ctx, p.cfg.ServerDial)
-	if err != nil {
-		return nil, err
-	}
-	p.mu.Lock()
-	if p.haveRoot && !bytes.Equal(root.Data, p.root.Data) {
-		// The server proxy handed out a different export root across a
-		// reconnect: cached handles would dangle, so refuse the session.
-		p.mu.Unlock()
-		cl.Close()
-		return nil, errors.New("proxy: export root changed across reconnect")
-	}
-	p.root = root
-	p.haveRoot = true
-	p.conn = conn
-	p.mu.Unlock()
-	return cl, nil
-}
-
-// sessionVia establishes one complete upstream session through dial:
-// transport dial, optional secure-channel handshake, and MOUNT
-// re-establishment through a dedicated short-lived channel (the NFS
-// and MOUNT programs of the server proxy share one transport; MOUNT
-// needs its own RPC client for the program binding). It records no
-// proxy state, so both the single-server path and every replica
-// backend use it as their session factory.
-func (p *ClientProxy) sessionVia(ctx context.Context, dial Dialer) (*oncrpc.Client, nfs3.FH3, net.Conn, error) {
-	conn, err := p.channelVia(dial)
-	if err != nil {
-		return nil, nfs3.FH3{}, nil, err
-	}
-	if sc, ok := conn.(*securechan.Conn); ok && p.cfg.RekeyInterval > 0 {
-		sc.StartAutoRekey(p.cfg.RekeyInterval)
-	}
-	root, err := mountd.Mount(ctx, func() (net.Conn, error) { return p.channelVia(dial) }, p.cfg.ExportPath)
-	if err != nil {
-		conn.Close()
-		return nil, nfs3.FH3{}, nil, err
-	}
-	return oncrpc.NewClient(conn, nfs3.Program, nfs3.Version), root, conn, nil
-}
-
-// channelVia dials one transport and, when configured, runs the
-// secure-channel handshake over it.
-func (p *ClientProxy) channelVia(dial Dialer) (net.Conn, error) {
-	raw, err := dial()
-	if err != nil {
-		return nil, fmt.Errorf("proxy: dial server proxy: %w", err)
-	}
-	if p.cfg.Channel == nil {
-		return raw, nil
-	}
-	sc, err := securechan.Client(raw, p.cfg.Channel)
-	if err != nil {
-		raw.Close()
-		return nil, fmt.Errorf("proxy: secure channel: %w", err)
-	}
-	return sc, nil
-}
-
-// nfs3ReplayClass classifies every NFSv3 procedure for replay on a
-// fresh session after a transport failure: true = safe to replay
-// (pure reads, and COMMIT — re-committing already-stable data is
-// harmless), false = refused back to the caller instead, because the
-// proxy cannot know whether the lost call executed. (FlushAll makes
-// its own finer-grained decision for FILE_SYNC writes; see there.)
-// The sgfs-vet replay-table-sync analyzer enforces that this table
-// names every nfs3.Proc* constant, so adding a procedure without
-// deciding its replay class breaks the build rather than the WAN
-// recovery path.
-//
-//sgfsvet:replay-table repro/internal/nfs3
-var nfs3ReplayClass = map[uint32]bool{
-	nfs3.ProcNull:        true,
-	nfs3.ProcGetAttr:     true,
-	nfs3.ProcSetAttr:     false,
-	nfs3.ProcLookup:      true,
-	nfs3.ProcAccess:      true,
-	nfs3.ProcReadLink:    true,
-	nfs3.ProcRead:        true,
-	nfs3.ProcWrite:       false,
-	nfs3.ProcCreate:      false,
-	nfs3.ProcMkdir:       false,
-	nfs3.ProcSymlink:     false,
-	nfs3.ProcMknod:       false,
-	nfs3.ProcRemove:      false,
-	nfs3.ProcRmdir:       false,
-	nfs3.ProcRename:      false,
-	nfs3.ProcLink:        false,
-	nfs3.ProcReadDir:     true,
-	nfs3.ProcReadDirPlus: true,
-	nfs3.ProcFSStat:      true,
-	nfs3.ProcFSInfo:      true,
-	nfs3.ProcPathConf:    true,
-	nfs3.ProcCommit:      true,
-}
-
-func nfs3Idempotent(proc uint32) bool {
-	return nfs3ReplayClass[proc]
-}
-
-// degraded reports whether the proxy is in disconnected operation:
-// recovery is enabled but the channel is currently down, or — with
-// replication — fewer than a write quorum of backends is healthy.
-// Cached reads keep being served; see the read/getattr handlers.
-func (p *ClientProxy) degraded() bool {
-	if p.rs != nil {
-		return !p.rs.writable()
-	}
-	return p.rec != nil && !p.rec.Connected()
-}
-
-// countDegraded bumps the degraded-read counter when recovery metrics
-// are wired up.
-func (p *ClientProxy) countDegraded() {
-	if r := p.cfg.Recovery; r != nil && r.Stats != nil {
-		r.Stats.DegradedReads.Add(1)
-	}
-}
+// degraded reports whether the proxy is in disconnected operation: the
+// channel is down or — with replication — fewer than a write quorum of
+// backends is healthy. Cached reads keep being served; see the
+// read/getattr handlers.
+func (p *ClientProxy) degraded() bool { return p.up.degraded() }
 
 // Serve accepts local client connections until Close.
 func (p *ClientProxy) Serve(l net.Listener) error { return p.rpc.Serve(l) }
@@ -337,31 +137,29 @@ func (p *ClientProxy) Close() error {
 }
 
 // Channel returns the current session's secure channel, when one is
-// in use. With recovery enabled the channel changes identity across
-// reconnects.
+// in use. The channel changes identity across reconnects.
 func (p *ClientProxy) Channel() (*securechan.Conn, bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	sc, ok := p.conn.(*securechan.Conn)
+	s, ok := p.up.(*upSession)
+	if !ok {
+		return nil, false
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	sc, ok := s.conn.(*securechan.Conn)
 	return sc, ok
 }
 
-// ChannelStats returns the recovery counters, when recovery metrics
-// are configured.
-func (p *ClientProxy) ChannelStats() (metrics.ChannelSnapshot, bool) {
-	if r := p.cfg.Recovery; r != nil && r.Stats != nil {
-		return r.Stats.Snapshot(), true
-	}
-	return metrics.ChannelSnapshot{}, false
-}
+// ChannelStats returns the upstream recovery counters.
+func (p *ClientProxy) ChannelStats() metrics.ChannelSnapshot { return p.chs.Snapshot() }
 
 // ReplicaStats returns the replication counters, when replication is
 // enabled.
 func (p *ClientProxy) ReplicaStats() (metrics.ReplicaSnapshot, bool) {
-	if p.rs == nil {
+	rs, ok := p.up.(*replicaSet)
+	if !ok {
 		return metrics.ReplicaSnapshot{}, false
 	}
-	return p.rs.stats.Snapshot(), true
+	return rs.stats.Snapshot(), true
 }
 
 // CacheStats returns disk cache statistics, when caching is enabled.
@@ -380,14 +178,9 @@ func (p *ClientProxy) DataPathStats() metrics.DataPathSnapshot {
 	return s
 }
 
-// opTimeout is the per-operation upstream deadline: the recovery
-// config's (which covers all retry attempts) or defaultOpTimeout.
-func (p *ClientProxy) opTimeout() time.Duration {
-	if r := p.cfg.Recovery; r != nil {
-		return r.opTimeout()
-	}
-	return defaultOpTimeout
-}
+// opTimeout is the per-operation upstream deadline, which covers all
+// retry attempts.
+func (p *ClientProxy) opTimeout() time.Duration { return p.recovery.opTimeout() }
 
 // UpCall implements nfs3.Upstream. Every operation carries a deadline
 // so a dead WAN link turns into a bounded error instead of an
@@ -404,9 +197,7 @@ func (p *ClientProxy) UpCall(ctx context.Context, _ *oncrpc.Call, proc uint32, a
 // can answer or must observe, and READ/WRITE for at-rest encryption.
 func (p *ClientProxy) register() {
 	mountd.RegisterRelay(p.rpc, func(path string) (nfs3.FH3, bool) {
-		p.mu.Lock()
-		defer p.mu.Unlock()
-		return p.root, path == p.cfg.ExportPath
+		return p.up.exportRoot(), path == p.cfg.ExportPath
 	})
 	p.relay.Register(p.rpc, map[uint32]oncrpc.Handler{
 		nfs3.ProcGetAttr:     p.getattr,
@@ -491,7 +282,7 @@ func (p *ClientProxy) getattr(ctx context.Context, call *oncrpc.Call) (xdr.Marsh
 			if p.degraded() {
 				// Disconnected operation: the session attr cache keeps
 				// answering while the link is down (§cache).
-				p.countDegraded()
+				p.chs.DegradedReads.Add(1)
 			}
 			return &nfs3.GetAttrRes{Status: nfs3.OK, Attr: attr}, oncrpc.Success
 		}
@@ -514,10 +305,8 @@ func (p *ClientProxy) setattr(ctx context.Context, call *oncrpc.Call) (xdr.Marsh
 	dc := p.cfg.DiskCache
 	if dc != nil {
 		dc.InvalidateAttr(a.Obj)
-		if a.Attr.SetSize {
-			// Truncation invalidates cached data wholesale; simple and
-			// safe (truncates are rare in the target workloads).
-			p.dropFile(a.Obj)
+		if a.Attr.SetSize && p.truncateCached(a.Obj, a.Attr.Size) != nil {
+			return &nfs3.WccRes{Status: nfs3.Status(vfs.ErrIO)}, oncrpc.Success
 		}
 	}
 	var res nfs3.WccRes
@@ -578,9 +367,13 @@ func (p *ClientProxy) remove(ctx context.Context, call *oncrpc.Call) (xdr.Marsha
 	if dc != nil {
 		// Cancel pending write-back for the removed file: look the
 		// name up (cheap; usually cached upstream) to find its handle.
+		// A file with another name left keeps its data; without
+		// attributes to tell, so does this one (a flush that finds it
+		// gone drops it then).
 		var lres nfs3.LookupRes
 		largs := &nfs3.LookupArgs{What: a.Obj}
-		if err := p.relay.Call(ctx, nil, nfs3.ProcLookup, largs, &lres); err == nil && lres.Status == nfs3.OK {
+		err := p.relay.Call(ctx, nil, nfs3.ProcLookup, largs, &lres)
+		if err == nil && lres.Status == nfs3.OK && lres.Attr.Present && lres.Attr.Attr.Nlink <= 1 {
 			p.dropFile(lres.Obj)
 		}
 	}
@@ -589,6 +382,27 @@ func (p *ClientProxy) remove(ctx context.Context, call *oncrpc.Call) (xdr.Marsha
 		return nil, oncrpc.SystemErr
 	}
 	return &res, oncrpc.Success
+}
+
+// truncateCached cuts fh's cached data to size. Dirty data below size
+// is still owed to the server, so those blocks stay dirty, the one
+// straddling size clipped to it; everything else is dropped.
+func (p *ClientProxy) truncateCached(fh nfs3.FH3, size uint64) error {
+	dc := p.cfg.DiskCache
+	bs := uint64(dc.BlockSize())
+	keep := map[uint64][]byte{}
+	for _, idx := range dc.DirtyList(fh) {
+		if data, ok := dc.GetBlock(fh, idx); ok && idx*bs < size {
+			keep[idx] = data[:min(uint64(len(data)), size-idx*bs)]
+		}
+	}
+	p.dropFile(fh)
+	for idx, data := range keep {
+		if err := dc.PutBlock(fh, idx, data, true); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // dropFile discards every cached block of fh, cancelling its pending
@@ -657,7 +471,7 @@ func (p *ClientProxy) read(ctx context.Context, call *oncrpc.Call) (xdr.Marshale
 	if deg {
 		// The read was satisfied while the link was down: disconnected
 		// operation served it from the disk cache.
-		p.countDegraded()
+		p.chs.DegradedReads.Add(1)
 	}
 	res := &nfs3.ReadRes{Status: nfs3.OK, Count: uint32(len(out)), EOF: eof, Data: out}
 	if attr, ok := dc.GetAttr(a.Obj); ok {
@@ -685,7 +499,7 @@ func (p *ClientProxy) cachedSize(ctx context.Context, fh nfs3.FH3) (uint64, nfs3
 }
 
 // cacheBlock returns block idx of fh from the disk cache, fetching it
-// from the server on a miss (fetchBlock).
+// from the server on a miss (cacheSource.FetchBlock).
 func (p *ClientProxy) cacheBlock(ctx context.Context, fh nfs3.FH3, idx uint64) ([]byte, nfs3.Status) {
 	data, err := p.reader.Read(ctx, fh, idx)
 	return data, blockStatus(err)

@@ -8,6 +8,7 @@ import (
 	"repro/internal/blockio"
 	"repro/internal/nfs3"
 	"repro/internal/oncrpc"
+	"repro/internal/vfs"
 )
 
 // Parallel write-back. FlushAll hands the disk cache's dirty blocks to
@@ -21,16 +22,9 @@ import (
 // later flush — or the next session — retries them; nothing is ever
 // marked clean without a durable acknowledgement.
 
-// defaultFlushWorkers is the write-back concurrency when the
-// configuration does not choose one.
-const defaultFlushWorkers = 8
-
-func (c *ClientConfig) flushWorkers() int {
-	if c.FlushWorkers > 0 {
-		return c.FlushWorkers
-	}
-	return defaultFlushWorkers
-}
+// flushWorkers is the write-back concurrency, 8 when the configuration
+// does not choose one.
+func (c *ClientConfig) flushWorkers() int { return positiveOr(c.FlushWorkers, 8) }
 
 // FlushAll writes every dirty cached block back to the server with
 // bounded concurrency. The time this takes is the paper's separately-
@@ -120,6 +114,12 @@ func (p *ClientProxy) flushBlock(ctx context.Context, args *nfs3.WriteArgs) (uin
 	}
 	if err == nil {
 		err = res.Status.Error()
+	}
+	if errors.Is(err, vfs.ErrStale) {
+		// The file is gone upstream (removed, or renamed over) and its
+		// data has nowhere to go: cancel its write-back.
+		p.dropFile(args.Obj)
+		return 0, res.Verf, blockio.ErrGone
 	}
 	if err != nil {
 		return 0, res.Verf, err

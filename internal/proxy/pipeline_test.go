@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/metrics"
 	"repro/internal/netem"
 	"repro/internal/nfs3"
 	"repro/internal/nfsclient"
@@ -111,7 +110,6 @@ func TestParallelFlushSpeedup(t *testing.T) {
 func TestChaosParallelFlushLinkCut(t *testing.T) {
 	dc := newDiskCache(t)
 	faulter := netem.NewFaulter()
-	stats := &metrics.ChannelStats{}
 	st := buildStack(t, stackOpts{
 		diskCache: dc,
 		faulter:   faulter,
@@ -122,9 +120,9 @@ func TestChaosParallelFlushLinkCut(t *testing.T) {
 			MaxDelay:       100 * time.Millisecond,
 			AttemptTimeout: 5 * time.Second,
 			OpTimeout:      30 * time.Second,
-			Stats:          stats,
 		},
 	})
+	stats := st.clientProxy.ChannelStats
 
 	// Dirty a sizeable dataset up front, before the killer starts:
 	// CREATE is not replayable, flush WRITEs are.
@@ -171,11 +169,11 @@ func TestChaosParallelFlushLinkCut(t *testing.T) {
 				}
 			}
 		}
-		if s := stats.Snapshot(); s.Disconnects >= 2 {
+		if s := stats(); s.Disconnects >= 2 {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("link cuts never hit the flush: %+v (faulter %+v)", stats.Snapshot(), faulter.Stats())
+			t.Fatalf("link cuts never hit the flush: %+v (faulter %+v)", stats(), faulter.Stats())
 		}
 		if len(dc.DirtyFiles()) == 0 {
 			// Flushed clean between cuts: re-dirty and go again.
@@ -210,7 +208,7 @@ func TestChaosParallelFlushLinkCut(t *testing.T) {
 	if dp.FlushedBlocks == 0 {
 		t.Fatal("no flushed blocks counted")
 	}
-	t.Logf("datapath: %+v channel: %+v", dp, stats.Snapshot())
+	t.Logf("datapath: %+v channel: %+v", dp, stats())
 }
 
 // restartingFS is a backend behind a server that restarts once: writes
@@ -309,9 +307,9 @@ func TestFetchBlockSingleFlight(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			data, st2 := st.clientProxy.fetchBlock(ctx, fh, 0, false)
-			if st2 != nfs3.OK {
-				t.Errorf("reader %d: status %v", i, st2)
+			data, err := st.clientProxy.reader.Fetch(ctx, fh, 0, false)
+			if err != nil {
+				t.Errorf("reader %d: %v", i, err)
 				return
 			}
 			results[i] = data

@@ -560,74 +560,6 @@ func TestSuiteSelectionPerSession(t *testing.T) {
 	}
 }
 
-// TestFullProcedureSurface drives the less-travelled NFS procedures
-// through both proxies end to end.
-func TestFullProcedureSurface(t *testing.T) {
-	t.Parallel()
-	st := buildStack(t, stackOpts{})
-	fs := st.mount(t, nfsclient.Options{})
-	ctx := context.Background()
-
-	// Symlink + readlink through the proxies.
-	if err := fs.Symlink(ctx, "target/file", "sym"); err != nil {
-		t.Fatal(err)
-	}
-	target, err := fs.ReadLink(ctx, "sym")
-	if err != nil || target != "target/file" {
-		t.Fatalf("readlink: %q %v", target, err)
-	}
-
-	// Rename across directories, with the server proxy updating its
-	// parent map (ACL resolution relies on it).
-	fs.Mkdir(ctx, "d1", 0755)
-	fs.Mkdir(ctx, "d2", 0755)
-	f, _ := fs.Create(ctx, "d1/file", 0644)
-	f.Write(ctx, []byte("x"))
-	f.Close(ctx)
-	if err := fs.Rename(ctx, "d1/file", "d2/moved"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := fs.Stat(ctx, "d2/moved"); err != nil {
-		t.Fatal(err)
-	}
-
-	// Truncate via SETATTR.
-	if err := fs.Truncate(ctx, "d2/moved", 0); err != nil {
-		t.Fatal(err)
-	}
-	a, _ := fs.Stat(ctx, "d2/moved")
-	if a.Size != 0 {
-		t.Fatalf("size after truncate: %d", a.Size)
-	}
-
-	// Chmod via SETATTR.
-	if err := fs.Chmod(ctx, "d2/moved", 0600); err != nil {
-		t.Fatal(err)
-	}
-
-	// FSStat/FSInfo forwarded.
-	if _, err := fs.Proto().FSStat(ctx, fs.Root()); err != nil {
-		t.Fatal(err)
-	}
-	if fi, err := fs.Proto().FSInfo(ctx, fs.Root()); err != nil || fi.RtMax == 0 {
-		t.Fatalf("fsinfo: %+v %v", fi, err)
-	}
-
-	// Plain READDIR (not plus) through the proxy filter.
-	entries, _, err := fs.Proto().ReadDirPlus(ctx, fs.Root(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) < 3 {
-		t.Fatalf("readdirplus: %d entries", len(entries))
-	}
-
-	// Rmdir.
-	if err := fs.Rmdir(ctx, "d1"); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestMknodRefusedThroughProxy confirms device-node creation is
 // rejected at the proxy layer.
 func TestMknodRefusedThroughProxy(t *testing.T) {

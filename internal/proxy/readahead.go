@@ -89,11 +89,3 @@ func blockStatus(err error) nfs3.Status {
 	}
 	return nfs3.Status(vfs.ErrIO)
 }
-
-// fetchBlock returns block idx of fh, going upstream at most once no
-// matter how many demand readers and prefetchers ask concurrently.
-// Callers must treat the returned slice as read-only.
-func (p *ClientProxy) fetchBlock(ctx context.Context, fh nfs3.FH3, idx uint64, prefetched bool) ([]byte, nfs3.Status) {
-	data, err := p.reader.Fetch(ctx, fh, idx, prefetched)
-	return data, blockStatus(err)
-}

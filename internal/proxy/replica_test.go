@@ -166,142 +166,6 @@ func fastRecovery() *RecoveryConfig {
 	}
 }
 
-// TestReplicaCanonNS pins the canonical namespace invariants the
-// replica layer depends on: determinism across backends, structural
-// "." / "..", rename rebinding identity preservation.
-func TestReplicaCanonNS(t *testing.T) {
-	t.Parallel()
-	ns := newCanonNS()
-	a := newCanonNS()
-	dir := ns.child(ns.root, "dir")
-	if got := a.child(a.root, "dir"); !bytes.Equal(got.Data, dir.Data) {
-		t.Fatal("canonical handles differ across independent namespaces")
-	}
-	file := ns.child(dir, "file")
-	if bytes.Equal(file.Data, dir.Data) {
-		t.Fatal("child handle equals parent handle")
-	}
-	if got := ns.child(dir, "."); !bytes.Equal(got.Data, dir.Data) {
-		t.Fatal("dot does not resolve to the directory itself")
-	}
-	if got := ns.child(dir, ".."); !bytes.Equal(got.Data, ns.root.Data) {
-		t.Fatal("dotdot of a first-level dir does not resolve to root")
-	}
-	if got := ns.child(ns.root, ".."); !bytes.Equal(got.Data, ns.root.Data) {
-		t.Fatal("dotdot of root is not root")
-	}
-	if fileidOf(file) == 0 || fileidOf(file) == fileidOf(dir) {
-		t.Fatal("fileids not distinct and stable")
-	}
-
-	// Rename: the canonical handle survives, resolving via the new
-	// path.
-	dir2 := ns.child(ns.root, "dir2")
-	ns.rebind(string(file.Data), dir2, "renamed")
-	e, ok := ns.entry(string(file.Data))
-	if !ok || e.name != "renamed" || e.parent != string(dir2.Data) {
-		t.Fatalf("rebind lost the entry: %+v %v", e, ok)
-	}
-	ns.forget(string(file.Data))
-	if _, ok := ns.entry(string(file.Data)); ok {
-		t.Fatal("forget left the entry behind")
-	}
-}
-
-// TestReplicatedEndToEnd drives a full workload through a 3-backend
-// quorum-2 deployment and verifies every backend converges to
-// identical namespace and data.
-func TestReplicatedEndToEnd(t *testing.T) {
-	t.Parallel()
-	dc := newDiskCache(t)
-	st := buildReplStack(t, replOpts{n: 3, quorum: 2, diskCache: dc, recovery: fastRecovery()})
-	fs := st.mount(t, nfsclient.Options{})
-	ctx := context.Background()
-
-	payload := chaosPayload(7, 100*1024)
-	f, err := fs.Create(ctx, "dataset", 0644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.WriteAt(ctx, payload, 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.cp.FlushAll(ctx); err != nil {
-		t.Fatalf("FlushAll: %v", err)
-	}
-
-	// All three backends must converge to the same bytes (quorum acks
-	// plus stragglers completing on their detached deadlines).
-	for i := range st.backends {
-		i := i
-		waitFor(t, 10*time.Second, fmt.Sprintf("backend %d to converge", i), func() bool {
-			got, err := backendFile(st.backends[i], "dataset")
-			return err == nil && bytes.Equal(got, payload)
-		})
-	}
-
-	// Read back through the mount.
-	g, err := fs.Open(ctx, "dataset")
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf := make([]byte, len(payload))
-	if _, err := g.ReadAt(ctx, buf, 0); err != nil && err.Error() != "EOF" {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf, payload) {
-		t.Fatal("read-back corrupted")
-	}
-
-	// Namespace surface: mkdir, rename, symlink, remove — all quorum
-	// fan-outs — and the canonical handles must stay coherent.
-	if err := fs.Mkdir(ctx, "d1", 0755); err != nil {
-		t.Fatal(err)
-	}
-	if err := fs.Rename(ctx, "dataset", "d1/moved"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := fs.Stat(ctx, "d1/moved"); err != nil {
-		t.Fatalf("stat after rename: %v", err)
-	}
-	if err := fs.Symlink(ctx, "d1/moved", "ln"); err != nil {
-		t.Fatal(err)
-	}
-	if tgt, err := fs.ReadLink(ctx, "ln"); err != nil || tgt != "d1/moved" {
-		t.Fatalf("readlink: %q %v", tgt, err)
-	}
-	if err := fs.Remove(ctx, "ln"); err != nil {
-		t.Fatal(err)
-	}
-	entries, err := fs.ReadDir(ctx, "/")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range entries {
-		if e.Name == "dataset" || e.Name == "ln" {
-			t.Fatalf("stale entry %q after rename/remove", e.Name)
-		}
-	}
-	// The rename must reach every backend: it fans to all, the ack
-	// comes at quorum, and the straggler lands on its detached deadline.
-	for i, be := range st.backends {
-		be := be
-		waitFor(t, 10*time.Second, fmt.Sprintf("backend %d to drop the pre-rename name", i), func() bool {
-			_, _, err := be.Lookup(be.Root(), "dataset")
-			return err != nil
-		})
-	}
-	if st.stats.QuorumWrites.Load() == 0 {
-		t.Fatal("no quorum writes counted")
-	}
-	if got, ok := st.cp.ReplicaStats(); !ok || len(got.Backends) != 3 {
-		t.Fatalf("ReplicaStats: %+v %v", got, ok)
-	}
-}
-
 // TestHedgedFailoverErrorContext: when every read leg fails, the
 // surfaced error must name the procedure and the backend that failed
 // last (and wrap the underlying leg error), so operators can tell a
@@ -325,9 +189,8 @@ func TestHedgedFailoverErrorContext(t *testing.T) {
 		rs.backs = append(rs.backs, &replicaBackend{id: i, addr: addr, set: rs, bs: stats.Backends[i]})
 	}
 	legErr := fmt.Errorf("dial tcp: connection refused")
-	err = rs.hedged(context.Background(), nfs3.ProcRead, nfs3.FH3{Data: []byte("fh")}, 0,
-		func(b *replicaBackend, ctx context.Context) (xdr.Unmarshaler, error) { return nil, legErr },
-		func(b *replicaBackend, rep xdr.Unmarshaler) { t.Error("accept ran though every leg failed") })
+	_, _, err = rs.hedged(context.Background(), nfs3.ProcRead, nfs3.FH3{Data: []byte("fh")}, 0,
+		func(ctx context.Context, b *replicaBackend) (xdr.Unmarshaler, error) { return nil, legErr })
 	if err == nil {
 		t.Fatal("hedged returned nil though every leg failed")
 	}
@@ -374,7 +237,7 @@ func TestReplicatedHedgedReads(t *testing.T) {
 	// let the slow backend's stragglers land first: the hedge under test
 	// is against a replica that is slow, not one that is behind.
 	waitFor(t, 10*time.Second, "the slow backend to catch up", func() bool {
-		return st.cp.rs.backs[2].behind.Load() == 0
+		return st.cp.up.(*replicaSet).backs[2].behind.Load() == 0
 	})
 	for pass := 0; pass < 3; pass++ {
 		for i := 0; i < 12; i++ {
@@ -506,9 +369,15 @@ func TestChaosReplicatedBackendKillMidFlush(t *testing.T) {
 					return err == nil && bytes.Equal(got, want)
 				})
 			}
-			if st.stats.RepairsQueued.Load() == 0 || st.stats.RepairedBlocks.Load() == 0 {
-				t.Fatalf("repair not counted: %+v", st.stats.Snapshot())
+			if st.stats.RepairsQueued.Load() == 0 {
+				t.Fatalf("no repair queued: %+v", st.stats.Snapshot())
 			}
+			// A leg whose WRITE landed but whose reply the cut lost is
+			// queued too, so the victim can hold every byte before the
+			// repairs, backing off while it was ejected, have run.
+			waitFor(t, 20*time.Second, "queued repairs to run", func() bool {
+				return st.stats.RepairedBlocks.Load() > 0
+			})
 		})
 	}
 }

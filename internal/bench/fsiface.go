@@ -46,7 +46,7 @@ func (f V3FS) Create(ctx context.Context, path string) (File, error) {
 	if err != nil {
 		return nil, err
 	}
-	return v3File{file}, nil
+	return eofFile{file}, nil
 }
 
 // Open implements FS.
@@ -55,7 +55,7 @@ func (f V3FS) Open(ctx context.Context, path string) (File, error) {
 	if err != nil {
 		return nil, err
 	}
-	return v3File{file}, nil
+	return eofFile{file}, nil
 }
 
 // Stat implements FS.
@@ -94,26 +94,17 @@ func (f V3FS) ReadDir(ctx context.Context, path string) ([]string, error) {
 	return names, nil
 }
 
-type v3File struct{ f *nfsclient.File }
+// eofFile reports io.EOF only with a read that returns nothing, as the
+// workloads expect of either client.
+type eofFile struct{ File }
 
-func (v v3File) ReadAt(ctx context.Context, p []byte, off int64) (int, error) {
-	n, err := v.f.ReadAt(ctx, p, off)
-	if err == io.EOF {
+func (v eofFile) ReadAt(ctx context.Context, p []byte, off int64) (int, error) {
+	n, err := v.File.ReadAt(ctx, p, off)
+	if err == io.EOF && n > 0 {
 		err = nil
-		if n == 0 {
-			err = io.EOF
-		}
 	}
 	return n, err
 }
-
-func (v v3File) WriteAt(ctx context.Context, p []byte, off int64) (int, error) {
-	return v.f.WriteAt(ctx, p, off)
-}
-
-func (v v3File) Size() int64 { return v.f.Size() }
-
-func (v v3File) Close(ctx context.Context) error { return v.f.Close(ctx) }
 
 // --- NFSv4 adapter ----------------------------------------------------
 
@@ -126,7 +117,7 @@ func (f V4FS) Create(ctx context.Context, path string) (File, error) {
 	if err != nil {
 		return nil, err
 	}
-	return v4File{file}, nil
+	return eofFile{file}, nil
 }
 
 // Open implements FS.
@@ -135,7 +126,7 @@ func (f V4FS) Open(ctx context.Context, path string) (File, error) {
 	if err != nil {
 		return nil, err
 	}
-	return v4File{file}, nil
+	return eofFile{file}, nil
 }
 
 // Stat implements FS.
@@ -173,24 +164,3 @@ func (f V4FS) ReadDir(ctx context.Context, path string) ([]string, error) {
 	}
 	return names, nil
 }
-
-type v4File struct{ f *nfs4.File }
-
-func (v v4File) ReadAt(ctx context.Context, p []byte, off int64) (int, error) {
-	n, err := v.f.ReadAt(ctx, p, off)
-	if err == io.EOF {
-		err = nil
-		if n == 0 {
-			err = io.EOF
-		}
-	}
-	return n, err
-}
-
-func (v v4File) WriteAt(ctx context.Context, p []byte, off int64) (int, error) {
-	return v.f.WriteAt(ctx, p, off)
-}
-
-func (v v4File) Size() int64 { return v.f.Size() }
-
-func (v v4File) Close(ctx context.Context) error { return v.f.Close(ctx) }

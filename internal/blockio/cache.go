@@ -1,10 +1,10 @@
 // Package blockio is the one block data path under the NFS client, the
-// client proxy and the SFS and NFSv4 baselines. It holds three
-// decisions: what counts as a sequential stream and what gets
-// prefetched (Reader), when an UNSTABLE-written block is durable
-// (Flush), and which clean or dirty block leaves memory next (Cache).
-// Callers supply what is theirs: where blocks are kept, and how one
-// block travels to or from the server.
+// client proxy and the SFS and NFSv4 baselines. It maps byte ranges
+// onto blocks, decides what gets prefetched and when a fetched block
+// is too old to store (Reader, Fill), when an UNSTABLE-written block is
+// durable (Flush), and which block leaves memory next (Cache). Callers
+// supply what is theirs: where blocks are kept, and how one block
+// travels to or from the server.
 package blockio
 
 import (
@@ -28,7 +28,7 @@ type blockKey struct {
 	index uint64
 }
 
-type cacheBlock struct {
+type lruBlock struct {
 	key   blockKey
 	data  []byte
 	dirty bool
@@ -45,14 +45,14 @@ type Cache struct {
 	capacity int64
 	used     int64
 	lru      *list.List // front = most recent
-	blocks   map[blockKey]*cacheBlock
+	blocks   map[blockKey]*lruBlock
 
 	hits, misses uint64
 }
 
 // NewCache returns a cache bounded to capacity bytes of block data.
 func NewCache(capacity int64) *Cache {
-	return &Cache{capacity: capacity, lru: list.New(), blocks: make(map[blockKey]*cacheBlock)}
+	return &Cache{capacity: capacity, lru: list.New(), blocks: make(map[blockKey]*lruBlock)}
 }
 
 // GetBlock and Contains are Get for a file keyed by its handle; they
@@ -91,16 +91,16 @@ func (c *Cache) evictLocked() []Block {
 		if back == nil {
 			break
 		}
-		var victim *cacheBlock
+		var victim *lruBlock
 		for e := back; e != nil; e = e.Prev() {
-			b := e.Value.(*cacheBlock)
+			b := e.Value.(*lruBlock)
 			if !b.dirty {
 				victim = b
 				break
 			}
 		}
 		if victim == nil {
-			victim = back.Value.(*cacheBlock)
+			victim = back.Value.(*lruBlock)
 			dirty = append(dirty, Block{victim.key.file, victim.key.index, victim.data})
 		}
 		c.removeLocked(victim)
@@ -108,7 +108,7 @@ func (c *Cache) evictLocked() []Block {
 	return dirty
 }
 
-func (c *Cache) removeLocked(b *cacheBlock) {
+func (c *Cache) removeLocked(b *lruBlock) {
 	c.lru.Remove(b.elem)
 	delete(c.blocks, b.key)
 	c.used -= int64(len(b.data))
@@ -129,12 +129,24 @@ func (c *Cache) putLocked(k blockKey, data []byte, dirty bool) []Block {
 		b.dirty = b.dirty || dirty
 		c.lru.MoveToFront(b.elem)
 	} else {
-		b := &cacheBlock{key: k, data: data, dirty: dirty}
+		b := &lruBlock{key: k, data: data, dirty: dirty}
 		b.elem = c.lru.PushFront(b)
 		c.blocks[k] = b
 		c.used += int64(len(data))
 	}
 	return c.evictLocked()
+}
+
+// Fill stores a block fetched from the server, clean, under fill's rule
+// (see Fill). Like Put it returns dirty blocks evicted to make room.
+func (c *Cache) Fill(file string, index uint64, data []byte, fill Fill) []Block {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	k := blockKey{file, index}
+	if _, ok := c.blocks[k]; ok || fill.Stale() {
+		return nil
+	}
+	return c.putLocked(k, data, false)
 }
 
 // DirtyBlocks returns (and cleans) snapshots of all dirty blocks of

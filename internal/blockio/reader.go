@@ -2,6 +2,7 @@ package blockio
 
 import (
 	"context"
+	"hash/maphash"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -21,39 +22,80 @@ type Source interface {
 	Contains(fh nfs3.FH3, idx uint64) bool
 	// GetBlock returns the block if it is held locally.
 	GetBlock(fh nfs3.FH3, idx uint64) ([]byte, bool)
-	// FetchBlock reads the block from the server, inserts it into the
-	// local store and returns it. prefetch marks a background fetch no
-	// foreground read is waiting on.
-	FetchBlock(ctx context.Context, fh nfs3.FH3, idx uint64, prefetch bool) ([]byte, error)
+	// FetchBlock reads the block from the server, stores it locally
+	// under fill's rule and returns it.
+	FetchBlock(ctx context.Context, fh nfs3.FH3, idx uint64, fill Fill) ([]byte, error)
 }
 
-// Reader is the read side of the block data path: a single-flight fetch
-// keyed by (file handle, block), so a demand reader and a prefetcher —
-// or any number of concurrent readers — share one server READ per
-// block, and a per-file sequential-stream detector that prefetches the
-// next depth blocks on a bounded pool.
+// A Fill is a block fetched from the server on its way into a local
+// store. Its bytes are as old as the fetch, so the store keeps them
+// only if nothing has changed the block since: it calls Stale under the
+// lock that orders its puts, and stores nothing when the block is held
+// already or Stale reports true. The zero Fill belongs to no fetch and
+// is never stale.
+type Fill struct {
+	r   *Reader
+	key uint64
+	gen uint64
+	// Prefetch marks a background fetch no foreground read waits on.
+	Prefetch bool
+}
+
+// Stale reports whether the file was written, truncated or dropped
+// since the fetch began, or is being written now.
+func (f Fill) Stale() bool {
+	if f.r == nil {
+		return false
+	}
+	f.r.mu.Lock()
+	defer f.r.mu.Unlock()
+	g := f.r.gens[f.key]
+	return g.gen != f.gen || g.writes > 0
+}
+
+// fileGen orders a file's fetches against its writes (see count); it
+// exists while either is in flight.
+type fileGen struct {
+	gen             uint64
+	fetches, writes int
+}
+
+// Reader is the block data path above the stores: a single-flight
+// fetch keyed by (file handle, block), so a demand reader and a
+// prefetcher — or any number of concurrent readers — share one server
+// READ per block; a per-file sequential-stream detector that prefetches
+// the next depth blocks on a bounded pool; and the mapping of byte
+// ranges onto blocks for reads and writes.
 type Reader struct {
 	src     Source
+	bs      uint64
 	depth   int
 	timeout time.Duration
-	sf      singleflight.Group[[]byte]
+	sf      singleflight.Group[flight]
 	pool    *singleflight.Pool // nil when depth <= 0
 
 	// next is, per file handle, the block a sequential stream would
 	// touch next. A file with no entry expects block 0, so a stream is
 	// recognised from its first read; the entry goes when the stream
-	// reaches the last block or the caller forgets the file.
+	// reaches the last block or the caller forgets the file. gens
+	// holds the files with a fetch or a write in flight, by a hash of
+	// the handle: files that collide share one generation, which only
+	// makes more fills stale.
 	mu   sync.Mutex
 	next map[string]uint64
+	gens map[uint64]fileGen
+	seed maphash.Seed
 
 	issued, shed, shared atomic.Uint64
 }
 
-// NewReader returns a Reader over src that prefetches depth blocks
-// ahead of a sequential stream (depth <= 0: none), each prefetch on its
-// own deadline of timeout. Close releases the prefetch workers.
-func NewReader(src Source, depth int, timeout time.Duration) *Reader {
-	r := &Reader{src: src, depth: depth, timeout: timeout, next: make(map[string]uint64)}
+// NewReader returns a Reader over src's blocks of blockSize bytes that
+// prefetches depth blocks ahead of a sequential stream (depth <= 0:
+// none), each prefetch on its own deadline of timeout. Close releases
+// the prefetch workers.
+func NewReader(src Source, blockSize, depth int, timeout time.Duration) *Reader {
+	r := &Reader{src: src, bs: uint64(blockSize), depth: depth, timeout: timeout,
+		next: make(map[string]uint64), gens: make(map[uint64]fileGen), seed: maphash.MakeSeed()}
 	if depth > 0 {
 		r.pool = singleflight.NewPool(depth)
 	}
@@ -69,24 +111,102 @@ func (r *Reader) Read(ctx context.Context, fh nfs3.FH3, idx uint64) ([]byte, err
 	return r.Fetch(ctx, fh, idx, false)
 }
 
+// ReadAt fills p with fh's bytes at off, clipped to size, the file's
+// length, and returns how many it filled. It reads block by block
+// through Read and calls Advance after each block. A hole, or a block
+// held at an earlier, shorter EOF, reads as zeros up to the block's
+// end.
+func (r *Reader) ReadAt(ctx context.Context, fh nfs3.FH3, p []byte, off, size uint64) (int, error) {
+	p = p[:min(uint64(len(p)), max(size, off)-off)]
+	blocks := (size + r.bs - 1) / r.bs
+	n := 0
+	for n < len(p) {
+		pos := off + uint64(n)
+		idx, inner := pos/r.bs, pos%r.bs
+		data, err := r.Read(ctx, fh, idx)
+		if err != nil {
+			return n, err
+		}
+		zeroEnd := n + int(min(r.bs-inner, uint64(len(p)-n)))
+		if inner < uint64(len(data)) {
+			n += copy(p[n:zeroEnd], data[inner:])
+		}
+		clear(p[n:zeroEnd])
+		n = zeroEnd
+		r.Advance(fh, idx, blocks)
+	}
+	return n, nil
+}
+
+// WriteAt merges p into fh at off, block by block, and hands each
+// merged block to put. size is the file's length before the write. A
+// block is merged over the copy held locally; else, when p covers only
+// part of it and it starts below size, over the server's copy, through
+// Fetch; else over nothing. No fetch begun before WriteAt returns
+// stores its block (Fill).
+func (r *Reader) WriteAt(ctx context.Context, fh nfs3.FH3, p []byte, off, size uint64, put func(idx uint64, block []byte) error) (int, error) {
+	key := maphash.Bytes(r.seed, fh.Data)
+	r.count(key, 0, 1)
+	defer r.count(key, 0, -1)
+	n := 0
+	for n < len(p) {
+		pos := off + uint64(n)
+		idx, inner := pos/r.bs, pos%r.bs
+		chunk := p[n : n+int(min(r.bs-inner, uint64(len(p)-n)))]
+		base, ok := r.src.GetBlock(fh, idx)
+		if !ok && uint64(len(chunk)) < r.bs && idx*r.bs < size {
+			var err error
+			if base, err = r.Fetch(ctx, fh, idx, false); err != nil {
+				return n, err
+			}
+		}
+		need := max(uint64(len(base)), inner+uint64(len(chunk)))
+		grown := make([]byte, need)
+		copy(grown, base)
+		copy(grown[inner:], chunk)
+		if err := put(idx, grown); err != nil {
+			return n, err
+		}
+		n += len(chunk)
+	}
+	return n, nil
+}
+
+// flight is a fetch's result and the generation it began at.
+type flight struct {
+	data []byte
+	gen  uint64
+}
+
 // Fetch brings block idx of fh in from the server, going upstream at
 // most once no matter how many demand readers and prefetchers ask
-// concurrently. Callers must treat the returned slice as read-only.
+// concurrently. It does not take the bytes of a fetch that began before
+// a write or a Forget this call came after: it fetches again. Callers
+// must treat the returned slice as read-only.
 //
 //sgfsvet:hot-path
 func (r *Reader) Fetch(ctx context.Context, fh nfs3.FH3, idx uint64, prefetch bool) ([]byte, error) {
-	data, err, shared := r.sf.Do(singleflight.Key(fh.Data, idx), func() ([]byte, error) {
-		// Re-check under the flight: the block may have landed between
-		// the caller's miss and this flight winning the key.
-		if data, ok := r.src.GetBlock(fh, idx); ok {
-			return data, nil
+	fill := Fill{r: r, key: maphash.Bytes(r.seed, fh.Data), Prefetch: prefetch}
+	fill.gen = r.count(fill.key, 1, 0).gen
+	defer r.count(fill.key, -1, 0)
+	for {
+		f, err, shared := r.sf.Do(singleflight.Key(fh.Data, idx), func() (flight, error) {
+			// Re-check under the flight, once the fetch is counted: the
+			// block may have landed between the caller's miss and this
+			// flight winning the key.
+			if data, ok := r.src.GetBlock(fh, idx); ok {
+				return flight{data, fill.gen}, nil
+			}
+			data, err := r.src.FetchBlock(ctx, fh, idx, fill)
+			return flight{data, fill.gen}, err
+		})
+		if shared {
+			r.shared.Add(1)
 		}
-		return r.src.FetchBlock(ctx, fh, idx, prefetch)
-	})
-	if shared {
-		r.shared.Add(1)
+		if err != nil || f.gen >= fill.gen {
+			return f.data, err
+		}
 	}
-	return data, err
 }
 
 // Advance records a read of block idx of fh, a file of that many
@@ -149,12 +269,36 @@ func (r *Reader) Stats() (issued, shed, shared uint64) {
 	return r.issued.Load(), r.shed.Load(), r.shared.Load()
 }
 
-// Forget drops fh's stream state; callers call it where they drop the
-// file's blocks.
+// Forget drops fh's stream state and makes every fetch of it in flight
+// stale; callers call it before they drop or cut the file's blocks.
 func (r *Reader) Forget(fh nfs3.FH3) {
+	key := maphash.Bytes(r.seed, fh.Data)
 	r.mu.Lock()
 	delete(r.next, string(fh.Data))
+	if g, ok := r.gens[key]; ok {
+		g.gen++
+		r.gens[key] = g
+	}
 	r.mu.Unlock()
+}
+
+// count adds df fetches and dw writes in flight to key's counts; a
+// write that ends (dw < 0) makes every earlier fetch stale.
+func (r *Reader) count(key uint64, df, dw int) fileGen {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	g := r.gens[key]
+	g.fetches += df
+	g.writes += dw
+	if dw < 0 {
+		g.gen++
+	}
+	if g.fetches == 0 && g.writes == 0 {
+		delete(r.gens, key)
+	} else {
+		r.gens[key] = g
+	}
+	return g
 }
 
 // Close waits for the prefetch workers to drain. Callers close their

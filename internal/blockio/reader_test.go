@@ -25,6 +25,9 @@ func newFakeSource() *fakeSource {
 	return &fakeSource{store: map[string][]byte{}, fetches: map[string]int{}}
 }
 
+// testBlockSize is the block size the tests' Readers are built with.
+const testBlockSize = 8
+
 func blockName(fh nfs3.FH3, idx uint64) string { return fmt.Sprintf("%s/%d", fh.Data, idx) }
 
 func (s *fakeSource) Contains(fh nfs3.FH3, idx uint64) bool {
@@ -39,7 +42,7 @@ func (s *fakeSource) GetBlock(fh nfs3.FH3, idx uint64) ([]byte, bool) {
 	return data, ok
 }
 
-func (s *fakeSource) FetchBlock(ctx context.Context, fh nfs3.FH3, idx uint64, _ bool) ([]byte, error) {
+func (s *fakeSource) FetchBlock(ctx context.Context, fh nfs3.FH3, idx uint64, _ Fill) ([]byte, error) {
 	key := blockName(fh, idx)
 	s.mu.Lock()
 	s.fetches[key]++
@@ -83,7 +86,7 @@ func (r *Reader) streams() int {
 func TestReaderOneFetchPerBlock(t *testing.T) {
 	t.Parallel()
 	src := newFakeSource()
-	r := NewReader(src, 4, time.Minute)
+	r := NewReader(src, testBlockSize, 4, time.Minute)
 	defer r.Close()
 	fh := nfs3.FH3{Data: []byte("f")}
 	const blocks, readers = 64, 8
@@ -125,7 +128,7 @@ func TestReaderDemandJoinsPrefetch(t *testing.T) {
 	src := newFakeSource()
 	src.gate = make(chan struct{})
 	src.started = make(chan string, 8)
-	r := NewReader(src, 1, time.Minute)
+	r := NewReader(src, testBlockSize, 1, time.Minute)
 	defer r.Close()
 	fh := nfs3.FH3{Data: []byte("f")}
 	src.store[blockName(fh, 0)] = []byte("b0")
@@ -163,7 +166,7 @@ func TestReaderDemandJoinsPrefetch(t *testing.T) {
 func TestReaderDetector(t *testing.T) {
 	t.Parallel()
 	src := newFakeSource()
-	r := NewReader(src, 2, time.Minute)
+	r := NewReader(src, testBlockSize, 2, time.Minute)
 	fh := nfs3.FH3{Data: []byte("f")}
 	const blocks = 10
 	issuedAfter := func(idx uint64) uint64 {
@@ -233,7 +236,7 @@ func TestReaderShedsWhenSaturated(t *testing.T) {
 	t.Parallel()
 	src := newFakeSource()
 	src.gate = make(chan struct{})
-	r := NewReader(src, 2, time.Minute)
+	r := NewReader(src, testBlockSize, 2, time.Minute)
 	const files = 10
 	done := make(chan struct{})
 	go func() {
@@ -262,7 +265,7 @@ func TestReaderShedsWhenSaturated(t *testing.T) {
 func TestReaderStreamTableBounded(t *testing.T) {
 	t.Parallel()
 	src := newFakeSource()
-	r := NewReader(src, 2, time.Minute)
+	r := NewReader(src, testBlockSize, 2, time.Minute)
 	defer r.Close()
 	ctx := context.Background()
 	for i := 0; i < 1000; i++ {
@@ -294,7 +297,7 @@ func TestReaderStreamTableBounded(t *testing.T) {
 func TestReaderDisabled(t *testing.T) {
 	t.Parallel()
 	src := newFakeSource()
-	r := NewReader(src, -1, time.Minute)
+	r := NewReader(src, testBlockSize, -1, time.Minute)
 	defer r.Close()
 	fh := nfs3.FH3{Data: []byte("f")}
 	r.Advance(fh, 0, 8)

@@ -16,10 +16,12 @@
 // block/attr/access maps, and LRU list, so concurrent requests for
 // unrelated files (the pipelined flush workers, the readahead pool,
 // and foreground NFS traffic) do not serialize on one global lock.
-// Block file pread/pwrite syscalls always happen outside the shard
-// lock. Capacity is accounted globally — a single hot file may use the
-// whole budget — and each shard evicts its own clean LRU blocks while
-// the global total is over capacity.
+// Block file pread/pwrite syscalls happen outside the shard lock, but
+// for a block fetched from the server: it is written under the lock, so
+// that it cannot overtake a local write. Capacity is accounted
+// globally — a single hot file may use the whole budget — and each
+// shard evicts its own clean LRU blocks while the global total is over
+// capacity.
 package cache
 
 import (
@@ -35,6 +37,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/blockio"
 	"repro/internal/nfs3"
 )
 
@@ -62,6 +65,7 @@ type cacheShard struct {
 	attrs  map[string]nfs3.Fattr3
 	access map[string]uint32 // fh -> granted mask for the session user
 	stats  Stats
+	vers   uint64 // last block version handed out
 
 	lockWaits  atomic.Uint64
 	lockWaitNs atomic.Int64
@@ -105,12 +109,14 @@ type cacheFile struct {
 	path   string
 	f      *os.File
 	blocks map[uint64]*blockMeta
+	puts   int // puts writing their bytes outside the shard lock
 }
 
 type blockMeta struct {
 	fh         string
 	idx        uint64
 	len        int
+	ver        uint64 // the shard's count at the block's latest put
 	dirty      bool
 	prefetched bool // brought in by readahead; cleared on first hit
 	elem       *list.Element
@@ -169,6 +175,13 @@ func (c *DiskCache) fileLocked(s *cacheShard, fh string, create bool) (*cacheFil
 
 // GetBlock returns the cached block data, or ok=false on a miss.
 func (c *DiskCache) GetBlock(fh nfs3.FH3, idx uint64) ([]byte, bool) {
+	data, _, ok := c.ReadVersion(fh, idx)
+	return data, ok
+}
+
+// ReadVersion is GetBlock that also returns the version of the put the
+// block's metadata came from; FlushDone takes it back.
+func (c *DiskCache) ReadVersion(fh nfs3.FH3, idx uint64) ([]byte, uint64, bool) {
 	key := string(fh.Data)
 	s := c.shard(key)
 	s.lock()
@@ -176,13 +189,13 @@ func (c *DiskCache) GetBlock(fh nfs3.FH3, idx uint64) ([]byte, bool) {
 	if cf == nil {
 		s.stats.BlockMisses++
 		s.unlock()
-		return nil, false
+		return nil, 0, false
 	}
 	bm, ok := cf.blocks[idx]
 	if !ok {
 		s.stats.BlockMisses++
 		s.unlock()
-		return nil, false
+		return nil, 0, false
 	}
 	s.stats.BlockHits++
 	if bm.prefetched {
@@ -190,7 +203,7 @@ func (c *DiskCache) GetBlock(fh nfs3.FH3, idx uint64) ([]byte, bool) {
 		s.stats.ReadaheadHits++
 	}
 	s.lru.MoveToFront(bm.elem)
-	length := bm.len
+	length, ver := bm.len, bm.ver
 	f := cf.f
 	s.unlock()
 
@@ -200,9 +213,9 @@ func (c *DiskCache) GetBlock(fh nfs3.FH3, idx uint64) ([]byte, bool) {
 	// the data).
 	buf := make([]byte, length)
 	if _, err := f.ReadAt(buf, int64(idx)*int64(c.blockSize)); err != nil {
-		return nil, false
+		return nil, 0, false
 	}
-	return buf, true
+	return buf, ver, true
 }
 
 // Contains reports whether the block is cached, without touching hit
@@ -226,52 +239,65 @@ func (c *DiskCache) Contains(fh nfs3.FH3, idx uint64) bool {
 // blocks are pinned until flushed or cancelled (the cache directory is
 // the stable store backing the proxy's write-back guarantee).
 func (c *DiskCache) PutBlock(fh nfs3.FH3, idx uint64, data []byte, dirty bool) error {
-	return c.putBlock(fh, idx, data, dirty, false)
+	return c.putBlock(fh, idx, data, dirty, nil)
 }
 
-// PutPrefetched stores a clean block brought in by readahead, marking
-// it so the first demand hit is counted in Stats.ReadaheadHits.
-func (c *DiskCache) PutPrefetched(fh nfs3.FH3, idx uint64, data []byte) error {
-	return c.putBlock(fh, idx, data, false, true)
+// PutFetched stores a clean block fetched from the server under fill's
+// rule (blockio.Fill). A prefetched block is marked so that its first
+// demand hit is counted in Stats.ReadaheadHits.
+func (c *DiskCache) PutFetched(fh nfs3.FH3, idx uint64, data []byte, fill blockio.Fill) error {
+	return c.putBlock(fh, idx, data, false, &fill)
 }
 
-func (c *DiskCache) putBlock(fh nfs3.FH3, idx uint64, data []byte, dirty, prefetched bool) error {
+func (c *DiskCache) putBlock(fh nfs3.FH3, idx uint64, data []byte, dirty bool, fill *blockio.Fill) error {
 	key := string(fh.Data)
+	off := int64(idx) * int64(c.blockSize)
 	s := c.shard(key)
 	s.lock()
+	defer s.unlock()
+	if cf := s.files[key]; fill != nil && (cf != nil && (cf.blocks[idx] != nil || cf.puts > 0) || fill.Stale()) {
+		return nil
+	}
 	cf, err := c.fileLocked(s, key, true)
 	if err != nil {
-		s.unlock()
 		return err
 	}
-	f := cf.f
-	s.unlock()
-
-	// Write outside the lock; block files are never shrunk so the
-	// offset is stable.
-	_, werr := f.WriteAt(data, int64(idx)*int64(c.blockSize))
-
-	s.lock()
-	defer s.unlock()
-	if s.files[key] != cf {
-		// DropFile ran while the lock was released: the file, and this
-		// put with it, are gone (its WriteAt may have failed on the
-		// closed descriptor).
-		return nil
+	var werr error
+	if fill != nil {
+		// A fill writes under the lock, and only with no put to the
+		// file in flight, so that it cannot overtake a put's bytes.
+		_, werr = cf.f.WriteAt(data, off)
+	} else {
+		// Write outside the lock; block files are never shrunk so the
+		// offset is stable.
+		cf.puts++
+		s.unlock()
+		_, werr = cf.f.WriteAt(data, off)
+		s.lock()
+		cf.puts--
+		if s.files[key] != cf {
+			// DropFile ran while the lock was released: the file, and
+			// this put with it, are gone (its WriteAt may have failed
+			// on the closed descriptor).
+			return nil
+		}
 	}
 	if werr != nil {
 		return fmt.Errorf("cache: write block: %w", werr)
 	}
+	s.vers++
 	if bm, ok := cf.blocks[idx]; ok {
 		c.used.Add(int64(len(data)) - int64(bm.len))
 		bm.len = len(data)
+		bm.ver = s.vers
 		bm.dirty = bm.dirty || dirty
-		// A demand put of data the prefetcher also fetched (or a local
-		// write over it) ends its life as a readahead block.
-		bm.prefetched = bm.prefetched && prefetched
+		// A local write over a prefetched block ends its life as a
+		// readahead block.
+		bm.prefetched = false
 		s.lru.MoveToFront(bm.elem)
 	} else {
-		bm := &blockMeta{fh: key, idx: idx, len: len(data), dirty: dirty, prefetched: prefetched}
+		prefetched := fill != nil && fill.Prefetch
+		bm := &blockMeta{fh: key, idx: idx, len: len(data), ver: s.vers, dirty: dirty, prefetched: prefetched}
 		bm.elem = s.lru.PushFront(bm)
 		cf.blocks[idx] = bm
 		c.used.Add(int64(len(data)))
@@ -307,20 +333,6 @@ func (c *DiskCache) removeBlockLocked(s *cacheShard, bm *blockMeta) {
 		delete(cf.blocks, bm.idx)
 	}
 	c.used.Add(-int64(bm.len))
-}
-
-// MarkDirty flags an existing block dirty (used after local merges).
-func (c *DiskCache) MarkDirty(fh nfs3.FH3, idx uint64) {
-	key := string(fh.Data)
-	s := c.shard(key)
-	s.lock()
-	defer s.unlock()
-	if cf := s.files[key]; cf != nil {
-		if bm, ok := cf.blocks[idx]; ok {
-			bm.dirty = true
-			bm.prefetched = false
-		}
-	}
 }
 
 // DirtyList returns the dirty block indices of fh in ascending order
@@ -379,14 +391,16 @@ func (c *DiskCache) AttrFiles() []nfs3.FH3 {
 	return out
 }
 
-// FlushDone marks a block clean after it reached the server.
-func (c *DiskCache) FlushDone(fh nfs3.FH3, idx uint64) {
+// FlushDone marks a block clean after it reached the server, unless a
+// put has changed it since ReadVersion returned version ver: the
+// server holds the older bytes, so the block stays dirty.
+func (c *DiskCache) FlushDone(fh nfs3.FH3, idx, ver uint64) {
 	key := string(fh.Data)
 	s := c.shard(key)
 	s.lock()
 	defer s.unlock()
 	if cf := s.files[key]; cf != nil {
-		if bm, ok := cf.blocks[idx]; ok && bm.dirty {
+		if bm, ok := cf.blocks[idx]; ok && bm.dirty && bm.ver == ver {
 			bm.dirty = false
 			s.stats.FlushedBytes += uint64(bm.len)
 		}

@@ -2,10 +2,13 @@ package cache
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 
+	"repro/internal/blockio"
 	"repro/internal/nfs3"
 )
 
@@ -20,6 +23,15 @@ func newCache(t *testing.T, capacity int64) *DiskCache {
 }
 
 func fh(s string) nfs3.FH3 { return nfs3.FH3{Data: []byte(s)} }
+
+// flushDone marks a block clean as a flush that read it now would.
+func flushDone(c *DiskCache, f nfs3.FH3, idx uint64) {
+	_, ver, _ := c.ReadVersion(f, idx)
+	c.FlushDone(f, idx, ver)
+}
+
+// prefetched is the Fill of a readahead no Reader tracks.
+var prefetched = blockio.Fill{Prefetch: true}
 
 func TestBlockRoundTrip(t *testing.T) {
 	t.Parallel()
@@ -99,8 +111,8 @@ func TestDirtyFlushCycle(t *testing.T) {
 	if len(files) != 1 {
 		t.Fatalf("dirty files %d", len(files))
 	}
-	c.FlushDone(fh("f"), 0)
-	c.FlushDone(fh("f"), 2)
+	flushDone(c, fh("f"), 0)
+	flushDone(c, fh("f"), 2)
 	if got := c.DirtyList(fh("f")); len(got) != 0 {
 		t.Fatalf("dirty after flush: %v", got)
 	}
@@ -199,7 +211,7 @@ func TestPrefetchedBlocksCountReadaheadHits(t *testing.T) {
 	t.Parallel()
 	c := newCache(t, 1<<20)
 	blk := bytes.Repeat([]byte("r"), 1024)
-	if err := c.PutPrefetched(fh("f"), 0, blk); err != nil {
+	if err := c.PutFetched(fh("f"), 0, blk, prefetched); err != nil {
 		t.Fatal(err)
 	}
 	if !c.Contains(fh("f"), 0) {
@@ -223,7 +235,7 @@ func TestPrefetchedBlocksCountReadaheadHits(t *testing.T) {
 func TestDemandPutClearsPrefetchedFlag(t *testing.T) {
 	t.Parallel()
 	c := newCache(t, 1<<20)
-	c.PutPrefetched(fh("f"), 0, []byte("ra"))
+	c.PutFetched(fh("f"), 0, []byte("ra"), prefetched)
 	c.PutBlock(fh("f"), 0, []byte("demand"), false)
 	c.GetBlock(fh("f"), 0)
 	if st := c.Stats(); st.ReadaheadHits != 0 {
@@ -266,7 +278,7 @@ func TestConcurrentHammer(t *testing.T) {
 					}
 				case 2:
 					for _, idx := range c.DirtyList(f) {
-						c.FlushDone(f, idx)
+						flushDone(c, f, idx)
 					}
 				case 3:
 					c.PutAttr(f, nfs3.Fattr3{Size: uint64(i)})
@@ -274,7 +286,7 @@ func TestConcurrentHammer(t *testing.T) {
 					c.PutAccess(f, uint32(i))
 					c.GetAccess(f)
 				case 4:
-					c.PutPrefetched(f, uint64(i%8), blk)
+					c.PutFetched(f, uint64(i%8), blk, prefetched)
 					c.Contains(f, uint64(i%8))
 				case 5:
 					if i%60 == 5 {
@@ -298,7 +310,7 @@ func TestConcurrentHammer(t *testing.T) {
 			if _, ok := c.GetBlock(f, idx); !ok {
 				t.Fatalf("dirty block %v/%d unreadable", f, idx)
 			}
-			c.FlushDone(f, idx)
+			flushDone(c, f, idx)
 		}
 	}
 	if left := c.DirtyFiles(); len(left) != 0 {
@@ -387,5 +399,90 @@ func TestPutRacesDropFile(t *testing.T) {
 	}
 	if c.Used() != live || queued != blocks {
 		t.Fatalf("Used() = %d for %d live bytes; %d LRU entries for %d blocks", c.Used(), live, queued, blocks)
+	}
+}
+
+// diskSource is a Source over a DiskCache whose server holds every
+// block as 1024 bytes of 'o'. Each FetchBlock is announced on started
+// and held, after it has read the server, until gate opens.
+type diskSource struct {
+	*DiskCache
+	gate    chan struct{}
+	started chan uint64
+}
+
+func (s diskSource) FetchBlock(_ context.Context, f nfs3.FH3, idx uint64, fill blockio.Fill) ([]byte, error) {
+	data := bytes.Repeat([]byte("o"), 1024)
+	s.started <- idx
+	<-s.gate
+	return data, s.PutFetched(f, idx, data, fill)
+}
+
+// TestPrefetchLosesToWrite: a prefetch that read the server before a
+// write of its block reached the cache must not store the server's
+// bytes over the write, nor leave them dirty for the next flush.
+func TestPrefetchLosesToWrite(t *testing.T) {
+	t.Parallel()
+	c := newCache(t, 1<<20)
+	src := diskSource{c, make(chan struct{}), make(chan uint64, 1)}
+	r := blockio.NewReader(src, 1024, 1, time.Minute)
+	f := fh("f")
+	r.Advance(f, 0, 2)
+	<-src.started
+	written := bytes.Repeat([]byte("N"), 1024)
+	_, err := r.WriteAt(context.Background(), f, written, 1024, 2048, func(idx uint64, block []byte) error {
+		return c.PutBlock(f, idx, block, true)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	close(src.gate)
+	r.Close()
+	if got, _ := c.GetBlock(f, 1); !bytes.Equal(got, written) {
+		t.Fatalf("block 1 holds %q after a prefetch in flight across its write", got[:8])
+	}
+	if d := c.DirtyList(f); len(d) != 1 || d[0] != 1 {
+		t.Fatalf("dirty list %v, want [1]", d)
+	}
+}
+
+// TestPrefetchLosesToDrop: a prefetch in flight when its file is
+// dropped stores nothing, and opens no cache file for it.
+func TestPrefetchLosesToDrop(t *testing.T) {
+	t.Parallel()
+	c := newCache(t, 1<<20)
+	src := diskSource{c, make(chan struct{}), make(chan uint64, 1)}
+	r := blockio.NewReader(src, 1024, 1, time.Minute)
+	f := fh("f")
+	c.PutBlock(f, 0, []byte("zero"), false)
+	r.Advance(f, 0, 2)
+	<-src.started
+	r.Forget(f)
+	c.DropFile(f)
+	close(src.gate)
+	r.Close()
+	if got, ok := c.GetBlock(f, 1); ok {
+		t.Fatalf("a prefetch in flight across a drop stored %q", got[:8])
+	}
+	if n := len(c.shard("f").files); n != 0 {
+		t.Fatalf("%d cache files open after the drop", n)
+	}
+}
+
+// TestFlushDoneKeepsRewrittenBlockDirty: a flush's completion must not
+// mark clean a block rewritten after the flush read it.
+func TestFlushDoneKeepsRewrittenBlockDirty(t *testing.T) {
+	t.Parallel()
+	c := newCache(t, 1<<20)
+	c.PutBlock(fh("f"), 0, []byte("old"), true)
+	_, ver, _ := c.ReadVersion(fh("f"), 0)
+	c.PutBlock(fh("f"), 0, []byte("new"), true)
+	c.FlushDone(fh("f"), 0, ver)
+	if d := c.DirtyList(fh("f")); len(d) != 1 {
+		t.Fatalf("a block rewritten during its flush was marked clean")
+	}
+	flushDone(c, fh("f"), 0)
+	if d := c.DirtyList(fh("f")); len(d) != 0 {
+		t.Fatalf("dirty list %v after flushing the rewrite", d)
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"net"
 	"sort"
 	"strings"
 	"testing"
@@ -20,6 +21,7 @@ import (
 	"repro/internal/nfsclient"
 	"repro/internal/proxy"
 	"repro/internal/securechan"
+	"repro/internal/sfs"
 	"repro/internal/vfs"
 )
 
@@ -59,9 +61,12 @@ func TestConsistencyOracle(t *testing.T) {
 		name  string
 		build func(t *testing.T) *oracleStack
 	}{
-		{"nfs-v3", oracleNFSv3},
-		{"sgfs", func(t *testing.T) *oracleStack { return oracleSGFS(t, 1) }},
-		{"replicated", func(t *testing.T) *oracleStack { return oracleSGFS(t, 3) }},
+		{"nfs-v3", func(t *testing.T) *oracleStack { return oracleNFSv3(t, 1) }},
+		{"nfs-v3-cached", func(t *testing.T) *oracleStack { return oracleNFSv3(t, 256<<10) }},
+		{"sgfs", func(t *testing.T) *oracleStack { return oracleSGFS(t, 1, true) }},
+		{"sgfs-nocache", func(t *testing.T) *oracleStack { return oracleSGFS(t, 1, false) }},
+		{"replicated", func(t *testing.T) *oracleStack { return oracleSGFS(t, 3, true) }},
+		{"sfs", oracleSFS},
 	}
 	for _, s := range stacks {
 		for _, seed := range seeds {
@@ -84,16 +89,58 @@ func TestConsistencyOracle(t *testing.T) {
 	}
 }
 
-// oracleNFSv3 mounts an NFS server directly.
-func oracleNFSv3(t *testing.T) *oracleStack {
+// oracleNFSv3 mounts an NFS server directly, with a page cache of
+// cacheBytes.
+func oracleNFSv3(t *testing.T, cacheBytes int64) *oracleStack {
 	be := vfs.NewMemFS()
-	return &oracleStack{fs: oracleMount(t, serveNFS(t, be, 1)), backends: []*vfs.MemFS{be}, link: true}
+	return &oracleStack{fs: oracleMount(t, serveNFS(t, be, 1), cacheBytes), backends: []*vfs.MemFS{be}, link: true}
+}
+
+// oracleSFS starts the SFS daemon pair over one backend.
+func oracleSFS(t *testing.T) *oracleStack {
+	be := vfs.NewMemFS()
+	host, _ := gridsec.NewSelfSigned("oracle-fs")
+	user, _ := gridsec.NewSelfSigned("oracle")
+	srv, err := sfs.NewServer(sfs.ServerConfig{
+		UpstreamDial: dialTo(serveNFS(t, be, 1)),
+		ExportPath:   "/GFS/alice",
+		Credential:   host,
+		Users:        map[string]idmap.Account{gridsec.KeyFingerprint(user.Cert): {Name: "oracle", UID: 5001, GID: 500}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(srv.Close)
+	cli, err := sfs.NewClient(sfs.ClientConfig{
+		ServerDial: dialTo(oracleServe(t, srv.Serve)),
+		HostID:     sfs.HostID(host),
+		Credential: user,
+		ExportPath: "/GFS/alice",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(cli.Close)
+	return &oracleStack{fs: oracleMount(t, oracleServe(t, cli.Serve), 1), backends: []*vfs.MemFS{be}, link: true}
+}
+
+// oracleServe runs serve on a loopback listener for the length of the
+// test and returns its address.
+func oracleServe(t *testing.T, serve func(net.Listener) error) string {
+	l, err := listenOn("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { l.Close() })
+	go serve(l)
+	return l.Addr().String()
 }
 
 // oracleSGFS starts n server sides, each over its own backend, and one
-// client side with the AES channel and a write-back disk cache: a plain
-// session for n = 1, a replicated one (quorum 2) otherwise.
-func oracleSGFS(t *testing.T, n int) *oracleStack {
+// client side with the AES channel, with or without a write-back disk
+// cache: a plain session for n = 1, a replicated one (quorum 2)
+// otherwise.
+func oracleSGFS(t *testing.T, n int, diskCache bool) *oracleStack {
 	ca, err := gridsec.NewCA("Oracle Grid")
 	if err != nil {
 		t.Fatal(err)
@@ -132,7 +179,11 @@ func oracleSGFS(t *testing.T, n int) *oracleStack {
 	} else {
 		pcfg.Replication = &proxy.ReplicationConfig{Backends: defs, Quorum: 2}
 	}
-	cli, err := StartClient(pcfg, "", t.TempDir(), 0, 0)
+	cacheDir := ""
+	if diskCache {
+		cacheDir = t.TempDir()
+	}
+	cli, err := StartClient(pcfg, "", cacheDir, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,14 +198,14 @@ func oracleSGFS(t *testing.T, n int) *oracleStack {
 		r, _ := cli.ReplicaStats()
 		return fmt.Sprintf("cache %+v; replicas %+v", c, r)
 	}
-	st.fs = oracleMount(t, cli.Addr())
+	st.fs = oracleMount(t, cli.Addr(), 1)
 	return st
 }
 
-// oracleMount mounts addr with the client's memory cache off, so reads
-// and writes reach the stack below it.
-func oracleMount(t *testing.T, addr string) *nfsclient.FileSystem {
-	fs, err := nfsclient.Mount(context.Background(), dialTo(addr), "/GFS/alice", nfsclient.Options{CacheBytes: 1})
+// oracleMount mounts addr with a page cache of cacheBytes; 1 turns it
+// off, so reads and writes reach the stack below it.
+func oracleMount(t *testing.T, addr string, cacheBytes int64) *nfsclient.FileSystem {
+	fs, err := nfsclient.Mount(context.Background(), dialTo(addr), "/GFS/alice", nfsclient.Options{CacheBytes: cacheBytes})
 	if err != nil {
 		t.Fatal(err)
 	}

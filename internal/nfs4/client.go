@@ -231,11 +231,11 @@ type File struct {
 	c    *Client
 	path string
 	fh   nfs3.FH3
+	rd   *blockio.Reader
 
 	mu    sync.Mutex
 	size  int64
 	dirty map[uint64][]byte // write-behind blocks
-	dbyte int64
 }
 
 // OpenFile opens (optionally creating/truncating) path. A single
@@ -265,11 +265,42 @@ func (c *Client) OpenFile(ctx context.Context, path string, create, trunc, excl 
 	if trunc {
 		c.blocks.DropFile(path)
 	}
-	return &File{
+	f := &File{
 		c: c, path: path, fh: fhRes.FH,
 		size:  int64(openRes.Attr.Size),
 		dirty: make(map[uint64][]byte),
-	}, nil
+	}
+	f.rd = blockio.NewReader(fileSource{f}, c.opt.BlockSize, 0, 0)
+	return f, nil
+}
+
+// fileSource is a File's blocks as its block reader sees them: dirty
+// write-behind data wins over the block cache, and a miss sends READ.
+type fileSource struct{ f *File }
+
+func (s fileSource) GetBlock(_ nfs3.FH3, idx uint64) ([]byte, bool) {
+	s.f.mu.Lock()
+	block, ok := s.f.dirty[idx]
+	s.f.mu.Unlock()
+	if ok {
+		return block, true
+	}
+	return s.f.c.blocks.Get(s.f.path, idx)
+}
+
+func (s fileSource) Contains(fh nfs3.FH3, idx uint64) bool {
+	_, ok := s.GetBlock(fh, idx)
+	return ok
+}
+
+func (s fileSource) FetchBlock(ctx context.Context, fh nfs3.FH3, idx uint64, fill blockio.Fill) ([]byte, error) {
+	bs := uint64(s.f.c.opt.BlockSize)
+	results, err := s.f.c.compound(ctx, Op{Code: OpPutFH, FH: fh}, Op{Code: OpRead, Offset: idx * bs, Count: uint32(bs)})
+	if err != nil {
+		return nil, err
+	}
+	s.f.c.blocks.Fill(s.f.path, idx, results[1].Data, fill)
+	return results[1].Data, nil
 }
 
 // Size returns the locally known size.
@@ -281,111 +312,31 @@ func (f *File) Size() int64 {
 
 // ReadAt reads from the file through the block cache.
 func (f *File) ReadAt(ctx context.Context, p []byte, off int64) (int, error) {
-	bs := int64(f.c.opt.BlockSize)
 	size := f.Size()
-	if off >= size {
-		return 0, io.EOF
+	n, err := f.rd.ReadAt(ctx, f.fh, p, uint64(off), uint64(size))
+	if err == nil && off+int64(n) >= size {
+		err = io.EOF
 	}
-	if off+int64(len(p)) > size {
-		p = p[:size-off]
-	}
-	read := 0
-	for read < len(p) {
-		pos := off + int64(read)
-		idx := uint64(pos / bs)
-		inner := pos % bs
-
-		// Dirty write-behind data wins.
-		f.mu.Lock()
-		block, ok := f.dirty[idx]
-		f.mu.Unlock()
-		if !ok {
-			block, ok = f.c.blocks.Get(f.path, idx)
-		}
-		if !ok {
-			results, err := f.c.compound(ctx,
-				Op{Code: OpPutFH, FH: f.fh},
-				Op{Code: OpRead, Offset: idx * uint64(bs), Count: uint32(bs)})
-			if err != nil {
-				return read, err
-			}
-			block = results[1].Data
-			f.c.blocks.Put(f.path, idx, block, false)
-		}
-		n := 0
-		if inner < int64(len(block)) {
-			n = copy(p[read:], block[inner:])
-		}
-		zeroEnd := int64(idx+1) * bs
-		for read+n < len(p) && pos+int64(n) < zeroEnd {
-			p[read+n] = 0
-			n++
-		}
-		read += n
-	}
-	var eof error
-	if off+int64(read) >= size {
-		eof = io.EOF
-	}
-	return read, eof
+	return n, err
 }
 
 // WriteAt buffers the write (write-behind) and flushes at Close or
 // under memory pressure.
 func (f *File) WriteAt(ctx context.Context, p []byte, off int64) (int, error) {
-	bs := int64(f.c.opt.BlockSize)
-	written := 0
-	for written < len(p) {
-		pos := off + int64(written)
-		idx := uint64(pos / bs)
-		inner := pos % bs
-		n := int(bs - inner)
-		if n > len(p)-written {
-			n = len(p) - written
-		}
+	n, err := f.rd.WriteAt(ctx, f.fh, p, uint64(off), uint64(f.Size()), func(idx uint64, block []byte) error {
 		f.mu.Lock()
-		block := f.dirty[idx]
-		f.mu.Unlock()
-		if block == nil {
-			if cached, ok := f.c.blocks.Get(f.path, idx); ok {
-				block = append([]byte(nil), cached...)
-			} else if inner != 0 || n != int(bs) {
-				if int64(idx)*bs < f.Size() {
-					results, err := f.c.compound(ctx,
-						Op{Code: OpPutFH, FH: f.fh},
-						Op{Code: OpRead, Offset: idx * uint64(bs), Count: uint32(bs)})
-					if err != nil {
-						return written, err
-					}
-					block = append([]byte(nil), results[1].Data...)
-				}
-			}
-		}
-		need := inner + int64(n)
-		if int64(len(block)) < need {
-			grown := make([]byte, need)
-			copy(grown, block)
-			block = grown
-		}
-		copy(block[inner:], p[written:written+n])
-		f.mu.Lock()
-		if f.dirty[idx] == nil {
-			f.dbyte += int64(len(block))
-		}
 		f.dirty[idx] = block
-		needFlush := f.dbyte > 8<<20
-		if end := pos + int64(n); end > f.size {
-			f.size = end
-		}
+		needFlush := len(f.dirty)*f.c.opt.BlockSize > 8<<20
 		f.mu.Unlock()
-		written += n
 		if needFlush {
-			if err := f.Sync(ctx); err != nil {
-				return written, err
-			}
+			return f.Sync(ctx)
 		}
-	}
-	return written, nil
+		return nil
+	})
+	f.mu.Lock()
+	f.size = max(f.size, off+int64(n))
+	f.mu.Unlock()
+	return n, err
 }
 
 // Sync flushes dirty blocks with UNSTABLE writes then commits.
@@ -393,7 +344,6 @@ func (f *File) Sync(ctx context.Context) error {
 	f.mu.Lock()
 	dirty := f.dirty
 	f.dirty = make(map[uint64][]byte)
-	f.dbyte = 0
 	f.mu.Unlock()
 	if len(dirty) == 0 {
 		return nil

@@ -7,6 +7,7 @@ import (
 	"io"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/blockio"
@@ -86,8 +87,7 @@ type FileSystem struct {
 	flushMu   sync.Mutex
 	flushErrs map[string]error
 
-	rpcReads, rpcWrites uint64
-	statMu              sync.Mutex
+	rpcReads, rpcWrites atomic.Uint64
 }
 
 type fileVersion struct {
@@ -123,7 +123,7 @@ func Mount(ctx context.Context, dial Dialer, path string, opt Options) (*FileSys
 		versions:  make(map[string]fileVersion),
 		flushErrs: make(map[string]error),
 	}
-	fs.reader = blockio.NewReader(pageSource{fs.pages, fs}, opt.Readahead, prefetchTimeout)
+	fs.reader = blockio.NewReader(pageSource{fs.pages, fs}, opt.BlockSize, opt.Readahead, prefetchTimeout)
 	// Prime the root attributes and verify the server speaks NFSv3.
 	if _, err := fs.getAttr(ctx, root); err != nil {
 		proto.Close()
@@ -172,9 +172,7 @@ func (fs *FileSystem) Proto() *Proto { return fs.proto }
 
 // RPCCounts reports the number of read and write RPCs issued.
 func (fs *FileSystem) RPCCounts() (reads, writes uint64) {
-	fs.statMu.Lock()
-	defer fs.statMu.Unlock()
-	return fs.rpcReads, fs.rpcWrites
+	return fs.rpcReads.Load(), fs.rpcWrites.Load()
 }
 
 // CacheStats reports page-cache hit/miss counters.
@@ -510,11 +508,11 @@ func (f *File) Stat(ctx context.Context) (nfs3.Fattr3, error) {
 	return f.fs.getAttr(ctx, f.fh)
 }
 
-// dropPages discards fh's cached blocks, dirty ones included, and its
-// readahead stream state.
+// dropPages discards fh's readahead stream state, the fetches of it in
+// flight, and its cached blocks, dirty ones included.
 func (fs *FileSystem) dropPages(fh nfs3.FH3) {
-	fs.pages.DropFile(fhKey(fh))
 	fs.reader.Forget(fh)
+	fs.pages.DropFile(fhKey(fh))
 }
 
 // pageSource is the page cache and the server as the block reader sees
@@ -526,17 +524,15 @@ type pageSource struct {
 
 // FetchBlock reads one block from the server into the page cache,
 // writing back any dirty blocks the insertion evicts.
-func (s pageSource) FetchBlock(ctx context.Context, fh nfs3.FH3, block uint64, _ bool) ([]byte, error) {
+func (s pageSource) FetchBlock(ctx context.Context, fh nfs3.FH3, block uint64, fill blockio.Fill) ([]byte, error) {
 	fs := s.fs
 	bs := uint64(fs.opt.BlockSize)
 	data, _, err := fs.proto.Read(ctx, fh, block*bs, uint32(bs))
 	if err != nil {
 		return nil, err
 	}
-	fs.statMu.Lock()
-	fs.rpcReads++
-	fs.statMu.Unlock()
-	for _, b := range fs.pages.Put(fhKey(fh), block, data, false) {
+	fs.rpcReads.Add(1)
+	for _, b := range fs.pages.Fill(fhKey(fh), block, data, fill) {
 		fs.writeBackBlock(ctx, b)
 	}
 	return data, nil
@@ -553,9 +549,7 @@ func (fs *FileSystem) writeBackBlock(ctx context.Context, b blockio.Block) {
 		fs.recordFlushErr(b.File, err)
 		return
 	}
-	fs.statMu.Lock()
-	fs.rpcWrites++
-	fs.statMu.Unlock()
+	fs.rpcWrites.Add(1)
 }
 
 // recordFlushErr keeps the first write-back error per file.
@@ -579,51 +573,16 @@ func (fs *FileSystem) takeFlushErr(fh nfs3.FH3) error {
 
 // ReadAt reads len(p) bytes at offset off.
 func (f *File) ReadAt(ctx context.Context, p []byte, off int64) (int, error) {
-	fs := f.fs
-	bs := int64(fs.opt.BlockSize)
-	attr, err := fs.getAttr(ctx, f.fh)
+	attr, err := f.fs.getAttr(ctx, f.fh)
 	if err != nil {
 		return 0, err
 	}
-	size := int64(attr.Size)
-	if f.Size() > size {
-		size = f.Size() // locally extended under write-behind
+	size := max(int64(attr.Size), f.Size()) // locally extended under write-behind
+	n, err := f.fs.reader.ReadAt(ctx, f.fh, p, uint64(off), uint64(size))
+	if err == nil && off+int64(n) >= size {
+		err = io.EOF
 	}
-	if off >= size {
-		return 0, io.EOF
-	}
-	if off+int64(len(p)) > size {
-		p = p[:size-off]
-	}
-	read := 0
-	for read < len(p) {
-		pos := off + int64(read)
-		block := uint64(pos / bs)
-		inner := pos % bs
-		data, err := fs.reader.Read(ctx, f.fh, block)
-		if err != nil {
-			return read, err
-		}
-		n := 0
-		if inner < int64(len(data)) {
-			n = copy(p[read:], data[inner:])
-		}
-		// Zero-fill the remainder of this block: a hole, or a cached
-		// block captured at an earlier, shorter EOF. Always advances
-		// at least one byte, since inner < blockSize.
-		zeroEnd := int64(block+1) * bs
-		for read+n < len(p) && pos+int64(n) < zeroEnd {
-			p[read+n] = 0
-			n++
-		}
-		read += n
-		fs.reader.Advance(f.fh, block, uint64((size+bs-1)/bs))
-	}
-	var eof error
-	if off+int64(read) >= size {
-		eof = io.EOF
-	}
-	return read, eof
+	return n, err
 }
 
 // prefetchTimeout bounds one background readahead RPC. Prefetches run
@@ -634,85 +593,33 @@ const prefetchTimeout = 30 * time.Second
 // WriteAt writes p at offset off.
 func (f *File) WriteAt(ctx context.Context, p []byte, off int64) (int, error) {
 	fs := f.fs
-	bs := int64(fs.opt.BlockSize)
 	if fs.opt.NoWriteBehind {
 		if _, _, err := fs.proto.Write(ctx, f.fh, uint64(off), p, nfs3.FileSync); err != nil {
 			return 0, err
 		}
-		fs.statMu.Lock()
-		fs.rpcWrites++
-		fs.statMu.Unlock()
-		fs.pages.DropFile(fhKey(f.fh))
+		fs.rpcWrites.Add(1)
+		fs.dropPages(f.fh)
 		f.extend(off + int64(len(p)))
 		return len(p), nil
 	}
-	written := 0
-	for written < len(p) {
-		pos := off + int64(written)
-		block := uint64(pos / bs)
-		inner := pos % bs
-		n := int(bs - inner)
-		if n > len(p)-written {
-			n = len(p) - written
+	written, err := fs.reader.WriteAt(ctx, f.fh, p, uint64(off), uint64(f.Size()), func(idx uint64, block []byte) error {
+		for _, b := range fs.pages.Put(fhKey(f.fh), idx, block, true) {
+			fs.writeBackBlock(ctx, b)
 		}
-		if err := f.writeCached(ctx, block, inner, p[written:written+n]); err != nil {
-			return written, err
-		}
-		written += n
+		return nil
+	})
+	if err != nil {
+		return written, err
 	}
 	f.extend(off + int64(written))
-	fs.attrs.Update(f.fh, func(a *nfs3.Fattr3) {
-		if uint64(f.Size()) > a.Size {
-			a.Size = uint64(f.Size())
-		}
-	})
+	fs.attrs.Update(f.fh, func(a *nfs3.Fattr3) { a.Size = max(a.Size, uint64(f.Size())) })
 	return written, nil
 }
 
 func (f *File) extend(end int64) {
 	f.mu.Lock()
-	if end > f.size {
-		f.size = end
-	}
+	f.size = max(f.size, end)
 	f.mu.Unlock()
-}
-
-// writeCached merges data into the block cache as a dirty block,
-// fetching the block first when the write is partial and the file
-// already has data there.
-func (f *File) writeCached(ctx context.Context, block uint64, inner int64, data []byte) error {
-	fs := f.fs
-	bs := int64(fs.opt.BlockSize)
-	var blockData []byte
-	if cached, ok := fs.pages.Get(fhKey(f.fh), block); ok {
-		blockData = append([]byte(nil), cached...)
-	} else if inner == 0 && int64(len(data)) == bs {
-		blockData = nil // full overwrite, no fetch needed
-	} else {
-		// Partial write: read-modify-write unless beyond current EOF.
-		blockStart := int64(block) * bs
-		if blockStart < f.Size() {
-			got, _, err := fs.proto.Read(ctx, f.fh, uint64(blockStart), uint32(bs))
-			if err != nil {
-				return err
-			}
-			fs.statMu.Lock()
-			fs.rpcReads++
-			fs.statMu.Unlock()
-			blockData = append([]byte(nil), got...)
-		}
-	}
-	need := inner + int64(len(data))
-	if int64(len(blockData)) < need {
-		grown := make([]byte, need)
-		copy(grown, blockData)
-		blockData = grown
-	}
-	copy(blockData[inner:], data)
-	for _, b := range fs.pages.Put(fhKey(f.fh), block, blockData, true) {
-		fs.writeBackBlock(ctx, b)
-	}
-	return nil
 }
 
 // Read reads sequentially from the file's current offset.
@@ -775,9 +682,7 @@ func (w *fileFlush) WriteBlock(ctx context.Context, fh nfs3.FH3, block uint64, s
 	w.mu.Unlock()
 	committed, verf, err := w.fs.proto.Write(ctx, fh, block*uint64(w.fs.opt.BlockSize), data, stable)
 	if err == nil {
-		w.fs.statMu.Lock()
-		w.fs.rpcWrites++
-		w.fs.statMu.Unlock()
+		w.fs.rpcWrites.Add(1)
 	}
 	return committed, verf, err
 }

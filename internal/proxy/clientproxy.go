@@ -93,7 +93,11 @@ const (
 func NewClientProxy(cfg ClientConfig) (*ClientProxy, error) {
 	p := &ClientProxy{cfg: cfg, recovery: *cmp.Or(cfg.Recovery, &RecoveryConfig{}), rpc: oncrpc.NewServer()}
 	p.relay = nfs3.Relay{Up: p, Meter: cfg.Meter}
-	p.reader = blockio.NewReader(cacheSource{cfg.DiskCache, p}, p.cfg.readahead(), p.opTimeout())
+	bs := 0 // without a disk cache the block reader is never used
+	if cfg.DiskCache != nil {
+		bs = cfg.DiskCache.BlockSize()
+	}
+	p.reader = blockio.NewReader(cacheSource{cfg.DiskCache, p}, bs, cfg.readahead(), p.opTimeout())
 	// Establish the first session synchronously so misconfiguration
 	// (bad export, refused credential) fails here, not on first use.
 	ctx, cancel := context.WithTimeout(context.Background(), initTimeout)
@@ -405,11 +409,12 @@ func (p *ClientProxy) truncateCached(fh nfs3.FH3, size uint64) error {
 	return nil
 }
 
-// dropFile discards every cached block of fh, cancelling its pending
-// write-back, and its readahead stream state.
+// dropFile discards fh's readahead stream state, the fetches of it in
+// flight, and every cached block of fh, cancelling its pending
+// write-back.
 func (p *ClientProxy) dropFile(fh nfs3.FH3) {
-	p.cfg.DiskCache.DropFile(fh)
 	p.reader.Forget(fh)
+	p.cfg.DiskCache.DropFile(fh)
 }
 
 //sgfsvet:hot-path
@@ -438,34 +443,9 @@ func (p *ClientProxy) read(ctx context.Context, call *oncrpc.Call) (xdr.Marshale
 	if a.Offset >= size {
 		return &nfs3.ReadRes{Status: nfs3.OK, EOF: true}, oncrpc.Success
 	}
-	want := uint64(a.Count)
-	if a.Offset+want > size {
-		want = size - a.Offset
-	}
-	out := make([]byte, 0, want)
-	bs := uint64(dc.BlockSize())
-	off := a.Offset
-	for uint64(len(out)) < want {
-		idx := off / bs
-		inner := off % bs
-		block, st := p.cacheBlock(ctx, a.Obj, idx)
-		if st != nfs3.OK {
-			return &nfs3.ReadRes{Status: st}, oncrpc.Success
-		}
-		p.reader.Advance(a.Obj, idx, (size+bs-1)/bs)
-		n := uint64(len(block)) - inner
-		if inner >= uint64(len(block)) {
-			// Hole within a short cached block: zero-fill to block end.
-			n = bs - inner
-			block = make([]byte, bs)
-			inner = 0
-		}
-		remain := want - uint64(len(out))
-		if n > remain {
-			n = remain
-		}
-		out = append(out, block[inner:inner+n]...)
-		off += n
+	out := make([]byte, min(uint64(a.Count), size-a.Offset))
+	if _, err := p.reader.ReadAt(ctx, a.Obj, out, a.Offset, size); err != nil {
+		return &nfs3.ReadRes{Status: blockStatus(err)}, oncrpc.Success
 	}
 	eof := a.Offset+uint64(len(out)) >= size
 	if deg {
@@ -498,13 +478,6 @@ func (p *ClientProxy) cachedSize(ctx context.Context, fh nfs3.FH3) (uint64, nfs3
 	return res.Attr.Size, nfs3.OK
 }
 
-// cacheBlock returns block idx of fh from the disk cache, fetching it
-// from the server on a miss (cacheSource.FetchBlock).
-func (p *ClientProxy) cacheBlock(ctx context.Context, fh nfs3.FH3, idx uint64) ([]byte, nfs3.Status) {
-	data, err := p.reader.Read(ctx, fh, idx)
-	return data, blockStatus(err)
-}
-
 //sgfsvet:hot-path
 func (p *ClientProxy) write(ctx context.Context, call *oncrpc.Call) (xdr.Marshaler, oncrpc.AcceptStat) {
 	var a nfs3.WriteArgs
@@ -530,60 +503,19 @@ func (p *ClientProxy) write(ctx context.Context, call *oncrpc.Call) (xdr.Marshal
 	if stat != nfs3.OK {
 		return &nfs3.WriteRes{Status: stat}, oncrpc.Success
 	}
-	data := a.Data
-	if uint32(len(data)) > a.Count {
-		data = data[:a.Count]
+	data := a.Data[:min(uint32(len(a.Data)), a.Count)]
+	written, err := p.reader.WriteAt(ctx, a.Obj, data, a.Offset, size, func(idx uint64, block []byte) error {
+		return dc.PutBlock(a.Obj, idx, block, true)
+	})
+	if err != nil {
+		return &nfs3.WriteRes{Status: blockStatus(err)}, oncrpc.Success
 	}
-	bs := uint64(dc.BlockSize())
-	off := a.Offset
-	written := uint64(0)
-	for written < uint64(len(data)) {
-		pos := off + written
-		idx := pos / bs
-		inner := pos % bs
-		n := bs - inner
-		if n > uint64(len(data))-written {
-			n = uint64(len(data)) - written
-		}
-		var blockData []byte
-		if cached, ok := dc.GetBlock(a.Obj, idx); ok {
-			blockData = append([]byte(nil), cached...)
-		} else if inner == 0 && n == bs {
-			blockData = nil // full block overwrite
-		} else if idx*bs < size {
-			// Partial write into existing data: fetch for merge.
-			got, st := p.cacheBlock(ctx, a.Obj, idx)
-			if st != nfs3.OK {
-				return &nfs3.WriteRes{Status: st}, oncrpc.Success
-			}
-			blockData = append([]byte(nil), got...)
-		}
-		need := inner + n
-		if uint64(len(blockData)) < need {
-			grown := make([]byte, need)
-			copy(grown, blockData)
-			blockData = grown
-		}
-		copy(blockData[inner:], data[written:written+n])
-		if err := dc.PutBlock(a.Obj, idx, blockData, true); err != nil {
-			return &nfs3.WriteRes{Status: nfs3.Status(vfs.ErrIO)}, oncrpc.Success
-		}
-		written += n
-	}
-	end := a.Offset + written
-	if end > size {
-		size = end
-	}
+	size = max(size, a.Offset+uint64(written))
 	now := nfs3.TimeToNFS(time.Now())
-	if _, ok := dc.GetAttr(a.Obj); ok {
-		dc.UpdateAttr(a.Obj, func(attr *nfs3.Fattr3) {
-			if size > attr.Size {
-				attr.Size = size
-			}
-			attr.Mtime = now
-			attr.Ctime = now
-		})
-	}
+	dc.UpdateAttr(a.Obj, func(attr *nfs3.Fattr3) {
+		attr.Size = max(attr.Size, size)
+		attr.Mtime, attr.Ctime = now, now
+	})
 	res := &nfs3.WriteRes{Status: nfs3.OK, Count: uint32(written), Committed: nfs3.FileSync}
 	if attr, ok := dc.GetAttr(a.Obj); ok {
 		res.Wcc.After = nfs3.PostOpAttr{Present: true, Attr: attr}

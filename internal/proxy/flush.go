@@ -3,6 +3,7 @@ package proxy
 import (
 	"context"
 	"errors"
+	"sync"
 	"time"
 
 	"repro/internal/blockio"
@@ -34,10 +35,12 @@ func (p *ClientProxy) FlushAll(ctx context.Context) error {
 	if dc == nil {
 		return nil
 	}
-	w := &flushWriter{p: p, sizes: make(map[string]uint64)}
+	w := &flushWriter{p: p, sizes: make(map[string]uint64), vers: make(map[string]map[uint64]uint64)}
 	var files []blockio.FileBlocks
 	for _, fh := range dc.DirtyFiles() {
-		files = append(files, blockio.FileBlocks{FH: fh, Blocks: dc.DirtyList(fh)})
+		blocks := dc.DirtyList(fh)
+		files = append(files, blockio.FileBlocks{FH: fh, Blocks: blocks})
+		w.vers[string(fh.Data)] = make(map[uint64]uint64, len(blocks))
 		if attr, ok := dc.GetAttr(fh); ok {
 			w.sizes[string(fh.Data)] = attr.Size
 		}
@@ -49,10 +52,14 @@ func (p *ClientProxy) FlushAll(ctx context.Context) error {
 
 // flushWriter is one FlushAll round as the flush engine sees it. sizes
 // holds the cached size of each dirty file that has one, fixed before
-// the workers start.
+// the workers start; vers, per file, the cache version each block was
+// last sent at, which Durable must match.
 type flushWriter struct {
 	p     *ClientProxy
 	sizes map[string]uint64
+
+	mu   sync.Mutex
+	vers map[string]map[uint64]uint64
 }
 
 // clipCrypt clips block data to the cached file size (so the flush does
@@ -81,11 +88,14 @@ func (w *flushWriter) WriteBlock(ctx context.Context, fh nfs3.FH3, idx uint64, s
 	p := w.p
 	defer p.relay.Charge(time.Now())
 	dc := p.cfg.DiskCache
-	data, ok := dc.GetBlock(fh, idx)
+	data, ver, ok := dc.ReadVersion(fh, idx)
 	if !ok {
 		// Dropped between listing and flushing (e.g. REMOVE).
 		return 0, blockio.Verifier{}, blockio.ErrGone
 	}
+	w.mu.Lock()
+	w.vers[string(fh.Data)][idx] = ver
+	w.mu.Unlock()
 	off := idx * uint64(dc.BlockSize())
 	data, ok = w.clipCrypt(fh, off, data)
 	if !ok {
@@ -138,5 +148,11 @@ func (w *flushWriter) Commit(ctx context.Context, fh nfs3.FH3) (blockio.Verifier
 	return res.Verf, res.Status.Error()
 }
 
-// Durable marks a block clean after it reached the server.
-func (w *flushWriter) Durable(fh nfs3.FH3, idx uint64) { w.p.cfg.DiskCache.FlushDone(fh, idx) }
+// Durable marks a block clean after it reached the server, unless it
+// changed since WriteBlock read it.
+func (w *flushWriter) Durable(fh nfs3.FH3, idx uint64) {
+	w.mu.Lock()
+	ver := w.vers[string(fh.Data)][idx]
+	w.mu.Unlock()
+	w.p.cfg.DiskCache.FlushDone(fh, idx, ver)
+}

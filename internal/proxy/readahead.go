@@ -4,6 +4,7 @@ import (
 	"context"
 	"time"
 
+	"repro/internal/blockio"
 	"repro/internal/cache"
 	"repro/internal/nfs3"
 	"repro/internal/vfs"
@@ -43,9 +44,9 @@ type cacheSource struct {
 // status comes back as its bare vfs.Errno (a protocol outcome every
 // sharer of the fetch sees alike), a transport failure as any other
 // error.
-func (s cacheSource) FetchBlock(ctx context.Context, fh nfs3.FH3, idx uint64, prefetch bool) ([]byte, error) {
+func (s cacheSource) FetchBlock(ctx context.Context, fh nfs3.FH3, idx uint64, fill blockio.Fill) ([]byte, error) {
 	p := s.p
-	if prefetch {
+	if fill.Prefetch {
 		// No handler span covers a prefetch: it nets its own elapsed
 		// time against the wait its upstream call credits back.
 		defer p.relay.Charge(time.Now())
@@ -64,13 +65,7 @@ func (s cacheSource) FetchBlock(ctx context.Context, fh nfs3.FH3, idx uint64, pr
 	if len(p.cfg.StorageKey) > 0 {
 		data = atRestCrypt(p.cfg.StorageKey, fh, idx*bs, data)
 	}
-	var err error
-	if prefetch {
-		err = dc.PutPrefetched(fh, idx, data)
-	} else {
-		err = dc.PutBlock(fh, idx, data, false)
-	}
-	if err != nil {
+	if err := dc.PutFetched(fh, idx, data, fill); err != nil {
 		// A cache insertion failure only costs a later re-fetch; the
 		// bytes are still returned to every sharer.
 		return data, nil

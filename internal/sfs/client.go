@@ -114,7 +114,7 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 		blocks: blockio.NewCache(memCacheBytes),
 	}
 	c.relay = nfs3.Relay{Up: c, Meter: cfg.Meter}
-	c.reader = blockio.NewReader(blockSource{c.blocks, c}, pipelineDepth, sfsPrefetchTimeout)
+	c.reader = blockio.NewReader(blockSource{c.blocks, c}, sfsBlockSize, pipelineDepth, sfsPrefetchTimeout)
 	c.register()
 	return c, nil
 }
@@ -144,9 +144,9 @@ type blockSource struct {
 
 // FetchBlock reads one block from the server daemon into the memory
 // cache. A non-OK status comes back as its bare vfs.Errno.
-func (s blockSource) FetchBlock(ctx context.Context, fh nfs3.FH3, idx uint64, prefetch bool) ([]byte, error) {
+func (s blockSource) FetchBlock(ctx context.Context, fh nfs3.FH3, idx uint64, fill blockio.Fill) ([]byte, error) {
 	c := s.c
-	if prefetch {
+	if fill.Prefetch {
 		// No handler span covers a prefetch; see nfs3.Relay.Charge.
 		defer c.relay.Charge(time.Now())
 	}
@@ -158,14 +158,14 @@ func (s blockSource) FetchBlock(ctx context.Context, fh nfs3.FH3, idx uint64, pr
 	if res.Status != nfs3.OK {
 		return nil, res.Status.Error()
 	}
-	c.blocks.Put(string(fh.Data), idx, res.Data, false)
+	c.blocks.Fill(string(fh.Data), idx, res.Data, fill)
 	return res.Data, nil
 }
 
 func (c *Client) dropFile(fh nfs3.FH3) {
 	key := string(fh.Data)
-	c.blocks.DropFile(key)
 	c.reader.Forget(fh)
+	c.blocks.DropFile(key)
 	c.mu.Lock()
 	delete(c.attrs, key)
 	delete(c.access, key)
@@ -344,15 +344,17 @@ func (c *Client) write(ctx context.Context, call *oncrpc.Call) (xdr.Marshaler, o
 	if call.DecodeArgs(&a) != nil {
 		return nil, oncrpc.GarbageArgs
 	}
-	// Invalidate overlapping cached blocks.
-	first := a.Offset / sfsBlockSize
-	last := (a.Offset + uint64(len(a.Data))) / sfsBlockSize
+	var res nfs3.WriteRes
+	err := c.relay.Call(ctx, nil, nfs3.ProcWrite, &a, &res)
+	// Invalidate the overlapped cached blocks once the server has the
+	// write: a fetch in flight across it is stale (Forget), and what
+	// landed before is dropped.
+	c.reader.Forget(a.Obj)
 	key := string(a.Obj.Data)
-	for idx := first; idx <= last; idx++ {
+	for idx := a.Offset / sfsBlockSize; idx <= (a.Offset+uint64(len(a.Data)))/sfsBlockSize; idx++ {
 		c.blocks.Drop(key, idx)
 	}
-	var res nfs3.WriteRes
-	if err := c.relay.Call(ctx, nil, nfs3.ProcWrite, &a, &res); err != nil {
+	if err != nil {
 		return nil, oncrpc.SystemErr
 	}
 	if res.Status == nfs3.OK && res.Wcc.After.Present {

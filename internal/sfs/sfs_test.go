@@ -6,6 +6,7 @@ import (
 	"io"
 	"math/rand"
 	"net"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -242,6 +243,65 @@ func TestSFSSequentialReadIssuesOneReadPerBlock(t *testing.T) {
 	time.Sleep(50 * time.Millisecond)
 	if n := backend.reads.Load(); n != blocks {
 		t.Fatalf("server saw %d READs for a sequential read of %d blocks", n, blocks)
+	}
+}
+
+// heldReadFS holds the first Read at off, after it has read its bytes,
+// until release is closed; held is closed once it is held.
+type heldReadFS struct {
+	*vfs.MemFS
+	off     uint64
+	held    chan struct{}
+	release chan struct{}
+	once    sync.Once
+}
+
+func (b *heldReadFS) Read(h vfs.Handle, off uint64, buf []byte) (int, bool, error) {
+	n, eof, err := b.MemFS.Read(h, off, buf)
+	if off == b.off {
+		b.once.Do(func() {
+			close(b.held)
+			<-b.release
+		})
+	}
+	return n, eof, err
+}
+
+// TestSFSPrefetchLosesToWrite: a prefetch of block 1 reads the server's
+// bytes and is held while the client writes block 1 through the
+// daemon. When it lands it must not put the old bytes back in the
+// daemon's cache.
+func TestSFSPrefetchLosesToWrite(t *testing.T) {
+	backend := &heldReadFS{MemFS: vfs.NewMemFS(), off: sfsBlockSize, held: make(chan struct{}), release: make(chan struct{})}
+	mode, uid := uint32(0644), uint32(700)
+	h, _, _ := backend.Create(backend.Root(), "f", vfs.SetAttr{Mode: &mode, UID: &uid}, false)
+	backend.MemFS.Write(h, 0, bytes.Repeat([]byte("o"), 3*sfsBlockSize))
+	_, addr, _, _, _ := buildSFSOver(t, backend)
+	dial := func() (net.Conn, error) { return net.Dial("tcp", addr) }
+	fs, err := nfsclient.Mount(context.Background(), dial, "/export", nfsclient.Options{CacheBytes: 1, Readahead: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fs.Close()
+	ctx := context.Background()
+	p := fs.Proto()
+	fh, _, err := p.Lookup(ctx, fs.Root(), "f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := p.Read(ctx, fh, 0, sfsBlockSize); err != nil {
+		t.Fatal(err) // block 0, and prefetches of blocks 1 and 2
+	}
+	<-backend.held
+	written := bytes.Repeat([]byte("N"), sfsBlockSize)
+	if _, _, err := p.Write(ctx, fh, sfsBlockSize, written, nfs3.FileSync); err != nil {
+		t.Fatal(err)
+	}
+	close(backend.release)
+	time.Sleep(50 * time.Millisecond) // the prefetch lands
+	got, _, err := p.Read(ctx, fh, sfsBlockSize, sfsBlockSize)
+	if err != nil || !bytes.Equal(got, written) {
+		t.Fatalf("block 1 reads %q… (%v) after the write, not the write", got[:min(8, len(got))], err)
 	}
 }
 

@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race chaos fuzz-short bench loc procs alloc-baseline sgfs-vet alloc-budget check
+.PHONY: build test vet race chaos fuzz-short bench loc procs sgfs-vet alloc-budget check
 
 build:
 	$(GO) build ./...
@@ -61,27 +61,21 @@ loc:
 procs:
 	@! pgrep -af '[g]o (test|run|build)|[.]test\b|[s]gfs-|/[e]xe/|[.]bench_build|[b]enchmark/run[.]sh|[f]uzzworker'
 
-# Recompute the hot-path alloc census and refresh the committed
-# baseline the CI alloc budget compares against: per-root totals and
-# per-(file, func, kind) bucket counts. The per-site census it is cut
-# from (-alloc-census, also a CI artifact) is not committed.
-alloc-baseline:
-	$(GO) run ./cmd/sgfs-vet -alloc-census -alloc-baseline .sgfsvet-allocs.json > /dev/null
-
 # Repo-specific analyzers (lock-over-io, lockset-race,
 # pool-lifecycle, atomic-misuse, swallowed-error, lock-order,
 # ctx-deadline, goroutine-leak, replay-table-sync, secret-flow,
-# unbounded-alloc, weak-rand, resource-leak, retry-safety,
-# alloc-hotpath; scorecard in DESIGN.md). Fails on any finding not in
-# .sgfsvet-ignore — and on stale allowlist entries (exit 2). CI also
-# archives the -json report.
+# unbounded-alloc, weak-rand, resource-leak, retry-safety; scorecard
+# in DESIGN.md). Fails on any finding not in .sgfsvet-ignore — and on
+# stale allowlist entries (exit 2). CI also archives the -json report.
 sgfs-vet:
 	$(GO) run ./cmd/sgfs-vet -all ./...
 
-# The alloc budget gate: the fresh hot-path census must fit the
-# committed .sgfsvet-allocs.json baseline (see `make alloc-baseline`).
+# The alloc budgets: every hot path's heap allocations per operation,
+# measured with testing.AllocsPerRun and pinned in the alloc_test.go
+# next to its code. No -race: under the race detector sync.Pool drops
+# Puts at random, so the budget files build only without it.
 alloc-budget:
-	$(GO) run ./cmd/sgfs-vet -alloc-budget
+	$(GO) test -count=1 -run Allocs ./...
 
 # The CI gate: everything that must be green before merging.
 check: build vet race chaos sgfs-vet alloc-budget

@@ -7,9 +7,6 @@
 //
 //	sgfs-vet [-C dir] [-ignore file] [-run a,b] [-all] [-json] [-timing] [-prune] [-<analyzer>=false ...] [pattern ...]
 //	sgfs-vet -annotate report.json [-budget 120s]
-//	sgfs-vet -alloc-census [-alloc-baseline file]   # print the census; write the baseline file
-//	sgfs-vet -alloc-budget [-alloc-baseline file]
-//	sgfs-vet -alloc-census -alloc-budget            # one census: print it and gate on it
 //
 // Patterns are package directories relative to the module root;
 // `./...` (the default) walks the whole module. Every analyzer has an
@@ -21,16 +18,6 @@
 // breakdown on stderr: a `module` row for the shared index, call graph
 // and CFGs, then one row per analyzer. -prune rewrites the allowlist
 // dropping the stale lines a full run detects.
-//
-// The census forms drive the allocation budget of the alloc-hotpath
-// analyzer: -alloc-census prints the current census of heap-escaping
-// allocation sites reachable from //sgfsvet:hot-path roots, site by
-// site; with -alloc-baseline it also refreshes the committed baseline,
-// which stores only what the gate compares (per-root totals and
-// per-bucket counts; `make alloc-baseline`). -alloc-budget recomputes
-// the census and compares it against the baseline, exiting 1 when any
-// (file, function, kind) bucket or per-root total grew — the CI gate
-// that keeps hot paths from quietly regaining allocations.
 //
 // The -annotate form turns a previously captured -json report into
 // GitHub Actions workflow-command annotations (::error for findings,
@@ -103,10 +90,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		prune      = fs.Bool("prune", false, "rewrite the allowlist dropping stale entries (requires a full run)")
 		annotate   = fs.String("annotate", "", "emit GitHub Actions annotations from a -json report file and exit")
 		budget     = fs.Duration("budget", 0, "with -annotate: fail when the report's total analysis time exceeds this")
-
-		allocCensus   = fs.Bool("alloc-census", false, "print the hot-path allocation census as JSON and exit")
-		allocBudget   = fs.Bool("alloc-budget", false, "compare the census against the committed baseline and exit 1 on growth")
-		allocBaseline = fs.String("alloc-baseline", "", "baseline file: read by -alloc-budget (default <module>/.sgfsvet-allocs.json), written by -alloc-census when given")
 	)
 	all := vet.DefaultAnalyzers()
 	enabled := make(map[string]*bool, len(all))
@@ -161,10 +144,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if loadErrors > 0 {
 		return 2
-	}
-
-	if *allocCensus || *allocBudget {
-		return runAllocCensus(pkgs, moduleRoot, *allocCensus, *allocBudget, *allocBaseline, stdout, stderr)
 	}
 
 	allEnabled := true
@@ -310,58 +289,6 @@ func plural(n int, one, many string) string {
 }
 
 // runAnnotate replays a -json report as GitHub Actions workflow
-// runAllocCensus implements -alloc-census (print the fresh census,
-// per-site detail included, as JSON on stdout; with an explicit
-// -alloc-baseline, also write that file in the committed form — root
-// totals and bucket counts only) and -alloc-budget (diff the fresh
-// census against the baseline). Given together they share one census:
-// the report goes to stdout, budget problems to stderr. Both need the
-// full module loaded so the call graph sees every hot function.
-func runAllocCensus(pkgs []*vet.Package, moduleRoot string, census, budget bool, baselinePath string, stdout, stderr io.Writer) int {
-	rep := vet.AllocCensus(pkgs, moduleRoot)
-	if rep == nil {
-		fmt.Fprintln(stderr, "sgfs-vet: no //sgfsvet:hot-path roots in the loaded packages")
-		return 2
-	}
-	if census {
-		b, err := rep.JSON()
-		if err == nil {
-			_, err = stdout.Write(b)
-		}
-		if err == nil && !budget && baselinePath != "" {
-			if b, err = rep.Baseline().JSON(); err == nil {
-				err = os.WriteFile(baselinePath, b, 0o644)
-			}
-		}
-		if err != nil {
-			fmt.Fprintln(stderr, "sgfs-vet:", err)
-			return 2
-		}
-		if !budget {
-			return 0
-		}
-		stdout = stderr // stdout carries the census
-	}
-	if baselinePath == "" {
-		baselinePath = filepath.Join(moduleRoot, ".sgfsvet-allocs.json")
-	}
-	baseline, err := vet.LoadAllocBaseline(baselinePath)
-	if err != nil {
-		fmt.Fprintln(stderr, "sgfs-vet:", err)
-		return 2
-	}
-	problems := vet.CompareAllocBudget(baseline, rep)
-	for _, p := range problems {
-		fmt.Fprintln(stdout, "sgfs-vet: alloc budget:", p)
-	}
-	if len(problems) > 0 {
-		fmt.Fprintf(stderr, "sgfs-vet: alloc budget: %d problem%s; fix the allocation or refresh the baseline (`make alloc-baseline`: -alloc-census -alloc-baseline %s)\n",
-			len(problems), plural(len(problems), "", "s"), filepath.Base(baselinePath))
-		return 1
-	}
-	return 0
-}
-
 // runAnnotate replays a -json report as GitHub Actions workflow
 // commands so findings land as inline annotations on pull requests,
 // and enforces the analysis-time budget that keeps the suite viable

@@ -431,143 +431,10 @@ func TestRunUsageErrors(t *testing.T) {
 	if code, _, _ := runVet(t, "-C", root, "-run", "xdr-symmetry"); code != 2 {
 		t.Errorf("-run of a retired analyzer: exit = %d, want 2", code)
 	}
-}
-
-// hotSource declares one hot-path root whose loop leaks a buffer into
-// a package variable: material for the census and budget modes.
-const hotSource = `package hot
-
-var sink [][]byte
-
-// Pump is the demo hot path.
-//
-//sgfsvet:hot-path
-func Pump(n int) {
-	for i := 0; i < n; i++ {
-		buf := make([]byte, 64)
-		sink = append(sink, buf)
-	}
-}
-`
-
-// writeHotModule lays out a module with a hot-path root and returns
-// its root and the hot package's source path.
-func writeHotModule(t *testing.T) (root, src string) {
-	t.Helper()
-	root = t.TempDir()
-	if err := os.WriteFile(filepath.Join(root, "go.mod"), []byte("module hotmod\n\ngo 1.22\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	dir := filepath.Join(root, "hot")
-	if err := os.Mkdir(dir, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	src = filepath.Join(dir, "hot.go")
-	if err := os.WriteFile(src, []byte(hotSource), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	return root, src
-}
-
-func TestRunAllocCensus(t *testing.T) {
-	root, _ := writeHotModule(t)
-	code, stdout, stderr := runVet(t, "-C", root, "-alloc-census")
-	if code != 0 {
-		t.Fatalf("exit = %d, want 0; stderr:\n%s", code, stderr)
-	}
-	var rep struct {
-		Schema int `json:"schema"`
-		Roots  []struct {
-			Root      string `json:"root"`
-			HeapSites int    `json:"heap_sites"`
-		} `json:"roots"`
-		Sites []struct {
-			File string `json:"file"`
-			Kind string `json:"kind"`
-		} `json:"sites"`
-	}
-	if err := json.Unmarshal([]byte(stdout), &rep); err != nil {
-		t.Fatalf("census is not JSON: %v\n%s", err, stdout)
-	}
-	if len(rep.Roots) != 1 || rep.Roots[0].Root != "hot.Pump" {
-		t.Fatalf("roots = %+v", rep.Roots)
-	}
-	if rep.Roots[0].HeapSites == 0 || len(rep.Sites) == 0 {
-		t.Fatalf("census found no heap sites:\n%s", stdout)
-	}
-	for _, s := range rep.Sites {
-		if filepath.IsAbs(s.File) {
-			t.Errorf("site path %q not relativized", s.File)
+	// The alloc census went with alloc-hotpath: its modes are gone too.
+	for _, flag := range []string{"-alloc-hotpath=false", "-alloc-census", "-alloc-budget", "-alloc-baseline=x"} {
+		if code, _, _ := runVet(t, "-C", root, flag); code != 2 {
+			t.Errorf("retired flag %s: exit = %d, want 2", flag, code)
 		}
-	}
-}
-
-func TestRunAllocCensusNoRoots(t *testing.T) {
-	root := writeModule(t) // demo module: no hot-path directives
-	code, _, stderr := runVet(t, "-C", root, "-alloc-census")
-	if code != 2 || !strings.Contains(stderr, "hot-path") {
-		t.Fatalf("exit = %d, stderr = %q; want 2 with a no-roots message", code, stderr)
-	}
-}
-
-func TestRunAllocBudget(t *testing.T) {
-	root, src := writeHotModule(t)
-
-	// No baseline yet: the gate cannot run.
-	if code, _, stderr := runVet(t, "-C", root, "-alloc-budget"); code != 2 {
-		t.Fatalf("missing baseline: exit = %d, want 2 (%s)", code, stderr)
-	}
-
-	// Freeze the current census as the baseline: within budget. The
-	// file holds what the gate compares, not the per-site records.
-	baseline := filepath.Join(root, ".sgfsvet-allocs.json")
-	if code, _, stderr := runVet(t, "-C", root, "-alloc-census", "-alloc-baseline", baseline); code != 0 {
-		t.Fatalf("writing the baseline: exit = %d (%s)", code, stderr)
-	}
-	data, err := os.ReadFile(baseline)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(data), `"buckets"`) || strings.Contains(string(data), `"sites": [`) {
-		t.Fatalf("baseline should store root totals and bucket counts only:\n%s", data)
-	}
-	if code, _, stderr := runVet(t, "-C", root, "-alloc-budget"); code != 0 {
-		t.Fatalf("fresh baseline: exit = %d, want 0 (%s)", code, stderr)
-	}
-
-	// Grow the hot path by one leaked allocation: the gate trips.
-	grown := hotSource + `
-// Drain leaks one more buffer per call.
-func Drain() {
-	sink = append(sink, make([]byte, 8))
-}
-`
-	if err := os.WriteFile(src, []byte(strings.Replace(grown, "sink = append(sink, buf)", "sink = append(sink, buf)\n\t\tDrain()", 1)), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	code, stdout, stderr := runVet(t, "-C", root, "-alloc-budget")
-	if code != 1 {
-		t.Fatalf("grown hot path: exit = %d, want 1; stdout:\n%s\nstderr:\n%s", code, stdout, stderr)
-	}
-	if !strings.Contains(stdout, "not in baseline") && !strings.Contains(stdout, "grew") {
-		t.Errorf("stdout lacks a budget violation:\n%s", stdout)
-	}
-	if !strings.Contains(stderr, "-alloc-census") {
-		t.Errorf("stderr should point at the refresh workflow: %q", stderr)
-	}
-
-	// Both flags share one census: the report on stdout, the verdict
-	// on stderr and in the exit status, the baseline left alone.
-	code, stdout, stderr = runVet(t, "-C", root, "-alloc-census", "-alloc-budget")
-	if code != 1 || !json.Valid([]byte(stdout)) || !strings.Contains(stderr, "alloc budget:") {
-		t.Errorf("census+budget: exit = %d, want 1 with JSON on stdout; stdout:\n%s\nstderr:\n%s", code, stdout, stderr)
-	}
-	if after, err := os.ReadFile(baseline); err != nil || string(after) != string(data) {
-		t.Errorf("census+budget rewrote the baseline (err %v)", err)
-	}
-
-	// An explicit baseline path overrides the default location.
-	if code, _, _ := runVet(t, "-C", root, "-alloc-budget", "-alloc-baseline", baseline); code != 1 {
-		t.Errorf("explicit -alloc-baseline: exit = %d, want 1", code)
 	}
 }

@@ -101,8 +101,6 @@ type flushFile struct {
 }
 
 // block pushes one dirty block as an UNSTABLE write and retires it.
-//
-//sgfsvet:hot-path
 func (r *flushRun) block(f *flushFile, idx uint64) {
 	committed, verf, err := r.w.WriteBlock(r.ctx, f.fh, idx, nfs3.Unstable)
 	unstable := false

@@ -183,8 +183,6 @@ type flight struct {
 // concurrently. It does not take the bytes of a fetch that began before
 // a write or a Forget this call came after: it fetches again. Callers
 // must treat the returned slice as read-only.
-//
-//sgfsvet:hot-path
 func (r *Reader) Fetch(ctx context.Context, fh nfs3.FH3, idx uint64, prefetch bool) ([]byte, error) {
 	fill := Fill{r: r, key: maphash.Bytes(r.seed, fh.Data), Prefetch: prefetch}
 	fill.gen = r.count(fill.key, 1, 0).gen
@@ -216,8 +214,6 @@ func (r *Reader) Fetch(ctx context.Context, fh nfs3.FH3, idx uint64, prefetch bo
 // saturated: the foreground read fetches on demand anyway, through the
 // same single-flight group, so a shed hint costs latency, not
 // correctness.
-//
-//sgfsvet:hot-path
 func (r *Reader) Advance(fh nfs3.FH3, idx, blocks uint64) {
 	if r.pool == nil {
 		return

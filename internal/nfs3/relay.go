@@ -119,8 +119,6 @@ func (r *Relay) metered(h oncrpc.Handler) oncrpc.Handler {
 
 // passThrough handles any procedure by decoding its arguments and
 // forwarding them.
-//
-//sgfsvet:hot-path
 func (r *Relay) passThrough(ctx context.Context, call *oncrpc.Call) (xdr.Marshaler, oncrpc.AcceptStat) {
 	p := &procs[call.Proc]
 	args := p.newArgs()

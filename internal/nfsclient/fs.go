@@ -538,7 +538,6 @@ func (s pageSource) FetchBlock(ctx context.Context, fh nfs3.FH3, block uint64, f
 	return data, nil
 }
 
-//sgfsvet:hot-path
 func (fs *FileSystem) writeBackBlock(ctx context.Context, b blockio.Block) {
 	fh := nfs3.FH3{Data: []byte(b.File)}
 	off := b.Index * uint64(fs.opt.BlockSize)

@@ -1,22 +1,20 @@
+//go:build !race
+
 package oncrpc
 
 import (
 	"context"
-	"path/filepath"
 	"testing"
-
-	"repro/internal/vet"
 )
 
-// TestCallAllocsGroundTruth cross-checks the static alloc census
-// against the runtime: the alloc-hotpath analyzer's census is a
-// conservative over-approximation, so the measured allocations per
-// call must never exceed the heap sites the committed baseline
-// attributes to the CallCred root — if they do, the analyzer missed an
-// allocation class and its budget gate is unsound. A tight absolute
-// bound rides along so the call path cannot quietly regress even
-// within the static envelope.
+// TestCallAllocsGroundTruth pins the heap allocations of one loopback
+// call with a 256-byte argument and result. testing.AllocsPerRun reads
+// the process-wide malloc count, so the figure covers the whole round
+// trip: the caller, the client's readLoop and the server's ServeConn
+// and dispatch. (Under -race sync.Pool drops Puts at random, hence the
+// build tag.)
 func TestCallAllocsGroundTruth(t *testing.T) {
+	const budget = 5
 	if testing.Short() {
 		t.Skip("loopback RPC stack in -short mode")
 	}
@@ -35,34 +33,9 @@ func TestCallAllocsGroundTruth(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	t.Logf("allocs per call: %.1f", avg)
-
-	// AllocsPerRun counts this goroutine only; the reply half runs in
-	// readLoop. Bound the client-visible count hard — well under the
-	// pre-pool 15 — and leave headroom for timer/select jitter.
-	const absoluteBound = 12
-	if avg > absoluteBound {
-		t.Errorf("allocs per call = %.1f, want <= %d", avg, absoluteBound)
-	}
-
-	root, err := vet.FindModuleRoot(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	baseline, err := vet.LoadAllocBaseline(filepath.Join(root, ".sgfsvet-allocs.json"))
-	if err != nil {
-		t.Fatalf("committed alloc baseline: %v (regenerate with sgfs-vet -alloc-census)", err)
-	}
-	static := -1
-	for _, r := range baseline.Roots {
-		if r.Root == "oncrpc.(*Client).CallCred" {
-			static = r.HeapSites
-		}
-	}
-	if static < 0 {
-		t.Fatal("baseline has no oncrpc.(*Client).CallCred root; hot-path directive lost?")
-	}
-	if avg > float64(static) {
-		t.Errorf("runtime allocs per call %.1f exceed the static census (%d heap sites): the analyzer under-approximates", avg, static)
+	if avg > budget {
+		t.Errorf("allocs per call = %.1f, budget %d", avg, budget)
+	} else if avg < budget {
+		t.Logf("allocs per call = %.1f, under the budget of %d: lower the pin", avg, budget)
 	}
 }

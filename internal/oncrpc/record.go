@@ -5,69 +5,65 @@ import (
 	"errors"
 	"fmt"
 	"io"
+
+	"repro/internal/xdr"
 )
 
 // Record marking (RFC 5531 §11): on stream transports each RPC message
 // is sent as one or more fragments, each prefixed by a 4-byte header
 // whose high bit marks the final fragment and whose low 31 bits hold
-// the fragment length.
+// the fragment length. This implementation sends every message as one
+// final fragment and reassembles whatever fragmentation a peer uses.
 
 const (
 	lastFragmentBit = 1 << 31
 	fragmentLenMask = lastFragmentBit - 1
+
+	// markLen is the size of the record mark, and of the room a message
+	// buffer keeps in front of the message for writeRecord to fill.
+	markLen = 4
 
 	// maxRecordSize bounds a reassembled record; NFSv3 messages in this
 	// codebase never exceed a few hundred KB (32 KB data blocks plus
 	// headers), so 8 MiB leaves ample headroom while preventing a
 	// corrupt length from exhausting memory.
 	maxRecordSize = 8 << 20
-
-	// maxFragmentWrite is the largest fragment this implementation
-	// emits; records larger than this are split across fragments,
-	// exercising the reassembly path of peers.
-	maxFragmentWrite = 1 << 20
 )
 
-// ErrRecordTooLarge reports a record whose reassembled size exceeds
-// maxRecordSize.
+// ErrRecordTooLarge reports a record too large to read (its reassembled
+// size exceeds maxRecordSize) or to send as one fragment.
 var ErrRecordTooLarge = errors.New("oncrpc: record exceeds maximum size")
 
-// writeRecord writes p as a record-marked message, splitting into
-// multiple fragments when p is large. hdr is caller-owned scratch for
-// the fragment header: a local [4]byte here would be moved to the heap
-// on every call (it is sliced into an interface Write), so hot paths
-// pass a field of their pooled or connection-scoped state instead.
-func writeRecord(w io.Writer, p []byte, hdr *[4]byte) error {
-	for {
-		n := len(p)
-		last := true
-		if n > maxFragmentWrite {
-			n = maxFragmentWrite
-			last = false
-		}
-		v := uint32(n)
-		if last {
-			v |= lastFragmentBit
-		}
-		binary.BigEndian.PutUint32(hdr[:], v)
-		if _, err := w.Write(hdr[:]); err != nil {
-			return err
-		}
-		if _, err := w.Write(p[:n]); err != nil {
-			return err
-		}
-		p = p[n:]
-		if last {
-			return nil
-		}
+// markRoom is what a message buffer starts with: markLen bytes that
+// writeRecord overwrites with the record mark.
+var markRoom [markLen]byte
+
+// newRecord empties b and reserves the room for the record mark, so
+// the message encoded after it goes out with the mark in one Write.
+func newRecord(b *xdr.Buffer) {
+	b.Reset()
+	b.Write(markRoom[:])
+}
+
+// writeRecord sends the message in msg[markLen:] as one final fragment:
+// it puts the record mark in the room newRecord left at the front of
+// msg and writes mark and message with one Write, so a secure channel
+// below seals them into the same records.
+func writeRecord(w io.Writer, msg []byte) error {
+	n := len(msg) - markLen
+	if n > fragmentLenMask {
+		return fmt.Errorf("%w: %d bytes", ErrRecordTooLarge, n)
 	}
+	binary.BigEndian.PutUint32(msg, uint32(n)|lastFragmentBit)
+	_, err := w.Write(msg)
+	return err
 }
 
 // readRecord reads one complete record-marked message, reassembling
 // fragments. The provided buffer is reused when large enough. hdr is
-// caller-owned header scratch, for the same reason as in writeRecord;
-// read loops declare one outside the loop so the escape is paid once
-// per connection rather than once per record.
+// caller-owned header scratch: a local array would move to the heap on
+// every call (it is sliced into an interface Read), so read loops
+// declare one outside the loop and pay that once per connection.
 func readRecord(r io.Reader, buf []byte, hdr *[4]byte) ([]byte, error) {
 	out := buf[:0]
 	for {

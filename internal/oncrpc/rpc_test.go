@@ -3,6 +3,7 @@ package oncrpc
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -479,27 +480,75 @@ func TestServerSurvivesGarbageConnection(t *testing.T) {
 	}
 }
 
+// withRoom returns p behind the room for the record mark, the form
+// writeRecord takes a message in.
+func withRoom(p []byte) []byte {
+	return append(make([]byte, markLen, markLen+len(p)), p...)
+}
+
+// fragmented record-marks p the way a peer may: as fragments of at most
+// size bytes, only the last one final.
+func fragmented(p []byte, size int) []byte {
+	var out []byte
+	for {
+		n := min(len(p), size)
+		v := uint32(n)
+		if n == len(p) {
+			v |= lastFragmentBit
+		}
+		out = binary.BigEndian.AppendUint32(out, v)
+		out = append(out, p[:n]...)
+		p = p[n:]
+		if v&lastFragmentBit != 0 {
+			return out
+		}
+	}
+}
+
+// writeCounter counts the Writes it absorbs.
+type writeCounter struct {
+	bytes.Buffer
+	writes int
+}
+
+func (w *writeCounter) Write(p []byte) (int, error) {
+	w.writes++
+	return w.Buffer.Write(p)
+}
+
+// TestRecordMarkingRoundTrip: writeRecord sends each message as one
+// final fragment in one Write, and readRecord reassembles both that and
+// a peer's multi-fragment records.
 func TestRecordMarkingRoundTrip(t *testing.T) {
 	t.Parallel()
 	var hdr [4]byte
-	for _, n := range []int{0, 1, 4, 1000, maxFragmentWrite, maxFragmentWrite + 1, 3 * maxFragmentWrite} {
-		var buf bytes.Buffer
+	for _, n := range []int{0, 1, 4, 1000, 1 << 20, 1<<20 + 1, 3 << 20} {
 		p := make([]byte, n)
 		for i := range p {
 			p[i] = byte(i)
 		}
-		if err := writeRecord(&buf, p, &hdr); err != nil {
+		var w writeCounter
+		if err := writeRecord(&w, withRoom(p)); err != nil {
 			t.Fatal(err)
 		}
-		got, err := readRecord(&buf, nil, &hdr)
-		if err != nil {
-			t.Fatal(err)
+		if w.writes != 1 {
+			t.Fatalf("n=%d: %d Writes, want one", n, w.writes)
 		}
-		if !bytes.Equal(got, p) {
-			t.Fatalf("n=%d: round trip mismatch", n)
+		if v := binary.BigEndian.Uint32(w.Bytes()); v != uint32(n)|lastFragmentBit {
+			t.Fatalf("n=%d: record mark %#x, want one final fragment", n, v)
 		}
-		if buf.Len() != 0 {
-			t.Fatalf("n=%d: %d leftover bytes", n, buf.Len())
+		for _, wire := range [][]byte{w.Bytes(), fragmented(p, 1<<20), fragmented(p, 1000)} {
+			buf := bytes.NewBuffer(wire)
+			got, err := readRecord(buf, nil, &hdr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, p) {
+				t.Fatalf("n=%d: round trip mismatch", n)
+			}
+			if buf.Len() != 0 {
+				t.Fatalf("n=%d: %d leftover bytes", n, buf.Len())
+			}
 		}
 	}
 }
@@ -531,7 +580,7 @@ func TestQuickRecordRoundTrip(t *testing.T) {
 	f := func(p []byte) bool {
 		var buf bytes.Buffer
 		var hdr [4]byte
-		if err := writeRecord(&buf, p, &hdr); err != nil {
+		if err := writeRecord(&buf, withRoom(p)); err != nil {
 			return false
 		}
 		got, err := readRecord(&buf, nil, &hdr)

@@ -222,8 +222,6 @@ func (s *Server) Close() {
 // ServeConn handles RPC traffic on a single established transport
 // until it fails or is closed. It may be invoked directly for
 // transports not produced by a listener (e.g. secure channels).
-//
-//sgfsvet:hot-path
 func (s *Server) ServeConn(conn net.Conn) {
 	defer conn.Close()
 	var writeMu sync.Mutex
@@ -367,7 +365,7 @@ func (s *Server) accepted(conn net.Conn, writeMu *sync.Mutex, xid uint32, stat A
 func (s *Server) acceptedResult(conn net.Conn, writeMu *sync.Mutex, xid uint32, result xdr.Marshaler) {
 	rb := replyBufPool.Get().(*replyBufs)
 	defer replyBufPool.Put(rb)
-	rb.out.Reset()
+	newRecord(&rb.out)
 	rb.enc.Reset(&rb.out)
 	e := &rb.enc
 	e.Uint32(xid)
@@ -384,7 +382,7 @@ func (s *Server) acceptedResult(conn net.Conn, writeMu *sync.Mutex, xid uint32, 
 func (s *Server) reply(conn net.Conn, writeMu *sync.Mutex, xid uint32, body func(*xdr.Encoder)) {
 	rb := replyBufPool.Get().(*replyBufs)
 	defer replyBufPool.Put(rb)
-	rb.out.Reset()
+	newRecord(&rb.out)
 	rb.enc.Reset(&rb.out)
 	e := &rb.enc
 	e.Uint32(xid)
@@ -401,7 +399,7 @@ func (s *Server) flushReply(conn net.Conn, writeMu *sync.Mutex, rb *replyBufs) {
 		return
 	}
 	writeMu.Lock()
-	err := writeRecord(conn, rb.out.Bytes(), &rb.whdr)
+	err := writeRecord(conn, rb.out.Bytes())
 	writeMu.Unlock()
 	if err != nil {
 		s.logf("oncrpc: write reply: %v", err)

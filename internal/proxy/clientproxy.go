@@ -417,7 +417,6 @@ func (p *ClientProxy) dropFile(fh nfs3.FH3) {
 	p.cfg.DiskCache.DropFile(fh)
 }
 
-//sgfsvet:hot-path
 func (p *ClientProxy) read(ctx context.Context, call *oncrpc.Call) (xdr.Marshaler, oncrpc.AcceptStat) {
 	var a nfs3.ReadArgs
 	if call.DecodeArgs(&a) != nil {
@@ -478,7 +477,6 @@ func (p *ClientProxy) cachedSize(ctx context.Context, fh nfs3.FH3) (uint64, nfs3
 	return res.Attr.Size, nfs3.OK
 }
 
-//sgfsvet:hot-path
 func (p *ClientProxy) write(ctx context.Context, call *oncrpc.Call) (xdr.Marshaler, oncrpc.AcceptStat) {
 	var a nfs3.WriteArgs
 	if call.DecodeArgs(&a) != nil {

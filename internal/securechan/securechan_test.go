@@ -262,31 +262,42 @@ func TestMultipleRekeys(t *testing.T) {
 	}
 }
 
-func TestTamperedRecordDetected(t *testing.T) {
+// frame is one channel frame as a relay on the wire sees it.
+type frame struct {
+	typ  byte
+	body []byte
+}
+
+// relayedPair establishes a channel through a hostile frame-aware relay
+// on the client-to-server direction. Handshake frames pass untouched;
+// every later frame goes to edit, which returns the frames the server
+// is to see in its place, and cut to end the raw stream after them
+// without a close record. The server-to-client direction passes
+// through.
+func relayedPair(t *testing.T, edit func(f frame) (out []frame, cut bool)) (client, server *Conn) {
+	t.Helper()
 	pki := newPKI(t)
-	// A hostile frame-aware relay sits between client and server. It
-	// passes handshake frames untouched and flips one ciphertext bit in
-	// the first data record; the reader must detect the forgery.
 	a, b := net.Pipe()         // server side: a
 	mitmA, mitmB := net.Pipe() // client side: mitmA
 	go func() {
+		defer b.Close()
 		var hdr [5]byte
 		for {
-			if _, err := io.ReadFull(mitmB, hdr[:]); err != nil {
+			typ, body, err := readFrame(mitmB, nil, &hdr)
+			if err != nil {
 				return
 			}
-			n := int(hdr[1])<<24 | int(hdr[2])<<16 | int(hdr[3])<<8 | int(hdr[4])
-			body := make([]byte, n)
-			if _, err := io.ReadFull(mitmB, body); err != nil {
-				return
+			f := frame{typ, body}
+			out, cut := []frame{f}, false
+			if f.typ != recHandshake {
+				out, cut = edit(f)
 			}
-			if hdr[0] == recData && n > 0 {
-				body[n/2] ^= 0x40
+			for _, o := range out {
+				if writeFrameCold(b, o.typ, o.body) != nil {
+					return
+				}
 			}
-			if _, err := b.Write(hdr[:]); err != nil {
-				return
-			}
-			if _, err := b.Write(body); err != nil {
+			if cut {
 				return
 			}
 		}
@@ -310,14 +321,94 @@ func TestTamperedRecordDetected(t *testing.T) {
 	if sres.err != nil {
 		t.Fatal(sres.err)
 	}
-	defer cc.Close()
-	defer sres.c.Close()
+	t.Cleanup(func() { cc.Close(); sres.c.Close() })
+	return cc, sres.c
+}
 
+// readErr reads from c until an error and returns it with what was
+// read before it.
+func readErr(c *Conn) ([]byte, error) {
+	var got []byte
+	buf := make([]byte, 1024)
+	for {
+		n, err := c.Read(buf)
+		got = append(got, buf[:n]...)
+		if err != nil {
+			return got, err
+		}
+	}
+}
+
+func TestTamperedRecordDetected(t *testing.T) {
+	// The relay flips one ciphertext bit in the first data record; the
+	// reader must detect the forgery.
+	cc, sc := relayedPair(t, func(f frame) ([]frame, bool) {
+		if f.typ == recData && len(f.body) > 0 {
+			f.body[len(f.body)/2] ^= 0x40
+		}
+		return []frame{f}, false
+	})
 	go cc.Write(bytes.Repeat([]byte("x"), 512))
 	buf := make([]byte, 1024)
-	_, readErr := sres.c.Read(buf)
-	if !errors.Is(readErr, ErrRecordMAC) {
-		t.Fatalf("tampering produced %v, want ErrRecordMAC", readErr)
+	if _, err := sc.Read(buf); !errors.Is(err, ErrRecordMAC) {
+		t.Fatalf("tampering produced %v, want ErrRecordMAC", err)
+	}
+}
+
+// TestReorderedRecordsRefused: the relay delivers two data records in
+// swapped order; the reader must refuse the first one it sees.
+func TestReorderedRecordsRefused(t *testing.T) {
+	var held []frame
+	cc, sc := relayedPair(t, func(f frame) ([]frame, bool) {
+		if f.typ == recData && held == nil {
+			held = []frame{f}
+			return nil, false
+		}
+		return append([]frame{f}, held...), false
+	})
+	go func() {
+		cc.Write([]byte("first"))
+		cc.Write([]byte("second"))
+	}()
+	if got, err := readErr(sc); !errors.Is(err, ErrRecordMAC) || len(got) != 0 {
+		t.Fatalf("swapped records delivered %q, then %v; want nothing, then ErrRecordMAC", got, err)
+	}
+}
+
+// TestReplayAcrossRekeyRefused: the relay replays a data record sealed
+// before a rekey right after the rekey record; the reader must refuse
+// it under the new keys.
+func TestReplayAcrossRekeyRefused(t *testing.T) {
+	var first *frame
+	cc, sc := relayedPair(t, func(f frame) ([]frame, bool) {
+		switch {
+		case f.typ == recData && first == nil:
+			first = &f
+		case f.typ == recRekey:
+			return []frame{f, *first}, false
+		}
+		return []frame{f}, false
+	})
+	go func() {
+		cc.Write([]byte("before"))
+		cc.Rekey()
+	}()
+	if got, err := readErr(sc); !errors.Is(err, ErrRecordMAC) || string(got) != "before" {
+		t.Fatalf("read %q, then %v; want %q, then ErrRecordMAC", got, err, "before")
+	}
+}
+
+// TestTruncationIsNotClose: the relay ends the raw stream cleanly after
+// a complete data record, with no close record. The reader gets the
+// record, then io.ErrUnexpectedEOF: a cut stream must not pass for the
+// peer's authenticated close, which alone reads as io.EOF.
+func TestTruncationIsNotClose(t *testing.T) {
+	cc, sc := relayedPair(t, func(f frame) ([]frame, bool) {
+		return []frame{f}, f.typ == recData
+	})
+	go cc.Write([]byte("all of it?"))
+	if got, err := readErr(sc); err != io.ErrUnexpectedEOF || string(got) != "all of it?" {
+		t.Fatalf("read %q, then %v; want %q, then io.ErrUnexpectedEOF", got, err, "all of it?")
 	}
 }
 

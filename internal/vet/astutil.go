@@ -103,3 +103,30 @@ func writeExprString(b *strings.Builder, e ast.Expr) {
 		fmt.Fprintf(b, "<%T>", e)
 	}
 }
+
+// builtinName returns the name of the builtin a call invokes, or "".
+func builtinName(pkg *Package, call *ast.CallExpr) string {
+	id, ok := ast.Unparen(call.Fun).(*ast.Ident)
+	if !ok {
+		return ""
+	}
+	b, ok := pkg.Info.Uses[id].(*types.Builtin)
+	if !ok {
+		return ""
+	}
+	return b.Name()
+}
+
+// hasDirective reports whether a declaration's doc comment carries the
+// given //sgfsvet: directive line.
+func hasDirective(decl *ast.FuncDecl, directive string) bool {
+	if decl.Doc == nil {
+		return false
+	}
+	for _, c := range decl.Doc.List {
+		if strings.HasPrefix(c.Text, directive) {
+			return true
+		}
+	}
+	return false
+}

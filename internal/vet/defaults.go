@@ -39,6 +39,5 @@ func DefaultAnalyzers() []Analyzer {
 		WeakRand{},
 		ResourceLeak{},
 		RetrySafety{},
-		AllocHotPath{},
 	}
 }

@@ -1,6 +1,6 @@
 // Package vet implements sgfs-vet, a repository-specific static
 // analysis suite built purely on the standard library's go/ast,
-// go/parser and go/types: fifteen analyzers for invariants this
+// go/parser and go/types: fourteen analyzers for invariants this
 // codebase depends on but the compiler cannot check. Each job under
 // them has one implementation:
 //
@@ -14,8 +14,7 @@
 //   - obligation.go: the obligation engine — must-discharge analysis
 //     with alias tracking and per-function summaries;
 //   - summary.go: taint summaries (what flows from a function's inputs
-//     to its results and to sinks), which allochotpathesc.go reads as an
-//     escape approximation.
+//     to its results and to sinks).
 //
 // The analyzers, by what they stand on:
 //
@@ -40,10 +39,7 @@
 //   - call graph and module index: ctx-deadline (upstream RPCs only
 //     under deadline-bearing contexts), retry-safety (retry/replay
 //     paths re-issue only idempotent procedures), atomic-misuse (no
-//     plain access to a location accessed via sync/atomic elsewhere);
-//   - escape approximation: alloc-hotpath (heap sites reachable from
-//     //sgfsvet:hot-path roots respect pool, defer and fmt discipline;
-//     the census per root backs the CI alloc budget).
+//     plain access to a location accessed via sync/atomic elsewhere).
 //
 // See DESIGN.md ("Static analysis: sgfs-vet") for the engines, the
 // per-analyzer scorecard and instructions for adding analyzers.

@@ -149,11 +149,6 @@ func TestRetrySafety(t *testing.T) {
 	runFixture(t, "retrysafety", RetrySafety{})
 }
 
-func TestAllocHotPath(t *testing.T) {
-	t.Parallel()
-	runFixture(t, "allochotpath", AllocHotPath{})
-}
-
 func TestSecretFlowDeepChain(t *testing.T) {
 	t.Parallel()
 	runFixture(t, "secretchain", SecretFlow{})

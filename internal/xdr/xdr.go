@@ -456,8 +456,6 @@ type Unmarshaler interface {
 }
 
 // Marshal encodes v into a fresh byte slice.
-//
-//sgfsvet:hot-path
 func Marshal(v Marshaler) ([]byte, error) {
 	m := &struct { // the encoder and its buffer, in one allocation
 		e Encoder
@@ -472,8 +470,6 @@ func Marshal(v Marshaler) ([]byte, error) {
 }
 
 // Unmarshal decodes v from p, requiring that all of p be consumed.
-//
-//sgfsvet:hot-path
 func Unmarshal(p []byte, v Unmarshaler) error {
 	u := &struct { // the decoder and its buffer, in one allocation
 		d Decoder

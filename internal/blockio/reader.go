@@ -63,41 +63,54 @@ type fileGen struct {
 // Reader is the block data path above the stores: a single-flight
 // fetch keyed by (file handle, block), so a demand reader and a
 // prefetcher — or any number of concurrent readers — share one server
-// READ per block; a per-file sequential-stream detector that prefetches
-// the next depth blocks on a bounded pool; and the mapping of byte
-// ranges onto blocks for reads and writes.
+// READ per block; a per-file sequential-stream detector whose readahead
+// window ramps up to a cap of blocks on a pool of as many workers; and
+// the mapping of byte ranges onto blocks for reads and writes.
 type Reader struct {
-	src     Source
-	bs      uint64
-	depth   int
-	timeout time.Duration
-	sf      singleflight.Group[flight]
-	pool    *singleflight.Pool // nil when depth <= 0
+	src       Source
+	bs        uint64
+	maxWindow uint64
+	timeout   time.Duration
+	sf        singleflight.Group[flight]
+	pool      *singleflight.Pool // nil when the cap is 0
 
-	// next is, per file handle, the block a sequential stream would
-	// touch next. A file with no entry expects block 0, so a stream is
-	// recognised from its first read; the entry goes when the stream
-	// reaches the last block or the caller forgets the file. gens
-	// holds the files with a fetch or a write in flight, by a hash of
-	// the handle: files that collide share one generation, which only
-	// makes more fills stale.
-	mu   sync.Mutex
-	next map[string]uint64
-	gens map[uint64]fileGen
-	seed maphash.Seed
+	// byFile holds, per file handle, the file's sequential stream. A
+	// file with no entry expects block 0, so a stream is recognised
+	// from its first read; the entry goes when the stream reaches the
+	// last block or the caller forgets the file. gens holds the files
+	// with a fetch or a write in flight, by a hash of the handle: files
+	// that collide share one generation, which only makes more fills
+	// stale.
+	mu     sync.Mutex
+	byFile map[string]stream
+	gens   map[uint64]fileGen
+	seed   maphash.Seed
 
 	issued, shed, shared atomic.Uint64
 }
 
-// NewReader returns a Reader over src's blocks of blockSize bytes that
-// prefetches depth blocks ahead of a sequential stream (depth <= 0:
-// none), each prefetch on its own deadline of timeout. Close releases
-// the prefetch workers.
-func NewReader(src Source, blockSize, depth int, timeout time.Duration) *Reader {
-	r := &Reader{src: src, bs: uint64(blockSize), depth: depth, timeout: timeout,
-		next: make(map[string]uint64), gens: make(map[uint64]fileGen), seed: maphash.MakeSeed()}
-	if depth > 0 {
-		r.pool = singleflight.NewPool(depth)
+// stream is one file's sequential read stream. next is the block a
+// sequential reader touches next, ahead the first block not yet handed
+// to the pool, and window how many blocks past the latest hit the
+// stream keeps hinted; first is the block the stream began at.
+type stream struct {
+	first, next, ahead, window uint64
+}
+
+// initialWindow is the window of a new stream, before the cap.
+const initialWindow = 4
+
+// NewReader returns a Reader over src's blocks of blockSize bytes whose
+// readahead window grows to capBlocks blocks ahead of a sequential
+// stream (capBlocks <= 0: no readahead), each prefetch on its own
+// deadline of timeout. The prefetch pool has capBlocks workers, so the
+// cap also bounds the prefetches in flight. Close releases the
+// workers.
+func NewReader(src Source, blockSize, capBlocks int, timeout time.Duration) *Reader {
+	r := &Reader{src: src, bs: uint64(blockSize), maxWindow: uint64(max(capBlocks, 0)), timeout: timeout,
+		byFile: make(map[string]stream), gens: make(map[uint64]fileGen), seed: maphash.MakeSeed()}
+	if capBlocks > 0 {
+		r.pool = singleflight.NewPool(capBlocks)
 	}
 	return r
 }
@@ -113,7 +126,8 @@ func (r *Reader) Read(ctx context.Context, fh nfs3.FH3, idx uint64) ([]byte, err
 
 // ReadAt fills p with fh's bytes at off, clipped to size, the file's
 // length, and returns how many it filled. It reads block by block
-// through Read and calls Advance after each block. A hole, or a block
+// through Read, calling Advance before each block, so that a miss's
+// prefetches travel with its demand fetch. A hole, or a block
 // held at an earlier, shorter EOF, reads as zeros up to the block's
 // end.
 func (r *Reader) ReadAt(ctx context.Context, fh nfs3.FH3, p []byte, off, size uint64) (int, error) {
@@ -123,6 +137,7 @@ func (r *Reader) ReadAt(ctx context.Context, fh nfs3.FH3, p []byte, off, size ui
 	for n < len(p) {
 		pos := off + uint64(n)
 		idx, inner := pos/r.bs, pos%r.bs
+		r.Advance(fh, idx, blocks)
 		data, err := r.Read(ctx, fh, idx)
 		if err != nil {
 			return n, err
@@ -133,7 +148,6 @@ func (r *Reader) ReadAt(ctx context.Context, fh nfs3.FH3, p []byte, off, size ui
 		}
 		clear(p[n:zeroEnd])
 		n = zeroEnd
-		r.Advance(fh, idx, blocks)
 	}
 	return n, nil
 }
@@ -208,41 +222,84 @@ func (r *Reader) Fetch(ctx context.Context, fh nfs3.FH3, idx uint64, prefetch bo
 }
 
 // Advance records a read of block idx of fh, a file of that many
-// blocks, and when it extends a sequential stream schedules background
-// fetches of the next depth blocks that exist and are not held locally.
-// Hints are shed — never queued without bound — when the pool is
-// saturated: the foreground read fetches on demand anyway, through the
-// same single-flight group, so a shed hint costs latency, not
-// correctness.
+// blocks, and when it extends a sequential stream ramps the stream's
+// window and schedules background fetches of the blocks up to the
+// window's end that exist, are not held locally and were not scheduled
+// before, so each block of a stream is issued once. A read in
+// [next, ahead) is a hit: the blocks before ahead are in flight, and
+// their reads reach the caller in any order. Block 0 starts a fresh
+// stream. A read a little behind next, inside the window, changes
+// nothing; any other read is a seek, which restarts the stream behind
+// it and prefetches nothing. Hints are shed — never queued without
+// bound — when the pool is saturated, and a shed hint leaves ahead at
+// its block, so the next hit retries it: the foreground read fetches
+// on demand anyway, through the same single-flight group, so a shed
+// hint costs latency, not correctness.
 func (r *Reader) Advance(fh nfs3.FH3, idx, blocks uint64) {
 	if r.pool == nil {
 		return
 	}
-	key := string(fh.Data)
-	r.mu.Lock()
-	sequential := r.next[key] == idx
-	if idx+1 < blocks {
-		r.next[key] = idx + 1
-	} else {
-		delete(r.next, key)
-	}
-	r.mu.Unlock()
-	if !sequential {
-		return
-	}
-	for i := 1; i <= r.depth; i++ {
-		next := idx + uint64(i)
-		if next >= blocks {
-			break
-		}
+	from, to := r.step(fh, idx, blocks)
+	// Contains and TryGo run outside r.mu: a store calls Fill.Stale,
+	// which takes r.mu, under its own locks.
+	for next := from; next < to; next++ {
 		if r.src.Contains(fh, next) {
 			continue
 		}
-		if r.pool.TryGo(func() { r.prefetch(fh, next) }) {
-			r.issued.Add(1)
-		} else {
-			r.shed.Add(1)
+		if !r.pool.TryGo(func() { r.prefetch(fh, next) }) {
+			r.shed.Add(to - next)
+			r.retry(fh, next)
+			return
 		}
+		r.issued.Add(1)
+	}
+}
+
+// step moves fh's stream past a read of block idx and claims the blocks
+// [from, to) for prefetching.
+func (r *Reader) step(fh nfs3.FH3, idx, blocks uint64) (from, to uint64) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	s, ok := r.byFile[string(fh.Data)]
+	switch {
+	case ok && s.next <= idx && idx < max(s.ahead, s.next+1):
+		// A hit.
+	case ok && idx < s.next && s.next-idx <= s.window && (idx > 0 || s.first > 0):
+		// A straggler. Block 0 is one only behind a stream that began
+		// past it, as when the reads of a file's first blocks arrive
+		// out of order; else it is a re-read of the file.
+		return 0, 0
+	case idx == 0:
+		s = stream{}
+	default:
+		if idx+1 < blocks {
+			r.byFile[string(fh.Data)] = stream{first: idx, next: idx + 1}
+		} else {
+			delete(r.byFile, string(fh.Data))
+		}
+		return 0, 0
+	}
+	if idx+1 >= blocks {
+		delete(r.byFile, string(fh.Data))
+		return 0, 0
+	}
+	s.window = min(max(2*s.window, initialWindow), r.maxWindow)
+	s.next = idx + 1
+	from = max(s.ahead, s.next)
+	to = min(idx+s.window+1, blocks)
+	s.ahead = max(from, to)
+	r.byFile[string(fh.Data)] = s
+	return from, to
+}
+
+// retry hands block idx of fh back to its stream, whose next hit
+// issues it again, unless the stream has moved on.
+func (r *Reader) retry(fh nfs3.FH3, idx uint64) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if s, ok := r.byFile[string(fh.Data)]; ok && idx < s.ahead {
+		s.ahead = max(idx, s.next)
+		r.byFile[string(fh.Data)] = s
 	}
 }
 
@@ -270,7 +327,7 @@ func (r *Reader) Stats() (issued, shed, shared uint64) {
 func (r *Reader) Forget(fh nfs3.FH3) {
 	key := maphash.Bytes(r.seed, fh.Data)
 	r.mu.Lock()
-	delete(r.next, string(fh.Data))
+	delete(r.byFile, string(fh.Data))
 	if g, ok := r.gens[key]; ok {
 		g.gen++
 		r.gens[key] = g

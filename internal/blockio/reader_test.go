@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/nfs3"
+	"repro/internal/singleflight"
 )
 
 // fakeSource is a Source over a map: every FetchBlock is counted per
@@ -18,6 +19,7 @@ type fakeSource struct {
 	mu      sync.Mutex
 	store   map[string][]byte
 	fetches map[string]int
+	landed  uint64      // FetchBlocks that stored their block
 	started chan string // receives the key of each FetchBlock, if non-nil
 }
 
@@ -60,6 +62,7 @@ func (s *fakeSource) FetchBlock(ctx context.Context, fh nfs3.FH3, idx uint64, _ 
 	data := []byte(key)
 	s.mu.Lock()
 	s.store[key] = data
+	s.landed++
 	s.mu.Unlock()
 	return data, nil
 }
@@ -77,7 +80,7 @@ func (s *fakeSource) fetchCounts() map[string]int {
 func (r *Reader) streams() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return len(r.next)
+	return len(r.byFile)
 }
 
 // TestReaderOneFetchPerBlock: K concurrent sequential readers of one
@@ -306,5 +309,205 @@ func TestReaderDisabled(t *testing.T) {
 	}
 	if issued, shed, _ := r.Stats(); issued != 0 || shed != 0 || r.streams() != 0 {
 		t.Errorf("disabled reader issued %d, shed %d, tracks %d streams", issued, shed, r.streams())
+	}
+}
+
+// stream returns fh's stream state and whether it has one.
+func (r *Reader) stream(fh nfs3.FH3) (stream, bool) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	s, ok := r.byFile[string(fh.Data)]
+	return s, ok
+}
+
+// advanceIssued calls Advance, waits for the prefetches it issued to
+// land, and returns how many it issued; it fails the test if a hint
+// was shed. Waiting keeps the pool idle for the next call. Every fetch
+// from src must be one of r's prefetches.
+func advanceIssued(t *testing.T, r *Reader, src *fakeSource, fh nfs3.FH3, idx, blocks uint64) uint64 {
+	t.Helper()
+	before, shedBefore, _ := r.Stats()
+	r.Advance(fh, idx, blocks)
+	after, shed, _ := r.Stats()
+	if shed != shedBefore {
+		t.Fatalf("read of block %d shed %d hints with an idle pool", idx, shed-shedBefore)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		src.mu.Lock()
+		landed := src.landed
+		src.mu.Unlock()
+		if landed == after {
+			return after - before
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d prefetches landed", landed, after)
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+}
+
+// checkFetchedOnce fails the test unless exactly the blocks want of fh
+// were fetched, each once.
+func checkFetchedOnce(t *testing.T, src *fakeSource, fh nfs3.FH3, want []uint64) {
+	t.Helper()
+	counts := src.fetchCounts()
+	if len(counts) != len(want) {
+		t.Errorf("%d blocks fetched, want %d", len(counts), len(want))
+	}
+	for _, idx := range want {
+		if n := counts[blockName(fh, idx)]; n != 1 {
+			t.Errorf("block %d fetched %d times", idx, n)
+		}
+	}
+}
+
+// blockRange returns the block indexes [from, to).
+func blockRange(from, to uint64) []uint64 {
+	var out []uint64
+	for idx := from; idx < to; idx++ {
+		out = append(out, idx)
+	}
+	return out
+}
+
+// TestReaderRamp: one sequential pass with an idle pool opens a window
+// of 4 blocks and doubles it on each read up to the cap, 4, 8, 16, 32,
+// issuing each block once: blocks-1 prefetches in all.
+func TestReaderRamp(t *testing.T) {
+	t.Parallel()
+	src := newFakeSource()
+	r := NewReader(src, testBlockSize, 32, time.Minute)
+	defer r.Close()
+	fh := nfs3.FH3{Data: []byte("f")}
+	const blocks = 64
+	var total uint64
+	for idx, window := range []uint64{4, 8, 16, 32, 32, 32} {
+		total += advanceIssued(t, r, src, fh, uint64(idx), blocks)
+		if s, _ := r.stream(fh); s.window != window || total != uint64(idx)+window {
+			t.Fatalf("after block %d: window %d, %d issued; want %d, %d", idx, s.window, total, window, uint64(idx)+window)
+		}
+	}
+	for idx := uint64(6); idx < blocks; idx++ {
+		total += advanceIssued(t, r, src, fh, idx, blocks)
+	}
+	if total != blocks-1 {
+		t.Errorf("a pass over %d blocks issued %d prefetches, want %d", blocks, total, blocks-1)
+	}
+	r.Close()
+	checkFetchedOnce(t, src, fh, blockRange(1, blocks))
+}
+
+// TestReaderReorderedArrivals: reads that reach the Reader out of
+// order, as a client's own prefetches do, keep the stream: block 0
+// after 1 and 2, and 4 before 3, neither reset it nor issue a block
+// twice.
+func TestReaderReorderedArrivals(t *testing.T) {
+	t.Parallel()
+	src := newFakeSource()
+	r := NewReader(src, testBlockSize, 32, time.Minute)
+	defer r.Close()
+	fh := nfs3.FH3{Data: []byte("f")}
+	const blocks = 64
+	var total uint64
+	for _, step := range []struct{ idx, issued, window uint64 }{
+		{1, 0, 0},  // no entry and not block 0: a seek
+		{2, 4, 4},  // the stream begins: 3..6
+		{0, 0, 4},  // the client's block 0 arrives late
+		{4, 6, 8},  // a hit past next: 7..12
+		{3, 0, 8},  // 3 arrives after 4
+		{5, 9, 16}, // 13..21
+	} {
+		n := advanceIssued(t, r, src, fh, step.idx, blocks)
+		total += n
+		if s, _ := r.stream(fh); n != step.issued || s.window != step.window {
+			t.Fatalf("read of block %d issued %d with window %d, want %d with window %d", step.idx, n, s.window, step.issued, step.window)
+		}
+	}
+	for idx := uint64(6); idx < blocks; idx++ {
+		total += advanceIssued(t, r, src, fh, idx, blocks)
+	}
+	if total != blocks-3 {
+		t.Errorf("issued %d prefetches, want %d", total, blocks-3)
+	}
+	r.Close()
+	checkFetchedOnce(t, src, fh, blockRange(3, blocks))
+}
+
+// TestReaderRereadFromStart: a pass that stops mid-file leaves its
+// stream behind; a second pass from block 0, over blocks since dropped
+// from the store, starts a fresh stream and prefetches them again
+// instead of taking its reads for stragglers of the old one.
+func TestReaderRereadFromStart(t *testing.T) {
+	t.Parallel()
+	src := newFakeSource()
+	r := NewReader(src, testBlockSize, 32, time.Minute)
+	defer r.Close()
+	fh := nfs3.FH3{Data: []byte("f")}
+	const blocks = 64
+	for idx := uint64(0); idx < 10; idx++ {
+		advanceIssued(t, r, src, fh, idx, blocks)
+	}
+	if s, _ := r.stream(fh); s.next != 10 || s.ahead != 42 {
+		t.Fatalf("first pass left stream %+v", s)
+	}
+	src.mu.Lock()
+	clear(src.store)
+	clear(src.fetches)
+	src.mu.Unlock()
+	var total uint64
+	for idx := uint64(0); idx < blocks; idx++ {
+		n := advanceIssued(t, r, src, fh, idx, blocks)
+		if idx == 0 && n != 4 {
+			t.Fatalf("re-read of block 0 issued %d prefetches, want 4", n)
+		}
+		total += n
+	}
+	if total != blocks-1 {
+		t.Errorf("second pass issued %d prefetches, want %d", total, blocks-1)
+	}
+	r.Close()
+	checkFetchedOnce(t, src, fh, blockRange(1, blocks))
+}
+
+// TestReaderRetriesShedHint: a hint shed by a saturated pool stays
+// with its stream, and the stream's next hit issues it.
+func TestReaderRetriesShedHint(t *testing.T) {
+	t.Parallel()
+	src := newFakeSource()
+	src.gate = make(chan struct{})
+	src.started = make(chan string, 64)
+	r := NewReader(src, testBlockSize, 4, time.Minute)
+	defer r.Close()
+	openGate := sync.OnceFunc(func() { close(src.gate) })
+	defer openGate() // before Close, so that a failure does not hang it
+	r.pool.Close()
+	r.pool = singleflight.NewPool(1)
+	other, fh := nfs3.FH3{Data: []byte("g")}, nfs3.FH3{Data: []byte("f")}
+	const blocks = 16
+
+	r.Advance(other, 0, 2) // the one worker blocks on the gate
+	if key := <-src.started; key != blockName(other, 1) {
+		t.Fatalf("prefetch fetched %s", key)
+	}
+	r.Advance(fh, 0, blocks) // 1 fills the buffer; 2..4 are shed
+	if issued, shed, _ := r.Stats(); issued != 2 || shed != 3 {
+		t.Fatalf("issued %d, shed %d; want 2, 3", issued, shed)
+	}
+	if s, _ := r.stream(fh); s.ahead != 2 {
+		t.Fatalf("stream ahead at %d after shedding block 2", s.ahead)
+	}
+	openGate()
+	deadline := time.Now().Add(5 * time.Second)
+	for !src.Contains(fh, 1) {
+		if time.Now().After(deadline) {
+			t.Fatal("prefetch of block 1 never landed")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	r.Advance(fh, 1, blocks) // a hit: the retry of 2 goes first
+	r.Close()
+	if n := src.fetchCounts()[blockName(fh, 2)]; n != 1 {
+		t.Errorf("shed block 2 fetched %d times after the next hit, want 1", n)
 	}
 }

@@ -27,8 +27,11 @@ type Options struct {
 	// AttrTimeout is the attribute/name cache freshness window
 	// (default 3 s, matching typical acregmin).
 	AttrTimeout time.Duration
-	// Readahead is the number of blocks prefetched on sequential
-	// reads (0 selects the default, 2; negative disables).
+	// Readahead caps the readahead window, in blocks, and with it
+	// the prefetches in flight (0 selects the default, 2; negative
+	// disables). The window opens at 4 blocks or the cap, if smaller,
+	// and doubles on each sequential read up to the cap, so at the
+	// default it stays at 2.
 	Readahead int
 	// NoWriteBehind forces write-through: every write goes to the
 	// server synchronously (FILE_SYNC). The zero value selects

@@ -157,7 +157,7 @@ func TestReadAllocs(t *testing.T) {
 		diskCache bool
 		budget    float64
 	}{
-		{"cached", true, 16},
+		{"cached", true, 15},
 		{"uncached", false, 55},
 	} {
 		t.Run(c.name, func(t *testing.T) {
@@ -262,7 +262,7 @@ func TestColdReadAllocs(t *testing.T) {
 		}
 	}
 	next := 0
-	pin(t, 290, func() {
+	pin(t, 289, func() {
 		fh := fhs[next]
 		next++
 		for b := uint64(0); b < blocks; b++ {

@@ -48,10 +48,6 @@ type ClientConfig struct {
 	// flight concurrently over the multiplexed channel (default 8;
 	// 1 serializes the flush).
 	FlushWorkers int
-	// Readahead is how many blocks the proxy prefetches ahead of a
-	// detected sequential read stream (default 4; negative disables).
-	// Only meaningful with DiskCache set.
-	Readahead int
 	// Replication, when non-nil, replaces the single upstream with a
 	// replicated multi-backend namespace: block writes fan out to a
 	// placement-chosen replica set and are acknowledged at quorum,
@@ -93,11 +89,13 @@ const (
 func NewClientProxy(cfg ClientConfig) (*ClientProxy, error) {
 	p := &ClientProxy{cfg: cfg, recovery: *cmp.Or(cfg.Recovery, &RecoveryConfig{}), rpc: oncrpc.NewServer()}
 	p.relay = nfs3.Relay{Up: p, Meter: cfg.Meter}
-	bs := 0 // without a disk cache the block reader is never used
+	// Without a disk cache the block reader is never used.
+	bs, readahead := 0, 0
 	if cfg.DiskCache != nil {
 		bs = cfg.DiskCache.BlockSize()
+		readahead = max(readaheadBytes/bs, 1)
 	}
-	p.reader = blockio.NewReader(cacheSource{cfg.DiskCache, p}, bs, cfg.readahead(), p.opTimeout())
+	p.reader = blockio.NewReader(cacheSource{cfg.DiskCache, p}, bs, readahead, p.opTimeout())
 	// Establish the first session synchronously so misconfiguration
 	// (bad export, refused credential) fails here, not on first use.
 	ctx, cancel := context.WithTimeout(context.Background(), initTimeout)

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -57,7 +58,7 @@ func backendBytes(t testing.TB, st *testStack, name string, size int) []byte {
 func timeFlush(t testing.TB, workers, blocks int, rtt time.Duration) time.Duration {
 	t.Helper()
 	dc := newDiskCache(t)
-	st := buildStack(t, stackOpts{diskCache: dc, rtt: rtt, flushWorkers: workers, readahead: -1})
+	st := buildStack(t, stackOpts{diskCache: dc, rtt: rtt, flushWorkers: workers})
 	payload := bytes.Repeat([]byte("W"), blocks*32*1024)
 	dirtyThroughMount(t, st, "flushme", payload)
 	if got := len(dc.DirtyFiles()); got == 0 {
@@ -257,7 +258,7 @@ func TestFlushAllSurvivesServerRestart(t *testing.T) {
 	t.Parallel()
 	const blocks = 6
 	dc := newDiskCache(t)
-	st := buildStack(t, stackOpts{diskCache: dc, readahead: -1, wrapBackend: func(mem *vfs.MemFS, rpc *oncrpc.Server) vfs.FS {
+	st := buildStack(t, stackOpts{diskCache: dc, wrapBackend: func(mem *vfs.MemFS, rpc *oncrpc.Server) vfs.FS {
 		b := &restartingFS{MemFS: mem, restartAt: blocks}
 		b.restart = func() { nfs3.NewServer(b, 1).Register(rpc) }
 		return b
@@ -283,7 +284,7 @@ func TestFlushAllSurvivesServerRestart(t *testing.T) {
 func TestFetchBlockSingleFlight(t *testing.T) {
 	t.Parallel()
 	dc := newDiskCache(t)
-	st := buildStack(t, stackOpts{diskCache: dc, rtt: 40 * time.Millisecond, readahead: -1})
+	st := buildStack(t, stackOpts{diskCache: dc, rtt: 40 * time.Millisecond})
 
 	h, _, err := st.backend.Create(st.backend.Root(), "shared.dat", vfs.SetAttr{}, false)
 	if err != nil {
@@ -372,5 +373,76 @@ func TestProxyReadaheadWarmsCache(t *testing.T) {
 	cs, _ := st.clientProxy.CacheStats()
 	if cs.ReadaheadHits == 0 && dp.InflightDedup == 0 {
 		t.Fatalf("readahead never helped a read: cache %+v datapath %+v", cs, dp)
+	}
+}
+
+// readCounter is a backend that counts the READs reaching the file
+// server.
+type readCounter struct {
+	*vfs.MemFS
+	reads atomic.Int64
+}
+
+func (b *readCounter) Read(h vfs.Handle, off uint64, buf []byte) (int, bool, error) {
+	b.reads.Add(1)
+	return b.MemFS.Read(h, off, buf)
+}
+
+// TestColdReadRampsReadahead: a cold 1 MiB sequential read through a
+// default mount and the client proxy, over a 40 ms RTT link, finishes
+// within 5 round trips: the readahead window ramps from 4 blocks to the
+// 1 MiB cap and issues each block once, so the server sees one READ
+// per block.
+func TestColdReadRampsReadahead(t *testing.T) {
+	if testing.Short() {
+		t.Skip("WAN-delay timing test")
+	}
+	const rtt = 40 * time.Millisecond
+	const blocks = 32
+	backend := &readCounter{}
+	dc := newDiskCache(t)
+	st := buildStack(t, stackOpts{diskCache: dc, rtt: rtt, wrapBackend: func(mem *vfs.MemFS, _ *oncrpc.Server) vfs.FS {
+		backend.MemFS = mem
+		return backend
+	}})
+	want := chaosPayload(11, blocks*32*1024)
+	h, _, err := st.backend.Create(st.backend.Root(), "cold.dat", vfs.SetAttr{}, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.backend.Write(h, 0, want); err != nil {
+		t.Fatal(err)
+	}
+	fs := st.mount(t, nfsclient.Options{})
+	ctx := context.Background()
+	f, err := fs.Open(ctx, "cold.dat")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close(ctx)
+	readsBefore := backend.reads.Load()
+	got := make([]byte, len(want))
+	start := time.Now()
+	for off := 0; off < len(want); off += 32 * 1024 {
+		if _, err := f.ReadAt(ctx, got[off:off+32*1024], int64(off)); err != nil && err != io.EOF {
+			t.Fatalf("read @%d: %v", off, err)
+		}
+	}
+	elapsed := time.Since(start)
+	if !bytes.Equal(got, want) {
+		t.Fatal("cold read returned corrupted data")
+	}
+	dp := st.clientProxy.DataPathStats()
+	reads := backend.reads.Load() - readsBefore
+	t.Logf("%v (%.1f RTT), %d upstream READs, %d prefetches issued, %d shed, %d in-flight dedups",
+		elapsed, float64(elapsed)/float64(rtt), reads, dp.ReadaheadIssued, dp.ReadaheadDropped, dp.InflightDedup)
+	if elapsed > 5*rtt {
+		t.Errorf("cold 1 MiB read took %v, more than 5 RTT (%v)", elapsed, 5*rtt)
+	}
+	if reads != blocks {
+		t.Errorf("%d upstream READs for %d blocks", reads, blocks)
+	}
+	if dp.ReadaheadIssued > blocks-1 {
+		t.Errorf("%d prefetches issued for %d blocks: a block was issued twice", dp.ReadaheadIssued, blocks)
 	}
 }

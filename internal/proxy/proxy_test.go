@@ -49,7 +49,6 @@ type stackOpts struct {
 	faulter      *netem.Faulter  // injects faults into the client→server link
 	rtt          time.Duration   // emulated WAN delay on the client→server link
 	flushWorkers int             // FlushAll concurrency (0 = default)
-	readahead    int             // proxy readahead depth (0 = default, <0 disables)
 	meter        *metrics.Meter  // client proxy busy-time meter
 	// wrapBackend, when set, puts the NFS server over the file system
 	// it returns instead of the bare MemFS; rpc is that server's RPC
@@ -123,7 +122,6 @@ func buildStack(t testing.TB, opts stackOpts) *testStack {
 		DiskCache:    opts.diskCache,
 		Recovery:     opts.recovery,
 		FlushWorkers: opts.flushWorkers,
-		Readahead:    opts.readahead,
 		Meter:        opts.meter,
 	}
 	if !opts.plain {

@@ -45,7 +45,6 @@ type replOpts struct {
 	hedgeDelay   time.Duration
 	ejectAfter   int
 	probe        time.Duration
-	readahead    int
 	flushWorkers int
 	rtts         []time.Duration // per-backend emulated link delay
 }
@@ -87,7 +86,6 @@ func buildReplStack(t testing.TB, opts replOpts) *replStack {
 		DiskCache:    opts.diskCache,
 		Recovery:     opts.recovery,
 		FlushWorkers: opts.flushWorkers,
-		Readahead:    opts.readahead,
 		Replication: &ReplicationConfig{
 			Backends:      defs,
 			Replicas:      opts.replicas,
@@ -503,7 +501,6 @@ func TestChaosReplicatedKillMidReadahead(t *testing.T) {
 		recovery:   fastRecovery(),
 		ejectAfter: 2,
 		probe:      20 * time.Millisecond,
-		readahead:  4,
 	})
 	// Plant the dataset on every backend directly (pre-replicated
 	// state), so the read path is exercised without a flush first.

@@ -7,6 +7,7 @@ import (
 	"sort"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/nfs3"
 )
@@ -214,5 +215,68 @@ func TestFlushFileSyncReplies(t *testing.T) {
 	}
 	if got := w.events("durable "); !equal(got, []string{"f/0", "f/1", "f/3"}) {
 		t.Errorf("durable %v", got)
+	}
+}
+
+// gatedWriter holds every UNSTABLE write until width of them are in
+// flight at once (or the context ends), recording the peak number of
+// concurrent WriteBlock calls. The gate opens a moment after the
+// width-th call arrives, so a call past the bound has time to show.
+type gatedWriter struct {
+	fakeWriter
+	width int
+	open  chan struct{}
+
+	gmu          sync.Mutex
+	active, peak int
+}
+
+func (w *gatedWriter) WriteBlock(ctx context.Context, fh nfs3.FH3, idx uint64, stable uint32) (uint32, Verifier, error) {
+	w.gmu.Lock()
+	w.active++
+	if w.active > w.peak {
+		if w.peak++; w.peak == w.width {
+			time.AfterFunc(20*time.Millisecond, func() { close(w.open) })
+		}
+	}
+	w.gmu.Unlock()
+	defer func() {
+		w.gmu.Lock()
+		w.active--
+		w.gmu.Unlock()
+	}()
+	select {
+	case <-w.open:
+	case <-ctx.Done():
+		return 0, Verifier{}, ctx.Err()
+	}
+	return w.fakeWriter.WriteBlock(ctx, fh, idx, stable)
+}
+
+// TestFlushWidth: Flush keeps exactly width writes in flight. Over 64
+// blocks at width 32, the gate opens only once 32 WriteBlock calls
+// wait together, no call ever makes it 33, and the file still gets
+// exactly one COMMIT with every block durable after it.
+func TestFlushWidth(t *testing.T) {
+	t.Parallel()
+	const width, blocks = 32, 64
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	w := &gatedWriter{width: width, open: make(chan struct{})}
+	idxs := make([]uint64, blocks)
+	for i := range idxs {
+		idxs[i] = uint64(i)
+	}
+	if _, err := Flush(ctx, width, []FileBlocks{fileOf("f", idxs...)}, w); err != nil {
+		t.Fatalf("Flush: %v (peak %d writes in flight)", err, w.peak)
+	}
+	if w.peak != width {
+		t.Errorf("peak %d writes in flight, want %d", w.peak, width)
+	}
+	if got := w.events("commit "); !equal(got, []string{"f"}) {
+		t.Errorf("commits %v, want one", got)
+	}
+	if got := w.events("durable "); len(got) != blocks {
+		t.Errorf("%d blocks durable, want %d", len(got), blocks)
 	}
 }

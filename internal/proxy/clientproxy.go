@@ -44,10 +44,6 @@ type ClientConfig struct {
 	// Recovery tunes how upstream sessions survive link failure
 	// (reconnect, replay, deadlines); nil selects the defaults.
 	Recovery *RecoveryConfig
-	// FlushWorkers bounds how many UNSTABLE writes FlushAll keeps in
-	// flight concurrently over the multiplexed channel (default 8;
-	// 1 serializes the flush).
-	FlushWorkers int
 	// Replication, when non-nil, replaces the single upstream with a
 	// replicated multi-backend namespace: block writes fan out to a
 	// placement-chosen replica set and are acknowledged at quorum,
@@ -70,10 +66,19 @@ type ClientProxy struct {
 
 	// Pipelined data path: reader fetches blocks into the disk cache
 	// (one upstream READ per block, readahead on sequential streams;
-	// readahead.go) and dp counts the flush side (flush.go).
+	// readahead.go), FlushAll writes them back (flush.go), and dp
+	// counts both. window is the one in-flight bound, in blocks, that
+	// each direction keeps over the WAN (wanWindowBytes).
 	reader *blockio.Reader
+	window int
 	dp     metrics.DataPathStats
 }
+
+// wanWindowBytes bounds the bytes the client proxy keeps in flight
+// over the WAN in each direction: a readahead stream's window, and
+// FlushAll's UNSTABLE writes. 1 MiB is the bandwidth-delay product of a
+// 200 Mb/s link at 40 ms RTT, enough to keep such a link busy.
+const wanWindowBytes = 1 << 20
 
 // initTimeout bounds proxy construction (dial, handshake, MOUNT):
 // a dead server must fail setup, not hang it. defaultOpTimeout bounds
@@ -89,13 +94,13 @@ const (
 func NewClientProxy(cfg ClientConfig) (*ClientProxy, error) {
 	p := &ClientProxy{cfg: cfg, recovery: *cmp.Or(cfg.Recovery, &RecoveryConfig{}), rpc: oncrpc.NewServer()}
 	p.relay = nfs3.Relay{Up: p, Meter: cfg.Meter}
-	// Without a disk cache the block reader is never used.
-	bs, readahead := 0, 0
+	// Without a disk cache the block reader and FlushAll are never used.
+	bs := 0
 	if cfg.DiskCache != nil {
 		bs = cfg.DiskCache.BlockSize()
-		readahead = max(readaheadBytes/bs, 1)
+		p.window = max(wanWindowBytes/bs, 1)
 	}
-	p.reader = blockio.NewReader(cacheSource{cfg.DiskCache, p}, bs, readahead, p.opTimeout())
+	p.reader = blockio.NewReader(cacheSource{cfg.DiskCache, p}, bs, p.window, p.opTimeout())
 	// Establish the first session synchronously so misconfiguration
 	// (bad export, refused credential) fails here, not on first use.
 	ctx, cancel := context.WithTimeout(context.Background(), initTimeout)

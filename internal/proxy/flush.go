@@ -13,8 +13,9 @@ import (
 )
 
 // Parallel write-back. FlushAll hands the disk cache's dirty blocks to
-// the flush engine (blockio.Flush): a bounded number of UNSTABLE writes
-// in flight over the multiplexed RPC client, one verifier-checked
+// the flush engine (blockio.Flush): up to the proxy's WAN window of
+// UNSTABLE writes in flight over the multiplexed RPC client (the
+// wanWindowBytes that also caps readahead), one verifier-checked
 // COMMIT per file, and a FILE_SYNC re-send when a verifier says the
 // server restarted. This file is what the proxy supplies to it: which
 // blocks are dirty, the bytes of one block as the server should hold
@@ -23,13 +24,10 @@ import (
 // later flush — or the next session — retries them; nothing is ever
 // marked clean without a durable acknowledgement.
 
-// flushWorkers is the write-back concurrency, 8 when the configuration
-// does not choose one.
-func (c *ClientConfig) flushWorkers() int { return positiveOr(c.FlushWorkers, 8) }
-
-// FlushAll writes every dirty cached block back to the server with
-// bounded concurrency. The time this takes is the paper's separately-
-// reported "time needed to write back data at the end of execution".
+// FlushAll writes every dirty cached block back to the server, up to
+// one WAN window of them in flight. The time this takes is the paper's
+// separately-reported "time needed to write back data at the end of
+// execution".
 func (p *ClientProxy) FlushAll(ctx context.Context) error {
 	dc := p.cfg.DiskCache
 	if dc == nil {
@@ -45,7 +43,7 @@ func (p *ClientProxy) FlushAll(ctx context.Context) error {
 			w.sizes[string(fh.Data)] = attr.Size
 		}
 	}
-	mismatches, err := blockio.Flush(ctx, p.cfg.flushWorkers(), files, w)
+	mismatches, err := blockio.Flush(ctx, p.window, files, w)
 	p.dp.CommitMismatches.Add(uint64(mismatches))
 	return err
 }

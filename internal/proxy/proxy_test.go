@@ -40,16 +40,15 @@ type testStack struct {
 }
 
 type stackOpts struct {
-	fineGrained  bool
-	diskCache    *cache.DiskCache
-	plain        bool // gfs mode: no secure channel
-	userCred     *gridsec.Credential
-	suites       []securechan.Suite
-	recovery     *RecoveryConfig // fault-tolerant upstream channel
-	faulter      *netem.Faulter  // injects faults into the client→server link
-	rtt          time.Duration   // emulated WAN delay on the client→server link
-	flushWorkers int             // FlushAll concurrency (0 = default)
-	meter        *metrics.Meter  // client proxy busy-time meter
+	fineGrained bool
+	diskCache   *cache.DiskCache
+	plain       bool // gfs mode: no secure channel
+	userCred    *gridsec.Credential
+	suites      []securechan.Suite
+	recovery    *RecoveryConfig // fault-tolerant upstream channel
+	faulter     *netem.Faulter  // injects faults into the client→server link
+	rtt         time.Duration   // emulated WAN delay on the client→server link
+	meter       *metrics.Meter  // client proxy busy-time meter
 	// wrapBackend, when set, puts the NFS server over the file system
 	// it returns instead of the bare MemFS; rpc is that server's RPC
 	// server, for a backend that re-registers it.
@@ -117,12 +116,11 @@ func buildStack(t testing.TB, opts stackOpts) *testStack {
 		serverDial = opts.faulter.Dialer(serverDial)
 	}
 	ccfg := ClientConfig{
-		ServerDial:   serverDial,
-		ExportPath:   "/GFS/alice",
-		DiskCache:    opts.diskCache,
-		Recovery:     opts.recovery,
-		FlushWorkers: opts.flushWorkers,
-		Meter:        opts.meter,
+		ServerDial: serverDial,
+		ExportPath: "/GFS/alice",
+		DiskCache:  opts.diskCache,
+		Recovery:   opts.recovery,
+		Meter:      opts.meter,
 	}
 	if !opts.plain {
 		ccfg.Channel = &securechan.Config{Credential: user, Roots: st.ca.Pool(), Suites: opts.suites}

@@ -16,16 +16,13 @@ import (
 // into the disk cache over the WAN, so the next foreground READ is a
 // local hit, and it guarantees the prefetcher and any number of
 // concurrent clients share one upstream READ per block. The stream's
-// window starts at 4 blocks, doubles on each sequential read up to
-// readaheadBytes, and issues each block once; a seek restarts it.
-// Readahead is on exactly when the proxy has a disk cache. This file is
-// what the proxy supplies to the reader: the disk cache as the block
-// store, and one upstream READ with at-rest decryption as the fetch.
-
-// readaheadBytes caps a stream's readahead window and so the bytes of
-// prefetch in flight: 1 MiB is the bandwidth-delay product of a
-// 200 Mb/s WAN at 40 ms RTT, enough to keep such a link busy.
-const readaheadBytes = 1 << 20
+// window starts at 4 blocks, doubles on each sequential read up to the
+// proxy's WAN window (wanWindowBytes, the same byte budget FlushAll
+// keeps in flight the other way), and issues each block once; a seek
+// restarts it. Readahead is on exactly when the proxy has a disk cache.
+// This file is what the proxy supplies to the reader: the disk cache as
+// the block store, and one upstream READ with at-rest decryption as the
+// fetch.
 
 // cacheSource is the disk cache and the upstream as the block reader
 // sees them.

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -40,13 +41,15 @@ type replOpts struct {
 	replicas int
 	quorum   int
 
-	diskCache    *cache.DiskCache
-	recovery     *RecoveryConfig
-	hedgeDelay   time.Duration
-	ejectAfter   int
-	probe        time.Duration
-	flushWorkers int
-	rtts         []time.Duration // per-backend emulated link delay
+	diskCache  *cache.DiskCache
+	recovery   *RecoveryConfig
+	hedgeDelay time.Duration
+	ejectAfter int
+	probe      time.Duration
+	rtts       []time.Duration // per-backend emulated link delay
+	// wrapBackend, when set, puts backend i's NFS server over the file
+	// system it returns instead of the bare MemFS.
+	wrapBackend func(i int, mem *vfs.MemFS) vfs.FS
 }
 
 func buildReplStack(t testing.TB, opts replOpts) *replStack {
@@ -60,7 +63,11 @@ func buildReplStack(t testing.TB, opts replOpts) *replStack {
 		backend := vfs.NewMemFS()
 		st.backends = append(st.backends, backend)
 
-		nfsAddr := serveNFS(t, oncrpc.NewServer(), backend, uint64(i+1))
+		var exported vfs.FS = backend
+		if opts.wrapBackend != nil {
+			exported = opts.wrapBackend(i, backend)
+		}
+		nfsAddr := serveNFS(t, oncrpc.NewServer(), exported, uint64(i+1))
 
 		sp, err := NewServerProxy(ServerConfig{
 			UpstreamDial: func() (net.Conn, error) { return net.Dial("tcp", nfsAddr) },
@@ -82,10 +89,9 @@ func buildReplStack(t testing.TB, opts replOpts) *replStack {
 	}
 
 	cp, err := NewClientProxy(ClientConfig{
-		ExportPath:   "/GFS/alice",
-		DiskCache:    opts.diskCache,
-		Recovery:     opts.recovery,
-		FlushWorkers: opts.flushWorkers,
+		ExportPath: "/GFS/alice",
+		DiskCache:  opts.diskCache,
+		Recovery:   opts.recovery,
 		Replication: &ReplicationConfig{
 			Backends:      defs,
 			Replicas:      opts.replicas,
@@ -260,6 +266,19 @@ func TestReplicatedHedgedReads(t *testing.T) {
 	}
 }
 
+// cutOnWrite is a backend that runs cut, once, on the first WRITE it
+// receives.
+type cutOnWrite struct {
+	*vfs.MemFS
+	once sync.Once
+	cut  func()
+}
+
+func (b *cutOnWrite) Write(h vfs.Handle, off uint64, data []byte) error {
+	b.once.Do(b.cut)
+	return b.MemFS.Write(h, off, data)
+}
+
 // TestChaosReplicatedBackendKillMidFlush is the tentpole acceptance
 // scenario: 3 backends, quorum 2, and each backend in turn is killed
 // in the middle of a parallel FlushAll. The flush must succeed with
@@ -273,15 +292,25 @@ func TestChaosReplicatedBackendKillMidFlush(t *testing.T) {
 		t.Run(fmt.Sprintf("victim-%d", victim), func(t *testing.T) {
 			t.Parallel()
 			dc := newDiskCache(t)
-			st := buildReplStack(t, replOpts{
+			var st *replStack
+			st = buildReplStack(t, replOpts{
 				n: 3, quorum: 2,
 				diskCache:  dc,
 				recovery:   fastRecovery(),
 				ejectAfter: 2,
 				probe:      20 * time.Millisecond,
-				// A little emulated WAN delay stretches the flush so the
-				// cut lands while WRITE fan-outs are in flight.
-				rtts: []time.Duration{2 * time.Millisecond, 2 * time.Millisecond, 2 * time.Millisecond},
+				rtts:       []time.Duration{2 * time.Millisecond, 2 * time.Millisecond, 2 * time.Millisecond},
+				// The victim's link is cut by the first WRITE to reach
+				// it, which only the flush sends (the cache holds the
+				// files' data until then): the cut lands while the rest
+				// of the flush's WRITE fan-outs are in flight, however
+				// fast one WAN window of them drains.
+				wrapBackend: func(i int, mem *vfs.MemFS) vfs.FS {
+					if i != victim {
+						return mem
+					}
+					return &cutOnWrite{MemFS: mem, cut: func() { st.cutBackend(victim) }}
+				},
 			})
 			fs := st.mount(t, nfsclient.Options{})
 			ctx := context.Background()
@@ -301,14 +330,9 @@ func TestChaosReplicatedBackendKillMidFlush(t *testing.T) {
 				}
 			}
 
-			// Kill the victim mid-flush.
-			flushErr := make(chan error, 1)
-			go func() { flushErr <- st.cp.FlushAll(ctx) }()
-			time.Sleep(10 * time.Millisecond)
-			st.cutBackend(victim)
-
-			// No error surfaces while quorum holds.
-			if err := <-flushErr; err != nil {
+			// The victim dies mid-flush; no error surfaces while quorum
+			// holds.
+			if err := st.cp.FlushAll(ctx); err != nil {
 				t.Fatalf("FlushAll with one backend killed: %v", err)
 			}
 

@@ -1,23 +1,24 @@
 package blockio
 
 import (
-	"sort"
 	"testing"
+
+	"repro/internal/nfs3"
 )
 
 // TestCacheEvictsCleanBeforeDirty: under pressure the least recent
-// clean block goes first; a dirty block goes only when nothing clean is
-// left, and then it is handed back to be written out.
+// clean block goes first, and a dirty block never goes: once nothing
+// clean is left the cache runs over capacity, and Put says so.
 func TestCacheEvictsCleanBeforeDirty(t *testing.T) {
 	t.Parallel()
 	c := NewCache(3)
-	if ev := c.Put("f", 0, []byte("d"), true); len(ev) != 0 {
-		t.Fatalf("evicted %v from an empty cache", ev)
+	if c.Put("f", 0, []byte("d"), true) {
+		t.Fatal("an empty cache reports pressure")
 	}
 	c.Put("f", 1, []byte("c"), false)
 	c.Put("f", 2, []byte("c"), false)
-	if ev := c.Put("f", 3, []byte("c"), false); len(ev) != 0 {
-		t.Fatalf("evicted dirty %v while clean blocks remained", ev)
+	if c.Put("f", 3, []byte("c"), false) {
+		t.Fatal("pressure reported while clean blocks remained")
 	}
 	if _, ok := c.Get("f", 1); ok {
 		t.Error("least recent clean block survived")
@@ -27,56 +28,72 @@ func TestCacheEvictsCleanBeforeDirty(t *testing.T) {
 	}
 	c.Put("g", 0, []byte("d"), true)
 	c.Put("g", 1, []byte("d"), true)
-	ev := c.Put("g", 2, []byte("d"), true)
-	if len(ev) != 1 || ev[0].File != "f" || ev[0].Index != 0 || string(ev[0].Data) != "d" {
-		t.Fatalf("evicted %+v, want the oldest dirty block f/0", ev)
+	if !c.Put("g", 2, []byte("d"), true) {
+		t.Fatal("no pressure reported with every block dirty and the cache over capacity")
+	}
+	for _, k := range []blockKey{{"f", 0}, {"g", 0}, {"g", 1}, {"g", 2}} {
+		if _, ok := c.Get(k.file, k.index); !ok {
+			t.Errorf("dirty block %v evicted", k)
+		}
+	}
+	if _, _, used := c.Stats(); used != 4 {
+		t.Errorf("used = %d, want the 4 dirty bytes", used)
+	}
+	if c.Fill("g", 3, []byte("c"), Fill{}); c.Contains(nfs3.FH3{Data: []byte("g")}, 3) {
+		t.Error("a fill into a cache full of dirty blocks was kept")
 	}
 }
 
-// TestCacheDirtyLifecycle: DirtyBlocks snapshots and cleans, Redirty
-// restores unless a newer write got there first, Drop and DropFile
-// discard, DirtyFiles lists what is left.
+// TestCacheDirtyLifecycle: a dirty block stays dirty until FlushDone
+// names the version it holds; a stale version leaves it dirty, the
+// current one cleans it and trims the cache to capacity; Drop and
+// DropFile discard dirty data.
 func TestCacheDirtyLifecycle(t *testing.T) {
 	t.Parallel()
-	c := NewCache(1 << 20)
-	c.Put("a", 0, []byte("a0"), true)
+	a, b := nfs3.FH3{Data: []byte("a")}, nfs3.FH3{Data: []byte("b")}
+	c := NewCache(4)
 	c.Put("a", 1, []byte("a1"), true)
-	c.Put("a", 2, []byte("clean"), false)
+	c.Put("a", 0, []byte("a0"), true)
+	c.Put("a", 2, []byte("clean"), false) // evicted at once: all else is dirty
 	c.Put("b", 0, []byte("b0"), true)
-	files := c.DirtyFiles()
-	sort.Strings(files)
-	if len(files) != 2 || files[0] != "a" || files[1] != "b" {
+	if files := c.DirtyFiles(); len(files) != 2 {
 		t.Fatalf("DirtyFiles = %v", files)
 	}
-	snap := c.DirtyBlocks("a")
-	if len(snap) != 2 {
-		t.Fatalf("DirtyBlocks = %+v", snap)
+	if got := c.DirtyList(a); len(got) != 2 || got[0]+got[1] != 1 {
+		t.Fatalf("DirtyList = %v, want 0 and 1", got)
 	}
-	if again := c.DirtyBlocks("a"); len(again) != 0 {
-		t.Fatalf("second DirtyBlocks = %+v, want none", again)
+	data, ver, ok := c.ReadVersion(a, 0)
+	if !ok || string(data) != "a0" {
+		t.Fatalf("ReadVersion = %q, %v", data, ok)
 	}
-	// A newer write to one of the blocks stands over its stale snapshot.
-	newer := snap[0]
-	c.Put("a", newer.Index, []byte("newer"), true)
-	for _, b := range snap {
-		c.Redirty(b)
+	// A rewrite after the read: the flush of the read's version does
+	// not clean the block, which now holds bytes the server lacks.
+	c.Put("a", 0, []byte("A0"), true)
+	c.FlushDone(a, 0, ver)
+	if got := c.DirtyList(a); len(got) != 2 {
+		t.Fatalf("a stale FlushDone cleaned a rewritten block: dirty %v", got)
 	}
-	if got, _ := c.Get("a", newer.Index); string(got) != "newer" {
-		t.Errorf("Redirty overwrote a newer write with %q", got)
+	_, ver, _ = c.ReadVersion(a, 0)
+	c.FlushDone(a, 0, ver)
+	if got := c.DirtyList(a); len(got) != 1 || got[0] != 1 {
+		t.Fatalf("dirty %v after the current FlushDone, want [1]", got)
 	}
-	if again := c.DirtyBlocks("a"); len(again) != 2 {
-		t.Errorf("after Redirty %d blocks are dirty, want 2", len(again))
+	if _, _, used := c.Stats(); used != 4 {
+		t.Errorf("used = %d, want the cache trimmed to its capacity of 4", used)
 	}
-	c.Drop("a", 2)
-	if _, ok := c.Get("a", 2); ok {
-		t.Error("Drop left the block")
+	if _, ok := c.Get("a", 0); ok {
+		t.Error("the cleaned block, least recent, outlived the trim")
 	}
+	c.Drop("a", 1)
 	c.Drop("a", 99) // absent: no effect
 	c.DropFile("b")
 	if files := c.DirtyFiles(); len(files) != 0 {
-		t.Errorf("DirtyFiles = %v after the snapshots and drops", files)
+		t.Errorf("DirtyFiles = %v after the drops", files)
 	}
-	if _, _, used := c.Stats(); used != int64(len("newer")+len("a0")) && used != int64(len("newer")+len("a1")) {
-		t.Errorf("used = %d", used)
+	if _, _, used := c.Stats(); used != 0 {
+		t.Errorf("used = %d after the drops", used)
+	}
+	if got := c.DirtyList(b); len(got) != 0 {
+		t.Errorf("DropFile left dirty blocks %v", got)
 	}
 }

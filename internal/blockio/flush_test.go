@@ -12,19 +12,68 @@ import (
 	"repro/internal/nfs3"
 )
 
-// fakeWriter is a server as Flush sees it. verf(n) is the verifier the
-// n-th call (WRITEs and COMMITs counted together, from 1) reports;
-// every call and every Durable report is logged in order.
+// fakeWriter is a server, and the store of the blocks Flush sends it,
+// as Flush sees them. verf(n) is the verifier the n-th call (WRITEs and
+// COMMITs counted together, from 1) reports; every call and every
+// FlushDone report is logged in order. A block's version is the number
+// of times it has been read, so a FlushDone is logged as "durable" when
+// it names the version last read and as "stale" otherwise.
 type fakeWriter struct {
 	verf      func(call int) byte
 	committed uint32          // level UNSTABLE writes are acknowledged at
 	failWrite map[string]bool // "fh/idx" -> the UNSTABLE write fails
 	failSync  map[string]bool // "fh/idx" -> the FILE_SYNC re-send fails
-	gone      map[string]bool
+	gone      map[string]bool // "fh/idx" -> the server reports the file gone
+	missing   map[string]bool // "fh/idx" -> listed dirty, but dropped before read
 
 	mu    sync.Mutex
+	dirty map[string][]uint64
+	reads map[string]uint64
 	calls int
 	log   []string
+}
+
+func (w *fakeWriter) DirtyList(fh nfs3.FH3) []uint64 {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.dirty[string(fh.Data)]
+}
+
+func (w *fakeWriter) ReadVersion(fh nfs3.FH3, idx uint64) ([]byte, uint64, bool) {
+	key := blockName(fh, idx)
+	if w.missing[key] {
+		return nil, 0, false
+	}
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.reads == nil {
+		w.reads = make(map[string]uint64)
+	}
+	w.reads[key]++
+	return []byte(key), w.reads[key], true
+}
+
+func (w *fakeWriter) FlushDone(fh nfs3.FH3, idx, ver uint64) {
+	key := blockName(fh, idx)
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if ver == w.reads[key] {
+		w.log = append(w.log, "durable "+key)
+	} else {
+		w.log = append(w.log, "stale "+key)
+	}
+}
+
+// files makes w the store of fbs's dirty blocks and returns their
+// handles, to flush.
+func (w *fakeWriter) files(fbs ...fileBlocks) []nfs3.FH3 {
+	w.dirty = make(map[string][]uint64)
+	var fhs []nfs3.FH3
+	for _, fb := range fbs {
+		w.dirty[fb.name] = fb.blocks
+		fhs = append(fhs, nfs3.FH3{Data: []byte(fb.name)})
+	}
+	return fhs
 }
 
 func (w *fakeWriter) next(event string) Verifier {
@@ -39,8 +88,11 @@ func (w *fakeWriter) next(event string) Verifier {
 	return Verifier{v}
 }
 
-func (w *fakeWriter) WriteBlock(_ context.Context, fh nfs3.FH3, idx uint64, stable uint32) (uint32, Verifier, error) {
+func (w *fakeWriter) WriteBlock(_ context.Context, fh nfs3.FH3, idx uint64, data []byte, stable uint32) (uint32, Verifier, error) {
 	key := blockName(fh, idx)
+	if string(data) != key {
+		return 0, Verifier{}, fmt.Errorf("block %s sent as %q", key, data)
+	}
 	if w.gone[key] {
 		return 0, Verifier{}, ErrGone
 	}
@@ -60,12 +112,6 @@ func (w *fakeWriter) WriteBlock(_ context.Context, fh nfs3.FH3, idx uint64, stab
 
 func (w *fakeWriter) Commit(_ context.Context, fh nfs3.FH3) (Verifier, error) {
 	return w.next("commit " + string(fh.Data)), nil
-}
-
-func (w *fakeWriter) Durable(fh nfs3.FH3, idx uint64) {
-	w.mu.Lock()
-	w.log = append(w.log, "durable "+blockName(fh, idx))
-	w.mu.Unlock()
 }
 
 // events returns the logged events with the given prefix, sorted.
@@ -94,9 +140,12 @@ func (w *fakeWriter) position(event string) int {
 	return -1
 }
 
-func fileOf(name string, blocks ...uint64) FileBlocks {
-	return FileBlocks{FH: nfs3.FH3{Data: []byte(name)}, Blocks: blocks}
+type fileBlocks struct {
+	name   string
+	blocks []uint64
 }
+
+func fileOf(name string, blocks ...uint64) fileBlocks { return fileBlocks{name, blocks} }
 
 func equal(a, b []string) bool { return fmt.Sprint(a) == fmt.Sprint(b) }
 
@@ -106,7 +155,7 @@ func equal(a, b []string) bool { return fmt.Sprint(a) == fmt.Sprint(b) }
 func TestFlushCommitsOncePerFile(t *testing.T) {
 	t.Parallel()
 	w := &fakeWriter{}
-	mismatches, err := Flush(context.Background(), 4, []FileBlocks{fileOf("a", 0, 1, 2), fileOf("b", 7), fileOf("empty")}, w)
+	mismatches, err := Flush(context.Background(), 4, w, w.files(fileOf("a", 0, 1, 2), fileOf("b", 7), fileOf("empty")), w)
 	if err != nil || mismatches != 0 {
 		t.Fatalf("Flush = %d, %v", mismatches, err)
 	}
@@ -146,7 +195,7 @@ func TestFlushVerifierMismatch(t *testing.T) {
 			return 1
 		}}
 		// Width 1 keeps the call order fixed: four writes, then COMMIT.
-		mismatches, err := Flush(context.Background(), 1, []FileBlocks{fileOf("f", 0, 1, 2, 3)}, w)
+		mismatches, err := Flush(context.Background(), 1, w, w.files(fileOf("f", 0, 1, 2, 3)), w)
 		if err != nil || mismatches != 1 {
 			t.Fatalf("%s: Flush = %d, %v", tc.name, mismatches, err)
 		}
@@ -173,7 +222,7 @@ func TestFlushResendFailure(t *testing.T) {
 		verf:     func(call int) byte { return byte(call) }, // never the same twice
 		failSync: map[string]bool{"f/1": true},
 	}
-	mismatches, err := Flush(context.Background(), 2, []FileBlocks{fileOf("f", 0, 1, 2)}, w)
+	mismatches, err := Flush(context.Background(), 2, w, w.files(fileOf("f", 0, 1, 2)), w)
 	if err == nil || mismatches != 1 {
 		t.Fatalf("Flush = %d, %v; want the re-send error", mismatches, err)
 	}
@@ -188,7 +237,7 @@ func TestFlushResendFailure(t *testing.T) {
 func TestFlushFailedWrite(t *testing.T) {
 	t.Parallel()
 	w := &fakeWriter{failWrite: map[string]bool{"bad/1": true}}
-	_, err := Flush(context.Background(), 3, []FileBlocks{fileOf("bad", 0, 1, 2), fileOf("good", 0, 1)}, w)
+	_, err := Flush(context.Background(), 3, w, w.files(fileOf("bad", 0, 1, 2), fileOf("good", 0, 1)), w)
 	if err == nil {
 		t.Fatal("Flush over a failing WRITE reported success")
 	}
@@ -201,12 +250,12 @@ func TestFlushFailedWrite(t *testing.T) {
 }
 
 // TestFlushFileSyncReplies: writes the server acknowledges FILE_SYNC
-// are durable at once and need no COMMIT at all. A block that has gone
-// is neither written, failed nor durable.
+// are durable at once and need no COMMIT at all. A block that has gone,
+// at the server or from the store, is neither failed nor durable.
 func TestFlushFileSyncReplies(t *testing.T) {
 	t.Parallel()
-	w := &fakeWriter{committed: nfs3.FileSync, gone: map[string]bool{"f/2": true}}
-	mismatches, err := Flush(context.Background(), 4, []FileBlocks{fileOf("f", 0, 1, 2, 3)}, w)
+	w := &fakeWriter{committed: nfs3.FileSync, gone: map[string]bool{"f/2": true}, missing: map[string]bool{"f/4": true}}
+	mismatches, err := Flush(context.Background(), 4, w, w.files(fileOf("f", 0, 1, 2, 3, 4)), w)
 	if err != nil || mismatches != 0 {
 		t.Fatalf("Flush = %d, %v", mismatches, err)
 	}
@@ -231,7 +280,7 @@ type gatedWriter struct {
 	active, peak int
 }
 
-func (w *gatedWriter) WriteBlock(ctx context.Context, fh nfs3.FH3, idx uint64, stable uint32) (uint32, Verifier, error) {
+func (w *gatedWriter) WriteBlock(ctx context.Context, fh nfs3.FH3, idx uint64, data []byte, stable uint32) (uint32, Verifier, error) {
 	w.gmu.Lock()
 	w.active++
 	if w.active > w.peak {
@@ -250,7 +299,7 @@ func (w *gatedWriter) WriteBlock(ctx context.Context, fh nfs3.FH3, idx uint64, s
 	case <-ctx.Done():
 		return 0, Verifier{}, ctx.Err()
 	}
-	return w.fakeWriter.WriteBlock(ctx, fh, idx, stable)
+	return w.fakeWriter.WriteBlock(ctx, fh, idx, data, stable)
 }
 
 // TestFlushWidth: Flush keeps exactly width writes in flight. Over 64
@@ -267,7 +316,7 @@ func TestFlushWidth(t *testing.T) {
 	for i := range idxs {
 		idxs[i] = uint64(i)
 	}
-	if _, err := Flush(ctx, width, []FileBlocks{fileOf("f", idxs...)}, w); err != nil {
+	if _, err := Flush(ctx, width, w, w.files(fileOf("f", idxs...)), w); err != nil {
 		t.Fatalf("Flush: %v (peak %d writes in flight)", err, w.peak)
 	}
 	if w.peak != width {

@@ -143,8 +143,8 @@ func TestCacheFillLosesToWrite(t *testing.T) {
 	if got, _ := src.Get("f", 1); string(got) != "NNNNNNNN" {
 		t.Fatalf("block 1 holds %q after a prefetch in flight across its write", got)
 	}
-	if dirty := src.DirtyBlocks("f"); len(dirty) != 1 || string(dirty[0].Data) != "NNNNNNNN" {
-		t.Fatalf("dirty blocks %+v, want the write's", dirty)
+	if dirty := src.DirtyList(fh); len(dirty) != 1 || dirty[0] != 1 {
+		t.Fatalf("dirty blocks %v, want the write's", dirty)
 	}
 
 	// The same with a fetch that lands while the write still runs.

@@ -550,3 +550,6 @@ func (c *DiskCache) Close() error {
 	}
 	return nil
 }
+
+// The disk cache is a store the flush engine drains.
+var _ blockio.Store = (*DiskCache)(nil)

@@ -228,15 +228,23 @@ func (c *Client) ReadDir(ctx context.Context, path string) ([]nfs3.DirEntryPlus,
 
 // File is an open v4 file.
 type File struct {
-	c    *Client
-	path string
-	fh   nfs3.FH3
-	rd   *blockio.Reader
+	c      *Client
+	path   string
+	fh     nfs3.FH3
+	rd     *blockio.Reader
+	blocks fileBlocks
 
-	mu    sync.Mutex
-	size  int64
-	dirty map[uint64][]byte // write-behind blocks
+	// flushing is held by the flush running now, so that two never race
+	// different versions of one block to the server.
+	flushing sync.Mutex
+
+	mu   sync.Mutex
+	size int64
 }
+
+// dirtyBytes is how much write-behind data a File holds before a write
+// flushes it.
+const dirtyBytes = 8 << 20
 
 // OpenFile opens (optionally creating/truncating) path. A single
 // COMPOUND performs the walk, open, and attribute fetch — v4's
@@ -265,35 +273,36 @@ func (c *Client) OpenFile(ctx context.Context, path string, create, trunc, excl 
 	if trunc {
 		c.blocks.DropFile(path)
 	}
-	f := &File{
-		c: c, path: path, fh: fhRes.FH,
-		size:  int64(openRes.Attr.Size),
-		dirty: make(map[uint64][]byte),
-	}
-	f.rd = blockio.NewReader(fileSource{f}, c.opt.BlockSize, 0, 0)
+	f := &File{c: c, path: path, fh: fhRes.FH, size: int64(openRes.Attr.Size)}
+	f.blocks = fileBlocks{blockio.NewCache(dirtyBytes), f}
+	f.rd = blockio.NewReader(f.blocks, c.opt.BlockSize, 0, 0)
 	return f, nil
 }
 
-// fileSource is a File's blocks as its block reader sees them: dirty
-// write-behind data wins over the block cache, and a miss sends READ.
-type fileSource struct{ f *File }
+// fileBlocks is a File's written blocks, keyed by handle, and its way
+// to the server: the Source of its block reader, and the Store and
+// Writer of its flushes. A written block stays in it, dirty, until a
+// flush makes it durable and hands it to the client's path-keyed block
+// cache; reads look here first, so write-behind data wins over that
+// cache, and a miss sends READ.
+type fileBlocks struct {
+	*blockio.Cache
+	f *File
+}
 
-func (s fileSource) GetBlock(_ nfs3.FH3, idx uint64) ([]byte, bool) {
-	s.f.mu.Lock()
-	block, ok := s.f.dirty[idx]
-	s.f.mu.Unlock()
-	if ok {
+func (s fileBlocks) GetBlock(fh nfs3.FH3, idx uint64) ([]byte, bool) {
+	if block, ok := s.Cache.GetBlock(fh, idx); ok {
 		return block, true
 	}
 	return s.f.c.blocks.Get(s.f.path, idx)
 }
 
-func (s fileSource) Contains(fh nfs3.FH3, idx uint64) bool {
+func (s fileBlocks) Contains(fh nfs3.FH3, idx uint64) bool {
 	_, ok := s.GetBlock(fh, idx)
 	return ok
 }
 
-func (s fileSource) FetchBlock(ctx context.Context, fh nfs3.FH3, idx uint64, fill blockio.Fill) ([]byte, error) {
+func (s fileBlocks) FetchBlock(ctx context.Context, fh nfs3.FH3, idx uint64, fill blockio.Fill) ([]byte, error) {
 	bs := uint64(s.f.c.opt.BlockSize)
 	results, err := s.f.c.compound(ctx, Op{Code: OpPutFH, FH: fh}, Op{Code: OpRead, Offset: idx * bs, Count: uint32(bs)})
 	if err != nil {
@@ -321,14 +330,10 @@ func (f *File) ReadAt(ctx context.Context, p []byte, off int64) (int, error) {
 }
 
 // WriteAt buffers the write (write-behind) and flushes at Close or
-// under memory pressure.
+// once the file holds more than dirtyBytes of it.
 func (f *File) WriteAt(ctx context.Context, p []byte, off int64) (int, error) {
 	n, err := f.rd.WriteAt(ctx, f.fh, p, uint64(off), uint64(f.Size()), func(idx uint64, block []byte) error {
-		f.mu.Lock()
-		f.dirty[idx] = block
-		needFlush := len(f.dirty)*f.c.opt.BlockSize > 8<<20
-		f.mu.Unlock()
-		if needFlush {
+		if f.blocks.Put(string(f.fh.Data), idx, block, true) {
 			return f.Sync(ctx)
 		}
 		return nil
@@ -341,25 +346,31 @@ func (f *File) WriteAt(ctx context.Context, p []byte, off int64) (int, error) {
 
 // Sync flushes dirty blocks with UNSTABLE writes then commits.
 func (f *File) Sync(ctx context.Context) error {
-	f.mu.Lock()
-	dirty := f.dirty
-	f.dirty = make(map[uint64][]byte)
-	f.mu.Unlock()
-	if len(dirty) == 0 {
-		return nil
-	}
-	bs := uint64(f.c.opt.BlockSize)
-	for idx, block := range dirty {
-		_, err := f.c.compound(ctx,
-			Op{Code: OpPutFH, FH: f.fh},
-			Op{Code: OpWrite, Offset: idx * bs, Stable: nfs3.Unstable, Data: block})
-		if err != nil {
-			return err
-		}
-		f.c.blocks.Put(f.path, idx, block, false)
-	}
-	_, err := f.c.compound(ctx, Op{Code: OpPutFH, FH: f.fh}, Op{Code: OpCommit})
+	f.flushing.Lock()
+	defer f.flushing.Unlock()
+	_, err := blockio.Flush(ctx, blockio.ClientFlushWidth, f.blocks, []nfs3.FH3{f.fh}, f.blocks)
 	return err
+}
+
+// WriteBlock sends one block. A v4 WRITE reply carries no commit level
+// or verifier here, so every write waits for the COMMIT.
+func (s fileBlocks) WriteBlock(ctx context.Context, fh nfs3.FH3, idx uint64, data []byte, stable uint32) (uint32, blockio.Verifier, error) {
+	bs := uint64(s.f.c.opt.BlockSize)
+	_, err := s.f.c.compound(ctx, Op{Code: OpPutFH, FH: fh}, Op{Code: OpWrite, Offset: idx * bs, Stable: stable, Data: data})
+	return nfs3.Unstable, blockio.Verifier{}, err
+}
+
+func (s fileBlocks) Commit(ctx context.Context, fh nfs3.FH3) (blockio.Verifier, error) {
+	_, err := s.f.c.compound(ctx, Op{Code: OpPutFH, FH: fh}, Op{Code: OpCommit})
+	return blockio.Verifier{}, err
+}
+
+// FlushDone hands a block made durable to the path-keyed block cache.
+func (s fileBlocks) FlushDone(fh nfs3.FH3, idx, ver uint64) {
+	if block, v, ok := s.ReadVersion(fh, idx); ok && v == ver {
+		s.f.c.blocks.Put(s.f.path, idx, block, false)
+	}
+	s.Cache.FlushDone(fh, idx, ver)
 }
 
 // Close flushes and releases the file (CLOSE is stateless here).

@@ -33,12 +33,6 @@ type Options struct {
 	// and doubles on each sequential read up to the cap, so at the
 	// default it stays at 2.
 	Readahead int
-	// NoWriteBehind forces write-through: every write goes to the
-	// server synchronously (FILE_SYNC). The zero value selects
-	// write-behind, which delays writes in the page cache until
-	// Close/Sync or pressure ("write delay" in the paper's export
-	// options).
-	NoWriteBehind bool
 	// UID, GID and MachineName form the AUTH_SYS credential.
 	UID, GID    uint32
 	MachineName string
@@ -64,7 +58,9 @@ func (o Options) withDefaults() Options {
 }
 
 // FileSystem is a mounted NFS file system with kernel-client-like
-// caching. All methods are safe for concurrent use.
+// caching. Writes are delayed in the page cache ("write delay" in the
+// paper's export options) until Sync, Close or memory pressure flushes
+// them. All methods are safe for concurrent use.
 type FileSystem struct {
 	proto *Proto
 	root  nfs3.FH3
@@ -84,11 +80,10 @@ type FileSystem struct {
 	// sequential streams.
 	reader *blockio.Reader
 
-	// flushMu guards flushErrs: the first write-back error per file
-	// from cache-pressure eviction, surfaced by the next Sync/Close
-	// instead of being silently dropped.
-	flushMu   sync.Mutex
-	flushErrs map[string]error
+	// flushing is held by the flush running now: flushes go one at a
+	// time, so that two never race different versions of one block to
+	// the server.
+	flushing sync.Mutex
 
 	rpcReads, rpcWrites atomic.Uint64
 }
@@ -117,14 +112,13 @@ func Mount(ctx context.Context, dial Dialer, path string, opt Options) (*FileSys
 		return nil, err
 	}
 	fs := &FileSystem{
-		proto:     proto,
-		root:      root,
-		opt:       opt,
-		attrs:     newAttrCache(opt.AttrTimeout),
-		names:     newNameCache(opt.AttrTimeout),
-		pages:     blockio.NewCache(opt.CacheBytes),
-		versions:  make(map[string]fileVersion),
-		flushErrs: make(map[string]error),
+		proto:    proto,
+		root:     root,
+		opt:      opt,
+		attrs:    newAttrCache(opt.AttrTimeout),
+		names:    newNameCache(opt.AttrTimeout),
+		pages:    blockio.NewCache(opt.CacheBytes),
+		versions: make(map[string]fileVersion),
 	}
 	fs.reader = blockio.NewReader(pageSource{fs.pages, fs}, opt.BlockSize, opt.Readahead, prefetchTimeout)
 	// Prime the root attributes and verify the server speaks NFSv3.
@@ -138,27 +132,11 @@ func Mount(ctx context.Context, dial Dialer, path string, opt Options) (*FileSys
 
 // Close flushes all dirty data and tears down the connection.
 func (fs *FileSystem) Close() error {
-	// Flush everything still dirty — and files whose only trace of
-	// trouble is a sticky eviction write-back error, which must surface
-	// here even with no dirty blocks left. A file listed twice finds
-	// nothing to do the second time.
-	fhs := fs.pages.DirtyFiles()
-	fs.flushMu.Lock()
-	for k := range fs.flushErrs {
-		fhs = append(fhs, k)
-	}
-	fs.flushMu.Unlock()
 	// Bound the final write-back: Close must terminate even when the
 	// server has gone away mid-session.
 	ctx, cancel := context.WithTimeout(context.Background(), closeFlushTimeout)
 	defer cancel()
-	var firstErr error
-	for _, key := range fhs {
-		fh := nfs3.FH3{Data: []byte(key)}
-		if err := fs.flushFile(ctx, fh); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
+	firstErr := fs.flush(ctx, fs.pages.DirtyFiles(), true)
 	if err := fs.proto.Close(); firstErr == nil {
 		firstErr = err
 	}
@@ -518,15 +496,14 @@ func (fs *FileSystem) dropPages(fh nfs3.FH3) {
 	fs.pages.DropFile(fhKey(fh))
 }
 
-// pageSource is the page cache and the server as the block reader sees
-// them.
+// pageSource is the page cache and the server as the block reader and
+// the flush engine see them.
 type pageSource struct {
 	*blockio.Cache
 	fs *FileSystem
 }
 
-// FetchBlock reads one block from the server into the page cache,
-// writing back any dirty blocks the insertion evicts.
+// FetchBlock reads one block from the server into the page cache.
 func (s pageSource) FetchBlock(ctx context.Context, fh nfs3.FH3, block uint64, fill blockio.Fill) ([]byte, error) {
 	fs := s.fs
 	bs := uint64(fs.opt.BlockSize)
@@ -535,41 +512,35 @@ func (s pageSource) FetchBlock(ctx context.Context, fh nfs3.FH3, block uint64, f
 		return nil, err
 	}
 	fs.rpcReads.Add(1)
-	for _, b := range fs.pages.Fill(fhKey(fh), block, data, fill) {
-		fs.writeBackBlock(ctx, b)
-	}
+	fs.pages.Fill(fhKey(fh), block, data, fill)
 	return data, nil
 }
 
-func (fs *FileSystem) writeBackBlock(ctx context.Context, b blockio.Block) {
-	fh := nfs3.FH3{Data: []byte(b.File)}
-	off := b.Index * uint64(fs.opt.BlockSize)
-	if _, _, err := fs.proto.Write(ctx, fh, off, b.Data, nfs3.FileSync); err != nil {
-		// The block was already evicted from the cache, so dropping
-		// this error would silently lose the data. Record it; the
-		// file's next Sync/Close surfaces it.
-		fs.recordFlushErr(b.File, err)
-		return
+func (s pageSource) WriteBlock(ctx context.Context, fh nfs3.FH3, block uint64, data []byte, stable uint32) (uint32, blockio.Verifier, error) {
+	committed, verf, err := s.fs.proto.Write(ctx, fh, block*uint64(s.fs.opt.BlockSize), data, stable)
+	if err == nil {
+		s.fs.rpcWrites.Add(1)
 	}
-	fs.rpcWrites.Add(1)
+	return committed, verf, err
 }
 
-// recordFlushErr keeps the first write-back error per file.
-func (fs *FileSystem) recordFlushErr(key string, err error) {
-	fs.flushMu.Lock()
-	if _, ok := fs.flushErrs[key]; !ok {
-		fs.flushErrs[key] = err
-	}
-	fs.flushMu.Unlock()
+func (s pageSource) Commit(ctx context.Context, fh nfs3.FH3) (blockio.Verifier, error) {
+	return s.fs.proto.Commit(ctx, fh, 0, 0)
 }
 
-// takeFlushErr returns and clears the sticky write-back error for fh.
-func (fs *FileSystem) takeFlushErr(fh nfs3.FH3) error {
-	key := fhKey(fh)
-	fs.flushMu.Lock()
-	err := fs.flushErrs[key]
-	delete(fs.flushErrs, key)
-	fs.flushMu.Unlock()
+// flush writes back the dirty blocks of files and commits them, in one
+// blockio.Flush. Blocks it does not make durable stay dirty for the
+// next. A flush waits for the one running, or with wait unset leaves
+// the work to it.
+func (fs *FileSystem) flush(ctx context.Context, files []nfs3.FH3, wait bool) error {
+	if wait {
+		fs.flushing.Lock()
+	} else if !fs.flushing.TryLock() {
+		return nil
+	}
+	defer fs.flushing.Unlock()
+	src := pageSource{fs.pages, fs}
+	_, err := blockio.Flush(ctx, blockio.ClientFlushWidth, src, files, src)
 	return err
 }
 
@@ -592,22 +563,15 @@ func (f *File) ReadAt(ctx context.Context, p []byte, off int64) (int, error) {
 // cancel its own context) long before the prefetched bytes arrive.
 const prefetchTimeout = 30 * time.Second
 
-// WriteAt writes p at offset off.
+// WriteAt writes p at offset off into the page cache. When that leaves
+// the cache over capacity with nothing clean to evict, it flushes the
+// mount's dirty files, unless a flush is running already, and returns
+// that flush's error.
 func (f *File) WriteAt(ctx context.Context, p []byte, off int64) (int, error) {
 	fs := f.fs
-	if fs.opt.NoWriteBehind {
-		if _, _, err := fs.proto.Write(ctx, f.fh, uint64(off), p, nfs3.FileSync); err != nil {
-			return 0, err
-		}
-		fs.rpcWrites.Add(1)
-		fs.dropPages(f.fh)
-		f.extend(off + int64(len(p)))
-		return len(p), nil
-	}
+	over := false
 	written, err := fs.reader.WriteAt(ctx, f.fh, p, uint64(off), uint64(f.Size()), func(idx uint64, block []byte) error {
-		for _, b := range fs.pages.Put(fhKey(f.fh), idx, block, true) {
-			fs.writeBackBlock(ctx, b)
-		}
+		over = fs.pages.Put(fhKey(f.fh), idx, block, true)
 		return nil
 	})
 	if err != nil {
@@ -615,7 +579,10 @@ func (f *File) WriteAt(ctx context.Context, p []byte, off int64) (int, error) {
 	}
 	f.extend(off + int64(written))
 	fs.attrs.Update(f.fh, func(a *nfs3.Fattr3) { a.Size = max(a.Size, uint64(f.Size())) })
-	return written, nil
+	if over {
+		err = fs.flush(ctx, fs.pages.DirtyFiles(), false)
+	}
+	return written, err
 }
 
 func (f *File) extend(end int64) {
@@ -665,68 +632,10 @@ func (f *File) Seek(offset int64, whence int) (int64, error) {
 	return f.offset, nil
 }
 
-// flushWorkers is how many UNSTABLE writes one file's flush keeps in
-// flight. Block writes are 32 KiB each, so the bound is far lower than
-// the metadata gathers' (oncrpc.GatherDepth).
-const flushWorkers = 8
-
-// fileFlush is one flushFile round as the flush engine sees it: the
-// snapshot blocks the server does not yet hold durably.
-type fileFlush struct {
-	fs      *FileSystem
-	mu      sync.Mutex
-	pending map[uint64]blockio.Block
-}
-
-func (w *fileFlush) WriteBlock(ctx context.Context, fh nfs3.FH3, block uint64, stable uint32) (uint32, blockio.Verifier, error) {
-	w.mu.Lock()
-	data := w.pending[block].Data
-	w.mu.Unlock()
-	committed, verf, err := w.fs.proto.Write(ctx, fh, block*uint64(w.fs.opt.BlockSize), data, stable)
-	if err == nil {
-		w.fs.rpcWrites.Add(1)
-	}
-	return committed, verf, err
-}
-
-func (w *fileFlush) Commit(ctx context.Context, fh nfs3.FH3) (blockio.Verifier, error) {
-	return w.fs.proto.Commit(ctx, fh, 0, 0)
-}
-
-func (w *fileFlush) Durable(_ nfs3.FH3, block uint64) {
-	w.mu.Lock()
-	delete(w.pending, block)
-	w.mu.Unlock()
-}
-
-// flushFile writes back all dirty blocks of fh and commits them. Any
-// sticky write-back error from earlier cache-pressure eviction is
-// folded into the result, so no lost write stays silent. Blocks the
-// flush did not make durable go back into the cache dirty, so the next
-// Sync or Close tries again instead of reporting a clean file.
-func (fs *FileSystem) flushFile(ctx context.Context, fh nfs3.FH3) error {
-	sticky := fs.takeFlushErr(fh)
-	dirty := fs.pages.DirtyBlocks(fhKey(fh))
-	if len(dirty) == 0 {
-		return sticky
-	}
-	w := &fileFlush{fs: fs, pending: make(map[uint64]blockio.Block, len(dirty))}
-	idxs := make([]uint64, len(dirty))
-	for i, b := range dirty {
-		w.pending[b.Index] = b
-		idxs[i] = b.Index
-	}
-	_, err := blockio.Flush(ctx, flushWorkers, []blockio.FileBlocks{{FH: fh, Blocks: idxs}}, w)
-	for _, b := range w.pending {
-		for _, evicted := range fs.pages.Redirty(b) {
-			fs.writeBackBlock(ctx, evicted)
-		}
-	}
-	return errors.Join(sticky, err)
-}
-
 // Sync flushes the file's dirty blocks and commits them.
-func (f *File) Sync(ctx context.Context) error { return f.fs.flushFile(ctx, f.fh) }
+func (f *File) Sync(ctx context.Context) error {
+	return f.fs.flush(ctx, []nfs3.FH3{f.fh}, true)
+}
 
 // Close flushes dirty data (write-behind) and releases the file.
 func (f *File) Close(ctx context.Context) error {
@@ -737,7 +646,7 @@ func (f *File) Close(ctx context.Context) error {
 	}
 	f.closed = true
 	f.mu.Unlock()
-	if err := f.fs.flushFile(ctx, f.fh); err != nil {
+	if err := f.Sync(ctx); err != nil {
 		return err
 	}
 	// Record the post-close version so a subsequent open by this

@@ -128,19 +128,6 @@ func TestWriteBehindDelaysRPC(t *testing.T) {
 	}
 }
 
-func TestWriteThroughMode(t *testing.T) {
-	dial, _ := startServer(t)
-	fs := mountFS(t, dial, Options{NoWriteBehind: true})
-	ctx := context.Background()
-	f, _ := fs.Create(ctx, "sync", 0644)
-	f.Write(ctx, []byte("immediate"))
-	_, writes := fs.RPCCounts()
-	if writes != 1 {
-		t.Fatalf("write-through issued %d RPCs, want 1", writes)
-	}
-	f.Close(ctx)
-}
-
 func TestPageCacheServesRereads(t *testing.T) {
 	dial, _ := startServer(t)
 	fs := mountFS(t, dial, Options{})

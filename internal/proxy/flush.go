@@ -3,7 +3,6 @@ package proxy
 import (
 	"context"
 	"errors"
-	"sync"
 	"time"
 
 	"repro/internal/blockio"
@@ -17,12 +16,12 @@ import (
 // UNSTABLE writes in flight over the multiplexed RPC client (the
 // wanWindowBytes that also caps readahead), one verifier-checked
 // COMMIT per file, and a FILE_SYNC re-send when a verifier says the
-// server restarted. This file is what the proxy supplies to it: which
-// blocks are dirty, the bytes of one block as the server should hold
+// server restarted. The engine reads each block and its version from
+// the disk cache and marks it clean only when that version is durable;
+// this file supplies the bytes of one block as the server should hold
 // them, and the one replay exception the WAN channel needs. Blocks the
-// engine does not report durable are left dirty in the cache, so a
-// later flush — or the next session — retries them; nothing is ever
-// marked clean without a durable acknowledgement.
+// engine does not make durable are left dirty in the cache, so a later
+// flush — or the next session — retries them.
 
 // FlushAll writes every dirty cached block back to the server, up to
 // one WAN window of them in flight. The time this takes is the paper's
@@ -33,31 +32,24 @@ func (p *ClientProxy) FlushAll(ctx context.Context) error {
 	if dc == nil {
 		return nil
 	}
-	w := &flushWriter{p: p, sizes: make(map[string]uint64), vers: make(map[string]map[uint64]uint64)}
-	var files []blockio.FileBlocks
-	for _, fh := range dc.DirtyFiles() {
-		blocks := dc.DirtyList(fh)
-		files = append(files, blockio.FileBlocks{FH: fh, Blocks: blocks})
-		w.vers[string(fh.Data)] = make(map[uint64]uint64, len(blocks))
+	files := dc.DirtyFiles()
+	w := &flushWriter{p: p, sizes: make(map[string]uint64, len(files))}
+	for _, fh := range files {
 		if attr, ok := dc.GetAttr(fh); ok {
 			w.sizes[string(fh.Data)] = attr.Size
 		}
 	}
-	mismatches, err := blockio.Flush(ctx, p.window, files, w)
+	mismatches, err := blockio.Flush(ctx, p.window, dc, files, w)
 	p.dp.CommitMismatches.Add(uint64(mismatches))
 	return err
 }
 
 // flushWriter is one FlushAll round as the flush engine sees it. sizes
 // holds the cached size of each dirty file that has one, fixed before
-// the workers start; vers, per file, the cache version each block was
-// last sent at, which Durable must match.
+// the workers start.
 type flushWriter struct {
 	p     *ClientProxy
 	sizes map[string]uint64
-
-	mu   sync.Mutex
-	vers map[string]map[uint64]uint64
 }
 
 // clipCrypt clips block data to the cached file size (so the flush does
@@ -82,20 +74,11 @@ func (w *flushWriter) clipCrypt(fh nfs3.FH3, blockStart uint64, data []byte) ([]
 // WriteBlock pushes one dirty block upstream. No handler span covers a
 // flush: each block nets its own elapsed time against the waits its
 // upstream calls credit back.
-func (w *flushWriter) WriteBlock(ctx context.Context, fh nfs3.FH3, idx uint64, stable uint32) (uint32, blockio.Verifier, error) {
+func (w *flushWriter) WriteBlock(ctx context.Context, fh nfs3.FH3, idx uint64, data []byte, stable uint32) (uint32, blockio.Verifier, error) {
 	p := w.p
 	defer p.relay.Charge(time.Now())
-	dc := p.cfg.DiskCache
-	data, ver, ok := dc.ReadVersion(fh, idx)
-	if !ok {
-		// Dropped between listing and flushing (e.g. REMOVE).
-		return 0, blockio.Verifier{}, blockio.ErrGone
-	}
-	w.mu.Lock()
-	w.vers[string(fh.Data)][idx] = ver
-	w.mu.Unlock()
-	off := idx * uint64(dc.BlockSize())
-	data, ok = w.clipCrypt(fh, off, data)
+	off := idx * uint64(p.cfg.DiskCache.BlockSize())
+	data, ok := w.clipCrypt(fh, off, data)
 	if !ok {
 		return nfs3.FileSync, blockio.Verifier{}, nil
 	}
@@ -144,13 +127,4 @@ func (w *flushWriter) Commit(ctx context.Context, fh nfs3.FH3) (blockio.Verifier
 		return res.Verf, err
 	}
 	return res.Verf, res.Status.Error()
-}
-
-// Durable marks a block clean after it reached the server, unless it
-// changed since WriteBlock read it.
-func (w *flushWriter) Durable(fh nfs3.FH3, idx uint64) {
-	w.mu.Lock()
-	ver := w.vers[string(fh.Data)][idx]
-	w.mu.Unlock()
-	w.p.cfg.DiskCache.FlushDone(fh, idx, ver)
 }

@@ -348,19 +348,20 @@ func (c *Client) write(ctx context.Context, call *oncrpc.Call) (xdr.Marshaler, o
 	err := c.relay.Call(ctx, nil, nfs3.ProcWrite, &a, &res)
 	// Invalidate the overlapped cached blocks once the server has the
 	// write: a fetch in flight across it is stale (Forget), and what
-	// landed before is dropped.
+	// landed before is dropped. The cached attributes go too, rather
+	// than give way to the reply's: replies to concurrent WRITEs arrive
+	// in any order, so its post-op attributes may be older than those
+	// cached.
 	c.reader.Forget(a.Obj)
 	key := string(a.Obj.Data)
 	for idx := a.Offset / sfsBlockSize; idx <= (a.Offset+uint64(len(a.Data)))/sfsBlockSize; idx++ {
 		c.blocks.Drop(key, idx)
 	}
+	c.mu.Lock()
+	delete(c.attrs, key)
+	c.mu.Unlock()
 	if err != nil {
 		return nil, oncrpc.SystemErr
-	}
-	if res.Status == nfs3.OK && res.Wcc.After.Present {
-		c.mu.Lock()
-		c.attrs[key] = res.Wcc.After.Attr
-		c.mu.Unlock()
 	}
 	return &res, oncrpc.Success
 }

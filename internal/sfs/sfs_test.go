@@ -305,6 +305,75 @@ func TestSFSPrefetchLosesToWrite(t *testing.T) {
 	}
 }
 
+// heldPostOpFS holds the GetAttr that follows the first Write at
+// offset 0 — the server's post-op attributes of that WRITE — after it
+// has read them, until release is closed; held is closed once it is
+// held.
+type heldPostOpFS struct {
+	*vfs.MemFS
+	zeroWrites atomic.Int32
+	armed      atomic.Bool
+	held       chan struct{}
+	release    chan struct{}
+}
+
+func (b *heldPostOpFS) Write(h vfs.Handle, off uint64, data []byte) error {
+	err := b.MemFS.Write(h, off, data)
+	if off == 0 && b.zeroWrites.Add(1) == 1 {
+		b.armed.Store(true)
+	}
+	return err
+}
+
+func (b *heldPostOpFS) GetAttr(h vfs.Handle) (vfs.Attr, error) {
+	a, err := b.MemFS.GetAttr(h)
+	if b.armed.CompareAndSwap(true, false) {
+		close(b.held)
+		<-b.release
+	}
+	return a, err
+}
+
+// TestSFSWriteReplyKeepsNewerSize: replies to concurrent WRITEs reach
+// the daemon in any order. The first WRITE's post-op attributes are
+// read, then held until a second WRITE, which grows the file, has been
+// answered through the daemon; the daemon must not then report the
+// first reply's smaller size.
+func TestSFSWriteReplyKeepsNewerSize(t *testing.T) {
+	backend := &heldPostOpFS{MemFS: vfs.NewMemFS(), held: make(chan struct{}), release: make(chan struct{})}
+	mode, uid := uint32(0644), uint32(700)
+	backend.Create(backend.Root(), "f", vfs.SetAttr{Mode: &mode, UID: &uid}, false)
+	_, addr, _, _, _ := buildSFSOver(t, backend)
+	dial := func() (net.Conn, error) { return net.Dial("tcp", addr) }
+	fs, err := nfsclient.Mount(context.Background(), dial, "/export", nfsclient.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fs.Close()
+	ctx := context.Background()
+	p := fs.Proto()
+	fh, _, err := p.Lookup(ctx, fs.Root(), "f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := make(chan error, 1)
+	go func() {
+		_, _, err := p.Write(ctx, fh, 0, []byte("first"), nfs3.Unstable)
+		first <- err
+	}()
+	<-backend.held
+	if _, _, err := p.Write(ctx, fh, sfsBlockSize, bytes.Repeat([]byte("s"), sfsBlockSize), nfs3.Unstable); err != nil {
+		t.Fatal(err)
+	}
+	close(backend.release)
+	if err := <-first; err != nil {
+		t.Fatal(err)
+	}
+	if attr, err := p.GetAttr(ctx, fh); err != nil || attr.Size != 2*sfsBlockSize {
+		t.Fatalf("GETATTR after both WRITEs: size %d (%v), want %d", attr.Size, err, 2*sfsBlockSize)
+	}
+}
+
 // TestSFSReadEOFWithoutCachedAttr: the daemon's READ reply must carry
 // a true EOF flag even when it holds no attributes for the file, as
 // after any SETATTR.

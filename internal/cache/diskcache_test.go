@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"os"
 	"sync"
 	"testing"
 	"time"
@@ -74,50 +75,50 @@ func TestOverwriteBlock(t *testing.T) {
 	}
 }
 
+// TestEvictionRespectsCapacityAndDirtyPin: capacity bounds the whole
+// cache, whichever files its clean blocks belong to; only dirty bytes
+// run over it, and flushing them trims the cache back.
 func TestEvictionRespectsCapacityAndDirtyPin(t *testing.T) {
 	t.Parallel()
-	c := newCache(t, 4*1024) // four blocks
+	type puts struct {
+		file  string
+		n     uint64
+		dirty bool
+	}
 	blk := bytes.Repeat([]byte("x"), 1024)
-	// Two dirty blocks are pinned.
-	c.PutBlock(fh("d"), 0, blk, true)
-	c.PutBlock(fh("d"), 1, blk, true)
-	// Six clean blocks force eviction.
-	for i := uint64(0); i < 6; i++ {
-		c.PutBlock(fh("c"), i, blk, false)
-	}
-	if c.Used() > 4*1024 {
-		t.Fatalf("used %d exceeds capacity", c.Used())
-	}
-	// Dirty blocks must survive.
-	for i := uint64(0); i < 2; i++ {
-		if _, ok := c.GetBlock(fh("d"), i); !ok {
-			t.Fatalf("dirty block %d evicted", i)
+	for _, tc := range []struct {
+		name     string
+		capacity int64
+		puts     []puts
+	}{
+		{"dirty-then-clean", 4 * 1024, []puts{{"d", 2, true}, {"c", 6, false}}},
+		{"clean-then-dirty", 8 * 1024, []puts{{"a", 8, false}, {"b", 8, true}}},
+		{"all-dirty", 4 * 1024, []puts{{"d", 8, true}}},
+	} {
+		c := newCache(t, tc.capacity)
+		var dirty int64
+		for _, p := range tc.puts {
+			for i := uint64(0); i < p.n; i++ {
+				c.PutBlock(fh(p.file), i, blk, p.dirty)
+			}
+			if p.dirty {
+				dirty += int64(p.n) * 1024
+			}
 		}
-	}
-}
-
-func TestDirtyFlushCycle(t *testing.T) {
-	t.Parallel()
-	c := newCache(t, 1<<20)
-	blk := bytes.Repeat([]byte("w"), 1024)
-	c.PutBlock(fh("f"), 2, blk, true)
-	c.PutBlock(fh("f"), 0, blk, true)
-	c.PutBlock(fh("f"), 1, blk, false)
-	dirty := c.DirtyList(fh("f"))
-	if len(dirty) != 2 || dirty[0] != 0 || dirty[1] != 2 {
-		t.Fatalf("dirty list %v", dirty)
-	}
-	files := c.DirtyFiles()
-	if len(files) != 1 {
-		t.Fatalf("dirty files %d", len(files))
-	}
-	flushDone(c, fh("f"), 0)
-	flushDone(c, fh("f"), 2)
-	if got := c.DirtyList(fh("f")); len(got) != 0 {
-		t.Fatalf("dirty after flush: %v", got)
-	}
-	if c.Stats().FlushedBytes != 2048 {
-		t.Fatalf("flushed bytes %d", c.Stats().FlushedBytes)
+		if used := c.Used(); used > max(tc.capacity, dirty) {
+			t.Fatalf("%s: used %d exceeds capacity %d with %d dirty", tc.name, used, tc.capacity, dirty)
+		}
+		for _, p := range tc.puts {
+			for i := uint64(0); p.dirty && i < p.n; i++ {
+				if _, ok := c.GetBlock(fh(p.file), i); !ok {
+					t.Fatalf("%s: dirty block %s/%d evicted", tc.name, p.file, i)
+				}
+				flushDone(c, fh(p.file), i)
+			}
+		}
+		if used := c.Used(); used > tc.capacity {
+			t.Fatalf("%s: used %d exceeds capacity %d after the flush", tc.name, used, tc.capacity)
+		}
 	}
 }
 
@@ -211,9 +212,7 @@ func TestPrefetchedBlocksCountReadaheadHits(t *testing.T) {
 	t.Parallel()
 	c := newCache(t, 1<<20)
 	blk := bytes.Repeat([]byte("r"), 1024)
-	if err := c.PutFetched(fh("f"), 0, blk, prefetched); err != nil {
-		t.Fatal(err)
-	}
+	c.Fill("f", 0, blk, prefetched)
 	if !c.Contains(fh("f"), 0) {
 		t.Fatal("prefetched block not cached")
 	}
@@ -235,7 +234,7 @@ func TestPrefetchedBlocksCountReadaheadHits(t *testing.T) {
 func TestDemandPutClearsPrefetchedFlag(t *testing.T) {
 	t.Parallel()
 	c := newCache(t, 1<<20)
-	c.PutFetched(fh("f"), 0, []byte("ra"), prefetched)
+	c.Fill("f", 0, []byte("ra"), prefetched)
 	c.PutBlock(fh("f"), 0, []byte("demand"), false)
 	c.GetBlock(fh("f"), 0)
 	if st := c.Stats(); st.ReadaheadHits != 0 {
@@ -243,10 +242,10 @@ func TestDemandPutClearsPrefetchedFlag(t *testing.T) {
 	}
 }
 
-// TestConcurrentHammer pounds the sharded cache from many goroutines —
-// mixed gets, puts, dirty-list walks, flushes, drops, and attr traffic
-// over a small capacity so eviction runs constantly. Run under -race
-// this is the shard-locking regression test; it also checks that
+// TestConcurrentHammer pounds the cache from many goroutines — mixed
+// gets, puts, dirty-list walks, flushes, drops, and attr traffic over a
+// small capacity so eviction runs constantly. Run under -race this is
+// the locking regression test; it also checks that
 // accounting never goes negative and dirty blocks never vanish
 // silently.
 func TestConcurrentHammer(t *testing.T) {
@@ -286,7 +285,7 @@ func TestConcurrentHammer(t *testing.T) {
 					c.PutAccess(f, uint32(i))
 					c.GetAccess(f)
 				case 4:
-					c.PutFetched(f, uint64(i%8), blk, prefetched)
+					c.Fill(string(f.Data), uint64(i%8), blk, prefetched)
 					c.Contains(f, uint64(i%8))
 				case 5:
 					if i%60 == 5 {
@@ -321,7 +320,8 @@ func TestConcurrentHammer(t *testing.T) {
 func TestLockWaitCountersMonotonic(t *testing.T) {
 	t.Parallel()
 	c := newCache(t, 1<<20)
-	// Force contention on one shard: many goroutines, one file handle.
+	// Force contention on the cache's lock: many goroutines, one file
+	// handle.
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -348,6 +348,7 @@ func TestPutRacesDropFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer c.Close()
 	fh := nfs3.FH3{Data: []byte("racing-file")}
 	var puts sync.WaitGroup
 	errs := make(chan error, 4)
@@ -384,21 +385,30 @@ func TestPutRacesDropFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	var live int64
-	blocks, queued := 0, 0
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.lock()
-		for _, cf := range s.files {
-			for _, bm := range cf.blocks {
-				live += int64(bm.len)
-				blocks++
-			}
+	for i := uint64(0); i < 32; i++ {
+		if data, _, ok := c.ReadVersion(fh, i); ok {
+			live += int64(len(data))
 		}
-		queued += s.lru.Len()
-		s.unlock()
 	}
-	if c.Used() != live || queued != blocks {
-		t.Fatalf("Used() = %d for %d live bytes; %d LRU entries for %d blocks", c.Used(), live, queued, blocks)
+	if c.Used() != live {
+		t.Fatalf("Used() = %d for %d live bytes", c.Used(), live)
+	}
+	// With the file dropped, the LRU holds exactly what another file
+	// puts there: a stale entry would be evicted first and throw the
+	// accounting off.
+	c.DropFile(fh)
+	other, data := nfs3.FH3{Data: []byte("other")}, make([]byte, 4096)
+	held := 0
+	for i := uint64(0); i <= 16; i++ {
+		c.PutBlock(other, i, data, false)
+	}
+	for i := uint64(0); i <= 16; i++ {
+		if c.Contains(other, i) {
+			held++
+		}
+	}
+	if c.Used() != 64<<10 || held != 16 {
+		t.Fatalf("Used() = %d with %d of 16 blocks held", c.Used(), held)
 	}
 }
 
@@ -415,7 +425,8 @@ func (s diskSource) FetchBlock(_ context.Context, f nfs3.FH3, idx uint64, fill b
 	data := bytes.Repeat([]byte("o"), 1024)
 	s.started <- idx
 	<-s.gate
-	return data, s.PutFetched(f, idx, data, fill)
+	s.Fill(string(f.Data), idx, data, fill)
+	return data, nil
 }
 
 // TestPrefetchLosesToWrite: a prefetch that read the server before a
@@ -450,7 +461,12 @@ func TestPrefetchLosesToWrite(t *testing.T) {
 // dropped stores nothing, and opens no cache file for it.
 func TestPrefetchLosesToDrop(t *testing.T) {
 	t.Parallel()
-	c := newCache(t, 1<<20)
+	dir := t.TempDir()
+	c, err := New(dir, 1024, 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
 	src := diskSource{c, make(chan struct{}), make(chan uint64, 1)}
 	r := blockio.NewReader(src, 1024, 1, time.Minute)
 	f := fh("f")
@@ -464,25 +480,7 @@ func TestPrefetchLosesToDrop(t *testing.T) {
 	if got, ok := c.GetBlock(f, 1); ok {
 		t.Fatalf("a prefetch in flight across a drop stored %q", got[:8])
 	}
-	if n := len(c.shard("f").files); n != 0 {
-		t.Fatalf("%d cache files open after the drop", n)
-	}
-}
-
-// TestFlushDoneKeepsRewrittenBlockDirty: a flush's completion must not
-// mark clean a block rewritten after the flush read it.
-func TestFlushDoneKeepsRewrittenBlockDirty(t *testing.T) {
-	t.Parallel()
-	c := newCache(t, 1<<20)
-	c.PutBlock(fh("f"), 0, []byte("old"), true)
-	_, ver, _ := c.ReadVersion(fh("f"), 0)
-	c.PutBlock(fh("f"), 0, []byte("new"), true)
-	c.FlushDone(fh("f"), 0, ver)
-	if d := c.DirtyList(fh("f")); len(d) != 1 {
-		t.Fatalf("a block rewritten during its flush was marked clean")
-	}
-	flushDone(c, fh("f"), 0)
-	if d := c.DirtyList(fh("f")); len(d) != 0 {
-		t.Fatalf("dirty list %v after flushing the rewrite", d)
+	if files, err := os.ReadDir(dir); err != nil || len(files) != 0 {
+		t.Fatalf("%d cache files after the drop (%v)", len(files), err)
 	}
 }

@@ -333,10 +333,11 @@ func (f *File) ReadAt(ctx context.Context, p []byte, off int64) (int, error) {
 // once the file holds more than dirtyBytes of it.
 func (f *File) WriteAt(ctx context.Context, p []byte, off int64) (int, error) {
 	n, err := f.rd.WriteAt(ctx, f.fh, p, uint64(off), uint64(f.Size()), func(idx uint64, block []byte) error {
-		if f.blocks.Put(string(f.fh.Data), idx, block, true) {
+		over, err := f.blocks.Put(string(f.fh.Data), idx, block, true)
+		if over {
 			return f.Sync(ctx)
 		}
-		return nil
+		return err
 	})
 	f.mu.Lock()
 	f.size = max(f.size, off+int64(n))
@@ -368,7 +369,9 @@ func (s fileBlocks) Commit(ctx context.Context, fh nfs3.FH3) (blockio.Verifier, 
 // FlushDone hands a block made durable to the path-keyed block cache.
 func (s fileBlocks) FlushDone(fh nfs3.FH3, idx, ver uint64) {
 	if block, v, ok := s.ReadVersion(fh, idx); ok && v == ver {
-		s.f.c.blocks.Put(s.f.path, idx, block, false)
+		if _, err := s.f.c.blocks.Put(s.f.path, idx, block, false); err != nil {
+			s.f.c.blocks.Drop(s.f.path, idx) // no stale copy outlives a failed put
+		}
 	}
 	s.Cache.FlushDone(fh, idx, ver)
 }

@@ -158,8 +158,8 @@ func (fs *FileSystem) RPCCounts() (reads, writes uint64) {
 
 // CacheStats reports page-cache hit/miss counters.
 func (fs *FileSystem) CacheStats() (hits, misses uint64) {
-	h, m, _ := fs.pages.Stats()
-	return h, m
+	st := fs.pages.Stats()
+	return st.BlockHits, st.BlockMisses
 }
 
 // getAttr returns attributes, consulting the cache first.
@@ -571,8 +571,9 @@ func (f *File) WriteAt(ctx context.Context, p []byte, off int64) (int, error) {
 	fs := f.fs
 	over := false
 	written, err := fs.reader.WriteAt(ctx, f.fh, p, uint64(off), uint64(f.Size()), func(idx uint64, block []byte) error {
-		over = fs.pages.Put(fhKey(f.fh), idx, block, true)
-		return nil
+		var err error
+		over, err = fs.pages.Put(fhKey(f.fh), idx, block, true)
+		return err
 	})
 	if err != nil {
 		return written, err

@@ -219,7 +219,7 @@ func TestFlushAllocs(t *testing.T) {
 	}
 	data := bytes.Repeat([]byte{5}, budgetBlock)
 	i := 0
-	pin(t, 106, func() {
+	pin(t, 104, func() {
 		i++
 		if _, err := f.WriteAt(ctx, data, int64(i%2)*budgetBlock); err != nil {
 			t.Fatal(err)

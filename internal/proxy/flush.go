@@ -55,7 +55,7 @@ type flushWriter struct {
 // clipCrypt clips block data to the cached file size (so the flush does
 // not extend the file with block padding) and applies at-rest
 // encryption. ok=false means the block lies wholly past EOF and needs
-// no write at all. Both run in the worker, off the cache shard locks.
+// no write at all. Both run in the worker, off the cache's lock.
 func (w *flushWriter) clipCrypt(fh nfs3.FH3, blockStart uint64, data []byte) ([]byte, bool) {
 	if size, ok := w.sizes[string(fh.Data)]; ok {
 		if blockStart >= size {

@@ -56,11 +56,9 @@ func (s cacheSource) FetchBlock(ctx context.Context, fh nfs3.FH3, idx uint64, fi
 	if len(p.cfg.StorageKey) > 0 {
 		data = atRestCrypt(p.cfg.StorageKey, fh, idx*bs, data)
 	}
-	if err := dc.PutFetched(fh, idx, data, fill); err != nil {
-		// A cache insertion failure only costs a later re-fetch; the
-		// bytes are still returned to every sharer.
-		return data, nil
-	}
+	// A fill the cache cannot store only costs a later re-fetch; the
+	// bytes are still returned to every sharer.
+	dc.Fill(string(fh.Data), idx, data, fill)
 	return data, nil
 }
 

@@ -170,12 +170,19 @@ func (fs *MemFS) SetAttr(h Handle, s SetAttr) (Attr, error) {
 	return ino.attr, nil
 }
 
+// truncate sets the file's length. The bytes past the length are kept
+// zero, so growth within the capacity reads as zeros; growth past it
+// doubles the capacity, so n appending writes copy the file O(log n)
+// times.
 func (ino *memInode) truncate(size uint64) {
 	switch {
 	case size < uint64(len(ino.data)):
+		clear(ino.data[size:])
 		ino.data = ino.data[:size]
-	case size > uint64(len(ino.data)):
-		grown := make([]byte, size)
+	case size <= uint64(cap(ino.data)):
+		ino.data = ino.data[:size]
+	default:
+		grown := make([]byte, size, max(size, 2*uint64(cap(ino.data))))
 		copy(grown, ino.data)
 		ino.data = grown
 	}
@@ -246,13 +253,8 @@ func (fs *MemFS) Write(h Handle, off uint64, data []byte) error {
 	if ino.attr.Type == TypeDir {
 		return ErrIsDir
 	}
-	end := off + uint64(len(data))
-	if end > uint64(len(ino.data)) {
-		grown := make([]byte, end)
-		copy(grown, ino.data)
-		ino.data = grown
-		ino.attr.Size = end
-		ino.attr.Used = end
+	if end := off + uint64(len(data)); end > uint64(len(ino.data)) {
+		ino.truncate(end)
 	}
 	copy(ino.data[off:], data)
 	now := time.Now()

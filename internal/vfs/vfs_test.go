@@ -464,8 +464,9 @@ func TestCheckAccessDirLookup(t *testing.T) {
 	}
 }
 
-// Property: a random sequence of writes to MemFS matches a reference
-// byte-slice model.
+// Property: a random sequence of writes and truncations to MemFS
+// matches a reference byte-slice model; in particular, bytes a
+// truncation cut off read as zeros once the file grows back over them.
 func TestQuickMemFSWriteModel(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -473,6 +474,14 @@ func TestQuickMemFSWriteModel(t *testing.T) {
 		h, _, _ := fs.Create(fs.Root(), "model", SetAttr{}, false)
 		var model []byte
 		for i := 0; i < 20; i++ {
+			if rng.Intn(4) == 0 {
+				size := uint64(rng.Intn(len(model) + 1))
+				if _, err := fs.SetAttr(h, SetAttr{Size: &size}); err != nil {
+					return false
+				}
+				model = model[:size:size]
+				continue
+			}
 			off := rng.Intn(4096)
 			n := rng.Intn(512) + 1
 			data := make([]byte, n)

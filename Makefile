@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race chaos fuzz-short bench loc procs sgfs-vet alloc-budget check
+.PHONY: build test vet cross race chaos fuzz-short bench loc procs sgfs-vet alloc-budget check
 
 build:
 	$(GO) build ./...
@@ -10,6 +10,12 @@ test:
 
 vet:
 	$(GO) vet ./...
+
+# Other architectures: 386 (32-bit syscall fields) and arm64, which
+# build the secure channel without its amd64 kernels, on the standard
+# library alone.
+cross:
+	GOARCH=386 $(GO) vet ./... && GOARCH=arm64 $(GO) vet ./...
 
 race:
 	$(GO) test -race -count=1 -timeout 600s ./...
@@ -78,4 +84,4 @@ alloc-budget:
 	$(GO) test -count=1 -run Allocs ./...
 
 # The CI gate: everything that must be green before merging.
-check: build vet race chaos sgfs-vet alloc-budget
+check: build vet cross race chaos sgfs-vet alloc-budget

@@ -158,7 +158,7 @@ func TestReadAllocs(t *testing.T) {
 		budget    float64
 	}{
 		{"cached", true, 15},
-		{"uncached", false, 55},
+		{"uncached", false, 47},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			_, fs, _ := budgetStack(t, 1, c.diskCache, 1)
@@ -186,8 +186,8 @@ func TestWriteAllocs(t *testing.T) {
 		budget    float64
 	}{
 		{"write-back", 1, true, 18},
-		{"uncached", 1, false, 54},
-		{"replicated", 2, false, 122},
+		{"uncached", 1, false, 46},
+		{"replicated", 2, false, 106},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			_, fs, _ := budgetStack(t, c.replicas, c.diskCache, 1)
@@ -219,7 +219,7 @@ func TestFlushAllocs(t *testing.T) {
 	}
 	data := bytes.Repeat([]byte{5}, budgetBlock)
 	i := 0
-	pin(t, 104, func() {
+	pin(t, 94, func() {
 		i++
 		if _, err := f.WriteAt(ctx, data, int64(i%2)*budgetBlock); err != nil {
 			t.Fatal(err)
@@ -263,7 +263,7 @@ func TestColdReadAllocs(t *testing.T) {
 		}
 	}
 	next := 0
-	pin(t, 289, func() {
+	pin(t, 257, func() {
 		fh := fhs[next]
 		next++
 		for b := uint64(0); b < blocks; b++ {

@@ -1,6 +1,7 @@
 package securechan
 
 import (
+	"bufio"
 	"crypto/ecdh"
 	"crypto/hmac"
 	"crypto/rand"
@@ -25,57 +26,82 @@ const (
 	recClose     = 4
 )
 
-// maxRecordPlaintext is the largest plaintext carried in one record.
-const maxRecordPlaintext = 16 * 1024
+// maxRecordPlaintext is the largest plaintext carried in one record:
+// room for a 32 KiB READ reply or WRITE call and its RPC headers, so
+// each RPC message of the data path is one record.
+const maxRecordPlaintext = 64 * 1024
 
 // maxFrame bounds an incoming frame body.
 const maxFrame = maxRecordPlaintext + 1024
+
+// frameHeader is the [type u8 | len u32] prefix of every frame.
+const frameHeader = 5
 
 // ErrChannelClosed is returned after the channel is closed locally or
 // by the peer.
 var ErrChannelClosed = errors.New("securechan: channel closed")
 
-// writeFrame writes a [type u8 | len u32 | body] frame. A local header
-// array would escape to the heap on every call (it is written through
-// the net.Conn interface), so cold paths use it via the writeFrameCold
-// wrapper and the record hot path passes the Conn's scratch header.
-func writeFrame(w io.Writer, typ byte, body []byte, hdr *[5]byte) error {
-	hdr[0] = typ
-	binary.BigEndian.PutUint32(hdr[1:], uint32(len(body)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(body)
+// framePool holds write buffers for one frame: frameHeader bytes of
+// header room, then a sealed record of up to maxFrame bytes.
+var framePool = sync.Pool{New: func() any {
+	b := make([]byte, frameHeader+maxFrame)
+	return &b
+}}
+
+// newFrameReader buffers a connection's incoming frames. Its buffer
+// holds a whole frame, so readFrame can hand out bodies in place.
+func newFrameReader(conn net.Conn) *bufio.Reader {
+	return bufio.NewReaderSize(conn, frameHeader+maxFrame)
+}
+
+// writeFrame fills in the header of frame, whose first frameHeader
+// bytes are room for it, and sends header and record in one Write.
+func writeFrame(w io.Writer, typ byte, frame []byte) error {
+	frame[0] = typ
+	binary.BigEndian.PutUint32(frame[1:frameHeader], uint32(len(frame)-frameHeader))
+	_, err := w.Write(frame)
 	return err
 }
 
-// writeFrameCold is writeFrame with per-call header scratch, for
+// writeFrameCold is writeFrame for a body without header room, for
 // handshake and teardown paths where one allocation does not matter.
 func writeFrameCold(w io.Writer, typ byte, body []byte) error {
-	var hdr [5]byte
-	return writeFrame(w, typ, body, &hdr)
+	frame := make([]byte, frameHeader, frameHeader+len(body))
+	return writeFrame(w, typ, append(frame, body...))
 }
 
-// readFrame reads one frame, reusing buf when possible. hdr is
-// caller-owned header scratch, as in writeFrame.
-func readFrame(r io.Reader, buf []byte, hdr *[5]byte) (byte, []byte, error) {
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return 0, nil, err
+// readFrame reads one frame. The body aliases br's buffer and is valid
+// until the next read from br: the caller opens the record in place. A
+// frame that is already in the socket buffer arrives in one read; a
+// length word over maxFrame is refused before anything is read past
+// the header.
+func readFrame(br *bufio.Reader) (byte, []byte, error) {
+	hdr, err := br.Peek(frameHeader)
+	if err != nil {
+		return 0, nil, partialEOF(len(hdr), err)
 	}
 	n := binary.BigEndian.Uint32(hdr[1:])
 	if n > maxFrame {
 		return 0, nil, fmt.Errorf("securechan: frame of %d bytes exceeds limit", n)
 	}
-	var body []byte
-	if int(n) <= cap(buf) {
-		body = buf[:n]
-	} else {
-		body = make([]byte, n)
+	frame, err := br.Peek(frameHeader + int(n))
+	if err != nil {
+		return 0, nil, partialEOF(len(frame), err)
 	}
-	if _, err := io.ReadFull(r, body); err != nil {
+	if _, err := br.Discard(len(frame)); err != nil {
 		return 0, nil, err
 	}
-	return hdr[0], body, nil
+	return frame[0], frame[frameHeader:], nil
+}
+
+// partialEOF reports a stream that ended inside a frame as
+// io.ErrUnexpectedEOF, as io.ReadFull does; io.EOF means it ended
+// between frames.
+func partialEOF(got int, err error) error {
+	if err == io.EOF && got > 0 {
+		return io.ErrUnexpectedEOF
+	}
+	return err
 }
 
 // Conn is an established secure channel. It implements net.Conn; the
@@ -94,20 +120,17 @@ type Conn struct {
 	peerChain []*x509.Certificate
 	peerDN    string
 
-	readMu    sync.Mutex
-	rSealer   *sealer
-	rGen      uint32
-	rbuf      []byte // decrypted bytes not yet returned by Read
-	frameBuf  []byte
-	rFrameHdr [5]byte // readFrame header scratch, guarded by readMu
-	rerr      error
+	readMu  sync.Mutex
+	br      *bufio.Reader // raw's frames; guarded by readMu
+	rSealer *sealer
+	rGen    uint32
+	rbuf    []byte // decrypted bytes not yet returned by Read; in br's buffer
+	rerr    error
 
-	writeMu   sync.Mutex
-	wSealer   *sealer
-	wGen      uint32
-	wScratch  []byte  // reusable seal output, guarded by writeMu
-	wFrameHdr [5]byte // writeFrame header scratch, guarded by writeMu
-	werr      error
+	writeMu sync.Mutex
+	wSealer *sealer
+	wGen    uint32
+	werr    error
 
 	closeOnce sync.Once
 
@@ -158,6 +181,7 @@ func clientHandshake(conn net.Conn, cfg *Config) (*Conn, error) {
 	if err := cfg.check(); err != nil {
 		return nil, err
 	}
+	c := newConn(conn)
 
 	hs := &handshakeState{transcript: &transcript{}}
 	if _, err := rand.Read(hs.clientRand[:]); err != nil {
@@ -177,7 +201,7 @@ func clientHandshake(conn net.Conn, cfg *Config) (*Conn, error) {
 	hs.transcript.add(raw)
 
 	var sh hello
-	raw, err = readHandshakeMsg(conn, &sh)
+	raw, err = readHandshakeMsg(c.br, &sh)
 	if err != nil {
 		return nil, fmt.Errorf("securechan: read server hello: %w", err)
 	}
@@ -235,18 +259,18 @@ func clientHandshake(conn net.Conn, cfg *Config) (*Conn, error) {
 	hs.transcript.add(raw)
 
 	var sf finished
-	if _, err := readHandshakeMsg(conn, &sf); err != nil {
+	if _, err := readHandshakeMsg(c.br, &sf); err != nil {
 		return nil, fmt.Errorf("securechan: read server finished: %w", err)
 	}
 	if !hmac.Equal(sf.MAC, hs.finishedMAC("server finished")) {
 		return nil, ErrBadFinished
 	}
 
-	c, err := newConn(conn, hs, true)
-	if err == nil {
-		c.meter = cfg.Meter
+	if err := c.establish(hs, true); err != nil {
+		return nil, err
 	}
-	return c, err
+	c.meter = cfg.Meter
+	return c, nil
 }
 
 // Server performs the accepting side of the handshake over conn. On
@@ -270,13 +294,14 @@ func serverHandshake(conn net.Conn, cfg *Config) (*Conn, error) {
 	if err := cfg.check(); err != nil {
 		return nil, err
 	}
+	c := newConn(conn)
 	hs := &handshakeState{transcript: &transcript{}}
 	if _, err := rand.Read(hs.serverRand[:]); err != nil {
 		return nil, err
 	}
 
 	var ch hello
-	raw, err := readHandshakeMsg(conn, &ch)
+	raw, err := readHandshakeMsg(c.br, &ch)
 	if err != nil {
 		return nil, fmt.Errorf("securechan: read client hello: %w", err)
 	}
@@ -331,7 +356,7 @@ func serverHandshake(conn net.Conn, cfg *Config) (*Conn, error) {
 	hs.deriveMaster(shared)
 
 	var cf finished
-	raw, err = readHandshakeMsg(conn, &cf)
+	raw, err = readHandshakeMsg(c.br, &cf)
 	if err != nil {
 		return nil, fmt.Errorf("securechan: read client finished: %w", err)
 	}
@@ -349,11 +374,11 @@ func serverHandshake(conn net.Conn, cfg *Config) (*Conn, error) {
 		return nil, err
 	}
 
-	c, err := newConn(conn, hs, false)
-	if err == nil {
-		c.meter = cfg.Meter
+	if err := c.establish(hs, false); err != nil {
+		return nil, err
 	}
-	return c, err
+	c.meter = cfg.Meter
+	return c, nil
 }
 
 func rawChain(cfg *Config) [][]byte {
@@ -375,27 +400,28 @@ func offered(suites []Suite, s Suite) bool {
 	return false
 }
 
-func newConn(raw net.Conn, hs *handshakeState, client bool) (*Conn, error) {
-	c := &Conn{
-		raw:       raw,
-		suite:     hs.suite,
-		master:    hs.master,
-		hs:        hs,
-		client:    client,
-		peerChain: hs.peerChain,
-		peerDN:    hs.peerDN,
-		rekeyStop: make(chan struct{}),
-	}
+// newConn starts a channel over raw. Its frame reader serves the
+// handshake and then the session, so records the peer sends right
+// behind its finished message are not lost.
+func newConn(raw net.Conn) *Conn {
+	c := &Conn{raw: raw, rekeyStop: make(chan struct{})}
+	c.br = newFrameReader(c.raw)
+	return c
+}
+
+// establish installs a completed handshake's identity and generation-0
+// keys.
+func (c *Conn) establish(hs *handshakeState, client bool) error {
+	c.suite, c.master, c.hs, c.client = hs.suite, hs.master, hs, client
+	c.peerChain, c.peerDN = hs.peerChain, hs.peerDN
 	var err error
 	encW, macW := hs.directionKeys(client, 0)
 	if c.wSealer, err = newSealer(hs.suite, encW, macW); err != nil {
-		return nil, err
+		return err
 	}
 	encR, macR := hs.directionKeys(!client, 0)
-	if c.rSealer, err = newSealer(hs.suite, encR, macR); err != nil {
-		return nil, err
-	}
-	return c, nil
+	c.rSealer, err = newSealer(hs.suite, encR, macR)
+	return err
 }
 
 // PeerDN returns the peer's effective grid identity (the identity
@@ -427,35 +453,32 @@ func (c *Conn) Stats() (in, out, rekeys uint64) {
 	return c.bytesIn, c.bytesOut, c.rekeys
 }
 
-// Write encrypts and sends p, splitting into records as needed.
+// Write encrypts and sends p, one record of up to maxRecordPlaintext
+// bytes per frame. Each record is sealed into a pooled buffer behind
+// its header and goes out in one raw Write.
 func (c *Conn) Write(p []byte) (int, error) {
 	c.writeMu.Lock()
 	defer c.writeMu.Unlock()
 	if c.werr != nil {
 		return 0, c.werr
 	}
+	buf := framePool.Get().(*[]byte)
+	defer framePool.Put(buf)
 	total := 0
 	for len(p) > 0 {
-		n := len(p)
-		if n > maxRecordPlaintext {
-			n = maxRecordPlaintext
-		}
+		n := min(len(p), maxRecordPlaintext)
 		sealStart := time.Now()
-		rec, err := c.wSealer.sealTo(c.wScratch[:0], recData, p[:n])
+		frame, err := c.wSealer.seal((*buf)[:frameHeader], recData, p[:n])
 		if c.meter != nil {
 			c.meter.Add(time.Since(sealStart))
+		}
+		if err == nil {
+			err = writeFrame(c.raw, recData, frame)
 		}
 		if err != nil {
 			c.werr = err
 			return total, err
 		}
-		if err := writeFrame(c.raw, recData, rec, &c.wFrameHdr); err != nil {
-			c.werr = err
-			return total, err
-		}
-		// The frame is on the wire; keep the (possibly grown) record
-		// storage for the next seal.
-		c.wScratch = rec[:0]
 		total += n
 		p = p[n:]
 	}
@@ -475,7 +498,7 @@ func (c *Conn) Read(p []byte) (int, error) {
 		if c.rerr != nil {
 			return 0, c.rerr
 		}
-		typ, body, err := readFrame(c.raw, c.frameBuf, &c.rFrameHdr)
+		typ, body, err := readFrame(c.br)
 		if err == io.EOF {
 			// The raw stream ended between frames but without the
 			// peer's close record: a cut, not the end of the stream.
@@ -485,7 +508,6 @@ func (c *Conn) Read(p []byte) (int, error) {
 			c.rerr = err
 			return 0, err
 		}
-		c.frameBuf = body[:0]
 		switch typ {
 		case recData:
 			openStart := time.Now()
@@ -539,12 +561,12 @@ func (c *Conn) Rekey() error {
 	if c.werr != nil {
 		return c.werr
 	}
-	rec, err := c.wSealer.seal(recRekey, nil)
+	frame, err := c.wSealer.seal(make([]byte, frameHeader), recRekey, nil)
 	if err != nil {
 		c.werr = err
 		return err
 	}
-	if err := writeFrame(c.raw, recRekey, rec, &c.wFrameHdr); err != nil {
+	if err := writeFrame(c.raw, recRekey, frame); err != nil {
 		c.werr = err
 		return err
 	}
@@ -591,9 +613,9 @@ func (c *Conn) Close() error {
 		if c.werr == nil {
 			// Best-effort close notification: bound the write so a
 			// peer that has stopped reading cannot block Close.
-			if rec, err := c.wSealer.seal(recClose, nil); err == nil {
+			if frame, err := c.wSealer.seal(make([]byte, frameHeader), recClose, nil); err == nil {
 				c.raw.SetWriteDeadline(time.Now().Add(100 * time.Millisecond))
-				writeFrame(c.raw, recClose, rec, &c.wFrameHdr)
+				writeFrame(c.raw, recClose, frame)
 				c.raw.SetWriteDeadline(time.Time{})
 			}
 			c.werr = ErrChannelClosed

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"net"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -189,4 +190,58 @@ func TestForgedHelloLengthDoesNotAllocate(t *testing.T) {
 	if n := after.TotalAlloc - before.TotalAlloc; n >= 1<<20 {
 		t.Errorf("refusing a 48-byte hello allocated %d bytes", n)
 	}
+}
+
+// TestOversizeFrameDoesNotAllocate sends an established channel a frame
+// header announcing maxFrame+1 bytes. The reader must refuse it from the
+// header alone, without allocating what the length word claims.
+func TestOversizeFrameDoesNotAllocate(t *testing.T) {
+	pki := newPKI(t)
+	cc, sc := handshakePair(t, pki, nil, nil)
+	hdr := make([]byte, frameHeader)
+	hdr[0] = recData
+	binary.BigEndian.PutUint32(hdr[1:], maxFrame+1)
+	go cc.raw.Write(hdr)
+	buf := make([]byte, 16)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := sc.Read(buf)
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), "exceeds limit") {
+		t.Fatalf("oversize frame read as %v, want the frame limit error", err)
+	}
+	if n := after.TotalAlloc - before.TotalAlloc; n >= 16<<10 {
+		t.Errorf("refusing a %d-byte frame allocated %d bytes", maxFrame+1, n)
+	}
+}
+
+// TestVersion1HelloRefused: each side refuses a version-1 hello, whose
+// sender would send at most 16 KiB records and refuse larger frames
+// mid-stream, at the handshake.
+func TestVersion1HelloRefused(t *testing.T) {
+	pki := newPKI(t)
+	old := &hello{Version: 1, Suites: []Suite{SuiteAES256SHA1}, ECDHPub: bytes.Repeat([]byte{4}, 65)}
+	t.Run("server", func(t *testing.T) {
+		a, b := net.Pipe()
+		defer a.Close()
+		go writeHandshakeMsg(a, old)
+		_, err := Server(b, &Config{Credential: pki.server, Roots: pki.ca.Pool()})
+		if err == nil || !strings.Contains(err.Error(), "version 1") {
+			t.Fatalf("server accepted a version-1 client hello: %v", err)
+		}
+	})
+	t.Run("client", func(t *testing.T) {
+		a, b := net.Pipe()
+		defer b.Close()
+		go func() {
+			var ch hello
+			if _, err := readHandshakeMsg(newFrameReader(b), &ch); err == nil {
+				writeHandshakeMsg(b, old)
+			}
+		}()
+		_, err := Client(a, &Config{Credential: pki.client, Roots: pki.ca.Pool()})
+		if err == nil || !strings.Contains(err.Error(), "version 1") {
+			t.Fatalf("client accepted a version-1 server hello: %v", err)
+		}
+	})
 }

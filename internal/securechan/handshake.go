@@ -1,6 +1,8 @@
 package securechan
 
 import (
+	"bufio"
+	"bytes"
 	"crypto/ecdh"
 	"crypto/ecdsa"
 	"crypto/hmac"
@@ -18,8 +20,10 @@ import (
 	"repro/internal/xdr"
 )
 
-// protocolVersion is the handshake protocol version.
-const protocolVersion = 1
+// protocolVersion is the handshake protocol version. Version 2 carries
+// records of up to 64 KiB (maxRecordPlaintext); version 1 peers, whose
+// limit was 16 KiB, are refused at the hello.
+const protocolVersion = 2
 
 // Handshake / alert errors.
 var (
@@ -165,15 +169,17 @@ func writeHandshakeMsg(conn net.Conn, v xdr.Marshaler) ([]byte, error) {
 	return b, nil
 }
 
-func readHandshakeMsg(conn net.Conn, v xdr.Unmarshaler) ([]byte, error) {
-	var hdr [5]byte
-	typ, b, err := readFrame(conn, nil, &hdr)
+// readHandshakeMsg reads and decodes one handshake message and returns
+// a copy of its encoding for the transcript.
+func readHandshakeMsg(br *bufio.Reader, v xdr.Unmarshaler) ([]byte, error) {
+	typ, body, err := readFrame(br)
 	if err != nil {
 		return nil, err
 	}
 	if typ != recHandshake {
 		return nil, fmt.Errorf("securechan: expected handshake record, got type %d", typ)
 	}
+	b := bytes.Clone(body)
 	if err := xdr.Unmarshal(b, v); err != nil {
 		return nil, err
 	}

@@ -6,8 +6,10 @@ import (
 	"crypto/x509"
 	"errors"
 	"fmt"
+	"hash"
 	"io"
 	"net"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"time"
@@ -72,6 +74,55 @@ func tryHandshake(pki *testPKI, ccfg, scfg *Config) (*Conn, *Conn, error, error)
 	cc, cerr := Client(a, ccfg)
 	sres := <-sch
 	return cc, sres.c, cerr, sres.err
+}
+
+var allSuites = []Suite{SuiteNullSHA1, SuiteRC4SHA1, SuiteAES256SHA1}
+
+// kernelPath is one implementation of the record layer's primitives:
+// hw's entries while the path is in use.
+type kernelPath struct {
+	name string
+	hmac func(key []byte) hash.Hash
+	cbc  func(key []byte) (cbcMode, error)
+}
+
+// kernelPaths lists the paths this CPU can run: the standard library,
+// and the kernels where the CPU has them.
+func kernelPaths() []kernelPath {
+	paths := []kernelPath{{name: "stdlib"}}
+	if hw.hmac != nil || hw.cbc != nil {
+		paths = append(paths, kernelPath{"kernels", hw.hmac, hw.cbc})
+	}
+	return paths
+}
+
+// useKernels puts the record layer on path p until the test ends.
+// Sealers pick their primitives when they are made.
+func useKernels(t testing.TB, p kernelPath) {
+	old := hw
+	hw.hmac, hw.cbc = p.hmac, p.cbc
+	t.Cleanup(func() { hw = old })
+}
+
+// forSuitesAndKernels runs f as a subtest per suite and, within it, per
+// kernel path.
+func forSuitesAndKernels(t *testing.T, f func(t *testing.T, suite Suite)) {
+	for _, suite := range allSuites {
+		t.Run(suite.String(), func(t *testing.T) {
+			for _, p := range kernelPaths() {
+				t.Run(p.name, func(t *testing.T) {
+					useKernels(t, p)
+					f(t, suite)
+				})
+			}
+		})
+	}
+}
+
+// suiteConfigs returns client and server configs that agree on suite.
+func suiteConfigs(pki *testPKI, suite Suite) (client, server *Config) {
+	return &Config{Credential: pki.client, Roots: pki.ca.Pool(), Suites: []Suite{suite}},
+		&Config{Credential: pki.server, Roots: pki.ca.Pool(), Suites: []Suite{suite}}
 }
 
 func TestHandshakeAllSuites(t *testing.T) {
@@ -181,66 +232,93 @@ func TestVerifyPeerPolicyHook(t *testing.T) {
 	}
 }
 
+// countingConn counts the raw Writes that carry a channel's frames.
+type countingConn struct {
+	net.Conn
+	writes atomic.Int64
+}
+
+func (c *countingConn) Write(p []byte) (int, error) {
+	c.writes.Add(1)
+	return c.Conn.Write(p)
+}
+
+// TestLargeTransfer moves Writes of 32 KiB (one READ reply's payload:
+// one record, one frame, one raw Write) and of 300 KiB (five 64 KiB
+// records) and counts the raw Writes they take.
 func TestLargeTransfer(t *testing.T) {
 	pki := newPKI(t)
-	ccfg := &Config{Credential: pki.client, Roots: pki.ca.Pool(), Suites: []Suite{SuiteAES256SHA1}}
-	cc, sc := handshakePair(t, pki, ccfg, nil)
-	payload := make([]byte, 300*1024) // spans many records
-	rand.Read(payload)
-	go func() {
-		cc.Write(payload)
-	}()
-	got := make([]byte, len(payload))
-	if _, err := io.ReadFull(sc, got); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, payload) {
-		t.Fatal("large payload corrupted")
+	for _, tc := range []struct {
+		size, frames int
+	}{{32 << 10, 1}, {300 << 10, 5}} {
+		t.Run(fmt.Sprint(tc.size), func(t *testing.T) {
+			ccfg, scfg := suiteConfigs(pki, SuiteAES256SHA1)
+			cc, sc := handshakePair(t, pki, ccfg, scfg)
+			counted := &countingConn{Conn: cc.raw}
+			cc.raw = counted
+
+			payload := make([]byte, tc.size)
+			rand.Read(payload)
+			go cc.Write(payload)
+			got := make([]byte, len(payload))
+			if _, err := io.ReadFull(sc, got); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, payload) {
+				t.Fatal("payload corrupted")
+			}
+			if n := counted.writes.Load(); n != int64(tc.frames) {
+				t.Errorf("a %d-byte Write took %d raw Writes, want %d", tc.size, n, tc.frames)
+			}
+		})
 	}
 }
 
 func TestRekeyMidStream(t *testing.T) {
 	pki := newPKI(t)
-	cc, sc := handshakePair(t, pki, nil, nil)
-	done := make(chan error, 1)
-	go func() {
-		if _, err := cc.Write([]byte("before")); err != nil {
+	forSuitesAndKernels(t, func(t *testing.T, suite Suite) {
+		ccfg, scfg := suiteConfigs(pki, suite)
+		cc, sc := handshakePair(t, pki, ccfg, scfg)
+		done := make(chan error, 1)
+		go func() {
+			if _, err := cc.Write([]byte("before")); err != nil {
+				done <- err
+				return
+			}
+			if err := cc.Rekey(); err != nil {
+				done <- err
+				return
+			}
+			_, err := cc.Write([]byte("after-rekey"))
 			done <- err
-			return
+		}()
+		buf := make([]byte, 6)
+		if _, err := io.ReadFull(sc, buf); err != nil {
+			t.Fatal(err)
 		}
-		if err := cc.Rekey(); err != nil {
-			done <- err
-			return
+		buf2 := make([]byte, 11)
+		if _, err := io.ReadFull(sc, buf2); err != nil {
+			t.Fatal(err)
 		}
-		_, err := cc.Write([]byte("after-rekey"))
-		done <- err
-	}()
-	buf := make([]byte, 6)
-	if _, err := io.ReadFull(sc, buf); err != nil {
-		t.Fatal(err)
-	}
-	buf2 := make([]byte, 11)
-	if _, err := io.ReadFull(sc, buf2); err != nil {
-		t.Fatal(err)
-	}
-	if string(buf) != "before" || string(buf2) != "after-rekey" {
-		t.Fatalf("got %q / %q", buf, buf2)
-	}
-	if err := <-done; err != nil {
-		t.Fatal(err)
-	}
-	w, _ := cc.Generations()
-	if w != 1 {
-		t.Fatalf("client write generation %d, want 1", w)
-	}
-	_, r := sc.Generations()
-	if r != 1 {
-		t.Fatalf("server read generation %d, want 1", r)
-	}
-	_, _, rekeys := cc.Stats()
-	if rekeys != 1 {
-		t.Fatalf("rekeys %d", rekeys)
-	}
+		if string(buf) != "before" || string(buf2) != "after-rekey" {
+			t.Fatalf("got %q / %q", buf, buf2)
+		}
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+		w, _ := cc.Generations()
+		if w != 1 {
+			t.Fatalf("client write generation %d, want 1", w)
+		}
+		_, r := sc.Generations()
+		if r != 1 {
+			t.Fatalf("server read generation %d, want 1", r)
+		}
+		_, _, rekeys := cc.Stats()
+		if rekeys != 1 {
+			t.Fatalf("rekeys %d", rekeys)
+		}
+	})
 }
 
 func TestMultipleRekeys(t *testing.T) {
@@ -268,26 +346,27 @@ type frame struct {
 	body []byte
 }
 
-// relayedPair establishes a channel through a hostile frame-aware relay
-// on the client-to-server direction. Handshake frames pass untouched;
+// relayedPair establishes a channel on suite through a hostile
+// frame-aware relay on the client-to-server direction. Handshake frames pass untouched;
 // every later frame goes to edit, which returns the frames the server
 // is to see in its place, and cut to end the raw stream after them
 // without a close record. The server-to-client direction passes
 // through.
-func relayedPair(t *testing.T, edit func(f frame) (out []frame, cut bool)) (client, server *Conn) {
+func relayedPair(t *testing.T, suite Suite, edit func(f frame) (out []frame, cut bool)) (client, server *Conn) {
 	t.Helper()
 	pki := newPKI(t)
+	ccfg, scfg := suiteConfigs(pki, suite)
 	a, b := net.Pipe()         // server side: a
 	mitmA, mitmB := net.Pipe() // client side: mitmA
 	go func() {
 		defer b.Close()
-		var hdr [5]byte
+		br := newFrameReader(mitmB)
 		for {
-			typ, body, err := readFrame(mitmB, nil, &hdr)
+			typ, body, err := readFrame(br)
 			if err != nil {
 				return
 			}
-			f := frame{typ, body}
+			f := frame{typ, bytes.Clone(body)}
 			out, cut := []frame{f}, false
 			if f.typ != recHandshake {
 				out, cut = edit(f)
@@ -310,10 +389,10 @@ func relayedPair(t *testing.T, edit func(f frame) (out []frame, cut bool)) (clie
 	}
 	sch := make(chan res, 1)
 	go func() {
-		c, err := Server(a, &Config{Credential: pki.server, Roots: pki.ca.Pool()})
+		c, err := Server(a, scfg)
 		sch <- res{c, err}
 	}()
-	cc, err := Client(mitmA, &Config{Credential: pki.client, Roots: pki.ca.Pool()})
+	cc, err := Client(mitmA, ccfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -342,60 +421,66 @@ func readErr(c *Conn) ([]byte, error) {
 func TestTamperedRecordDetected(t *testing.T) {
 	// The relay flips one ciphertext bit in the first data record; the
 	// reader must detect the forgery.
-	cc, sc := relayedPair(t, func(f frame) ([]frame, bool) {
-		if f.typ == recData && len(f.body) > 0 {
-			f.body[len(f.body)/2] ^= 0x40
+	forSuitesAndKernels(t, func(t *testing.T, suite Suite) {
+		cc, sc := relayedPair(t, suite, func(f frame) ([]frame, bool) {
+			if f.typ == recData && len(f.body) > 0 {
+				f.body[len(f.body)/2] ^= 0x40
+			}
+			return []frame{f}, false
+		})
+		go cc.Write(bytes.Repeat([]byte("x"), 512))
+		buf := make([]byte, 1024)
+		if _, err := sc.Read(buf); !errors.Is(err, ErrRecordMAC) {
+			t.Fatalf("tampering produced %v, want ErrRecordMAC", err)
 		}
-		return []frame{f}, false
 	})
-	go cc.Write(bytes.Repeat([]byte("x"), 512))
-	buf := make([]byte, 1024)
-	if _, err := sc.Read(buf); !errors.Is(err, ErrRecordMAC) {
-		t.Fatalf("tampering produced %v, want ErrRecordMAC", err)
-	}
 }
 
 // TestReorderedRecordsRefused: the relay delivers two data records in
 // swapped order; the reader must refuse the first one it sees.
 func TestReorderedRecordsRefused(t *testing.T) {
-	var held []frame
-	cc, sc := relayedPair(t, func(f frame) ([]frame, bool) {
-		if f.typ == recData && held == nil {
-			held = []frame{f}
-			return nil, false
+	forSuitesAndKernels(t, func(t *testing.T, suite Suite) {
+		var held []frame
+		cc, sc := relayedPair(t, suite, func(f frame) ([]frame, bool) {
+			if f.typ == recData && held == nil {
+				held = []frame{f}
+				return nil, false
+			}
+			return append([]frame{f}, held...), false
+		})
+		go func() {
+			cc.Write([]byte("first"))
+			cc.Write([]byte("second"))
+		}()
+		if got, err := readErr(sc); !errors.Is(err, ErrRecordMAC) || len(got) != 0 {
+			t.Fatalf("swapped records delivered %q, then %v; want nothing, then ErrRecordMAC", got, err)
 		}
-		return append([]frame{f}, held...), false
 	})
-	go func() {
-		cc.Write([]byte("first"))
-		cc.Write([]byte("second"))
-	}()
-	if got, err := readErr(sc); !errors.Is(err, ErrRecordMAC) || len(got) != 0 {
-		t.Fatalf("swapped records delivered %q, then %v; want nothing, then ErrRecordMAC", got, err)
-	}
 }
 
 // TestReplayAcrossRekeyRefused: the relay replays a data record sealed
 // before a rekey right after the rekey record; the reader must refuse
 // it under the new keys.
 func TestReplayAcrossRekeyRefused(t *testing.T) {
-	var first *frame
-	cc, sc := relayedPair(t, func(f frame) ([]frame, bool) {
-		switch {
-		case f.typ == recData && first == nil:
-			first = &f
-		case f.typ == recRekey:
-			return []frame{f, *first}, false
+	forSuitesAndKernels(t, func(t *testing.T, suite Suite) {
+		var first *frame
+		cc, sc := relayedPair(t, suite, func(f frame) ([]frame, bool) {
+			switch {
+			case f.typ == recData && first == nil:
+				first = &f
+			case f.typ == recRekey:
+				return []frame{f, *first}, false
+			}
+			return []frame{f}, false
+		})
+		go func() {
+			cc.Write([]byte("before"))
+			cc.Rekey()
+		}()
+		if got, err := readErr(sc); !errors.Is(err, ErrRecordMAC) || string(got) != "before" {
+			t.Fatalf("read %q, then %v; want %q, then ErrRecordMAC", got, err, "before")
 		}
-		return []frame{f}, false
 	})
-	go func() {
-		cc.Write([]byte("before"))
-		cc.Rekey()
-	}()
-	if got, err := readErr(sc); !errors.Is(err, ErrRecordMAC) || string(got) != "before" {
-		t.Fatalf("read %q, then %v; want %q, then ErrRecordMAC", got, err, "before")
-	}
 }
 
 // TestTruncationIsNotClose: the relay ends the raw stream cleanly after
@@ -403,7 +488,7 @@ func TestReplayAcrossRekeyRefused(t *testing.T) {
 // record, then io.ErrUnexpectedEOF: a cut stream must not pass for the
 // peer's authenticated close, which alone reads as io.EOF.
 func TestTruncationIsNotClose(t *testing.T) {
-	cc, sc := relayedPair(t, func(f frame) ([]frame, bool) {
+	cc, sc := relayedPair(t, SuiteAES256SHA1, func(f frame) ([]frame, bool) {
 		return []frame{f}, f.typ == recData
 	})
 	go cc.Write([]byte("all of it?"))
@@ -430,7 +515,7 @@ func TestNullSuiteLeavesPlaintextVisible(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec, err := s.seal(recData, []byte("visible"))
+	rec, err := s.seal(nil, recData, []byte("visible"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -446,7 +531,7 @@ func TestAESSuiteHidesPlaintext(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec, err := s.seal(recData, []byte("secret-seismic-survey"))
+	rec, err := s.seal(nil, recData, []byte("secret-seismic-survey"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -464,7 +549,7 @@ func TestSealerReplayRejected(t *testing.T) {
 	rand.Read(mkey)
 	enc, _ := newSealer(SuiteAES256SHA1, key, mkey)
 	dec, _ := newSealer(SuiteAES256SHA1, key, mkey)
-	r1, _ := enc.seal(recData, []byte("one"))
+	r1, _ := enc.seal(nil, recData, []byte("one"))
 	if _, err := dec.open(recData, r1); err != nil {
 		t.Fatal(err)
 	}
@@ -474,37 +559,34 @@ func TestSealerReplayRejected(t *testing.T) {
 }
 
 func TestQuickSealOpenRoundTrip(t *testing.T) {
-	for _, suite := range []Suite{SuiteNullSHA1, SuiteRC4SHA1, SuiteAES256SHA1} {
-		suite := suite
-		t.Run(suite.String(), func(t *testing.T) {
-			encKey := make([]byte, suite.keyLen())
-			macKey := make([]byte, 20)
-			rand.Read(encKey)
-			rand.Read(macKey)
-			enc, err := newSealer(suite, encKey, macKey)
+	forSuitesAndKernels(t, func(t *testing.T, suite Suite) {
+		encKey := make([]byte, suite.keyLen())
+		macKey := make([]byte, 20)
+		rand.Read(encKey)
+		rand.Read(macKey)
+		enc, err := newSealer(suite, encKey, macKey)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dec, err := newSealer(suite, encKey, macKey)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f := func(p []byte) bool {
+			rec, err := enc.seal(nil, recData, p)
 			if err != nil {
-				t.Fatal(err)
+				return false
 			}
-			dec, err := newSealer(suite, encKey, macKey)
+			got, err := dec.open(recData, rec)
 			if err != nil {
-				t.Fatal(err)
+				return false
 			}
-			f := func(p []byte) bool {
-				rec, err := enc.seal(recData, p)
-				if err != nil {
-					return false
-				}
-				got, err := dec.open(recData, rec)
-				if err != nil {
-					return false
-				}
-				return bytes.Equal(got, p)
-			}
-			if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
+			return bytes.Equal(got, p)
+		}
+		if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
 func TestParseSuite(t *testing.T) {

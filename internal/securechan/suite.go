@@ -13,6 +13,16 @@
 //	SuiteRC4SHA1    — RC4-128 encryption + HMAC-SHA1     (sgfs-rc)
 //	SuiteNullSHA1   — no encryption + HMAC-SHA1          (sgfs-sha)
 //
+// Records carry up to 64 KiB of plaintext, so each RPC message of the
+// NFS data path (a 32 KiB READ reply or WRITE call) is sealed into one
+// record and goes out as one frame in one write; the receiver takes a
+// frame already in the socket buffer with one read and opens it in
+// place. Handshake version 2 marks this record size: a version-1 peer,
+// which would refuse such frames mid-stream, is refused at the hello.
+// The suites' SHA-1 and AES run on the CPU's SHA and AES instructions
+// where it has them (kernels.go), and on the standard library
+// otherwise.
+//
 // Sessions may be rekeyed at any time (and automatically on a timer),
 // reproducing the paper's periodic SSL renegotiation for long-lived
 // sessions (§4.2): record keys are ratcheted from the master secret,
@@ -21,8 +31,6 @@ package securechan
 
 import (
 	"crypto/aes"
-	"crypto/cipher"
-	"crypto/hmac"
 	"crypto/rand"
 	"crypto/rc4"
 	"crypto/sha1"
@@ -31,6 +39,7 @@ import (
 	"errors"
 	"fmt"
 	"hash"
+	"io"
 )
 
 // Suite identifies a negotiated protection suite.
@@ -92,8 +101,9 @@ type sealer struct {
 	suite  Suite
 	macKey []byte
 	encKey []byte
-	stream *rc4.Cipher  // RC4 only
-	block  cipher.Block // AES only
+	stream *rc4.Cipher // RC4 only
+	cbc    cbcMode     // AES only
+	ivs    io.Reader   // CBC IVs: crypto/rand; tests fix them
 	seq    uint64
 
 	// h, sum, and hdr are reused across records so the per-record MAC
@@ -106,8 +116,8 @@ type sealer struct {
 }
 
 func newSealer(suite Suite, encKey, macKey []byte) (*sealer, error) {
-	s := &sealer{suite: suite, macKey: macKey, encKey: encKey}
-	s.h = hmac.New(sha1.New, macKey)
+	s := &sealer{suite: suite, macKey: macKey, encKey: encKey, ivs: rand.Reader}
+	s.h = newHMAC(macKey)
 	switch suite {
 	case SuiteNullSHA1:
 	case SuiteRC4SHA1:
@@ -117,11 +127,11 @@ func newSealer(suite Suite, encKey, macKey []byte) (*sealer, error) {
 		}
 		s.stream = c
 	case SuiteAES256SHA1:
-		b, err := aes.NewCipher(encKey)
+		c, err := newCBC(encKey)
 		if err != nil {
 			return nil, err
 		}
-		s.block = b
+		s.cbc = c
 	default:
 		return nil, fmt.Errorf("securechan: unsupported suite %v", suite)
 	}
@@ -132,62 +142,69 @@ func newSealer(suite Suite, encKey, macKey []byte) (*sealer, error) {
 // returned slice aliases the sealer's scratch sum and is valid until
 // the next mac call.
 func (s *sealer) mac(recType byte, body []byte) []byte {
-	s.h.Reset()
-	binary.BigEndian.PutUint64(s.hdr[0:8], s.seq)
-	s.hdr[8] = recType
-	binary.BigEndian.PutUint32(s.hdr[9:13], uint32(len(body)))
-	s.h.Write(s.hdr[:])
+	s.macHeader(recType, len(body))
 	s.h.Write(body)
 	return s.h.Sum(s.sum[:0])
 }
 
-// sliceFor returns a length-n slice backed by dst's storage when its
-// capacity can also hold a trailing tag of tail bytes; otherwise it
-// allocates with that headroom so the caller's append cannot reallocate.
-func sliceFor(dst []byte, n, tail int) []byte {
-	if cap(dst) >= n+tail {
-		return dst[:n]
+// macHeader starts a record's MAC: seq || recType || len(body).
+func (s *sealer) macHeader(recType byte, n int) {
+	s.h.Reset()
+	binary.BigEndian.PutUint64(s.hdr[0:8], s.seq)
+	s.hdr[8] = recType
+	binary.BigEndian.PutUint32(s.hdr[9:13], uint32(n))
+	s.h.Write(s.hdr[:])
+}
+
+// grow extends dst by n bytes and returns the result and its last n
+// bytes. It reuses dst's storage when that can also hold a trailing
+// tag, and otherwise allocates with that headroom, so the caller's
+// append of the tag never reallocates.
+func grow(dst []byte, n int) (whole, tail []byte) {
+	start, total := len(dst), len(dst)+n
+	if cap(dst) < total+macLen {
+		grown := make([]byte, start, total+macLen)
+		copy(grown, dst)
+		dst = grown
 	}
-	return make([]byte, n, n+tail)
+	return dst[:total], dst[start:total]
 }
 
-// seal encrypts and authenticates plaintext, returning the protected
-// record body (ciphertext || MAC) and advancing the sequence number.
-func (s *sealer) seal(recType byte, plaintext []byte) ([]byte, error) {
-	return s.sealTo(nil, recType, plaintext)
-}
-
-// sealTo is seal writing into dst's storage when it is large enough,
-// so a steady-state connection seals records with zero allocations.
-// dst must be empty (a scratch buffer sliced to [:0]); the returned
-// record aliases it when it fits.
-func (s *sealer) sealTo(dst []byte, recType byte, plaintext []byte) ([]byte, error) {
-	var body []byte
+// seal encrypts and authenticates plaintext, appends the protected
+// record (ciphertext || MAC) to dst and advances the sequence number.
+// When dst's storage has room, as the Conn's pooled frame buffers
+// always do, sealing allocates nothing.
+func (s *sealer) seal(dst []byte, recType byte, plaintext []byte) ([]byte, error) {
+	var body, tag []byte
 	switch s.suite {
 	case SuiteNullSHA1:
-		body = sliceFor(dst, len(plaintext), macLen)
+		dst, body = grow(dst, len(plaintext))
 		copy(body, plaintext)
 	case SuiteRC4SHA1:
-		body = sliceFor(dst, len(plaintext), macLen)
+		dst, body = grow(dst, len(plaintext))
 		s.stream.XORKeyStream(body, plaintext)
 	case SuiteAES256SHA1:
-		bs := s.block.BlockSize()
+		const bs = aes.BlockSize
 		padLen := bs - len(plaintext)%bs
-		body = sliceFor(dst, bs+len(plaintext)+padLen, macLen)
+		dst, body = grow(dst, bs+len(plaintext)+padLen)
 		iv, ct := body[:bs], body[bs:]
 		copy(ct, plaintext)
 		for i := len(plaintext); i < len(ct); i++ {
 			ct[i] = byte(padLen)
 		}
-		if _, err := rand.Read(iv); err != nil {
+		if _, err := io.ReadFull(s.ivs, iv); err != nil {
 			return nil, err
 		}
-		// Exact-overlap src/dst is permitted by cipher.BlockMode.
-		cipher.NewCBCEncrypter(s.block, iv).CryptBlocks(ct, ct)
+		// Encrypt-then-MAC in one pass over the ciphertext.
+		s.macHeader(recType, len(body))
+		s.cbc.encryptMAC(s.h, iv, ct, ct)
+		tag = s.h.Sum(s.sum[:0])
 	}
-	tag := s.mac(recType, body)
+	if tag == nil {
+		tag = s.mac(recType, body)
+	}
 	s.seq++
-	return append(body, tag...), nil
+	return append(dst, tag...), nil
 }
 
 // open verifies and decrypts a protected record body. Decryption is
@@ -212,12 +229,12 @@ func (s *sealer) open(recType byte, record []byte) ([]byte, error) {
 		s.stream.XORKeyStream(body, body)
 		return body, nil
 	case SuiteAES256SHA1:
-		bs := s.block.BlockSize()
+		const bs = aes.BlockSize
 		if len(body) < 2*bs || len(body)%bs != 0 {
 			return nil, errors.New("securechan: malformed CBC record")
 		}
 		iv, ct := body[:bs], body[bs:]
-		cipher.NewCBCDecrypter(s.block, iv).CryptBlocks(ct, ct)
+		s.cbc.decrypt(iv, ct, ct)
 		padLen := int(ct[len(ct)-1])
 		if padLen == 0 || padLen > bs || padLen > len(ct) {
 			return nil, errors.New("securechan: bad CBC padding")

@@ -166,8 +166,8 @@ func attrFromInfo(info os.FileInfo, fileID uint64) Attr {
 		a.UID = st.Uid
 		a.GID = st.Gid
 		a.Nlink = uint32(st.Nlink)
-		a.Atime = time.Unix(st.Atim.Sec, st.Atim.Nsec)
-		a.Ctime = time.Unix(st.Ctim.Sec, st.Ctim.Nsec)
+		a.Atime = time.Unix(st.Atim.Unix())
+		a.Ctime = time.Unix(st.Ctim.Unix())
 		a.Used = uint64(st.Blocks) * 512
 	}
 	return a

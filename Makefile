@@ -83,5 +83,7 @@ sgfs-vet:
 alloc-budget:
 	$(GO) test -count=1 -run Allocs ./...
 
-# The CI gate: everything that must be green before merging.
-check: build vet cross race chaos sgfs-vet alloc-budget
+# The CI gate: everything that must be green before merging. It ends
+# with procs, so a gate run that leaves a test binary, a fuzz worker or
+# a benchmark behind fails.
+check: build vet cross race chaos sgfs-vet alloc-budget procs

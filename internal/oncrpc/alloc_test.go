@@ -14,7 +14,7 @@ import (
 // and dispatch. (Under -race sync.Pool drops Puts at random, hence the
 // build tag.)
 func TestCallAllocsGroundTruth(t *testing.T) {
-	const budget = 5
+	const budget = 3
 	if testing.Short() {
 		t.Skip("loopback RPC stack in -short mode")
 	}

@@ -1,7 +1,6 @@
 package oncrpc_test
 
 import (
-	"bytes"
 	"encoding/binary"
 	"net"
 	"runtime"
@@ -37,8 +36,9 @@ type described struct{ v interface{ XDR(*xdr.Codec) } }
 func (m described) DecodeXDR(d *xdr.Decoder) { m.v.XDR(d.Codec()) }
 
 // TestRFCBounds decodes each bounded item one element past its RFC
-// bound, from a stream (so the remaining-bytes rule cannot help): the
-// decoder must fail, and allocate nothing near the declared length.
+// bound, from a message that carries every byte its length words claim
+// (so the remaining-bytes rule cannot help): the decoder must fail, and
+// allocate nothing near the declared length.
 func TestRFCBounds(t *testing.T) {
 	for _, c := range []struct {
 		name string
@@ -51,7 +51,7 @@ func TestRFCBounds(t *testing.T) {
 	} {
 		var err error
 		n := allocatedBy(func() {
-			d := xdr.NewDecoder(bytes.NewReader(c.wire))
+			d := xdr.NewDecoder(c.wire)
 			c.msg.DecodeXDR(d)
 			err = d.Err()
 		})

@@ -205,13 +205,13 @@ func (c *Client) abandonPending(xid uint32) (lateDelivery bool) {
 
 // readLoop delivers reply records to waiting callers.
 func (c *Client) readLoop() {
-	var hdr [4]byte // per-connection readRecord header scratch
+	br := newRecordReader(c.conn)
 	for {
 		// Each iteration owns one pooled record buffer: recycled here on
 		// the error and unsolicited-reply paths, or by the waiter after
 		// it decodes the record.
 		bp := recGet()
-		rec, err := readRecord(c.conn, (*bp)[:0], &hdr)
+		rec, err := readRecord(br, (*bp)[:0])
 		if err != nil {
 			recPut(bp)
 			c.fail(&TransportError{Err: fmt.Errorf("read: %w", err)})
@@ -270,16 +270,11 @@ func (c *Client) CallCred(ctx context.Context, proc uint32, cred OpaqueAuth, arg
 	xid := c.xid.Add(1)
 
 	cb := callBufPool.Get().(*callBufs)
-	newRecord(&cb.body)
-	cb.enc.Reset(&cb.body)
+	newRecord(&cb.enc)
 	hdr := callHeader{XID: xid, Prog: c.prog, Vers: c.vers, Proc: proc, Cred: cred, Verf: AuthNone}
 	hdr.XDR(cb.enc.Codec())
 	if args != nil {
 		args.EncodeXDR(&cb.enc)
-	}
-	if err := cb.enc.Err(); err != nil {
-		callBufPool.Put(cb)
-		return fmt.Errorf("oncrpc: encode call: %w", err)
 	}
 
 	if cb.ch == nil {
@@ -292,7 +287,7 @@ func (c *Client) CallCred(ctx context.Context, proc uint32, cred OpaqueAuth, arg
 	}
 
 	c.writeMu.Lock()
-	err := writeRecord(c.conn, cb.body.Bytes())
+	err := writeRecord(c.conn, cb.enc.Bytes())
 	c.writeMu.Unlock()
 	if err != nil {
 		// fail closes ch unless we removed the entry first; either way
@@ -314,13 +309,12 @@ func (c *Client) CallCred(ctx context.Context, proc uint32, cred OpaqueAuth, arg
 			callBufPool.Put(cb)
 			return err
 		}
-		cb.rbuf.SetBytes(*bp)
-		cb.dec.Reset(&cb.rbuf)
+		cb.dec.Reset(*bp)
 		err := decodeReplyFrom(&cb.dec, reply)
-		// The decoder copies everything out of the record (xdr.Buffer.Read
-		// is a copy), so it can be recycled as soon as decoding ends.
+		// The decoder copies every value out of the record, so it can be
+		// recycled as soon as decoding ends.
 		recPut(bp)
-		cb.rbuf.SetBytes(nil)
+		cb.dec.Reset(nil)
 		callBufPool.Put(cb)
 		return err
 	case <-ctx.Done():
@@ -338,9 +332,7 @@ func (c *Client) CallCred(ctx context.Context, proc uint32, cred OpaqueAuth, arg
 // decodeReply parses a reply record (beginning at the xid) and, on
 // success, decodes the result body into reply.
 func decodeReply(rec []byte, reply xdr.Unmarshaler) error {
-	var buf xdr.Buffer
-	buf.SetBytes(rec)
-	return decodeReplyFrom(xdr.NewDecoder(&buf), reply)
+	return decodeReplyFrom(xdr.NewDecoder(rec), reply)
 }
 
 // decodeReplyFrom is decodeReply over a caller-supplied (typically

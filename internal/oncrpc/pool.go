@@ -38,16 +38,14 @@ func recPut(p *[]byte) {
 }
 
 // callBufs is the per-call scratch state of Client.CallCred: the
-// encode buffer, the reply-decode buffer, their codec front ends, and
-// the reply channel. The channel is reused only when the call
-// completed cleanly — paths where the channel may still receive a late
-// or closed-channel signal nil it before pooling.
+// call's encoder (and its buffer), the reply decoder, and the reply
+// channel. The channel is reused only when the call completed cleanly
+// — paths where the channel may still receive a late or closed-channel
+// signal nil it before pooling.
 type callBufs struct {
-	body xdr.Buffer
-	enc  xdr.Encoder
-	rbuf xdr.Buffer
-	dec  xdr.Decoder
-	ch   chan *[]byte
+	enc xdr.Encoder
+	dec xdr.Decoder
+	ch  chan *[]byte
 }
 
 var callBufPool = sync.Pool{New: func() any { return new(callBufs) }}
@@ -56,17 +54,11 @@ var callBufPool = sync.Pool{New: func() any { return new(callBufs) }}
 // including the Call value handed to the handler (valid only until the
 // handler returns; see the Call doc comment).
 type dispatchBufs struct {
-	in   xdr.Buffer
 	dec  xdr.Decoder
 	call Call
 }
 
 var dispatchBufPool = sync.Pool{New: func() any { return new(dispatchBufs) }}
 
-// replyBufs is the per-reply encode state of Server.reply.
-type replyBufs struct {
-	out xdr.Buffer
-	enc xdr.Encoder
-}
-
-var replyBufPool = sync.Pool{New: func() any { return new(replyBufs) }}
+// replyPool holds the encoders of Server replies.
+var replyPool = sync.Pool{New: func() any { return new(xdr.Encoder) }}

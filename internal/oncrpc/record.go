@@ -1,6 +1,7 @@
 package oncrpc
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -34,15 +35,11 @@ const (
 // size exceeds maxRecordSize) or to send as one fragment.
 var ErrRecordTooLarge = errors.New("oncrpc: record exceeds maximum size")
 
-// markRoom is what a message buffer starts with: markLen bytes that
-// writeRecord overwrites with the record mark.
-var markRoom [markLen]byte
-
-// newRecord empties b and reserves the room for the record mark, so
+// newRecord empties e and reserves the room for the record mark, so
 // the message encoded after it goes out with the mark in one Write.
-func newRecord(b *xdr.Buffer) {
-	b.Reset()
-	b.Write(markRoom[:])
+func newRecord(e *xdr.Encoder) {
+	e.Reset()
+	e.Uint32(0) // room for the record mark
 }
 
 // writeRecord sends the message in msg[markLen:] as one final fragment:
@@ -59,18 +56,36 @@ func writeRecord(w io.Writer, msg []byte) error {
 	return err
 }
 
+// recordReaderSize is the read buffer of each connection's record
+// reader: a record mark and a small message arrive with one read from
+// the transport. A body at least this large, arriving at an empty
+// buffer, bufio reads straight into the record buffer, so a 32 KiB
+// READ reply costs one extra copy of at most this many bytes. A buffer
+// as large as such a body would copy every bulk body once more.
+const recordReaderSize = 4 << 10
+
+// newRecordReader returns the reader a connection's read loop passes
+// to readRecord.
+func newRecordReader(r io.Reader) *bufio.Reader {
+	return bufio.NewReaderSize(r, recordReaderSize)
+}
+
 // readRecord reads one complete record-marked message, reassembling
-// fragments. The provided buffer is reused when large enough. hdr is
-// caller-owned header scratch: a local array would move to the heap on
-// every call (it is sliced into an interface Read), so read loops
-// declare one outside the loop and pay that once per connection.
-func readRecord(r io.Reader, buf []byte, hdr *[4]byte) ([]byte, error) {
+// fragments. The provided buffer is reused when large enough.
+func readRecord(br *bufio.Reader, buf []byte) ([]byte, error) {
 	out := buf[:0]
 	for {
-		if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		hdr, err := br.Peek(markLen)
+		if err != nil {
+			if err == io.EOF && len(hdr) > 0 {
+				err = io.ErrUnexpectedEOF
+			}
 			return nil, err
 		}
-		v := binary.BigEndian.Uint32(hdr[:])
+		v := binary.BigEndian.Uint32(hdr)
+		if _, err := br.Discard(markLen); err != nil {
+			return nil, err
+		}
 		n := int(v & fragmentLenMask)
 		if len(out)+n > maxRecordSize {
 			return nil, fmt.Errorf("%w: %d bytes", ErrRecordTooLarge, len(out)+n)
@@ -82,7 +97,7 @@ func readRecord(r io.Reader, buf []byte, hdr *[4]byte) ([]byte, error) {
 			out = grown
 		}
 		out = out[:off+n]
-		if _, err := io.ReadFull(r, out[off:]); err != nil {
+		if _, err := io.ReadFull(br, out[off:]); err != nil {
 			return nil, err
 		}
 		if v&lastFragmentBit != 0 {

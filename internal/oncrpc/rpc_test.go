@@ -521,7 +521,6 @@ func (w *writeCounter) Write(p []byte) (int, error) {
 // a peer's multi-fragment records.
 func TestRecordMarkingRoundTrip(t *testing.T) {
 	t.Parallel()
-	var hdr [4]byte
 	for _, n := range []int{0, 1, 4, 1000, 1 << 20, 1<<20 + 1, 3 << 20} {
 		p := make([]byte, n)
 		for i := range p {
@@ -539,7 +538,7 @@ func TestRecordMarkingRoundTrip(t *testing.T) {
 		}
 		for _, wire := range [][]byte{w.Bytes(), fragmented(p, 1<<20), fragmented(p, 1000)} {
 			buf := bytes.NewBuffer(wire)
-			got, err := readRecord(buf, nil, &hdr)
+			got, err := readRecord(newRecordReader(buf), nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -556,9 +555,8 @@ func TestRecordMarkingRoundTrip(t *testing.T) {
 func TestRecordTooLarge(t *testing.T) {
 	t.Parallel()
 	var buf bytes.Buffer
-	var hdr [4]byte
 	buf.Write([]byte{0xFF, 0xFF, 0xFF, 0xFF}) // last fragment, absurd length
-	_, err := readRecord(&buf, nil, &hdr)
+	_, err := readRecord(newRecordReader(&buf), nil)
 	if !errors.Is(err, ErrRecordTooLarge) {
 		t.Fatalf("got %v", err)
 	}
@@ -567,9 +565,8 @@ func TestRecordTooLarge(t *testing.T) {
 func TestRecordShortRead(t *testing.T) {
 	t.Parallel()
 	var buf bytes.Buffer
-	var hdr [4]byte
 	buf.Write([]byte{0x80, 0, 0, 8, 1, 2}) // claims 8 bytes, has 2
-	_, err := readRecord(&buf, nil, &hdr)
+	_, err := readRecord(newRecordReader(&buf), nil)
 	if err != io.ErrUnexpectedEOF {
 		t.Fatalf("got %v", err)
 	}
@@ -579,11 +576,10 @@ func TestQuickRecordRoundTrip(t *testing.T) {
 	t.Parallel()
 	f := func(p []byte) bool {
 		var buf bytes.Buffer
-		var hdr [4]byte
 		if err := writeRecord(&buf, withRoom(p)); err != nil {
 			return false
 		}
-		got, err := readRecord(&buf, nil, &hdr)
+		got, err := readRecord(newRecordReader(&buf), nil)
 		return err == nil && bytes.Equal(got, p)
 	}
 	if err := quick.Check(f, nil); err != nil {

@@ -69,9 +69,9 @@ type AuthChecker func(call *Call) AuthStat
 type progVers struct{ prog, vers uint32 }
 
 // Server dispatches ONC RPC calls arriving on stream transports to
-// registered handlers. Handlers run concurrently (one goroutine per
-// in-flight call) unless Sequential is set; replies on a connection are
-// serialized by an internal mutex.
+// registered handlers. Handlers run concurrently (on per-connection
+// workers, one per in-flight call; see ServeConn) unless Sequential is
+// set; replies on a connection are serialized by an internal mutex.
 type Server struct {
 	mu       sync.RWMutex
 	handlers map[progVers]map[uint32]Handler
@@ -222,61 +222,133 @@ func (s *Server) Close() {
 // ServeConn handles RPC traffic on a single established transport
 // until it fails or is closed. It may be invoked directly for
 // transports not produced by a listener (e.g. secure channels).
+//
+// Unless the server is Sequential, calls run on per-connection
+// workers: each record goes to a worker that has finished its call,
+// and a goroutine is started only when none has. A worker whose stack
+// has grown for one call keeps it for the next, so a dispatched call
+// does not pay for regrowing a fresh goroutine's stack. Every worker
+// exits when the connection ends.
 func (s *Server) ServeConn(conn net.Conn) {
 	defer conn.Close()
-	var writeMu sync.Mutex
+	sc := &serverConn{s: s, conn: conn}
+	defer sc.end()
 	// Handlers observe connection teardown through ctx, so work for a
 	// departed peer can stop instead of running to completion.
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	var hdr [4]byte // per-connection readRecord header scratch
+	br := newRecordReader(conn)
 	for {
 		// Each iteration owns one pooled record buffer: released here on
-		// the sequential and error paths, or by the dispatch goroutine
-		// once the record is fully consumed (the decoder copies, the
-		// reply is written).
+		// the sequential and error paths, or by the worker once the call
+		// is decoded and handled (the decoder copies what it returns).
 		bp := recGet()
-		rec, err := readRecord(conn, (*bp)[:0], &hdr)
+		rec, err := readRecord(br, (*bp)[:0])
 		if err != nil {
 			recPut(bp)
 			return // EOF or transport failure; nothing to report to peer
 		}
 		*bp = rec
 		if s.Sequential {
-			s.dispatch(ctx, conn, &writeMu, rec)
+			reply := s.dispatch(ctx, conn, rec)
 			recPut(bp)
+			sc.send(reply)
 			continue
 		}
-		go func(bp *[]byte) {
-			s.dispatch(ctx, conn, &writeMu, *bp)
-			recPut(bp)
-		}(bp)
+		if mail := sc.idleWorker(); mail != nil {
+			mail <- bp
+		} else {
+			go sc.work(ctx, bp)
+		}
 	}
 }
 
-func (s *Server) dispatch(ctx context.Context, conn net.Conn, writeMu *sync.Mutex, rec []byte) {
+// serverConn is one transport that ServeConn serves, with the workers
+// that run its calls.
+type serverConn struct {
+	s       *Server
+	conn    net.Conn
+	writeMu sync.Mutex // keeps each reply whole on the transport
+
+	mu     sync.Mutex
+	idle   []chan *[]byte // mailboxes of the workers waiting for a record
+	closed bool           // the transport has ended: workers exit
+}
+
+// idleWorker takes the mailbox of the worker that finished its call
+// last, or returns nil when every worker is busy. The mailbox holds
+// one record, so handing one over never blocks the read loop.
+func (sc *serverConn) idleWorker() chan<- *[]byte {
+	sc.mu.Lock()
+	defer sc.mu.Unlock()
+	n := len(sc.idle)
+	if n == 0 {
+		return nil
+	}
+	mail := sc.idle[n-1]
+	sc.idle = sc.idle[:n-1]
+	return mail
+}
+
+// work runs the call in bp and then, until the connection ends, the
+// calls the read loop hands it. It joins the idle list before writing
+// a call's reply: the reply lets the peer send its next call, and that
+// call should find this worker rather than start another.
+func (sc *serverConn) work(ctx context.Context, bp *[]byte) {
+	mail := make(chan *[]byte, 1)
+	for {
+		reply := sc.s.dispatch(ctx, sc.conn, *bp)
+		recPut(bp)
+		sc.mu.Lock()
+		closed := sc.closed
+		if !closed {
+			sc.idle = append(sc.idle, mail)
+		}
+		sc.mu.Unlock()
+		sc.send(reply)
+		if closed {
+			return
+		}
+		var ok bool
+		if bp, ok = <-mail; !ok {
+			return
+		}
+	}
+}
+
+// end releases the idle workers when the connection's read loop stops;
+// busy ones exit once their call is answered.
+func (sc *serverConn) end() {
+	sc.mu.Lock()
+	defer sc.mu.Unlock()
+	sc.closed = true
+	for _, mail := range sc.idle {
+		close(mail)
+	}
+	sc.idle = nil
+}
+
+func (s *Server) dispatch(ctx context.Context, conn net.Conn, rec []byte) *xdr.Encoder {
 	db := dispatchBufPool.Get().(*dispatchBufs)
-	db.in.SetBytes(rec)
-	db.dec.Reset(&db.in)
+	db.dec.Reset(rec)
 	d := &db.dec
 	defer func() {
-		db.in.SetBytes(nil)
+		db.dec.Reset(nil)
 		dispatchBufPool.Put(db)
 	}()
 	var hdr callHeader
 	hdr.XDR(d.Codec())
 	if err := d.Err(); err != nil {
 		if errors.Is(err, errRPCVersion) {
-			s.reply(conn, writeMu, hdr.XID, func(e *xdr.Encoder) {
+			return encodeReply(hdr.XID, func(e *xdr.Encoder) {
 				e.Uint32(msgDenied)
 				e.Uint32(uint32(RPCMismatch))
 				e.Uint32(RPCVersion)
 				e.Uint32(RPCVersion)
 			})
-			return
 		}
 		s.logf("oncrpc: bad call header: %v", err)
-		return
+		return nil
 	}
 
 	// The Call lives in the pooled dispatch state: handlers only use it
@@ -287,17 +359,14 @@ func (s *Server) dispatch(ctx context.Context, conn net.Conn, writeMu *sync.Mute
 	call.Cred = Cred{Flavor: hdr.Cred.Flavor, Raw: hdr.Cred.Body}
 	if hdr.Cred.Flavor == AuthFlavorSys {
 		var sys AuthSys
-		if err := xdr.Unmarshal(hdr.Cred.Body, &sys); err == nil {
-			call.Cred.Sys = &sys
-		} else {
-			s.denyAuth(conn, writeMu, hdr.XID, AuthBadCred)
-			return
+		if err := xdr.Unmarshal(hdr.Cred.Body, &sys); err != nil {
+			return denyAuth(hdr.XID, AuthBadCred)
 		}
+		call.Cred.Sys = &sys
 	}
 	if s.Auth != nil {
 		if stat := s.Auth(call); stat != AuthOK {
-			s.denyAuth(conn, writeMu, hdr.XID, stat)
-			return
+			return denyAuth(hdr.XID, stat)
 		}
 	}
 
@@ -311,44 +380,39 @@ func (s *Server) dispatch(ctx context.Context, conn net.Conn, writeMu *sync.Mute
 		_, progKnown := s.versions[hdr.Prog]
 		s.mu.RUnlock()
 		if progKnown {
-			s.accepted(conn, writeMu, hdr.XID, ProgMismatch, func(e *xdr.Encoder) {
+			return accepted(hdr.XID, ProgMismatch, func(e *xdr.Encoder) {
 				e.Uint32(vers[0])
 				e.Uint32(vers[1])
 			})
-		} else {
-			s.accepted(conn, writeMu, hdr.XID, ProgUnavail, nil)
 		}
-		return
+		return accepted(hdr.XID, ProgUnavail, nil)
 	}
 
 	h, ok := procs[hdr.Proc]
 	if !ok {
 		if hdr.Proc == 0 { // NULL procedure: always succeeds
-			s.accepted(conn, writeMu, hdr.XID, Success, nil)
-			return
+			return accepted(hdr.XID, Success, nil)
 		}
-		s.accepted(conn, writeMu, hdr.XID, ProcUnavail, nil)
-		return
+		return accepted(hdr.XID, ProcUnavail, nil)
 	}
 
 	result, stat := h(ctx, call)
 	if stat != Success {
-		s.accepted(conn, writeMu, hdr.XID, stat, nil)
-		return
+		return accepted(hdr.XID, stat, nil)
 	}
-	s.acceptedResult(conn, writeMu, hdr.XID, result)
+	return acceptedResult(hdr.XID, result)
 }
 
-func (s *Server) denyAuth(conn net.Conn, writeMu *sync.Mutex, xid uint32, stat AuthStat) {
-	s.reply(conn, writeMu, xid, func(e *xdr.Encoder) {
+func denyAuth(xid uint32, stat AuthStat) *xdr.Encoder {
+	return encodeReply(xid, func(e *xdr.Encoder) {
 		e.Uint32(msgDenied)
 		e.Uint32(uint32(AuthError))
 		e.Uint32(uint32(stat))
 	})
 }
 
-func (s *Server) accepted(conn net.Conn, writeMu *sync.Mutex, xid uint32, stat AcceptStat, body func(*xdr.Encoder)) {
-	s.reply(conn, writeMu, xid, func(e *xdr.Encoder) {
+func accepted(xid uint32, stat AcceptStat, body func(*xdr.Encoder)) *xdr.Encoder {
+	return encodeReply(xid, func(e *xdr.Encoder) {
 		e.Uint32(msgAccepted)
 		AuthNone.XDR(e.Codec()) // verifier
 		e.Uint32(uint32(stat))
@@ -358,16 +422,14 @@ func (s *Server) accepted(conn net.Conn, writeMu *sync.Mutex, xid uint32, stat A
 	})
 }
 
-// acceptedResult writes an accepted Success reply carrying result (nil
-// for void results). It is the hot path of dispatch: unlike accepted
-// it takes the result value directly, so no per-reply closure is
-// allocated. Cold replies (mismatches, denials) keep the closure form.
-func (s *Server) acceptedResult(conn net.Conn, writeMu *sync.Mutex, xid uint32, result xdr.Marshaler) {
-	rb := replyBufPool.Get().(*replyBufs)
-	defer replyBufPool.Put(rb)
-	newRecord(&rb.out)
-	rb.enc.Reset(&rb.out)
-	e := &rb.enc
+// acceptedResult encodes an accepted Success reply carrying result
+// (nil for void results). It is the hot path of dispatch: unlike
+// accepted it takes the result value directly, so no per-reply closure
+// is allocated. Cold replies (mismatches, denials) keep the closure
+// form.
+func acceptedResult(xid uint32, result xdr.Marshaler) *xdr.Encoder {
+	e := replyPool.Get().(*xdr.Encoder)
+	newRecord(e)
 	e.Uint32(xid)
 	e.Uint32(msgReply)
 	e.Uint32(msgAccepted)
@@ -376,34 +438,33 @@ func (s *Server) acceptedResult(conn net.Conn, writeMu *sync.Mutex, xid uint32, 
 	if result != nil {
 		result.EncodeXDR(e)
 	}
-	s.flushReply(conn, writeMu, rb)
+	return e
 }
 
-func (s *Server) reply(conn net.Conn, writeMu *sync.Mutex, xid uint32, body func(*xdr.Encoder)) {
-	rb := replyBufPool.Get().(*replyBufs)
-	defer replyBufPool.Put(rb)
-	newRecord(&rb.out)
-	rb.enc.Reset(&rb.out)
-	e := &rb.enc
+// encodeReply encodes a reply record to xid whose body follows the
+// message type.
+func encodeReply(xid uint32, body func(*xdr.Encoder)) *xdr.Encoder {
+	e := replyPool.Get().(*xdr.Encoder)
+	newRecord(e)
 	e.Uint32(xid)
 	e.Uint32(msgReply)
 	body(e)
-	s.flushReply(conn, writeMu, rb)
+	return e
 }
 
-// flushReply writes an encoded reply record to the connection,
-// serialized by the connection's write mutex.
-func (s *Server) flushReply(conn net.Conn, writeMu *sync.Mutex, rb *replyBufs) {
-	if err := rb.enc.Err(); err != nil {
-		s.logf("oncrpc: encode reply: %v", err)
+// send writes an encoded reply record (none when reply is nil) to the
+// connection, serialized by its write mutex, and recycles the encoder.
+func (sc *serverConn) send(reply *xdr.Encoder) {
+	if reply == nil {
 		return
 	}
-	writeMu.Lock()
-	err := writeRecord(conn, rb.out.Bytes())
-	writeMu.Unlock()
+	defer replyPool.Put(reply)
+	sc.writeMu.Lock()
+	err := writeRecord(sc.conn, reply.Bytes())
+	sc.writeMu.Unlock()
 	if err != nil {
-		s.logf("oncrpc: write reply: %v", err)
-		conn.Close()
+		sc.s.logf("oncrpc: write reply: %v", err)
+		sc.conn.Close()
 	}
 }
 

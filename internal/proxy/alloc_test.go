@@ -157,8 +157,8 @@ func TestReadAllocs(t *testing.T) {
 		diskCache bool
 		budget    float64
 	}{
-		{"cached", true, 15},
-		{"uncached", false, 47},
+		{"cached", true, 12},
+		{"uncached", false, 39},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			_, fs, _ := budgetStack(t, 1, c.diskCache, 1)
@@ -185,9 +185,9 @@ func TestWriteAllocs(t *testing.T) {
 		diskCache bool
 		budget    float64
 	}{
-		{"write-back", 1, true, 18},
-		{"uncached", 1, false, 46},
-		{"replicated", 2, false, 106},
+		{"write-back", 1, true, 15},
+		{"uncached", 1, false, 38},
+		{"replicated", 2, false, 93},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			_, fs, _ := budgetStack(t, c.replicas, c.diskCache, 1)
@@ -219,7 +219,7 @@ func TestFlushAllocs(t *testing.T) {
 	}
 	data := bytes.Repeat([]byte{5}, budgetBlock)
 	i := 0
-	pin(t, 94, func() {
+	pin(t, 84, func() {
 		i++
 		if _, err := f.WriteAt(ctx, data, int64(i%2)*budgetBlock); err != nil {
 			t.Fatal(err)
@@ -263,7 +263,7 @@ func TestColdReadAllocs(t *testing.T) {
 		}
 	}
 	next := 0
-	pin(t, 257, func() {
+	pin(t, 225, func() {
 		fh := fhs[next]
 		next++
 		for b := uint64(0); b < blocks; b++ {

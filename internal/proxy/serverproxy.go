@@ -217,11 +217,16 @@ func (p *ServerProxy) session(call *oncrpc.Call) *session {
 func (p *ServerProxy) ACLCacheStats() (hits, misses uint64) { return p.aclCache.Stats() }
 
 // rememberParent records where an object handle lives in the
-// namespace.
+// namespace. Most calls (READDIRPLUS listing a directory again)
+// re-record what is already known; they look it up and write nothing,
+// and neither costs an allocation.
 func (p *ServerProxy) rememberParent(obj nfs3.FH3, dir nfs3.FH3, name string) {
 	p.parentMu.Lock()
+	defer p.parentMu.Unlock()
+	if ref, ok := p.parents[string(obj.Data)]; ok && ref.name == name && ref.dir == string(dir.Data) {
+		return
+	}
 	p.parents[string(obj.Data)] = parentRef{dir: string(dir.Data), name: name}
-	p.parentMu.Unlock()
 }
 
 func (p *ServerProxy) parentOf(obj nfs3.FH3) (parentRef, bool) {

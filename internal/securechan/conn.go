@@ -467,7 +467,10 @@ func (c *Conn) Write(p []byte) (int, error) {
 	total := 0
 	for len(p) > 0 {
 		n := min(len(p), maxRecordPlaintext)
-		sealStart := time.Now()
+		var sealStart time.Time
+		if c.meter != nil {
+			sealStart = time.Now()
+		}
 		frame, err := c.wSealer.seal((*buf)[:frameHeader], recData, p[:n])
 		if c.meter != nil {
 			c.meter.Add(time.Since(sealStart))
@@ -510,7 +513,10 @@ func (c *Conn) Read(p []byte) (int, error) {
 		}
 		switch typ {
 		case recData:
-			openStart := time.Now()
+			var openStart time.Time
+			if c.meter != nil {
+				openStart = time.Now()
+			}
 			pt, err := c.rSealer.open(recData, body)
 			if c.meter != nil {
 				c.meter.Add(time.Since(openStart))

@@ -1,7 +1,9 @@
 package securechan
 
 import (
+	"bufio"
 	"bytes"
+	"crypto/aes"
 	"crypto/rand"
 	"crypto/x509"
 	"errors"
@@ -555,6 +557,52 @@ func TestSealerReplayRejected(t *testing.T) {
 	}
 	if _, err := dec.open(recData, r1); !errors.Is(err, ErrRecordMAC) {
 		t.Fatalf("replay accepted: %v", err)
+	}
+}
+
+// readCounter counts the reads made of an entropy source.
+type readCounter struct {
+	r     io.Reader
+	reads int
+}
+
+func (c *readCounter) Read(p []byte) (int, error) {
+	c.reads++
+	return c.r.Read(p)
+}
+
+// A CBC sealer draws its IVs from the CSPRNG a buffer at a time: 1,000
+// records cost at most 4 reads of the entropy source, and no two of
+// their IVs are equal. A sealer's own source is that buffer over
+// crypto/rand.
+func TestIVsBuffered(t *testing.T) {
+	key := make([]byte, 32)
+	s, err := newSealer(SuiteAES256SHA1, key, key[:20])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.seal(nil, recData, nil); err != nil {
+		t.Fatal(err)
+	}
+	if br, ok := s.ivs.(*bufio.Reader); !ok || br.Size() != ivBufSize {
+		t.Fatalf("a sealer's IV source is %T, want newIVSource's buffer", s.ivs)
+	}
+	src := &readCounter{r: rand.Reader}
+	s.ivs = newIVSource(src)
+	seen := make(map[[aes.BlockSize]byte]bool)
+	for i := range 1000 {
+		rec, err := s.seal(nil, recData, []byte("x"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		iv := [aes.BlockSize]byte(rec)
+		if seen[iv] {
+			t.Fatalf("record %d repeats an IV", i)
+		}
+		seen[iv] = true
+	}
+	if src.reads > 4 {
+		t.Fatalf("1000 records read the entropy source %d times, want at most 4", src.reads)
 	}
 }
 

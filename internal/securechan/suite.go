@@ -30,6 +30,7 @@
 package securechan
 
 import (
+	"bufio"
 	"crypto/aes"
 	"crypto/rand"
 	"crypto/rc4"
@@ -103,7 +104,7 @@ type sealer struct {
 	encKey []byte
 	stream *rc4.Cipher // RC4 only
 	cbc    cbcMode     // AES only
-	ivs    io.Reader   // CBC IVs: crypto/rand; tests fix them
+	ivs    io.Reader   // CBC IVs: newIVSource at the first seal; tests fix them
 	seq    uint64
 
 	// h, sum, and hdr are reused across records so the per-record MAC
@@ -116,7 +117,7 @@ type sealer struct {
 }
 
 func newSealer(suite Suite, encKey, macKey []byte) (*sealer, error) {
-	s := &sealer{suite: suite, macKey: macKey, encKey: encKey, ivs: rand.Reader}
+	s := &sealer{suite: suite, macKey: macKey, encKey: encKey}
 	s.h = newHMAC(macKey)
 	switch suite {
 	case SuiteNullSHA1:
@@ -136,6 +137,19 @@ func newSealer(suite Suite, encKey, macKey []byte) (*sealer, error) {
 		return nil, fmt.Errorf("securechan: unsupported suite %v", suite)
 	}
 	return s, nil
+}
+
+// ivBufSize is how many bytes of IVs a CBC sealer draws from the
+// system CSPRNG at once: one getrandom call per 256 records instead of
+// one per record.
+const ivBufSize = 4 << 10
+
+// newIVSource returns the CBC IV source of a sealer: entropy, read
+// ivBufSize bytes at a time. Every IV is still fresh CSPRNG output,
+// never derived from another, so IVs stay unpredictable as CBC
+// requires; buffering only batches the system calls.
+func newIVSource(entropy io.Reader) io.Reader {
+	return bufio.NewReaderSize(entropy, ivBufSize)
 }
 
 // mac computes HMAC-SHA1 over seq || recType || len(body) || body. The
@@ -191,6 +205,9 @@ func (s *sealer) seal(dst []byte, recType byte, plaintext []byte) ([]byte, error
 		copy(ct, plaintext)
 		for i := len(plaintext); i < len(ct); i++ {
 			ct[i] = byte(padLen)
+		}
+		if s.ivs == nil {
+			s.ivs = newIVSource(rand.Reader)
 		}
 		if _, err := io.ReadFull(s.ivs, iv); err != nil {
 			return nil, err

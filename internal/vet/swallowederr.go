@@ -3,7 +3,6 @@ package vet
 import (
 	"go/ast"
 	"go/types"
-	"strings"
 )
 
 // SwallowedError flags discarded errors in non-test code: `_ = f()`
@@ -159,13 +158,6 @@ func exemptCall(pkg *Package, call *ast.CallExpr) bool {
 	}
 	if isNamed(recv, "strings", "Builder") || isNamed(recv, "bytes", "Buffer") ||
 		isNamed(recv, "math/rand", "Rand") {
-		return true
-	}
-	// The module's own xdr.Buffer matches bytes.Buffer semantics: its
-	// Write is defined never to fail.
-	if named := namedType(recv); named != nil && named.Obj().Pkg() != nil &&
-		strings.HasSuffix(named.Obj().Pkg().Path(), "internal/xdr") &&
-		named.Obj().Name() == "Buffer" {
 		return true
 	}
 	return false

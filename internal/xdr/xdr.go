@@ -1,14 +1,19 @@
 // Package xdr implements the External Data Representation standard
 // (XDR, RFC 4506) used by ONC RPC and the NFS protocol family.
 //
-// The package provides a streaming Encoder/Decoder pair operating on
-// io.Writer/io.Reader, covering every primitive the NFS and MOUNT
-// protocols need: 32- and 64-bit integers, booleans, fixed and
-// variable-length opaque data, strings, and optional ("pointer")
-// values. All quantities are big-endian and padded to 4-byte
-// boundaries as the standard requires. Wire types describe themselves
-// once, as an XDR method over a Codec, which runs that description in
-// whichever direction it was obtained for.
+// Every XDR message here is a whole record already in memory, so the
+// package works on byte slices: an Encoder appends to its own buffer,
+// and a Decoder reads a message's []byte in place, with big-endian
+// loads, one make+copy per opaque and one conversion per string. It
+// covers every primitive the NFS and MOUNT protocols need: 32- and
+// 64-bit integers, booleans, fixed and variable-length opaque data,
+// strings, and optional ("pointer") values. All quantities are
+// big-endian and padded to 4-byte boundaries as the standard requires.
+// Because the Decoder sees the whole message, a length word longer
+// than the bytes that remain is refused before anything is allocated
+// for it. Wire types describe themselves once, as an XDR method over a
+// Codec, which runs that description in whichever direction it was
+// obtained for.
 package xdr
 
 import (
@@ -31,49 +36,35 @@ var ErrElementTooLarge = errors.New("xdr: element length exceeds maximum")
 
 var pad [4]byte
 
-// Encoder writes XDR-encoded values to an underlying writer.
+// padLen is the number of zero bytes that pad n bytes to a multiple
+// of four.
+func padLen(n int) int { return -n & 3 }
+
+// Encoder appends XDR-encoded values to its buffer. The zero value is
+// ready to use. Encoding into memory cannot fail, so an Encoder has no
+// error state.
 type Encoder struct {
-	w   io.Writer
-	buf [8]byte
-	err error
+	buf []byte
 	c   Codec
 }
 
-// NewEncoder returns an Encoder writing to w.
-func NewEncoder(w io.Writer) *Encoder { return &Encoder{w: w} }
+// Reset empties the encoder's buffer, keeping its capacity, so hot
+// paths can keep encoders in a sync.Pool instead of allocating one per
+// message.
+func (e *Encoder) Reset() { e.buf = e.buf[:0] }
 
-// Reset re-arms the encoder to write to w, clearing any sticky error.
-// It lets hot paths keep encoders in a sync.Pool instead of allocating
-// one per message.
-func (e *Encoder) Reset(w io.Writer) {
-	e.w = w
-	e.err = nil
-}
-
-// Err returns the first error encountered by the encoder, if any.
-func (e *Encoder) Err() error { return e.err }
-
-func (e *Encoder) write(p []byte) {
-	if e.err != nil {
-		return
-	}
-	_, e.err = e.w.Write(p)
-}
+// Bytes returns the encoded message. It aliases the encoder's buffer
+// until the next Reset or encode call.
+func (e *Encoder) Bytes() []byte { return e.buf }
 
 // Uint32 encodes a 32-bit unsigned integer.
-func (e *Encoder) Uint32(v uint32) {
-	binary.BigEndian.PutUint32(e.buf[:4], v)
-	e.write(e.buf[:4])
-}
+func (e *Encoder) Uint32(v uint32) { e.buf = binary.BigEndian.AppendUint32(e.buf, v) }
 
 // Int32 encodes a 32-bit signed integer.
 func (e *Encoder) Int32(v int32) { e.Uint32(uint32(v)) }
 
 // Uint64 encodes a 64-bit unsigned integer (XDR unsigned hyper).
-func (e *Encoder) Uint64(v uint64) {
-	binary.BigEndian.PutUint64(e.buf[:8], v)
-	e.write(e.buf[:8])
-}
+func (e *Encoder) Uint64(v uint64) { e.buf = binary.BigEndian.AppendUint64(e.buf, v) }
 
 // Int64 encodes a 64-bit signed integer (XDR hyper).
 func (e *Encoder) Int64(v int64) { e.Uint64(uint64(v)) }
@@ -93,10 +84,7 @@ func (e *Encoder) Float64(v float64) { e.Uint64(math.Float64bits(v)) }
 // FixedOpaque encodes opaque data of a length known to both sides,
 // padding to a 4-byte boundary.
 func (e *Encoder) FixedOpaque(p []byte) {
-	e.write(p)
-	if n := len(p) % 4; n != 0 {
-		e.write(pad[:4-n])
-	}
+	e.buf = append(append(e.buf, p...), pad[:padLen(len(p))]...)
 }
 
 // Opaque encodes variable-length opaque data: a length prefix followed
@@ -109,20 +97,7 @@ func (e *Encoder) Opaque(p []byte) {
 // String encodes an XDR string (identical wire form to Opaque).
 func (e *Encoder) String(s string) {
 	e.Uint32(uint32(len(s)))
-	if e.err != nil {
-		return
-	}
-	// io.WriteString on a writer without WriteString copies s into a
-	// fresh []byte per call; dispatching to the interface directly keeps
-	// Buffer-backed encoders (the RPC hot path) allocation-free.
-	if sw, ok := e.w.(io.StringWriter); ok {
-		_, e.err = sw.WriteString(s)
-	} else {
-		_, e.err = io.WriteString(e.w, s)
-	}
-	if n := len(s) % 4; n != 0 {
-		e.write(pad[:4-n])
-	}
+	e.buf = append(append(e.buf, s...), pad[:padLen(len(s))]...)
 }
 
 // OptionalBegin encodes the presence discriminant of an XDR optional
@@ -130,25 +105,22 @@ func (e *Encoder) String(s string) {
 // encoding of the value itself.
 func (e *Encoder) OptionalBegin(present bool) { e.Bool(present) }
 
-// Decoder reads XDR-encoded values from an underlying reader.
+// Decoder reads XDR-encoded values from a message in memory. It
+// aliases the message until the next Reset, but every value it returns
+// is a copy, so the message may be reused once decoding ends.
 type Decoder struct {
-	r   io.Reader
-	buf [8]byte
-	// scratch is reused by String so each decode costs one allocation
-	// (the string itself) instead of a make + conversion pair. Pooled
-	// decoders keep it across messages; see stringScratchMax.
-	scratch []byte
-	err     error
-	c       Codec
+	p   []byte // the bytes not yet decoded
+	err error
+	c   Codec
 }
 
-// NewDecoder returns a Decoder reading from r.
-func NewDecoder(r io.Reader) *Decoder { return &Decoder{r: r} }
+// NewDecoder returns a Decoder reading the message p.
+func NewDecoder(p []byte) *Decoder { return &Decoder{p: p} }
 
-// Reset re-arms the decoder to read from r, clearing any sticky error,
-// so pooled decoders can be reused across messages.
-func (d *Decoder) Reset(r io.Reader) {
-	d.r = r
+// Reset re-arms the decoder to read the message p, clearing any sticky
+// error, so pooled decoders can be reused across messages.
+func (d *Decoder) Reset(p []byte) {
+	d.p = p
 	d.err = nil
 }
 
@@ -165,20 +137,28 @@ func (d *Decoder) SetErr(err error) {
 	}
 }
 
-func (d *Decoder) read(p []byte) {
+// take consumes the next n bytes of the message and returns them. On a
+// message that ends first, or after an error, it returns nil and the
+// error sticks.
+func (d *Decoder) take(n int) []byte {
 	if d.err != nil {
-		return
+		return nil
 	}
-	_, d.err = io.ReadFull(d.r, p)
+	if n > len(d.p) {
+		d.err = io.ErrUnexpectedEOF
+		return nil
+	}
+	b := d.p[:n]
+	d.p = d.p[n:]
+	return b
 }
 
 // Uint32 decodes a 32-bit unsigned integer.
 func (d *Decoder) Uint32() uint32 {
-	d.read(d.buf[:4])
-	if d.err != nil {
-		return 0
+	if b := d.take(4); b != nil {
+		return binary.BigEndian.Uint32(b)
 	}
-	return binary.BigEndian.Uint32(d.buf[:4])
+	return 0
 }
 
 // Int32 decodes a 32-bit signed integer.
@@ -186,11 +166,10 @@ func (d *Decoder) Int32() int32 { return int32(d.Uint32()) }
 
 // Uint64 decodes a 64-bit unsigned integer.
 func (d *Decoder) Uint64() uint64 {
-	d.read(d.buf[:8])
-	if d.err != nil {
-		return 0
+	if b := d.take(8); b != nil {
+		return binary.BigEndian.Uint64(b)
 	}
-	return binary.BigEndian.Uint64(d.buf[:8])
+	return 0
 }
 
 // Int64 decodes a 64-bit signed integer.
@@ -203,24 +182,18 @@ func (d *Decoder) Bool() bool { return d.Uint32() != 0 }
 // Float64 decodes an IEEE 754 double-precision value.
 func (d *Decoder) Float64() float64 { return math.Float64frombits(d.Uint64()) }
 
-func (d *Decoder) skipPad(n int) {
-	if m := n % 4; m != 0 {
-		d.read(d.buf[:4-m])
-	}
-}
-
 // FixedOpaque decodes opaque data of known length into p.
 func (d *Decoder) FixedOpaque(p []byte) {
-	d.read(p)
-	d.skipPad(len(p))
+	if b := d.take(len(p) + padLen(len(p))); b != nil {
+		copy(p, b)
+	}
 }
 
 // length decodes the length word of a variable-length item whose
 // elements take at least unit bytes each, and vets it before anything
-// is allocated: a length beyond max (and MaxElementSize), or — when
-// decoding from a Buffer, i.e. a message already in memory — beyond
-// the bytes that remain, is an error. Opaque, String and Array share
-// it, so a forged length costs nothing but the error.
+// is allocated: a length beyond max (and MaxElementSize), or beyond
+// the bytes that remain in the message, is an error. Opaque, String
+// and Array share it, so a forged length costs nothing but the error.
 func (d *Decoder) length(max, unit uint32) (uint32, bool) {
 	n := d.Uint32()
 	if d.err != nil {
@@ -230,7 +203,7 @@ func (d *Decoder) length(max, unit uint32) (uint32, bool) {
 		d.err = ErrElementTooLarge
 		return 0, false
 	}
-	if b, ok := d.r.(*Buffer); ok && uint64(n)*uint64(unit) > uint64(b.Len()) {
+	if uint64(n)*uint64(unit) > uint64(len(d.p)) {
 		d.err = io.ErrUnexpectedEOF
 		return 0, false
 	}
@@ -252,38 +225,37 @@ func (d *Decoder) BoundedOpaque(max uint32) []byte { return d.opaqueInto(nil, ma
 func (d *Decoder) OpaqueInto(dst []byte) []byte { return d.opaqueInto(dst, MaxElementSize) }
 
 // opaqueInto is the decode arm every variable-length byte item shares:
-// it vets the length word, then reads the bytes into dst when they fit
-// and into a fresh slice otherwise.
+// it vets the length word, then copies the bytes into dst when they
+// fit and into a fresh slice otherwise. The fresh slice is grown by
+// append, which does not zero the bytes the copy overwrites, as make
+// would.
 func (d *Decoder) opaqueInto(dst []byte, max uint32) []byte {
 	n, ok := d.length(max, 1)
 	if !ok {
 		return nil
 	}
-	p := dst
-	if p == nil || int(n) > cap(p) {
-		p = make([]byte, n)
-	}
-	p = p[:n]
-	d.FixedOpaque(p)
+	b := d.take(int(n) + padLen(int(n)))
 	if d.err != nil {
 		return nil
 	}
-	return p
+	p := dst[:0]
+	if dst == nil || int(n) > cap(dst) {
+		p = []byte{}
+	}
+	return append(p, b[:n]...)
 }
-
-// stringScratchMax bounds the String scratch buffer a decoder retains:
-// NFS strings are path components and symlink targets, so anything
-// larger is decoded through a one-off buffer rather than pinned in
-// pooled decoders forever.
-const stringScratchMax = 64 << 10
 
 // String decodes an XDR string.
 func (d *Decoder) String() string {
-	p := d.opaqueInto(d.scratch, MaxElementSize)
-	if p != nil && cap(p) <= stringScratchMax {
-		d.scratch = p
+	n, ok := d.length(MaxElementSize, 1)
+	if !ok {
+		return ""
 	}
-	return string(p)
+	b := d.take(int(n) + padLen(int(n)))
+	if d.err != nil {
+		return ""
+	}
+	return string(b[:n])
 }
 
 // OptionalPresent decodes the presence discriminant of an XDR optional
@@ -455,84 +427,23 @@ type Unmarshaler interface {
 	DecodeXDR(*Decoder)
 }
 
-// Marshal encodes v into a fresh byte slice.
+// Marshal encodes v into a fresh byte slice. Encoding into memory
+// cannot fail: the error is always nil.
 func Marshal(v Marshaler) ([]byte, error) {
-	m := &struct { // the encoder and its buffer, in one allocation
-		e Encoder
-		b Buffer
-	}{}
-	m.e.w = &m.b
-	v.EncodeXDR(&m.e)
-	if err := m.e.err; err != nil {
-		return nil, err
-	}
-	return m.b.Bytes(), nil
+	e := new(Encoder)
+	v.EncodeXDR(e)
+	return e.buf, nil
 }
 
 // Unmarshal decodes v from p, requiring that all of p be consumed.
 func Unmarshal(p []byte, v Unmarshaler) error {
-	u := &struct { // the decoder and its buffer, in one allocation
-		d Decoder
-		b Buffer
-	}{b: Buffer{data: p}}
-	u.d.r = &u.b
-	v.DecodeXDR(&u.d)
-	if err := u.d.err; err != nil {
-		return err
+	d := NewDecoder(p)
+	v.DecodeXDR(d)
+	if d.err != nil {
+		return d.err
 	}
-	if u.b.Len() != 0 {
-		return fmt.Errorf("xdr: %d trailing bytes after decode", u.b.Len())
+	if len(d.p) != 0 {
+		return fmt.Errorf("xdr: %d trailing bytes after decode", len(d.p))
 	}
 	return nil
-}
-
-// Buffer is a minimal growable byte buffer implementing io.Reader and
-// io.Writer, used to avoid importing bytes in hot paths and to allow
-// Unmarshal to check for trailing data.
-type Buffer struct {
-	data []byte
-	off  int
-}
-
-// Bytes returns the unread portion of the buffer.
-func (b *Buffer) Bytes() []byte { return b.data[b.off:] }
-
-// Len returns the number of unread bytes.
-func (b *Buffer) Len() int { return len(b.data) - b.off }
-
-// Write appends p to the buffer.
-func (b *Buffer) Write(p []byte) (int, error) {
-	b.data = append(b.data, p...)
-	return len(p), nil
-}
-
-// WriteString appends s to the buffer without an intermediate []byte
-// copy, satisfying io.StringWriter for Encoder.String's fast path.
-func (b *Buffer) WriteString(s string) (int, error) {
-	b.data = append(b.data, s...)
-	return len(s), nil
-}
-
-// Read reads from the unread portion of the buffer.
-func (b *Buffer) Read(p []byte) (int, error) {
-	if b.off >= len(b.data) {
-		return 0, io.EOF
-	}
-	n := copy(p, b.data[b.off:])
-	b.off += n
-	return n, nil
-}
-
-// Reset truncates the buffer to empty, retaining capacity.
-func (b *Buffer) Reset() {
-	b.data = b.data[:0]
-	b.off = 0
-}
-
-// SetBytes points the buffer at p for reading, without copying. The
-// buffer aliases p until the next SetBytes/Reset; callers own p's
-// lifetime.
-func (b *Buffer) SetBytes(p []byte) {
-	b.data = p
-	b.off = 0
 }

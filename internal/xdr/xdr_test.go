@@ -14,22 +14,18 @@ import (
 
 func roundTrip(t *testing.T, enc func(*Encoder), dec func(*Decoder)) {
 	t.Helper()
-	var b Buffer
-	e := NewEncoder(&b)
-	enc(e)
-	if err := e.Err(); err != nil {
-		t.Fatalf("encode: %v", err)
+	var e Encoder
+	enc(&e)
+	if n := len(e.Bytes()); n%4 != 0 {
+		t.Fatalf("encoded length %d not a multiple of 4", n)
 	}
-	if b.Len()%4 != 0 {
-		t.Fatalf("encoded length %d not a multiple of 4", b.Len())
-	}
-	d := NewDecoder(&b)
+	d := NewDecoder(e.Bytes())
 	dec(d)
 	if err := d.Err(); err != nil {
 		t.Fatalf("decode: %v", err)
 	}
-	if b.Len() != 0 {
-		t.Fatalf("%d trailing bytes", b.Len())
+	if len(d.p) != 0 {
+		t.Fatalf("%d trailing bytes", len(d.p))
 	}
 }
 
@@ -120,22 +116,20 @@ func TestOpaqueRoundTrip(t *testing.T) {
 func TestFixedOpaquePadding(t *testing.T) {
 	for n := 0; n < 9; n++ {
 		v := make([]byte, n)
-		var b Buffer
-		e := NewEncoder(&b)
+		var e Encoder
 		e.FixedOpaque(v)
 		want := (n + 3) / 4 * 4
-		if b.Len() != want {
-			t.Errorf("n=%d: encoded %d bytes, want %d", n, b.Len(), want)
+		if len(e.Bytes()) != want {
+			t.Errorf("n=%d: encoded %d bytes, want %d", n, len(e.Bytes()), want)
 		}
 	}
 }
 
 func TestOpaqueIntoReuse(t *testing.T) {
-	var b Buffer
-	e := NewEncoder(&b)
+	var e Encoder
 	payload := []byte("payload-bytes")
 	e.Opaque(payload)
-	d := NewDecoder(&b)
+	d := NewDecoder(e.Bytes())
 	dst := make([]byte, 0, 64)
 	got := d.OpaqueInto(dst)
 	if !bytes.Equal(got, payload) {
@@ -147,11 +141,10 @@ func TestOpaqueIntoReuse(t *testing.T) {
 }
 
 func TestOpaqueIntoGrows(t *testing.T) {
-	var b Buffer
-	e := NewEncoder(&b)
+	var e Encoder
 	payload := bytes.Repeat([]byte{7}, 100)
 	e.Opaque(payload)
-	d := NewDecoder(&b)
+	d := NewDecoder(e.Bytes())
 	got := d.OpaqueInto(make([]byte, 0, 4))
 	if !bytes.Equal(got, payload) {
 		t.Fatal("mismatch after growth")
@@ -159,11 +152,10 @@ func TestOpaqueIntoGrows(t *testing.T) {
 }
 
 func TestBoundedOpaque(t *testing.T) {
-	var b Buffer
-	e := NewEncoder(&b)
+	var e Encoder
 	payload := []byte("within-bound")
 	e.Opaque(payload)
-	d := NewDecoder(&b)
+	d := NewDecoder(e.Bytes())
 	if got := d.BoundedOpaque(32); !bytes.Equal(got, payload) {
 		t.Fatalf("got %q", got)
 	}
@@ -171,9 +163,7 @@ func TestBoundedOpaque(t *testing.T) {
 		t.Fatal(d.Err())
 	}
 
-	b.Reset()
-	e.Opaque(payload)
-	d = NewDecoder(&b)
+	d = NewDecoder(e.Bytes())
 	if got := d.BoundedOpaque(uint32(len(payload)) - 1); got != nil {
 		t.Fatal("expected nil result beyond bound")
 	}
@@ -183,10 +173,9 @@ func TestBoundedOpaque(t *testing.T) {
 }
 
 func TestOpaqueTooLarge(t *testing.T) {
-	var b Buffer
-	e := NewEncoder(&b)
+	var e Encoder
 	e.Uint32(MaxElementSize + 1)
-	d := NewDecoder(&b)
+	d := NewDecoder(e.Bytes())
 	if got := d.Opaque(); got != nil {
 		t.Fatal("expected nil result")
 	}
@@ -196,28 +185,15 @@ func TestOpaqueTooLarge(t *testing.T) {
 }
 
 func TestDecoderShortInput(t *testing.T) {
-	d := NewDecoder(bytes.NewReader([]byte{0, 0}))
+	d := NewDecoder([]byte{0, 0})
 	d.Uint32()
 	if d.Err() != io.ErrUnexpectedEOF {
 		t.Fatalf("got %v, want unexpected EOF", d.Err())
 	}
 }
 
-func TestEncoderErrorSticks(t *testing.T) {
-	e := NewEncoder(failWriter{})
-	e.Uint32(1)
-	first := e.Err()
-	if first == nil {
-		t.Fatal("expected error")
-	}
-	e.String("more")
-	if e.Err() != first {
-		t.Fatal("error did not stick")
-	}
-}
-
 func TestDecoderErrorSticks(t *testing.T) {
-	d := NewDecoder(bytes.NewReader(nil))
+	d := NewDecoder(nil)
 	d.Uint32()
 	first := d.Err()
 	if first == nil {
@@ -228,10 +204,6 @@ func TestDecoderErrorSticks(t *testing.T) {
 		t.Fatal("error did not stick")
 	}
 }
-
-type failWriter struct{}
-
-func (failWriter) Write([]byte) (int, error) { return 0, io.ErrClosedPipe }
 
 func TestOptional(t *testing.T) {
 	roundTrip(t, func(e *Encoder) {
@@ -284,24 +256,14 @@ func TestUnmarshalTrailing(t *testing.T) {
 	}
 }
 
-func TestBufferReset(t *testing.T) {
-	var b Buffer
-	b.Write([]byte{1, 2, 3})
-	b.Reset()
-	if b.Len() != 0 {
-		t.Fatal("reset failed")
-	}
-}
-
 // Property: any byte slice round-trips through variable-length opaque.
 func TestQuickOpaque(t *testing.T) {
 	f := func(p []byte) bool {
-		var b Buffer
-		e := NewEncoder(&b)
+		var e Encoder
 		e.Opaque(p)
-		d := NewDecoder(&b)
+		d := NewDecoder(e.Bytes())
 		got := d.Opaque()
-		return d.Err() == nil && bytes.Equal(got, p) && b.Len() == 0
+		return d.Err() == nil && bytes.Equal(got, p) && len(d.p) == 0
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -311,10 +273,9 @@ func TestQuickOpaque(t *testing.T) {
 // Property: any string round-trips.
 func TestQuickString(t *testing.T) {
 	f := func(s string) bool {
-		var b Buffer
-		e := NewEncoder(&b)
+		var e Encoder
 		e.String(s)
-		d := NewDecoder(&b)
+		d := NewDecoder(e.Bytes())
 		return d.String() == s && d.Err() == nil
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -325,13 +286,12 @@ func TestQuickString(t *testing.T) {
 // Property: mixed sequences of integers round-trip in order.
 func TestQuickIntegers(t *testing.T) {
 	f := func(a uint32, b int32, c uint64, d int64) bool {
-		var buf Buffer
-		e := NewEncoder(&buf)
+		var e Encoder
 		e.Uint32(a)
 		e.Int32(b)
 		e.Uint64(c)
 		e.Int64(d)
-		dec := NewDecoder(&buf)
+		dec := NewDecoder(e.Bytes())
 		return dec.Uint32() == a && dec.Int32() == b &&
 			dec.Uint64() == c && dec.Int64() == d && dec.Err() == nil
 	}
@@ -340,52 +300,44 @@ func TestQuickIntegers(t *testing.T) {
 	}
 }
 
-// Reset must clear a sticky error so pooled codecs start each message
-// clean.
+// Reset empties an encoder but keeps its storage, and clears a
+// decoder's sticky error, so pooled codecs start each message clean.
 func TestEncoderDecoderReset(t *testing.T) {
-	e := NewEncoder(failingWriter{})
+	var e Encoder
 	e.Uint32(1)
-	if e.Err() == nil {
-		t.Fatal("expected sticky encode error")
-	}
-	var b Buffer
-	e.Reset(&b)
-	if e.Err() != nil {
-		t.Fatalf("error survived Reset: %v", e.Err())
+	e.Reset()
+	if len(e.Bytes()) != 0 {
+		t.Fatalf("%d bytes survived Reset", len(e.Bytes()))
 	}
 	e.Uint32(7)
-	if e.Err() != nil || b.Len() != 4 {
-		t.Fatalf("encode after Reset: err=%v len=%d", e.Err(), b.Len())
+	if len(e.Bytes()) != 4 || cap(e.Bytes()) < 8 {
+		t.Fatalf("encode after Reset: len=%d cap=%d", len(e.Bytes()), cap(e.Bytes()))
 	}
 
-	d := NewDecoder(&Buffer{})
-	d.Uint32() // EOF
+	d := NewDecoder(nil)
+	d.Uint32() // truncated
 	if d.Err() == nil {
 		t.Fatal("expected sticky decode error")
 	}
-	d.Reset(&b)
+	d.Reset(e.Bytes())
 	if got := d.Uint32(); got != 7 || d.Err() != nil {
 		t.Fatalf("decode after Reset = %d, %v", got, d.Err())
 	}
 }
 
-type failingWriter struct{}
-
-func (failingWriter) Write(p []byte) (int, error) { return 0, io.ErrClosedPipe }
-
-// SetBytes must alias the slice (no copy) and rewind the read offset.
-func TestBufferSetBytes(t *testing.T) {
-	var b Buffer
-	p := []byte{0, 0, 0, 9}
-	b.SetBytes(p)
-	if &b.Bytes()[0] != &p[0] {
-		t.Fatal("SetBytes copied instead of aliasing")
+// A decoder reads its message in place (no copy of it is made), every
+// value it returns is a copy, and Reset rewinds it.
+func TestDecoderReadsInPlace(t *testing.T) {
+	p := []byte{0, 0, 0, 9, 0, 0, 0, 2, 'h', 'i', 0, 0}
+	d := NewDecoder(p)
+	if n := testing.AllocsPerRun(10, func() { d.Reset(p); d.Uint32() }); n != 0 {
+		t.Fatalf("decoding a word allocated %.0f times", n)
 	}
-	d := NewDecoder(&b)
-	if got := d.Uint32(); got != 9 {
-		t.Fatalf("read %d", got)
+	got := d.Opaque()
+	if d.Err() != nil || string(got) != "hi" || &got[0] == &p[8] {
+		t.Fatalf("opaque %q, %v: want a copy of \"hi\"", got, d.Err())
 	}
-	b.SetBytes(p) // rewind
+	d.Reset(p) // rewind
 	if got := d.Uint32(); got != 9 || d.Err() != nil {
 		t.Fatalf("re-read %d, %v", got, d.Err())
 	}
@@ -476,10 +428,9 @@ func TestCodecRoundTrip(t *testing.T) {
 	in := codecAll{U32: 1, U64: 1 << 40, B: true, S: "grid", Op: []byte{1, 2, 3},
 		Fixed: [6]byte{9, 8, 7, 6, 5, 4}, Present: true, Opt: 77, Kind: 3,
 		Arr: []uint32{5, 6}, List: []string{"a", "bc"}}
-	var b Buffer
-	in.XDR(NewEncoder(&b).Codec())
-	var want Buffer
-	e := NewEncoder(&want)
+	var b Encoder
+	in.XDR(b.Codec())
+	var e Encoder
 	e.Uint32(1)
 	e.Uint64(1 << 40)
 	e.Bool(true)
@@ -497,13 +448,13 @@ func TestCodecRoundTrip(t *testing.T) {
 		e.String(s)
 	}
 	e.OptionalBegin(false)
-	if !bytes.Equal(b.Bytes(), want.Bytes()) {
-		t.Fatalf("codec wrote %x, want %x", b.Bytes(), want.Bytes())
+	if !bytes.Equal(b.Bytes(), e.Bytes()) {
+		t.Fatalf("codec wrote %x, want %x", b.Bytes(), e.Bytes())
 	}
 	var out codecAll
-	d := NewDecoder(&b)
-	if out.XDR(d.Codec()); d.Err() != nil || b.Len() != 0 {
-		t.Fatalf("decode: %v, %d bytes left", d.Err(), b.Len())
+	d := NewDecoder(b.Bytes())
+	if out.XDR(d.Codec()); d.Err() != nil || len(d.p) != 0 {
+		t.Fatalf("decode: %v, %d bytes left", d.Err(), len(d.p))
 	}
 	if !reflect.DeepEqual(out, in) {
 		t.Fatalf("got %+v, want %+v", out, in)
@@ -513,28 +464,28 @@ func TestCodecRoundTrip(t *testing.T) {
 // Opaque and Array reject lengths beyond their bound; Decoding and
 // SetErr act only in the decoding direction.
 func TestCodecBoundsAndDirection(t *testing.T) {
-	var b Buffer
-	e := NewEncoder(&b)
+	var e Encoder
 	e.Opaque(make([]byte, 17))
-	d := NewDecoder(&b)
+	d := NewDecoder(e.Bytes())
 	var p []byte
 	if d.Codec().Opaque(&p, 16); !errors.Is(d.Err(), ErrElementTooLarge) {
 		t.Fatalf("opaque<16> of 17 bytes: err = %v", d.Err())
 	}
-	b.Reset()
+	e.Reset()
 	e.Uint32(5)
-	d = NewDecoder(&b)
+	d = NewDecoder(e.Bytes())
 	var v []uint32
 	if Array(d.Codec(), &v, 4, func(v *uint32, c *Codec) { c.Uint32(v) }); !errors.Is(d.Err(), ErrElementTooLarge) {
 		t.Fatalf("array<4> of 5: err = %v", d.Err())
 	}
-	ec := NewEncoder(&b).Codec()
-	if ec.Decoding() || !NewDecoder(&b).Codec().Decoding() {
+	e.Reset()
+	ec := e.Codec()
+	if ec.Decoding() || !NewDecoder(nil).Codec().Decoding() {
 		t.Fatal("Decoding reports the wrong direction")
 	}
-	ec.SetErr(io.ErrClosedPipe)
-	if ec.e.Err() != nil {
-		t.Fatal("SetErr failed an encoder")
+	ec.SetErr(io.ErrClosedPipe) // must not panic on the encoder side
+	if ec.Uint32(new(uint32)); len(e.Bytes()) != 4 {
+		t.Fatal("SetErr stopped an encoder")
 	}
 }
 
@@ -548,8 +499,8 @@ func TestCodecEncodeIsReadOnly(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var b Buffer
-			in.XDR(NewEncoder(&b).Codec())
+			var e Encoder
+			in.XDR(e.Codec())
 		}()
 	}
 	wg.Wait()

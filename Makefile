@@ -49,12 +49,13 @@ fuzz-short:
 bench:
 	bash benchmark/run.sh
 
-# Go lines per package, largest first: non-test lines, then test lines
-# (in-package and external _test.go files), and both totals. The north
+# Go lines per package, largest first: non-test lines (assembly
+# included), then test lines (in-package and external _test.go files),
+# and both totals. The north
 # star tracks the first column per package like latency; the second
 # tells code that was deleted from code that moved into a test.
 loc:
-	@$(GO) list -f '{{.ImportPath}}{{range .GoFiles}} {{$$.Dir}}/{{.}}{{end}} |{{range .TestGoFiles}} {{$$.Dir}}/{{.}}{{end}}{{range .XTestGoFiles}} {{$$.Dir}}/{{.}}{{end}}' ./... | \
+	@$(GO) list -f '{{.ImportPath}}{{range .GoFiles}} {{$$.Dir}}/{{.}}{{end}}{{range .SFiles}} {{$$.Dir}}/{{.}}{{end}} |{{range .TestGoFiles}} {{$$.Dir}}/{{.}}{{end}}{{range .XTestGoFiles}} {{$$.Dir}}/{{.}}{{end}}' ./... | \
 	while read pkg files; do \
 		echo "$$(cat /dev/null $${files%%|*} | wc -l) $$(cat /dev/null $${files##*|} | wc -l) $$pkg"; \
 	done | sort -k1,1nr -k3 | \

@@ -9,6 +9,10 @@
 //	sgfs-admin schedule -dss http://dss:8400 -export /GFS/alice \
 //	    -server-fss http://fs:8401 -client-fss http://node:8401 \
 //	    -upstream 127.0.0.1:20049 -suite aes -cache
+//	sgfs-admin schedule -dss http://dss:8400 -export /GFS/alice \
+//	    -server-fss http://fs1:8401,http://fs2:8401,http://fs3:8401 \
+//	    -upstream 127.0.0.1:20049,127.0.0.1:20049,127.0.0.1:20049 \
+//	    -client-fss http://node:8401 -quorum 2
 //	sgfs-admin destroy -fss http://node:8401 -id <session-id>
 //	sgfs-admin rekey   -fss http://node:8401 -id <session-id>
 //	sgfs-admin flush   -fss http://node:8401 -id <session-id>
@@ -51,7 +55,6 @@ func main() {
 	upstream := fs.String("upstream", "", "NFS server address on the file server (comma-separate to pair with -server-fss)")
 	suite := fs.String("suite", "aes", "channel suite")
 	cache := fs.Bool("cache", false, "enable disk caching on the client proxy")
-	replicas := fs.Int("replicas", 0, "replicas per block for a replicated session (0 = all servers)")
 	quorum := fs.Int("quorum", 0, "write acks required for a replicated session (0 = majority)")
 	id := fs.String("id", "", "session id")
 	path := fs.String("path", "", "path within the export (setacl)")
@@ -97,7 +100,6 @@ func main() {
 		if fssList := splitList(*serverFSS); len(fssList) > 1 {
 			sreq.ServerFSSs = fssList
 			sreq.Upstreams = splitList(*upstream)
-			sreq.ReplicaCount = *replicas
 			sreq.Quorum = *quorum
 		} else {
 			sreq.ServerFSS = *serverFSS

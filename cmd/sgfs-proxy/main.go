@@ -35,11 +35,11 @@
 //	disk_cache = /var/cache/sgfs
 //	rekey_interval = 30m
 //
-// A replicated client session replaces "server" with a server list
-// plus optional replication knobs:
+// A replicated client session replaces "server" with a server list,
+// every one of which holds every file, plus optional replication
+// knobs (quorum defaults to a majority of the servers):
 //
 //	servers = fs1.grid:30049, fs2.grid:30049, fs3.grid:30049
-//	replicas = 3
 //	quorum = 2
 //	hedge_delay = 30ms
 package main

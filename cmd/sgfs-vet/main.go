@@ -184,18 +184,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if ipath == "" {
 		ipath = filepath.Join(moduleRoot, ".sgfsvet-ignore")
 	}
-	ignore, err := vet.LoadIgnore(ipath)
+	ignore, err := vet.LoadIgnore(ipath, moduleRoot)
 	if err != nil {
 		fmt.Fprintln(stderr, "sgfs-vet:", err)
 		return 2
 	}
 
-	relFile := func(name string) string {
-		if rel, err := filepath.Rel(moduleRoot, name); err == nil && !strings.HasPrefix(rel, "..") {
-			return filepath.ToSlash(rel)
-		}
-		return filepath.ToSlash(name)
-	}
 	report := jsonReport{
 		ModuleRoot: moduleRoot,
 		Findings:   []jsonDiagnostic{},
@@ -216,7 +210,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	for _, d := range diags {
 		jd := jsonDiagnostic{
 			Analyzer: d.Analyzer,
-			File:     relFile(d.Pos.Filename),
+			File:     vet.ModulePath(moduleRoot, d.Pos.Filename),
 			Line:     d.Pos.Line,
 			Column:   d.Pos.Column,
 			Message:  d.Message,

@@ -46,14 +46,12 @@ type Config struct {
 	Upstream string
 
 	// Servers lists replica server-proxy addresses (client role). When
-	// non-empty it supersedes Server: the session replicates writes
-	// across the set and hedges reads between members.
+	// non-empty it supersedes Server: every server holds every file, the
+	// session fans every mutation out to all of them and hedges reads
+	// between them.
 	Servers []string
-	// Replicas (k) is how many replicas hold each block; 0 means all
-	// servers.
-	Replicas int
-	// Quorum is how many replica acks a write needs before it is
-	// acknowledged; 0 means a majority of Replicas.
+	// Quorum is how many server acks a mutation needs before it is
+	// acknowledged, at most len(Servers); 0 means a majority.
 	Quorum int
 	// HedgeDelay is how long a replicated read waits on the first
 	// replica before hedging to the next (0 = proxy default).
@@ -102,17 +100,10 @@ func (c *Config) Validate() error {
 			return fmt.Errorf("core: client session requires server address(es)")
 		}
 		if n := len(c.Servers); n > 0 {
-			if c.Replicas > n {
-				return fmt.Errorf("core: replicas (%d) exceeds server count (%d)", c.Replicas, n)
+			if c.Quorum < 0 || c.Quorum > n {
+				return fmt.Errorf("core: quorum %d out of range [0,%d]", c.Quorum, n)
 			}
-			k := c.Replicas
-			if k == 0 {
-				k = n
-			}
-			if c.Quorum > k {
-				return fmt.Errorf("core: quorum (%d) exceeds replicas (%d)", c.Quorum, k)
-			}
-		} else if c.Replicas > 0 || c.Quorum > 0 || c.HedgeDelay > 0 {
+		} else if c.Quorum > 0 || c.HedgeDelay > 0 {
 			return fmt.Errorf("core: replication settings require a servers list")
 		}
 	case RoleServer:
@@ -204,12 +195,6 @@ func (c *Config) set(key, val string) error {
 				c.Servers = append(c.Servers, s)
 			}
 		}
-	case "replicas":
-		n, err := strconv.Atoi(val)
-		if err != nil {
-			return fmt.Errorf("replicas: %w", err)
-		}
-		c.Replicas = n
 	case "quorum":
 		n, err := strconv.Atoi(val)
 		if err != nil {
@@ -287,9 +272,6 @@ func (c *Config) Serialize() []byte {
 	put("listen", c.Listen)
 	put("server", c.Server)
 	put("servers", strings.Join(c.Servers, ","))
-	if c.Replicas > 0 {
-		put("replicas", strconv.Itoa(c.Replicas))
-	}
 	if c.Quorum > 0 {
 		put("quorum", strconv.Itoa(c.Quorum))
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -96,7 +97,6 @@ const replicatedConfig = `
 role = client
 export = /GFS/alice
 servers = fs1:4000, fs2:4000, fs3:4000
-replicas = 3
 quorum = 2
 hedge_delay = 25ms
 `
@@ -109,7 +109,7 @@ func TestParseReplicatedConfig(t *testing.T) {
 	if len(cfg.Servers) != 3 || cfg.Servers[1] != "fs2:4000" {
 		t.Fatalf("servers: %+v", cfg.Servers)
 	}
-	if cfg.Replicas != 3 || cfg.Quorum != 2 || cfg.HedgeDelay != 25*time.Millisecond {
+	if cfg.Quorum != 2 || cfg.HedgeDelay != 25*time.Millisecond {
 		t.Fatalf("replication knobs: %+v", cfg)
 	}
 	if err := cfg.Validate(); err != nil {
@@ -121,17 +121,22 @@ func TestParseReplicatedConfig(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(out.Servers) != 3 || out.Replicas != 3 || out.Quorum != 2 || out.HedgeDelay != cfg.HedgeDelay {
+	if len(out.Servers) != 3 || out.Quorum != 2 || out.HedgeDelay != cfg.HedgeDelay {
 		t.Fatalf("round trip: %+v", out)
 	}
 
-	// Validation sanity: replication knobs need a server list, and
-	// quorum/replicas cannot exceed what the list can hold.
+	// Every server holds every file: there is no replica count to set.
+	if _, err := Parse(strings.NewReader(replicatedConfig + "replicas = 2\n")); err == nil ||
+		!strings.Contains(err.Error(), "unknown key") {
+		t.Errorf("replicas key: err = %v, want unknown key", err)
+	}
+
+	// Validation sanity: replication knobs need a server list, and the
+	// quorum cannot exceed the servers there are.
 	bad := []string{
-		"role = client\nexport = /x\nserver = a:1\nreplicas = 2\n",
-		"role = client\nexport = /x\nservers = a:1,b:1\nreplicas = 3\n",
+		"role = client\nexport = /x\nserver = a:1\nquorum = 1\n",
 		"role = client\nexport = /x\nservers = a:1,b:1\nquorum = 3\n",
-		"role = client\nexport = /x\nservers = a:1,b:1,c:1\nreplicas = 2\nquorum = 3\n",
+		"role = client\nexport = /x\nservers = a:1,b:1\nquorum = -1\n",
 	}
 	for _, src := range bad {
 		cfg, err := Parse(strings.NewReader(src))
@@ -144,46 +149,86 @@ func TestParseReplicatedConfig(t *testing.T) {
 	}
 }
 
-// TestReplicatedSessionFromConfig starts three server sessions and a
-// replicated client session purely from Config structs and checks a
-// write lands on every backend.
-func TestReplicatedSessionFromConfig(t *testing.T) {
-	backends := make([]*vfs.MemFS, 3)
-	addrs := make([]string, 3)
+// replicatedSession starts n plain server sessions and a replicated
+// client session over them, built from the Config cfg with its Servers
+// filled in, which must validate.
+func replicatedSession(t *testing.T, n int, cfg Config) ([]*vfs.MemFS, *ClientSession) {
+	t.Helper()
+	backends := make([]*vfs.MemFS, n)
 	for i := range backends {
 		backends[i] = vfs.NewMemFS()
-		addrs[i] = plainServer(t, backends[i], uint64(i+1)).Addr()
+		cfg.Servers = append(cfg.Servers, plainServer(t, backends[i], uint64(i+1)).Addr())
 	}
-
-	cli, err := StartClientSession(&Config{
-		Role: RoleClient, Export: "/GFS/alice",
-		Servers: addrs, Replicas: 3, Quorum: 2,
-	})
+	cfg.Role, cfg.Export = RoleClient, "/GFS/alice"
+	if err := cfg.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	cli, err := StartClientSession(&cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { cli.Close() })
+	return backends, cli
+}
 
+// converge polls until every backend holds payload as name: a quorum
+// ack returns before the stragglers have written.
+func converge(t *testing.T, backends []*vfs.MemFS, name string, payload []byte) {
+	t.Helper()
+	for i, be := range backends {
+		deadline := time.Now().Add(10 * time.Second)
+		for !bytes.Equal(stored(be, name), payload) {
+			if time.Now().After(deadline) {
+				t.Fatalf("backend %d never converged on %s: %q", i, name, stored(be, name))
+			}
+			time.Sleep(20 * time.Millisecond)
+		}
+	}
+}
+
+// TestReplicatedSessionFromConfig starts three server sessions and a
+// replicated client session purely from Config structs and checks a
+// write lands on every backend.
+func TestReplicatedSessionFromConfig(t *testing.T) {
+	backends, cli := replicatedSession(t, 3, Config{Quorum: 2})
 	payload := []byte("replicated from config")
 	put(t, mountSession(t, cli), "conf.txt", payload)
 	if err := cli.Flush(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-
-	// Quorum acks at 2 of 3; poll for the straggler.
-	for i, be := range backends {
-		deadline := time.Now().Add(10 * time.Second)
-		for !bytes.Equal(stored(be, "conf.txt"), payload) {
-			if time.Now().After(deadline) {
-				t.Fatalf("backend %d never converged: %q", i, stored(be, "conf.txt"))
-			}
-			time.Sleep(20 * time.Millisecond)
-		}
-	}
-
+	converge(t, backends, "conf.txt", payload)
 	if snap, ok := cli.ReplicaStats(); !ok || snap.QuorumWrites == 0 {
 		t.Fatalf("replica stats: ok=%v %+v", ok, snap)
 	}
+}
+
+// TestReplicatedEveryServerHoldsEveryFile: with no quorum set, a
+// four-server session writes every file's bytes to all four servers,
+// not to a subset of them.
+func TestReplicatedEveryServerHoldsEveryFile(t *testing.T) {
+	backends, cli := replicatedSession(t, 4, Config{})
+	fs := mountSession(t, cli)
+	for i := 0; i < 8; i++ {
+		put(t, fs, fmt.Sprintf("f%d", i), []byte(fmt.Sprintf("file %d of 8", i)))
+	}
+	if err := cli.Flush(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 8; i++ {
+		converge(t, backends, fmt.Sprintf("f%d", i), []byte(fmt.Sprintf("file %d of 8", i)))
+	}
+}
+
+// TestReplicatedQuorumFourOfFive: a quorum that Validate accepts also
+// starts a session, and the session serves writes.
+func TestReplicatedQuorumFourOfFive(t *testing.T) {
+	backends, cli := replicatedSession(t, 5, Config{Quorum: 4})
+	payload := []byte("four of five")
+	put(t, mountSession(t, cli), "q.txt", payload)
+	if err := cli.Flush(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	converge(t, backends, "q.txt", payload)
 }
 
 // TestSessionsEndToEnd drives the full config-file path: write certs,

@@ -227,14 +227,13 @@ func StartClientSession(cfg *Config) (*ClientSession, error) {
 	}
 	if len(cfg.Servers) > 0 {
 		// Replicated session: one dialer per server proxy; the
-		// replication layer owns placement, quorum and failover.
+		// replication layer owns fan-out, quorum and failover.
 		backends := make([]proxy.ReplicaBackendDef, len(cfg.Servers))
 		for i, addr := range cfg.Servers {
 			backends[i] = proxy.ReplicaBackendDef{Addr: addr, Dial: dialTo(addr)}
 		}
 		pcfg.Replication = &proxy.ReplicationConfig{
 			Backends:   backends,
-			Replicas:   cfg.Replicas,
 			Quorum:     cfg.Quorum,
 			HedgeDelay: cfg.HedgeDelay,
 		}

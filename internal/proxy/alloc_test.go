@@ -92,7 +92,7 @@ func budgetStack(t *testing.T, n int, diskCache bool, pageBytes int64) (*core.Cl
 	if n == 1 {
 		pcfg.ServerDial = defs[0].Dial
 	} else {
-		pcfg.Replication = &proxy.ReplicationConfig{Backends: defs, Replicas: n, Quorum: n}
+		pcfg.Replication = &proxy.ReplicationConfig{Backends: defs, Quorum: n}
 	}
 	cacheDir := ""
 	if diskCache {
@@ -187,7 +187,7 @@ func TestWriteAllocs(t *testing.T) {
 	}{
 		{"write-back", 1, true, 15},
 		{"uncached", 1, false, 38},
-		{"replicated", 2, false, 93},
+		{"replicated", 2, false, 88},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			_, fs, _ := budgetStack(t, c.replicas, c.diskCache, 1)

@@ -196,8 +196,8 @@ func TestChaosLinkKillsDuringReadWorkload(t *testing.T) {
 	}
 }
 
-// TestChaosAlternatingBackendCutsFlushAll: two backends, replicas 2 /
-// quorum 1, and a link cut that alternates between them across three
+// TestChaosAlternatingBackendCutsFlushAll: two backends, quorum 1,
+// and a link cut that alternates between them across three
 // write+flush generations. Every FlushAll that returns nil is an ack to
 // the application; once both links heal and background repair drains,
 // both backends must hold every acked generation byte-identical — zero
@@ -207,7 +207,7 @@ func TestChaosAlternatingBackendCutsFlushAll(t *testing.T) {
 	t.Parallel()
 	dc := newDiskCache(t)
 	st := buildReplStack(t, replOpts{
-		n: 2, replicas: 2, quorum: 1,
+		n: 2, quorum: 1,
 		diskCache:  dc,
 		recovery:   fastRecovery(),
 		ejectAfter: 1,

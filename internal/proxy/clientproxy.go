@@ -45,9 +45,9 @@ type ClientConfig struct {
 	// (reconnect, replay, deadlines); nil selects the defaults.
 	Recovery *RecoveryConfig
 	// Replication, when non-nil, replaces the single upstream with a
-	// replicated multi-backend namespace: block writes fan out to a
-	// placement-chosen replica set and are acknowledged at quorum,
-	// reads are hedged across replicas, and failed backends are
+	// replicated multi-backend namespace: every mutation fans out to
+	// every healthy backend and is acknowledged at quorum, reads are
+	// hedged across the backends, and failed backends are
 	// ejected and probed back in. ServerDial/Channel are ignored in
 	// favor of the per-backend dialers (each backend is an upstream
 	// session of its own, so Channel still applies per backend).

@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/metrics"
 	"repro/internal/nfs3"
-	"repro/internal/placement"
 	"repro/internal/singleflight"
 	"repro/internal/vfs"
 	"repro/internal/xdr"
@@ -17,15 +16,15 @@ import (
 
 // Replicated upstream. The paper's client proxy speaks to exactly one
 // server proxy, so that server is a single point of failure for the
-// whole mount. replicaSet replaces the single upstream with k-way
-// block replication across N server proxies behind the same upstream
+// whole mount. replicaSet replaces the single upstream with N server
+// proxies that each hold every file, behind the same upstream
 // interface the rest of the proxy already uses: the write-back cache,
-// the flush worker pool and the readahead path all fan out through it
-// unchanged.
+// its flush and the readahead path all fan out through it unchanged.
 //
-//   - Mutations fan out concurrently and are acknowledged at quorum;
-//     stragglers keep running on detached deadlines and failed write
-//     legs are queued for background repair (replica_repair.go).
+//   - Mutations fan out concurrently to every healthy backend and are
+//     acknowledged at quorum; stragglers keep running on detached
+//     deadlines and failed write legs are queued for background
+//     repair (replica_fanout.go).
 //   - Reads go to the fastest replica, with a hedged second request
 //     after HedgeDelay and failover to the remaining replicas.
 //   - Each backend is an upstream session with its own health state:
@@ -45,7 +44,7 @@ var ErrQuorumLost = errors.New("proxy: replica write quorum lost")
 
 // ReplicaBackendDef names one replica backend endpoint.
 type ReplicaBackendDef struct {
-	// Addr is informational (logs, placement identity).
+	// Addr is informational (logs, error messages).
 	Addr string
 	// Dial connects to this backend's server proxy.
 	Dial Dialer
@@ -56,10 +55,9 @@ type ReplicationConfig struct {
 	// Backends lists the replica pool; backend IDs are indices into
 	// this slice.
 	Backends []ReplicaBackendDef
-	// Replicas (k) and Quorum follow placement defaults when zero:
-	// k = min(3, len(Backends)), quorum = k/2+1.
-	Replicas int
-	Quorum   int
+	// Quorum is how many backend acks a mutation needs before it is
+	// acknowledged, in [1, len(Backends)]; 0 means a majority.
+	Quorum int
 	// HedgeDelay is how long a read waits on the primary replica
 	// before launching a hedged second request (default 30ms).
 	HedgeDelay time.Duration
@@ -69,9 +67,6 @@ type ReplicationConfig struct {
 	// ProbeInterval paces (with jitter) the reintegration probes of an
 	// ejected backend (default 500ms).
 	ProbeInterval time.Duration
-	// RepairQueue bounds the background repair queue (default 256);
-	// overflow is shed and counted, never blocked on.
-	RepairQueue int
 	// Stats accumulates replication counters; one is created when nil.
 	Stats *metrics.ReplicaStats
 }
@@ -86,16 +81,15 @@ func (c *ReplicationConfig) probeInterval() time.Duration {
 	return positiveOr(c.ProbeInterval, 500*time.Millisecond)
 }
 
-func (c *ReplicationConfig) repairQueue() int { return positiveOr(c.RepairQueue, 256) }
-
 // replicaSet is the replicated upstream.
 type replicaSet struct {
 	p     *ClientProxy
 	cfg   *ReplicationConfig
-	place *placement.Placement
 	stats *metrics.ReplicaStats
 	ns    *canonNS
 	backs []*replicaBackend
+	// need is the write quorum: the acks a mutation waits for.
+	need int
 
 	blockSize uint64
 
@@ -124,23 +118,23 @@ type blockKey struct {
 // long as a quorum comes up; the dead ones start ejected and are
 // probed back in) and starts the repair worker.
 func newReplicaSet(ctx context.Context, p *ClientProxy, cfg *ReplicationConfig) (*replicaSet, error) {
-	if len(cfg.Backends) == 0 {
+	n := len(cfg.Backends)
+	if n == 0 {
 		return nil, errors.New("proxy: replication needs at least one backend")
 	}
-	infos := make([]placement.BackendInfo, len(cfg.Backends))
-	for i, bd := range cfg.Backends {
-		infos[i] = placement.BackendInfo{ID: i, Addr: bd.Addr}
+	need := cfg.Quorum
+	if need == 0 {
+		need = n/2 + 1
 	}
-	place, err := placement.New(infos, cfg.Replicas, cfg.Quorum)
-	if err != nil {
-		return nil, err
+	if need < 1 || need > n {
+		return nil, fmt.Errorf("proxy: quorum %d out of range [1,%d]", need, n)
 	}
 	stats := cfg.Stats
 	if stats == nil {
-		stats = metrics.NewReplicaStats(len(cfg.Backends))
+		stats = metrics.NewReplicaStats(n)
 	}
-	if len(stats.Backends) != len(cfg.Backends) {
-		return nil, fmt.Errorf("proxy: replica stats sized for %d backends, have %d", len(stats.Backends), len(cfg.Backends))
+	if len(stats.Backends) != n {
+		return nil, fmt.Errorf("proxy: replica stats sized for %d backends, have %d", len(stats.Backends), n)
 	}
 	bs := uint64(32 * 1024)
 	if p.cfg.DiskCache != nil {
@@ -149,12 +143,12 @@ func newReplicaSet(ctx context.Context, p *ClientProxy, cfg *ReplicationConfig) 
 	rs := &replicaSet{
 		p:         p,
 		cfg:       cfg,
-		place:     place,
 		stats:     stats,
+		need:      need,
 		ns:        newCanonNS(),
 		blockSize: bs,
 		versions:  make(map[blockKey]uint64),
-		repairq:   make(chan repairJob, cfg.repairQueue()),
+		repairq:   make(chan repairJob, repairQueueLen),
 		done:      make(chan struct{}),
 	}
 	for i, bd := range cfg.Backends {
@@ -170,9 +164,9 @@ func newReplicaSet(ctx context.Context, p *ClientProxy, cfg *ReplicationConfig) 
 			b.startProbe()
 		}
 	})
-	if up := len(rs.nsTargets()); up < place.Quorum {
+	if up, _ := rs.targets(); len(up) < need {
 		rs.Close()
-		return nil, fmt.Errorf("proxy: only %d of %d replica backends reachable, quorum is %d", up, len(cfg.Backends), place.Quorum)
+		return nil, fmt.Errorf("proxy: only %d of %d replica backends reachable, quorum is %d", len(up), n, need)
 	}
 	rs.wg.Add(1)
 	go rs.repairLoop()
@@ -307,8 +301,7 @@ func (rs *replicaSet) Call(ctx context.Context, proc uint32, args xdr.Marshaler,
 
 	case nfs3.ProcCommit:
 		a := args.(*nfs3.CommitArgs)
-		targets, _ := rs.writeTargets(a.Obj, a.Offset/rs.blockSize)
-		return quorumRow(rs, targets, proc, resolveOnly, reply.(*nfs3.CommitRes),
+		return quorumRow(rs, proc, resolveOnly, reply.(*nfs3.CommitRes),
 			func(x *xlate) xdr.Marshaler {
 				return &nfs3.CommitArgs{Obj: x.fh(a.Obj), Offset: a.Offset, Count: a.Count}
 			},
@@ -321,7 +314,7 @@ func (rs *replicaSet) Call(ctx context.Context, proc uint32, args xdr.Marshaler,
 
 	case nfs3.ProcSetAttr:
 		a := args.(*nfs3.SetAttrArgs)
-		return quorumRow(rs, rs.nsTargets(), proc, resolveOnly, reply.(*nfs3.WccRes),
+		return quorumRow(rs, proc, resolveOnly, reply.(*nfs3.WccRes),
 			func(x *xlate) xdr.Marshaler { c := *a; c.Obj = x.fh(a.Obj); return &c },
 			func(r *nfs3.WccRes, _ *replicaBackend) { canonWcc(&r.Wcc, a.Obj) })
 
@@ -342,7 +335,7 @@ func (rs *replicaSet) Call(ctx context.Context, proc uint32, args xdr.Marshaler,
 
 	case nfs3.ProcRemove, nfs3.ProcRmdir:
 		a := args.(*nfs3.RemoveArgs)
-		return quorumRow(rs, rs.nsTargets(), proc, resolveOnly, reply.(*nfs3.WccRes),
+		return quorumRow(rs, proc, resolveOnly, reply.(*nfs3.WccRes),
 			func(x *xlate) xdr.Marshaler {
 				return &nfs3.RemoveArgs{Obj: nfs3.DirOpArgs{Dir: x.fh(a.Obj.Dir), Name: a.Obj.Name}}
 			},
@@ -355,7 +348,7 @@ func (rs *replicaSet) Call(ctx context.Context, proc uint32, args xdr.Marshaler,
 
 	case nfs3.ProcRename:
 		a := args.(*nfs3.RenameArgs)
-		return quorumRow(rs, rs.nsTargets(), proc, resolveOnly, reply.(*nfs3.RenameRes),
+		return quorumRow(rs, proc, resolveOnly, reply.(*nfs3.RenameRes),
 			func(x *xlate) xdr.Marshaler {
 				return &nfs3.RenameArgs{
 					From: nfs3.DirOpArgs{Dir: x.fh(a.From.Dir), Name: a.From.Name},
@@ -390,7 +383,7 @@ func (rs *replicaSet) Call(ctx context.Context, proc uint32, args xdr.Marshaler,
 func (rs *replicaSet) create(proc uint32, where nfs3.DirOpArgs, out *nfs3.CreateRes, build func(*xlate) xdr.Marshaler) error {
 	c := rs.ns.child(where.Dir, where.Name)
 	leg := rowLeg[nfs3.CreateRes](rs, proc, resolveCreateDirs, build)
-	rep, _, err := rs.quorum(rs.nsTargets(), func(ctx context.Context, b *replicaBackend) (xdr.Unmarshaler, error) {
+	rep, _, err := rs.quorum(func(ctx context.Context, b *replicaBackend) (xdr.Unmarshaler, error) {
 		rep, err := leg(ctx, b)
 		if r, ok := rep.(*nfs3.CreateRes); ok && err == nil && r.Status == nfs3.OK && r.Obj.Present {
 			b.cacheFH(string(c.Data), r.Obj.FH)
@@ -437,11 +430,11 @@ func hedgedRow[R any](rs *replicaSet, ctx context.Context, proc uint32, on nfs3.
 	return answer(rep, b, err, out, canon)
 }
 
-// quorumRow fans a mutation row out to targets and answers with the
-// reply a quorum of them agrees on.
-func quorumRow[R any](rs *replicaSet, targets []*replicaBackend, proc uint32, mode resolveMode, out *R,
+// quorumRow fans a mutation row out to every healthy backend and
+// answers with the reply a quorum of them agrees on.
+func quorumRow[R any](rs *replicaSet, proc uint32, mode resolveMode, out *R,
 	build func(*xlate) xdr.Marshaler, canon func(*R, *replicaBackend)) error {
-	rep, b, err := rs.quorum(targets, rowLeg[R](rs, proc, mode, build), nil)
+	rep, b, err := rs.quorum(rowLeg[R](rs, proc, mode, build), nil)
 	return answer(rep, b, err, out, canon)
 }
 

@@ -13,16 +13,20 @@ import (
 	"repro/internal/xdr"
 )
 
-// Write fan-out and repair. Every mutation fans out to its backends and
-// is acknowledged at quorum, and every backend applies its legs in the
-// order they were issued. Every WRITE goes to its block's replica set
-// as FILE_SYNC; a leg that fails, and a backend skipped because it is
+// Write fan-out and repair. Every mutation fans out to every healthy
+// backend and is acknowledged at quorum, and every backend applies its
+// legs in the order they were issued. Every WRITE goes out as
+// FILE_SYNC; a leg that fails, and a backend skipped because it is
 // ejected, becomes a background repair job that re-applies the same
 // write later.
 
 // repairMaxAttempts bounds how often one repair job is retried before
 // it is shed (a later flush round or read failover covers the block).
 const repairMaxAttempts = 10
+
+// repairQueueLen bounds the background repair queue; overflow is shed
+// and counted, never blocked on.
+const repairQueueLen = 256
 
 // repairJob is one failed write leg queued for background repair: the
 // canonical-form FILE_SYNC write to re-apply to one backend.
@@ -33,16 +37,22 @@ type repairJob struct {
 	attempt int
 }
 
-// quorum fans a mutation out to targets and returns the reply a write
-// quorum of legs agrees on, by status, as soon as it does: success, or
-// one refusal — a refused mutation changed nothing, so the status is
-// the answer. Each backend runs the legs in issue order (legOrder);
-// stragglers keep running on detached deadlines. repair is set for
-// data writes only, and every write leg whose outcome is not the answer
-// (not success, when there is none) is handed to it.
-func (rs *replicaSet) quorum(targets []*replicaBackend, leg legFunc, repair func(*replicaBackend)) (xdr.Unmarshaler, *replicaBackend, error) {
-	need := rs.place.Quorum
-	if len(targets) < need {
+// quorum fans a mutation out to every healthy backend and returns the
+// reply a write quorum of legs agrees on, by status, as soon as it
+// does: success, or one refusal — a refused mutation changed nothing,
+// so the status is the answer. Each backend runs the legs in issue
+// order (legOrder); stragglers keep running on detached deadlines.
+// repair is set for data writes only, and every write leg whose outcome
+// is not the answer (not success, when there is none), and every
+// ejected backend the write skipped, is handed to it.
+func (rs *replicaSet) quorum(leg legFunc, repair func(*replicaBackend)) (xdr.Unmarshaler, *replicaBackend, error) {
+	targets, skipped := rs.targets()
+	if repair != nil {
+		for _, b := range skipped {
+			repair(b)
+		}
+	}
+	if len(targets) < rs.need {
 		// Not enough live targets to ever reach quorum: degrade
 		// immediately (the disk cache keeps absorbing writes).
 		if repair != nil {
@@ -51,7 +61,7 @@ func (rs *replicaSet) quorum(targets []*replicaBackend, leg legFunc, repair func
 			}
 		}
 		rs.stats.QuorumFailures.Add(1)
-		return nil, nil, fmt.Errorf("%w: %d healthy targets, need %d", ErrQuorumLost, len(targets), need)
+		return nil, nil, fmt.Errorf("%w: %d healthy targets, need %d", ErrQuorumLost, len(targets), rs.need)
 	}
 	resc := make(chan legResult, len(targets))
 	tickets := make([]uint64, len(targets))
@@ -88,14 +98,14 @@ func (rs *replicaSet) quorum(targets []*replicaBackend, leg legFunc, repair func
 			if got[i].err != nil {
 				continue
 			}
-			if n := votes(got, statusOf(got[i].rep)); n >= need {
+			if n := votes(got, statusOf(got[i].rep)); n >= rs.need {
 				win = &got[i]
 				break
 			} else if n > best {
 				best = n
 			}
 		}
-		if win == nil && best+len(targets)-len(got) < need {
+		if win == nil && best+len(targets)-len(got) < rs.need {
 			break // no outcome can reach quorum any more
 		}
 	}
@@ -121,7 +131,7 @@ func (rs *replicaSet) quorum(targets []*replicaBackend, leg legFunc, repair func
 	}
 	if win == nil {
 		rs.stats.QuorumFailures.Add(1)
-		return nil, nil, fmt.Errorf("%w: %d/%d acks: %v", ErrQuorumLost, votes(got, nfs3.OK), need, legErr(got))
+		return nil, nil, fmt.Errorf("%w: %d/%d acks: %v", ErrQuorumLost, votes(got, nfs3.OK), rs.need, legErr(got))
 	}
 	if answer == nfs3.OK {
 		rs.stats.QuorumWrites.Add(1)
@@ -223,7 +233,7 @@ func (o *legOrder) done(t uint64) {
 	o.cond.Broadcast()
 }
 
-// callWriteFanout fans one WRITE out to the block's replica set as
+// callWriteFanout fans one WRITE out to every healthy backend as
 // FILE_SYNC, acknowledges at quorum, and queues repair for every leg
 // that fails (including backends skipped because they are ejected).
 // Forcing FILE_SYNC keeps the durability statement per backend —
@@ -241,11 +251,7 @@ func (rs *replicaSet) callWriteFanout(ctx context.Context, a *nfs3.WriteArgs, ou
 	block := a.Offset / rs.blockSize
 	version := rs.bumpVersion(a.Obj, block)
 	canon := &nfs3.WriteArgs{Obj: a.Obj, Offset: a.Offset, Count: a.Count, Stable: nfs3.FileSync, Data: a.Data}
-	targets, skipped := rs.writeTargets(a.Obj, block)
-	for _, b := range skipped {
-		rs.enqueueRepair(repairJob{backend: b.id, args: canon, version: version})
-	}
-	rep, _, err := rs.quorum(targets,
+	rep, _, err := rs.quorum(
 		func(ctx context.Context, b *replicaBackend) (xdr.Unmarshaler, error) {
 			bfh, err := b.resolve(ctx, a.Obj, resolveCreateFile)
 			if err != nil {

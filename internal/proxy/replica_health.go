@@ -145,20 +145,29 @@ func (b *replicaBackend) reintegrate() {
 // degraded reports whether fewer than a write quorum of backends is
 // healthy: the proxy then serves degraded read-only from cache and the
 // survivors.
-func (rs *replicaSet) degraded() bool { return len(rs.nsTargets()) < rs.place.Quorum }
+func (rs *replicaSet) degraded() bool {
+	up, _ := rs.targets()
+	return len(up) < rs.need
+}
 
-// readTargets orders the replica set for a read: placement order
-// (deterministic primary), healthy backends first, and among those the
-// ones with no mutation leg outstanding first — a read issued after a
-// quorum ack must not be answered by the straggler that has yet to
-// apply the mutation (it would report NOENT for a fresh MKDIR, or list
-// a name a RENAME already moved).
+// readTargets orders the pool for a read of block of fh: round from the
+// leader of the block's group of 64 (2 MiB at 32 KiB blocks), FNV-1a of
+// fh xor the group index, mod N, so files and groups lead on different
+// backends while a sequential scan stays on one. Healthy backends come first, and among those the ones with no
+// mutation leg outstanding — a read issued after a quorum ack must not
+// be answered by the straggler that has yet to apply the mutation (it
+// would report NOENT for a fresh MKDIR, or list a name a RENAME moved).
 func (rs *replicaSet) readTargets(fh nfs3.FH3, block uint64) []*replicaBackend {
-	ids := rs.place.ReplicasFor(fh.Data, block)
-	current := make([]*replicaBackend, 0, len(ids))
+	h := uint64(14695981039346656037)
+	for _, c := range fh.Data {
+		h = (h ^ uint64(c)) * 1099511628211
+	}
+	n := len(rs.backs)
+	lead := int((h ^ block/64) % uint64(n))
+	current := make([]*replicaBackend, 0, n)
 	var behind, rest []*replicaBackend
-	for _, id := range ids {
-		b := rs.backs[id]
+	for i := range n {
+		b := rs.backs[(lead+i)%n]
 		switch {
 		case !b.healthy():
 			rest = append(rest, b)
@@ -171,29 +180,17 @@ func (rs *replicaSet) readTargets(fh nfs3.FH3, block uint64) []*replicaBackend {
 	return append(append(current, behind...), rest...)
 }
 
-// writeTargets is the placement replica set for a block, healthy
-// members only: an ejected backend fails fast into the repair queue
-// instead of stalling a flush worker behind its reconnect backoff.
-func (rs *replicaSet) writeTargets(fh nfs3.FH3, block uint64) (targets []*replicaBackend, skipped []*replicaBackend) {
-	for _, id := range rs.place.ReplicasFor(fh.Data, block) {
-		b := rs.backs[id]
+// targets splits the pool for a mutation: every healthy backend
+// receives it, and an ejected one is skipped — a WRITE it misses goes
+// to the repair queue instead of stalling the flush behind the
+// backend's reconnect backoff.
+func (rs *replicaSet) targets() (healthy, skipped []*replicaBackend) {
+	for _, b := range rs.backs {
 		if b.healthy() {
-			targets = append(targets, b)
+			healthy = append(healthy, b)
 		} else {
 			skipped = append(skipped, b)
 		}
 	}
-	return targets, skipped
-}
-
-// nsTargets is every healthy backend: the namespace is fully
-// replicated, so namespace mutations fan out to the whole pool.
-func (rs *replicaSet) nsTargets() []*replicaBackend {
-	var out []*replicaBackend
-	for _, b := range rs.backs {
-		if b.healthy() {
-			out = append(out, b)
-		}
-	}
-	return out
+	return healthy, skipped
 }

@@ -17,7 +17,6 @@ import (
 	"repro/internal/nfs3"
 	"repro/internal/nfsclient"
 	"repro/internal/oncrpc"
-	"repro/internal/placement"
 	"repro/internal/vfs"
 	"repro/internal/xdr"
 )
@@ -37,9 +36,8 @@ type replStack struct {
 }
 
 type replOpts struct {
-	n        int
-	replicas int
-	quorum   int
+	n      int
+	quorum int
 
 	diskCache  *cache.DiskCache
 	recovery   *RecoveryConfig
@@ -94,7 +92,6 @@ func buildReplStack(t testing.TB, opts replOpts) *replStack {
 		Recovery:   opts.recovery,
 		Replication: &ReplicationConfig{
 			Backends:      defs,
-			Replicas:      opts.replicas,
 			Quorum:        opts.quorum,
 			HedgeDelay:    opts.hedgeDelay,
 			EjectAfter:    opts.ejectAfter,
@@ -177,23 +174,16 @@ func fastRecovery() *RecoveryConfig {
 func TestHedgedFailoverErrorContext(t *testing.T) {
 	t.Parallel()
 	stats := metrics.NewReplicaStats(2)
-	place, err := placement.New([]placement.BackendInfo{
-		{ID: 0, Addr: "10.0.0.1:2049"},
-		{ID: 1, Addr: "10.0.0.2:2049"},
-	}, 2, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
 	rs := &replicaSet{
 		cfg:   &ReplicationConfig{HedgeDelay: time.Millisecond},
-		place: place,
 		stats: stats,
+		need:  1,
 	}
 	for i, addr := range []string{"10.0.0.1:2049", "10.0.0.2:2049"} {
 		rs.backs = append(rs.backs, &replicaBackend{id: i, addr: addr, set: rs, bs: stats.Backends[i]})
 	}
 	legErr := fmt.Errorf("dial tcp: connection refused")
-	_, _, err = rs.hedged(context.Background(), nfs3.ProcRead, nfs3.FH3{Data: []byte("fh")}, 0,
+	_, _, err := rs.hedged(context.Background(), nfs3.ProcRead, nfs3.FH3{Data: []byte("fh")}, 0,
 		func(ctx context.Context, b *replicaBackend) (xdr.Unmarshaler, error) { return nil, legErr })
 	if err == nil {
 		t.Fatal("hedged returned nil though every leg failed")
@@ -207,6 +197,93 @@ func TestHedgedFailoverErrorContext(t *testing.T) {
 			t.Errorf("err = %q, missing %q", msg, want)
 		}
 	}
+}
+
+// TestReplicationQuorumRange: the write quorum defaults to a majority
+// of the backends, and one outside [1, N] or an empty pool is refused
+// before anything is dialed.
+func TestReplicationQuorumRange(t *testing.T) {
+	t.Parallel()
+	refuse := func() (net.Conn, error) { return nil, errors.New("refused") }
+	start := func(n, quorum int) error {
+		defs := make([]ReplicaBackendDef, n)
+		for i := range defs {
+			defs[i].Dial = refuse
+		}
+		cp, err := NewClientProxy(ClientConfig{
+			ExportPath:  "/GFS/alice",
+			Recovery:    fastRecovery(),
+			Replication: &ReplicationConfig{Backends: defs, Quorum: quorum},
+		})
+		if err == nil {
+			cp.Close()
+			t.Fatalf("%d backends, quorum %d: started with every backend down", n, quorum)
+		}
+		return err
+	}
+	t.Run("default_majority", func(t *testing.T) {
+		if err := start(3, 0); !strings.Contains(err.Error(), "quorum is 2") {
+			t.Errorf("default quorum: err = %v, want a majority of 3", err)
+		}
+	})
+	t.Run("out_of_range", func(t *testing.T) {
+		for _, q := range []int{-1, 4} {
+			if err := start(3, q); !strings.Contains(err.Error(), "out of range [1,3]") {
+				t.Errorf("quorum %d: err = %v, want it refused as out of range", q, err)
+			}
+		}
+		if err := start(0, 0); !strings.Contains(err.Error(), "at least one backend") {
+			t.Errorf("no backends: err = %v, want it refused", err)
+		}
+	})
+}
+
+// TestReadTargetsRotation: a read's order over the pool is a function
+// of (file, block group) alone, and the leader rotates, so files and
+// 2 MiB groups spread their reads over every backend.
+func TestReadTargetsRotation(t *testing.T) {
+	stats := metrics.NewReplicaStats(3)
+	rs := &replicaSet{stats: stats}
+	for i := range 3 {
+		rs.backs = append(rs.backs, &replicaBackend{id: i, set: rs, bs: stats.Backends[i]})
+	}
+	order := func(fh nfs3.FH3, block uint64) []int {
+		var ids []int
+		for _, b := range rs.readTargets(fh, block) {
+			ids = append(ids, b.id)
+		}
+		return ids
+	}
+	fh := nfs3.FH3{Data: []byte("some file")}
+	t.Run("same_order_twice", func(t *testing.T) {
+		a, b := order(fh, 70), order(fh, 70)
+		if fmt.Sprint(a) != fmt.Sprint(b) || len(a) != 3 {
+			t.Fatalf("order of one block differs: %v vs %v", a, b)
+		}
+		seen := make(map[int]bool)
+		for _, id := range a {
+			if seen[id] {
+				t.Fatalf("backend %d appears twice in %v", id, a)
+			}
+			seen[id] = true
+		}
+	})
+	t.Run("group_shares_leader", func(t *testing.T) {
+		for blk := uint64(64); blk < 128; blk++ {
+			if got, want := order(fh, blk)[0], order(fh, 64)[0]; got != want {
+				t.Fatalf("block %d leads on %d, its group on %d", blk, got, want)
+			}
+		}
+	})
+	t.Run("leaders_spread", func(t *testing.T) {
+		led := make(map[int]int)
+		for i := range 64 {
+			led[order(nfs3.FH3{Data: []byte(fmt.Sprintf("file-%d", i))}, 0)[0]]++
+		}
+		if len(led) != 3 {
+			t.Fatalf("leaders over 64 files: %v, want all 3 backends", led)
+		}
+	})
 }
 
 // TestReplicatedHedgedReads: with one backend on a slow emulated link
@@ -223,7 +300,7 @@ func TestReplicatedHedgedReads(t *testing.T) {
 	fs := st.mount(t, nfsclient.Options{CacheBytes: 1})
 	ctx := context.Background()
 
-	// Many small files: placement rotates the primary, so the slow
+	// Many small files: the read leader rotates per file, so the slow
 	// backend leads some replica sets and hedges fire there.
 	for i := 0; i < 12; i++ {
 		f, err := fs.Create(ctx, fmt.Sprintf("h-%d", i), 0644)

@@ -271,7 +271,6 @@ func (d *DSS) schedule(req *ScheduleSessionRequest, dn string) any {
 	}
 	if replicated {
 		creq.Servers = serverAddrs
-		creq.ReplicaCount = req.ReplicaCount
 		creq.Quorum = req.Quorum
 	} else {
 		creq.Server = serverAddrs[0]

@@ -235,7 +235,6 @@ func (s *fssSession) start(req *CreateSessionRequest) (addr string, err error) {
 		Upstream:     req.Upstream,
 		Server:       req.Server,
 		Servers:      req.Servers,
-		Replicas:     req.ReplicaCount,
 		Quorum:       req.Quorum,
 		HedgeDelay:   time.Duration(req.HedgeDelayMS) * time.Millisecond,
 		Security:     req.Suite,

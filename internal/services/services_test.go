@@ -156,7 +156,6 @@ func TestScheduleReplicatedSessionEndToEnd(t *testing.T) {
 		Upstreams:    []string{g.nfsAddr, addr2, addr3},
 		ClientFSS:    g.fssURL,
 		Suite:        "aes",
-		ReplicaCount: 3,
 		Quorum:       2,
 		ProxyCertPEM: certPEM,
 		ProxyKeyPEM:  keyPEM,

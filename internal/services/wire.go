@@ -30,14 +30,12 @@ type CreateSessionRequest struct {
 	DiskCache   bool     `xml:"DiskCache,omitempty"` // client role
 
 	// Servers lists replica server-proxy addresses (client role). When
-	// non-empty it supersedes Server and the client proxy replicates
-	// writes across the set, hedging reads between members.
+	// non-empty it supersedes Server and every server holds every file:
+	// the client proxy fans every mutation out to the set, hedging reads
+	// between members.
 	Servers []string `xml:"Servers>Server,omitempty"`
-	// ReplicaCount (k) and Quorum tune the replication layer; zero
-	// values follow the placement defaults (k = all servers, quorum =
-	// majority of k).
-	ReplicaCount int `xml:"ReplicaCount,omitempty"`
-	Quorum       int `xml:"Quorum,omitempty"`
+	// Quorum is how many server acks a mutation needs (0 = a majority).
+	Quorum int `xml:"Quorum,omitempty"`
 	// HedgeDelayMS is the hedged-read delay in milliseconds (0 =
 	// proxy default).
 	HedgeDelayMS int `xml:"HedgeDelayMS,omitempty"`
@@ -147,10 +145,9 @@ type ScheduleSessionRequest struct {
 	// they supersede ServerFSS and Upstream.
 	ServerFSSs []string `xml:"ServerFSSs>FSS,omitempty"`
 	Upstreams  []string `xml:"Upstreams>Upstream,omitempty"`
-	// ReplicaCount and Quorum are forwarded to the client proxy's
-	// replication layer (zero = defaults).
-	ReplicaCount int `xml:"ReplicaCount,omitempty"`
-	Quorum       int `xml:"Quorum,omitempty"`
+	// Quorum is forwarded to the client proxy's replication layer
+	// (0 = a majority of the servers).
+	Quorum int `xml:"Quorum,omitempty"`
 }
 
 // ScheduleSessionResponse reports the established session.

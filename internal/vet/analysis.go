@@ -118,11 +118,13 @@ func RunAllTimed(pkgs []*Package, analyzers []Analyzer) ([]Diagnostic, []Analyze
 //	<analyzer> <path-fragment> <message-fragment...>
 //
 // A diagnostic is suppressed when its analyzer matches (or the entry
-// uses *), the path fragment occurs in its slash-normalized file path,
-// and the rest of the line occurs in its message. Entries are matched
-// by content rather than line number so routine edits do not
-// invalidate them.
+// uses *), the path fragment is a prefix of its file's module-relative
+// slash path (so the checkout's own directory name never matters), and
+// the rest of the line occurs in its message. Entries are matched by
+// content rather than line number so routine edits do not invalidate
+// them.
 type IgnoreList struct {
+	root    string
 	entries []ignoreEntry
 	used    []bool
 }
@@ -134,18 +136,18 @@ type ignoreEntry struct {
 	line     int
 }
 
-// LoadIgnore reads an ignore file; a missing file yields an empty
-// list.
-func LoadIgnore(path string) (*IgnoreList, error) {
+// LoadIgnore reads an ignore file whose path fragments are relative to
+// the module root; a missing file yields an empty list.
+func LoadIgnore(path, root string) (*IgnoreList, error) {
+	il := &IgnoreList{root: root}
 	f, err := os.Open(path)
 	if err != nil {
 		if os.IsNotExist(err) {
-			return &IgnoreList{}, nil
+			return il, nil
 		}
 		return nil, err
 	}
 	defer f.Close()
-	il := &IgnoreList{}
 	sc := bufio.NewScanner(f)
 	lineNo := 0
 	for sc.Scan() {
@@ -176,12 +178,12 @@ func LoadIgnore(path string) (*IgnoreList, error) {
 // Match reports whether d is covered by an ignore entry, recording
 // which entries fired so stale ones can be reported.
 func (il *IgnoreList) Match(d Diagnostic) bool {
-	path := filepath.ToSlash(d.Pos.Filename)
+	path := ModulePath(il.root, d.Pos.Filename)
 	for i, e := range il.entries {
 		if e.analyzer != "*" && e.analyzer != d.Analyzer {
 			continue
 		}
-		if !strings.Contains(path, e.path) {
+		if !strings.HasPrefix(path, e.path) {
 			continue
 		}
 		if !strings.Contains(d.Message, e.message) {
@@ -191,6 +193,15 @@ func (il *IgnoreList) Match(d Diagnostic) bool {
 		return true
 	}
 	return false
+}
+
+// ModulePath is the file name relative to the module root, with slash
+// separators; a file outside root keeps its whole slash path.
+func ModulePath(root, name string) string {
+	if rel, err := filepath.Rel(root, name); err == nil && !strings.HasPrefix(rel, "..") {
+		return filepath.ToSlash(rel)
+	}
+	return filepath.ToSlash(name)
 }
 
 // Unused returns the 1-based line numbers of entries that never

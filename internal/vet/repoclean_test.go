@@ -40,7 +40,7 @@ func TestRepoClean(t *testing.T) {
 		pkgs = append(pkgs, pkg)
 	}
 
-	ignore, err := LoadIgnore(filepath.Join(root, ".sgfsvet-ignore"))
+	ignore, err := LoadIgnore(filepath.Join(root, ".sgfsvet-ignore"), root)
 	if err != nil {
 		t.Fatal(err)
 	}

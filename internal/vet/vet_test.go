@@ -375,7 +375,7 @@ func TestIgnoreList(t *testing.T) {
 	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	il, err := LoadIgnore(path)
+	il, err := LoadIgnore(path, "/repo")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -401,15 +401,41 @@ func TestIgnoreList(t *testing.T) {
 		t.Errorf("Unused() = %v, want [4]", unused)
 	}
 
-	if _, err := LoadIgnore(filepath.Join(dir, "absent")); err != nil {
+	if _, err := LoadIgnore(filepath.Join(dir, "absent"), dir); err != nil {
 		t.Errorf("missing ignore file should load as empty, got %v", err)
 	}
 	bad := filepath.Join(dir, "bad")
 	if err := os.WriteFile(bad, []byte("too few\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadIgnore(bad); err == nil {
+	if _, err := LoadIgnore(bad, dir); err == nil {
 		t.Error("malformed entry should be rejected")
+	}
+}
+
+// TestIgnoreListModuleRelative: path fragments are prefixes of the
+// module-relative path, so an entry for a file at the module root
+// matches whatever the checkout's directory is called, and matches
+// nothing deeper that merely ends the same way.
+func TestIgnoreListModuleRelative(t *testing.T) {
+	t.Parallel()
+	path := filepath.Join(t.TempDir(), ".sgfsvet-ignore")
+	if err := os.WriteFile(path, []byte("swallowed-error sgfs.go .Close includes an error\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	root := "/home/u/src/any-name-at-all"
+	il, err := LoadIgnore(path, root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := Diagnostic{Analyzer: "swallowed-error", Message: "result of c.Close includes an error"}
+	d.Pos.Filename = root + "/internal/cmd/sgfs.go"
+	if il.Match(d) {
+		t.Error("root-level entry matched a file deeper in the module")
+	}
+	d.Pos.Filename = root + "/sgfs.go"
+	if !il.Match(d) {
+		t.Error("root-level entry missed its file under an arbitrarily named root")
 	}
 }
 

@@ -31,7 +31,7 @@ func TestMarshalAllocs(t *testing.T) {
 		budget float64
 		op     func() error
 	}{
-		{"Marshal", 7, func() error { _, err := xdr.Marshal(res); return err }},
+		{"Marshal", 1, func() error { _, err := xdr.Marshal(res); return err }},
 		{"Unmarshal", 2, func() error { return xdr.Unmarshal(wire, &out) }},
 	} {
 		got := testing.AllocsPerRun(200, func() {

@@ -17,11 +17,13 @@
 package xdr
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"math"
+	"sync"
 )
 
 // Maximum variable-length element size accepted by a Decoder. This is a
@@ -427,12 +429,21 @@ type Unmarshaler interface {
 	DecodeXDR(*Decoder)
 }
 
-// Marshal encodes v into a fresh byte slice. Encoding into memory
-// cannot fail: the error is always nil.
+// encoders holds Marshal's scratch encoders, whose buffers have already
+// grown to the size of earlier messages.
+var encoders = sync.Pool{New: func() any { return new(Encoder) }}
+
+// Marshal encodes v into a fresh byte slice of exactly its size. It
+// encodes into a pooled encoder and copies the message out once,
+// instead of regrowing a new buffer field by field. Encoding into
+// memory cannot fail: the error is always nil.
 func Marshal(v Marshaler) ([]byte, error) {
-	e := new(Encoder)
+	e := encoders.Get().(*Encoder)
+	e.Reset()
 	v.EncodeXDR(e)
-	return e.buf, nil
+	out := bytes.Clone(e.buf)
+	encoders.Put(e)
+	return out, nil
 }
 
 // Unmarshal decodes v from p, requiring that all of p be consumed.

@@ -70,9 +70,8 @@ procs:
 
 # Repo-specific analyzers (lock-over-io, lockset-race,
 # pool-lifecycle, atomic-misuse, swallowed-error, lock-order,
-# ctx-deadline, goroutine-leak, replay-table-sync, secret-flow,
-# unbounded-alloc, weak-rand, resource-leak, retry-safety; scorecard
-# in DESIGN.md). Fails on any finding not in .sgfsvet-ignore — and on
+# ctx-deadline, goroutine-leak, secret-flow, unbounded-alloc,
+# weak-rand, resource-leak; scorecard in DESIGN.md). Fails on any finding not in .sgfsvet-ignore — and on
 # stale allowlist entries (exit 2). CI also archives the -json report.
 sgfs-vet:
 	$(GO) run ./cmd/sgfs-vet -all ./...

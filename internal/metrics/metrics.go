@@ -111,7 +111,7 @@ func (s *Sampler) Stop() []Window {
 
 // ChannelStats counts fault-tolerance events on a WAN transport: how
 // often the link dropped, how often it was re-established, how many
-// calls were replayed or refused, and how much traffic the degraded
+// calls were sent again or lost with the server's session, and how much traffic the degraded
 // (disconnected) mode absorbed from the client-side disk cache. All
 // counters are atomic; a ChannelStats may be shared by the transport
 // and the proxy layered on top of it.
@@ -125,13 +125,12 @@ type ChannelStats struct {
 	// ReconnectFailures counts re-establishment rounds that exhausted
 	// their retry budget.
 	ReconnectFailures atomic.Uint64
-	// Replays counts idempotent calls transparently re-issued on a new
-	// session after a transport failure.
+	// Replays counts calls sent again on a new connection after a
+	// transport failure (the server answers each at most once).
 	Replays atomic.Uint64
-	// NonIdempotentFailures counts calls refused back to the caller
-	// because the transport failed while a non-replayable op was in
-	// flight.
-	NonIdempotentFailures atomic.Uint64
+	// SessionLost counts calls failed with oncrpc.ErrSessionLost: sent,
+	// then caught by a reconnect to a server that had lost the session.
+	SessionLost atomic.Uint64
 	// Timeouts counts per-attempt deadlines that fired (WAN stalls
 	// converted to errors).
 	Timeouts atomic.Uint64
@@ -162,30 +161,30 @@ func (s *ChannelStats) NoteInflight(depth uint64) {
 
 // ChannelSnapshot is a plain-value copy of ChannelStats.
 type ChannelSnapshot struct {
-	Disconnects           uint64
-	Reconnects            uint64
-	ReconnectFailures     uint64
-	Replays               uint64
-	NonIdempotentFailures uint64
-	Timeouts              uint64
-	DegradedReads         uint64
-	InflightHWM           uint64
-	OutOfOrder            uint64
+	Disconnects       uint64
+	Reconnects        uint64
+	ReconnectFailures uint64
+	Replays           uint64
+	SessionLost       uint64
+	Timeouts          uint64
+	DegradedReads     uint64
+	InflightHWM       uint64
+	OutOfOrder        uint64
 }
 
 // Snapshot returns a consistent-enough copy of the counters for
 // reporting (each counter is read atomically).
 func (s *ChannelStats) Snapshot() ChannelSnapshot {
 	return ChannelSnapshot{
-		Disconnects:           s.Disconnects.Load(),
-		Reconnects:            s.Reconnects.Load(),
-		ReconnectFailures:     s.ReconnectFailures.Load(),
-		Replays:               s.Replays.Load(),
-		NonIdempotentFailures: s.NonIdempotentFailures.Load(),
-		Timeouts:              s.Timeouts.Load(),
-		DegradedReads:         s.DegradedReads.Load(),
-		InflightHWM:           s.InflightHWM.Load(),
-		OutOfOrder:            s.OutOfOrder.Load(),
+		Disconnects:       s.Disconnects.Load(),
+		Reconnects:        s.Reconnects.Load(),
+		ReconnectFailures: s.ReconnectFailures.Load(),
+		Replays:           s.Replays.Load(),
+		SessionLost:       s.SessionLost.Load(),
+		Timeouts:          s.Timeouts.Load(),
+		DegradedReads:     s.DegradedReads.Load(),
+		InflightHWM:       s.InflightHWM.Load(),
+		OutOfOrder:        s.OutOfOrder.Load(),
 	}
 }
 
@@ -198,12 +197,10 @@ type DataPathStats struct {
 	FlushActive atomic.Int64
 	FlushPeak   atomic.Int64
 	// FlushedBlocks counts blocks successfully written upstream (any
-	// stability level); FlushRetries counts UNSTABLE writes re-sent
-	// FILE_SYNC after a reconnect refused the replay; CommitMismatches
-	// counts COMMIT verifier mismatches that forced a stable re-send of
-	// a file's flushed blocks.
+	// stability level); CommitMismatches counts COMMIT verifier
+	// mismatches that forced a stable re-send of a file's flushed
+	// blocks.
 	FlushedBlocks    atomic.Uint64
-	FlushRetries     atomic.Uint64
 	CommitMismatches atomic.Uint64
 	// ReadaheadIssued counts prefetch fetches started; ReadaheadDropped
 	// counts sequential-read hints shed because the prefetch pool was
@@ -233,7 +230,6 @@ type DataPathSnapshot struct {
 	FlushActive      int64
 	FlushPeak        int64
 	FlushedBlocks    uint64
-	FlushRetries     uint64
 	CommitMismatches uint64
 	ReadaheadIssued  uint64
 	ReadaheadDropped uint64
@@ -246,7 +242,6 @@ func (s *DataPathStats) Snapshot() DataPathSnapshot {
 		FlushActive:      s.FlushActive.Load(),
 		FlushPeak:        s.FlushPeak.Load(),
 		FlushedBlocks:    s.FlushedBlocks.Load(),
-		FlushRetries:     s.FlushRetries.Load(),
 		CommitMismatches: s.CommitMismatches.Load(),
 		ReadaheadIssued:  s.ReadaheadIssued.Load(),
 		ReadaheadDropped: s.ReadaheadDropped.Load(),

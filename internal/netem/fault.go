@@ -29,6 +29,11 @@ const (
 	// routing black hole. Only deadlines (or closing the connection)
 	// get a caller out.
 	FaultStall
+	// FaultTamper keeps the connection and flips one byte read from
+	// it: the byte at the armed offset, or, when the offset falls in a
+	// write (or the cut is immediate), the next byte read. A secure
+	// channel's MAC check then refuses the record.
+	FaultTamper
 )
 
 // FaultPlan arms automatic cuts on every subsequently created
@@ -49,12 +54,14 @@ type FaultStats struct {
 	Dials       uint64 // dials attempted through the faulter
 	DialsFailed uint64 // dials refused by injection
 	Cuts        uint64 // connection cuts injected
+	Tampers     uint64 // bytes flipped by FaultTamper
 	Live        int    // currently tracked connections
 }
 
 // Faulter injects link failures into connections and dialers: byte- or
-// time-offset cuts, immediate kills of every live connection, reset vs
-// silent-stall failure modes, and dial flakiness for reconnect paths.
+// time-offset cuts, immediate kills of every live connection, reset,
+// silent-stall and tamper failure modes, and dial flakiness for
+// reconnect paths.
 // It drives the chaos tests that kill the WAN link mid-workload. A
 // Faulter is safe for concurrent use.
 type Faulter struct {
@@ -66,6 +73,7 @@ type Faulter struct {
 	dials       atomic.Uint64
 	dialsFailed atomic.Uint64
 	cuts        atomic.Uint64
+	tampers     atomic.Uint64
 }
 
 // NewFaulter returns a Faulter with no scheduled faults.
@@ -152,6 +160,7 @@ func (f *Faulter) Stats() FaultStats {
 		Dials:       f.dials.Load(),
 		DialsFailed: f.dialsFailed.Load(),
 		Cuts:        f.cuts.Load(),
+		Tampers:     f.tampers.Load(),
 		Live:        live,
 	}
 }
@@ -171,7 +180,8 @@ type faultConn struct {
 	cutAt int64 // byte offset to cut at (0 = off)
 	timer *time.Timer
 
-	bytes atomic.Int64
+	bytes  atomic.Int64
+	tamper atomic.Bool // a tamper cut waits for the next byte read
 
 	stallOnce sync.Once
 	stalled   chan struct{} // closed when a stall cut trips
@@ -187,6 +197,8 @@ func (c *faultConn) trip(mode FaultMode) {
 			c.f.cuts.Add(1)
 			close(c.stalled)
 		})
+	case FaultTamper:
+		c.tamper.Store(true)
 	default: // FaultReset
 		select {
 		case <-c.dead:
@@ -198,16 +210,19 @@ func (c *faultConn) trip(mode FaultMode) {
 	}
 }
 
-// account adds transferred bytes and trips the byte-offset cut when
-// crossed.
-func (c *faultConn) account(n int64) {
+// account adds n transferred bytes and trips the byte-offset cut when
+// they cross it. It returns the index among them of the byte at the
+// offset, or -1.
+func (c *faultConn) account(n int) int {
 	if n <= 0 {
-		return
+		return -1
 	}
-	total := c.bytes.Add(n)
-	if c.cutAt > 0 && total >= c.cutAt && total-n < c.cutAt {
+	total := c.bytes.Add(int64(n))
+	if c.cutAt > 0 && total >= c.cutAt && total-int64(n) < c.cutAt {
 		c.trip(c.mode)
+		return int(c.cutAt - (total - int64(n)) - 1)
 	}
+	return -1
 }
 
 // blackhole blocks until the connection is closed, then reports the
@@ -232,7 +247,10 @@ func (c *faultConn) Read(p []byte) (int, error) {
 		return c.blackhole()
 	default:
 	}
-	c.account(int64(n))
+	if at := c.account(n); n > 0 && c.tamper.CompareAndSwap(true, false) {
+		p[max(at, 0)] ^= 0xff
+		c.f.tampers.Add(1)
+	}
 	return n, err
 }
 
@@ -248,7 +266,7 @@ func (c *faultConn) Write(p []byte) (int, error) {
 		return c.blackhole()
 	default:
 	}
-	c.account(int64(n))
+	c.account(n)
 	return n, err
 }
 

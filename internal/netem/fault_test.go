@@ -1,7 +1,9 @@
 package netem
 
 import (
+	"bytes"
 	"errors"
+	"io"
 	"net"
 	"testing"
 	"time"
@@ -155,5 +157,60 @@ func TestFaultDialFlakiness(t *testing.T) {
 	st := f.Stats()
 	if st.Dials != 3 || st.DialsFailed != 2 {
 		t.Fatalf("stats = %+v, want 3 dials / 2 failed", st)
+	}
+}
+
+// TestFaultTamperFlipsByte: a tamper cut flips the one byte read at the
+// armed offset and keeps the connection; an offset crossed by a write
+// flips the next byte read instead.
+func TestFaultTamperFlipsByte(t *testing.T) {
+	t.Parallel()
+	f := NewFaulter()
+	f.SetPlan(FaultPlan{CutAfterBytes: 10, Mode: FaultTamper})
+	c1, c2 := net.Pipe()
+	w := f.Wrap(c1)
+	defer w.Close()
+	defer c2.Close()
+
+	read := func(want string) []byte {
+		t.Helper()
+		go c2.Write([]byte(want))
+		buf := make([]byte, len(want))
+		if _, err := io.ReadFull(w, buf); err != nil {
+			t.Fatalf("read through a tampered connection: %v", err)
+		}
+		return buf
+	}
+	got := read("0123456789abcdef")
+	want := []byte("0123456789abcdef")
+	want[9] ^= 0xff // the 10th byte moved
+	if !bytes.Equal(got, want) {
+		t.Fatalf("read %q, want %q", got, want)
+	}
+	if got := read("more"); string(got) != "more" {
+		t.Fatalf("read %q after the tamper, want it intact", got)
+	}
+
+	// The second connection's offset falls in a write: the next byte
+	// read is the one flipped.
+	f.SetPlan(FaultPlan{CutAfterBytes: 4, Mode: FaultTamper})
+	c3, c4 := net.Pipe()
+	w2 := f.Wrap(c3)
+	defer w2.Close()
+	defer c4.Close()
+	go io.ReadFull(c4, make([]byte, 8))
+	if _, err := w2.Write([]byte("written!")); err != nil {
+		t.Fatal(err)
+	}
+	go c4.Write([]byte("xyz"))
+	buf := make([]byte, 3)
+	if _, err := io.ReadFull(w2, buf); err != nil {
+		t.Fatal(err)
+	}
+	if buf[0] != 'x'^0xff || string(buf[1:]) != "yz" {
+		t.Fatalf("read %q after a write crossed the offset, want the first byte flipped", buf)
+	}
+	if st := f.Stats(); st.Tampers != 2 || st.Cuts != 0 || st.Live != 2 {
+		t.Fatalf("stats = %+v, want 2 tampers, no cut, 2 live", st)
 	}
 }

@@ -267,11 +267,18 @@ func (c *Client) Call(ctx context.Context, proc uint32, args xdr.Marshaler, repl
 // fails. args may be nil for void procedures; reply may be nil when the
 // result body is void or should be discarded.
 func (c *Client) CallCred(ctx context.Context, proc uint32, cred OpaqueAuth, args xdr.Marshaler, reply xdr.Unmarshaler) error {
-	xid := c.xid.Add(1)
+	return c.call(ctx, c.xid.Add(1), proc, cred, nil, args, reply)
+}
 
+// call is CallCred under a given xid, with sess, when non-nil, sent as
+// the call's AuthSession verifier.
+func (c *Client) call(ctx context.Context, xid, proc uint32, cred OpaqueAuth, sess *sessionVerf, args xdr.Marshaler, reply xdr.Unmarshaler) error {
 	cb := callBufPool.Get().(*callBufs)
 	newRecord(&cb.enc)
 	hdr := callHeader{XID: xid, Prog: c.prog, Vers: c.vers, Proc: proc, Cred: cred, Verf: AuthNone}
+	if sess != nil {
+		hdr.Verf.Flavor, hdr.Session = AuthSession, *sess
+	}
 	hdr.XDR(cb.enc.Codec())
 	if args != nil {
 		args.EncodeXDR(&cb.enc)

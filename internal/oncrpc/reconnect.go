@@ -2,22 +2,25 @@ package oncrpc
 
 import (
 	"context"
+	crand "crypto/rand"
 	"errors"
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/metrics"
 	"repro/internal/xdr"
 )
 
-// ErrNonIdempotentReplay is returned (wrapped) when the transport
-// fails while a non-idempotent call is in flight. The call may or may
-// not have executed on the server, so it cannot be replayed safely;
-// the caller must decide (NFS clients surface this as an I/O error,
-// applications may re-check state and retry themselves).
-var ErrNonIdempotentReplay = errors.New("oncrpc: transport failed with non-idempotent call in flight")
+// ErrSessionLost is returned (wrapped) for a call that had been sent
+// and had to be sent again, to a server that no longer knows the
+// client's session: it restarted, or the link stayed down past its
+// grace period. The call ran at most once, and whether it ran is
+// unknown.
+var ErrSessionLost = errors.New("oncrpc: server lost the session of a call in flight")
 
 // SessionFactory establishes a ready-to-use client session: dial,
 // optional secure-channel handshake, program binding, and any
@@ -40,28 +43,8 @@ type ReconnectOpts struct {
 	// invocation, so a silently stalled WAN link becomes a timeout
 	// instead of a hang. 0 disables per-attempt deadlines.
 	AttemptTimeout time.Duration
-	// Idempotent classifies procedures that may be transparently
-	// replayed on a fresh session after a transport failure. Nil
-	// means nothing is replayed.
-	Idempotent func(proc uint32) bool
-	// ProcName, when non-nil, resolves procedure numbers to protocol
-	// names so refusal errors say which call blocked replay ("WRITE"
-	// rather than "proc 7"). Nil falls back to the bare number.
-	ProcName func(proc uint32) string
 	// Stats, when non-nil, accumulates fault-tolerance counters.
 	Stats *metrics.ChannelStats
-}
-
-// procLabel renders a procedure for error messages: "WRITE (proc 7)"
-// when a ProcName resolver is configured and knows the number, else
-// "proc 7".
-func (o *ReconnectOpts) procLabel(proc uint32) string {
-	if o.ProcName != nil {
-		if name := o.ProcName(proc); name != "" {
-			return fmt.Sprintf("%s (proc %d)", name, proc)
-		}
-	}
-	return fmt.Sprintf("proc %d", proc)
 }
 
 func (o *ReconnectOpts) attempts() int {
@@ -86,16 +69,32 @@ func (o *ReconnectOpts) cap() time.Duration {
 }
 
 // ReconnectClient is a fault-tolerant RPC client: it owns a current
-// session produced by a SessionFactory and, when the transport fails,
-// re-establishes it with exponential backoff and replays idempotent
-// calls. Non-idempotent calls caught by a failure are refused with
-// ErrNonIdempotentReplay. It is safe for concurrent use; reconnection
-// is single-flight across callers.
+// connection produced by a SessionFactory and, when the transport
+// fails, re-establishes it with exponential backoff and sends the calls
+// caught by the failure again. It is one session of the server's reply
+// cache (replycache.go), so every call runs at most once, and exactly
+// once when the link recovers within the retry budget. It is safe for
+// concurrent use; reconnection is single-flight across callers.
+//
+// A call holds one of the session's GatherDepth slots for its whole
+// life, the lowest free one (so calls that never overlap share a slot),
+// and sends the same xid, slot + GatherDepth*(calls the slot carried),
+// on every attempt. Calls on any connection but the one their session
+// began on carry the sessionBind flag: a server that has lost the
+// session refuses them with AUTH_REJECTEDVERF, running nothing, and the
+// client draws a new session. A call already sent under the old one
+// then fails with ErrSessionLost; one that was not goes out again.
 type ReconnectClient struct {
 	factory SessionFactory
 	opts    ReconnectOpts
 
+	held chan struct{}       // one token per slot in use
+	busy atomic.Uint64       // one bit per slot in use
+	seq  [GatherDepth]uint32 // per slot; touched only by its holder
+
 	mu       sync.Mutex
+	sess     *sessionVerf // replaced when the server lost the session
+	sessGen  uint64       // the connection sess began on
 	cur      *Client
 	gen      uint64 // bumped on every established session
 	dialing  bool
@@ -108,13 +107,20 @@ type ReconnectClient struct {
 // when non-nil, seeds the first session (so the caller can fail fast
 // on misconfiguration before constructing the reconnect layer).
 func NewReconnectClient(initial *Client, factory SessionFactory, opts ReconnectOpts) *ReconnectClient {
-	r := &ReconnectClient{factory: factory, opts: opts, cur: initial}
+	r := &ReconnectClient{factory: factory, opts: opts, cur: initial, held: make(chan struct{}, GatherDepth), sess: newSession(), sessGen: 1}
 	if initial != nil {
 		initial.SetStats(opts.Stats)
 		r.gen = 1
 		r.watch(initial, r.gen)
 	}
 	return r
+}
+
+// newSession draws a session id.
+func newSession() *sessionVerf {
+	s := new(sessionVerf)
+	crand.Read(s.ID[:])
+	return s
 }
 
 // watch invalidates the session as soon as its client fails, so
@@ -135,9 +141,6 @@ func (r *ReconnectClient) Connected() bool {
 	return r.cur != nil && !r.closed
 }
 
-// Stats returns the channel counters (nil when none were configured).
-func (r *ReconnectClient) Stats() *metrics.ChannelStats { return r.opts.Stats }
-
 // Close tears down the current session and fails future calls.
 func (r *ReconnectClient) Close() error {
 	r.mu.Lock()
@@ -155,19 +158,30 @@ func (r *ReconnectClient) Close() error {
 	return nil
 }
 
-// session returns the current client, establishing one if necessary.
-// Only one caller dials at a time; the rest wait for its round.
-func (r *ReconnectClient) session(ctx context.Context) (*Client, uint64, error) {
+// link is what one attempt of a call goes out on: the connection and
+// its generation, the session, and whether the session began on an
+// earlier connection.
+type link struct {
+	cl     *Client
+	gen    uint64
+	sess   *sessionVerf
+	rebind bool
+}
+
+// session returns the current link, establishing a connection if
+// necessary. Only one caller dials at a time; the rest wait for its
+// round.
+func (r *ReconnectClient) session(ctx context.Context) (link, error) {
 	r.mu.Lock()
 	for {
 		if r.closed {
 			r.mu.Unlock()
-			return nil, 0, ErrClientClosed
+			return link{}, ErrClientClosed
 		}
 		if r.cur != nil {
-			cl, gen := r.cur, r.gen
+			l := link{r.cur, r.gen, r.sess, r.gen != r.sessGen}
 			r.mu.Unlock()
-			return cl, gen, nil
+			return l, nil
 		}
 		if !r.dialing {
 			r.dialing = true
@@ -181,12 +195,12 @@ func (r *ReconnectClient) session(ctx context.Context) (*Client, uint64, error) 
 			close(done)
 			if cl == nil {
 				r.mu.Unlock()
-				return nil, 0, err
+				return link{}, err
 			}
 			if r.closed {
 				r.mu.Unlock()
 				cl.Close()
-				return nil, 0, ErrClientClosed
+				return link{}, ErrClientClosed
 			}
 			cl.SetStats(r.opts.Stats)
 			r.cur = cl
@@ -199,7 +213,7 @@ func (r *ReconnectClient) session(ctx context.Context) (*Client, uint64, error) 
 		select {
 		case <-done:
 		case <-ctx.Done():
-			return nil, 0, ctx.Err()
+			return link{}, ctx.Err()
 		}
 		r.mu.Lock()
 		if r.cur == nil && r.dialErr != nil {
@@ -208,7 +222,7 @@ func (r *ReconnectClient) session(ctx context.Context) (*Client, uint64, error) 
 			// that says nothing about our ctx, so run our own round.
 			if !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded) {
 				r.mu.Unlock()
-				return nil, 0, err
+				return link{}, err
 			}
 		}
 	}
@@ -250,6 +264,16 @@ func (r *ReconnectClient) redial(ctx context.Context) (*Client, error) {
 	return nil, fmt.Errorf("oncrpc: reconnect failed after %d attempts: %w", attempts, err)
 }
 
+// renew draws a new session after the server refused old on
+// connection gen, unless another call has already done so.
+func (r *ReconnectClient) renew(old *sessionVerf, gen uint64) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.sess == old {
+		r.sess, r.sessGen = newSession(), gen
+	}
+}
+
 // backoff returns the jittered delay before the given (1-based) retry.
 func (r *ReconnectClient) backoff(attempt int) time.Duration {
 	d := r.opts.base() << (attempt - 1)
@@ -275,33 +299,57 @@ func (r *ReconnectClient) invalidate(cl *Client, gen uint64) {
 	cl.Close()
 }
 
-// Call issues proc under the session's default credential, reconnecting
-// and replaying as permitted by the idempotency classification.
+// takeSlot waits for a free slot, takes the lowest and returns it.
+func (r *ReconnectClient) takeSlot(ctx context.Context) (uint32, error) {
+	select {
+	case r.held <- struct{}{}:
+	case <-ctx.Done():
+		return 0, ctx.Err()
+	}
+	for {
+		m := r.busy.Load()
+		if slot := uint32(bits.TrailingZeros64(^m)); r.busy.CompareAndSwap(m, m|1<<slot) {
+			return slot, nil
+		}
+	}
+}
+
+func (r *ReconnectClient) releaseSlot(slot uint32) {
+	for m := r.busy.Load(); !r.busy.CompareAndSwap(m, m&^(1<<slot)); m = r.busy.Load() {
+	}
+	<-r.held
+}
+
+// Call issues proc under the connection's default credential, on a
+// slot of the session, and sends it again under the same xid after
+// each transport failure, until it is answered or MaxAttempts attempts
+// have failed.
 func (r *ReconnectClient) Call(ctx context.Context, proc uint32, args xdr.Marshaler, reply xdr.Unmarshaler) error {
-	return r.do(ctx, proc, nil, args, reply)
-}
-
-// CallCred issues an RPC with an explicit credential. See Call.
-func (r *ReconnectClient) CallCred(ctx context.Context, proc uint32, cred OpaqueAuth, args xdr.Marshaler, reply xdr.Unmarshaler) error {
-	return r.do(ctx, proc, &cred, args, reply)
-}
-
-// do runs the session/replay loop around one call (cred nil: the
-// session's default credential): transport failures trigger
-// reconnection plus replay for idempotent procedures only.
-func (r *ReconnectClient) do(ctx context.Context, proc uint32, cred *OpaqueAuth, args xdr.Marshaler, reply xdr.Unmarshaler) error {
-	idem := r.opts.Idempotent != nil && r.opts.Idempotent(proc)
+	slot, err := r.takeSlot(ctx)
+	if err != nil {
+		return err
+	}
+	defer r.releaseSlot(slot)
+	r.seq[slot]++
+	xid := slot + GatherDepth*r.seq[slot]
+	var sent *sessionVerf // the session the call may have run under
 	attempts := r.opts.attempts()
 	var lastErr error
 	for attempt := 0; attempt < attempts; attempt++ {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		cl, gen, err := r.session(ctx)
+		l, err := r.session(ctx)
 		if err != nil {
 			return err
 		}
-		if attempt > 0 {
+		if sent != nil {
+			if l.sess != sent {
+				if s := r.opts.Stats; s != nil {
+					s.SessionLost.Add(1)
+				}
+				return fmt.Errorf("%w: %v", ErrSessionLost, lastErr)
+			}
 			if s := r.opts.Stats; s != nil {
 				s.Replays.Add(1)
 			}
@@ -310,38 +358,38 @@ func (r *ReconnectClient) do(ctx context.Context, proc uint32, cred *OpaqueAuth,
 		if r.opts.AttemptTimeout > 0 {
 			actx, cancel = context.WithTimeout(ctx, r.opts.AttemptTimeout)
 		}
-		if cred != nil {
-			err = cl.CallCred(actx, proc, *cred, args, reply)
-		} else {
-			err = cl.Call(actx, proc, args, reply)
+		v := *l.sess
+		if l.rebind {
+			v.Flags = sessionBind
 		}
+		err = l.cl.call(actx, xid, proc, l.cl.defaultCred(), &v, args, reply)
 		cancel()
 		if err == nil {
 			return nil
 		}
+		lastErr = err
+		var re *RPCError
 		switch {
+		case l.rebind && errors.As(err, &re) && re.Rejected && re.Auth == AuthRejectedVerf:
+			// The server does not know the session, and ran nothing.
+			r.renew(l.sess, l.gen)
+			continue
 		case IsTransportError(err):
-			r.invalidate(cl, gen)
+			r.invalidate(l.cl, l.gen)
 		case errors.Is(err, context.DeadlineExceeded) && ctx.Err() == nil:
 			// Our per-attempt deadline fired while the caller's context
-			// is alive: the link stalled. Kill the session so the next
-			// attempt re-dials instead of queueing behind the stall.
+			// is alive: the link stalled. Kill the connection so the
+			// next attempt re-dials instead of queueing behind the stall.
 			if s := r.opts.Stats; s != nil {
 				s.Timeouts.Add(1)
 			}
-			r.invalidate(cl, gen)
+			r.invalidate(l.cl, l.gen)
 		default:
 			// RPC-level result, decode error, or caller cancellation:
 			// the transport is fine, nothing to recover.
 			return err
 		}
-		if !idem {
-			if s := r.opts.Stats; s != nil {
-				s.NonIdempotentFailures.Add(1)
-			}
-			return fmt.Errorf("%w: %s: %v", ErrNonIdempotentReplay, r.opts.procLabel(proc), err)
-		}
-		lastErr = err
+		sent = l.sess
 	}
 	return lastErr
 }

@@ -3,14 +3,13 @@ package oncrpc
 import (
 	"context"
 	"errors"
-	"fmt"
 	"net"
-	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/metrics"
+	"repro/internal/xdr"
 )
 
 // reconnectHarness gives a test a ReconnectClient over the shared test
@@ -29,6 +28,12 @@ type reconnectHarness struct {
 func newReconnectHarness(t *testing.T, opts ReconnectOpts) *reconnectHarness {
 	t.Helper()
 	_, addr := newTestServer(t)
+	return newReconnectHarnessOn(t, addr, opts)
+}
+
+// newReconnectHarnessOn is newReconnectHarness over the server at addr.
+func newReconnectHarnessOn(t *testing.T, addr net.Addr, opts ReconnectOpts) *reconnectHarness {
+	t.Helper()
 	h := &reconnectHarness{t: t, addr: addr, stats: &metrics.ChannelStats{}, conns: make(chan net.Conn, 16)}
 	factory := func(ctx context.Context) (*Client, error) {
 		h.dials.Add(1)
@@ -68,11 +73,9 @@ func (h *reconnectHarness) cutLive() {
 	}
 }
 
-func isIdem(proc uint32) bool { return proc == procEcho || proc == procAdd }
-
 func TestReconnectReplaysIdempotent(t *testing.T) {
 	t.Parallel()
-	h := newReconnectHarness(t, ReconnectOpts{Idempotent: isIdem})
+	h := newReconnectHarness(t, ReconnectOpts{})
 	ctx := context.Background()
 
 	// Establish a session, then kill it.
@@ -82,10 +85,10 @@ func TestReconnectReplaysIdempotent(t *testing.T) {
 	}
 	h.cutLive()
 
-	// The next idempotent call must transparently re-dial and succeed.
+	// The next call must transparently re-dial and succeed.
 	out = echoArgs{}
 	if err := h.rc.Call(ctx, procEcho, &echoArgs{S: "after-cut"}, &out); err != nil {
-		t.Fatalf("idempotent call after cut: %v", err)
+		t.Fatalf("call after cut: %v", err)
 	}
 	if out.S != "after-cut" {
 		t.Fatalf("got %q", out.S)
@@ -102,80 +105,48 @@ func TestReconnectReplaysIdempotent(t *testing.T) {
 	}
 }
 
-func TestReconnectRefusesNonIdempotentReplay(t *testing.T) {
+// TestReconnectReplaysExactlyOnce: a call in flight when the link dies
+// is sent again on the new connection and answered, and the server
+// runs it once: the re-sent copy finds it running and waits for its
+// reply.
+func TestReconnectReplaysExactlyOnce(t *testing.T) {
 	t.Parallel()
-	h := newReconnectHarness(t, ReconnectOpts{Idempotent: isIdem})
+	var runs atomic.Int32
+	s := NewServer()
+	s.Register(testProg, testVers, map[uint32]Handler{
+		procEcho: func(_ context.Context, c *Call) (xdr.Marshaler, AcceptStat) { return nil, Success },
+		procSlow: func(_ context.Context, c *Call) (xdr.Marshaler, AcceptStat) {
+			time.Sleep(50 * time.Millisecond)
+			return &u32{uint32(runs.Add(1))}, Success
+		},
+	})
+	h := newReconnectHarnessOn(t, serveOnLoopback(t, s), ReconnectOpts{})
 	ctx := context.Background()
-
-	if err := h.rc.Call(ctx, procEcho, &echoArgs{S: "warm"}, &echoArgs{}); err != nil {
+	if err := h.rc.Call(ctx, procEcho, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 
-	// procSlow sleeps 50ms server-side and is not in isIdem: issue it,
-	// then cut the link while it is guaranteed to be in flight.
+	// procSlow sleeps 50ms server-side: cut the link while it is
+	// guaranteed to be in flight.
 	callErr := make(chan error, 1)
-	go func() {
-		var out u32
-		callErr <- h.rc.Call(ctx, procSlow, nil, &out)
-	}()
+	var out u32
+	go func() { callErr <- h.rc.Call(ctx, procSlow, nil, &out) }()
 	time.Sleep(15 * time.Millisecond)
 	h.cutLive()
-	err := <-callErr
-	if !errors.Is(err, ErrNonIdempotentReplay) {
-		t.Fatalf("non-idempotent call failed with %v, want ErrNonIdempotentReplay", err)
+	if err := <-callErr; err != nil {
+		t.Fatalf("call caught by the cut: %v", err)
 	}
-	if h.stats.Snapshot().NonIdempotentFailures == 0 {
-		t.Fatal("NonIdempotentFailures counter stayed zero")
+	if n := runs.Load(); n != 1 || out.V != 1 {
+		t.Fatalf("procSlow ran %d times (reply says %d), want once", n, out.V)
 	}
-}
-
-// TestReconnectReplayErrorNamesProc pins the error-message contract:
-// with a ProcName resolver configured, a refused replay names the
-// blocked call so failover logs identify it without a number table.
-func TestReconnectReplayErrorNamesProc(t *testing.T) {
-	t.Parallel()
-	names := func(proc uint32) string {
-		if proc == procSlow {
-			return "SLOW"
-		}
-		return ""
-	}
-	h := newReconnectHarness(t, ReconnectOpts{Idempotent: isIdem, ProcName: names})
-	ctx := context.Background()
-
-	if err := h.rc.Call(ctx, procEcho, &echoArgs{S: "warm"}, &echoArgs{}); err != nil {
-		t.Fatal(err)
-	}
-	callErr := make(chan error, 1)
-	go func() {
-		var out u32
-		callErr <- h.rc.Call(ctx, procSlow, nil, &out)
-	}()
-	time.Sleep(15 * time.Millisecond)
-	h.cutLive()
-	err := <-callErr
-	if !errors.Is(err, ErrNonIdempotentReplay) {
-		t.Fatalf("non-idempotent call failed with %v, want ErrNonIdempotentReplay", err)
-	}
-	want := fmt.Sprintf("SLOW (proc %d)", procSlow)
-	if !strings.Contains(err.Error(), want) {
-		t.Fatalf("replay refusal %q does not name the blocked call %q", err, want)
-	}
-
-	// Unresolvable procs keep the numeric fallback.
-	var o ReconnectOpts
-	if got := o.procLabel(7); got != "proc 7" {
-		t.Fatalf("procLabel without resolver = %q, want %q", got, "proc 7")
-	}
-	o.ProcName = func(uint32) string { return "" }
-	if got := o.procLabel(7); got != "proc 7" {
-		t.Fatalf("procLabel with unknown proc = %q, want %q", got, "proc 7")
+	if snap := h.stats.Snapshot(); snap.Replays == 0 || snap.SessionLost != 0 {
+		t.Fatalf("counters %+v, want a replay and no lost session", snap)
 	}
 }
 
 func TestReconnectBudgetExhaustion(t *testing.T) {
 	t.Parallel()
-	h := newReconnectHarness(t, ReconnectOpts{MaxAttempts: 3, Idempotent: isIdem})
+	h := newReconnectHarness(t, ReconnectOpts{MaxAttempts: 3})
 	ctx := context.Background()
 
 	h.failing.Store(true)
@@ -205,8 +176,8 @@ func TestReconnectAttemptTimeoutOnStall(t *testing.T) {
 	t.Parallel()
 	// A black-hole server: accepts and reads but never replies. The
 	// per-attempt timeout must convert the stall into a timeout, kill
-	// the session, and (since echo is idempotent) retry — which stalls
-	// again, eventually exhausting attempts.
+	// the session, and retry — which stalls again, eventually
+	// exhausting attempts.
 	addr, _ := blackholeServer(t)
 	stats := &metrics.ChannelStats{}
 	var dials atomic.Int64
@@ -224,7 +195,6 @@ func TestReconnectAttemptTimeoutOnStall(t *testing.T) {
 		BaseDelay:      time.Millisecond,
 		MaxDelay:       5 * time.Millisecond,
 		AttemptTimeout: 100 * time.Millisecond,
-		Idempotent:     isIdem,
 		Stats:          stats,
 	})
 	defer rc.Close()
@@ -244,7 +214,7 @@ func TestReconnectAttemptTimeoutOnStall(t *testing.T) {
 
 func TestReconnectClosedClient(t *testing.T) {
 	t.Parallel()
-	h := newReconnectHarness(t, ReconnectOpts{Idempotent: isIdem})
+	h := newReconnectHarness(t, ReconnectOpts{})
 	if err := h.rc.Call(context.Background(), procEcho, &echoArgs{S: "x"}, &echoArgs{}); err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +236,7 @@ func TestReconnectClosedClient(t *testing.T) {
 // the dead transport — degraded mode depends on this.
 func TestReconnectConnectedFlipsOnCut(t *testing.T) {
 	t.Parallel()
-	h := newReconnectHarness(t, ReconnectOpts{Idempotent: isIdem})
+	h := newReconnectHarness(t, ReconnectOpts{})
 	if err := h.rc.Call(context.Background(), procEcho, &echoArgs{S: "x"}, &echoArgs{}); err != nil {
 		t.Fatal(err)
 	}
@@ -278,4 +248,17 @@ func TestReconnectConnectedFlipsOnCut(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
+}
+
+// serveOnLoopback serves s on a loopback port for the length of the
+// test.
+func serveOnLoopback(t *testing.T, s *Server) net.Addr {
+	t.Helper()
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go s.Serve(l)
+	t.Cleanup(s.Close)
+	return l.Addr()
 }

@@ -93,6 +93,26 @@ const (
 const (
 	AuthFlavorNone = 0
 	AuthFlavorSys  = 1
+	// AuthSession is the call verifier of a ReconnectClient: a session
+	// id and a flags word (sessionVerf). A Server keeps a reply cache
+	// for each session (see replycache.go), so a call re-sent on a new
+	// connection runs once. The number is from RFC 5531's private-use
+	// range.
+	AuthSession = 400045
+)
+
+// sessionVerf is the body of an AuthSession verifier.
+type sessionVerf struct {
+	ID    [16]byte
+	Flags uint32
+}
+
+const (
+	sessionVerfLen = 20 // the XDR length of a sessionVerf
+	// sessionBind flags a call sent on a later connection than the one
+	// its session began on: the server must hold the session already,
+	// and refuses the call with AUTH_REJECTEDVERF if it does not.
+	sessionBind = 1
 )
 
 // Maximum size of an opaque auth body (RFC 5531 §8.2).
@@ -151,14 +171,17 @@ func (a *AuthSys) Auth() (OpaqueAuth, error) {
 // AuthNone is the empty credential.
 var AuthNone = OpaqueAuth{Flavor: AuthFlavorNone}
 
-// callHeader is the fixed prefix of an RPC call message.
+// callHeader is the fixed prefix of an RPC call message. When
+// Verf.Flavor is AuthSession the verifier's body is Session, fixed
+// fields that decode without an allocation, and Verf.Body is unused.
 type callHeader struct {
-	XID  uint32
-	Prog uint32
-	Vers uint32
-	Proc uint32
-	Cred OpaqueAuth
-	Verf OpaqueAuth
+	XID     uint32
+	Prog    uint32
+	Vers    uint32
+	Proc    uint32
+	Cred    OpaqueAuth
+	Verf    OpaqueAuth
+	Session sessionVerf
 }
 
 // XDR describes the call header; decoding sets an error unless the
@@ -178,7 +201,17 @@ func (h *callHeader) XDR(c *xdr.Codec) {
 	c.Uint32(&h.Vers)
 	c.Uint32(&h.Proc)
 	h.Cred.XDR(c)
-	h.Verf.XDR(c)
+	if c.Uint32(&h.Verf.Flavor); h.Verf.Flavor != AuthSession {
+		c.Opaque(&h.Verf.Body, maxAuthBody)
+		return
+	}
+	n := uint32(sessionVerfLen)
+	if c.Uint32(&n); n != sessionVerfLen {
+		c.SetErr(fmt.Errorf("oncrpc: session verifier of %d bytes", n))
+		return
+	}
+	c.FixedOpaque(h.Session.ID[:])
+	c.Uint32(&h.Session.Flags)
 }
 
 var errRPCVersion = errors.New("oncrpc: unsupported RPC version")

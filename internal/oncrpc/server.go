@@ -7,6 +7,7 @@ import (
 	"log"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/xdr"
@@ -98,6 +99,8 @@ type Server struct {
 	// mid-handshake and established alike. Nil serves the accepted
 	// connection as it is.
 	Handshake func(raw net.Conn)
+
+	replies replyCache
 
 	lnMu      sync.Mutex
 	listeners map[net.Listener]struct{}
@@ -230,13 +233,12 @@ func (s *Server) Close() {
 // does not pay for regrowing a fresh goroutine's stack. Every worker
 // exits when the connection ends.
 func (s *Server) ServeConn(conn net.Conn) {
-	defer conn.Close()
-	sc := &serverConn{s: s, conn: conn}
-	defer sc.end()
 	// Handlers observe connection teardown through ctx, so work for a
-	// departed peer can stop instead of running to completion.
+	// departed peer can stop instead of running to completion; session
+	// calls run under detached, which does not end (see replycache.go).
 	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
+	sc := &serverConn{s: s, conn: conn, detached: context.WithoutCancel(ctx)}
+	defer sc.end(cancel)
 	br := newRecordReader(conn)
 	for {
 		// Each iteration owns one pooled record buffer: released here on
@@ -250,14 +252,16 @@ func (s *Server) ServeConn(conn net.Conn) {
 		}
 		*bp = rec
 		if s.Sequential {
-			reply := s.dispatch(ctx, conn, rec)
+			var ref slotRef
+			reply := s.dispatch(ctx, sc, rec, &ref)
 			recPut(bp)
-			sc.send(reply)
+			sc.send(reply, ref)
 			continue
 		}
 		if mail := sc.idleWorker(); mail != nil {
 			mail <- bp
 		} else {
+			sc.workers.Add(1)
 			go sc.work(ctx, bp)
 		}
 	}
@@ -266,9 +270,12 @@ func (s *Server) ServeConn(conn net.Conn) {
 // serverConn is one transport that ServeConn serves, with the workers
 // that run its calls.
 type serverConn struct {
-	s       *Server
-	conn    net.Conn
-	writeMu sync.Mutex // keeps each reply whole on the transport
+	s        *Server
+	conn     net.Conn
+	detached context.Context // the context of session calls
+	writeMu  sync.Mutex      // keeps each reply whole on the transport
+	workers  sync.WaitGroup
+	sess     atomic.Pointer[replySession] // the session the peer shows
 
 	mu     sync.Mutex
 	idle   []chan *[]byte // mailboxes of the workers waiting for a record
@@ -296,8 +303,10 @@ func (sc *serverConn) idleWorker() chan<- *[]byte {
 // call should find this worker rather than start another.
 func (sc *serverConn) work(ctx context.Context, bp *[]byte) {
 	mail := make(chan *[]byte, 1)
+	defer sc.workers.Done()
 	for {
-		reply := sc.s.dispatch(ctx, sc.conn, *bp)
+		var ref slotRef
+		reply := sc.s.dispatch(ctx, sc, *bp, &ref)
 		recPut(bp)
 		sc.mu.Lock()
 		closed := sc.closed
@@ -305,7 +314,7 @@ func (sc *serverConn) work(ctx context.Context, bp *[]byte) {
 			sc.idle = append(sc.idle, mail)
 		}
 		sc.mu.Unlock()
-		sc.send(reply)
+		sc.send(reply, ref)
 		if closed {
 			return
 		}
@@ -316,19 +325,31 @@ func (sc *serverConn) work(ctx context.Context, bp *[]byte) {
 	}
 }
 
-// end releases the idle workers when the connection's read loop stops;
-// busy ones exit once their call is answered.
-func (sc *serverConn) end() {
+// end runs when the connection's read loop stops: it cancels the
+// calls' context, releases the idle workers and closes the transport,
+// then waits for the busy workers to answer their calls, so no handler
+// outlives ServeConn. Last, the connection stops counting as a live
+// one of its session.
+func (sc *serverConn) end(cancel context.CancelFunc) {
+	cancel()
 	sc.mu.Lock()
-	defer sc.mu.Unlock()
 	sc.closed = true
 	for _, mail := range sc.idle {
 		close(mail)
 	}
 	sc.idle = nil
+	sc.mu.Unlock()
+	sc.conn.Close()
+	sc.workers.Wait()
+	if sess := sc.sess.Load(); sess != nil {
+		sc.s.replies.detach(sess)
+	}
 }
 
-func (s *Server) dispatch(ctx context.Context, conn net.Conn, rec []byte) *xdr.Encoder {
+// dispatch decodes and runs one call. It returns the reply to send
+// (nil for none) and, for a session call that ran, sets *ref to the
+// slot that is to keep the reply once it is sent.
+func (s *Server) dispatch(ctx context.Context, sc *serverConn, rec []byte, ref *slotRef) *xdr.Encoder {
 	db := dispatchBufPool.Get().(*dispatchBufs)
 	db.dec.Reset(rec)
 	d := &db.dec
@@ -355,7 +376,7 @@ func (s *Server) dispatch(ctx context.Context, conn net.Conn, rec []byte) *xdr.E
 	// for the duration of the invocation (see the Call doc comment), so
 	// no per-call allocation is needed.
 	call := &db.call
-	*call = Call{Prog: hdr.Prog, Vers: hdr.Vers, Proc: hdr.Proc, Conn: conn, args: d}
+	*call = Call{Prog: hdr.Prog, Vers: hdr.Vers, Proc: hdr.Proc, Conn: sc.conn, args: d}
 	call.Cred = Cred{Flavor: hdr.Cred.Flavor, Raw: hdr.Cred.Body}
 	if hdr.Cred.Flavor == AuthFlavorSys {
 		var sys AuthSys
@@ -368,6 +389,14 @@ func (s *Server) dispatch(ctx context.Context, conn net.Conn, rec []byte) *xdr.E
 		if stat := s.Auth(call); stat != AuthOK {
 			return denyAuth(hdr.XID, stat)
 		}
+	}
+	if hdr.Verf.Flavor == AuthSession {
+		sess, reply := s.replies.begin(ctx, sc, &hdr)
+		if sess == nil {
+			return reply
+		}
+		*ref = slotRef{sess, hdr.XID}
+		ctx = sc.detached
 	}
 
 	s.mu.RLock()
@@ -453,12 +482,12 @@ func encodeReply(xid uint32, body func(*xdr.Encoder)) *xdr.Encoder {
 }
 
 // send writes an encoded reply record (none when reply is nil) to the
-// connection, serialized by its write mutex, and recycles the encoder.
-func (sc *serverConn) send(reply *xdr.Encoder) {
+// connection, serialized by its write mutex, and hands the encoder to
+// ref (see slotRef.keep).
+func (sc *serverConn) send(reply *xdr.Encoder, ref slotRef) {
 	if reply == nil {
 		return
 	}
-	defer replyPool.Put(reply)
 	sc.writeMu.Lock()
 	err := writeRecord(sc.conn, reply.Bytes())
 	sc.writeMu.Unlock()
@@ -466,6 +495,7 @@ func (sc *serverConn) send(reply *xdr.Encoder) {
 		sc.s.logf("oncrpc: write reply: %v", err)
 		sc.conn.Close()
 	}
+	ref.keep(reply)
 }
 
 // Dial connects to addr over TCP and returns a client for prog/vers.

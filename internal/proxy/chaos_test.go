@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -296,5 +297,96 @@ func TestChaosAlternatingBackendCutsFlushAll(t *testing.T) {
 	}
 	if st.stats.QuorumWrites.Load() == 0 {
 		t.Fatalf("no quorum writes counted: %+v", st.stats.Snapshot())
+	}
+}
+
+// TestChaosNamespaceExactlyOnce: CREATE and REMOVE calls through a link
+// that is cut every few milliseconds, and whose replies are tampered
+// with, all succeed and each runs once at the backend. Pair i creates
+// f-i and removes f-(i-1), so a CREATE run twice fails with EXIST, a
+// REMOVE run twice fails with NOENT, and the backend ends holding f-last
+// alone.
+func TestChaosNamespaceExactlyOnce(t *testing.T) {
+	faulter := netem.NewFaulter()
+	st := buildStack(t, stackOpts{
+		faulter: faulter,
+		recovery: &RecoveryConfig{
+			MaxAttempts:    50,
+			BaseDelay:      time.Millisecond,
+			MaxDelay:       20 * time.Millisecond,
+			AttemptTimeout: 5 * time.Second,
+			OpTimeout:      60 * time.Second,
+		},
+	})
+	fs := st.mount(t, nfsclient.Options{CacheBytes: 1})
+	proto := fs.Proto()
+	ctx := context.Background()
+
+	// Cut every link every 7 ms, once it has come back since the last
+	// cut (so a slow run, under the race detector, still gets calls
+	// through); each new link has one reply byte flipped somewhere in
+	// its first 64 KiB, which the secure channel's MAC check refuses.
+	stop, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		tick := time.NewTicker(7 * time.Millisecond)
+		defer tick.Stop()
+		cutAt := ^uint64(0)
+		for n := int64(0); ; n++ {
+			select {
+			case <-stop:
+				return
+			case <-tick.C:
+			}
+			if r := st.clientProxy.ChannelStats().Reconnects; r != cutAt {
+				cutAt = r
+				faulter.CutAll(netem.FaultReset)
+			}
+			faulter.SetPlan(netem.FaultPlan{CutAfterBytes: 2048 + n*7919%(62<<10), Mode: netem.FaultTamper})
+		}
+	}()
+
+	pairs := 1000
+	if testing.Short() {
+		pairs = 200
+	}
+	failed := 0
+	for i := 0; i < pairs; i++ {
+		if _, _, err := proto.Create(ctx, fs.Root(), fmt.Sprintf("f-%d", i), 0o644, true); err != nil {
+			failed++
+			t.Errorf("CREATE f-%d: %v", i, err)
+		}
+		if i == 0 {
+			continue
+		}
+		if err := proto.Remove(ctx, fs.Root(), fmt.Sprintf("f-%d", i-1)); err != nil {
+			failed++
+			t.Errorf("REMOVE f-%d: %v", i-1, err)
+		}
+		if failed > 10 {
+			break
+		}
+	}
+	close(stop)
+	<-done
+
+	s := st.clientProxy.ChannelStats()
+	fst := faulter.Stats()
+	t.Logf("channel %+v, faulter %+v", s, fst)
+	if s.Replays == 0 || fst.Tampers == 0 {
+		t.Fatalf("no call was sent again (%d replays, %d tampered bytes): the faults missed the workload", s.Replays, fst.Tampers)
+	}
+	var names []string
+	ents, _, err := st.backend.ReadDir(st.backend.Root(), 0, 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range ents {
+		if strings.HasPrefix(e.Name, "f-") {
+			names = append(names, e.Name)
+		}
+	}
+	if want := fmt.Sprintf("f-%d", pairs-1); failed == 0 && (len(names) != 1 || names[0] != want) {
+		t.Fatalf("backend holds %v, want [%s]", names, want)
 	}
 }

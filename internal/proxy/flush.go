@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/blockio"
 	"repro/internal/nfs3"
-	"repro/internal/oncrpc"
 	"repro/internal/vfs"
 )
 
@@ -19,9 +18,8 @@ import (
 // server restarted. The engine reads each block and its version from
 // the disk cache and marks it clean only when that version is durable;
 // this file supplies the bytes of one block as the server should hold
-// them, and the one replay exception the WAN channel needs. Blocks the
-// engine does not make durable are left dirty in the cache, so a later
-// flush — or the next session — retries them.
+// them. Blocks the engine does not make durable are left dirty in the
+// cache, so a later flush — or the next session — retries them.
 
 // FlushAll writes every dirty cached block back to the server, up to
 // one WAN window of them in flight. The time this takes is the paper's
@@ -91,18 +89,6 @@ func (p *ClientProxy) flushBlock(ctx context.Context, args *nfs3.WriteArgs) (uin
 	defer p.dp.LeaveFlush()
 	var res nfs3.WriteRes
 	err := p.relay.Call(ctx, nil, nfs3.ProcWrite, args, &res)
-	if errors.Is(err, oncrpc.ErrNonIdempotentReplay) {
-		// The generic channel refuses to replay WRITE, but a flush
-		// write is identical bytes at an absolute offset: re-executing
-		// it is harmless. Retry once on the re-established session,
-		// FILE_SYNC this time — the old session's unstable state (and
-		// its verifier) died with the connection, so only a stable
-		// write proves durability here.
-		p.dp.FlushRetries.Add(1)
-		args.Stable = nfs3.FileSync
-		res = nfs3.WriteRes{}
-		err = p.relay.Call(ctx, nil, nfs3.ProcWrite, args, &res)
-	}
 	if err == nil {
 		err = res.Status.Error()
 	}

@@ -2,13 +2,11 @@ package proxy
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sync"
 	"time"
 
 	"repro/internal/nfs3"
-	"repro/internal/oncrpc"
 	"repro/internal/vfs"
 	"repro/internal/xdr"
 )
@@ -241,8 +239,6 @@ func (o *legOrder) done(t uint64) {
 // normalized so the flush path never tries to settle with COMMIT. A
 // WRITE to a handle the namespace forgot is answered NFS3ERR_STALE: its
 // file is gone.
-//
-//sgfsvet:retry-path
 func (rs *replicaSet) callWriteFanout(ctx context.Context, a *nfs3.WriteArgs, out *nfs3.WriteRes) error {
 	if !rs.ns.known(a.Obj) {
 		out.Status = nfs3.Status(vfs.ErrStale)
@@ -259,7 +255,7 @@ func (rs *replicaSet) callWriteFanout(ctx context.Context, a *nfs3.WriteArgs, ou
 			}
 			wargs := &nfs3.WriteArgs{Obj: bfh, Offset: a.Offset, Count: a.Count, Stable: nfs3.FileSync, Data: a.Data}
 			var res nfs3.WriteRes
-			return &res, b.callWrite(ctx, wargs, &res)
+			return &res, b.call(ctx, nfs3.ProcWrite, wargs, &res)
 		},
 		func(b *replicaBackend) {
 			rs.enqueueRepair(repairJob{backend: b.id, args: canon, version: version})
@@ -272,20 +268,6 @@ func (rs *replicaSet) callWriteFanout(ctx context.Context, a *nfs3.WriteArgs, ou
 	out.Verf = [nfs3.WriteVerfSize]byte{}
 	canonWcc(&out.Wcc, a.Obj)
 	return nil
-}
-
-// callWrite issues one replicated WRITE leg. Replica writes are always
-// FILE_SYNC, identical bytes at an absolute offset, so when the
-// reconnect layer refuses to replay a WRITE that was in flight during
-// a transport failure (oncrpc.ErrNonIdempotentReplay), re-executing it
-// on the fresh session is harmless and the leg retries once.
-func (b *replicaBackend) callWrite(ctx context.Context, a *nfs3.WriteArgs, res *nfs3.WriteRes) error {
-	err := b.call(ctx, nfs3.ProcWrite, a, res)
-	if errors.Is(err, oncrpc.ErrNonIdempotentReplay) {
-		*res = nfs3.WriteRes{}
-		err = b.call(ctx, nfs3.ProcWrite, a, res)
-	}
-	return err
 }
 
 // bumpVersion orders a write to (fh, block); repairs carry the version
@@ -339,8 +321,6 @@ func (rs *replicaSet) repairLoop() {
 // The write is identical bytes at an absolute offset and the leaf is
 // created UNCHECKED (open-or-create), so re-execution is safe however
 // many times the job is retried.
-//
-//sgfsvet:retry-path
 func (rs *replicaSet) runRepair(j repairJob) {
 	if rs.currentVersion(j.args.Obj, j.args.Offset/rs.blockSize) > j.version || !rs.ns.known(j.args.Obj) {
 		// A newer write to this block has been quorum-acked since the
@@ -364,7 +344,7 @@ func (rs *replicaSet) runRepair(j repairJob) {
 	a := *j.args
 	a.Obj = bfh
 	var res nfs3.WriteRes
-	if err := b.callWrite(ctx, &a, &res); err != nil || res.Status != nfs3.OK {
+	if err := b.call(ctx, nfs3.ProcWrite, &a, &res); err != nil || res.Status != nfs3.OK {
 		rs.requeueLater(j)
 		return
 	}

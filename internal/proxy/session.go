@@ -20,9 +20,9 @@ import (
 // proxy it talks to — the one server, or each replica backend — through
 // one upSession: a reconnecting RPC client whose session factory dials,
 // runs the secure-channel handshake and re-issues MOUNT. A link failure
-// never ends a session: the next call re-establishes it, idempotent
-// calls in flight are replayed, and non-idempotent ones are refused
-// with oncrpc.ErrNonIdempotentReplay.
+// never ends a session: the next call re-establishes it, and the calls
+// in flight are sent again, each to run once at the server proxy (its
+// reply cache answers a call it already ran; see oncrpc.ReconnectClient).
 
 // RecoveryConfig tunes how upstream sessions recover: re-dial with
 // jittered exponential backoff after a link failure, and deadlines on
@@ -96,8 +96,6 @@ func (p *ClientProxy) newSession(ctx context.Context, dial Dialer) (*upSession, 
 		BaseDelay:      r.BaseDelay,
 		MaxDelay:       r.MaxDelay,
 		AttemptTimeout: r.attemptTimeout(),
-		Idempotent:     nfs3Idempotent,
-		ProcName:       nfs3.ProcName,
 		Stats:          &p.chs,
 	})
 	return s, err
@@ -167,44 +165,3 @@ func (s *upSession) exportRoot() nfs3.FH3 {
 }
 
 func (s *upSession) degraded() bool { return !s.rc.Connected() }
-
-// nfs3ReplayClass classifies every NFSv3 procedure for replay on a
-// fresh session after a transport failure: true = safe to replay
-// (pure reads, and COMMIT — re-committing already-stable data is
-// harmless), false = refused back to the caller instead, because the
-// proxy cannot know whether the lost call executed. (FlushAll makes
-// its own finer-grained decision for FILE_SYNC writes; see there.)
-// The sgfs-vet replay-table-sync analyzer enforces that this table
-// names every nfs3.Proc* constant, so adding a procedure without
-// deciding its replay class breaks the build rather than the WAN
-// recovery path.
-//
-//sgfsvet:replay-table repro/internal/nfs3
-var nfs3ReplayClass = map[uint32]bool{
-	nfs3.ProcNull:        true,
-	nfs3.ProcGetAttr:     true,
-	nfs3.ProcSetAttr:     false,
-	nfs3.ProcLookup:      true,
-	nfs3.ProcAccess:      true,
-	nfs3.ProcReadLink:    true,
-	nfs3.ProcRead:        true,
-	nfs3.ProcWrite:       false,
-	nfs3.ProcCreate:      false,
-	nfs3.ProcMkdir:       false,
-	nfs3.ProcSymlink:     false,
-	nfs3.ProcMknod:       false,
-	nfs3.ProcRemove:      false,
-	nfs3.ProcRmdir:       false,
-	nfs3.ProcRename:      false,
-	nfs3.ProcLink:        false,
-	nfs3.ProcReadDir:     true,
-	nfs3.ProcReadDirPlus: true,
-	nfs3.ProcFSStat:      true,
-	nfs3.ProcFSInfo:      true,
-	nfs3.ProcPathConf:    true,
-	nfs3.ProcCommit:      true,
-}
-
-func nfs3Idempotent(proc uint32) bool {
-	return nfs3ReplayClass[proc]
-}

@@ -44,7 +44,7 @@ type Analyzer interface {
 }
 
 // PackageAnalyzer is a check whose every fact is local to one package
-// (swallowed-error, goroutine-leak, replay-table-sync).
+// (swallowed-error, goroutine-leak).
 type PackageAnalyzer interface {
 	Analyzer
 	Run(pkg *Package) []Diagnostic

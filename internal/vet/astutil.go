@@ -116,17 +116,3 @@ func builtinName(pkg *Package, call *ast.CallExpr) string {
 	}
 	return b.Name()
 }
-
-// hasDirective reports whether a declaration's doc comment carries the
-// given //sgfsvet: directive line.
-func hasDirective(decl *ast.FuncDecl, directive string) bool {
-	if decl.Doc == nil {
-		return false
-	}
-	for _, c := range decl.Doc.List {
-		if strings.HasPrefix(c.Text, directive) {
-			return true
-		}
-	}
-	return false
-}

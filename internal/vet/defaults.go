@@ -33,11 +33,9 @@ func DefaultAnalyzers() []Analyzer {
 		LockOrder{},
 		CtxDeadline{Packages: CtxDeadlinePackages},
 		GoroutineLeak{},
-		ReplayTableSync{},
 		SecretFlow{},
 		UnboundedAlloc{},
 		WeakRand{},
 		ResourceLeak{},
-		RetrySafety{},
 	}
 }

@@ -1,6 +1,6 @@
 // Package vet implements sgfs-vet, a repository-specific static
 // analysis suite built purely on the standard library's go/ast,
-// go/parser and go/types: fourteen analyzers for invariants this
+// go/parser and go/types: twelve analyzers for invariants this
 // codebase depends on but the compiler cannot check. Each job under
 // them has one implementation:
 //
@@ -21,8 +21,7 @@
 //   - per package, syntactic: swallowed-error (no discarded or
 //     unchecked errors in non-test code), goroutine-leak
 //     (no spawned goroutine blocks on a channel with no cancellation
-//     edge), replay-table-sync (//sgfsvet:replay-table maps cover
-//     exactly the target package's Proc* constants);
+//     edge);
 //   - lock engine: lock-over-io (no mutex held across blocking
 //     transport I/O in the RPC/proxy/channel packages), lock-order (no
 //     cycle in the module-wide lock-acquisition graph), lockset-race
@@ -37,9 +36,8 @@
 //     wire-decoded integer reaches a make or copy size unchecked),
 //     weak-rand (math/rand never becomes cryptographic material);
 //   - call graph and module index: ctx-deadline (upstream RPCs only
-//     under deadline-bearing contexts), retry-safety (retry/replay
-//     paths re-issue only idempotent procedures), atomic-misuse (no
-//     plain access to a location accessed via sync/atomic elsewhere).
+//     under deadline-bearing contexts), atomic-misuse (no plain access
+//     to a location accessed via sync/atomic elsewhere).
 //
 // See DESIGN.md ("Static analysis: sgfs-vet") for the engines, the
 // per-analyzer scorecard and instructions for adding analyzers.

@@ -41,9 +41,7 @@ type Module struct {
 	// There are deliberately no edges for bare function references
 	// (handler registration, callbacks stored in maps): those would
 	// over-connect the graph and drown flow-sensitive analyzers in
-	// spurious paths. Analyzers that care about one indirect call
-	// site (retry-safety and the ReconnectClient session factory)
-	// resolve that reference themselves.
+	// spurious paths.
 	succs map[*types.Func][]*types.Func
 
 	// sccs is the condensation of succs. Edges run caller → callee, so
@@ -220,27 +218,6 @@ func (m *Module) bottomUp(step func(fd *funcDecl) bool) {
 			}
 		}
 	}
-}
-
-// reach searches the call graph breadth-first from roots, taken in the
-// given order, and maps every function reached to the root it was
-// first reached from (a root maps to itself).
-func (m *Module) reach(roots ...*types.Func) map[*types.Func]*types.Func {
-	from := make(map[*types.Func]*types.Func, len(roots))
-	for _, r := range roots {
-		from[r] = r
-	}
-	queue := append([]*types.Func(nil), roots...)
-	for ; len(queue) > 0; queue = queue[1:] {
-		v := queue[0]
-		for _, w := range m.succs[v] {
-			if _, seen := from[w]; !seen {
-				from[w] = from[v]
-				queue = append(queue, w)
-			}
-		}
-	}
-	return from
 }
 
 // tarjan returns the strongly connected components of the graph over

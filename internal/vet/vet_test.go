@@ -119,11 +119,6 @@ func TestGoroutineLeak(t *testing.T) {
 	runFixture(t, "goroutineleak", GoroutineLeak{})
 }
 
-func TestReplayTableSync(t *testing.T) {
-	t.Parallel()
-	runFixture(t, "replaytable", ReplayTableSync{})
-}
-
 func TestSecretFlow(t *testing.T) {
 	t.Parallel()
 	runFixture(t, "secretflow", SecretFlow{})
@@ -142,11 +137,6 @@ func TestWeakRand(t *testing.T) {
 func TestResourceLeak(t *testing.T) {
 	t.Parallel()
 	runFixture(t, "resourceleak", ResourceLeak{})
-}
-
-func TestRetrySafety(t *testing.T) {
-	t.Parallel()
-	runFixture(t, "retrysafety", RetrySafety{})
 }
 
 func TestSecretFlowDeepChain(t *testing.T) {

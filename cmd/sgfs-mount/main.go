@@ -207,8 +207,8 @@ func execute(ctx context.Context, fs *sgfs.FileSystem, line string) (quit bool) 
 		}
 	case "stats":
 		if st, ok := fs.CacheStats(); ok {
-			fmt.Printf("block hits %d misses %d; attr hits %d misses %d; flushed %d B; cancelled %d B\n",
-				st.BlockHits, st.BlockMisses, st.AttrHits, st.AttrMisses, st.FlushedBytes, st.CancelledBytes)
+			fmt.Printf("block hits %d misses %d; name hits %d misses %d; attr hits %d misses %d; flushed %d B; cancelled %d B\n",
+				st.BlockHits, st.BlockMisses, st.NameHits, st.NameMisses, st.AttrHits, st.AttrMisses, st.FlushedBytes, st.CancelledBytes)
 		} else {
 			fmt.Println("disk cache not enabled")
 		}

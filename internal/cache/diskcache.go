@@ -2,9 +2,11 @@
 // the mechanism behind the paper's WAN results (Figures 8-10). File
 // blocks are cached in files under a local cache directory, so the
 // cache can hold working sets far larger than client memory;
-// attributes and access decisions are cached for the lifetime of the
-// session (the paper's experiments dedicate a file system session to a
-// single user or job, §6.1).
+// names, attributes and access decisions are cached for the lifetime
+// of the session (the paper's experiments dedicate a file system
+// session to a single user or job, §6.1). They are the session's own
+// view: the proxy's own mutations keep them exact, and a change made
+// behind the session's back shows only after a revalidation sweep.
 //
 // Writes are absorbed locally (write-back): the proxy acknowledges
 // them once they are in the disk cache, and dirty blocks flow to the
@@ -15,7 +17,7 @@
 // The block index — LRU, versions, dirty pinning, eviction and the
 // order of fills against puts — is blockio.Cache's; this package
 // keeps the directory, one block file per handle, and the session's
-// attribute and access maps.
+// name, attribute and access maps.
 package cache
 
 import (
@@ -30,21 +32,25 @@ import (
 	"repro/internal/nfs3"
 )
 
-// DiskCache is a block/attribute/access cache backed by a directory.
-// It is safe for concurrent use.
+// DiskCache is a block/name/attribute/access cache backed by a
+// directory. It is safe for concurrent use.
 type DiskCache struct {
 	*blockio.Cache
 	blockSize int
 
 	mu     sync.Mutex
+	names  map[string]map[string]nfs3.FH3 // dir fh -> name -> fh
+	gen    uint64                         // names forgotten so far; see NameGen
 	attrs  map[string]nfs3.Fattr3
 	access map[string]uint32 // fh -> granted mask for the session user
-	counts Stats             // the attribute and access counters
+	counts Stats             // the name, attribute and access counters
 }
 
 // Stats counts cache activity.
 type Stats struct {
 	blockio.CacheStats
+	NameHits     uint64
+	NameMisses   uint64
 	AttrHits     uint64
 	AttrMisses   uint64
 	AccessHits   uint64
@@ -60,6 +66,7 @@ func New(dir string, blockSize int, capacity int64) (*DiskCache, error) {
 	return &DiskCache{
 		Cache:     blockio.NewFileCache(capacity, blockSize, blockDir(dir)),
 		blockSize: blockSize,
+		names:     make(map[string]map[string]nfs3.FH3),
 		attrs:     make(map[string]nfs3.Fattr3),
 		access:    make(map[string]uint32),
 	}, nil
@@ -111,6 +118,102 @@ func (c *DiskCache) DropFile(fh nfs3.FH3) {
 	defer c.mu.Unlock()
 	delete(c.attrs, key)
 	delete(c.access, key)
+}
+
+// Name returns the handle the session bound to e's name in e's
+// directory.
+func (c *DiskCache) Name(e nfs3.DirOpArgs) (nfs3.FH3, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	fh, ok := c.names[string(e.Dir.Data)][e.Name]
+	if ok {
+		c.counts.NameHits++
+	} else {
+		c.counts.NameMisses++
+	}
+	return fh, ok
+}
+
+// NameGen returns the name cache's generation, which every forget
+// advances. A handler takes it before it forwards and hands it to
+// PutName with the reply, so a reply that a forget overtook binds
+// nothing.
+func (c *DiskCache) NameGen() uint64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.gen
+}
+
+// PutName binds e to fh for the session, unless a name was forgotten
+// since gen was taken. fh must not be modified afterwards.
+func (c *DiskCache) PutName(e nfs3.DirOpArgs, fh nfs3.FH3, gen uint64) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if gen == c.gen {
+		c.bind(e, fh)
+	}
+}
+
+// bind binds e to fh. "." and ".." are never bound: they follow the
+// directory's place in the tree, not its entries. Callers hold c.mu.
+func (c *DiskCache) bind(e nfs3.DirOpArgs, fh nfs3.FH3) {
+	if e.Name == "." || e.Name == ".." {
+		return
+	}
+	m := c.names[string(e.Dir.Data)]
+	if m == nil {
+		m = make(map[string]nfs3.FH3)
+		c.names[string(e.Dir.Data)] = m
+	}
+	m[e.Name] = fh
+}
+
+// forget drops e's binding. Callers hold c.mu.
+func (c *DiskCache) forget(e nfs3.DirOpArgs) {
+	c.gen++
+	m := c.names[string(e.Dir.Data)]
+	delete(m, e.Name)
+	if len(m) == 0 {
+		delete(c.names, string(e.Dir.Data))
+	}
+}
+
+// ForgetName drops e's binding.
+func (c *DiskCache) ForgetName(e nfs3.DirOpArgs) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.forget(e)
+}
+
+// RenameName records a RENAME of from to to: both names are forgotten
+// and, when moved is set, to is bound to the handle from was bound to,
+// if it was.
+func (c *DiskCache) RenameName(from, to nfs3.DirOpArgs, moved bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	fh, ok := c.names[string(from.Dir.Data)][from.Name]
+	c.forget(from)
+	c.forget(to)
+	if moved && ok {
+		c.bind(to, fh)
+	}
+}
+
+// ForgetNames drops every binding except those to a handle in keep.
+func (c *DiskCache) ForgetNames(keep map[string]bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.gen++
+	for dir, m := range c.names {
+		for name, fh := range m {
+			if !keep[string(fh.Data)] {
+				delete(m, name)
+			}
+		}
+		if len(m) == 0 {
+			delete(c.names, dir)
+		}
+	}
 }
 
 // AttrFiles returns every handle with cached attributes, in no

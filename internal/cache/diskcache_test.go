@@ -179,6 +179,47 @@ func TestAccessCache(t *testing.T) {
 	}
 }
 
+func TestNameCache(t *testing.T) {
+	t.Parallel()
+	c := newCache(t, 1<<20)
+	at := func(dir, name string) nfs3.DirOpArgs { return nfs3.DirOpArgs{Dir: fh(dir), Name: name} }
+	has := func(e nfs3.DirOpArgs, want string) {
+		t.Helper()
+		got, ok := c.Name(e)
+		if want == "" && ok || want != "" && string(got.Data) != want {
+			t.Fatalf("%s/%s bound to %q (%v), want %q", e.Dir.Data, e.Name, got.Data, ok, want)
+		}
+	}
+	c.PutName(at("d", "a"), fh("A"), c.NameGen())
+	c.PutName(at("d", "."), fh("d"), c.NameGen())
+	c.PutName(at("d", ".."), fh("p"), c.NameGen())
+	has(at("d", "a"), "A")
+	has(at("d", "."), "")
+	has(at("d", ".."), "")
+
+	// A reply that a forget overtook binds nothing.
+	gen := c.NameGen()
+	c.ForgetName(at("d", "x"))
+	c.PutName(at("d", "b"), fh("B"), gen)
+	has(at("d", "b"), "")
+
+	c.RenameName(at("d", "a"), at("e", "z"), true)
+	has(at("d", "a"), "")
+	has(at("e", "z"), "A")
+	c.RenameName(at("e", "z"), at("d", "a"), false)
+	has(at("e", "z"), "")
+	has(at("d", "a"), "")
+
+	c.PutName(at("d", "a"), fh("A"), c.NameGen())
+	c.PutName(at("d", "b"), fh("B"), c.NameGen())
+	c.ForgetNames(map[string]bool{"B": true})
+	has(at("d", "a"), "")
+	has(at("d", "b"), "B")
+	if st := c.Stats(); st.NameHits != 3 || st.NameMisses != 7 {
+		t.Fatalf("%d name hits, %d misses; want 3 and 7", st.NameHits, st.NameMisses)
+	}
+}
+
 func TestManyFiles(t *testing.T) {
 	t.Parallel()
 	c := newCache(t, 1<<20)

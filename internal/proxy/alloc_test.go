@@ -174,6 +174,33 @@ func TestReadAllocs(t *testing.T) {
 	}
 }
 
+// TestLookupAllocs: one LOOKUP served by ClientProxy.lookup, from the
+// session's name and attribute caches (the name was created through
+// the mount) and without a disk cache (relayed upstream, through the
+// server proxy's lookup).
+func TestLookupAllocs(t *testing.T) {
+	for _, c := range []struct {
+		name      string
+		diskCache bool
+		budget    float64
+	}{
+		{"cached", true, 10},
+		{"uncached", false, 39},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			_, fs, _ := budgetStack(t, 1, c.diskCache, 1)
+			want := create(t, fs, "f", 0)
+			ctx := context.Background()
+			pin(t, c.budget, func() {
+				fh, _, err := fs.Proto().Lookup(ctx, fs.Root(), "f")
+				if err != nil || !bytes.Equal(fh.Data, want.Data) {
+					t.Fatalf("lookup: %x, %v", fh.Data, err)
+				}
+			})
+		})
+	}
+}
+
 // TestWriteAllocs: one 32 KiB FILE_SYNC WRITE served by
 // ClientProxy.write, absorbed by the write-back disk cache or relayed
 // upstream without one, and fanned out by a replicated session to both

@@ -74,11 +74,13 @@ func (p *ClientProxy) fillEntryAttrs(ctx context.Context, entries []nfs3.DirEntr
 }
 
 // RevalidateAttrs refreshes every attribute the session cache holds
-// with one concurrent GETATTR sweep. Files whose (size, mtime) moved
-// upstream have their cached blocks dropped so the next read refetches
-// fresh data; files with dirty (unflushed) blocks are skipped — their
-// local state is authoritative until FlushAll pushes it. It returns
-// how many handles were checked and how many had changed.
+// with one concurrent GETATTR sweep, and forgets every cached name, so
+// the next LOOKUP of each asks the server again. Files whose (size,
+// mtime) moved upstream have their cached blocks dropped so the next
+// read refetches fresh data; files with dirty (unflushed) blocks, and
+// the names bound to them, are skipped — their local state is
+// authoritative until FlushAll pushes it. It returns how many handles
+// were checked and how many had changed.
 func (p *ClientProxy) RevalidateAttrs(ctx context.Context) (checked, changed int, err error) {
 	dc := p.cfg.DiskCache
 	if dc == nil {
@@ -89,6 +91,7 @@ func (p *ClientProxy) RevalidateAttrs(ctx context.Context) (checked, changed int
 	for _, fh := range dc.DirtyFiles() {
 		dirty[string(fh.Data)] = true
 	}
+	dc.ForgetNames(dirty)
 	var fhs []nfs3.FH3
 	for _, fh := range dc.AttrFiles() {
 		if !dirty[string(fh.Data)] {

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/netem"
+	"repro/internal/nfs3"
 	"repro/internal/nfsclient"
 	"repro/internal/vfs"
 )
@@ -26,9 +27,9 @@ func chaosPayload(i, size int) []byte {
 // the fault-tolerant WAN channel: with the link killed on a timer
 // during a read-heavy workload, the session must reconnect and replay
 // idempotent calls so the workload completes with byte-identical data;
-// with the link down and dials refused, cached reads must keep being
-// served (disconnected operation); and the recovery counters must
-// record all of it.
+// with the link down and dials refused, cached lookups and reads must
+// keep being served (disconnected operation); and the recovery counters
+// must record all of it.
 func TestChaosLinkKillsDuringReadWorkload(t *testing.T) {
 	dc := newDiskCache(t)
 	faulter := netem.NewFaulter()
@@ -58,17 +59,21 @@ func TestChaosLinkKillsDuringReadWorkload(t *testing.T) {
 	}
 
 	// Raw protocol access through the client proxy: no client-side
-	// memory cache, so every LOOKUP (and every uncached READ) crosses
-	// the faulted WAN link.
+	// memory cache. verify drops the file from the disk cache first, so
+	// that its LOOKUP and every READ cross the faulted WAN link: the
+	// session caches would answer them all after the first pass.
 	fs := st.mount(t, nfsclient.Options{CacheBytes: 1})
 	proto := fs.Proto()
 	ctx := context.Background()
 
+	var fhs [nFiles]nfs3.FH3
 	verify := func(i int) error {
+		dc.DropFile(fhs[i])
 		fh, _, err := proto.Lookup(ctx, fs.Root(), fmt.Sprintf("chaos-%d", i))
 		if err != nil {
 			return fmt.Errorf("lookup chaos-%d: %w", i, err)
 		}
+		fhs[i] = fh
 		got := make([]byte, 0, fileSize)
 		for uint64(len(got)) < fileSize {
 			data, eof, err := proto.Read(ctx, fh, uint64(len(got)), 32*1024)
@@ -151,6 +156,13 @@ func TestChaosLinkKillsDuringReadWorkload(t *testing.T) {
 	if _, err := proto.GetAttr(ctx, fh0); err != nil {
 		t.Fatalf("GETATTR while disconnected: %v", err)
 	}
+	before := stats().DegradedReads
+	if fh, _, err := proto.Lookup(ctx, fs.Root(), "chaos-0"); err != nil || !bytes.Equal(fh.Data, fh0.Data) {
+		t.Fatalf("LOOKUP of a cached name while disconnected: %x, %v", fh.Data, err)
+	}
+	if s := stats(); s.DegradedReads == before {
+		t.Fatalf("no degraded read counted for the cached LOOKUP: %+v", s)
+	}
 	got := make([]byte, 0, fileSize)
 	for uint64(len(got)) < fileSize {
 		data, eof, err := proto.Read(ctx, fh0, uint64(len(got)), 32*1024)
@@ -169,9 +181,11 @@ func TestChaosLinkKillsDuringReadWorkload(t *testing.T) {
 		t.Fatalf("no degraded reads counted while disconnected: %+v", s)
 	}
 
-	// Phase 3: the link heals; the next lookup re-establishes the
+	// Phase 3: the link heals; the next lookup, with chaos-0 dropped
+	// from the cache so that it goes upstream, re-establishes the
 	// session and the full dataset still verifies byte-identical.
 	faulter.FailNextDials(0)
+	dc.DropFile(fh0)
 	healedBy := time.Now().Add(30 * time.Second)
 	for {
 		if _, _, err := proto.Lookup(ctx, fs.Root(), "chaos-0"); err == nil {

@@ -26,7 +26,7 @@ type ClientConfig struct {
 	Channel *securechan.Config
 	// ExportPath is the remote export to attach to.
 	ExportPath string
-	// DiskCache, when non-nil, enables block/attr/access caching with
+	// DiskCache, when non-nil, enables block/name/attr/access caching with
 	// write-back. Nil forwards everything (the LAN configurations of
 	// the paper run without disk caching, §6.3.1).
 	DiskCache *cache.DiskCache
@@ -206,7 +206,7 @@ func (p *ClientProxy) register() {
 	mountd.RegisterRelay(p.rpc, func(path string) (nfs3.FH3, bool) {
 		return p.up.exportRoot(), path == p.cfg.ExportPath
 	})
-	p.relay.Register(p.rpc, map[uint32]oncrpc.Handler{
+	intercepts := map[uint32]oncrpc.Handler{
 		nfs3.ProcGetAttr:     p.getattr,
 		nfs3.ProcSetAttr:     p.setattr,
 		nfs3.ProcLookup:      p.lookup,
@@ -217,23 +217,53 @@ func (p *ClientProxy) register() {
 		nfs3.ProcRemove:      p.remove,
 		nfs3.ProcReadDirPlus: p.readdirplus,
 		nfs3.ProcCommit:      p.commit,
-	})
+	}
+	if p.cfg.DiskCache != nil {
+		// The session name cache sees every namespace mutation; these
+		// handlers exist for it alone, so they assume a disk cache.
+		intercepts[nfs3.ProcMkdir] = p.mkdir
+		intercepts[nfs3.ProcSymlink] = p.symlink
+		intercepts[nfs3.ProcRmdir] = p.rmdir
+		intercepts[nfs3.ProcRename] = p.rename
+		intercepts[nfs3.ProcLink] = p.link
+	}
+	p.relay.Register(p.rpc, intercepts)
 }
 
-// lookup forwards LOOKUP but overrides the returned attributes with
-// the session's cached view: a file with dirty write-back data has its
-// authoritative size and times here, not on the server.
+// lookup answers LOOKUP from the session caches when they hold both
+// the name and its target's attributes, and forwards it otherwise. A
+// forwarded reply binds the name, or forgets it on NOENT, and carries
+// the session's cached attributes where there are any: a file with
+// dirty write-back data has its authoritative size and times here, not
+// on the server.
 func (p *ClientProxy) lookup(ctx context.Context, call *oncrpc.Call) (xdr.Marshaler, oncrpc.AcceptStat) {
 	var a nfs3.LookupArgs
 	if call.DecodeArgs(&a) != nil {
 		return nil, oncrpc.GarbageArgs
 	}
+	dc := p.cfg.DiskCache
+	var gen uint64
+	if dc != nil {
+		if fh, ok := dc.Name(a.What); ok {
+			if attr, ok := dc.GetAttr(fh); ok {
+				if p.degraded() {
+					p.chs.DegradedReads.Add(1)
+				}
+				return &nfs3.LookupRes{Status: nfs3.OK, Obj: fh, Attr: nfs3.PostOpAttr{Present: true, Attr: attr}}, oncrpc.Success
+			}
+		}
+		gen = dc.NameGen()
+	}
 	var res nfs3.LookupRes
 	if err := p.relay.Call(ctx, nil, nfs3.ProcLookup, &a, &res); err != nil {
 		return nil, oncrpc.SystemErr
 	}
-	dc := p.cfg.DiskCache
-	if dc != nil && res.Status == nfs3.OK {
+	if dc == nil {
+		return &res, oncrpc.Success
+	}
+	switch res.Status {
+	case nfs3.OK:
+		dc.PutName(a.What, res.Obj, gen)
 		if attr, ok := dc.GetAttr(res.Obj); ok {
 			res.Attr = nfs3.PostOpAttr{Present: true, Attr: attr}
 		} else if res.Attr.Present {
@@ -241,28 +271,36 @@ func (p *ClientProxy) lookup(ctx context.Context, call *oncrpc.Call) (xdr.Marsha
 			// "aggressive disk caching of attributes").
 			dc.PutAttr(res.Obj, res.Attr.Attr)
 		}
+	case nfs3.Status(vfs.ErrNoEnt):
+		dc.ForgetName(a.What)
 	}
 	return &res, oncrpc.Success
 }
 
-// readdirplus forwards READDIRPLUS, overriding per-entry attributes
-// with the session's cached view where one exists.
+// readdirplus forwards READDIRPLUS, binding each entry's name and
+// overriding its attributes with the session's cached view where one
+// exists.
 func (p *ClientProxy) readdirplus(ctx context.Context, call *oncrpc.Call) (xdr.Marshaler, oncrpc.AcceptStat) {
 	var a nfs3.ReadDirPlusArgs
 	if call.DecodeArgs(&a) != nil {
 		return nil, oncrpc.GarbageArgs
 	}
+	dc := p.cfg.DiskCache
+	var gen uint64
+	if dc != nil {
+		gen = dc.NameGen()
+	}
 	var res nfs3.ReadDirPlusRes
 	if err := p.relay.Call(ctx, nil, nfs3.ProcReadDirPlus, &a, &res); err != nil {
 		return nil, oncrpc.SystemErr
 	}
-	dc := p.cfg.DiskCache
 	if dc != nil && res.Status == nfs3.OK {
 		for i := range res.Entries {
 			e := &res.Entries[i]
 			if !e.FH.Present {
 				continue
 			}
+			dc.PutName(nfs3.DirOpArgs{Dir: a.Dir, Name: e.Name}, e.FH.FH, gen)
 			if attr, ok := dc.GetAttr(e.FH.FH); ok {
 				e.Attr = nfs3.PostOpAttr{Present: true, Attr: attr}
 			} else if e.Attr.Present {
@@ -354,41 +392,120 @@ func (p *ClientProxy) create(ctx context.Context, call *oncrpc.Call) (xdr.Marsha
 	if call.DecodeArgs(&a) != nil {
 		return nil, oncrpc.GarbageArgs
 	}
-	var res nfs3.CreateRes
-	if err := p.relay.Call(ctx, nil, nfs3.ProcCreate, &a, &res); err != nil {
-		return nil, oncrpc.SystemErr
-	}
-	dc := p.cfg.DiskCache
-	if dc != nil && res.Status == nfs3.OK && res.Obj.Present && res.Attr.Present {
-		dc.PutAttr(res.Obj.FH, res.Attr.Attr)
-	}
-	return &res, oncrpc.Success
+	return p.made(ctx, call, &a, a.Where)
 }
 
+func (p *ClientProxy) mkdir(ctx context.Context, call *oncrpc.Call) (xdr.Marshaler, oncrpc.AcceptStat) {
+	var a nfs3.MkdirArgs
+	if call.DecodeArgs(&a) != nil {
+		return nil, oncrpc.GarbageArgs
+	}
+	return p.made(ctx, call, &a, a.Where)
+}
+
+func (p *ClientProxy) symlink(ctx context.Context, call *oncrpc.Call) (xdr.Marshaler, oncrpc.AcceptStat) {
+	var a nfs3.SymlinkArgs
+	if call.DecodeArgs(&a) != nil {
+		return nil, oncrpc.GarbageArgs
+	}
+	return p.made(ctx, call, &a, a.Where)
+}
+
+// made forwards a CREATE, MKDIR or SYMLINK of where and primes the
+// session caches with the new name and the attributes of its reply.
+func (p *ClientProxy) made(ctx context.Context, call *oncrpc.Call, args xdr.Marshaler, where nfs3.DirOpArgs) (xdr.Marshaler, oncrpc.AcceptStat) {
+	dc := p.cfg.DiskCache
+	var gen uint64
+	if dc != nil {
+		gen = dc.NameGen()
+	}
+	var res nfs3.CreateRes
+	out, stat := p.relay.Forward(ctx, call, args, &res)
+	if dc != nil && stat == oncrpc.Success && res.Status == nfs3.OK && res.Obj.Present {
+		dc.PutName(where, res.Obj.FH, gen)
+		if res.Attr.Present {
+			dc.PutAttr(res.Obj.FH, res.Attr.Attr)
+		}
+	}
+	return out, stat
+}
+
+// remove forwards REMOVE and forgets the name. It cancels the pending
+// write-back of the file the session had the name bound to, when the
+// file's cached attributes say this was its last link; a file with
+// another name keeps its data and loses one from its link count. A
+// name the session never bound costs nothing here: if its file had
+// dirty data, the flush finds the file gone and drops it then.
 func (p *ClientProxy) remove(ctx context.Context, call *oncrpc.Call) (xdr.Marshaler, oncrpc.AcceptStat) {
 	var a nfs3.RemoveArgs
 	if call.DecodeArgs(&a) != nil {
 		return nil, oncrpc.GarbageArgs
 	}
+	var res nfs3.WccRes
 	dc := p.cfg.DiskCache
-	if dc != nil {
-		// Cancel pending write-back for the removed file: look the
-		// name up (cheap; usually cached upstream) to find its handle.
-		// A file with another name left keeps its data; without
-		// attributes to tell, so does this one (a flush that finds it
-		// gone drops it then).
-		var lres nfs3.LookupRes
-		largs := &nfs3.LookupArgs{What: a.Obj}
-		err := p.relay.Call(ctx, nil, nfs3.ProcLookup, largs, &lres)
-		if err == nil && lres.Status == nfs3.OK && lres.Attr.Present && lres.Attr.Attr.Nlink <= 1 {
-			p.dropFile(lres.Obj)
+	if dc == nil {
+		return p.relay.Forward(ctx, call, &a, &res)
+	}
+	fh, named := dc.Name(a.Obj)
+	out, stat := p.relay.Forward(ctx, call, &a, &res)
+	dc.ForgetName(a.Obj)
+	if named && stat == oncrpc.Success && res.Status == nfs3.OK {
+		if attr, ok := dc.GetAttr(fh); ok && attr.Nlink <= 1 {
+			p.dropFile(fh)
+		} else {
+			dc.UpdateAttr(fh, func(attr *nfs3.Fattr3) { attr.Nlink-- })
 		}
 	}
-	var res nfs3.WccRes
-	if err := p.relay.Call(ctx, nil, nfs3.ProcRemove, &a, &res); err != nil {
-		return nil, oncrpc.SystemErr
+	return out, stat
+}
+
+// rmdir forwards RMDIR and forgets the name.
+func (p *ClientProxy) rmdir(ctx context.Context, call *oncrpc.Call) (xdr.Marshaler, oncrpc.AcceptStat) {
+	var a nfs3.RemoveArgs
+	if call.DecodeArgs(&a) != nil {
+		return nil, oncrpc.GarbageArgs
 	}
-	return &res, oncrpc.Success
+	out, stat := p.relay.Forward(ctx, call, &a, new(nfs3.WccRes))
+	p.cfg.DiskCache.ForgetName(a.Obj)
+	return out, stat
+}
+
+// rename forwards RENAME and moves the name's binding, if the session
+// had one, from From to To.
+func (p *ClientProxy) rename(ctx context.Context, call *oncrpc.Call) (xdr.Marshaler, oncrpc.AcceptStat) {
+	var a nfs3.RenameArgs
+	if call.DecodeArgs(&a) != nil {
+		return nil, oncrpc.GarbageArgs
+	}
+	var res nfs3.RenameRes
+	out, stat := p.relay.Forward(ctx, call, &a, &res)
+	p.cfg.DiskCache.RenameName(a.From, a.To, stat == oncrpc.Success && res.Status == nfs3.OK)
+	return out, stat
+}
+
+// link forwards LINK, forgets the new name, and updates the link count
+// in the target's cached attributes, so a later REMOVE of one of its
+// names keeps the data the other still owes the server. The rest of the
+// cached attributes stay: a dirty file's size lives only there.
+func (p *ClientProxy) link(ctx context.Context, call *oncrpc.Call) (xdr.Marshaler, oncrpc.AcceptStat) {
+	var a nfs3.LinkArgs
+	if call.DecodeArgs(&a) != nil {
+		return nil, oncrpc.GarbageArgs
+	}
+	var res nfs3.LinkRes
+	out, stat := p.relay.Forward(ctx, call, &a, &res)
+	dc := p.cfg.DiskCache
+	dc.ForgetName(a.Link)
+	if stat == oncrpc.Success && res.Status == nfs3.OK {
+		dc.UpdateAttr(a.Obj, func(attr *nfs3.Fattr3) {
+			if res.Attr.Present {
+				attr.Nlink = res.Attr.Attr.Nlink
+			} else {
+				attr.Nlink++
+			}
+		})
+	}
+	return out, stat
 }
 
 // truncateCached cuts fh's cached data to size. Dirty data below size

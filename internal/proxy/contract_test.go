@@ -9,6 +9,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -16,6 +17,7 @@ import (
 	"repro/internal/nfs3"
 	"repro/internal/nfsclient"
 	"repro/internal/vfs"
+	"repro/internal/xdr"
 )
 
 // mountStack builds and mounts the single-server stack or the
@@ -109,32 +111,38 @@ func procedureSurface(t *testing.T, fs *nfsclient.FileSystem) {
 
 // TestRemoveOneLinkKeepsWriteBack: removing one name of a hard-linked
 // file must not cancel the write-back the surviving name still owes
-// the server (C2).
+// the server (C2). The LINK goes through the proxy, so the session's
+// cached link count knows of the second name whichever one goes.
 func TestRemoveOneLinkKeepsWriteBack(t *testing.T) {
-	t.Parallel()
-	dc := newDiskCache(t)
-	cp, backends, fs := mountStack(t, false, dc)
-	ctx := context.Background()
-	payload := chaosPayload(2, 64*1024)
-	putFile(t, fs, "a", payload)
-	fh, _, err := fs.Proto().Lookup(ctx, fs.Root(), "a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := fs.Proto().Link(ctx, fh, fs.Root(), "b"); err != nil {
-		t.Fatal(err)
-	}
-	if err := fs.Remove(ctx, "b"); err != nil {
-		t.Fatal(err)
-	}
-	if err := cp.FlushAll(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if got, err := backendFile(backends[0], "a"); err != nil || !bytes.Equal(got, payload) {
-		t.Fatalf("backend holds %d bytes of a (%v), want the %d written", len(got), err, len(payload))
-	}
-	if c := dc.Stats().CancelledBytes; c != 0 {
-		t.Fatalf("%d bytes of write-back cancelled", c)
+	for _, c := range []struct{ remove, keep string }{{"b", "a"}, {"a", "b"}} {
+		c := c
+		t.Run("remove="+c.remove, func(t *testing.T) {
+			t.Parallel()
+			dc := newDiskCache(t)
+			cp, backends, fs := mountStack(t, false, dc)
+			ctx := context.Background()
+			payload := chaosPayload(2, 64*1024)
+			putFile(t, fs, "a", payload)
+			fh, _, err := fs.Proto().Lookup(ctx, fs.Root(), "a")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := fs.Proto().Link(ctx, fh, fs.Root(), "b"); err != nil {
+				t.Fatal(err)
+			}
+			if err := fs.Remove(ctx, c.remove); err != nil {
+				t.Fatal(err)
+			}
+			if err := cp.FlushAll(ctx); err != nil {
+				t.Fatal(err)
+			}
+			if got, err := backendFile(backends[0], c.keep); err != nil || !bytes.Equal(got, payload) {
+				t.Fatalf("backend holds %d bytes of %s (%v), want the %d written", len(got), c.keep, err, len(payload))
+			}
+			if n := dc.Stats().CancelledBytes; n != 0 {
+				t.Fatalf("%d bytes of write-back cancelled", n)
+			}
+		})
 	}
 }
 
@@ -194,6 +202,195 @@ func TestTruncateKeepsWriteBackBelowSize(t *testing.T) {
 	}
 	if got, err := backendFile(backends[0], "a"); err != nil || !bytes.Equal(got, payload[:40000]) {
 		t.Fatalf("backend holds %d bytes of a (%v), want the first 40000 written", len(got), err)
+	}
+}
+
+// upCounter counts the client proxy's upstream RPCs by procedure.
+type upCounter struct {
+	upstream
+	mu    sync.Mutex
+	calls map[uint32]int
+}
+
+func (u *upCounter) Call(ctx context.Context, proc uint32, args xdr.Marshaler, reply xdr.Unmarshaler) error {
+	u.mu.Lock()
+	if u.calls == nil {
+		u.calls = make(map[uint32]int)
+	}
+	u.calls[proc]++
+	u.mu.Unlock()
+	return u.upstream.Call(ctx, proc, args, reply)
+}
+
+// since returns the RPCs sent since the previous call, by procedure
+// name.
+func (u *upCounter) since() map[string]int {
+	u.mu.Lock()
+	defer u.mu.Unlock()
+	out := make(map[string]int, len(u.calls))
+	for proc, n := range u.calls {
+		out[nfs3.ProcName(proc)] = n
+	}
+	u.calls = nil
+	return out
+}
+
+// TestLookupOfSessionNameStaysLocal: a name the session created or
+// listed is answered from its name and attribute caches, with no
+// upstream RPC (C3, the session's names).
+func TestLookupOfSessionNameStaysLocal(t *testing.T) {
+	t.Parallel()
+	st := buildStack(t, stackOpts{diskCache: newDiskCache(t), countUp: true})
+	proto := st.mount(t, nfsclient.Options{}).Proto()
+	ctx := context.Background()
+	root := st.clientProxy.up.exportRoot()
+	made, _, err := proto.Create(ctx, root, "made", 0o644, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	planted, _, err := st.backend.Create(st.backend.Root(), "planted", vfs.SetAttr{}, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := proto.ReadDirPlus(ctx, root, 0); err != nil {
+		t.Fatal(err)
+	}
+	st.up.since()
+	for name, want := range map[string][]byte{"made": made.Data, "planted": planted[:]} {
+		fh, _, err := proto.Lookup(ctx, root, name)
+		if err != nil || !bytes.Equal(fh.Data, want) {
+			t.Fatalf("LOOKUP %s: %x, %v; want %x", name, fh.Data, err, want)
+		}
+	}
+	if up := st.up.since(); len(up) != 0 {
+		t.Fatalf("LOOKUP of names the session made and listed sent %v upstream, want nothing", up)
+	}
+}
+
+// TestRemoveDirtyFileIsOneRPC: REMOVE of a file with pending write-back
+// costs the REMOVE alone upstream, and cancels the write-back, so the
+// flush after it sends none of the file's bytes (C2).
+func TestRemoveDirtyFileIsOneRPC(t *testing.T) {
+	t.Parallel()
+	dc := newDiskCache(t)
+	st := buildStack(t, stackOpts{diskCache: dc, countUp: true})
+	proto := st.mount(t, nfsclient.Options{}).Proto()
+	ctx := context.Background()
+	root := st.clientProxy.up.exportRoot()
+	fh, _, err := proto.Create(ctx, root, "tmp", 0o644, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := proto.Write(ctx, fh, 0, chaosPayload(6, 20*1024), nfs3.FileSync); err != nil {
+		t.Fatal(err)
+	}
+	st.up.since()
+	if err := proto.Remove(ctx, root, "tmp"); err != nil {
+		t.Fatal(err)
+	}
+	if up := st.up.since(); len(up) != 1 || up["REMOVE"] != 1 {
+		t.Fatalf("REMOVE of a dirty file sent %v upstream, want the REMOVE alone", up)
+	}
+	if err := st.clientProxy.FlushAll(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if s := dc.Stats(); s.FlushedBytes != 0 || s.CancelledBytes == 0 {
+		t.Fatalf("flushed %d bytes and cancelled %d, want 0 and the file's", s.FlushedBytes, s.CancelledBytes)
+	}
+}
+
+// TestSessionNamesFollowMutations: after the session's own RENAME over
+// a name, RMDIR and REMOVE, LOOKUP answers what the server would, and a
+// renamed directory's ".." is its new parent (C3).
+func TestSessionNamesFollowMutations(t *testing.T) {
+	for _, replicated := range []bool{false, true} {
+		replicated := replicated
+		t.Run(fmt.Sprintf("replicated=%v", replicated), func(t *testing.T) {
+			t.Parallel()
+			_, _, fs := mountStack(t, replicated, newDiskCache(t))
+			proto, root := fs.Proto(), fs.Root()
+			ctx := context.Background()
+			lookup := func(dir nfs3.FH3, name string, want []byte, wantErr error) {
+				t.Helper()
+				fh, _, err := proto.Lookup(ctx, dir, name)
+				if !errors.Is(err, wantErr) || !bytes.Equal(fh.Data, want) {
+					t.Fatalf("LOOKUP %s: %x, %v; want %x, %v", name, fh.Data, err, want, wantErr)
+				}
+			}
+			must := func(err error) {
+				t.Helper()
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			mk := func(dir nfs3.FH3, name string) nfs3.FH3 {
+				t.Helper()
+				fh, _, err := proto.Mkdir(ctx, dir, name, 0o755)
+				must(err)
+				return fh
+			}
+
+			a, _, err := proto.Create(ctx, root, "a", 0o644, false)
+			must(err)
+			b, _, err := proto.Create(ctx, root, "b", 0o644, false)
+			must(err)
+			lookup(root, "a", a.Data, nil)
+			must(proto.Rename(ctx, root, "b", root, "a"))
+			lookup(root, "a", b.Data, nil)
+			lookup(root, "b", nil, vfs.ErrNoEnt)
+
+			mk(root, "d")
+			must(proto.Rmdir(ctx, root, "d"))
+			lookup(root, "d", nil, vfs.ErrNoEnt)
+
+			must(proto.Remove(ctx, root, "a"))
+			lookup(root, "a", nil, vfs.ErrNoEnt)
+
+			p1, p2 := mk(root, "p1"), mk(root, "p2")
+			sub := mk(p1, "sub")
+			lookup(sub, "..", p1.Data, nil)
+			must(proto.Rename(ctx, p1, "sub", p2, "sub"))
+			lookup(p2, "sub", sub.Data, nil)
+			lookup(p1, "sub", nil, vfs.ErrNoEnt)
+			lookup(sub, "..", p2.Data, nil)
+		})
+	}
+}
+
+// TestSessionNamesUntilRevalidate pins the session semantics of the
+// name cache: a rename over a name made behind the session's back, in
+// the backend, stays invisible to the session until RevalidateAttrs,
+// and is what LOOKUP answers after it (C3, the session's names).
+func TestSessionNamesUntilRevalidate(t *testing.T) {
+	t.Parallel()
+	st := buildStack(t, stackOpts{diskCache: newDiskCache(t)})
+	proto := st.mount(t, nfsclient.Options{}).Proto()
+	ctx := context.Background()
+	root := st.clientProxy.up.exportRoot()
+	a, _, err := proto.Create(ctx, root, "a", 0o644, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, _, err := proto.Create(ctx, root, "b", 0o644, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	be := st.backend
+	if err := be.Rename(be.Root(), "b", be.Root(), "a"); err != nil {
+		t.Fatal(err)
+	}
+	if fh, _, err := proto.Lookup(ctx, root, "a"); err != nil || !bytes.Equal(fh.Data, a.Data) {
+		t.Fatalf("LOOKUP a before revalidation: %x, %v; want the session's %x", fh.Data, err, a.Data)
+	}
+	// The overwritten file's handle is stale now: its GETATTR fails.
+	if _, _, err := st.clientProxy.RevalidateAttrs(ctx); err != nil && !errors.Is(err, vfs.ErrStale) {
+		t.Fatal(err)
+	}
+	if fh, _, err := proto.Lookup(ctx, root, "a"); err != nil || !bytes.Equal(fh.Data, b.Data) {
+		t.Fatalf("LOOKUP a after revalidation: %x, %v; want the backend's %x", fh.Data, err, b.Data)
+	}
+	if _, _, err := proto.Lookup(ctx, root, "b"); !errors.Is(err, vfs.ErrNoEnt) {
+		t.Fatalf("LOOKUP b after revalidation: %v, want NOENT", err)
 	}
 }
 

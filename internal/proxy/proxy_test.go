@@ -36,7 +36,8 @@ type testStack struct {
 	clientProxy *ClientProxy
 	gmap        *gridmap.Map
 	clientAddr  string
-	serverAddr  string // the server proxy's listen address
+	serverAddr  string     // the server proxy's listen address
+	up          *upCounter // the client proxy's upstream RPCs, with countUp
 }
 
 type stackOpts struct {
@@ -49,6 +50,7 @@ type stackOpts struct {
 	faulter     *netem.Faulter  // injects faults into the client→server link
 	rtt         time.Duration   // emulated WAN delay on the client→server link
 	meter       *metrics.Meter  // client proxy busy-time meter
+	countUp     bool            // count the client proxy's upstream RPCs in testStack.up
 	// wrapBackend, when set, puts the NFS server over the file system
 	// it returns instead of the bare MemFS; rpc is that server's RPC
 	// server, for a backend that re-registers it.
@@ -128,6 +130,10 @@ func buildStack(t testing.TB, opts stackOpts) *testStack {
 	cp, err := NewClientProxy(ccfg)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if opts.countUp {
+		st.up = &upCounter{upstream: cp.up}
+		cp.up = st.up
 	}
 	st.clientProxy = cp
 	t.Cleanup(func() { cp.Close() })

@@ -3,6 +3,7 @@ package proxy
 import (
 	"bytes"
 	"context"
+	"errors"
 	"sync"
 	"testing"
 
@@ -15,7 +16,9 @@ import (
 // (DESIGN.md, "Pipelined data path"): a block fetched from the server
 // is stored only if its file was not written, truncated or dropped
 // since the fetch began, and a flush marks a block clean only if it was
-// not rewritten since the flush read it.
+// not rewritten since the flush read it. The session name cache has the
+// same rule: a reply binds a name only if no name was forgotten since
+// the call began.
 
 const raceBlock = 32 * 1024
 
@@ -201,5 +204,63 @@ func TestFlushKeepsRewriteDirty(t *testing.T) {
 	}
 	if got := backendBytes(t, st, "f", raceBlock+1); !bytes.Equal(got, written) {
 		t.Fatalf("server holds %q… after the flushes, not the rewrite", got[:8])
+	}
+}
+
+// holdLookup is a backend that holds the first LOOKUP of name, after it
+// has looked the name up, until release is closed. held is closed once
+// the call is held.
+type holdLookup struct {
+	*vfs.MemFS
+	name    string
+	held    chan struct{}
+	release chan struct{}
+	once    sync.Once
+}
+
+func (b *holdLookup) Lookup(dir vfs.Handle, name string) (vfs.Handle, vfs.Attr, error) {
+	h, attr, err := b.MemFS.Lookup(dir, name)
+	if name == b.name {
+		b.once.Do(func() {
+			close(b.held)
+			<-b.release
+		})
+	}
+	return h, attr, err
+}
+
+// TestLookupLosesToRemove: a LOOKUP whose backend call found the name
+// and is held; the client removes the name; the LOOKUP is released. Its
+// reply, older than the REMOVE, must not bind the name in the session
+// name cache, or every later LOOKUP would find the removed file (C3).
+func TestLookupLosesToRemove(t *testing.T) {
+	t.Parallel()
+	b := &holdLookup{name: "x", held: make(chan struct{}), release: make(chan struct{})}
+	st := buildStack(t, stackOpts{diskCache: newDiskCache(t), wrapBackend: func(mem *vfs.MemFS, _ *oncrpc.Server) vfs.FS {
+		b.MemFS = mem
+		return b
+	}})
+	mode, uid := uint32(0644), uint32(5001) // alice's, as the server proxy maps her
+	if _, _, err := st.backend.Create(st.backend.Root(), "x", vfs.SetAttr{Mode: &mode, UID: &uid}, false); err != nil {
+		t.Fatal(err)
+	}
+	fs := st.mount(t, nfsclient.Options{})
+	proto, root := fs.Proto(), fs.Root()
+	ctx := context.Background()
+	looked := make(chan error, 1)
+	go func() {
+		_, _, err := proto.Lookup(ctx, root, "x")
+		looked <- err
+	}()
+	<-b.held
+	if err := proto.Remove(ctx, root, "x"); err != nil {
+		t.Fatal(err)
+	}
+	close(b.release)
+	if err := <-looked; err != nil {
+		t.Fatalf("held LOOKUP: %v", err)
+	}
+	if fh, _, err := proto.Lookup(ctx, root, "x"); !errors.Is(err, vfs.ErrNoEnt) {
+		t.Fatalf("LOOKUP after the REMOVE: %x, %v; want NOENT", fh.Data, err)
 	}
 }

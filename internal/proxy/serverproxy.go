@@ -217,10 +217,14 @@ func (p *ServerProxy) session(call *oncrpc.Call) *session {
 func (p *ServerProxy) ACLCacheStats() (hits, misses uint64) { return p.aclCache.Stats() }
 
 // rememberParent records where an object handle lives in the
-// namespace. Most calls (READDIRPLUS listing a directory again)
-// re-record what is already known; they look it up and write nothing,
-// and neither costs an allocation.
+// namespace. "." and ".." name no entry: they record nothing. Most
+// calls (READDIRPLUS listing a directory again) re-record what is
+// already known; they look it up and write nothing, and neither costs
+// an allocation.
 func (p *ServerProxy) rememberParent(obj nfs3.FH3, dir nfs3.FH3, name string) {
+	if name == "." || name == ".." {
+		return
+	}
 	p.parentMu.Lock()
 	defer p.parentMu.Unlock()
 	if ref, ok := p.parents[string(obj.Data)]; ok && ref.name == name && ref.dir == string(dir.Data) {

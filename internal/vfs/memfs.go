@@ -31,6 +31,7 @@ type memInode struct {
 	data    []byte              // regular files
 	target  string              // symlinks
 	entries map[string]*dirSlot // directories
+	parent  uint64              // directories: the one holding this one; the root's is itself
 	nextSeq uint64              // directory cookie sequence
 }
 
@@ -49,6 +50,7 @@ func NewMemFS() *MemFS {
 	}
 	root := fs.newInode(TypeDir, 0777, 0, 0)
 	root.entries = make(map[string]*dirSlot)
+	root.parent = root.id
 	fs.root = root.id
 	return fs
 }
@@ -198,8 +200,12 @@ func (fs *MemFS) Lookup(dir Handle, name string) (Handle, Attr, error) {
 	if err != nil {
 		return Handle{}, Attr{}, err
 	}
-	if name == "." {
+	switch name {
+	case ".":
 		return d.handle(), d.attr, nil
+	case "..":
+		p := fs.inodes[d.parent]
+		return p.handle(), p.attr, nil
 	}
 	slot, ok := d.entries[name]
 	if !ok {
@@ -344,6 +350,7 @@ func (fs *MemFS) Mkdir(dir Handle, name string, attr SetAttr) (Handle, Attr, err
 		gid = d.attr.GID
 	}
 	child := fs.newInode(TypeDir, mode, uid, gid)
+	child.parent = d.id
 	fs.addEntry(d, name, child)
 	d.attr.Nlink++
 	return child.handle(), child.attr, nil
@@ -477,6 +484,7 @@ func (fs *MemFS) Rename(fromDir Handle, fromName string, toDir Handle, toName st
 	if moving.attr.Type == TypeDir && fd != td {
 		fd.attr.Nlink--
 		td.attr.Nlink++
+		moving.parent = td.id
 	}
 	now := time.Now()
 	fd.attr.Mtime = now

@@ -67,19 +67,13 @@ func (r *MntRes) XDR(c *xdr.Codec) {
 	}
 }
 
-// Mount asks the MOUNT service reached through dial for the root file
-// handle of path, over a short-lived connection of its own: the NFS
-// program, even on the same server, needs a separate RPC client for
-// the program binding.
-func Mount(ctx context.Context, dial func() (net.Conn, error), path string) (nfs3.FH3, error) {
-	conn, err := dial()
-	if err != nil {
-		return nfs3.FH3{}, fmt.Errorf("mountd: dial: %w", err)
-	}
-	mc := oncrpc.NewClient(conn, Program, Version)
-	defer mc.Close()
+// Mount asks the MOUNT service of cl's server for the root file handle
+// of path. cl is usually bound to NFS: the server serves both programs
+// on one connection, so MNT goes first on the connection that then
+// carries NFS. It is a plain call, without a session verifier.
+func Mount(ctx context.Context, cl *oncrpc.Client, path string) (nfs3.FH3, error) {
 	var res MntRes
-	if err := mc.Call(ctx, ProcMnt, &MntArgs{Path: path}, &res); err != nil {
+	if err := cl.CallProg(ctx, Program, Version, ProcMnt, &MntArgs{Path: path}, &res); err != nil {
 		return nfs3.FH3{}, fmt.Errorf("mountd: mount %q: %w", path, err)
 	}
 	if res.Status != MntOK {

@@ -151,11 +151,8 @@ func TestRemoveExport(t *testing.T) {
 func TestRelayMount(t *testing.T) {
 	fs := vfs.NewMemFS()
 	upAddr := startMountd(t, &Export{Path: "/GFS/x", FS: fs})
-	dialer := func(addr string) func() (net.Conn, error) {
-		return func() (net.Conn, error) { return net.Dial("tcp", addr) }
-	}
 	ctx := context.Background()
-	root, err := Mount(ctx, dialer(upAddr), "/GFS/x")
+	root, err := Mount(ctx, dialMountd(t, upAddr), "/GFS/x")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,14 +165,14 @@ func TestRelayMount(t *testing.T) {
 	go rpc.Serve(l)
 	t.Cleanup(rpc.Close)
 
-	got, err := Mount(ctx, dialer(l.Addr().String()), "/GFS/x")
+	c := dialMountd(t, l.Addr().String())
+	got, err := Mount(ctx, c, "/GFS/x")
 	if err != nil || got.Handle() != fs.Root() {
 		t.Fatalf("mount through the relay: %v %v", got, err)
 	}
-	if _, err := Mount(ctx, dialer(l.Addr().String()), "/GFS/other"); !errors.Is(err, vfs.ErrNoEnt) {
+	if _, err := Mount(ctx, c, "/GFS/other"); !errors.Is(err, vfs.ErrNoEnt) {
 		t.Fatalf("mount of a path the relay does not export: %v, want NOENT", err)
 	}
-	c := dialMountd(t, l.Addr().String())
 	if err := c.Call(ctx, ProcUmnt, &MntArgs{Path: "/GFS/x"}, nil); err != nil {
 		t.Fatalf("umnt: %v", err)
 	}

@@ -11,7 +11,9 @@ import (
 	"time"
 
 	"repro/internal/blockio"
+	"repro/internal/mountd"
 	"repro/internal/nfs3"
+	"repro/internal/oncrpc"
 	"repro/internal/vfs"
 )
 
@@ -94,21 +96,21 @@ type fileVersion struct {
 }
 
 // Mount attaches to the export at path via dial and returns a caching
-// file system. A second connection is used briefly for the MOUNT
-// protocol.
+// file system. MOUNT and NFS share the one connection dial opens.
 func Mount(ctx context.Context, dial Dialer, path string, opt Options) (*FileSystem, error) {
 	opt = opt.withDefaults()
-	root, err := MountExport(ctx, dial, path)
-	if err != nil {
-		return nil, err
-	}
 	conn, err := dial()
 	if err != nil {
-		return nil, fmt.Errorf("nfsclient: dial nfs: %w", err)
+		return nil, fmt.Errorf("nfsclient: dial: %w", err)
 	}
-	proto := NewProto(conn)
+	proto := &Proto{rpc: oncrpc.NewClient(conn, nfs3.Program, nfs3.Version)}
 	if err := proto.SetCred(opt.UID, opt.GID, opt.MachineName); err != nil {
-		conn.Close()
+		proto.Close()
+		return nil, err
+	}
+	root, err := mountd.Mount(ctx, proto.rpc, path)
+	if err != nil {
+		proto.Close()
 		return nil, err
 	}
 	fs := &FileSystem{

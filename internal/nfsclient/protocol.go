@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"net"
 
-	"repro/internal/mountd"
 	"repro/internal/nfs3"
 	"repro/internal/oncrpc"
 )
@@ -29,11 +28,6 @@ type Dialer func() (net.Conn, error)
 // goroutines still pipelines on the wire).
 type Proto struct {
 	rpc *oncrpc.Client
-}
-
-// NewProto wraps an established connection.
-func NewProto(conn net.Conn) *Proto {
-	return &Proto{rpc: oncrpc.NewClient(conn, nfs3.Program, nfs3.Version)}
 }
 
 // SetCred installs the AUTH_SYS credential used on subsequent calls.
@@ -260,10 +254,4 @@ func (p *Proto) Commit(ctx context.Context, fh nfs3.FH3, offset uint64, count ui
 		return res.Verf, err
 	}
 	return res.Verf, res.Status.Error()
-}
-
-// MountExport contacts the MOUNT service over its own short-lived
-// connection and returns the root file handle of path.
-func MountExport(ctx context.Context, dial Dialer, path string) (nfs3.FH3, error) {
-	return mountd.Mount(ctx, dial, path)
 }

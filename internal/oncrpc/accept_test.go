@@ -108,7 +108,13 @@ func TestServeRetriesTemporaryAcceptErrors(t *testing.T) {
 				}
 				return securechan.Client(raw, tc.channel)
 			}
-			if _, err := mountd.Mount(ctx, dial, export); err != nil {
+			conn, err := dial()
+			if err != nil {
+				t.Fatalf("dial after temporary accept failures: %v", err)
+			}
+			mc := oncrpc.NewClient(conn, mountd.Program, mountd.Version)
+			defer mc.Close()
+			if _, err := mountd.Mount(ctx, mc, export); err != nil {
 				t.Fatalf("mount after temporary accept failures: %v", err)
 			}
 			if got := fl.remaining.Load(); got > 0 {

@@ -267,15 +267,21 @@ func (c *Client) Call(ctx context.Context, proc uint32, args xdr.Marshaler, repl
 // fails. args may be nil for void procedures; reply may be nil when the
 // result body is void or should be discarded.
 func (c *Client) CallCred(ctx context.Context, proc uint32, cred OpaqueAuth, args xdr.Marshaler, reply xdr.Unmarshaler) error {
-	return c.call(ctx, c.xid.Add(1), proc, cred, nil, args, reply)
+	return c.call(ctx, c.xid.Add(1), c.prog, c.vers, proc, cred, nil, args, reply)
 }
 
-// call is CallCred under a given xid, with sess, when non-nil, sent as
-// the call's AuthSession verifier.
-func (c *Client) call(ctx context.Context, xid, proc uint32, cred OpaqueAuth, sess *sessionVerf, args xdr.Marshaler, reply xdr.Unmarshaler) error {
+// CallProg is Call to another program and version than the client's,
+// on the same transport: MOUNT beside NFS needs no second client.
+func (c *Client) CallProg(ctx context.Context, prog, vers, proc uint32, args xdr.Marshaler, reply xdr.Unmarshaler) error {
+	return c.call(ctx, c.xid.Add(1), prog, vers, proc, c.defaultCred(), nil, args, reply)
+}
+
+// call issues proc of program prog, version vers, under a given xid,
+// with sess, when non-nil, sent as the call's AuthSession verifier.
+func (c *Client) call(ctx context.Context, xid, prog, vers, proc uint32, cred OpaqueAuth, sess *sessionVerf, args xdr.Marshaler, reply xdr.Unmarshaler) error {
 	cb := callBufPool.Get().(*callBufs)
 	newRecord(&cb.enc)
-	hdr := callHeader{XID: xid, Prog: c.prog, Vers: c.vers, Proc: proc, Cred: cred, Verf: AuthNone}
+	hdr := callHeader{XID: xid, Prog: prog, Vers: vers, Proc: proc, Cred: cred, Verf: AuthNone}
 	if sess != nil {
 		hdr.Verf.Flavor, hdr.Session = AuthSession, *sess
 	}
@@ -336,14 +342,8 @@ func (c *Client) call(ctx context.Context, xid, proc uint32, cred OpaqueAuth, se
 	}
 }
 
-// decodeReply parses a reply record (beginning at the xid) and, on
-// success, decodes the result body into reply.
-func decodeReply(rec []byte, reply xdr.Unmarshaler) error {
-	return decodeReplyFrom(xdr.NewDecoder(rec), reply)
-}
-
-// decodeReplyFrom is decodeReply over a caller-supplied (typically
-// pooled) decoder already positioned at the record's xid.
+// decodeReplyFrom parses a reply record from d, a decoder positioned at
+// the record's xid, and on success decodes the result body into reply.
 func decodeReplyFrom(d *xdr.Decoder, reply xdr.Unmarshaler) error {
 	_ = d.Uint32() // xid, already matched
 	if mt := d.Uint32(); mt != msgReply {

@@ -88,7 +88,7 @@ func TestClientRobustAgainstGarbageReplies(t *testing.T) {
 			return
 		}
 		// Read the request, then reply with framed garbage that echoes
-		// a plausible xid (zeros) so it may reach decodeReply.
+		// a plausible xid (zeros) so it may reach decodeReplyFrom.
 		buf := make([]byte, 4096)
 		conn.Read(buf)
 		garbage := []byte{0x80, 0, 0, 8, 0, 0, 0, 0, 0xFF, 0xFF, 0xFF, 0xFF}
@@ -117,6 +117,6 @@ func TestDecodeReplyFuzz(t *testing.T) {
 		rng.Read(rec)
 		var out echoArgs
 		// Must never panic; errors are fine.
-		decodeReply(rec, &out)
+		decodeReplyFrom(xdr.NewDecoder(rec), &out)
 	}
 }

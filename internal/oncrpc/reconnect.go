@@ -22,9 +22,10 @@ import (
 // unknown.
 var ErrSessionLost = errors.New("oncrpc: server lost the session of a call in flight")
 
-// SessionFactory establishes a ready-to-use client session: dial,
-// optional secure-channel handshake, program binding, and any
-// application-level re-establishment (SGFS re-issues MOUNT). It is
+// SessionFactory establishes a ready-to-use client session over one
+// connection: dial, optional secure-channel handshake, program binding,
+// and any application-level re-establishment as plain calls on that
+// same client (SGFS re-issues MOUNT with Client.CallProg). It is
 // invoked once per connection attempt and must honour ctx.
 type SessionFactory func(ctx context.Context) (*Client, error)
 
@@ -362,7 +363,7 @@ func (r *ReconnectClient) Call(ctx context.Context, proc uint32, args xdr.Marsha
 		if l.rebind {
 			v.Flags = sessionBind
 		}
-		err = l.cl.call(actx, xid, proc, l.cl.defaultCred(), &v, args, reply)
+		err = l.cl.call(actx, xid, l.cl.prog, l.cl.vers, proc, l.cl.defaultCred(), &v, args, reply)
 		cancel()
 		if err == nil {
 			return nil

@@ -348,7 +348,10 @@ func (p *ClientProxy) setattr(ctx context.Context, call *oncrpc.Call) (xdr.Marsh
 		return nil, oncrpc.GarbageArgs
 	}
 	dc := p.cfg.DiskCache
-	if dc != nil {
+	// A dirty file's size lives only in its cached attributes (the
+	// server's is older, and a flush clips to it): keep it if unchanged.
+	keepSize := dc != nil && !a.Attr.SetSize && len(dc.DirtyList(a.Obj)) > 0
+	if dc != nil && !keepSize {
 		dc.InvalidateAttr(a.Obj)
 		if a.Attr.SetSize && p.truncateCached(a.Obj, a.Attr.Size) != nil {
 			return &nfs3.WccRes{Status: nfs3.Status(vfs.ErrIO)}, oncrpc.Success
@@ -357,6 +360,12 @@ func (p *ClientProxy) setattr(ctx context.Context, call *oncrpc.Call) (xdr.Marsh
 	var res nfs3.WccRes
 	if err := p.relay.Call(ctx, nil, nfs3.ProcSetAttr, &a, &res); err != nil {
 		return nil, oncrpc.SystemErr
+	}
+	if after := &res.Wcc.After; keepSize && res.Status == nfs3.OK && after.Present {
+		dc.UpdateAttr(a.Obj, func(attr *nfs3.Fattr3) {
+			after.Attr.Size, after.Attr.Used = attr.Size, attr.Used
+			*attr = after.Attr
+		})
 	}
 	return &res, oncrpc.Success
 }

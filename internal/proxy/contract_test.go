@@ -299,6 +299,36 @@ func TestRemoveDirtyFileIsOneRPC(t *testing.T) {
 	}
 }
 
+// TestChmodKeepsDirtySize: a SETATTR that leaves the size alone, on a
+// file with pending write-back, keeps the size the session wrote: the
+// server's is still 0, and a flush clipped to it would drop the data
+// (C2).
+func TestChmodKeepsDirtySize(t *testing.T) {
+	t.Parallel()
+	dc := newDiskCache(t)
+	st := buildStack(t, stackOpts{diskCache: dc})
+	fs := st.mount(t, nfsclient.Options{})
+	ctx := context.Background()
+	payload := chaosPayload(7, 40000)
+	putFile(t, fs, "f", payload)
+	if err := fs.Chmod(ctx, "f", 0o600); err != nil {
+		t.Fatal(err)
+	}
+	attr, err := fs.Stat(ctx, "f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if attr.Size != uint64(len(payload)) || attr.Mode&0o777 != 0o600 {
+		t.Fatalf("after chmod: size %d mode %o, want %d and 600", attr.Size, attr.Mode&0o777, len(payload))
+	}
+	if err := st.clientProxy.FlushAll(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if got := backendBytes(t, st, "f", len(payload)+1); !bytes.Equal(got, payload) {
+		t.Fatalf("backend holds %d bytes after the flush, want %d", len(got), len(payload))
+	}
+}
+
 // TestSessionNamesFollowMutations: after the session's own RENAME over
 // a name, RMDIR and REMOVE, LOOKUP answers what the server would, and a
 // renamed directory's ".." is its new parent (C3).

@@ -100,7 +100,7 @@ type session struct {
 }
 
 // NewServerProxy connects to the upstream NFS server, mounts the
-// export, and returns a proxy ready to serve.
+// export over that one connection, and returns a proxy ready to serve.
 func NewServerProxy(cfg ServerConfig) (*ServerProxy, error) {
 	if cfg.Channel != nil && cfg.Gridmap == nil {
 		return nil, errors.New("proxy: secure server proxy requires a gridmap")
@@ -114,18 +114,20 @@ func NewServerProxy(cfg ServerConfig) (*ServerProxy, error) {
 	if err != nil {
 		return nil, err
 	}
-	root, err := mountd.Mount(ctx, cfg.UpstreamDial, cfg.ExportPath)
-	if err != nil {
-		return nil, err
-	}
 	conn, err := cfg.UpstreamDial()
 	if err != nil {
 		return nil, fmt.Errorf("proxy: dial upstream: %w", err)
 	}
+	up := oncrpc.NewClient(conn, nfs3.Program, nfs3.Version)
+	root, err := mountd.Mount(ctx, up, cfg.ExportPath)
+	if err != nil {
+		up.Close()
+		return nil, err
+	}
 	p := &ServerProxy{
 		cfg:      cfg,
 		rpc:      oncrpc.NewServer(),
-		up:       oncrpc.NewClient(conn, nfs3.Program, nfs3.Version),
+		up:       up,
 		root:     root,
 		rootKey:  string(root.Data),
 		rootCred: rootCred,

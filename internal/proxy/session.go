@@ -18,11 +18,12 @@ import (
 
 // The upstream session. The client proxy reaches every server-side
 // proxy it talks to — the one server, or each replica backend — through
-// one upSession: a reconnecting RPC client whose session factory dials,
-// runs the secure-channel handshake and re-issues MOUNT. A link failure
-// never ends a session: the next call re-establishes it, and the calls
-// in flight are sent again, each to run once at the server proxy (its
-// reply cache answers a call it already ran; see oncrpc.ReconnectClient).
+// one upSession: a reconnecting RPC client whose session factory opens
+// one connection (a dial, a handshake) and sends MOUNT on it before NFS.
+// A link failure never ends a session: the next call re-establishes it,
+// and the calls in flight are sent again, each to run once at the
+// server proxy (its reply cache answers a call it already ran; see
+// oncrpc.ReconnectClient).
 
 // RecoveryConfig tunes how upstream sessions recover: re-dial with
 // jittered exponential backoff after a link failure, and deadlines on
@@ -101,55 +102,43 @@ func (p *ClientProxy) newSession(ctx context.Context, dial Dialer) (*upSession, 
 	return s, err
 }
 
-// establish is the session factory: transport dial, the optional
-// secure-channel handshake, and MOUNT through a short-lived channel of
-// its own (the NFS and MOUNT programs of the server proxy share one
-// transport; MOUNT needs its own RPC client for the program binding).
-// It runs on every reconnect, so it issues only these idempotent steps.
+// establish is the session factory, run on every (re)connect: one dial,
+// the optional secure-channel handshake, then MNT as the first call on
+// the channel that carries NFS after it. MNT is idempotent and goes
+// without a session verifier; the reply cache's session binds on the
+// first NFS call.
 func (s *upSession) establish(ctx context.Context) (*oncrpc.Client, error) {
 	cfg := &s.p.cfg
-	conn, err := cfg.channelVia(s.dial)
-	if err != nil {
-		return nil, err
-	}
-	if sc, ok := conn.(*securechan.Conn); ok && cfg.RekeyInterval > 0 {
-		sc.StartAutoRekey(cfg.RekeyInterval)
-	}
-	root, err := mountd.Mount(ctx, func() (net.Conn, error) { return cfg.channelVia(s.dial) }, cfg.ExportPath)
-	if err != nil {
-		conn.Close()
-		return nil, err
-	}
-	s.mu.Lock()
-	changed := len(s.root.Data) > 0 && !bytes.Equal(root.Data, s.root.Data)
-	if !changed {
-		s.root, s.conn = root, conn
-	}
-	s.mu.Unlock()
-	if changed {
-		// Handles the local client holds would dangle: refuse the session.
-		conn.Close()
-		return nil, errors.New("proxy: export root changed across reconnect")
-	}
-	return oncrpc.NewClient(conn, nfs3.Program, nfs3.Version), nil
-}
-
-// channelVia dials one transport and, when configured, runs the
-// secure-channel handshake over it.
-func (c *ClientConfig) channelVia(dial Dialer) (net.Conn, error) {
-	raw, err := dial()
+	conn, err := s.dial()
 	if err != nil {
 		return nil, fmt.Errorf("proxy: dial server proxy: %w", err)
 	}
-	if c.Channel == nil {
-		return raw, nil
+	if cfg.Channel != nil {
+		sc, err := securechan.Client(conn, cfg.Channel)
+		if err != nil {
+			conn.Close()
+			return nil, fmt.Errorf("proxy: secure channel: %w", err)
+		}
+		if cfg.RekeyInterval > 0 {
+			sc.StartAutoRekey(cfg.RekeyInterval)
+		}
+		conn = sc
 	}
-	sc, err := securechan.Client(raw, c.Channel)
+	cl := oncrpc.NewClient(conn, nfs3.Program, nfs3.Version)
+	root, err := mountd.Mount(ctx, cl, cfg.ExportPath)
 	if err != nil {
-		raw.Close()
-		return nil, fmt.Errorf("proxy: secure channel: %w", err)
+		cl.Close()
+		return nil, err
 	}
-	return sc, nil
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if len(s.root.Data) > 0 && !bytes.Equal(root.Data, s.root.Data) {
+		// Handles the local client holds would dangle: refuse the session.
+		cl.Close()
+		return nil, errors.New("proxy: export root changed across reconnect")
+	}
+	s.root, s.conn = root, conn
+	return cl, nil
 }
 
 func (s *upSession) Call(ctx context.Context, proc uint32, args xdr.Marshaler, reply xdr.Unmarshaler) error {

@@ -93,9 +93,17 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 		return securechan.Client(raw, chanCfg)
 	}
 
+	// The SFS client mounts over a secure channel of its own, then
+	// opens a second one for NFS: two handshakes, as the baseline has.
+	mconn, err := dialSecure()
+	if err != nil {
+		return nil, err
+	}
+	mc := oncrpc.NewClient(mconn, mountd.Program, mountd.Version)
 	mctx, cancel := context.WithTimeout(context.Background(), sfsMountTimeout)
 	defer cancel()
-	root, err := mountd.Mount(mctx, dialSecure, cfg.ExportPath)
+	root, err := mountd.Mount(mctx, mc, cfg.ExportPath)
+	mc.Close()
 	if err != nil {
 		return nil, err
 	}

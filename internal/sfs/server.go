@@ -50,26 +50,28 @@ type Server struct {
 	sessions sync.Map // net.Conn -> oncrpc.OpaqueAuth
 }
 
-// NewServer mounts the upstream export and returns a daemon ready to
-// serve.
+// NewServer mounts the upstream export over the connection that then
+// carries NFS, and returns a daemon ready to serve.
 func NewServer(cfg ServerConfig) (*Server, error) {
 	if cfg.Credential == nil {
 		return nil, errors.New("sfs: server requires a credential")
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), sfsMountTimeout)
 	defer cancel()
-	root, err := mountd.Mount(ctx, cfg.UpstreamDial, cfg.ExportPath)
+	upConn, err := cfg.UpstreamDial()
 	if err != nil {
 		return nil, err
 	}
-	upConn, err := cfg.UpstreamDial()
+	up := oncrpc.NewClient(upConn, nfs3.Program, nfs3.Version)
+	root, err := mountd.Mount(ctx, up, cfg.ExportPath)
 	if err != nil {
+		up.Close()
 		return nil, err
 	}
 	s := &Server{
 		cfg:  cfg,
 		rpc:  oncrpc.NewServer(),
-		up:   oncrpc.NewClient(upConn, nfs3.Program, nfs3.Version),
+		up:   up,
 		root: root,
 	}
 	s.relay = nfs3.Relay{Up: s, Meter: cfg.Meter}

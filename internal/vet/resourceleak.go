@@ -73,7 +73,9 @@ func (p leakPolicy) report(r *obRun, b funcBody, g *cfg.Graph, t cfg.Transfer, i
 		if !ok {
 			return
 		}
-		st := f.(obFact)
+		// The calls in the return statement run first: a resource one
+		// of them takes (a wrapper outside the module) is not leaked.
+		st := p.calls(r, f.(obFact), ret)
 		// Returned resources are the caller's now.
 		returned := make(map[*obligation]bool)
 		for _, res := range ret.Results {
@@ -409,16 +411,14 @@ func closureDisposes(pkg *Package, body ast.Node, obj types.Object) bool {
 
 // trackableParam reports whether a parameter's type can carry a
 // release obligation worth summarizing: resource types themselves and
-// byte slices (pool buffers). Seeding anything else (ints, configs)
+// whatever a pool hands out — byte slices and pointers
+// (trackablePoolParam). Without the pointers, a callee that releases a
+// pooled *T it is passed would never say so, and its callers would
+// report the object leaked. Seeding anything else (ints, configs)
 // creates phantom obligations that confuse alias transfer.
 func trackableParam(t types.Type) bool {
-	if _, ok := resourceDesc(t); ok {
+	if _, ok := resourceDesc(t); ok || trackablePoolParam(t) {
 		return true
-	}
-	if sl, ok := t.Underlying().(*types.Slice); ok {
-		if b, ok := sl.Elem().Underlying().(*types.Basic); ok && b.Kind() == types.Byte {
-			return true
-		}
 	}
 	// Unnamed interfaces with closing-ish methods (io.Closer and
 	// friends) can hold a resource too.

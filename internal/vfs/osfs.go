@@ -234,7 +234,7 @@ func (f *OSFS) SetAttr(h Handle, s SetAttr) (Attr, error) {
 
 // Lookup implements FS.
 func (f *OSFS) Lookup(dir Handle, name string) (Handle, Attr, error) {
-	if err := checkName(name); err != nil && name != "." {
+	if err := checkName(name); err != nil && name != "." && name != ".." {
 		return Handle{}, Attr{}, err
 	}
 	f.mu.Lock()
@@ -248,10 +248,16 @@ func (f *OSFS) Lookup(dir Handle, name string) (Handle, Attr, error) {
 		f.mu.Unlock()
 		return Handle{}, Attr{}, err
 	}
-	if name == "." {
+	if name == "." || name == ".." {
+		// The root is its own parent, so ".." never leaves rootPath.
+		id := n.id
+		if name == ".." && n.parent != 0 {
+			id = n.parent
+		}
 		f.mu.Unlock()
-		a, err := f.GetAttr(dir)
-		return dir, a, err
+		h := osHandle(id)
+		a, err := f.GetAttr(h)
+		return h, a, err
 	}
 	p := filepath.Join(dirPath, name)
 	info, serr := os.Lstat(p)

@@ -377,32 +377,46 @@ func TestMemFSConformance(t *testing.T) {
 	conformance(t, func(t *testing.T) FS { return NewMemFS() })
 }
 
-// TestMemFSDotDot: LOOKUP of ".." names the directory's parent, the
-// root's is the root, and a directory renamed elsewhere has its new
-// parent.
+// TestMemFSDotDot: in MemFS and OSFS alike, LOOKUP of ".." names the
+// directory's parent, the root's is the root, and a directory renamed
+// elsewhere has its new parent.
 func TestMemFSDotDot(t *testing.T) {
-	fs := NewMemFS()
-	root := fs.Root()
-	a, _, err := fs.Mkdir(root, "a", SetAttr{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, _, err := fs.Mkdir(a, "b", SetAttr{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, c := range []struct {
-		dir, want Handle
-	}{{root, root}, {a, root}, {b, a}} {
-		if h, _, err := fs.Lookup(c.dir, ".."); err != nil || h != c.want {
-			t.Fatalf("LOOKUP ..: %x, %v; want %x", h, err, c.want)
-		}
-	}
-	if err := fs.Rename(a, "b", root, "b"); err != nil {
-		t.Fatal(err)
-	}
-	if h, _, err := fs.Lookup(b, ".."); err != nil || h != root {
-		t.Fatalf("LOOKUP .. after the move: %x, %v; want the root", h, err)
+	for name, newFS := range map[string]func(t *testing.T) FS{
+		"memfs": func(*testing.T) FS { return NewMemFS() },
+		"osfs": func(t *testing.T) FS {
+			f, err := NewOSFS(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			return f
+		},
+	} {
+		newFS := newFS
+		t.Run(name, func(t *testing.T) {
+			fs := newFS(t)
+			root := fs.Root()
+			a, _, err := fs.Mkdir(root, "a", SetAttr{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, _, err := fs.Mkdir(a, "b", SetAttr{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, c := range []struct {
+				dir, want Handle
+			}{{root, root}, {a, root}, {b, a}} {
+				if h, _, err := fs.Lookup(c.dir, ".."); err != nil || h != c.want {
+					t.Fatalf("LOOKUP ..: %x, %v; want %x", h, err, c.want)
+				}
+			}
+			if err := fs.Rename(a, "b", root, "b"); err != nil {
+				t.Fatal(err)
+			}
+			if h, _, err := fs.Lookup(b, ".."); err != nil || h != root {
+				t.Fatalf("LOOKUP .. after the move: %x, %v; want the root", h, err)
+			}
+		})
 	}
 }
 

@@ -113,8 +113,10 @@ func TestFacadeShareAndRevoke(t *testing.T) {
 		t.Fatal(err)
 	}
 	file.Close(ctx)
-	// Revocation stops new sessions (existing ones persist, as in
-	// GSI practice until cert expiry or reconfiguration).
+	// Revocation is checked at the handshake, so it stops new
+	// connections, a live session's next reconnect among them. A
+	// connection already open keeps its mapped account until it ends:
+	// neither revocation, cert expiry nor reconfiguration closes it.
 	f.srv.Revoke(f.bob.DN())
 	if _, err := Mount(context.Background(), MountConfig{
 		ServerAddr: f.srv.Addr(), ExportPath: "/GFS/alice",

@@ -88,7 +88,7 @@ func TestReaderRangePath(t *testing.T) {
 		for idx, data := range tc.held {
 			src.Put("f", idx, []byte(data), false)
 		}
-		r := NewReader(src, testBlockSize, -1, time.Minute)
+		r := NewReader(src, testBlockSize, -1)
 		ctx := context.Background()
 		if tc.read > 0 {
 			p := make([]byte, tc.read)
@@ -129,7 +129,7 @@ func TestCacheFillLosesToWrite(t *testing.T) {
 	fh := nfs3.FH3{Data: []byte("f")}
 	src := &serverSource{Cache: NewCache(1 << 20), server: map[uint64]string{0: "abcdefgh", 1: "ijklmnop"},
 		gate: make(chan struct{}), started: make(chan uint64, 1)}
-	r := NewReader(src, testBlockSize, 1, time.Minute)
+	r := NewReader(src, testBlockSize, 1)
 	defer r.Close()
 	ctx := context.Background()
 
@@ -149,7 +149,7 @@ func TestCacheFillLosesToWrite(t *testing.T) {
 
 	// The same with a fetch that lands while the write still runs.
 	src.Drop("f", 1)
-	r2 := NewReader(src, testBlockSize, -1, time.Minute)
+	r2 := NewReader(src, testBlockSize, -1)
 	defer r2.Close()
 	done := make(chan error, 1)
 	go func() {
@@ -186,7 +186,7 @@ func TestCacheFillLosesToForget(t *testing.T) {
 	fh := nfs3.FH3{Data: []byte("f")}
 	src := &serverSource{Cache: NewCache(1 << 20), server: map[uint64]string{1: "ijklmnop"},
 		gate: make(chan struct{}), started: make(chan uint64, 1)}
-	r := NewReader(src, testBlockSize, -1, time.Minute)
+	r := NewReader(src, testBlockSize, -1)
 	defer r.Close()
 	done := make(chan error, 1)
 	go func() {
@@ -223,7 +223,7 @@ func TestFetchSkipsFlightOlderThanWrite(t *testing.T) {
 	fh := nfs3.FH3{Data: []byte("f")}
 	src := &serverSource{Cache: NewCache(1 << 20), server: map[uint64]string{0: "abcdefgh", 1: "ijklmnop"},
 		gate: make(chan struct{}), started: make(chan uint64, 2)}
-	r := NewReader(src, testBlockSize, 1, time.Minute)
+	r := NewReader(src, testBlockSize, 1)
 	defer r.Close()
 	ctx := context.Background()
 	r.Advance(fh, 0, 2)

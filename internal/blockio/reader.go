@@ -5,7 +5,6 @@ import (
 	"hash/maphash"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/nfs3"
 	"repro/internal/singleflight"
@@ -70,7 +69,6 @@ type Reader struct {
 	src       Source
 	bs        uint64
 	maxWindow uint64
-	timeout   time.Duration
 	sf        singleflight.Group[flight]
 	pool      *singleflight.Pool // nil when the cap is 0
 
@@ -102,12 +100,11 @@ const initialWindow = 4
 
 // NewReader returns a Reader over src's blocks of blockSize bytes whose
 // readahead window grows to capBlocks blocks ahead of a sequential
-// stream (capBlocks <= 0: no readahead), each prefetch on its own
-// deadline of timeout. The prefetch pool has capBlocks workers, so the
-// cap also bounds the prefetches in flight. Close releases the
-// workers.
-func NewReader(src Source, blockSize, capBlocks int, timeout time.Duration) *Reader {
-	r := &Reader{src: src, bs: uint64(blockSize), maxWindow: uint64(max(capBlocks, 0)), timeout: timeout,
+// stream (capBlocks <= 0: no readahead). The prefetch pool has
+// capBlocks workers, so the cap also bounds the prefetches in flight.
+// Close releases the workers.
+func NewReader(src Source, blockSize, capBlocks int) *Reader {
+	r := &Reader{src: src, bs: uint64(blockSize), maxWindow: uint64(max(capBlocks, 0)),
 		byFile: make(map[string]stream), gens: make(map[uint64]fileGen), seed: maphash.MakeSeed()}
 	if capBlocks > 0 {
 		r.pool = singleflight.NewPool(capBlocks)
@@ -303,13 +300,12 @@ func (r *Reader) retry(fh nfs3.FH3, idx uint64) {
 	}
 }
 
-// prefetch runs one background fetch on its own deadline, detached from
-// whichever foreground read hinted it: that read may return (and cancel
-// its context) long before the prefetched bytes arrive.
+// prefetch runs one background fetch detached from whichever
+// foreground read hinted it: that read may return (and cancel its
+// context) long before the prefetched bytes arrive. The source's RPC
+// client bounds the fetch.
 func (r *Reader) prefetch(fh nfs3.FH3, idx uint64) {
-	ctx, cancel := context.WithTimeout(context.Background(), r.timeout)
-	defer cancel()
-	if _, err := r.Fetch(ctx, fh, idx, true); err != nil {
+	if _, err := r.Fetch(context.Background(), fh, idx, true); err != nil {
 		// Best effort: the foreground read retries on demand.
 		return
 	}

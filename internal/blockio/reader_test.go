@@ -89,7 +89,7 @@ func (r *Reader) streams() int {
 func TestReaderOneFetchPerBlock(t *testing.T) {
 	t.Parallel()
 	src := newFakeSource()
-	r := NewReader(src, testBlockSize, 4, time.Minute)
+	r := NewReader(src, testBlockSize, 4)
 	defer r.Close()
 	fh := nfs3.FH3{Data: []byte("f")}
 	const blocks, readers = 64, 8
@@ -131,7 +131,7 @@ func TestReaderDemandJoinsPrefetch(t *testing.T) {
 	src := newFakeSource()
 	src.gate = make(chan struct{})
 	src.started = make(chan string, 8)
-	r := NewReader(src, testBlockSize, 1, time.Minute)
+	r := NewReader(src, testBlockSize, 1)
 	defer r.Close()
 	fh := nfs3.FH3{Data: []byte("f")}
 	src.store[blockName(fh, 0)] = []byte("b0")
@@ -169,7 +169,7 @@ func TestReaderDemandJoinsPrefetch(t *testing.T) {
 func TestReaderDetector(t *testing.T) {
 	t.Parallel()
 	src := newFakeSource()
-	r := NewReader(src, testBlockSize, 2, time.Minute)
+	r := NewReader(src, testBlockSize, 2)
 	fh := nfs3.FH3{Data: []byte("f")}
 	const blocks = 10
 	issuedAfter := func(idx uint64) uint64 {
@@ -239,7 +239,7 @@ func TestReaderShedsWhenSaturated(t *testing.T) {
 	t.Parallel()
 	src := newFakeSource()
 	src.gate = make(chan struct{})
-	r := NewReader(src, testBlockSize, 2, time.Minute)
+	r := NewReader(src, testBlockSize, 2)
 	const files = 10
 	done := make(chan struct{})
 	go func() {
@@ -268,7 +268,7 @@ func TestReaderShedsWhenSaturated(t *testing.T) {
 func TestReaderStreamTableBounded(t *testing.T) {
 	t.Parallel()
 	src := newFakeSource()
-	r := NewReader(src, testBlockSize, 2, time.Minute)
+	r := NewReader(src, testBlockSize, 2)
 	defer r.Close()
 	ctx := context.Background()
 	for i := 0; i < 1000; i++ {
@@ -300,7 +300,7 @@ func TestReaderStreamTableBounded(t *testing.T) {
 func TestReaderDisabled(t *testing.T) {
 	t.Parallel()
 	src := newFakeSource()
-	r := NewReader(src, testBlockSize, -1, time.Minute)
+	r := NewReader(src, testBlockSize, -1)
 	defer r.Close()
 	fh := nfs3.FH3{Data: []byte("f")}
 	r.Advance(fh, 0, 8)
@@ -377,7 +377,7 @@ func blockRange(from, to uint64) []uint64 {
 func TestReaderRamp(t *testing.T) {
 	t.Parallel()
 	src := newFakeSource()
-	r := NewReader(src, testBlockSize, 32, time.Minute)
+	r := NewReader(src, testBlockSize, 32)
 	defer r.Close()
 	fh := nfs3.FH3{Data: []byte("f")}
 	const blocks = 64
@@ -405,7 +405,7 @@ func TestReaderRamp(t *testing.T) {
 func TestReaderReorderedArrivals(t *testing.T) {
 	t.Parallel()
 	src := newFakeSource()
-	r := NewReader(src, testBlockSize, 32, time.Minute)
+	r := NewReader(src, testBlockSize, 32)
 	defer r.Close()
 	fh := nfs3.FH3{Data: []byte("f")}
 	const blocks = 64
@@ -441,7 +441,7 @@ func TestReaderReorderedArrivals(t *testing.T) {
 func TestReaderRereadFromStart(t *testing.T) {
 	t.Parallel()
 	src := newFakeSource()
-	r := NewReader(src, testBlockSize, 32, time.Minute)
+	r := NewReader(src, testBlockSize, 32)
 	defer r.Close()
 	fh := nfs3.FH3{Data: []byte("f")}
 	const blocks = 64
@@ -477,7 +477,7 @@ func TestReaderRetriesShedHint(t *testing.T) {
 	src := newFakeSource()
 	src.gate = make(chan struct{})
 	src.started = make(chan string, 64)
-	r := NewReader(src, testBlockSize, 4, time.Minute)
+	r := NewReader(src, testBlockSize, 4)
 	defer r.Close()
 	openGate := sync.OnceFunc(func() { close(src.gate) })
 	defer openGate() // before Close, so that a failure does not hang it

@@ -7,7 +7,6 @@ import (
 	"os"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/blockio"
 	"repro/internal/nfs3"
@@ -477,7 +476,7 @@ func TestPrefetchLosesToWrite(t *testing.T) {
 	t.Parallel()
 	c := newCache(t, 1<<20)
 	src := diskSource{c, make(chan struct{}), make(chan uint64, 1)}
-	r := blockio.NewReader(src, 1024, 1, time.Minute)
+	r := blockio.NewReader(src, 1024, 1)
 	f := fh("f")
 	r.Advance(f, 0, 2)
 	<-src.started
@@ -509,7 +508,7 @@ func TestPrefetchLosesToDrop(t *testing.T) {
 	}
 	defer c.Close()
 	src := diskSource{c, make(chan struct{}), make(chan uint64, 1)}
-	r := blockio.NewReader(src, 1024, 1, time.Minute)
+	r := blockio.NewReader(src, 1024, 1)
 	f := fh("f")
 	c.PutBlock(f, 0, []byte("zero"), false)
 	r.Advance(f, 0, 2)

@@ -275,7 +275,7 @@ func (c *Client) OpenFile(ctx context.Context, path string, create, trunc, excl 
 	}
 	f := &File{c: c, path: path, fh: fhRes.FH, size: int64(openRes.Attr.Size)}
 	f.blocks = fileBlocks{blockio.NewCache(dirtyBytes), f}
-	f.rd = blockio.NewReader(f.blocks, c.opt.BlockSize, 0, 0)
+	f.rd = blockio.NewReader(f.blocks, c.opt.BlockSize, 0)
 	return f, nil
 }
 

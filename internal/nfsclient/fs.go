@@ -122,7 +122,7 @@ func Mount(ctx context.Context, dial Dialer, path string, opt Options) (*FileSys
 		pages:    blockio.NewCache(opt.CacheBytes),
 		versions: make(map[string]fileVersion),
 	}
-	fs.reader = blockio.NewReader(pageSource{fs.pages, fs}, opt.BlockSize, opt.Readahead, prefetchTimeout)
+	fs.reader = blockio.NewReader(pageSource{fs.pages, fs}, opt.BlockSize, opt.Readahead)
 	// Prime the root attributes and verify the server speaks NFSv3.
 	if _, err := fs.getAttr(ctx, root); err != nil {
 		proto.Close()
@@ -559,11 +559,6 @@ func (f *File) ReadAt(ctx context.Context, p []byte, off int64) (int, error) {
 	}
 	return n, err
 }
-
-// prefetchTimeout bounds one background readahead RPC. Prefetches run
-// on a detached context: the read that hinted them may return (and
-// cancel its own context) long before the prefetched bytes arrive.
-const prefetchTimeout = 30 * time.Second
 
 // WriteAt writes p at offset off into the page cache. When that leaves
 // the cache over capacity with nothing clean to evict, it flushes the

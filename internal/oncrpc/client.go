@@ -8,6 +8,7 @@ import (
 	"net"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/metrics"
 	"repro/internal/xdr"
@@ -34,12 +35,27 @@ func IsTransportError(err error) bool {
 	return errors.As(err, &te) || errors.Is(err, ErrClientClosed)
 }
 
+// callTimeout bounds every call on a Client, so a server or link that
+// never answers ends the call with errCallTimeout instead of a hang,
+// whatever context the caller passes; the context can end it sooner.
+const callTimeout = 2 * time.Minute
+
+// errCallTimeout is the error of a call whose due time passed.
+var errCallTimeout = fmt.Errorf("oncrpc: call timed out: %w", context.DeadlineExceeded)
+
+// errNotSent marks a transport error that struck before the call's
+// record was written: the server never saw the call.
+var errNotSent = errors.New("oncrpc: call not sent")
+
+func notSent(err error) error { return fmt.Errorf("%w: %w", errNotSent, err) }
+
 // inflight is one outstanding call in the pending table. w is the
-// waiting CallCred's reply channel: readLoop sends the reply record on
-// it, fail closes it. seq is the submission order used to detect
-// out-of-order completion.
+// waiting call's reply channel: readLoop sends the reply record on it,
+// expire sends nil once due has passed, fail closes it. seq is the
+// submission order used to detect out-of-order completion.
 type inflight struct {
 	seq uint64
+	due time.Time
 	w   chan *[]byte
 }
 
@@ -70,6 +86,13 @@ type Client struct {
 	closed    bool
 	done      chan struct{} // closed when the client fails or is closed
 
+	// timeout bounds each call (callTimeout; tests lower it). timer
+	// runs expire at armed, the earliest due time in pending, or is
+	// idle when armed is zero (both guarded by mu).
+	timeout time.Duration
+	timer   *time.Timer
+	armed   time.Time
+
 	xid atomic.Uint32
 
 	// stats, when set, accumulates pipelining counters (in-flight
@@ -95,6 +118,7 @@ func NewClient(conn net.Conn, prog, vers uint32) *Client {
 		pending: make(map[uint32]inflight),
 		cred:    AuthNone,
 		done:    make(chan struct{}),
+		timeout: callTimeout,
 	}
 	c.xid.Store(rand.Uint32())
 	go c.readLoop()
@@ -156,6 +180,9 @@ func (c *Client) fail(err error) error {
 	pend := c.pending
 	c.pending = nil
 	close(c.done)
+	if c.timer != nil {
+		c.timer.Stop()
+	}
 	c.mu.Unlock()
 	c.conn.Close()
 	for _, inf := range pend {
@@ -164,10 +191,10 @@ func (c *Client) fail(err error) error {
 	return err
 }
 
-// registerPending installs w as xid's completion target and returns
-// nil, or returns the sticky error of a dead client. It also
+// registerPending installs w as xid's completion target until due and
+// returns nil, or returns the sticky error of a dead client. It also
 // maintains the in-flight depth high-water mark.
-func (c *Client) registerPending(xid uint32, w chan *[]byte) error {
+func (c *Client) registerPending(xid uint32, w chan *[]byte, due time.Time) error {
 	c.mu.Lock()
 	if c.closed {
 		err := c.err
@@ -175,7 +202,8 @@ func (c *Client) registerPending(xid uint32, w chan *[]byte) error {
 		return err
 	}
 	c.seq++
-	c.pending[xid] = inflight{seq: c.seq, w: w}
+	c.pending[xid] = inflight{seq: c.seq, due: due, w: w}
+	c.arm(due)
 	depth := len(c.pending)
 	c.mu.Unlock()
 	if s := c.stats.Load(); s != nil {
@@ -184,15 +212,59 @@ func (c *Client) registerPending(xid uint32, w chan *[]byte) error {
 	return nil
 }
 
+// arm makes the timer run expire no later than due. Called with mu
+// held.
+func (c *Client) arm(due time.Time) {
+	if !c.armed.IsZero() && !due.Before(c.armed) {
+		return
+	}
+	c.armed = due
+	if c.timer == nil {
+		c.timer = time.AfterFunc(time.Until(due), c.expire)
+	} else {
+		c.timer.Reset(time.Until(due))
+	}
+}
+
+// expire is the client's one deadline sweep. It removes every pending
+// call whose due time has passed and wakes it with a nil record, then
+// re-arms the timer for the earliest due time left. Removing the entry
+// is expire's claim, as it is readLoop's: a reply that arrives later
+// finds no entry and is dropped as unsolicited.
+func (c *Client) expire() {
+	now := time.Now()
+	var late []chan *[]byte
+	var next time.Time
+	c.mu.Lock()
+	c.armed = time.Time{}
+	for xid, inf := range c.pending {
+		if inf.due.After(now) {
+			if next.IsZero() || inf.due.Before(next) {
+				next = inf.due
+			}
+			continue
+		}
+		delete(c.pending, xid)
+		late = append(late, inf.w)
+	}
+	if !next.IsZero() {
+		c.arm(next)
+	}
+	c.mu.Unlock()
+	for _, w := range late {
+		w <- nil
+	}
+}
+
 // abandonPending removes xid's pending-table entry on behalf of a
 // caller walking away from the call — CallCred's context-cancel and
 // write-error paths. It reports whether a late delivery may still
 // reach the call's reply channel: false when this caller removed the
 // entry itself (no reply can ever be delivered), true when the entry
-// was already gone — claimed by the readLoop, or torn down wholesale
-// by fail. The "late record must not leak into an unrelated call"
-// invariant lives here: when this returns true, the reply channel must
-// be abandoned rather than recycled for a later call.
+// was already gone — claimed by the readLoop or expire, or torn down
+// wholesale by fail. The "late record must not leak into an unrelated
+// call" invariant lives here: when this returns true, the reply
+// channel must be abandoned rather than recycled for a later call.
 func (c *Client) abandonPending(xid uint32) (lateDelivery bool) {
 	c.mu.Lock()
 	_, present := c.pending[xid]
@@ -263,22 +335,26 @@ func (c *Client) Call(ctx context.Context, proc uint32, args xdr.Marshaler, repl
 }
 
 // CallCred issues an RPC with an explicit credential, blocking until
-// the matching reply arrives, the context is done, or the transport
-// fails. args may be nil for void procedures; reply may be nil when the
-// result body is void or should be discarded.
+// the matching reply arrives, the context is done, the call's bound
+// (callTimeout) passes, or the transport fails. args may be nil for
+// void procedures; reply may be nil when the result body is void or
+// should be discarded.
 func (c *Client) CallCred(ctx context.Context, proc uint32, cred OpaqueAuth, args xdr.Marshaler, reply xdr.Unmarshaler) error {
-	return c.call(ctx, c.xid.Add(1), c.prog, c.vers, proc, cred, nil, args, reply)
+	return c.call(ctx, time.Time{}, c.xid.Add(1), c.prog, c.vers, proc, cred, nil, args, reply)
 }
 
 // CallProg is Call to another program and version than the client's,
 // on the same transport: MOUNT beside NFS needs no second client.
 func (c *Client) CallProg(ctx context.Context, prog, vers, proc uint32, args xdr.Marshaler, reply xdr.Unmarshaler) error {
-	return c.call(ctx, c.xid.Add(1), prog, vers, proc, c.defaultCred(), nil, args, reply)
+	return c.call(ctx, time.Time{}, c.xid.Add(1), prog, vers, proc, c.defaultCred(), nil, args, reply)
 }
 
 // call issues proc of program prog, version vers, under a given xid,
-// with sess, when non-nil, sent as the call's AuthSession verifier.
-func (c *Client) call(ctx context.Context, xid, prog, vers, proc uint32, cred OpaqueAuth, sess *sessionVerf, args xdr.Marshaler, reply xdr.Unmarshaler) error {
+// with sess, when non-nil, sent as the call's AuthSession verifier. It
+// fails with errCallTimeout at due, or at the client's own bound when
+// that is sooner or due is zero. A transport error that struck before
+// the record was written wraps errNotSent.
+func (c *Client) call(ctx context.Context, due time.Time, xid, prog, vers, proc uint32, cred OpaqueAuth, sess *sessionVerf, args xdr.Marshaler, reply xdr.Unmarshaler) error {
 	cb := callBufPool.Get().(*callBufs)
 	newRecord(&cb.enc)
 	hdr := callHeader{XID: xid, Prog: prog, Vers: vers, Proc: proc, Cred: cred, Verf: AuthNone}
@@ -294,9 +370,12 @@ func (c *Client) call(ctx context.Context, xid, prog, vers, proc uint32, cred Op
 		cb.ch = make(chan *[]byte, 1)
 	}
 	ch := cb.ch
-	if err := c.registerPending(xid, ch); err != nil {
+	if bound := time.Now().Add(c.timeout); due.IsZero() || bound.Before(due) {
+		due = bound
+	}
+	if err := c.registerPending(xid, ch, due); err != nil {
 		callBufPool.Put(cb)
-		return err
+		return notSent(err)
 	}
 
 	c.writeMu.Lock()
@@ -309,17 +388,22 @@ func (c *Client) call(ctx context.Context, xid, prog, vers, proc uint32, cred Op
 			cb.ch = nil
 		}
 		callBufPool.Put(cb)
-		return c.fail(&TransportError{Err: fmt.Errorf("write: %w", err)})
+		return notSent(c.fail(&TransportError{Err: fmt.Errorf("write: %w", err)}))
 	}
 
 	select {
 	case bp, ok := <-ch:
-		if !ok {
+		if bp == nil {
+			// expire or fail claimed the entry and woke the call: the
+			// channel is theirs, so it is not pooled again.
+			cb.ch = nil
+			callBufPool.Put(cb)
+			if ok {
+				return errCallTimeout
+			}
 			c.mu.Lock()
 			err := c.err
 			c.mu.Unlock()
-			cb.ch = nil // closed by fail; a reused call would see it closed
-			callBufPool.Put(cb)
 			return err
 		}
 		cb.dec.Reset(*bp)

@@ -41,9 +41,13 @@ type ReconnectOpts struct {
 	BaseDelay time.Duration
 	MaxDelay  time.Duration
 	// AttemptTimeout bounds each call attempt and each factory
-	// invocation, so a silently stalled WAN link becomes a timeout
-	// instead of a hang. 0 disables per-attempt deadlines.
+	// invocation, so a silently stalled WAN link becomes a timeout and
+	// a re-dial instead of waiting out the Client's own bound. 0
+	// leaves attempts to that bound.
 	AttemptTimeout time.Duration
+	// OpTimeout bounds a whole call across its attempts: no attempt
+	// starts, or runs, past it. 0 sets no bound beyond the attempts'.
+	OpTimeout time.Duration
 	// Stats, when non-nil, accumulates fault-tolerance counters.
 	Stats *metrics.ChannelStats
 }
@@ -323,9 +327,13 @@ func (r *ReconnectClient) releaseSlot(slot uint32) {
 
 // Call issues proc under the connection's default credential, on a
 // slot of the session, and sends it again under the same xid after
-// each transport failure, until it is answered or MaxAttempts attempts
-// have failed.
+// each transport failure or attempt timeout, until it is answered,
+// MaxAttempts attempts have failed, or OpTimeout has passed.
 func (r *ReconnectClient) Call(ctx context.Context, proc uint32, args xdr.Marshaler, reply xdr.Unmarshaler) error {
+	var opDue time.Time
+	if r.opts.OpTimeout > 0 {
+		opDue = time.Now().Add(r.opts.OpTimeout)
+	}
 	slot, err := r.takeSlot(ctx)
 	if err != nil {
 		return err
@@ -355,16 +363,19 @@ func (r *ReconnectClient) Call(ctx context.Context, proc uint32, args xdr.Marsha
 				s.Replays.Add(1)
 			}
 		}
-		actx, cancel := ctx, func() {}
-		if r.opts.AttemptTimeout > 0 {
-			actx, cancel = context.WithTimeout(ctx, r.opts.AttemptTimeout)
+		now := time.Now()
+		if r.opts.OpTimeout > 0 && !now.Before(opDue) {
+			return errCallTimeout
+		}
+		due := opDue
+		if a := r.opts.AttemptTimeout; a > 0 && (due.IsZero() || now.Add(a).Before(due)) {
+			due = now.Add(a)
 		}
 		v := *l.sess
 		if l.rebind {
 			v.Flags = sessionBind
 		}
-		err = l.cl.call(actx, xid, l.cl.prog, l.cl.vers, proc, l.cl.defaultCred(), &v, args, reply)
-		cancel()
+		err = l.cl.call(ctx, due, xid, l.cl.prog, l.cl.vers, proc, l.cl.defaultCred(), &v, args, reply)
 		if err == nil {
 			return nil
 		}
@@ -378,9 +389,12 @@ func (r *ReconnectClient) Call(ctx context.Context, proc uint32, args xdr.Marsha
 		case IsTransportError(err):
 			r.invalidate(l.cl, l.gen)
 		case errors.Is(err, context.DeadlineExceeded) && ctx.Err() == nil:
-			// Our per-attempt deadline fired while the caller's context
-			// is alive: the link stalled. Kill the connection so the
-			// next attempt re-dials instead of queueing behind the stall.
+			if r.opts.OpTimeout > 0 && !time.Now().Before(opDue) {
+				return err // the whole call's bound, not a stall verdict
+			}
+			// The attempt's bound fired while the caller's context is
+			// alive: the link stalled. Kill the connection so the next
+			// attempt re-dials instead of queueing behind the stall.
 			if s := r.opts.Stats; s != nil {
 				s.Timeouts.Add(1)
 			}
@@ -390,7 +404,9 @@ func (r *ReconnectClient) Call(ctx context.Context, proc uint32, args xdr.Marsha
 			// the transport is fine, nothing to recover.
 			return err
 		}
-		sent = l.sess
+		if !errors.Is(err, errNotSent) {
+			sent = l.sess
+		}
 	}
 	return lastErr
 }

@@ -262,3 +262,80 @@ func serveOnLoopback(t *testing.T, s *Server) net.Addr {
 	t.Cleanup(s.Close)
 	return l.Addr()
 }
+
+// TestReconnectOpTimeoutOnStall: a call under a context with no
+// deadline, on a link that swallows every call, times out each
+// attempt, re-dials after each timeout, and ends with DeadlineExceeded
+// at OpTimeout however many attempts remain.
+func TestReconnectOpTimeoutOnStall(t *testing.T) {
+	t.Parallel()
+	addr, _ := blackholeServer(t) // later dials wait in the listen backlog, just as silent
+	stats := &metrics.ChannelStats{}
+	factory := func(ctx context.Context) (*Client, error) {
+		var d net.Dialer
+		conn, err := d.DialContext(ctx, "tcp", addr.String())
+		if err != nil {
+			return nil, err
+		}
+		return NewClient(conn, testProg, testVers), nil
+	}
+	const opTimeout = 400 * time.Millisecond
+	rc := NewReconnectClient(nil, factory, ReconnectOpts{
+		MaxAttempts:    100,
+		BaseDelay:      time.Millisecond,
+		MaxDelay:       5 * time.Millisecond,
+		AttemptTimeout: 60 * time.Millisecond,
+		OpTimeout:      opTimeout,
+		Stats:          stats,
+	})
+	defer rc.Close()
+
+	start := time.Now()
+	err := rc.Call(context.Background(), procEcho, &echoArgs{S: "void"}, &echoArgs{})
+	elapsed := time.Since(start)
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("call into a black hole: %v, want DeadlineExceeded", err)
+	}
+	if elapsed < opTimeout || elapsed > opTimeout+500*time.Millisecond {
+		t.Fatalf("call ended after %v, OpTimeout %v", elapsed, opTimeout)
+	}
+	if snap := stats.Snapshot(); snap.Timeouts < 2 || snap.Reconnects < 2 {
+		t.Fatalf("counters %+v, want attempts that timed out and re-dialed", snap)
+	}
+}
+
+// writeFailConn is a transport whose writes fail at once while its
+// reads block until Close, so a call's record never leaves and the
+// client's read loop cannot fail the client first.
+type writeFailConn struct{ net.Conn }
+
+func (writeFailConn) Write([]byte) (int, error) { return 0, errors.New("injected write failure") }
+
+// TestReconnectUnsentCallKeepsSession: a call whose record was never
+// written did not run, so after the re-dial, whose session bind the
+// server refuses (it never saw the session), it goes out again under a
+// new session instead of failing with ErrSessionLost.
+func TestReconnectUnsentCallKeepsSession(t *testing.T) {
+	t.Parallel()
+	_, addr := newTestServer(t)
+	dead, peer := net.Pipe()
+	t.Cleanup(func() { peer.Close() })
+	stats := &metrics.ChannelStats{}
+	rc := NewReconnectClient(NewClient(writeFailConn{dead}, testProg, testVers), func(ctx context.Context) (*Client, error) {
+		var d net.Dialer
+		conn, err := d.DialContext(ctx, "tcp", addr.String())
+		if err != nil {
+			return nil, err
+		}
+		return NewClient(conn, testProg, testVers), nil
+	}, ReconnectOpts{BaseDelay: time.Millisecond, MaxDelay: 10 * time.Millisecond, Stats: stats})
+	t.Cleanup(func() { rc.Close() })
+
+	var out echoArgs
+	if err := rc.Call(context.Background(), procEcho, &echoArgs{S: "first"}, &out); err != nil || out.S != "first" {
+		t.Fatalf("first call over a link whose write failed: %q, %v", out.S, err)
+	}
+	if snap := stats.Snapshot(); snap.SessionLost != 0 || snap.Replays != 0 {
+		t.Fatalf("counters %+v: an unsent call counted as sent", snap)
+	}
+}

@@ -85,9 +85,13 @@ func TestReconnectInFlightDuplicateWaits(t *testing.T) {
 
 	var out1, out2 u32
 	err1, err2 := make(chan error, 1), make(chan error, 1)
-	go func() { err1 <- first.call(ctx, xid, testProg, testVers, procSlow, AuthNone, sess, nil, &out1) }()
+	go func() {
+		err1 <- first.call(ctx, time.Time{}, xid, testProg, testVers, procSlow, AuthNone, sess, nil, &out1)
+	}()
 	waitUntil(t, "the call to start", func() bool { return runs.Load() == 1 })
-	go func() { err2 <- again.call(ctx, xid, testProg, testVers, procSlow, AuthNone, sess, nil, &out2) }()
+	go func() {
+		err2 <- again.call(ctx, time.Time{}, xid, testProg, testVers, procSlow, AuthNone, sess, nil, &out2)
+	}()
 	select {
 	case err := <-err2:
 		t.Fatalf("the copy was answered (%v) while the call still ran", err)
@@ -125,17 +129,17 @@ func TestReconnectLateOlderXIDDropped(t *testing.T) {
 	newer, older := uint32(3+2*GatherDepth), uint32(3+GatherDepth)
 
 	var out u32
-	if err := servePipe1(t, s).call(ctx, newer, testProg, testVers, procSlow, AuthNone, sess, nil, &out); err != nil {
+	if err := servePipe1(t, s).call(ctx, time.Time{}, newer, testProg, testVers, procSlow, AuthNone, sess, nil, &out); err != nil {
 		t.Fatal(err)
 	}
 	late := servePipe1(t, s)
 	lctx, cancel := context.WithTimeout(ctx, 100*time.Millisecond)
 	defer cancel()
-	if err := late.call(lctx, older, testProg, testVers, procSlow, AuthNone, sess, nil, &out); !errors.Is(err, context.DeadlineExceeded) {
+	if err := late.call(lctx, time.Time{}, older, testProg, testVers, procSlow, AuthNone, sess, nil, &out); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("older xid answered: %v", err)
 	}
 	out = u32{}
-	if err := late.call(ctx, newer, testProg, testVers, procSlow, AuthNone, sess, nil, &out); err != nil || out.V != 1 {
+	if err := late.call(ctx, time.Time{}, newer, testProg, testVers, procSlow, AuthNone, sess, nil, &out); err != nil || out.V != 1 {
 		t.Fatalf("copy of the current call: reply %d, %v; want the stored reply 1", out.V, err)
 	}
 	if n := runs.Load(); n != 1 {
@@ -200,18 +204,18 @@ func TestReconnectSessionUnderOtherDNRefused(t *testing.T) {
 	sess := newSession()
 	ctx := context.Background()
 	alice, mallory := servePipeDN(t, s, "CN=alice"), servePipeDN(t, s, "CN=mallory")
-	if err := alice.call(ctx, 1+GatherDepth, testProg, testVers, procEcho, AuthNone, sess, &echoArgs{S: "a"}, &echoArgs{}); err != nil {
+	if err := alice.call(ctx, time.Time{}, 1+GatherDepth, testProg, testVers, procEcho, AuthNone, sess, &echoArgs{S: "a"}, &echoArgs{}); err != nil {
 		t.Fatal(err)
 	}
 	bind := *sess
 	bind.Flags = sessionBind
 	for _, v := range []*sessionVerf{sess, &bind} {
-		err := mallory.call(ctx, 1+GatherDepth, testProg, testVers, procEcho, AuthNone, v, &echoArgs{S: "m"}, &echoArgs{})
+		err := mallory.call(ctx, time.Time{}, 1+GatherDepth, testProg, testVers, procEcho, AuthNone, v, &echoArgs{S: "m"}, &echoArgs{})
 		if re := (*RPCError)(nil); !errors.As(err, &re) || !re.Rejected || re.Auth != AuthBadVerf {
 			t.Fatalf("session shown under another DN (flags %d): %v, want AUTH_BADVERF", v.Flags, err)
 		}
 	}
-	if err := servePipeDN(t, s, "CN=alice").call(ctx, 9, testProg, testVers, 0, AuthNone, &bind, nil, nil); err != nil {
+	if err := servePipeDN(t, s, "CN=alice").call(ctx, time.Time{}, 9, testProg, testVers, 0, AuthNone, &bind, nil, nil); err != nil {
 		t.Fatalf("the session's creator on a new connection: %v", err)
 	}
 }
@@ -231,7 +235,7 @@ func TestReconnectSessionBoundedAndExpires(t *testing.T) {
 	for gen := uint32(1); gen <= gens; gen++ {
 		for slot := uint32(0); slot < GatherDepth; slot++ {
 			a := &echoArgs{S: fmt.Sprintf("%d/%d", gen, slot)}
-			if err := c.call(ctx, slot+GatherDepth*gen, testProg, testVers, procEcho, AuthNone, sess, a, &echoArgs{}); err != nil {
+			if err := c.call(ctx, time.Time{}, slot+GatherDepth*gen, testProg, testVers, procEcho, AuthNone, sess, a, &echoArgs{}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -251,7 +255,7 @@ func TestReconnectSessionBoundedAndExpires(t *testing.T) {
 		t.Fatalf("session holds %d replies after %d calls, want %d", stored, gens*GatherDepth, GatherDepth)
 	}
 	var out echoArgs
-	if err := c.call(ctx, 7+GatherDepth*gens, testProg, testVers, procEcho, AuthNone, sess, &echoArgs{S: "new args"}, &out); err != nil || out.S != "3/7" {
+	if err := c.call(ctx, time.Time{}, 7+GatherDepth*gens, testProg, testVers, procEcho, AuthNone, sess, &echoArgs{S: "new args"}, &out); err != nil || out.S != "3/7" {
 		t.Fatalf("copy of a slot's current call got %q (%v), want the stored reply %q", out.S, err, "3/7")
 	}
 

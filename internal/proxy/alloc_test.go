@@ -158,7 +158,7 @@ func TestReadAllocs(t *testing.T) {
 		budget    float64
 	}{
 		{"cached", true, 12},
-		{"uncached", false, 39},
+		{"uncached", false, 22},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			_, fs, _ := budgetStack(t, 1, c.diskCache, 1)
@@ -185,7 +185,7 @@ func TestLookupAllocs(t *testing.T) {
 		budget    float64
 	}{
 		{"cached", true, 10},
-		{"uncached", false, 39},
+		{"uncached", false, 22},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			_, fs, _ := budgetStack(t, 1, c.diskCache, 1)
@@ -213,8 +213,8 @@ func TestWriteAllocs(t *testing.T) {
 		budget    float64
 	}{
 		{"write-back", 1, true, 15},
-		{"uncached", 1, false, 38},
-		{"replicated", 2, false, 88},
+		{"uncached", 1, false, 21},
+		{"replicated", 2, false, 50},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			_, fs, _ := budgetStack(t, c.replicas, c.diskCache, 1)
@@ -246,7 +246,7 @@ func TestFlushAllocs(t *testing.T) {
 	}
 	data := bytes.Repeat([]byte{5}, budgetBlock)
 	i := 0
-	pin(t, 84, func() {
+	pin(t, 58, func() {
 		i++
 		if _, err := f.WriteAt(ctx, data, int64(i%2)*budgetBlock); err != nil {
 			t.Fatal(err)
@@ -290,7 +290,7 @@ func TestColdReadAllocs(t *testing.T) {
 		}
 	}
 	next := 0
-	pin(t, 225, func() {
+	pin(t, 142, func() {
 		fh := fhs[next]
 		next++
 		for b := uint64(0); b < blocks; b++ {

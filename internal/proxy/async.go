@@ -29,8 +29,6 @@ func (p *ClientProxy) gatherAttrs(ctx context.Context, fhs []nfs3.FH3) []attrFet
 		return out
 	}
 	defer p.relay.Credit(time.Now())
-	ctx, cancel := context.WithTimeout(ctx, p.opTimeout())
-	defer cancel()
 	singleflight.Each(len(out), oncrpc.GatherDepth, func(i int) {
 		f := &out[i]
 		f.err = p.up.Call(ctx, nfs3.ProcGetAttr, &nfs3.GetAttrArgs{Obj: fhs[i]}, &f.res)

@@ -81,12 +81,8 @@ type ClientProxy struct {
 const wanWindowBytes = 1 << 20
 
 // initTimeout bounds proxy construction (dial, handshake, MOUNT):
-// a dead server must fail setup, not hang it. defaultOpTimeout bounds
-// the server proxy's per-operation upstream RPCs.
-const (
-	initTimeout      = 30 * time.Second
-	defaultOpTimeout = 2 * time.Minute
-)
+// a dead server must fail setup, not hang it.
+const initTimeout = 30 * time.Second
 
 // NewClientProxy establishes the channel to the server-side proxy,
 // mounts the export through it, and returns a proxy ready to serve
@@ -100,7 +96,7 @@ func NewClientProxy(cfg ClientConfig) (*ClientProxy, error) {
 		bs = cfg.DiskCache.BlockSize()
 		p.window = max(wanWindowBytes/bs, 1)
 	}
-	p.reader = blockio.NewReader(cacheSource{cfg.DiskCache, p}, bs, p.window, p.opTimeout())
+	p.reader = blockio.NewReader(cacheSource{cfg.DiskCache, p}, bs, p.window)
 	// Establish the first session synchronously so misconfiguration
 	// (bad export, refused credential) fails here, not on first use.
 	ctx, cancel := context.WithTimeout(context.Background(), initTimeout)
@@ -185,17 +181,12 @@ func (p *ClientProxy) DataPathStats() metrics.DataPathSnapshot {
 	return s
 }
 
-// opTimeout is the per-operation upstream deadline, which covers all
-// retry attempts.
-func (p *ClientProxy) opTimeout() time.Duration { return p.recovery.opTimeout() }
-
-// UpCall implements nfs3.Upstream. Every operation carries a deadline
-// so a dead WAN link turns into a bounded error instead of an
-// indefinite hang. The local client's call is not consulted: the
-// server proxy maps credentials from the channel identity.
+// UpCall implements nfs3.Upstream. The upstream session bounds every
+// call (RecoveryConfig's AttemptTimeout and OpTimeout), so a dead WAN
+// link turns into a bounded error, not a hang. The local client's call
+// is not consulted: the server proxy maps credentials from the channel
+// identity.
 func (p *ClientProxy) UpCall(ctx context.Context, _ *oncrpc.Call, proc uint32, args xdr.Marshaler, res xdr.Unmarshaler) error {
-	ctx, cancel := context.WithTimeout(ctx, p.opTimeout())
-	defer cancel()
 	return p.up.Call(ctx, proc, args, res)
 }
 

@@ -54,11 +54,11 @@ func backendBytes(t testing.TB, st *testStack, name string, size int) []byte {
 }
 
 // TestChaosParallelFlushLinkCut proves the parallel flush loses nothing
-// when the WAN link is cut out from under it: UNSTABLE writes that die
-// with a session are retried FILE_SYNC or left dirty for the next
-// round, COMMIT verifier churn forces stable re-sends, and after the
-// link settles a final FlushAll leaves the server byte-identical with
-// everything the client ever wrote.
+// when the WAN link is cut out from under it: a flush write caught by a
+// cut is sent again on the next connection (the server proxy's reply
+// cache runs it once), a block whose retries run out stays dirty for
+// the next round, and after the link settles a final FlushAll leaves
+// the server byte-identical with everything the client ever wrote.
 func TestChaosParallelFlushLinkCut(t *testing.T) {
 	dc := newDiskCache(t)
 	faulter := netem.NewFaulter()
@@ -76,8 +76,7 @@ func TestChaosParallelFlushLinkCut(t *testing.T) {
 	})
 	stats := st.clientProxy.ChannelStats
 
-	// Dirty a sizeable dataset up front, before the killer starts:
-	// CREATE is not replayable, flush WRITEs are.
+	// Dirty a sizeable dataset up front, before the killer starts.
 	const nFiles = 4
 	const fileBlocks = 32
 	payloads := make(map[string][]byte, nFiles)
@@ -85,6 +84,10 @@ func TestChaosParallelFlushLinkCut(t *testing.T) {
 		name := fmt.Sprintf("chaosflush-%d", i)
 		payloads[name] = chaosPayload(i, fileBlocks*32*1024)
 		dirtyThroughMount(t, st, name, payloads[name])
+	}
+	files := dc.DirtyFiles()
+	if len(files) != nFiles {
+		t.Fatalf("%d dirty files after the writes, want %d", len(files), nFiles)
 	}
 
 	// The killer severs every live WAN connection on a short timer, so
@@ -105,14 +108,26 @@ func TestChaosParallelFlushLinkCut(t *testing.T) {
 		}
 	}()
 
-	// Keep flushing (and re-dirtying on quiet rounds) under fire until
-	// the link has demonstrably died mid-workload at least twice.
+	// A fixed number of FlushAll rounds under fire. Each round first
+	// marks every cached block of one file dirty again, with the bytes
+	// it already holds, in the disk cache itself: a re-dirty through the
+	// mount would send a CREATE over the link being cut.
+	const killerRounds = 4
 	ctx := context.Background()
-	deadline := time.Now().Add(90 * time.Second)
-	for {
+	var completed, failed int
+	for round := 0; round < killerRounds; round++ {
+		fh := files[round%len(files)]
+		for idx := uint64(0); idx < fileBlocks; idx++ {
+			if data, ok := dc.GetBlock(fh, idx); ok {
+				if err := dc.PutBlock(fh, idx, data, true); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
 		// Errors are expected while the killer runs; dirty blocks must
 		// simply survive for the next attempt.
 		if err := st.clientProxy.FlushAll(ctx); err != nil {
+			failed++
 			for _, fh := range dc.DirtyFiles() {
 				for _, idx := range dc.DirtyList(fh) {
 					if _, ok := dc.GetBlock(fh, idx); !ok {
@@ -120,21 +135,16 @@ func TestChaosParallelFlushLinkCut(t *testing.T) {
 					}
 				}
 			}
-		}
-		if s := stats(); s.Disconnects >= 2 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("link cuts never hit the flush: %+v (faulter %+v)", stats(), faulter.Stats())
-		}
-		if len(dc.DirtyFiles()) == 0 {
-			// Flushed clean between cuts: re-dirty and go again.
-			name := "chaosflush-0"
-			dirtyThroughMount(t, st, name, payloads[name])
+		} else {
+			completed++
 		}
 	}
 	close(stopKiller)
 	<-killerDone
+	t.Logf("killer phase: %d rounds completed, %d failed, %d disconnects", completed, failed, stats().Disconnects)
+	if stats().Disconnects == 0 {
+		t.Fatalf("link cuts never hit the flush: %+v (faulter %+v)", stats(), faulter.Stats())
+	}
 
 	// The link heals; flushing must eventually drain everything.
 	drainBy := time.Now().Add(60 * time.Second)

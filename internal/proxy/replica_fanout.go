@@ -39,7 +39,7 @@ type repairJob struct {
 // reply a write quorum of legs agrees on, by status, as soon as it
 // does: success, or one refusal — a refused mutation changed nothing,
 // so the status is the answer. Each backend runs the legs in issue
-// order (legOrder); stragglers keep running on detached deadlines.
+// order (legOrder); stragglers keep running, detached from the caller.
 // repair is set for data writes only, and every write leg whose outcome
 // is not the answer (not success, when there is none), and every
 // ejected backend the write skipped, is handed to it.
@@ -75,11 +75,10 @@ func (rs *replicaSet) quorum(leg legFunc, repair func(*replicaBackend)) (xdr.Unm
 		go func() {
 			defer rs.wg.Done()
 			b.order.wait(t)
-			// Detached deadline: a quorum ack must not cancel the
-			// stragglers whose completion keeps replicas converged.
-			lctx, cancel := context.WithTimeout(context.Background(), rs.p.opTimeout())
-			defer cancel()
-			rep, err := leg(lctx, b)
+			// Detached from the caller: a quorum ack must not cancel the
+			// stragglers whose completion keeps replicas converged. Each
+			// call of the leg is bounded by the backend's session.
+			rep, err := leg(context.Background(), b)
 			b.order.done(t)
 			// Before the result is published: once the caller sees the
 			// ack, the backends that produced it no longer count as behind.
@@ -333,8 +332,7 @@ func (rs *replicaSet) runRepair(j repairJob) {
 		rs.requeueLater(j)
 		return
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), rs.p.opTimeout())
-	defer cancel()
+	ctx := context.Background()
 	b.order.settle()
 	bfh, err := b.resolve(ctx, j.args.Obj, resolveCreateFile)
 	if err != nil {

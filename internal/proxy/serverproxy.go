@@ -267,15 +267,14 @@ func (p *ServerProxy) register() {
 
 // UpCall implements nfs3.Upstream: the RPC runs under the mapped
 // credential of call's session, or the proxy's own when call is nil.
-// The upstream server sits on the local cluster network; a generous
-// deadline still turns a dead backend into an error, not a hang.
+// The upstream server sits on the local cluster network; the RPC
+// client's own bound still turns a dead backend into an error, not a
+// hang.
 func (p *ServerProxy) UpCall(ctx context.Context, call *oncrpc.Call, proc uint32, args xdr.Marshaler, res xdr.Unmarshaler) error {
 	cred := p.rootCred
 	if call != nil {
 		cred = p.session(call).cred
 	}
-	ctx, cancel := context.WithTimeout(ctx, defaultOpTimeout)
-	defer cancel()
 	return p.up.CallCred(ctx, proc, cred, args, res)
 }
 

@@ -26,9 +26,10 @@ import (
 // oncrpc.ReconnectClient).
 
 // RecoveryConfig tunes how upstream sessions recover: re-dial with
-// jittered exponential backoff after a link failure, and deadlines on
-// every upstream operation so WAN stalls become timeouts instead of
-// hangs. Zero fields, or a nil config, select the defaults.
+// jittered exponential backoff after a link failure, and the bounds the
+// session's RPC client puts on every upstream call so WAN stalls become
+// timeouts instead of hangs. Zero fields, or a nil config, select the
+// defaults.
 type RecoveryConfig struct {
 	// MaxAttempts bounds dial attempts per reconnect round and issue
 	// attempts per call (default 4).
@@ -97,6 +98,7 @@ func (p *ClientProxy) newSession(ctx context.Context, dial Dialer) (*upSession, 
 		BaseDelay:      r.BaseDelay,
 		MaxDelay:       r.MaxDelay,
 		AttemptTimeout: r.attemptTimeout(),
+		OpTimeout:      r.opTimeout(),
 		Stats:          &p.chs,
 	})
 	return s, err

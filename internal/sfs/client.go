@@ -62,13 +62,8 @@ const (
 	memCacheBytes = 16 << 20
 )
 
-// sfsMountTimeout bounds the constructor mounts; sfsPrefetchTimeout
-// bounds background block prefetches, which have no caller waiting on
-// them to notice a hang.
-const (
-	sfsMountTimeout    = 30 * time.Second
-	sfsPrefetchTimeout = 30 * time.Second
-)
+// sfsMountTimeout bounds the constructor mounts.
+const sfsMountTimeout = 30 * time.Second
 
 // NewClient establishes the self-certified channel, mounts the export,
 // and returns a daemon ready to serve the local client.
@@ -122,7 +117,7 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 		blocks: blockio.NewCache(memCacheBytes),
 	}
 	c.relay = nfs3.Relay{Up: c, Meter: cfg.Meter}
-	c.reader = blockio.NewReader(blockSource{c.blocks, c}, sfsBlockSize, pipelineDepth, sfsPrefetchTimeout)
+	c.reader = blockio.NewReader(blockSource{c.blocks, c}, sfsBlockSize, pipelineDepth)
 	c.register()
 	return c, nil
 }

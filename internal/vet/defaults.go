@@ -8,18 +8,6 @@ var LockIOPackages = []string{
 	"repro/internal/securechan",
 }
 
-// CtxDeadlinePackages are where upstream RPCs are issued; a missing
-// deadline there wedges a session on a half-dead WAN link. The
-// obligation propagation still sees the whole module — this only
-// limits where findings are reported.
-var CtxDeadlinePackages = []string{
-	"repro/internal/oncrpc",
-	"repro/internal/proxy",
-	"repro/internal/sfs",
-	"repro/internal/nfsclient",
-	"repro/internal/core",
-}
-
 // DefaultAnalyzers returns the full analyzer suite with the
 // repository's package scoping, in reporting order. The CLI and the
 // repo-clean regression test share this list so they cannot drift.
@@ -31,7 +19,6 @@ func DefaultAnalyzers() []Analyzer {
 		AtomicMisuse{},
 		SwallowedError{},
 		LockOrder{},
-		CtxDeadline{Packages: CtxDeadlinePackages},
 		GoroutineLeak{},
 		SecretFlow{},
 		UnboundedAlloc{},

@@ -1,6 +1,6 @@
 // Package vet implements sgfs-vet, a repository-specific static
 // analysis suite built purely on the standard library's go/ast,
-// go/parser and go/types: twelve analyzers for invariants this
+// go/parser and go/types: eleven analyzers for invariants this
 // codebase depends on but the compiler cannot check. Each job under
 // them has one implementation:
 //
@@ -35,9 +35,8 @@
 //     error strings or plaintext writes), unbounded-alloc (no
 //     wire-decoded integer reaches a make or copy size unchecked),
 //     weak-rand (math/rand never becomes cryptographic material);
-//   - call graph and module index: ctx-deadline (upstream RPCs only
-//     under deadline-bearing contexts), atomic-misuse (no plain access
-//     to a location accessed via sync/atomic elsewhere).
+//   - call graph and module index: atomic-misuse (no plain access to
+//     a location accessed via sync/atomic elsewhere).
 //
 // See DESIGN.md ("Static analysis: sgfs-vet") for the engines, the
 // per-analyzer scorecard and instructions for adding analyzers.

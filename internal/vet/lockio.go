@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"go/ast"
 	"go/types"
+	"slices"
 
 	"repro/internal/vet/cfg"
 )
@@ -51,7 +52,7 @@ var blockingMethods = map[string]bool{
 // report. Findings in function literals are reported under the
 // enclosing declaration's name.
 func (a LockOverIO) Run(pkg *Package) []Diagnostic {
-	if !inScope(a.Packages, pkg) {
+	if len(a.Packages) > 0 && !slices.Contains(a.Packages, pkg.ImportPath) {
 		return nil
 	}
 	var lf lockFlow

@@ -391,6 +391,12 @@ func (r *obRun) assign1(st obFact, lhs, rhs ast.Expr) obFact {
 	}
 	if ob := r.aliasOb(st, rhs); ob != nil {
 		if obj == nil {
+			if root := rootSelIdent(lhs); root != nil && r.aliasOb(st, root) == ob {
+				// Stored into a field of itself (e.c.e = e, how a
+				// method hands out a view into its receiver): the
+				// object goes nowhere.
+				return st
+			}
 			return r.a.pol.stored(r, st, ob, rhs)
 		}
 		st = r.killObj(st, obj)

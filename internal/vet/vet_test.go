@@ -109,11 +109,6 @@ func TestLockOrder(t *testing.T) {
 	runFixture(t, "lockorder", LockOrder{})
 }
 
-func TestCtxDeadline(t *testing.T) {
-	t.Parallel()
-	runFixture(t, "ctxdeadline", CtxDeadline{})
-}
-
 func TestGoroutineLeak(t *testing.T) {
 	t.Parallel()
 	runFixture(t, "goroutineleak", GoroutineLeak{})
@@ -314,26 +309,6 @@ func TestCFGWholeModule(t *testing.T) {
 	}
 }
 
-func TestCtxDeadlinePackageFilter(t *testing.T) {
-	t.Parallel()
-	root, err := FindModuleRoot(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	l, err := NewLoader(root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkg, err := l.LoadDir(filepath.Join("testdata", "src", "ctxdeadline"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := CtxDeadline{Packages: []string{"some/other/pkg"}}
-	if diags := RunAll([]*Package{pkg}, []Analyzer{a}); len(diags) != 0 {
-		t.Fatalf("filtered analyzer still reported %d diagnostics", len(diags))
-	}
-}
-
 func TestLockOverIOPackageFilter(t *testing.T) {
 	t.Parallel()
 	root, err := FindModuleRoot(".")
@@ -446,5 +421,55 @@ func TestPackageDirsSkipsTestdata(t *testing.T) {
 	}
 	if len(dirs) == 0 {
 		t.Fatal("PackageDirs found no packages")
+	}
+}
+
+// TestResourceLeakSummaryScope: oncrpc's acceptedResult, which writes
+// through its pooled encoder's Codec view and returns the encoder, has
+// the same resource-leak summary in a run over its own package as in a
+// run over the whole module, where Codec (internal/xdr) has a summary
+// of its own.
+func TestResourceLeakSummaryScope(t *testing.T) {
+	if testing.Short() {
+		t.Skip("analyzes the whole module; skipped in -short mode")
+	}
+	t.Parallel()
+	root, err := FindModuleRoot(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	summary := func(pattern string) obSummary {
+		t.Helper()
+		l, err := NewLoader(root)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dirs, err := PackageDirs(root, pattern)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var pkgs []*Package
+		for _, dir := range dirs {
+			pkg, err := l.LoadDir(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pkgs = append(pkgs, pkg)
+		}
+		m := NewModule(pkgs)
+		a := &obAnalysis{m: m, pol: leakPolicy{}, sums: make(map[*types.Func]*obSummary),
+			siteObs: make(map[ast.Node]*obligation), paramObs: make(map[types.Object]*obligation)}
+		m.bottomUp(a.summarize)
+		for fn, sum := range a.sums {
+			if fn.Name() == "acceptedResult" && fn.Pkg().Path() == "repro/internal/oncrpc" {
+				return *sum
+			}
+		}
+		t.Fatalf("%s: no summary of oncrpc.acceptedResult", pattern)
+		return obSummary{}
+	}
+	narrow, whole := summary("./internal/oncrpc/"), summary("./...")
+	if narrow.Returns != "pool buffer" || !narrow.equal(&whole) {
+		t.Fatalf("acceptedResult: narrow run %+v, whole module %+v; want both to return the pool buffer", narrow, whole)
 	}
 }

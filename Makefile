@@ -70,12 +70,13 @@ procs:
 	@! pgrep -af '[g]o (test|run|build)|[.]test\b|[s]gfs-|/[e]xe/|[.]bench_build|[b]enchmark/run[.]sh|[f]uzzworker'
 
 # Repo-specific analyzers (lock-over-io, lockset-race,
-# pool-lifecycle, atomic-misuse, swallowed-error, lock-order,
-# goroutine-leak, secret-flow, unbounded-alloc, weak-rand,
-# resource-leak; scorecard in DESIGN.md). Fails on any finding not in .sgfsvet-ignore — and on
-# stale allowlist entries (exit 2). CI also archives the -json report.
+# pool-lifecycle, swallowed-error, lock-order, secret-flow,
+# unbounded-alloc, resource-leak; scorecard in DESIGN.md), every one
+# over the whole module on every run. Fails on any finding not in
+# .sgfsvet-ignore — and on stale allowlist entries (exit 2). CI also
+# archives the -json report.
 sgfs-vet:
-	$(GO) run ./cmd/sgfs-vet -all ./...
+	$(GO) run ./cmd/sgfs-vet -timing ./...
 
 # The alloc budgets: every hot path's heap allocations per operation,
 # measured with testing.AllocsPerRun and pinned in the alloc_test.go

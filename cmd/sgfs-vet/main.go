@@ -5,19 +5,23 @@
 //
 // Usage:
 //
-//	sgfs-vet [-C dir] [-ignore file] [-run a,b] [-all] [-json] [-timing] [-prune] [-<analyzer>=false ...] [pattern ...]
-//	sgfs-vet -annotate report.json [-budget 120s]
+//	sgfs-vet [-C dir] [-ignore file] [-json] [-timing] [-prune] [pattern ...]
+//	sgfs-vet -annotate report.json [-budget 150s]
 //
-// Patterns are package directories relative to the module root;
-// `./...` (the default) walks the whole module. Every analyzer has an
-// enable flag named after it (e.g. -lock-order=false); -run keeps
-// only the named analyzers; -all forces the complete suite regardless
-// of -run or per-analyzer flags. -json emits a machine-readable
-// report on stdout (findings, suppressed findings, stale allowlist
-// lines, timings) for CI artifacts. -timing prints the wall-time
-// breakdown on stderr: a `module` row for the shared index, call graph
-// and CFGs, then one row per analyzer. -prune rewrites the allowlist
-// dropping the stale lines a full run detects.
+// Every run loads and analyses every package of the module with every
+// analyzer, so a tree has one verdict. Patterns only choose which
+// findings are printed and count toward the exit status: package
+// directories relative to the module root, `dir/...` for a subtree,
+// `./...` (the default) for all of it. The allowlist is matched
+// against the whole module's findings, so a stale entry is reported
+// whatever the patterns. To run one analyzer alone, run its fixture
+// test in internal/vet.
+//
+// -json emits a machine-readable report on stdout (findings,
+// suppressed findings, stale allowlist lines, timings) for CI
+// artifacts. -timing prints the wall-time breakdown on stderr: a
+// `module` row for the shared index, call graph and CFGs, then one row
+// per analyzer. -prune rewrites the allowlist dropping its stale lines.
 //
 // The -annotate form turns a previously captured -json report into
 // GitHub Actions workflow-command annotations (::error for findings,
@@ -29,10 +33,9 @@
 // Exit status is 0 when clean, 1 when there are findings not covered
 // by the allowlist (or, with -annotate, when the report has findings
 // or busts the budget), and 2 on usage or load errors — including a
-// rotten allowlist: a full run whose .sgfsvet-ignore still carries
-// entries that matched nothing exits 2 until the stale lines are
-// deleted or -prune removes them. See DESIGN.md, "Static analysis:
-// sgfs-vet".
+// rotten allowlist: a run whose .sgfsvet-ignore still carries entries
+// that matched nothing exits 2 until the stale lines are deleted or
+// -prune removes them. See DESIGN.md, "Static analysis: sgfs-vet".
 package main
 
 import (
@@ -83,19 +86,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	var (
 		chdir      = fs.String("C", ".", "analyze the module containing this directory")
 		ignorePath = fs.String("ignore", "", "allowlist file (default <module>/.sgfsvet-ignore)")
-		only       = fs.String("run", "", "comma-separated analyzer names to run (default all)")
-		runAll     = fs.Bool("all", false, "run the complete analyzer suite (overrides -run and per-analyzer flags)")
 		jsonOut    = fs.Bool("json", false, "emit a machine-readable report on stdout")
 		timing     = fs.Bool("timing", false, "report per-analyzer wall time on stderr")
-		prune      = fs.Bool("prune", false, "rewrite the allowlist dropping stale entries (requires a full run)")
+		prune      = fs.Bool("prune", false, "rewrite the allowlist dropping stale entries")
 		annotate   = fs.String("annotate", "", "emit GitHub Actions annotations from a -json report file and exit")
 		budget     = fs.Duration("budget", 0, "with -annotate: fail when the report's total analysis time exceeds this")
 	)
-	all := vet.DefaultAnalyzers()
-	enabled := make(map[string]*bool, len(all))
-	for _, a := range all {
-		enabled[a.Name()] = fs.Bool(a.Name(), true, "enable the "+a.Name()+" analyzer")
-	}
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -104,80 +100,19 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return runAnnotate(*annotate, *budget, stdout, stderr)
 	}
 
-	moduleRoot, err := vet.FindModuleRoot(*chdir)
+	moduleRoot, pkgs, err := vet.LoadModule(*chdir)
 	if err != nil {
 		fmt.Fprintln(stderr, "sgfs-vet:", err)
 		return 2
 	}
-	loader, err := vet.NewLoader(moduleRoot)
-	if err != nil {
-		fmt.Fprintln(stderr, "sgfs-vet:", err)
-		return 2
-	}
-
 	patterns := fs.Args()
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	var pkgs []*vet.Package
-	for _, pattern := range patterns {
-		dirs, err := vet.PackageDirs(moduleRoot, pattern)
-		if err != nil {
-			fmt.Fprintf(stderr, "sgfs-vet: %s: %v\n", pattern, err)
-			return 2
-		}
-		for _, dir := range dirs {
-			pkg, err := loader.LoadDir(dir)
-			if err != nil {
-				fmt.Fprintf(stderr, "sgfs-vet: %s: %v\n", dir, err)
-				return 2
-			}
-			pkgs = append(pkgs, pkg)
-		}
-	}
-	loadErrors := 0
-	for _, pkg := range pkgs {
-		for _, terr := range pkg.TypeErrors {
-			fmt.Fprintf(stderr, "sgfs-vet: typecheck %s: %v\n", pkg.ImportPath, terr)
-			loadErrors++
-		}
-	}
-	if loadErrors > 0 {
+	selected, err := vet.Select(moduleRoot, pkgs, patterns)
+	if err != nil {
+		fmt.Fprintln(stderr, "sgfs-vet:", err)
 		return 2
-	}
-
-	allEnabled := true
-	var selected []vet.Analyzer
-	for _, a := range all {
-		if !*runAll && !*enabled[a.Name()] {
-			allEnabled = false
-			continue
-		}
-		selected = append(selected, a)
-	}
-	if *runAll {
-		*only = ""
-		allEnabled = true
-	}
-	if *only != "" {
-		want := make(map[string]bool)
-		for _, name := range strings.Split(*only, ",") {
-			want[strings.TrimSpace(name)] = true
-		}
-		var filtered []vet.Analyzer
-		for _, a := range selected {
-			if want[a.Name()] {
-				filtered = append(filtered, a)
-				delete(want, a.Name())
-			}
-		}
-		if len(want) > 0 {
-			for name := range want {
-				fmt.Fprintf(stderr, "sgfs-vet: unknown analyzer %q\n", name)
-			}
-			return 2
-		}
-		selected = filtered
 	}
 
 	ipath := *ignorePath
@@ -195,7 +130,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		Findings:   []jsonDiagnostic{},
 		Suppressed: []jsonDiagnostic{},
 	}
-	diags, timings := vet.RunAllTimed(pkgs, selected)
+	diags, timings := vet.RunAllTimed(pkgs, vet.Analyzers())
 	for _, t := range timings {
 		report.Timings = append(report.Timings, jsonTiming{Analyzer: t.Name, Millis: t.Elapsed.Milliseconds()})
 		report.TotalMillis += t.Elapsed.Milliseconds()
@@ -208,6 +143,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "  %-20s %8dms\n", "total", report.TotalMillis)
 	}
 	for _, d := range diags {
+		// Every finding meets the allowlist, in scope or not, so an
+		// entry is stale only when the whole module matches nothing.
+		suppressed := ignore.Match(d)
+		if !selected[filepath.Dir(d.Pos.Filename)] {
+			continue
+		}
 		jd := jsonDiagnostic{
 			Analyzer: d.Analyzer,
 			File:     vet.ModulePath(moduleRoot, d.Pos.Filename),
@@ -215,7 +156,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			Column:   d.Pos.Column,
 			Message:  d.Message,
 		}
-		if ignore.Match(d) {
+		if suppressed {
 			report.Suppressed = append(report.Suppressed, jd)
 			continue
 		}
@@ -224,30 +165,20 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintln(stdout, d)
 		}
 	}
-	// Stale allowlist entries rot silently; surface them, but only
-	// when a full run could have matched them. An explicit `./...`
-	// (how make check invokes us) is a full run too.
-	fullRun := len(fs.Args()) == 0 ||
-		(len(fs.Args()) == 1 && fs.Args()[0] == "./...")
-	if *only == "" && allEnabled && fullRun {
-		report.StaleIgnores = ignore.Unused()
-		if *prune {
-			removed, err := vet.PruneIgnore(ipath, report.StaleIgnores)
-			if err != nil {
-				fmt.Fprintln(stderr, "sgfs-vet: prune:", err)
-				return 2
-			}
-			if removed > 0 {
-				fmt.Fprintf(stderr, "sgfs-vet: pruned %d stale allowlist line(s) from %s\n", removed, ipath)
-			}
-			report.StaleIgnores = nil
+	report.StaleIgnores = ignore.Unused()
+	if *prune {
+		removed, err := vet.PruneIgnore(ipath, report.StaleIgnores)
+		if err != nil {
+			fmt.Fprintln(stderr, "sgfs-vet: prune:", err)
+			return 2
 		}
-		for _, line := range report.StaleIgnores {
-			fmt.Fprintf(stderr, "sgfs-vet: %s:%d: allowlist entry matched nothing\n", ipath, line)
+		if removed > 0 {
+			fmt.Fprintf(stderr, "sgfs-vet: pruned %d stale allowlist line(s) from %s\n", removed, ipath)
 		}
-	} else if *prune {
-		fmt.Fprintln(stderr, "sgfs-vet: -prune needs a full run (all analyzers, whole module) to prove entries stale")
-		return 2
+		report.StaleIgnores = nil
+	}
+	for _, line := range report.StaleIgnores {
+		fmt.Fprintf(stderr, "sgfs-vet: %s:%d: allowlist entry matched nothing\n", ipath, line)
 	}
 	if *jsonOut {
 		enc := json.NewEncoder(stdout)
@@ -282,7 +213,6 @@ func plural(n int, one, many string) string {
 	return many
 }
 
-// runAnnotate replays a -json report as GitHub Actions workflow
 // runAnnotate replays a -json report as GitHub Actions workflow
 // commands so findings land as inline annotations on pull requests,
 // and enforces the analysis-time budget that keeps the suite viable

@@ -153,44 +153,12 @@ func TestRunStaleIgnoreFails(t *testing.T) {
 	if !strings.Contains(stderr, "allowlist is stale") || !strings.Contains(stderr, "-prune") {
 		t.Errorf("stderr = %q, want distinct stale-allowlist error mentioning -prune", stderr)
 	}
-	// Partial runs cannot prove staleness, so they keep exiting clean.
-	if code, _, stderr := runVet(t, "-C", root, "-run", "swallowed-error"); code != 0 {
-		t.Errorf("partial run exit = %d, want 0 (stale check needs a full run); stderr:\n%s", code, stderr)
-	}
 	// -prune repairs the allowlist and restores a clean exit.
 	if code, _, stderr := runVet(t, "-C", root, "-prune"); code != 0 {
 		t.Errorf("prune exit = %d, want 0; stderr:\n%s", code, stderr)
 	}
 	if code, _, stderr := runVet(t, "-C", root); code != 0 {
 		t.Errorf("post-prune exit = %d, want 0; stderr:\n%s", code, stderr)
-	}
-}
-
-func TestRunAnalyzerSelection(t *testing.T) {
-	root := writeModule(t)
-	// -run keeps only the named analyzer.
-	code, stdout, _ := runVet(t, "-C", root, "-run", "swallowed-error")
-	if code != 1 {
-		t.Fatalf("exit = %d, want 1", code)
-	}
-	if strings.Contains(stdout, "lock-order") {
-		t.Errorf("-run swallowed-error still ran lock-order:\n%s", stdout)
-	}
-	// The per-analyzer enable flag disables one analyzer.
-	code, stdout, _ = runVet(t, "-C", root, "-lock-order=false")
-	if code != 1 {
-		t.Fatalf("exit = %d, want 1", code)
-	}
-	if strings.Contains(stdout, "lock-order") {
-		t.Errorf("-lock-order=false still reported lock-order:\n%s", stdout)
-	}
-	if !strings.Contains(stdout, "is not checked") {
-		t.Errorf("-lock-order=false dropped the swallowed-error finding:\n%s", stdout)
-	}
-	// Disabling both offenders leaves a clean run.
-	code, _, _ = runVet(t, "-C", root, "-lock-order=false", "-swallowed-error=false")
-	if code != 0 {
-		t.Fatalf("exit = %d, want 0 with both analyzers disabled", code)
 	}
 }
 
@@ -222,21 +190,6 @@ func TestRunIgnoreFile(t *testing.T) {
 	}
 	if len(report.Suppressed) != 2 {
 		t.Errorf("suppressed = %d, want 2", len(report.Suppressed))
-	}
-}
-
-func TestRunAllOverridesSelection(t *testing.T) {
-	root := writeModule(t)
-	// -all restores the full suite even when flags try to narrow it.
-	code, stdout, _ := runVet(t, "-C", root, "-all", "-run", "swallowed-error", "-lock-order=false")
-	if code != 1 {
-		t.Fatalf("exit = %d, want 1", code)
-	}
-	if !strings.Contains(stdout, "lock-order cycle") {
-		t.Errorf("-all did not restore lock-order:\n%s", stdout)
-	}
-	if !strings.Contains(stdout, "is not checked") {
-		t.Errorf("-all did not restore swallowed-error:\n%s", stdout)
 	}
 }
 
@@ -277,23 +230,6 @@ func TestRunPrune(t *testing.T) {
 	}
 	if strings.Contains(stderr, "pruned") {
 		t.Errorf("second prune removed lines: %s", stderr)
-	}
-}
-
-func TestRunPruneNeedsFullRun(t *testing.T) {
-	root := writeModule(t)
-	for _, args := range [][]string{
-		{"-C", root, "-prune", "-run", "swallowed-error"},
-		{"-C", root, "-prune", "-lock-order=false"},
-		{"-C", root, "-prune", "./demo"},
-	} {
-		code, _, stderr := runVet(t, args...)
-		if code != 2 {
-			t.Errorf("%v: exit = %d, want 2", args, code)
-		}
-		if !strings.Contains(stderr, "-prune needs a full run") {
-			t.Errorf("%v: stderr = %q, want full-run explanation", args, stderr)
-		}
 	}
 }
 
@@ -411,10 +347,44 @@ func TestRunAnnotateRoundTrip(t *testing.T) {
 	}
 }
 
+// TestRunNarrowPattern: a pattern chooses which findings a run
+// prints, not what it analyses, so the allowlist is still matched
+// against the whole module — an entry for a finding outside the
+// pattern is in use, and an entry that matches nothing anywhere is
+// stale.
+func TestRunNarrowPattern(t *testing.T) {
+	root := writeModule(t)
+	other := filepath.Join(root, "other")
+	if err := os.Mkdir(other, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	src := "package other\n\nfunc fail() error { return nil }\n\nfunc Use() {\n\tfail()\n}\n"
+	if err := os.WriteFile(filepath.Join(other, "other.go"), []byte(src), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	ignore := filepath.Join(root, ".sgfsvet-ignore")
+	content := "lock-order demo/demo.go lock-order cycle\n" +
+		"lock-over-io never/matches nothing here\n"
+	if err := os.WriteFile(ignore, []byte(content), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	code, stdout, stderr := runVet(t, "-C", root, "./other")
+	if code != 2 {
+		t.Fatalf("exit = %d, want 2 on a stale allowlist; stderr:\n%s", code, stderr)
+	}
+	if !strings.Contains(stdout, "result of fail") || strings.Contains(stdout, "demo.go") {
+		t.Errorf("./other run printed\n%s\nwant only other's finding", stdout)
+	}
+	if !strings.Contains(stderr, ".sgfsvet-ignore:2: allowlist entry matched nothing") ||
+		strings.Contains(stderr, ".sgfsvet-ignore:1:") {
+		t.Errorf("stderr = %q, want line 2 stale and line 1 in use", stderr)
+	}
+}
+
 func TestRunUsageErrors(t *testing.T) {
 	root := writeModule(t)
-	if code, _, stderr := runVet(t, "-C", root, "-run", "bogus"); code != 2 {
-		t.Errorf("unknown analyzer: exit = %d, want 2 (%s)", code, stderr)
+	if code, _, stderr := runVet(t, "-C", root, "./absent"); code != 2 {
+		t.Errorf("pattern naming no package: exit = %d, want 2 (%s)", code, stderr)
 	}
 	// A directory with no go.mod anywhere above it is a load error.
 	if code, _, _ := runVet(t, "-C", t.TempDir()); code != 2 {
@@ -423,18 +393,12 @@ func TestRunUsageErrors(t *testing.T) {
 	if code, _, _ := runVet(t, "-not-a-flag"); code != 2 {
 		t.Errorf("bad flag: exit = %d, want 2", code)
 	}
-	// Enable flags come from the analyzer list: a retired analyzer's
-	// flag is gone with it.
-	if code, _, _ := runVet(t, "-xdr-symmetry=false"); code != 2 {
-		t.Errorf("retired analyzer flag: exit = %d, want 2", code)
-	}
-	if code, _, _ := runVet(t, "-C", root, "-run", "xdr-symmetry"); code != 2 {
-		t.Errorf("-run of a retired analyzer: exit = %d, want 2", code)
-	}
-	// The alloc census went with alloc-hotpath: its modes are gone too.
-	for _, flag := range []string{"-alloc-hotpath=false", "-alloc-census", "-alloc-budget", "-alloc-baseline=x"} {
+	// Every run applies the whole suite: there is no flag that selects
+	// analyzers, and the alloc census went with alloc-hotpath.
+	for _, flag := range []string{"-all", "-run=lock-order", "-lock-order=false", "-xdr-symmetry=false",
+		"-alloc-hotpath=false", "-alloc-census", "-alloc-budget", "-alloc-baseline=x"} {
 		if code, _, _ := runVet(t, "-C", root, flag); code != 2 {
-			t.Errorf("retired flag %s: exit = %d, want 2", flag, code)
+			t.Errorf("removed flag %s: exit = %d, want 2", flag, code)
 		}
 	}
 }

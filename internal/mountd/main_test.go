@@ -1,0 +1,10 @@
+package mountd
+
+import (
+	"testing"
+
+	"repro/internal/leakcheck"
+)
+
+// TestMain fails the package's tests if they leave goroutines running.
+func TestMain(m *testing.M) { leakcheck.Main(m) }

@@ -140,12 +140,13 @@ func (c *conn) pumpIn() {
 func (c *conn) Read(p []byte) (int, error) { return c.in.read(p) }
 
 // Close drains in-flight writes, then closes the underlying
-// connection.
+// connection and ends the write pump.
 func (c *conn) Close() error {
 	var err error
 	c.closeOnce.Do(func() {
 		c.out.waitEmpty(2 * c.delay)
 		err = c.Conn.Close()
+		c.out.close(net.ErrClosed)
 	})
 	return err
 }

@@ -41,6 +41,7 @@ func tcpPair(t *testing.T) (net.Conn, net.Conn) {
 func TestRTTImposed(t *testing.T) {
 	a, b := tcpPair(t)
 	shaped := Wrap(a, Config{RTT: 40 * time.Millisecond})
+	defer shaped.Close()
 
 	// Echo server on the unshaped side.
 	go func() {
@@ -79,6 +80,7 @@ func TestZeroConfigPassthrough(t *testing.T) {
 func TestDataIntegrityUnderShaping(t *testing.T) {
 	a, b := tcpPair(t)
 	shaped := Wrap(a, Config{RTT: 4 * time.Millisecond})
+	defer shaped.Close()
 	payload := make([]byte, 256*1024)
 	for i := range payload {
 		payload[i] = byte(i * 7)
@@ -100,6 +102,7 @@ func TestPipeliningSharesDelay(t *testing.T) {
 	// twice: the link buffers in-flight data.
 	a, b := tcpPair(t)
 	shaped := Wrap(a, Config{RTT: 60 * time.Millisecond})
+	defer shaped.Close()
 	go func() {
 		shaped.Write([]byte("11111111"))
 		shaped.Write([]byte("22222222"))
@@ -120,6 +123,7 @@ func TestBandwidthLimit(t *testing.T) {
 	a, b := tcpPair(t)
 	// 1 MB/s: 256 KB should take ~250ms.
 	shaped := Wrap(a, Config{Bandwidth: 1 << 20})
+	defer shaped.Close()
 	payload := make([]byte, 256*1024)
 	var wg sync.WaitGroup
 	wg.Add(1)

@@ -2,7 +2,6 @@ package oncrpc
 
 import (
 	"context"
-	crand "crypto/rand"
 	"errors"
 	"fmt"
 	"math/bits"
@@ -119,13 +118,6 @@ func NewReconnectClient(initial *Client, factory SessionFactory, opts ReconnectO
 		r.watch(initial, r.gen)
 	}
 	return r
-}
-
-// newSession draws a session id.
-func newSession() *sessionVerf {
-	s := new(sessionVerf)
-	crand.Read(s.ID[:])
-	return s
 }
 
 // watch invalidates the session as soon as its client fails, so

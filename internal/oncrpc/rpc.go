@@ -12,6 +12,7 @@
 package oncrpc
 
 import (
+	crand "crypto/rand"
 	"errors"
 	"fmt"
 
@@ -105,6 +106,13 @@ const (
 type sessionVerf struct {
 	ID    [16]byte
 	Flags uint32
+}
+
+// newSession draws a session id.
+func newSession() *sessionVerf {
+	s := new(sessionVerf)
+	crand.Read(s.ID[:])
+	return s
 }
 
 const (

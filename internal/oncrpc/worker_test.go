@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/leakcheck"
 	"repro/internal/xdr"
 )
 
@@ -30,19 +31,6 @@ func servePipe(t *testing.T, s *Server) (*Client, <-chan struct{}) {
 		<-done
 	})
 	return c, done
-}
-
-// waitGoroutines waits up to 2 s for the goroutine count to fall to
-// baseline, and reports the count it last saw.
-func waitGoroutines(baseline int) int {
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		n := runtime.NumGoroutine()
-		if n <= baseline || time.Now().After(deadline) {
-			return n
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
 }
 
 // 64 calls in flight at once on one connection take 64 workers; once
@@ -76,8 +64,8 @@ func TestWorkersExitWithConnection(t *testing.T) {
 	wg.Wait()
 	c.Close()
 	<-done
-	if n := waitGoroutines(baseline); n > baseline {
-		t.Fatalf("%d goroutines 2 s after the connection closed, %d before it opened", n, baseline)
+	if err := leakcheck.Settle(baseline, 2*time.Second); err != nil {
+		t.Fatal(err)
 	}
 }
 

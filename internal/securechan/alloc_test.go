@@ -25,7 +25,9 @@ func TestWriteReadAllocs(t *testing.T) {
 			ccfg, scfg := suiteConfigs(pki, SuiteAES256SHA1)
 			cc, sc := handshakePair(t, pki, ccfg, scfg)
 			p := make([]byte, 32<<10)
-			done := make(chan error)
+			// Buffered, so the reader's last send, the error after the
+			// pair closes, does not block with no one receiving.
+			done := make(chan error, 1)
 			go func() {
 				buf := make([]byte, len(p))
 				for {

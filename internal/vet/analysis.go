@@ -37,26 +37,28 @@ func (d Diagnostic) compare(o Diagnostic) int {
 	return strings.Compare(d.Analyzer, o.Analyzer)
 }
 
-// Analyzer is one named check. Every analyzer also implements
-// PackageAnalyzer or ModuleAnalyzer, which is how RunAll drives it.
+// Analyzer is one named check over the shared Module — the
+// packages, declaration index, call graph, body list and CFGs — which
+// it reads instead of building its own.
 type Analyzer interface {
 	Name() string
+	Run(m *Module) []Diagnostic
 }
 
-// PackageAnalyzer is a check whose every fact is local to one package
-// (swallowed-error, goroutine-leak).
-type PackageAnalyzer interface {
-	Analyzer
-	Run(pkg *Package) []Diagnostic
-}
-
-// ModuleAnalyzer is a check that follows calls, locks or values across
-// function and package boundaries. It reads the shared Module — the
-// declaration index, call graph, body list and CFGs — instead of
-// building its own.
-type ModuleAnalyzer interface {
-	Analyzer
-	RunModule(m *Module) []Diagnostic
+// Analyzers returns the suite, in reporting order. Every run applies
+// all of it; the CLI and the repo-clean test share this list so they
+// cannot drift.
+func Analyzers() []Analyzer {
+	return []Analyzer{
+		LockOverIO{},
+		LocksetRace{},
+		PoolLifecycle{},
+		SwallowedError{},
+		LockOrder{},
+		SecretFlow{},
+		UnboundedAlloc{},
+		ResourceLeak{},
+	}
 }
 
 // AnalyzerTiming records one analyzer's wall-clock cost over a RunAll
@@ -89,14 +91,7 @@ func RunAllTimed(pkgs []*Package, analyzers []Analyzer) ([]Diagnostic, []Analyze
 	var all []Diagnostic
 	for _, a := range analyzers {
 		start := time.Now()
-		switch a := a.(type) {
-		case ModuleAnalyzer:
-			all = append(all, a.RunModule(m)...)
-		case PackageAnalyzer:
-			for _, pkg := range m.Pkgs {
-				all = append(all, a.Run(pkg)...)
-			}
-		}
+		all = append(all, a.Run(m)...)
 		timings = append(timings, AnalyzerTiming{Name: a.Name(), Elapsed: time.Since(start)})
 	}
 	sort.SliceStable(all, func(i, j int) bool { return all[i].compare(all[j]) < 0 })

@@ -84,13 +84,6 @@ type Spec struct {
 	// as clean.
 	CallTaint func(call *ast.CallExpr, recv *Source, args []*Source) *Source
 
-	// Conversion decides the taint of a conversion T(x) given x's
-	// taint; nil means conversions pass taint through. This is where
-	// an analysis declares benign coercions — e.g. weak-rand treats
-	// math/rand flowing into time.Duration as backoff jitter, not key
-	// material.
-	Conversion func(to types.Type, src *Source) *Source
-
 	// FieldTaint decides the taint of reading a struct field whose own
 	// object is clean but whose base container is tainted (nil = the
 	// container's taint passes through). This is where an analysis
@@ -103,8 +96,8 @@ type Spec struct {
 	// prove an upper bound: on the edge where `x <= K` (or `x < K`,
 	// `x == K`, the negation of `x > K`…) holds and K is untainted,
 	// every tainted variable in x is considered sanitized. Analyses
-	// where a comparison proves nothing (weak randomness stays weak
-	// however you bound it) leave this false.
+	// where a comparison proves nothing (a secret stays secret however
+	// you bound it) leave this false.
 	BoundSanitizer bool
 
 	// Sink inspects each node with the taint state in force just
@@ -388,11 +381,7 @@ func (spec *Spec) callTaint(st State, call *ast.CallExpr) *Source {
 	// Conversions pass taint through: uint32(n), T(x).
 	if tv, ok := spec.Info.Types[fun]; ok && tv.IsType() {
 		if len(call.Args) == 1 {
-			src := spec.exprTaint(st, call.Args[0])
-			if src != nil && spec.Conversion != nil {
-				return spec.Conversion(tv.Type, src)
-			}
-			return src
+			return spec.exprTaint(st, call.Args[0])
 		}
 		return nil
 	}

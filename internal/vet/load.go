@@ -1,13 +1,14 @@
 // Package vet implements sgfs-vet, a repository-specific static
 // analysis suite built purely on the standard library's go/ast,
-// go/parser and go/types: eleven analyzers for invariants this
-// codebase depends on but the compiler cannot check. Each job under
-// them has one implementation:
+// go/parser and go/types: eight analyzers for invariants this codebase
+// depends on but the compiler cannot check. Every run loads the whole
+// module (LoadModule) and applies the whole suite (Analyzers) to it;
+// which findings a run reports is chosen afterwards (Select). Each job
+// under the analyzers has one implementation:
 //
-//   - module.go: the Module every module analyzer reads — declaration
-//     index, call graph with interface dispatch, its SCC condensation
-//     and the one bottom-up summary fixpoint, every function body and
-//     its CFG;
+//   - module.go: the Module every analyzer reads — declaration index,
+//     call graph with interface dispatch, its SCC condensation and the
+//     one bottom-up summary fixpoint, every function body and its CFG;
 //   - internal/vet/cfg: CFG builder, worklist dataflow solver, taint
 //     engine;
 //   - locks.go: the lock engine — which mutexes are held here;
@@ -18,31 +19,27 @@
 //
 // The analyzers, by what they stand on:
 //
-//   - per package, syntactic: swallowed-error (no discarded or
-//     unchecked errors in non-test code), goroutine-leak
-//     (no spawned goroutine blocks on a channel with no cancellation
-//     edge);
+//   - syntax and types: swallowed-error (no discarded or unchecked
+//     errors in non-test code);
 //   - lock engine: lock-over-io (no mutex held across blocking
-//     transport I/O in the RPC/proxy/channel packages), lock-order (no
-//     cycle in the module-wide lock-acquisition graph), lockset-race
-//     (no access to a mutex-guarded field with a provably empty
-//     lockset);
+//     transport I/O), lock-order (no cycle in the module-wide
+//     lock-acquisition graph), lockset-race (no access to a
+//     mutex-guarded field with a provably empty lockset);
 //   - obligation engine: resource-leak (connections, files and pool
 //     buffers are released, stored or handed off on every path),
 //     pool-lifecycle (no use after Put, double Put, or Put of an
 //     escaped sync.Pool object);
 //   - taint summaries: secret-flow (key material never reaches logs,
 //     error strings or plaintext writes), unbounded-alloc (no
-//     wire-decoded integer reaches a make or copy size unchecked),
-//     weak-rand (math/rand never becomes cryptographic material);
-//   - call graph and module index: atomic-misuse (no plain access to
-//     a location accessed via sync/atomic elsewhere).
+//     wire-decoded integer reaches a make or copy size unchecked).
 //
 // See DESIGN.md ("Static analysis: sgfs-vet") for the engines, the
-// per-analyzer scorecard and instructions for adding analyzers.
+// per-analyzer scorecard, the checks that replaced retired analyzers,
+// and instructions for adding analyzers.
 package vet
 
 import (
+	"errors"
 	"fmt"
 	"go/ast"
 	"go/importer"
@@ -63,16 +60,66 @@ type Package struct {
 	Files      []*ast.File
 	Types      *types.Package
 	Info       *types.Info
-	TypeErrors []error
 }
 
-// Loader parses and type-checks packages of a single module without
+// LoadModule parses and type-checks every package of the module
+// containing dir. It is how every run loads code, so every run sees
+// the whole module: which findings a run reports is chosen afterwards
+// (Select), never what it loads or analyses. It returns the module
+// root and the packages in directory order; a package that does not
+// type-check is an error.
+func LoadModule(dir string) (root string, pkgs []*Package, err error) {
+	if root, err = findModuleRoot(dir); err != nil {
+		return "", nil, err
+	}
+	l, err := newLoader(root)
+	if err != nil {
+		return "", nil, err
+	}
+	dirs, err := packageDirs(root)
+	if err != nil {
+		return "", nil, err
+	}
+	for _, d := range dirs {
+		pkg, err := l.loadDir(d)
+		if err != nil {
+			return "", nil, err
+		}
+		pkgs = append(pkgs, pkg)
+	}
+	return root, pkgs, nil
+}
+
+// Select returns the directories of the packages that patterns name,
+// relative to the module root: `./...` (every package), a package
+// directory, or a directory followed by `/...` (it and every package
+// below it). A pattern that names no package is an error.
+func Select(root string, pkgs []*Package, patterns []string) (map[string]bool, error) {
+	dirs := make(map[string]bool)
+	for _, pattern := range patterns {
+		base, recursive := strings.CutSuffix(filepath.ToSlash(pattern), "...")
+		dir := filepath.Join(root, filepath.FromSlash(base))
+		matched := false
+		for _, pkg := range pkgs {
+			if pkg.Dir == dir || recursive && strings.HasPrefix(pkg.Dir, dir+string(filepath.Separator)) {
+				dirs[pkg.Dir] = true
+				matched = true
+			}
+		}
+		if !matched {
+			return nil, fmt.Errorf("vet: %s names no package of the module", pattern)
+		}
+	}
+	return dirs, nil
+}
+
+// loader parses and type-checks packages of a single module without
 // go/packages: module-internal imports are resolved by mapping the
 // import path onto the module directory tree and recursing; standard
 // library imports fall back to the compiler's source importer.
-type Loader struct {
-	ModuleRoot string
-	ModulePath string
+type loader struct {
+	root       string
+	modulePath string
 
 	fset  *token.FileSet
 	std   types.Importer
@@ -80,10 +127,10 @@ type Loader struct {
 	busy  map[string]bool
 }
 
-// NewLoader creates a loader rooted at moduleRoot, reading the module
-// path from go.mod.
-func NewLoader(moduleRoot string) (*Loader, error) {
-	data, err := os.ReadFile(filepath.Join(moduleRoot, "go.mod"))
+// newLoader creates a loader rooted at root, reading the module path
+// from go.mod.
+func newLoader(root string) (*loader, error) {
+	data, err := os.ReadFile(filepath.Join(root, "go.mod"))
 	if err != nil {
 		return nil, fmt.Errorf("vet: read go.mod: %w", err)
 	}
@@ -96,12 +143,12 @@ func NewLoader(moduleRoot string) (*Loader, error) {
 		}
 	}
 	if modPath == "" {
-		return nil, fmt.Errorf("vet: no module directive in %s/go.mod", moduleRoot)
+		return nil, fmt.Errorf("vet: no module directive in %s/go.mod", root)
 	}
 	fset := token.NewFileSet()
-	return &Loader{
-		ModuleRoot: moduleRoot,
-		ModulePath: modPath,
+	return &loader{
+		root:       root,
+		modulePath: modPath,
 		fset:       fset,
 		std:        importer.ForCompiler(fset, "source", nil),
 		cache:      make(map[string]*Package),
@@ -111,12 +158,12 @@ func NewLoader(moduleRoot string) (*Loader, error) {
 
 // Import implements types.Importer so the loader can resolve the
 // imports of the packages it checks.
-func (l *Loader) Import(path string) (*types.Package, error) {
+func (l *loader) Import(path string) (*types.Package, error) {
 	if path == "unsafe" {
 		return types.Unsafe, nil
 	}
-	if path == l.ModulePath || strings.HasPrefix(path, l.ModulePath+"/") {
-		pkg, err := l.load(path)
+	if path == l.modulePath || strings.HasPrefix(path, l.modulePath+"/") {
+		pkg, err := l.load(path, l.dirFor(path))
 		if err != nil {
 			return nil, err
 		}
@@ -126,13 +173,31 @@ func (l *Loader) Import(path string) (*types.Package, error) {
 }
 
 // dirFor maps a module import path to its directory.
-func (l *Loader) dirFor(importPath string) string {
-	rel := strings.TrimPrefix(strings.TrimPrefix(importPath, l.ModulePath), "/")
-	return filepath.Join(l.ModuleRoot, filepath.FromSlash(rel))
+func (l *loader) dirFor(importPath string) string {
+	rel := strings.TrimPrefix(strings.TrimPrefix(importPath, l.modulePath), "/")
+	return filepath.Join(l.root, filepath.FromSlash(rel))
 }
 
-// load loads a module package by import path, caching results.
-func (l *Loader) load(importPath string) (*Package, error) {
+// loadDir loads the package in a directory of the module (which may
+// lie under a testdata tree, as the analyzers' fixtures do).
+func (l *loader) loadDir(dir string) (*Package, error) {
+	abs, err := filepath.Abs(dir)
+	if err != nil {
+		return nil, err
+	}
+	rel, err := filepath.Rel(l.root, abs)
+	if err != nil || strings.HasPrefix(rel, "..") {
+		return nil, fmt.Errorf("vet: %s is outside module %s", dir, l.root)
+	}
+	importPath := l.modulePath
+	if rel != "." {
+		importPath = l.modulePath + "/" + filepath.ToSlash(rel)
+	}
+	return l.load(importPath, abs)
+}
+
+// load loads the package at importPath from dir, caching results.
+func (l *loader) load(importPath, dir string) (*Package, error) {
 	if pkg, ok := l.cache[importPath]; ok {
 		return pkg, nil
 	}
@@ -142,34 +207,7 @@ func (l *Loader) load(importPath string) (*Package, error) {
 	l.busy[importPath] = true
 	defer delete(l.busy, importPath)
 
-	pkg, err := l.check(importPath, l.dirFor(importPath))
-	if err != nil {
-		return nil, err
-	}
-	l.cache[importPath] = pkg
-	return pkg, nil
-}
-
-// LoadDir loads the package in a specific directory (which may lie
-// under a testdata tree), assigning it a synthetic import path when it
-// falls outside the module mapping.
-func (l *Loader) LoadDir(dir string) (*Package, error) {
-	abs, err := filepath.Abs(dir)
-	if err != nil {
-		return nil, err
-	}
-	rel, err := filepath.Rel(l.ModuleRoot, abs)
-	if err != nil || strings.HasPrefix(rel, "..") {
-		return nil, fmt.Errorf("vet: %s is outside module %s", dir, l.ModuleRoot)
-	}
-	importPath := l.ModulePath
-	if rel != "." {
-		importPath = l.ModulePath + "/" + filepath.ToSlash(rel)
-	}
-	if pkg, ok := l.cache[importPath]; ok {
-		return pkg, nil
-	}
-	pkg, err := l.check(importPath, abs)
+	pkg, err := l.check(importPath, dir)
 	if err != nil {
 		return nil, err
 	}
@@ -178,7 +216,7 @@ func (l *Loader) LoadDir(dir string) (*Package, error) {
 }
 
 // check parses and type-checks the non-test Go files of one directory.
-func (l *Loader) check(importPath, dir string) (*Package, error) {
+func (l *loader) check(importPath, dir string) (*Package, error) {
 	names, err := goFiles(dir)
 	if err != nil {
 		return nil, err
@@ -202,23 +240,23 @@ func (l *Loader) check(importPath, dir string) (*Package, error) {
 		Implicits:  make(map[ast.Node]types.Object),
 		Scopes:     make(map[ast.Node]*types.Scope),
 	}
-	pkg := &Package{
+	var typeErrs []error
+	conf := types.Config{
+		Importer: l,
+		Error:    func(err error) { typeErrs = append(typeErrs, err) },
+	}
+	tpkg, err := conf.Check(importPath, l.fset, files, info)
+	if err != nil {
+		return nil, fmt.Errorf("vet: typecheck %s: %w", importPath, errors.Join(typeErrs...))
+	}
+	return &Package{
 		ImportPath: importPath,
 		Dir:        dir,
 		Fset:       l.fset,
 		Files:      files,
-	}
-	conf := types.Config{
-		Importer: l,
-		Error:    func(err error) { pkg.TypeErrors = append(pkg.TypeErrors, err) },
-	}
-	tpkg, err := conf.Check(importPath, l.fset, files, info)
-	if tpkg == nil {
-		return nil, fmt.Errorf("vet: typecheck %s: %w", importPath, err)
-	}
-	pkg.Types = tpkg
-	pkg.Info = info
-	return pkg, nil
+		Types:      tpkg,
+		Info:       info,
+	}, nil
 }
 
 // goFiles lists the buildable non-test Go files of dir, sorted.
@@ -240,21 +278,9 @@ func goFiles(dir string) ([]string, error) {
 	return names, nil
 }
 
-// PackageDirs expands a ./... style pattern (relative to the module
-// root) into the module directories containing Go packages, skipping
-// testdata, vendor and hidden directories.
-func PackageDirs(moduleRoot, pattern string) ([]string, error) {
-	pattern = filepath.ToSlash(pattern)
-	base := strings.TrimSuffix(pattern, "...")
-	recursive := base != pattern
-	base = strings.TrimSuffix(base, "/")
-	if base == "" || base == "." {
-		base = "."
-	}
-	root := filepath.Join(moduleRoot, filepath.FromSlash(strings.TrimPrefix(base, "./")))
-	if !recursive {
-		return []string{root}, nil
-	}
+// packageDirs lists the module directories containing Go packages,
+// skipping testdata, vendor and hidden directories.
+func packageDirs(root string) ([]string, error) {
 	var dirs []string
 	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
 		if err != nil {
@@ -283,9 +309,9 @@ func PackageDirs(moduleRoot, pattern string) ([]string, error) {
 	return dirs, nil
 }
 
-// FindModuleRoot walks up from dir to the nearest directory holding a
+// findModuleRoot walks up from dir to the nearest directory holding a
 // go.mod.
-func FindModuleRoot(dir string) (string, error) {
+func findModuleRoot(dir string) (string, error) {
 	abs, err := filepath.Abs(dir)
 	if err != nil {
 		return "", err

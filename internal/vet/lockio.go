@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"go/ast"
 	"go/types"
-	"slices"
 
 	"repro/internal/vet/cfg"
 )
@@ -19,11 +18,7 @@ import (
 //
 // Intentional holds (e.g. a channel that must serialize frames to
 // keep its cipher stream ordered) are recorded in .sgfsvet-ignore.
-type LockOverIO struct {
-	// Packages restricts the analyzer to these import paths; empty
-	// means every package.
-	Packages []string
-}
+type LockOverIO struct{}
 
 // Name implements Analyzer.
 func (LockOverIO) Name() string { return "lock-over-io" }
@@ -46,24 +41,22 @@ var blockingMethods = map[string]bool{
 	"Accept":   true,
 }
 
-// Run implements PackageAnalyzer on the lock engine (locks.go): a
-// blocking call is reported when some mutex is held on every path into
-// it, so a branch that conditionally unlocks before the I/O does not
-// report. Findings in function literals are reported under the
-// enclosing declaration's name.
-func (a LockOverIO) Run(pkg *Package) []Diagnostic {
-	if len(a.Packages) > 0 && !slices.Contains(a.Packages, pkg.ImportPath) {
-		return nil
-	}
+// Run implements Analyzer on the lock engine (locks.go): a blocking
+// call is reported when some mutex is held on every path into it, so a
+// branch that conditionally unlocks before the I/O does not report.
+// Findings in function literals are reported under the enclosing
+// declaration's name.
+func (LockOverIO) Run(m *Module) []Diagnostic {
 	var lf lockFlow
 	var diags []Diagnostic
-	for _, b := range packageBodies(pkg) {
-		lf.replay(cfg.Build(b.body), pkg, func(eff *lockEffect, n ast.Node) {
+	for _, b := range m.bodies {
+		pkg := b.pkg
+		lf.replay(m.cfgOf(b.body), pkg, func(eff *lockEffect, n ast.Node) {
 			if len(eff.acq) == 0 {
 				return
 			}
-			cfg.Inspect(n, func(m ast.Node) bool {
-				call, ok := m.(*ast.CallExpr)
+			cfg.Inspect(n, func(x ast.Node) bool {
+				call, ok := x.(*ast.CallExpr)
 				if !ok || !isBlockingCall(pkg, call) {
 					return true
 				}

@@ -43,8 +43,8 @@ type lockEdge struct {
 	detail   string
 }
 
-// RunModule implements ModuleAnalyzer.
-func (LockOrder) RunModule(m *Module) []Diagnostic {
+// Run implements Analyzer.
+func (LockOrder) Run(m *Module) []Diagnostic {
 	// One replay of every body (each literal is its own acquisition
 	// context): direct edges, the keys each declared function locks
 	// itself, and the module calls made under a lock.

@@ -86,8 +86,8 @@ type lsAnalysis struct {
 	roots    map[*types.Func]bool
 }
 
-// RunModule implements ModuleAnalyzer.
-func (a LocksetRace) RunModule(m *Module) []Diagnostic {
+// Run implements Analyzer.
+func (a LocksetRace) Run(m *Module) []Diagnostic {
 	ls := &lsAnalysis{
 		m:        m,
 		pkgPaths: make(map[string]bool, len(m.Pkgs)),
@@ -640,6 +640,22 @@ func selfSynchronized(t types.Type) bool {
 	switch named.Obj().Pkg().Path() {
 	case "sync", "sync/atomic":
 		return true
+	}
+	return false
+}
+
+// freshAllocExpr reports whether e denotes newly-allocated memory.
+func freshAllocExpr(pkg *Package, e ast.Expr) bool {
+	switch x := ast.Unparen(e).(type) {
+	case *ast.CompositeLit:
+		return true
+	case *ast.UnaryExpr:
+		if x.Op == token.AND {
+			_, ok := ast.Unparen(x.X).(*ast.CompositeLit)
+			return ok
+		}
+	case *ast.CallExpr:
+		return builtinName(pkg, x) == "new"
 	}
 	return false
 }

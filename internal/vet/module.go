@@ -8,7 +8,7 @@ import (
 	"repro/internal/vet/cfg"
 )
 
-// Module is the view of the loaded packages every module analyzer
+// Module is the view of the loaded packages every analyzer
 // shares: built once per run by RunAllTimed, read-only afterwards.
 // It answers the questions analyzers used to answer privately —
 // where is this function declared, what can it cause to run, which
@@ -69,21 +69,15 @@ type funcBody struct {
 }
 
 // NewModule indexes pkgs, builds the call graph and its condensation,
-// and builds the CFG of every body. Duplicate packages (the same
-// directory named by two patterns) are indexed once.
+// and builds the CFG of every body.
 func NewModule(pkgs []*Package) *Module {
 	m := &Module{
+		Pkgs:  pkgs,
 		decls: make(map[*types.Func]*funcDecl),
 		succs: make(map[*types.Func][]*types.Func),
 		cfgs:  make(map[*ast.BlockStmt]*cfg.Graph),
 	}
-	seen := make(map[*Package]bool, len(pkgs))
 	for _, pkg := range pkgs {
-		if seen[pkg] {
-			continue
-		}
-		seen[pkg] = true
-		m.Pkgs = append(m.Pkgs, pkg)
 		for _, b := range packageBodies(pkg) {
 			m.bodies = append(m.bodies, b)
 			m.cfgs[b.body] = cfg.Build(b.body)

@@ -37,9 +37,9 @@ type PoolLifecycle struct{}
 // Name implements Analyzer.
 func (PoolLifecycle) Name() string { return "pool-lifecycle" }
 
-// RunModule implements ModuleAnalyzer: the obligation engine under the
+// Run implements Analyzer: the obligation engine under the
 // pool policy.
-func (PoolLifecycle) RunModule(m *Module) []Diagnostic {
+func (PoolLifecycle) Run(m *Module) []Diagnostic {
 	return runObligations(m, poolPolicy{})
 }
 

@@ -11,40 +11,13 @@ import (
 // diagnostics: a change that introduces a finding (or orphans an
 // allowlist entry) fails here before it reaches CI's sgfs-vet step.
 func TestRepoClean(t *testing.T) {
-	if testing.Short() {
-		t.Skip("analyzes the whole module; skipped in -short mode")
-	}
 	t.Parallel()
-
-	root, err := FindModuleRoot(".")
+	w := loadWholeModule(t)
+	ignore, err := LoadIgnore(filepath.Join(w.root, ".sgfsvet-ignore"), w.root)
 	if err != nil {
 		t.Fatal(err)
 	}
-	loader, err := NewLoader(root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dirs, err := PackageDirs(root, "./...")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var pkgs []*Package
-	for _, dir := range dirs {
-		pkg, err := loader.LoadDir(dir)
-		if err != nil {
-			t.Fatalf("%s: %v", dir, err)
-		}
-		for _, terr := range pkg.TypeErrors {
-			t.Fatalf("typecheck %s: %v", pkg.ImportPath, terr)
-		}
-		pkgs = append(pkgs, pkg)
-	}
-
-	ignore, err := LoadIgnore(filepath.Join(root, ".sgfsvet-ignore"), root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, d := range RunAll(pkgs, DefaultAnalyzers()) {
+	for _, d := range w.diags {
 		if ignore.Match(d) {
 			continue
 		}

@@ -32,9 +32,9 @@ type ResourceLeak struct{}
 // Name implements Analyzer.
 func (ResourceLeak) Name() string { return "resource-leak" }
 
-// RunModule implements ModuleAnalyzer: the obligation engine under the
+// Run implements Analyzer: the obligation engine under the
 // leak policy.
-func (ResourceLeak) RunModule(m *Module) []Diagnostic {
+func (ResourceLeak) Run(m *Module) []Diagnostic {
 	return runObligations(m, leakPolicy{})
 }
 

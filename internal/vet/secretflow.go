@@ -31,8 +31,8 @@ type SecretFlow struct {
 // Name implements Analyzer.
 func (SecretFlow) Name() string { return "secret-flow" }
 
-// RunModule implements ModuleAnalyzer.
-func (a SecretFlow) RunModule(m *Module) []Diagnostic {
+// Run implements Analyzer.
+func (a SecretFlow) Run(m *Module) []Diagnostic {
 	pol := summaryPolicy{
 		mkSpec: func(pkg *Package) *cfg.Spec {
 			return &cfg.Spec{

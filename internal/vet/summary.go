@@ -175,8 +175,8 @@ func (s *fnSummary) noteSink(src *cfg.Source, what string) {
 // summaryPolicy configures the engine for one analyzer.
 type summaryPolicy struct {
 	// mkSpec builds the base per-package spec: Info, SourceOf,
-	// Conversion, BoundSanitizer. Seed, CallTaint and Sink are owned
-	// by the engine.
+	// SourceArg, BoundSanitizer. Seed, CallTaint, FieldTaint and Sink
+	// are owned by the engine.
 	mkSpec func(pkg *Package) *cfg.Spec
 	// sinkOf classifies a call as a direct policy sink: the index of
 	// the first sink argument (0 = every argument) and a description,

@@ -1,8 +1,11 @@
-// Package atomicmisuse exercises the atomic-misuse analyzer: plain
-// writes and reads mixed with sync/atomic access to the same location,
-// typed-atomic lost updates, and the clean disciplines (constructor
-// initialization, CAS loops, cross-location copies) that must stay
-// silent.
+// Package atomicmisuse holds the cases of the retired atomic-misuse
+// analyzer — plain writes and reads mixed with sync/atomic access to
+// the same location, and lost updates — as input to the rule that
+// replaced it (atomicRule). The rule flags the sync/atomic functions
+// themselves, so each mixed-access case is rejected where its location
+// is accessed atomically; the lost updates are flagged where they are.
+// The clean disciplines (constructor initialization, CAS loops,
+// cross-location copies) must stay silent.
 package atomicmisuse
 
 import "sync/atomic"
@@ -15,30 +18,33 @@ type hot struct {
 	cold uint64 // never touched atomically
 }
 
-func (h *hot) inc() { atomic.AddUint64(&h.n, 1) }
+func (h *hot) inc() { atomic.AddUint64(&h.n, 1) } // want "function AddUint64"
 
-func (h *hot) bump() { atomic.StoreUint64(&h.gen, 42) }
+func (h *hot) bump() { atomic.StoreUint64(&h.gen, 42) } // want "function StoreUint64"
 
 // snapshot reads everything atomically: clean.
 func (h *hot) snapshot() (uint64, uint64) {
-	return atomic.LoadUint64(&h.n), atomic.LoadUint64(&h.gen)
+	return atomic.LoadUint64(&h.n), atomic.LoadUint64(&h.gen) // want "function LoadUint64" want "function LoadUint64"
 }
 
 // ---- true positives ----
 
-// badReset writes a counter other code updates atomically.
+// badReset writes a counter other code updates atomically: rejected
+// at inc and snapshot.
 func (h *hot) badReset() {
-	h.n = 0 // want "written without sync/atomic"
+	h.n = 0
 }
 
-// badIncrement mixes a plain increment with the atomic adds.
+// badIncrement mixes a plain increment with the atomic adds: rejected
+// at inc and snapshot.
 func (h *hot) badIncrement() {
-	h.n++ // want "written without sync/atomic"
+	h.n++
 }
 
-// badRead reads the atomically-written generation plainly.
+// badRead reads the atomically-written generation plainly: rejected at
+// bump and snapshot.
 func (h *hot) badRead() uint64 {
-	return h.gen // want "read without sync/atomic"
+	return h.gen
 }
 
 // lostUpdate re-stores its own load: concurrent Adds between the Load
@@ -49,12 +55,12 @@ type gauge struct {
 }
 
 func (g *gauge) lostUpdate(n int64) {
-	g.cur.Store(g.cur.Load() + n) // want "read-modify-write is not atomic"
+	g.cur.Store(g.cur.Load() + n) // want "g.cur.Store re-stores its own Load"
 }
 
 // lostUpdateOldStyle is the same bug in the package-function style.
 func (h *hot) lostUpdateOldStyle() {
-	atomic.StoreUint64(&h.n, atomic.LoadUint64(&h.n)+1) // want "read-modify-write is not atomic"
+	atomic.StoreUint64(&h.n, atomic.LoadUint64(&h.n)+1) // want "function StoreUint64" want "function LoadUint64"
 }
 
 // ---- false-positive avoidance ----

@@ -1,6 +1,8 @@
-// Package goroutineleak exercises the goroutine-leak analyzer:
-// blocking channel operations in spawned goroutines need a visible
-// cancellation edge.
+// Package goroutineleak holds the shapes of the retired goroutine-leak
+// analyzer as input to the check that replaced it, leakcheck: Leaks
+// are the five it flagged, each of which leaves a goroutine blocked
+// when it runs, and Clean are the shapes it accepted. Every shape
+// returns a func that releases what it started.
 package goroutineleak
 
 import "time"
@@ -10,6 +12,8 @@ type mgr struct {
 	events chan int
 }
 
+func newMgr() *mgr { return &mgr{stop: make(chan struct{}), events: make(chan int)} }
+
 // Stop closes m.stop, so receives from it are completion signals.
 func (m *mgr) Stop() { close(m.stop) }
 
@@ -17,7 +21,7 @@ func (m *mgr) Stop() { close(m.stop) }
 // never closed in this package.
 func (m *mgr) leakyRecv() {
 	go func() {
-		v := <-m.events // want "no cancellation edge"
+		v := <-m.events
 		_ = v
 	}()
 }
@@ -25,7 +29,7 @@ func (m *mgr) leakyRecv() {
 // leakySend blocks forever if the consumer is gone.
 func (m *mgr) leakySend(ch chan int) {
 	go func() {
-		ch <- 1 // want "no cancellation edge"
+		ch <- 1
 	}()
 }
 
@@ -42,6 +46,10 @@ type waitable interface {
 	Done() <-chan struct{}
 }
 
+type doneChan chan struct{}
+
+func (d doneChan) Done() <-chan struct{} { return d }
+
 func doneWatcher(w waitable) {
 	go func() {
 		<-w.Done()
@@ -51,7 +59,7 @@ func doneWatcher(w waitable) {
 // timed receives from time.After: bounded by construction.
 func timed() {
 	go func() {
-		<-time.After(time.Second)
+		<-time.After(10 * time.Millisecond)
 	}()
 }
 
@@ -92,7 +100,7 @@ func (m *mgr) polling() {
 func (m *mgr) singleSelect() {
 	go func() {
 		select {
-		case v := <-m.events: // want "no cancellation edge"
+		case v := <-m.events:
 			_ = v
 		}
 	}()
@@ -101,7 +109,7 @@ func (m *mgr) singleSelect() {
 // leakyRange never terminates: m.events is never closed.
 func (m *mgr) leakyRange() {
 	go func() {
-		for range m.events { // want "never closed in this package"
+		for range m.events {
 		}
 	}()
 }
@@ -112,7 +120,7 @@ func (m *mgr) namedLoop() {
 }
 
 func (m *mgr) recvLoop() {
-	v := <-m.events // want "no cancellation edge"
+	v := <-m.events
 	_ = v
 }
 
@@ -127,4 +135,34 @@ func jobs(work []int) {
 		ch <- w
 	}
 	close(ch)
+}
+
+// Leaks are the shapes whose goroutine blocks with nothing in sight to
+// end it.
+var Leaks = map[string]func() (release func()){
+	"leakyRecv": func() func() { m := newMgr(); m.leakyRecv(); return func() { m.events <- 0 } },
+	"leakySend": func() func() {
+		ch := make(chan int)
+		newMgr().leakySend(ch)
+		return func() { <-ch }
+	},
+	"singleSelect": func() func() { m := newMgr(); m.singleSelect(); return func() { m.events <- 0 } },
+	"leakyRange":   func() func() { m := newMgr(); m.leakyRange(); return func() { close(m.events) } },
+	"namedLoop":    func() func() { m := newMgr(); m.namedLoop(); return func() { m.events <- 0 } },
+}
+
+// Clean are the shapes whose goroutine ends on its own or when release
+// runs.
+var Clean = map[string]func() (release func()){
+	"waiter": func() func() { m := newMgr(); m.waiter(); return m.Stop },
+	"doneWatcher": func() func() {
+		d := make(doneChan)
+		doneWatcher(d)
+		return func() { close(d) }
+	},
+	"timed":   func() func() { timed(); return func() {} },
+	"compute": func() func() { compute(); return func() {} },
+	"watched": func() func() { m := newMgr(); m.watched(); return m.Stop },
+	"polling": func() func() { newMgr().polling(); return func() {} },
+	"jobs":    func() func() { jobs([]int{1, 2, 3}); return func() {} },
 }

@@ -38,3 +38,11 @@ func exercise() int {
 	_ = b.String() // blanking a non-error is fine
 	return v
 }
+
+// handlers: a function literal outside any function declaration is
+// checked too.
+var handlers = map[string]func(){
+	"fail": func() {
+		mayFail() // want "result of mayFail includes an error"
+	},
+}

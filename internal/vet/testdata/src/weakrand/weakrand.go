@@ -1,12 +1,14 @@
-// Package weakrand exercises the weak-rand analyzer: math/rand values
-// must not become cryptographic material, while backoff jitter is
-// legitimate.
+// Package weakrand holds the cases of the retired weak-rand analyzer —
+// math/rand values becoming cryptographic material — as input to the
+// rule that replaced it (randRule). The rule rejects them all at the
+// import: this file is not one of the files allowed math/rand, and it
+// imports crypto/hmac next to it.
 package weakrand
 
 import (
 	"crypto/hmac"
 	"crypto/sha256"
-	mrand "math/rand"
+	mrand "math/rand" // want "is not in mathRandFiles" want "next to crypto/hmac, crypto/sha256"
 	"time"
 )
 
@@ -18,7 +20,7 @@ func deriveKeys(secret []byte) []byte { return secret }
 func badNonce() []byte {
 	nonce := make([]byte, 12)
 	for i := range nonce {
-		nonce[i] = byte(mrand.Intn(256)) // want "math/rand.Intn"
+		nonce[i] = byte(mrand.Intn(256))
 	}
 	return nonce
 }
@@ -26,14 +28,14 @@ func badNonce() []byte {
 // badKey assigns a math/rand value to key material.
 func badKey() uint64 {
 	var key uint64
-	key = mrand.Uint64() // want "math/rand.Uint64"
+	key = mrand.Uint64()
 	return key
 }
 
 // badMAC keys an HMAC from math/rand bytes.
 func badMAC(msg []byte) []byte {
 	weak := []byte{byte(mrand.Intn(256))}
-	h := hmac.New(sha256.New, weak) // want "crypto/hmac.New"
+	h := hmac.New(sha256.New, weak)
 	h.Write(msg)
 	return h.Sum(nil)
 }
@@ -41,14 +43,14 @@ func badMAC(msg []byte) []byte {
 // badFill uses math/rand.Read to populate a nonce buffer.
 func badFill() [12]byte {
 	var nonceBuf [12]byte
-	mrand.Read(nonceBuf[:]) // want "math/rand.Read"
+	mrand.Read(nonceBuf[:])
 	return nonceBuf
 }
 
 // badDerive feeds weak bytes into a derivation helper.
 func badDerive() []byte {
 	seed := []byte{byte(mrand.Intn(256))}
-	return deriveKeys(seed) // want "deriveKeys"
+	return deriveKeys(seed)
 }
 
 // jitter is the legitimate use: math/rand converted to a backoff

@@ -35,8 +35,8 @@ type UnboundedAlloc struct {
 // Name implements Analyzer.
 func (UnboundedAlloc) Name() string { return "unbounded-alloc" }
 
-// RunModule implements ModuleAnalyzer.
-func (a UnboundedAlloc) RunModule(m *Module) []Diagnostic {
+// Run implements Analyzer.
+func (a UnboundedAlloc) Run(m *Module) []Diagnostic {
 	pol := summaryPolicy{
 		mkSpec: func(pkg *Package) *cfg.Spec {
 			return &cfg.Spec{

@@ -2,11 +2,13 @@ package vet
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 	"os"
 	"path/filepath"
 	"regexp"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/vet/cfg"
@@ -15,37 +17,28 @@ import (
 var wantRe = regexp.MustCompile(`want "([^"]+)"`)
 
 // runFixture loads testdata/src/<name>, runs one analyzer over it, and
-// checks the diagnostics against `// want "substr"` comments: every
-// diagnostic must land on a line carrying a matching expectation and
-// every expectation must be consumed.
+// checks the diagnostics against its `// want` comments (matchWants).
 func runFixture(t *testing.T, name string, a Analyzer) {
 	t.Helper()
-	root, err := FindModuleRoot(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	l, err := NewLoader(root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkg, err := l.LoadDir(filepath.Join("testdata", "src", name))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, terr := range pkg.TypeErrors {
-		t.Fatalf("fixture does not typecheck: %v", terr)
-	}
+	pkg := loadFixturePkg(t, name)
+	matchWants(t, pkg.Fset, pkg.Files, RunAll([]*Package{pkg}, []Analyzer{a}))
+}
 
+// matchWants checks diagnostics against `// want "substr"` comments in
+// files: every diagnostic must land on a line carrying a matching
+// expectation and every expectation must be consumed.
+func matchWants(t *testing.T, fset *token.FileSet, files []*ast.File, diags []Diagnostic) {
+	t.Helper()
 	type key struct {
 		file string
 		line int
 	}
 	want := make(map[key][]string)
 	expectations := 0
-	for _, f := range pkg.Files {
+	for _, f := range files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
-				pos := pkg.Fset.Position(c.Pos())
+				pos := fset.Position(c.Pos())
 				for _, m := range wantRe.FindAllStringSubmatch(c.Text, -1) {
 					k := key{pos.Filename, pos.Line}
 					want[k] = append(want[k], m[1])
@@ -55,10 +48,10 @@ func runFixture(t *testing.T, name string, a Analyzer) {
 		}
 	}
 	if expectations == 0 {
-		t.Fatalf("fixture %s declares no expectations", name)
+		t.Fatal("fixture declares no expectations")
 	}
 
-	for _, d := range RunAll([]*Package{pkg}, []Analyzer{a}) {
+	for _, d := range diags {
 		k := key{d.Pos.Filename, d.Pos.Line}
 		matched := false
 		for i, sub := range want[k] {
@@ -94,11 +87,6 @@ func TestPoolLifecycle(t *testing.T) {
 	runFixture(t, "poollifecycle", PoolLifecycle{})
 }
 
-func TestAtomicMisuse(t *testing.T) {
-	t.Parallel()
-	runFixture(t, "atomicmisuse", AtomicMisuse{})
-}
-
 func TestSwallowedError(t *testing.T) {
 	t.Parallel()
 	runFixture(t, "swallowederr", SwallowedError{})
@@ -109,11 +97,6 @@ func TestLockOrder(t *testing.T) {
 	runFixture(t, "lockorder", LockOrder{})
 }
 
-func TestGoroutineLeak(t *testing.T) {
-	t.Parallel()
-	runFixture(t, "goroutineleak", GoroutineLeak{})
-}
-
 func TestSecretFlow(t *testing.T) {
 	t.Parallel()
 	runFixture(t, "secretflow", SecretFlow{})
@@ -122,11 +105,6 @@ func TestSecretFlow(t *testing.T) {
 func TestUnboundedAlloc(t *testing.T) {
 	t.Parallel()
 	runFixture(t, "unboundedalloc", UnboundedAlloc{})
-}
-
-func TestWeakRand(t *testing.T) {
-	t.Parallel()
-	runFixture(t, "weakrand", WeakRand{})
 }
 
 func TestResourceLeak(t *testing.T) {
@@ -144,26 +122,50 @@ func TestSummaryRecursion(t *testing.T) {
 	runFixture(t, "summaryrec", SecretFlow{})
 }
 
-// loadFixturePkg loads one testdata/src package for tests that drive
-// analyzer internals directly instead of going through runFixture.
+// loadFixturePkg loads one testdata/src package.
 func loadFixturePkg(t *testing.T, name string) *Package {
 	t.Helper()
-	root, err := FindModuleRoot(".")
+	root, err := findModuleRoot(".")
 	if err != nil {
 		t.Fatal(err)
 	}
-	l, err := NewLoader(root)
+	l, err := newLoader(root)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pkg, err := l.LoadDir(filepath.Join("testdata", "src", name))
+	pkg, err := l.loadDir(filepath.Join("testdata", "src", name))
 	if err != nil {
 		t.Fatal(err)
-	}
-	for _, terr := range pkg.TypeErrors {
-		t.Fatalf("fixture does not typecheck: %v", terr)
 	}
 	return pkg
+}
+
+// wholeModule is one load and one analysis of the real module, shared
+// by the tests that need either.
+var wholeModule = sync.OnceValues(func() (*moduleRun, error) {
+	root, pkgs, err := LoadModule(".")
+	if err != nil {
+		return nil, err
+	}
+	return &moduleRun{root: root, pkgs: pkgs, diags: RunAll(pkgs, Analyzers())}, nil
+})
+
+type moduleRun struct {
+	root  string
+	pkgs  []*Package
+	diags []Diagnostic
+}
+
+func loadWholeModule(t *testing.T) *moduleRun {
+	t.Helper()
+	if testing.Short() {
+		t.Skip("analyzes the whole module; skipped in -short mode")
+	}
+	w, err := wholeModule()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return w
 }
 
 // TestSecretFlowDeepChainIntraprocedural pins what the call-graph
@@ -248,32 +250,10 @@ func TestSummaryFixpointConvergence(t *testing.T) {
 // literals included) must build and reach a dataflow fixpoint without
 // panicking and within a hard iteration budget.
 func TestCFGWholeModule(t *testing.T) {
-	if testing.Short() {
-		t.Skip("analyzes the whole module; skipped in -short mode")
-	}
 	t.Parallel()
-	root, err := FindModuleRoot(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	loader, err := NewLoader(root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dirs, err := PackageDirs(root, "./...")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var pkgs []*Package
-	for _, dir := range dirs {
-		pkg, err := loader.LoadDir(dir)
-		if err != nil {
-			t.Fatalf("%s: %v", dir, err)
-		}
-		pkgs = append(pkgs, pkg)
-	}
+	w := loadWholeModule(t)
 	bodies := 0
-	for _, tgt := range NewModule(pkgs).bodies {
+	for _, tgt := range NewModule(w.pkgs).bodies {
 		bodies++
 		func() {
 			defer func() {
@@ -306,26 +286,6 @@ func TestCFGWholeModule(t *testing.T) {
 	}
 	if bodies == 0 {
 		t.Fatal("module yielded no function bodies")
-	}
-}
-
-func TestLockOverIOPackageFilter(t *testing.T) {
-	t.Parallel()
-	root, err := FindModuleRoot(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	l, err := NewLoader(root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkg, err := l.LoadDir(filepath.Join("testdata", "src", "lockio"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := LockOverIO{Packages: []string{"some/other/pkg"}}
-	if diags := a.Run(pkg); len(diags) != 0 {
-		t.Fatalf("filtered analyzer still reported %d diagnostics", len(diags))
 	}
 }
 
@@ -406,70 +366,73 @@ func TestIgnoreListModuleRelative(t *testing.T) {
 
 func TestPackageDirsSkipsTestdata(t *testing.T) {
 	t.Parallel()
-	root, err := FindModuleRoot(".")
+	root, err := findModuleRoot(".")
 	if err != nil {
 		t.Fatal(err)
 	}
-	dirs, err := PackageDirs(root, "./...")
+	dirs, err := packageDirs(root)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, d := range dirs {
 		if strings.Contains(d, "testdata") {
-			t.Errorf("PackageDirs included testdata dir %s", d)
+			t.Errorf("packageDirs included testdata dir %s", d)
 		}
 	}
 	if len(dirs) == 0 {
-		t.Fatal("PackageDirs found no packages")
+		t.Fatal("packageDirs found no packages")
 	}
 }
 
-// TestResourceLeakSummaryScope: oncrpc's acceptedResult, which writes
-// through its pooled encoder's Codec view and returns the encoder, has
-// the same resource-leak summary in a run over its own package as in a
-// run over the whole module, where Codec (internal/xdr) has a summary
-// of its own.
+// TestResourceLeakSummaryScope: oncrpc's acceptedResult writes
+// through its pooled encoder's Codec view and returns the encoder, so
+// its resource-leak summary returns the pool buffer. Codec
+// (internal/xdr) stores its receiver in a field of itself; that store
+// must not count as releasing the encoder.
 func TestResourceLeakSummaryScope(t *testing.T) {
-	if testing.Short() {
-		t.Skip("analyzes the whole module; skipped in -short mode")
-	}
 	t.Parallel()
-	root, err := FindModuleRoot(".")
+	m := NewModule(loadWholeModule(t).pkgs)
+	a := &obAnalysis{m: m, pol: leakPolicy{}, sums: make(map[*types.Func]*obSummary),
+		siteObs: make(map[ast.Node]*obligation), paramObs: make(map[types.Object]*obligation)}
+	m.bottomUp(a.summarize)
+	for fn, sum := range a.sums {
+		if fn.Name() == "acceptedResult" && fn.Pkg().Path() == "repro/internal/oncrpc" {
+			if sum.Returns != "pool buffer" {
+				t.Fatalf("acceptedResult: summary %+v, want it to return the pool buffer", *sum)
+			}
+			return
+		}
+	}
+	t.Fatal("no summary of oncrpc.acceptedResult")
+}
+
+// TestScopeInvariant: a run's patterns choose which findings it
+// reports, never what it concludes. That holds because every run loads
+// and analyses the whole module (LoadModule, RunAll); patterns reach
+// only Select, which picks the packages whose findings print. Each
+// package's own pattern must pick exactly that package, ./... every
+// package, and a pattern naming none is an error.
+func TestScopeInvariant(t *testing.T) {
+	t.Parallel()
+	w := loadWholeModule(t)
+	all, err := Select(w.root, w.pkgs, []string{"./..."})
 	if err != nil {
 		t.Fatal(err)
 	}
-	summary := func(pattern string) obSummary {
-		t.Helper()
-		l, err := NewLoader(root)
-		if err != nil {
-			t.Fatal(err)
-		}
-		dirs, err := PackageDirs(root, pattern)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var pkgs []*Package
-		for _, dir := range dirs {
-			pkg, err := l.LoadDir(dir)
-			if err != nil {
-				t.Fatal(err)
-			}
-			pkgs = append(pkgs, pkg)
-		}
-		m := NewModule(pkgs)
-		a := &obAnalysis{m: m, pol: leakPolicy{}, sums: make(map[*types.Func]*obSummary),
-			siteObs: make(map[ast.Node]*obligation), paramObs: make(map[types.Object]*obligation)}
-		m.bottomUp(a.summarize)
-		for fn, sum := range a.sums {
-			if fn.Name() == "acceptedResult" && fn.Pkg().Path() == "repro/internal/oncrpc" {
-				return *sum
-			}
-		}
-		t.Fatalf("%s: no summary of oncrpc.acceptedResult", pattern)
-		return obSummary{}
+	if len(all) != len(w.pkgs) {
+		t.Errorf("./... selects %d of %d packages", len(all), len(w.pkgs))
 	}
-	narrow, whole := summary("./internal/oncrpc/"), summary("./...")
-	if narrow.Returns != "pool buffer" || !narrow.equal(&whole) {
-		t.Fatalf("acceptedResult: narrow run %+v, whole module %+v; want both to return the pool buffer", narrow, whole)
+	for _, pkg := range w.pkgs {
+		rel, err := filepath.Rel(w.root, pkg.Dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pattern := "./" + filepath.ToSlash(rel)
+		if sel, err := Select(w.root, w.pkgs, []string{pattern}); err != nil || len(sel) != 1 || !sel[pkg.Dir] {
+			t.Errorf("%s selects %v (err %v), want only its own package", pattern, sel, err)
+		}
+	}
+	if _, err := Select(w.root, w.pkgs, []string{"./no/such/dir"}); err == nil {
+		t.Error("a pattern naming no package is not an error")
 	}
 }

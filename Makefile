@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet cross race chaos fuzz-short bench loc procs sgfs-vet alloc-budget check
+.PHONY: build test vet cross race chaos oracle-replicated fuzz-short bench loc procs sgfs-vet alloc-budget check
 
 build:
 	$(GO) build ./...
@@ -27,6 +27,13 @@ race:
 # wherever it lives.
 chaos:
 	$(GO) test -race -count=1 -timeout 300s -run 'Chaos|Fault|Reconnect|MidStream|TemporaryAccept|Recovery' ./...
+
+# The replicated stack under the consistency oracle, ten times over:
+# its seeds once left a replica diverged on fault-free runs only now
+# and then (ROADMAP item 15), so one pass is not enough to keep that
+# closed.
+oracle-replicated:
+	$(GO) test -count=10 -run 'TestConsistencyOracle/replicated' ./internal/core
 
 # Short fuzzing pass: every Fuzz* target in the module runs for
 # FUZZTIME (default ~10s). This catches decoder panics and round-trip
@@ -88,4 +95,4 @@ alloc-budget:
 # The CI gate: everything that must be green before merging. It ends
 # with procs, so a gate run that leaves a test binary, a fuzz worker or
 # a benchmark behind fails.
-check: build vet cross race chaos sgfs-vet alloc-budget procs
+check: build vet cross race chaos oracle-replicated sgfs-vet alloc-budget procs

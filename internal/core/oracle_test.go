@@ -54,22 +54,25 @@ type oracleStack struct {
 
 func TestConsistencyOracle(t *testing.T) {
 	seeds := []int64{1, 2, 3}
+	// Seeds 23, 33 and 39 once left a replica diverged (ROADMAP item 15).
+	replicated := append(seeds, 23, 33, 39)
 	if testing.Short() {
-		seeds = seeds[:1]
+		seeds, replicated = seeds[:1], seeds[:1]
 	}
 	stacks := []struct {
 		name  string
 		build func(t *testing.T) *oracleStack
+		seeds []int64
 	}{
-		{"nfs-v3", func(t *testing.T) *oracleStack { return oracleNFSv3(t, 1) }},
-		{"nfs-v3-cached", func(t *testing.T) *oracleStack { return oracleNFSv3(t, 256<<10) }},
-		{"sgfs", func(t *testing.T) *oracleStack { return oracleSGFS(t, 1, true) }},
-		{"sgfs-nocache", func(t *testing.T) *oracleStack { return oracleSGFS(t, 1, false) }},
-		{"replicated", func(t *testing.T) *oracleStack { return oracleSGFS(t, 3, true) }},
-		{"sfs", oracleSFS},
+		{"nfs-v3", func(t *testing.T) *oracleStack { return oracleNFSv3(t, 1) }, seeds},
+		{"nfs-v3-cached", func(t *testing.T) *oracleStack { return oracleNFSv3(t, 256<<10) }, seeds},
+		{"sgfs", func(t *testing.T) *oracleStack { return oracleSGFS(t, 1, true) }, seeds},
+		{"sgfs-nocache", func(t *testing.T) *oracleStack { return oracleSGFS(t, 1, false) }, seeds},
+		{"replicated", func(t *testing.T) *oracleStack { return oracleSGFS(t, 3, true) }, replicated},
+		{"sfs", oracleSFS, seeds},
 	}
 	for _, s := range stacks {
-		for _, seed := range seeds {
+		for _, seed := range s.seeds {
 			s, seed := s, seed
 			t.Run(fmt.Sprintf("%s/seed-%d", s.name, seed), func(t *testing.T) {
 				t.Parallel()

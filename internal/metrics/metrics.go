@@ -260,6 +260,7 @@ const (
 	BackendHealthy BackendHealth = iota
 	BackendEjected
 	BackendProbing
+	BackendRetired
 )
 
 // String renders the health state for logs.
@@ -271,6 +272,8 @@ func (h BackendHealth) String() string {
 		return "ejected"
 	case BackendProbing:
 		return "probing"
+	case BackendRetired:
+		return "retired"
 	default:
 		return "unknown"
 	}
@@ -282,8 +285,8 @@ func (h BackendHealth) String() string {
 type BackendStats struct {
 	// Health is the current BackendHealth state.
 	Health atomic.Int32
-	// Calls counts RPCs routed to this backend (including fan-out
-	// legs and repairs); Failures counts the ones that failed at the
+	// Calls counts RPCs routed to this backend (including log entries
+	// and their replays); Failures counts the ones that failed at the
 	// transport level.
 	Calls    atomic.Uint64
 	Failures atomic.Uint64
@@ -306,16 +309,16 @@ type BackendSnapshot struct {
 }
 
 // ReplicaStats counts multi-backend replication events in the client
-// proxy: quorum write fan-out, hedged reads, backend health
-// transitions, and background repair. All counters are atomic; the
+// proxy: quorum-acknowledged log entries, hedged reads, backend health
+// transitions, replays and retirements. All counters are atomic; the
 // per-backend slice is fixed at construction.
 type ReplicaStats struct {
 	// Backends holds one BackendStats per replica backend, indexed by
 	// backend ID.
 	Backends []*BackendStats
-	// QuorumWrites counts mutations acknowledged at quorum;
-	// QuorumFailures counts mutations refused because quorum was
-	// unreachable; QuorumLost counts transitions into degraded
+	// QuorumWrites counts mutations a quorum of backends applied with
+	// success; QuorumFailures counts mutations refused because fewer
+	// than a quorum of backends was healthy, or answered alike; QuorumLost counts transitions into degraded
 	// read-only service (healthy backends < quorum).
 	QuorumWrites   atomic.Uint64
 	QuorumFailures atomic.Uint64
@@ -327,13 +330,14 @@ type ReplicaStats struct {
 	HedgedReads   atomic.Uint64
 	HedgeWins     atomic.Uint64
 	ReadFailovers atomic.Uint64
-	// RepairsQueued counts straggler blocks enqueued for background
-	// repair; RepairedBlocks counts repairs completed; RepairDrops
-	// counts repairs shed because the queue was full (a later full
-	// resync must cover them).
-	RepairsQueued  atomic.Uint64
-	RepairedBlocks atomic.Uint64
-	RepairDrops    atomic.Uint64
+	// Replays counts log entries a backend applied that it did not owe
+	// when they were appended or when it was ejected: what it caught up
+	// on after reintegration. Retirements counts backends taken out of
+	// the set for the session because one of their entries answered
+	// differently from the quorum, or their backlog outgrew the log's
+	// bound.
+	Replays     atomic.Uint64
+	Retirements atomic.Uint64
 }
 
 // NewReplicaStats builds stats for n backends.
@@ -363,9 +367,8 @@ type ReplicaSnapshot struct {
 	HedgedReads    uint64
 	HedgeWins      uint64
 	ReadFailovers  uint64
-	RepairsQueued  uint64
-	RepairedBlocks uint64
-	RepairDrops    uint64
+	Replays        uint64
+	Retirements    uint64
 }
 
 // Snapshot returns a copy of the counters (each read atomically).
@@ -378,9 +381,8 @@ func (s *ReplicaStats) Snapshot() ReplicaSnapshot {
 		HedgedReads:    s.HedgedReads.Load(),
 		HedgeWins:      s.HedgeWins.Load(),
 		ReadFailovers:  s.ReadFailovers.Load(),
-		RepairsQueued:  s.RepairsQueued.Load(),
-		RepairedBlocks: s.RepairedBlocks.Load(),
-		RepairDrops:    s.RepairDrops.Load(),
+		Replays:        s.Replays.Load(),
+		Retirements:    s.Retirements.Load(),
 	}
 	for i, b := range s.Backends {
 		snap.Backends[i] = BackendSnapshot{

@@ -103,8 +103,8 @@ func TestReplicaStatsSnapshot(t *testing.T) {
 	s.QuorumWrites.Add(4)
 	s.HedgedReads.Add(2)
 	s.HedgeWins.Add(1)
-	s.RepairsQueued.Add(5)
-	s.RepairedBlocks.Add(3)
+	s.Replays.Add(5)
+	s.Retirements.Add(3)
 	s.Backend(1).Failures.Add(7)
 	s.Backend(1).Ejections.Add(1)
 	s.Backend(1).Health.Store(int32(BackendEjected))
@@ -115,7 +115,7 @@ func TestReplicaStatsSnapshot(t *testing.T) {
 		t.Fatalf("snapshot has %d backends, want 3", len(snap.Backends))
 	}
 	if snap.QuorumWrites != 4 || snap.HedgedReads != 2 || snap.HedgeWins != 1 ||
-		snap.RepairsQueued != 5 || snap.RepairedBlocks != 3 {
+		snap.Replays != 5 || snap.Retirements != 3 {
 		t.Fatalf("scalar counters wrong: %+v", snap)
 	}
 	if b := snap.Backends[1]; b.Failures != 7 || b.Ejections != 1 || b.Health != BackendEjected {
@@ -129,7 +129,7 @@ func TestReplicaStatsSnapshot(t *testing.T) {
 	if s.Backend(99) != nil || (*ReplicaStats)(nil).Backend(0) != nil {
 		t.Fatal("out-of-range Backend lookup not nil")
 	}
-	for h, want := range map[BackendHealth]string{BackendHealthy: "healthy", BackendEjected: "ejected", BackendProbing: "probing", BackendHealth(9): "unknown"} {
+	for h, want := range map[BackendHealth]string{BackendHealthy: "healthy", BackendEjected: "ejected", BackendProbing: "probing", BackendRetired: "retired", BackendHealth(9): "unknown"} {
 		if h.String() != want {
 			t.Fatalf("health %d renders %q", h, h.String())
 		}
@@ -175,7 +175,7 @@ func TestSnapshotRaceHammer(t *testing.T) {
 
 				rs.QuorumWrites.Add(1)
 				rs.HedgedReads.Add(1)
-				rs.RepairsQueued.Add(1)
+				rs.Replays.Add(1)
 				b := rs.Backend((seed + i) % len(rs.Backends))
 				b.Calls.Add(1)
 				b.Health.Store(int32(BackendHealth(i % 3)))

@@ -214,7 +214,7 @@ func TestChaosLinkKillsDuringReadWorkload(t *testing.T) {
 // TestChaosAlternatingBackendCutsFlushAll: two backends, quorum 1,
 // and a link cut that alternates between them across three
 // write+flush generations. Every FlushAll that returns nil is an ack to
-// the application; once both links heal and background repair drains,
+// the application; once both links heal and the log replays,
 // both backends must hold every acked generation byte-identical — zero
 // acked-write loss no matter which side of the pair was dark when the
 // ack happened.
@@ -288,7 +288,7 @@ func TestChaosAlternatingBackendCutsFlushAll(t *testing.T) {
 	}
 
 	// Zero acked-write loss: every generation converges byte-identical
-	// on BOTH backends once reintegration and repair drain.
+	// on BOTH backends once reintegration and replay drain.
 	for b := range st.backends {
 		for gen := 1; gen <= 3; gen++ {
 			b, gen := b, gen
@@ -302,12 +302,12 @@ func TestChaosAlternatingBackendCutsFlushAll(t *testing.T) {
 	}
 
 	// Both sides were ejected at some point, and the convergence above
-	// came from the repair queue, not luck.
+	// came from replaying the log, not luck, with no backend retired.
 	if e0, e1 := st.stats.Backend(0).Ejections.Load(), st.stats.Backend(1).Ejections.Load(); e0 == 0 || e1 == 0 {
 		t.Fatalf("expected ejections on both backends, got %d / %d", e0, e1)
 	}
-	if st.stats.RepairsQueued.Load() == 0 || st.stats.RepairedBlocks.Load() == 0 {
-		t.Fatalf("repair not exercised: %+v", st.stats.Snapshot())
+	if st.stats.Replays.Load() == 0 || st.stats.Retirements.Load() != 0 {
+		t.Fatalf("log replay not exercised, or a backend retired: %+v", st.stats.Snapshot())
 	}
 	if st.stats.QuorumWrites.Load() == 0 {
 		t.Fatalf("no quorum writes counted: %+v", st.stats.Snapshot())

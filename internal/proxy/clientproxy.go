@@ -45,10 +45,10 @@ type ClientConfig struct {
 	// (reconnect, replay, deadlines); nil selects the defaults.
 	Recovery *RecoveryConfig
 	// Replication, when non-nil, replaces the single upstream with a
-	// replicated multi-backend namespace: every mutation fans out to
-	// every healthy backend and is acknowledged at quorum, reads are
-	// hedged across the backends, and failed backends are
-	// ejected and probed back in. ServerDial/Channel are ignored in
+	// replicated multi-backend namespace: every mutation goes through
+	// one log that each backend applies in order and is acknowledged at
+	// quorum, reads are hedged across the backends, and failed backends
+	// are ejected, probed back in and replay what they missed. ServerDial/Channel are ignored in
 	// favor of the per-backend dialers (each backend is an upstream
 	// session of its own, so Channel still applies per backend).
 	Replication *ReplicationConfig

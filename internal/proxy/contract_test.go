@@ -447,21 +447,21 @@ func TestReplicaCanonNS(t *testing.T) {
 	t.Parallel()
 	ns := newCanonNS()
 	a := newCanonNS()
-	dir := ns.child(ns.root, "dir")
-	if got := a.child(a.root, "dir"); !bytes.Equal(got.Data, dir.Data) {
+	dir := ns.child(ns.root, "dir", 0)
+	if got := a.child(a.root, "dir", 0); !bytes.Equal(got.Data, dir.Data) {
 		t.Fatal("canonical handles differ across independent namespaces")
 	}
-	file := ns.child(dir, "file")
+	file := ns.child(dir, "file", 0)
 	if bytes.Equal(file.Data, dir.Data) {
 		t.Fatal("child handle equals parent handle")
 	}
-	if got := ns.child(dir, "."); !bytes.Equal(got.Data, dir.Data) {
+	if got := ns.child(dir, ".", 0); !bytes.Equal(got.Data, dir.Data) {
 		t.Fatal("dot does not resolve to the directory itself")
 	}
-	if got := ns.child(dir, ".."); !bytes.Equal(got.Data, ns.root.Data) {
+	if got := ns.child(dir, "..", 0); !bytes.Equal(got.Data, ns.root.Data) {
 		t.Fatal("dotdot of a first-level dir does not resolve to root")
 	}
-	if got := ns.child(ns.root, ".."); !bytes.Equal(got.Data, ns.root.Data) {
+	if got := ns.child(ns.root, "..", 0); !bytes.Equal(got.Data, ns.root.Data) {
 		t.Fatal("dotdot of root is not root")
 	}
 	if fileidOf(file) == 0 || fileidOf(file) == fileidOf(dir) {
@@ -470,30 +470,30 @@ func TestReplicaCanonNS(t *testing.T) {
 
 	// Rename: the canonical handle moves with the file and resolves via
 	// the new name, which now returns it.
-	dir2 := ns.child(ns.root, "dir2")
-	over := ns.child(dir2, "renamed")
-	if got := ns.rename(nfs3.DirOpArgs{Dir: dir, Name: "file"}, nfs3.DirOpArgs{Dir: dir2, Name: "renamed"}); got != string(over.Data) {
+	dir2 := ns.child(ns.root, "dir2", 0)
+	over := ns.child(dir2, "renamed", 0)
+	if got := ns.rename(nfs3.DirOpArgs{Dir: dir, Name: "file"}, nfs3.DirOpArgs{Dir: dir2, Name: "renamed"}, 1); got != string(over.Data) {
 		t.Fatal("rename did not report the overwritten target's handle")
 	}
 	e, ok := ns.entry(string(file.Data))
 	if !ok || e.name != "renamed" || e.parent != string(dir2.Data) {
 		t.Fatalf("rename lost the entry: %+v %v", e, ok)
 	}
-	if got := ns.child(dir2, "renamed"); !bytes.Equal(got.Data, file.Data) {
+	if got := ns.child(dir2, "renamed", 0); !bytes.Equal(got.Data, file.Data) {
 		t.Fatal("the new name does not resolve to the moved handle")
 	}
 	if ns.known(over) {
 		t.Fatal("the overwritten target's handle is still known")
 	}
 	// A name freed by RENAME or REMOVE gets a fresh handle when reused.
-	reused := ns.child(dir, "file")
+	reused := ns.child(dir, "file", 0)
 	if bytes.Equal(reused.Data, file.Data) || bytes.Equal(reused.Data, over.Data) {
 		t.Fatal("a reused name minted a handle already issued")
 	}
-	if got := ns.remove(dir2, "renamed"); got != string(file.Data) || ns.known(file) {
+	if got := ns.remove(dir2, "renamed", 2); got != string(file.Data) || ns.known(file) {
 		t.Fatal("remove did not forget the handle")
 	}
-	if again := ns.child(dir2, "renamed"); bytes.Equal(again.Data, file.Data) || bytes.Equal(again.Data, over.Data) {
+	if again := ns.child(dir2, "renamed", 0); bytes.Equal(again.Data, file.Data) || bytes.Equal(again.Data, over.Data) {
 		t.Fatal("a name freed by REMOVE minted a handle already issued")
 	}
 }

@@ -15,28 +15,14 @@ import (
 )
 
 // Replicated upstream. The paper's client proxy speaks to exactly one
-// server proxy, so that server is a single point of failure for the
-// whole mount. replicaSet replaces the single upstream with N server
-// proxies that each hold every file, behind the same upstream
-// interface the rest of the proxy already uses: the write-back cache,
-// its flush and the readahead path all fan out through it unchanged.
-//
-//   - Mutations fan out concurrently to every healthy backend and are
-//     acknowledged at quorum; stragglers keep running on detached
-//     deadlines and failed write legs are queued for background
-//     repair (replica_fanout.go).
-//   - Reads go to the fastest replica, with a hedged second request
-//     after HedgeDelay and failover to the remaining replicas.
-//   - Each backend is an upstream session with its own health state:
-//     consecutive transport failures eject it, jittered probes
-//     reintegrate it, and while fewer than quorum backends are healthy
-//     the proxy degrades to read-only service from the disk cache and
-//     the surviving replicas (replica_health.go).
-//
-// Handles crossing the layer are canonical (replica_ns.go). WRITEs are
-// issued FILE_SYNC on every backend — cross-backend COMMIT verifiers
-// do not compose, and a stable write is the only durability statement
-// that survives a backend restart mid-flush.
+// server proxy, a single point of failure for the mount. replicaSet
+// replaces it with N server proxies that each hold every file, behind
+// the same upstream interface, so the write-back cache, its flush and
+// readahead run over it unchanged. Mutations go through one ordered
+// log that every backend applies from its own cursor (replica_log.go);
+// reads go to the fastest current replica, hedged after HedgeDelay;
+// each backend has a health state machine (replica_health.go); and
+// handles crossing the layer are canonical (replica_ns.go).
 
 // ErrQuorumLost is returned (wrapped) when a mutation cannot reach a
 // write quorum of replica backends.
@@ -71,19 +57,8 @@ type ReplicationConfig struct {
 	Stats *metrics.ReplicaStats
 }
 
-func (c *ReplicationConfig) hedgeDelay() time.Duration {
-	return positiveOr(c.HedgeDelay, 30*time.Millisecond)
-}
-
-func (c *ReplicationConfig) ejectAfter() int { return positiveOr(c.EjectAfter, 3) }
-
-func (c *ReplicationConfig) probeInterval() time.Duration {
-	return positiveOr(c.ProbeInterval, 500*time.Millisecond)
-}
-
 // replicaSet is the replicated upstream.
 type replicaSet struct {
-	p     *ClientProxy
 	cfg   *ReplicationConfig
 	stats *metrics.ReplicaStats
 	ns    *canonNS
@@ -93,30 +68,18 @@ type replicaSet struct {
 
 	blockSize uint64
 
-	// versions orders writes per (file, block) so a delayed repair can
-	// never clobber a newer quorum-acked write with stale bytes.
-	verMu    sync.Mutex
-	versions map[blockKey]uint64
+	log *replicaLog
+	// nsMu orders appends around namespace mutations (mutate).
+	nsMu sync.RWMutex
 
-	// issueMu makes the legs of one mutation take their place in every
-	// backend's legOrder at once.
-	issueMu sync.Mutex
-
-	repairq   chan repairJob
 	done      chan struct{}
 	closeOnce sync.Once
 	wg        sync.WaitGroup
 }
 
-// blockKey names one block of one file.
-type blockKey struct {
-	fh    string
-	block uint64
-}
-
 // newReplicaSet dials the backend pool (tolerating dead backends as
-// long as a quorum comes up; the dead ones start ejected and are
-// probed back in) and starts the repair worker.
+// long as a quorum comes up; the dead ones start ejected, are probed
+// back in and replay the log) and starts every backend's applier.
 func newReplicaSet(ctx context.Context, p *ClientProxy, cfg *ReplicationConfig) (*replicaSet, error) {
 	n := len(cfg.Backends)
 	if n == 0 {
@@ -128,6 +91,9 @@ func newReplicaSet(ctx context.Context, p *ClientProxy, cfg *ReplicationConfig) 
 	}
 	if need < 1 || need > n {
 		return nil, fmt.Errorf("proxy: quorum %d out of range [1,%d]", need, n)
+	}
+	if n > 64 {
+		return nil, fmt.Errorf("proxy: %d replica backends, at most 64", n)
 	}
 	stats := cfg.Stats
 	if stats == nil {
@@ -141,16 +107,14 @@ func newReplicaSet(ctx context.Context, p *ClientProxy, cfg *ReplicationConfig) 
 		bs = uint64(p.cfg.DiskCache.BlockSize())
 	}
 	rs := &replicaSet{
-		p:         p,
 		cfg:       cfg,
 		stats:     stats,
 		need:      need,
 		ns:        newCanonNS(),
 		blockSize: bs,
-		versions:  make(map[blockKey]uint64),
-		repairq:   make(chan repairJob, repairQueueLen),
 		done:      make(chan struct{}),
 	}
+	rs.log = newReplicaLog(rs)
 	for i, bd := range cfg.Backends {
 		rs.backs = append(rs.backs, &replicaBackend{id: i, addr: bd.Addr, set: rs, bs: stats.Backend(i), fhs: make(map[string]nfs3.FH3)})
 	}
@@ -164,19 +128,22 @@ func newReplicaSet(ctx context.Context, p *ClientProxy, cfg *ReplicationConfig) 
 			b.startProbe()
 		}
 	})
-	if up, _ := rs.targets(); len(up) < need {
+	if rs.degraded() {
 		rs.Close()
-		return nil, fmt.Errorf("proxy: only %d of %d replica backends reachable, quorum is %d", len(up), n, need)
+		return nil, fmt.Errorf("proxy: fewer than %d of %d replica backends reachable, quorum is %d", need, n, need)
 	}
-	rs.wg.Add(1)
-	go rs.repairLoop()
+	for _, b := range rs.backs {
+		rs.wg.Add(1)
+		go b.applyLoop()
+	}
 	return rs, nil
 }
 
-// Close shuts every backend session down and stops the probe and
-// repair workers.
+// Close shuts every backend session down and stops the probes and
+// appliers.
 func (rs *replicaSet) Close() error {
 	rs.closeOnce.Do(func() { close(rs.done) })
+	rs.log.close()
 	for _, b := range rs.backs {
 		b.sess.Close()
 	}
@@ -189,7 +156,7 @@ func (rs *replicaSet) Close() error {
 func (rs *replicaSet) exportRoot() nfs3.FH3 { return rs.ns.root }
 
 // Call dispatches one upstream RPC across the replica pool, one row per
-// procedure: reads are hedged, mutations are quorum fan-outs. Each row
+// procedure: reads are hedged, mutations go through the log. Each row
 // builds a backend's arguments from the handles resolved there (x.fh)
 // and canonicalises the winning reply.
 func (rs *replicaSet) Call(ctx context.Context, proc uint32, args xdr.Marshaler, reply xdr.Unmarshaler) error {
@@ -218,7 +185,7 @@ func (rs *replicaSet) Call(ctx context.Context, proc uint32, args xdr.Marshaler,
 			},
 			func(r *nfs3.LookupRes, b *replicaBackend) {
 				if r.Status == nfs3.OK {
-					c := rs.ns.child(a.What.Dir, a.What.Name)
+					c := rs.ns.child(a.What.Dir, a.What.Name, 0)
 					b.cacheFH(string(c.Data), r.Obj)
 					r.Obj = c
 					canonPostOp(&r.Attr, c)
@@ -253,7 +220,7 @@ func (rs *replicaSet) Call(ctx context.Context, proc uint32, args xdr.Marshaler,
 			func(r *nfs3.ReadDirRes, _ *replicaBackend) {
 				canonPostOp(&r.DirAttr, a.Dir)
 				for i := range r.Entries {
-					r.Entries[i].FileID = fileidOf(rs.ns.child(a.Dir, r.Entries[i].Name))
+					r.Entries[i].FileID = fileidOf(rs.ns.child(a.Dir, r.Entries[i].Name, 0))
 				}
 			})
 
@@ -265,7 +232,7 @@ func (rs *replicaSet) Call(ctx context.Context, proc uint32, args xdr.Marshaler,
 				canonPostOp(&r.DirAttr, a.Dir)
 				for i := range r.Entries {
 					e := &r.Entries[i]
-					c := rs.ns.child(a.Dir, e.Name)
+					c := rs.ns.child(a.Dir, e.Name, 0)
 					e.FileID = fileidOf(c)
 					if e.FH.Present {
 						b.cacheFH(string(c.Data), e.FH.FH)
@@ -297,26 +264,19 @@ func (rs *replicaSet) Call(ctx context.Context, proc uint32, args xdr.Marshaler,
 			func(r *nfs3.PathConfRes, _ *replicaBackend) { canonPostOp(&r.Attr, a.Obj) })
 
 	case nfs3.ProcWrite:
-		return rs.callWriteFanout(ctx, args.(*nfs3.WriteArgs), reply.(*nfs3.WriteRes))
+		return rs.callWrite(args.(*nfs3.WriteArgs), reply.(*nfs3.WriteRes))
 
 	case nfs3.ProcCommit:
-		a := args.(*nfs3.CommitArgs)
-		return quorumRow(rs, proc, resolveOnly, reply.(*nfs3.CommitRes),
-			func(x *xlate) xdr.Marshaler {
-				return &nfs3.CommitArgs{Obj: x.fh(a.Obj), Offset: a.Offset, Count: a.Count}
-			},
-			func(r *nfs3.CommitRes, _ *replicaBackend) {
-				// Replicated writes are FILE_SYNC everywhere; the verifier
-				// is meaningless across backends, so present a constant one.
-				r.Verf = [nfs3.WriteVerfSize]byte{}
-				canonWcc(&r.Wcc, a.Obj)
-			})
+		// Replicated writes are FILE_SYNC on every backend: a COMMIT has
+		// nothing left to settle, and its verifier is a constant one.
+		reply.(*nfs3.CommitRes).Status = nfs3.OK
+		return nil
 
 	case nfs3.ProcSetAttr:
 		a := args.(*nfs3.SetAttrArgs)
-		return quorumRow(rs, proc, resolveOnly, reply.(*nfs3.WccRes),
+		return nsRow(rs, proc, reply.(*nfs3.WccRes),
 			func(x *xlate) xdr.Marshaler { c := *a; c.Obj = x.fh(a.Obj); return &c },
-			func(r *nfs3.WccRes, _ *replicaBackend) { canonWcc(&r.Wcc, a.Obj) })
+			func(r *nfs3.WccRes, _ uint64) { canonWcc(&r.Wcc, a.Obj) })
 
 	case nfs3.ProcCreate:
 		a := args.(*nfs3.CreateArgs)
@@ -335,29 +295,29 @@ func (rs *replicaSet) Call(ctx context.Context, proc uint32, args xdr.Marshaler,
 
 	case nfs3.ProcRemove, nfs3.ProcRmdir:
 		a := args.(*nfs3.RemoveArgs)
-		return quorumRow(rs, proc, resolveOnly, reply.(*nfs3.WccRes),
+		return nsRow(rs, proc, reply.(*nfs3.WccRes),
 			func(x *xlate) xdr.Marshaler {
 				return &nfs3.RemoveArgs{Obj: nfs3.DirOpArgs{Dir: x.fh(a.Obj.Dir), Name: a.Obj.Name}}
 			},
-			func(r *nfs3.WccRes, _ *replicaBackend) {
+			func(r *nfs3.WccRes, seq uint64) {
 				if r.Status == nfs3.OK {
-					rs.forget(rs.ns.remove(a.Obj.Dir, a.Obj.Name))
+					rs.ns.remove(a.Obj.Dir, a.Obj.Name, seq)
 				}
 				canonWcc(&r.Wcc, a.Obj.Dir)
 			})
 
 	case nfs3.ProcRename:
 		a := args.(*nfs3.RenameArgs)
-		return quorumRow(rs, proc, resolveOnly, reply.(*nfs3.RenameRes),
+		return nsRow(rs, proc, reply.(*nfs3.RenameRes),
 			func(x *xlate) xdr.Marshaler {
 				return &nfs3.RenameArgs{
 					From: nfs3.DirOpArgs{Dir: x.fh(a.From.Dir), Name: a.From.Name},
 					To:   nfs3.DirOpArgs{Dir: x.fh(a.To.Dir), Name: a.To.Name},
 				}
 			},
-			func(r *nfs3.RenameRes, _ *replicaBackend) {
+			func(r *nfs3.RenameRes, seq uint64) {
 				if r.Status == nfs3.OK {
-					rs.forget(rs.ns.rename(a.From, a.To))
+					rs.ns.rename(a.From, a.To, seq)
 				}
 				canonWcc(&r.FromWcc, a.From.Dir)
 				canonWcc(&r.ToWcc, a.To.Dir)
@@ -376,24 +336,27 @@ func (rs *replicaSet) Call(ctx context.Context, proc uint32, args xdr.Marshaler,
 	}
 }
 
-// create fans out CREATE, MKDIR or SYMLINK at where. The new name's
-// handle is minted first so that every backend's leg records its own
-// translation: a LOOKUP walk could find another file there, on a
-// backend where a leg before it is still due.
+// create appends CREATE, MKDIR or SYMLINK at where. The new name's
+// handle is bound first, at the entry's place in the log, so that
+// every backend's leg records its own translation.
 func (rs *replicaSet) create(proc uint32, where nfs3.DirOpArgs, out *nfs3.CreateRes, build func(*xlate) xdr.Marshaler) error {
-	c := rs.ns.child(where.Dir, where.Name)
-	leg := rowLeg[nfs3.CreateRes](rs, proc, resolveCreateDirs, build)
-	rep, _, err := rs.quorum(func(ctx context.Context, b *replicaBackend) (xdr.Unmarshaler, error) {
-		rep, err := leg(ctx, b)
+	rs.nsMu.Lock()
+	defer rs.nsMu.Unlock()
+	var next uint64
+	rs.log.locked(func() { next = rs.log.tail() + 1 })
+	c := rs.ns.child(where.Dir, where.Name, next)
+	leg := rowLeg[nfs3.CreateRes](proc, build)
+	_, win, err := rs.mutate(func(ctx context.Context, b *replicaBackend, at uint64) (xdr.Unmarshaler, error) {
+		rep, err := leg(ctx, b, at)
 		if r, ok := rep.(*nfs3.CreateRes); ok && err == nil && r.Status == nfs3.OK && r.Obj.Present {
 			b.cacheFH(string(c.Data), r.Obj.FH)
 		}
 		return rep, err
-	}, nil)
+	})
 	if err != nil {
 		return err
 	}
-	*out = *rep.(*nfs3.CreateRes)
+	*out = *win.rep.(*nfs3.CreateRes)
 	if out.Status == nfs3.OK {
 		out.Obj = nfs3.PostOpFH3{Present: true, FH: c}
 		canonPostOp(&out.Attr, c)
@@ -402,14 +365,14 @@ func (rs *replicaSet) create(proc uint32, where nfs3.DirOpArgs, out *nfs3.Create
 	return nil
 }
 
-// legFunc runs one leg of a replicated call on one backend.
+// legFunc runs one read on one backend.
 type legFunc func(ctx context.Context, b *replicaBackend) (xdr.Unmarshaler, error)
 
-// rowLeg is the legFunc of a row: proc with the arguments build makes
-// from the backend's handles, into a fresh R.
-func rowLeg[R any](rs *replicaSet, proc uint32, mode resolveMode, build func(*xlate) xdr.Marshaler) legFunc {
-	return func(ctx context.Context, b *replicaBackend) (xdr.Unmarshaler, error) {
-		x := xlate{ctx: ctx, b: b, mode: mode}
+// rowLeg runs proc on one backend with the arguments build makes from
+// the backend's handles as of log position at, into a fresh R.
+func rowLeg[R any](proc uint32, build func(*xlate) xdr.Marshaler) applyFunc {
+	return func(ctx context.Context, b *replicaBackend, at uint64) (xdr.Unmarshaler, error) {
+		x := xlate{ctx: ctx, b: b, at: at}
 		args := build(&x)
 		if x.err != nil {
 			return nil, x.err
@@ -419,32 +382,36 @@ func rowLeg[R any](rs *replicaSet, proc uint32, mode resolveMode, build func(*xl
 	}
 }
 
-// hedgedRow serves a read row from the fastest replica of (on, block).
+// hedgedRow serves a read row from the fastest current replica of (on,
+// block).
 func hedgedRow[R any](rs *replicaSet, ctx context.Context, proc uint32, on nfs3.FH3, block uint64, out *R,
 	build func(*xlate) xdr.Marshaler, canon func(*R, *replicaBackend)) error {
-	leg := rowLeg[R](rs, proc, resolveOnly, build)
+	leg := rowLeg[R](proc, build)
 	rep, b, err := rs.hedged(ctx, proc, on, block, func(ctx context.Context, b *replicaBackend) (xdr.Unmarshaler, error) {
-		b.order.settle()
-		return leg(ctx, b)
+		return leg(ctx, b, readAt)
 	})
-	return answer(rep, b, err, out, canon)
-}
-
-// quorumRow fans a mutation row out to every healthy backend and
-// answers with the reply a quorum of them agrees on.
-func quorumRow[R any](rs *replicaSet, proc uint32, mode resolveMode, out *R,
-	build func(*xlate) xdr.Marshaler, canon func(*R, *replicaBackend)) error {
-	rep, b, err := rs.quorum(rowLeg[R](rs, proc, mode, build), nil)
-	return answer(rep, b, err, out, canon)
-}
-
-// answer canonicalises the reply rep that backend b won with into out.
-func answer[R any](rep xdr.Unmarshaler, b *replicaBackend, err error, out *R, canon func(*R, *replicaBackend)) error {
 	if err != nil {
 		return err
 	}
 	r := any(rep).(*R)
 	canon(r, b)
+	*out = *r
+	return nil
+}
+
+// nsRow runs a namespace mutation row through the log and answers with
+// the reply a quorum of backends agrees on; canon applies it to the
+// canonical namespace at the entry's sequence number.
+func nsRow[R any](rs *replicaSet, proc uint32, out *R,
+	build func(*xlate) xdr.Marshaler, canon func(r *R, seq uint64)) error {
+	rs.nsMu.Lock()
+	defer rs.nsMu.Unlock()
+	seq, win, err := rs.mutate(rowLeg[R](proc, build))
+	if err != nil {
+		return err
+	}
+	r := any(win.rep).(*R)
+	canon(r, seq)
 	*out = *r
 	return nil
 }
@@ -456,12 +423,10 @@ type legResult struct {
 	err error
 }
 
-// hedged serves a read from the fastest replica: the primary is asked
-// first, a hedge fires after HedgeDelay, and failures fail over to the
-// remaining replicas. It returns the winning reply and its backend.
-// When every leg fails the error names the procedure and the backend
-// that failed last, so an operator can tell a dead pool from one bad
-// replica without re-running with tracing on.
+// hedged serves a read from the fastest replica: the primary first, a
+// hedge after HedgeDelay, failover to the rest. It returns the winning
+// reply and its backend; when every leg fails, the error names the
+// procedure and the backend that failed last.
 func (rs *replicaSet) hedged(ctx context.Context, proc uint32, fh nfs3.FH3, block uint64, leg legFunc) (xdr.Unmarshaler, *replicaBackend, error) {
 	targets := rs.readTargets(fh, block)
 	if len(targets) == 0 {
@@ -484,7 +449,7 @@ func (rs *replicaSet) hedged(ctx context.Context, proc uint32, fh nfs3.FH3, bloc
 		return true
 	}
 	launch()
-	hedge := time.NewTimer(rs.cfg.hedgeDelay())
+	hedge := time.NewTimer(positiveOr(rs.cfg.HedgeDelay, 30*time.Millisecond))
 	defer hedge.Stop()
 	hedged, primaryFailed := false, false
 	for failures := 0; ; {
@@ -528,8 +493,6 @@ func statusOf(rep xdr.Unmarshaler) nfs3.Status {
 	case *nfs3.CreateRes:
 		return r.Status
 	case *nfs3.RenameRes:
-		return r.Status
-	case *nfs3.CommitRes:
 		return r.Status
 	}
 	panic(fmt.Sprintf("proxy: replica layer: no status in %T", rep))

@@ -15,11 +15,11 @@ import (
 
 // Backend health. Each replica backend is an upstream session plus a
 // health state machine: consecutive transport failures eject it,
-// jittered probes reintegrate it, and reads and writes pick their
-// targets by it.
+// jittered probes reintegrate it, disagreement or overflow retires it,
+// and reads and the log pick their backends by it.
 
-// replicaBackend is one backend: its upstream session, its per-backend
-// handle translations, and its health state machine.
+// replicaBackend is one backend: its upstream session, its handle
+// translations, its cursor in the log, and its health.
 type replicaBackend struct {
 	id   int
 	addr string
@@ -33,16 +33,12 @@ type replicaBackend struct {
 	fails   atomic.Int32
 	probing atomic.Bool
 
-	// behind counts mutation legs issued to this backend that have not
-	// finished. A quorum ack returns while stragglers still run, so a
-	// backend with behind > 0 may not have applied a mutation its
-	// caller already saw acknowledged; reads prefer the others.
-	behind atomic.Int32
-	// order admits this backend's mutation legs in issue order.
-	order legOrder
+	cur cursor // under set.log.mu
 }
 
 func (b *replicaBackend) healthy() bool { return b.bs.Health.Load() == int32(metrics.BackendHealthy) }
+
+func (b *replicaBackend) retired() bool { return b.bs.Health.Load() == int32(metrics.BackendRetired) }
 
 // call issues one RPC on this backend and feeds the outcome to the
 // health state machine.
@@ -68,19 +64,20 @@ func (b *replicaBackend) observe(ctx context.Context, err error) {
 		return
 	}
 	b.bs.Failures.Add(1)
-	if int(b.fails.Add(1)) >= b.set.cfg.ejectAfter() {
+	if int(b.fails.Add(1)) >= positiveOr(b.set.cfg.EjectAfter, 3) {
 		b.eject()
 	}
 }
 
-// eject moves Healthy -> Ejected and starts the reintegration probe
-// loop. Crossing below quorum is the transition into degraded
-// read-only service.
+// eject moves Healthy -> Ejected, which stops its cursor, and starts
+// the reintegration probe loop. Crossing below quorum is the
+// transition into degraded read-only service.
 func (b *replicaBackend) eject() {
 	if !b.bs.Health.CompareAndSwap(int32(metrics.BackendHealthy), int32(metrics.BackendEjected)) {
 		return
 	}
 	b.bs.Ejections.Add(1)
+	b.set.log.locked(func() { b.set.log.leave(b) })
 	if b.set.degraded() {
 		b.set.stats.QuorumLost.Add(1)
 	}
@@ -104,14 +101,14 @@ func (b *replicaBackend) probeLoop() {
 	defer b.set.wg.Done()
 	defer b.probing.Store(false)
 	b.bs.Health.CompareAndSwap(int32(metrics.BackendEjected), int32(metrics.BackendProbing))
-	interval := b.set.cfg.probeInterval()
+	interval := positiveOr(b.set.cfg.ProbeInterval, 500*time.Millisecond)
 	for {
 		select {
 		case <-b.set.done:
 			return
 		case <-time.After(jitterDuration(interval)):
 		}
-		if b.healthy() { // healed by regular traffic
+		if b.healthy() || b.retired() { // healed by regular traffic, or gone
 			return
 		}
 		b.bs.Probes.Add(1)
@@ -135,10 +132,17 @@ func jitterDuration(d time.Duration) time.Duration {
 	return d/2 + time.Duration(rand.Int63n(int64(d/2)))
 }
 
+// reintegrate returns an ejected backend to service: its applier
+// replays the log from its cursor, and reads count it once it has
+// caught up. A retired backend stays retired.
 func (b *replicaBackend) reintegrate() {
-	if b.bs.Health.Swap(int32(metrics.BackendHealthy)) != int32(metrics.BackendHealthy) {
-		b.fails.Store(0)
-		b.bs.Reintegrations.Add(1)
+	for _, from := range []metrics.BackendHealth{metrics.BackendProbing, metrics.BackendEjected} {
+		if b.bs.Health.CompareAndSwap(int32(from), int32(metrics.BackendHealthy)) {
+			b.fails.Store(0)
+			b.bs.Reintegrations.Add(1)
+			b.set.log.locked(func() {})
+			return
+		}
 	}
 }
 
@@ -146,17 +150,25 @@ func (b *replicaBackend) reintegrate() {
 // healthy: the proxy then serves degraded read-only from cache and the
 // survivors.
 func (rs *replicaSet) degraded() bool {
-	up, _ := rs.targets()
-	return len(up) < rs.need
+	n := 0
+	for _, b := range rs.backs {
+		if b.healthy() {
+			n++
+		}
+	}
+	return n < rs.need
 }
 
 // readTargets orders the pool for a read of block of fh: round from the
 // leader of the block's group of 64 (2 MiB at 32 KiB blocks), FNV-1a of
 // fh xor the group index, mod N, so files and groups lead on different
-// backends while a sequential scan stays on one. Healthy backends come first, and among those the ones with no
-// mutation leg outstanding — a read issued after a quorum ack must not
-// be answered by the straggler that has yet to apply the mutation (it
-// would report NOENT for a fresh MKDIR, or list a name a RENAME moved).
+// backends while a sequential scan stays on one. The healthy backends
+// that have applied every decided entry come first — a read issued
+// after an acknowledged mutation must not be answered by a backend yet
+// to apply it (it would report NOENT for a fresh MKDIR, or list a name
+// a RENAME moved) — and it waits for one while a healthy backend is
+// catching up. Then the rest, in case those fail; a retired backend
+// serves no read.
 func (rs *replicaSet) readTargets(fh nfs3.FH3, block uint64) []*replicaBackend {
 	h := uint64(14695981039346656037)
 	for _, c := range fh.Data {
@@ -164,33 +176,27 @@ func (rs *replicaSet) readTargets(fh nfs3.FH3, block uint64) []*replicaBackend {
 	}
 	n := len(rs.backs)
 	lead := int((h ^ block/64) % uint64(n))
-	current := make([]*replicaBackend, 0, n)
-	var behind, rest []*replicaBackend
-	for i := range n {
-		b := rs.backs[(lead+i)%n]
-		switch {
-		case !b.healthy():
-			rest = append(rest, b)
-		case b.behind.Load() > 0:
-			behind = append(behind, b)
-		default:
-			current = append(current, b)
+	l := rs.log
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for {
+		current := make([]*replicaBackend, 0, n)
+		var rest []*replicaBackend
+		catching := false
+		for i := range n {
+			b := rs.backs[(lead+i)%n]
+			switch {
+			case b.retired():
+			case b.healthy() && b.cur.applied() >= l.acked:
+				current = append(current, b)
+			default:
+				catching = catching || b.healthy()
+				rest = append(rest, b)
+			}
 		}
-	}
-	return append(append(current, behind...), rest...)
-}
-
-// targets splits the pool for a mutation: every healthy backend
-// receives it, and an ejected one is skipped — a WRITE it misses goes
-// to the repair queue instead of stalling the flush behind the
-// backend's reconnect backoff.
-func (rs *replicaSet) targets() (healthy, skipped []*replicaBackend) {
-	for _, b := range rs.backs {
-		if b.healthy() {
-			healthy = append(healthy, b)
-		} else {
-			skipped = append(skipped, b)
+		if len(current) > 0 || !catching || l.closed {
+			return append(current, rest...)
 		}
+		l.cond.Wait()
 	}
-	return healthy, skipped
 }

@@ -17,11 +17,15 @@ import (
 // replica layer hands the VFS layer handles of its own and translates
 // them per backend through lazy LOOKUP walks.
 
-// nameEntry is one binding: a name in a directory, the directory given
-// by its canonical key.
-type nameEntry struct {
-	parent string
-	name   string
+// nameEntry is one name in a directory given by its canonical key.
+type nameEntry struct{ parent, name string }
+
+// binding is where a handle's file is named, from log position bound
+// on and, once REMOVE or RENAME freed it, up to freed: only an entry in
+// between may resolve the handle by walking the name.
+type binding struct {
+	nameEntry
+	bound, freed uint64
 }
 
 // canonNS is the canonical handle namespace shared by all backends. A
@@ -29,31 +33,34 @@ type nameEntry struct {
 // minted from (parent, name) the first time the proxy sees the name, so
 // independent proxies agree on a fresh tree; RENAME moves the binding
 // together with the file, and a name that REMOVE or RENAME freed gets a
-// fresh handle when it is reused.
+// fresh handle when it is reused. A freed binding stays, for backends
+// that replay entries before it, until the log trims the entry that
+// freed it.
 type canonNS struct {
 	root nfs3.FH3
 
 	mu      sync.Mutex
-	entries map[string]nameEntry // canonical key -> its binding
-	names   map[nameEntry]string // binding -> canonical key
-	freed   uint64               // bindings freed so far; salts new keys
+	entries map[string]binding   // canonical key -> its binding
+	names   map[nameEntry]string // live binding -> canonical key
+	nfreed  uint64               // bindings freed so far; salts new keys
+	freed   []string             // freed keys still in entries, in log order
 }
 
 func newCanonNS() *canonNS {
 	sum := sha256.Sum256([]byte("sgfs/replica/root"))
 	return &canonNS{
 		root:    nfs3.FH3{Data: sum[:16]},
-		entries: make(map[string]nameEntry),
+		entries: make(map[string]binding),
 		names:   make(map[nameEntry]string),
 	}
 }
 
 func (ns *canonNS) isRoot(fh nfs3.FH3) bool { return bytes.Equal(fh.Data, ns.root.Data) }
 
-// child returns the canonical handle of dir/name, minting and binding
-// one if the name has none. "." and ".." never mint: they resolve
-// structurally.
-func (ns *canonNS) child(dir nfs3.FH3, name string) nfs3.FH3 {
+// child returns the canonical handle of dir/name, minting one bound at
+// log position seq if the name has none (0: a name that was there
+// before the log). "." and ".." never mint: they resolve structurally.
+func (ns *canonNS) child(dir nfs3.FH3, name string, seq uint64) nfs3.FH3 {
 	ns.mu.Lock()
 	defer ns.mu.Unlock()
 	switch name {
@@ -72,19 +79,19 @@ func (ns *canonNS) child(dir nfs3.FH3, name string) nfs3.FH3 {
 		h.Write(dir.Data)
 		h.Write([]byte{0})
 		h.Write([]byte(name))
-		if ns.freed > 0 {
+		if ns.nfreed > 0 {
 			var salt [8]byte
-			binary.BigEndian.PutUint64(salt[:], ns.freed)
+			binary.BigEndian.PutUint64(salt[:], ns.nfreed)
 			h.Write(salt[:])
 		}
 		key = string(h.Sum(nil)[:16])
 		ns.names[e] = key
-		ns.entries[key] = e
+		ns.entries[key] = binding{nameEntry: e, bound: seq}
 	}
 	return nfs3.FH3{Data: []byte(key)}
 }
 
-func (ns *canonNS) entry(key string) (nameEntry, bool) {
+func (ns *canonNS) entry(key string) (binding, bool) {
 	ns.mu.Lock()
 	defer ns.mu.Unlock()
 	e, ok := ns.entries[key]
@@ -94,58 +101,64 @@ func (ns *canonNS) entry(key string) (nameEntry, bool) {
 // known reports whether fh still names a file: the root, or a handle
 // whose binding has not been freed.
 func (ns *canonNS) known(fh nfs3.FH3) bool {
-	_, ok := ns.entry(string(fh.Data))
-	return ok || ns.isRoot(fh)
+	e, ok := ns.entry(string(fh.Data))
+	return ok && e.freed == 0 || ns.isRoot(fh)
 }
 
-// unbindLocked frees the binding e and forgets the handle bound to it,
-// which it returns ("" when the proxy never saw the name).
-func (ns *canonNS) unbindLocked(e nameEntry) string {
+// unbindLocked frees the binding e at log position seq and returns the
+// handle bound to it ("" when the proxy never saw the name).
+func (ns *canonNS) unbindLocked(e nameEntry, seq uint64) string {
 	key := ns.names[e]
 	if key != "" {
 		delete(ns.names, e)
-		delete(ns.entries, key)
+		b := ns.entries[key]
+		b.freed = seq
+		ns.entries[key] = b
+		ns.freed = append(ns.freed, key)
 	}
-	ns.freed++
+	ns.nfreed++
 	return key
 }
 
-// remove forgets dir/name after REMOVE or RMDIR and returns the handle
-// it named.
-func (ns *canonNS) remove(dir nfs3.FH3, name string) string {
+// remove frees dir/name after REMOVE or RMDIR at seq and returns the
+// handle it named.
+func (ns *canonNS) remove(dir nfs3.FH3, name string, seq uint64) string {
 	ns.mu.Lock()
 	defer ns.mu.Unlock()
-	return ns.unbindLocked(nameEntry{string(dir.Data), name})
+	return ns.unbindLocked(nameEntry{string(dir.Data), name}, seq)
 }
 
-// rename moves the binding of from to to after RENAME: the moved file
-// keeps its handle, now resolving via the new name, and the file it
-// overwrote loses its handle, which rename returns.
-func (ns *canonNS) rename(from, to nfs3.DirOpArgs) string {
+// rename moves the binding of from to to after RENAME at seq: the moved
+// file keeps its handle, now resolving via the new name from seq on,
+// and the file it overwrote loses its handle, which rename returns.
+func (ns *canonNS) rename(from, to nfs3.DirOpArgs, seq uint64) string {
 	ns.mu.Lock()
 	defer ns.mu.Unlock()
 	src, dst := nameEntry{string(from.Dir.Data), from.Name}, nameEntry{string(to.Dir.Data), to.Name}
 	moved := ns.names[src]
-	ns.unbindLocked(src)
-	overwritten := ns.unbindLocked(dst)
+	delete(ns.names, src)
+	ns.nfreed++
+	overwritten := ns.unbindLocked(dst, seq)
 	if moved != "" {
 		ns.names[dst] = moved
-		ns.entries[moved] = dst
+		ns.entries[moved] = binding{nameEntry: dst, bound: seq}
 	}
 	return overwritten
 }
 
-// forget drops the per-backend translations of a handle the namespace
-// freed.
-func (rs *replicaSet) forget(key string) {
-	if key == "" {
-		return
+// dropFreed forgets for good the handles freed before log position
+// keep, which no entry left in the log can name, and returns them.
+func (ns *canonNS) dropFreed(keep uint64) []string {
+	ns.mu.Lock()
+	defer ns.mu.Unlock()
+	n := 0
+	for n < len(ns.freed) && ns.entries[ns.freed[n]].freed < keep {
+		delete(ns.entries, ns.freed[n])
+		n++
 	}
-	for _, b := range rs.backs {
-		b.mu.Lock()
-		delete(b.fhs, key)
-		b.mu.Unlock()
-	}
+	gone := ns.freed[:n]
+	ns.freed = ns.freed[n:]
+	return gone
 }
 
 // fileidOf derives a stable fileid from a canonical handle, so the
@@ -173,9 +186,7 @@ func canonPostOp(a *nfs3.PostOpAttr, fh nfs3.FH3) {
 	}
 }
 
-func canonWcc(w *nfs3.WccData, fh nfs3.FH3) {
-	canonPostOp(&w.After, fh)
-}
+func canonWcc(w *nfs3.WccData, fh nfs3.FH3) { canonPostOp(&w.After, fh) }
 
 func (b *replicaBackend) cacheFH(key string, fh nfs3.FH3) {
 	b.mu.Lock()
@@ -183,45 +194,32 @@ func (b *replicaBackend) cacheFH(key string, fh nfs3.FH3) {
 	b.mu.Unlock()
 }
 
-// resolveMode selects how resolve treats missing path components.
-type resolveMode int
-
-const (
-	// resolveOnly fails on a missing component (read paths: a miss
-	// means this backend diverged; fail over to another replica).
-	resolveOnly resolveMode = iota
-	// resolveCreateDirs materializes missing ancestors as directories
-	// (write fan-out and repair heal namespace divergence lazily).
-	resolveCreateDirs
-	// resolveCreateFile additionally materializes a missing leaf as a
-	// file via CREATE UNCHECKED (open-or-create: effectively
-	// idempotent, so safe to re-issue).
-	resolveCreateFile
-)
-
 // xlate translates the canonical handles of one call into one backend's
-// handles. The first failure sticks; later handles translate to the
-// zero handle.
+// handles, as of log position at. The first failure sticks; later
+// handles translate to the zero handle.
 type xlate struct {
-	ctx  context.Context
-	b    *replicaBackend
-	mode resolveMode
-	err  error
+	ctx context.Context
+	b   *replicaBackend
+	at  uint64
+	err error
 }
 
 func (x *xlate) fh(c nfs3.FH3) nfs3.FH3 {
 	if x.err != nil {
 		return nfs3.FH3{}
 	}
-	h, err := x.b.resolve(x.ctx, c, x.mode)
+	h, err := x.b.resolve(x.ctx, c, x.at)
 	x.err = err
 	return h
 }
 
-// resolve translates a canonical handle into this backend's handle,
-// walking LOOKUPs from the nearest cached ancestor and optionally
-// creating missing components.
-func (b *replicaBackend) resolve(ctx context.Context, fh nfs3.FH3, mode resolveMode) (nfs3.FH3, error) {
+// resolve translates a canonical handle into this backend's handle for
+// an entry at log position at: from the translations the backend
+// recorded, or else by LOOKUPs from the nearest translated ancestor
+// along names bound before at — the names the backend holds once it
+// applied every entry before at. A name bound later, or missing on the
+// backend, fails with errUnresolvable; nothing is created.
+func (b *replicaBackend) resolve(ctx context.Context, fh nfs3.FH3, at uint64) (nfs3.FH3, error) {
 	ns := b.set.ns
 	if ns.isRoot(fh) {
 		root := b.sess.exportRoot()
@@ -243,47 +241,20 @@ func (b *replicaBackend) resolve(ctx context.Context, fh nfs3.FH3, mode resolveM
 		return cached, nil
 	}
 	ent, ok := ns.entry(key)
-	if !ok {
-		return nfs3.FH3{}, fmt.Errorf("proxy: backend %d: unknown canonical handle: %w", b.id, vfs.ErrStale)
+	if !ok || ent.bound >= at || ent.freed != 0 && ent.freed < at {
+		return nfs3.FH3{}, fmt.Errorf("%w: backend %d: no name for the handle at entry %d: %w", errUnresolvable, b.id, at, vfs.ErrStale)
 	}
-	parentMode := resolveOnly
-	if mode != resolveOnly {
-		parentMode = resolveCreateDirs
-	}
-	parent, err := b.resolve(ctx, nfs3.FH3{Data: []byte(ent.parent)}, parentMode)
+	parent, err := b.resolve(ctx, nfs3.FH3{Data: []byte(ent.parent)}, at)
 	if err != nil {
 		return nfs3.FH3{}, err
 	}
-	where := nfs3.DirOpArgs{Dir: parent, Name: ent.name}
-	for created := false; ; created = true {
-		var res nfs3.LookupRes
-		if err := b.call(ctx, nfs3.ProcLookup, &nfs3.LookupArgs{What: where}, &res); err != nil {
-			return nfs3.FH3{}, err
-		}
-		if res.Status == nfs3.OK {
-			b.cacheFH(key, res.Obj)
-			return res.Obj, nil
-		}
-		if created || res.Status != nfs3.Status(vfs.ErrNoEnt) || mode == resolveOnly {
-			return nfs3.FH3{}, fmt.Errorf("proxy: backend %d: resolve %q: %w", b.id, ent.name, vfs.Errno(res.Status))
-		}
-		// Missing on this backend: materialize it (lazy divergence heal).
-		// Losing a creation race (or EXIST) leaves the entry there for
-		// the next lookup.
-		var cres nfs3.CreateRes
-		if mode == resolveCreateDirs {
-			args := &nfs3.MkdirArgs{Where: where, Attr: nfs3.Sattr3{SetMode: true, Mode: 0o755}}
-			err = b.call(ctx, nfs3.ProcMkdir, args, &cres)
-		} else {
-			args := &nfs3.CreateArgs{Where: where, Mode: nfs3.CreateUnchecked, Attr: nfs3.Sattr3{SetMode: true, Mode: 0o644}}
-			err = b.call(ctx, nfs3.ProcCreate, args, &cres)
-		}
-		if err != nil {
-			return nfs3.FH3{}, err
-		}
-		if cres.Status == nfs3.OK && cres.Obj.Present {
-			b.cacheFH(key, cres.Obj.FH)
-			return cres.Obj.FH, nil
-		}
+	var res nfs3.LookupRes
+	if err := b.call(ctx, nfs3.ProcLookup, &nfs3.LookupArgs{What: nfs3.DirOpArgs{Dir: parent, Name: ent.name}}, &res); err != nil {
+		return nfs3.FH3{}, err
 	}
+	if res.Status != nfs3.OK {
+		return nfs3.FH3{}, fmt.Errorf("%w: backend %d: resolve %q: %w", errUnresolvable, b.id, ent.name, vfs.Errno(res.Status))
+	}
+	b.cacheFH(key, res.Obj)
+	return res.Obj, nil
 }

@@ -182,6 +182,7 @@ func TestHedgedFailoverErrorContext(t *testing.T) {
 	for i, addr := range []string{"10.0.0.1:2049", "10.0.0.2:2049"} {
 		rs.backs = append(rs.backs, &replicaBackend{id: i, addr: addr, set: rs, bs: stats.Backends[i]})
 	}
+	rs.log = newReplicaLog(rs)
 	legErr := fmt.Errorf("dial tcp: connection refused")
 	_, _, err := rs.hedged(context.Background(), nfs3.ProcRead, nfs3.FH3{Data: []byte("fh")}, 0,
 		func(ctx context.Context, b *replicaBackend) (xdr.Unmarshaler, error) { return nil, legErr })
@@ -247,6 +248,7 @@ func TestReadTargetsRotation(t *testing.T) {
 	for i := range 3 {
 		rs.backs = append(rs.backs, &replicaBackend{id: i, set: rs, bs: stats.Backends[i]})
 	}
+	rs.log = newReplicaLog(rs)
 	order := func(fh nfs3.FH3, block uint64) []int {
 		var ids []int
 		for _, b := range rs.readTargets(fh, block) {
@@ -314,11 +316,15 @@ func TestReplicatedHedgedReads(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Reads steer clear of a replica with mutation legs outstanding, so
-	// let the slow backend's stragglers land first: the hedge under test
-	// is against a replica that is slow, not one that is behind.
+	// Reads steer clear of a replica that has not applied every
+	// acknowledged entry, so let the slow backend catch up first: the
+	// hedge under test is against a replica that is slow, not one that
+	// is behind.
+	rs := st.cp.up.(*replicaSet)
 	waitFor(t, 10*time.Second, "the slow backend to catch up", func() bool {
-		return st.cp.up.(*replicaSet).backs[2].behind.Load() == 0
+		rs.log.mu.Lock()
+		defer rs.log.mu.Unlock()
+		return rs.backs[2].cur.applied() >= rs.log.acked
 	})
 	for pass := 0; pass < 3; pass++ {
 		for i := 0; i < 12; i++ {
@@ -361,7 +367,7 @@ func (b *cutOnWrite) Write(h vfs.Handle, off uint64, data []byte) error {
 // in the middle of a parallel FlushAll. The flush must succeed with
 // zero errors surfaced (quorum holds on the two survivors), the
 // survivors must hold every acked byte, and after the dead backend
-// heals, ejection/probe/reintegration plus background repair must
+// heals, ejection/probe/reintegration plus the log's replay must
 // converge it to the same bytes.
 func TestChaosReplicatedBackendKillMidFlush(t *testing.T) {
 	for victim := 0; victim < 3; victim++ {
@@ -452,7 +458,7 @@ func TestChaosReplicatedBackendKillMidFlush(t *testing.T) {
 			})
 
 			// The victim heals: probes (or resumed traffic) reintegrate
-			// it, and repair converges its data.
+			// it, and replaying the log converges its data.
 			st.healBackend(victim)
 			waitFor(t, 15*time.Second, "victim reintegration", func() bool {
 				return metrics.BackendHealth(vb.Health.Load()) == metrics.BackendHealthy
@@ -463,20 +469,20 @@ func TestChaosReplicatedBackendKillMidFlush(t *testing.T) {
 			for i := 0; i < nFiles; i++ {
 				name := fmt.Sprintf("c-%d", i)
 				want := chaosPayload(i, fileSize)
-				waitFor(t, 20*time.Second, fmt.Sprintf("repair of %s on victim", name), func() bool {
+				waitFor(t, 20*time.Second, fmt.Sprintf("replay of %s on victim", name), func() bool {
 					got, err := backendFile(st.backends[victim], name)
 					return err == nil && bytes.Equal(got, want)
 				})
 			}
-			if st.stats.RepairsQueued.Load() == 0 {
-				t.Fatalf("no repair queued: %+v", st.stats.Snapshot())
-			}
 			// A leg whose WRITE landed but whose reply the cut lost is
-			// queued too, so the victim can hold every byte before the
-			// repairs, backing off while it was ejected, have run.
-			waitFor(t, 20*time.Second, "queued repairs to run", func() bool {
-				return st.stats.RepairedBlocks.Load() > 0
+			// applied again, so the victim can hold every byte before
+			// its replay has finished.
+			waitFor(t, 20*time.Second, "the victim's replay", func() bool {
+				return st.stats.Replays.Load() > 0
 			})
+			if n := st.stats.Retirements.Load(); n != 0 {
+				t.Fatalf("%d backends retired: %+v", n, st.stats.Snapshot())
+			}
 		})
 	}
 }
@@ -646,7 +652,7 @@ func TestChaosReplicatedKillMidReadahead(t *testing.T) {
 }
 
 // TestChaosReplicatedKillDuringReintegration ejects a backend, lets it
-// heal, then cuts it again while probes and repair are converging it —
+// heal, then cuts it again while probes and replay are converging it —
 // the second ejection must be as clean as the first and the cluster
 // must still converge once it finally stays up.
 func TestChaosReplicatedKillDuringReintegration(t *testing.T) {
@@ -686,8 +692,8 @@ func TestChaosReplicatedKillDuringReintegration(t *testing.T) {
 		return metrics.BackendHealth(vb.Health.Load()) != metrics.BackendHealthy
 	})
 
-	// Heal, and cut again as soon as reintegration lands (repair may be
-	// mid-flight).
+	// Heal, and cut again as soon as reintegration lands (the replay
+	// may be mid-flight).
 	st.healBackend(2)
 	waitFor(t, 10*time.Second, "reintegration", func() bool {
 		return metrics.BackendHealth(vb.Health.Load()) == metrics.BackendHealthy
@@ -717,4 +723,140 @@ func TestChaosReplicatedKillDuringReintegration(t *testing.T) {
 	if vb.Reintegrations.Load() < 2 {
 		t.Fatalf("expected two reintegrations, saw %d", vb.Reintegrations.Load())
 	}
+}
+
+// memTree describes every path of a backend: its type, and a file's
+// bytes.
+func memTree(t testing.TB, fs *vfs.MemFS) map[string]string {
+	t.Helper()
+	out := map[string]string{}
+	var walk func(dir vfs.Handle, prefix string)
+	walk = func(dir vfs.Handle, prefix string) {
+		ents, _, err := fs.ReadDir(dir, 0, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range ents {
+			a, err := fs.GetAttr(e.Handle)
+			if err != nil {
+				t.Fatal(err)
+			}
+			path := prefix + e.Name
+			switch a.Type {
+			case vfs.TypeDir:
+				out[path] = "dir"
+				walk(e.Handle, path+"/")
+			case vfs.TypeReg:
+				buf := make([]byte, a.Size)
+				n, _, _ := fs.Read(e.Handle, 0, buf)
+				out[path] = fmt.Sprintf("file %x", buf[:n])
+			default:
+				out[path] = fmt.Sprint(a.Type)
+			}
+		}
+	}
+	walk(fs.Root(), "")
+	return out
+}
+
+// TestChaosReplicatedEjectedBackendReplays: a backend that is cut while
+// the mount removes, renames, makes and creates names and writes data
+// replays all of it once it is back, so every backend ends with the
+// same tree; and a backend whose leg answers differently from the
+// quorum is retired and serves no read.
+func TestChaosReplicatedEjectedBackendReplays(t *testing.T) {
+	t.Parallel()
+	ctx := context.Background()
+	t.Run("replay", func(t *testing.T) {
+		t.Parallel()
+		st := buildReplStack(t, replOpts{n: 3, quorum: 2, recovery: fastRecovery(), ejectAfter: 1, probe: 20 * time.Millisecond})
+		fs := st.mount(t, nfsclient.Options{CacheBytes: 1})
+		p := fs.Proto()
+		for _, name := range []string{"keep", "gone", "old"} {
+			if _, _, err := p.Create(ctx, fs.Root(), name, 0o644, true); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// Once backend 2's link is down, no mutation below reaches it
+		// before it heals.
+		st.cutBackend(2)
+		b2 := st.cp.up.(*replicaSet).backs[2]
+		waitFor(t, 10*time.Second, "backend 2's link to drop", b2.sess.degraded)
+		if err := p.Remove(ctx, fs.Root(), "gone"); err != nil {
+			t.Fatal(err)
+		}
+		if err := p.Rename(ctx, fs.Root(), "old", fs.Root(), "new"); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := p.Mkdir(ctx, fs.Root(), "dir", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		fh, _, err := p.Create(ctx, fs.Root(), "probe", 0o644, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := p.Write(ctx, fh, 0, chaosPayload(4, 8*1024), nfs3.FileSync); err != nil {
+			t.Fatal(err)
+		}
+		vb := st.stats.Backend(2)
+		waitFor(t, 10*time.Second, "backend 2's ejection", func() bool { return vb.Ejections.Load() > 0 })
+		st.healBackend(2)
+		waitFor(t, 10*time.Second, "reintegration", func() bool { return vb.Reintegrations.Load() > 0 })
+		want := fmt.Sprint(memTree(t, st.backends[0]))
+		deadline := time.Now().Add(10 * time.Second)
+		for fmt.Sprint(memTree(t, st.backends[2])) != want {
+			if time.Now().After(deadline) {
+				t.Fatalf("backend 2 holds %v, backend 0 %s (%+v)", memTree(t, st.backends[2]), want, st.stats.Snapshot())
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+		if got := fmt.Sprint(memTree(t, st.backends[1])); got != want {
+			t.Fatalf("backend 1 holds %s, backend 0 %s", got, want)
+		}
+		if !strings.Contains(want, "probe:file") || !strings.Contains(want, "dir:dir") || strings.Contains(want, "gone") {
+			t.Fatalf("trees hold %s", want)
+		}
+		if s := st.stats.Snapshot(); s.Replays == 0 || s.Retirements != 0 {
+			t.Fatalf("counters %+v, want replays and no retirement", s)
+		}
+	})
+	t.Run("disagreement_retires", func(t *testing.T) {
+		t.Parallel()
+		st := buildReplStack(t, replOpts{n: 3, quorum: 2, recovery: fastRecovery()})
+		fs := st.mount(t, nfsclient.Options{CacheBytes: 1})
+		p := fs.Proto()
+		// Backend 2 alone holds x, so its leg of an exclusive CREATE of
+		// x answers EXIST where the quorum answers OK.
+		b2 := st.backends[2]
+		if _, _, err := b2.Create(b2.Root(), "x", vfs.SetAttr{}, false); err != nil {
+			t.Fatal(err)
+		}
+		fh, _, err := p.Create(ctx, fs.Root(), "x", 0o644, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		vb := st.stats.Backend(2)
+		waitFor(t, 10*time.Second, "backend 2 retired", func() bool {
+			return metrics.BackendHealth(vb.Health.Load()) == metrics.BackendRetired
+		})
+		if n := st.stats.Retirements.Load(); n != 1 {
+			t.Fatalf("%d retirements, want 1", n)
+		}
+		calls := vb.Calls.Load()
+		payload := chaosPayload(5, 8*1024)
+		if _, _, err := p.Write(ctx, fh, 0, payload, nfs3.FileSync); err != nil {
+			t.Fatal(err)
+		}
+		for range 12 {
+			if data, _, err := p.Read(ctx, fh, 0, 8*1024); err != nil || !bytes.Equal(data, payload) {
+				t.Fatalf("read: %d bytes, %v", len(data), err)
+			}
+			if _, _, err := p.Lookup(ctx, fs.Root(), "x"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := vb.Calls.Load(); got != calls {
+			t.Fatalf("retired backend 2 got %d calls after retirement", got-calls)
+		}
+	})
 }

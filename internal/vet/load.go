@@ -46,7 +46,9 @@ import (
 	"go/parser"
 	"go/token"
 	"go/types"
+	"io"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -116,15 +118,18 @@ func Select(root string, pkgs []*Package, patterns []string) (map[string]bool, e
 // loader parses and type-checks packages of a single module without
 // go/packages: module-internal imports are resolved by mapping the
 // import path onto the module directory tree and recursing; standard
-// library imports fall back to the compiler's source importer.
+// library imports are read from the compiler's export data, whose
+// files `go list -export` names (type-checking the standard library
+// from source took most of a run).
 type loader struct {
 	root       string
 	modulePath string
 
-	fset  *token.FileSet
-	std   types.Importer
-	cache map[string]*Package
-	busy  map[string]bool
+	fset    *token.FileSet
+	std     types.Importer
+	exports map[string]string // standard-library import path -> export data file
+	cache   map[string]*Package
+	busy    map[string]bool
 }
 
 // newLoader creates a loader rooted at root, reading the module path
@@ -145,15 +150,49 @@ func newLoader(root string) (*loader, error) {
 	if modPath == "" {
 		return nil, fmt.Errorf("vet: no module directive in %s/go.mod", root)
 	}
-	fset := token.NewFileSet()
-	return &loader{
+	l := &loader{
 		root:       root,
 		modulePath: modPath,
-		fset:       fset,
-		std:        importer.ForCompiler(fset, "source", nil),
+		fset:       token.NewFileSet(),
+		exports:    make(map[string]string),
 		cache:      make(map[string]*Package),
 		busy:       make(map[string]bool),
-	}, nil
+	}
+	l.std = importer.ForCompiler(l.fset, "gc", l.lookup)
+	return l, l.listExports("./...")
+}
+
+// listExports records the export data of the standard-library
+// packages the patterns depend on.
+func (l *loader) listExports(patterns ...string) error {
+	args := append([]string{"list", "-e", "-export", "-deps", "-f", "{{if .Standard}}{{.ImportPath}}={{.Export}}{{end}}"}, patterns...)
+	cmd := exec.Command("go", args...)
+	cmd.Dir = l.root
+	out, err := cmd.Output()
+	if err != nil {
+		return fmt.Errorf("vet: go list -export: %w", err)
+	}
+	for _, line := range strings.Split(string(out), "\n") {
+		if path, file, ok := strings.Cut(line, "="); ok && file != "" {
+			l.exports[path] = file
+		}
+	}
+	return nil
+}
+
+// lookup opens the export data of a standard-library package; one the
+// module does not import (a fixture's) is listed on first use.
+func (l *loader) lookup(path string) (io.ReadCloser, error) {
+	if _, ok := l.exports[path]; !ok {
+		if err := l.listExports(path); err != nil {
+			return nil, err
+		}
+	}
+	file, ok := l.exports[path]
+	if !ok {
+		return nil, fmt.Errorf("vet: no export data for %s", path)
+	}
+	return os.Open(file)
 }
 
 // Import implements types.Importer so the loader can resolve the

@@ -777,10 +777,17 @@ func TestChaosReplicatedEjectedBackendReplays(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		// Once backend 2's link is down, no mutation below reaches it
-		// before it heals.
+		// Backend 2 is cut once it has applied every entry so far, and
+		// no mutation below reaches it before it heals: a leg cut in
+		// flight is replayed as a new call (ROADMAP item 15).
+		rs := st.cp.up.(*replicaSet)
+		b2 := rs.backs[2]
+		waitFor(t, 10*time.Second, "backend 2 to apply every entry", func() bool {
+			rs.log.mu.Lock()
+			defer rs.log.mu.Unlock()
+			return b2.cur.applied() == rs.log.tail()
+		})
 		st.cutBackend(2)
-		b2 := st.cp.up.(*replicaSet).backs[2]
 		waitFor(t, 10*time.Second, "backend 2's link to drop", b2.sess.degraded)
 		if err := p.Remove(ctx, fs.Root(), "gone"); err != nil {
 			t.Fatal(err)
